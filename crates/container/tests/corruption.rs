@@ -21,10 +21,22 @@ fn sample_stream() -> VideoStream {
     w.finish().unwrap()
 }
 
-fn tmp(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("v2v_corruption_tests");
+/// A file in a fresh directory of its own (test name + pid + counter):
+/// cases of one test, tests of one binary and concurrent test processes
+/// never share a path.
+fn tmp(test: &str) -> std::path::PathBuf {
+    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "v2v_corruption_{test}_{}_{}",
+        std::process::id(),
+        SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    ));
     std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+    dir.join("case.svc")
+}
+
+fn cleanup(path: &std::path::Path) {
+    std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
 }
 
 proptest! {
@@ -35,7 +47,7 @@ proptest! {
     #[test]
     fn single_byte_flip_never_panics(pos_frac in 0.0f64..1.0, xor in 1u8..=255) {
         let s = sample_stream();
-        let path = tmp(&format!("flip_{pos_frac:.6}_{xor}.svc"));
+        let path = tmp("flip");
         write_svc(&s, &path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
@@ -46,7 +58,7 @@ proptest! {
             // not panic either, whatever it returns.
             let _ = stream.decode_range(0, stream.len());
         }
-        std::fs::remove_file(&path).unwrap();
+        cleanup(&path);
     }
 
     /// Truncating a container file at any point fails cleanly or loads a
@@ -54,7 +66,7 @@ proptest! {
     #[test]
     fn truncation_never_panics(keep_frac in 0.0f64..1.0) {
         let s = sample_stream();
-        let path = tmp(&format!("trunc_{keep_frac:.6}.svc"));
+        let path = tmp("trunc");
         write_svc(&s, &path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let keep = (bytes.len() as f64 * keep_frac) as usize;
@@ -62,17 +74,17 @@ proptest! {
         if let Ok(stream) = read_svc(&path) {
             let _ = stream.decode_range(0, stream.len());
         }
-        std::fs::remove_file(&path).unwrap();
+        cleanup(&path);
     }
 
     /// Random garbage is rejected (or at worst decodes to errors).
     #[test]
     fn random_garbage_rejected(data in prop::collection::vec(any::<u8>(), 0..512)) {
-        let path = tmp(&format!("garbage_{}.svc", data.len()));
+        let path = tmp("garbage");
         std::fs::write(&path, &data).unwrap();
         if let Ok(stream) = read_svc(&path) {
             let _ = stream.decode_range(0, stream.len());
         }
-        std::fs::remove_file(&path).unwrap();
+        cleanup(&path);
     }
 }

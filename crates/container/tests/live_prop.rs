@@ -42,10 +42,22 @@ fn sealed_prefix(h: &VideoStream, n: usize) -> VideoStream {
     VideoStream::new(*h.params(), h.start(), h.frame_dur(), packets).unwrap()
 }
 
-fn tmp(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("v2v_live_prop_{}", std::process::id()));
+/// A file in a fresh directory of its own (test name + pid + counter):
+/// cases of one test, tests of one binary and concurrent test processes
+/// never share a path.
+fn tmp(test: &str) -> std::path::PathBuf {
+    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "v2v_live_prop_{test}_{}_{}",
+        std::process::id(),
+        SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    ));
     std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+    dir.join("live.svc")
+}
+
+fn cleanup(path: &std::path::Path) {
+    std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
 }
 
 /// One scripted operation against the live file.
@@ -105,11 +117,9 @@ proptest! {
     #[test]
     fn interleaved_appends_crashes_and_reads_always_see_the_committed_prefix(
         ops in prop::collection::vec(op_strategy(), 1..12),
-        seed in 0u32..1000,
     ) {
         let h = history();
-        let path = tmp(&format!("torture_{seed}_{}.svc", std::process::id()));
-        let _ = std::fs::remove_file(&path);
+        let path = tmp("torture");
 
         let mut writer =
             Some(LiveWriter::create(&path, *h.params(), h.start(), h.frame_dur()).unwrap());
@@ -139,7 +149,6 @@ proptest! {
                     // Perform a real append, then tear its record: the
                     // file keeps only a prefix of the batch bytes, as a
                     // crash between write and sync would leave it.
-                    let before = std::fs::metadata(&path).unwrap().len();
                     let w = match writer.as_mut() {
                         Some(w) => w,
                         None => {
@@ -147,6 +156,9 @@ proptest! {
                             writer.as_mut().unwrap()
                         }
                     };
+                    // Measured after recovery: `open` truncates whatever
+                    // debris an earlier crash or junk tail left behind.
+                    let before = std::fs::metadata(&path).unwrap().len();
                     w.append_stream(&slice(&h, committed, committed + GOP)).unwrap();
                     let after = std::fs::metadata(&path).unwrap().len();
                     let record = after - before;
@@ -179,7 +191,7 @@ proptest! {
         }
         drop(w);
         check_committed(&path, &h, committed);
-        std::fs::remove_file(&path).unwrap();
+        cleanup(&path);
     }
 }
 
@@ -189,8 +201,7 @@ proptest! {
 #[test]
 fn concurrent_reads_only_ever_see_committed_prefixes() {
     let h = history();
-    let path = tmp("concurrent.svc");
-    let _ = std::fs::remove_file(&path);
+    let path = tmp("concurrent");
     let mut writer = LiveWriter::create(&path, *h.params(), h.start(), h.frame_dur()).unwrap();
 
     // Digest ground truth for every batch boundary.
@@ -233,5 +244,5 @@ fn concurrent_reads_only_ever_see_committed_prefixes() {
     assert!(reads > 0, "the reader must actually have raced the writer");
     assert_eq!(writer.committed() as usize, TOTAL);
     drop(writer);
-    std::fs::remove_file(&path).unwrap();
+    cleanup(&path);
 }

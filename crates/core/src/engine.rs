@@ -8,8 +8,9 @@ use std::time::{Duration, Instant};
 use v2v_container::{Fnv64, Fragment, VideoStream};
 use v2v_data::{Database, Query};
 use v2v_exec::{
-    execute_naive, execute_streaming_with, execute_traced, CacheTier, Catalog, ExecOptions,
-    ExecStats, ExecTrace, FragmentFlight, RenderCache, SegmentCacheCtx, StageTimes, StreamingStats,
+    execute_naive, execute_streaming_with, execute_traced, CacheStats, Catalog, EntryKey,
+    ExecOptions, ExecStats, ExecTrace, FragmentFlight, RenderCache, SegmentCacheCtx, StageTimes,
+    StreamingStats,
 };
 use v2v_obs::{SpanRecord, SpanSink};
 use v2v_plan::{
@@ -428,20 +429,19 @@ impl V2vEngine {
         let timer = spans.start("execute");
         let exec_start_ns = spans.now_ns();
         let hit_start = Instant::now();
-        let result_hit = match (&cache, fingerprint) {
-            (Some(cache), Some(fp)) => cache.load_result_tiered(fp),
-            _ => None,
-        };
+        let result_hit = cache.as_ref().zip(fingerprint).and_then(|(cache, fp)| {
+            let (output, origin) = cache.load_result_tiered(fp)?;
+            let stats = CacheStats::for_hit(EntryKey::Result(fp), origin, output.byte_size());
+            Some((output, stats))
+        });
         let (output, exec_trace, wall) = match result_hit {
-            Some((output, tier)) => {
+            Some((output, stats)) => {
                 // Whole-result hit: splice the cached container bytes
                 // straight through — no planning cost was wasted (the
                 // fingerprint needs the optimized plan), but no decode,
                 // render, or encode happens at all.
                 let mut trace = ExecTrace::default();
-                trace.totals.cache.result_hits = 1;
-                trace.totals.cache.bytes_reused = output.byte_size();
-                trace.totals.cache.mem_hits = u64::from(tier == CacheTier::Memory);
+                trace.totals.cache = stats;
                 let wall = hit_start.elapsed();
                 trace.wall_ns = wall.as_nanos() as u64;
                 (output, trace, wall)

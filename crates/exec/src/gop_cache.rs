@@ -9,30 +9,17 @@
 //!
 //! [`SourceCursor`]: crate::SourceCursor
 
-use std::collections::{HashMap, HashSet};
+use crate::budget_lru::BudgetLru;
+use crate::flight::{Claim, SingleFlight};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use v2v_frame::Frame;
 
 /// One decoded GOP: frames in presentation order starting at the
 /// keyframe, each shared.
 pub type GopFrames = Arc<Vec<Arc<Frame>>>;
 
-struct Entry {
-    frames: GopFrames,
-    /// Last-touch stamp for LRU eviction.
-    stamp: u64,
-}
-
-struct Inner {
-    map: HashMap<(String, u64), Entry>,
-    /// Keys currently being decoded by some cursor; other requesters of
-    /// the same GOP block on [`GopCache::decoded`] instead of decoding a
-    /// duplicate.
-    in_flight: HashSet<(String, u64)>,
-    total_frames: usize,
-    next_stamp: u64,
-}
+type GopKey = (String, u64);
 
 /// A thread-safe LRU cache of decoded GOPs, bounded by total frame count.
 ///
@@ -45,10 +32,13 @@ struct Inner {
 /// reuses that result (a hit). This is what makes per-cursor hit/miss
 /// accounting deterministic.
 pub struct GopCache {
-    inner: Mutex<Inner>,
-    /// Signalled whenever an in-flight decode completes (or fails).
-    decoded: Condvar,
-    capacity_frames: usize,
+    /// Weight = frames. Every decoded GOP is admitted, even one larger
+    /// than the whole capacity: the cursor that decoded it needs it, and
+    /// the next insert evicts it.
+    lru: BudgetLru<GopKey, GopFrames>,
+    /// GOPs being decoded right now; other requesters of the same GOP
+    /// wait here instead of decoding a duplicate.
+    flight: SingleFlight<GopKey, GopFrames>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -56,7 +46,7 @@ pub struct GopCache {
 impl std::fmt::Debug for GopCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GopCache")
-            .field("capacity_frames", &self.capacity_frames)
+            .field("capacity_frames", &self.lru.budget())
             .field("hits", &self.hits())
             .field("misses", &self.misses())
             .finish()
@@ -64,24 +54,11 @@ impl std::fmt::Debug for GopCache {
 }
 
 impl GopCache {
-    /// Locks the cache state, recovering from poisoning: the cache holds
-    /// only memoized data (no invariants span an unwind), so a panic in
-    /// some other holder must not cascade into every later lookup.
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// A cache holding at most `capacity_frames` decoded frames.
     pub fn new(capacity_frames: usize) -> GopCache {
         GopCache {
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                in_flight: HashSet::new(),
-                total_frames: 0,
-                next_stamp: 0,
-            }),
-            decoded: Condvar::new(),
-            capacity_frames,
+            lru: BudgetLru::new(capacity_frames as u64),
+            flight: SingleFlight::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -89,55 +66,28 @@ impl GopCache {
 
     /// Whether the cache can hold anything at all.
     pub fn enabled(&self) -> bool {
-        self.capacity_frames > 0
+        self.lru.budget() > 0
     }
 
     /// Looks up the GOP starting at keyframe index `gop` of `video`,
     /// refreshing its LRU stamp. Counts a hit or miss.
     pub fn get(&self, video: &str, gop: u64) -> Option<GopFrames> {
-        let mut inner = self.lock();
-        inner.next_stamp += 1;
-        let stamp = inner.next_stamp;
-        match inner.map.get_mut(&(video.to_owned(), gop)) {
-            Some(e) => {
-                e.stamp = stamp;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(e.frames.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let found = self.lru.get(&(video.to_owned(), gop));
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Inserts a decoded GOP, evicting least-recently-used entries while
     /// the total frame count exceeds capacity (the new entry itself is
     /// never evicted by its own insertion).
     pub fn insert(&self, video: &str, gop: u64, frames: GopFrames) {
-        let mut inner = self.lock();
-        self.insert_locked(&mut inner, (video.to_owned(), gop), frames);
-    }
-
-    fn insert_locked(&self, inner: &mut Inner, key: (String, u64), frames: GopFrames) {
-        inner.next_stamp += 1;
-        let stamp = inner.next_stamp;
-        let added = frames.len();
-        if let Some(old) = inner.map.insert(key.clone(), Entry { frames, stamp }) {
-            inner.total_frames -= old.frames.len();
-        }
-        inner.total_frames += added;
-        while inner.total_frames > self.capacity_frames && inner.map.len() > 1 {
-            let victim = inner
-                .map
-                .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| k.clone())
-                .expect("more than one entry");
-            let evicted = inner.map.remove(&victim).expect("victim present");
-            inner.total_frames -= evicted.frames.len();
-        }
+        let weight = frames.len() as u64;
+        self.lru.insert((video.to_owned(), gop), frames, weight);
     }
 
     /// Serves the GOP at keyframe `gop` of `video`, decoding it at most
@@ -156,42 +106,34 @@ impl GopCache {
         decode: impl FnOnce() -> Result<GopFrames, E>,
     ) -> Result<(GopFrames, bool), E> {
         let key = (video.to_owned(), gop);
-        let mut inner = self.lock();
-        loop {
-            inner.next_stamp += 1;
-            let stamp = inner.next_stamp;
-            if let Some(e) = inner.map.get_mut(&key) {
-                e.stamp = stamp;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((e.frames.clone(), true));
+        let hit = |frames| {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            Ok((frames, true))
+        };
+        // The hit path is the lookup alone: one shard lock.
+        let guard = loop {
+            if let Some(frames) = self.lru.get(&key) {
+                return hit(frames);
             }
-            if !inner.in_flight.contains(&key) {
-                break;
+            match self.flight.claim(key.clone()) {
+                Claim::Owner(guard) => break guard,
+                Claim::Shared(Some(frames)) => return hit(frames),
+                // The decoder failed: contend to retry.
+                Claim::Shared(None) => {}
             }
-            inner = self
-                .decoded
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
+        };
+        // Claim → lookup → decode → insert → publish: a decoder that
+        // finished between the lookup above and the claim has already
+        // inserted, so it is found here, never decoded twice.
+        if let Some(frames) = self.lru.get(&key) {
+            guard.publish(frames.clone());
+            return hit(frames);
         }
-        inner.in_flight.insert(key.clone());
         self.misses.fetch_add(1, Ordering::Relaxed);
-        drop(inner);
-        let result = decode();
-        let mut inner = self.lock();
-        inner.in_flight.remove(&key);
-        match result {
-            Ok(frames) => {
-                self.insert_locked(&mut inner, key, frames.clone());
-                drop(inner);
-                self.decoded.notify_all();
-                Ok((frames, false))
-            }
-            Err(e) => {
-                drop(inner);
-                self.decoded.notify_all();
-                Err(e)
-            }
-        }
+        let frames = decode()?;
+        self.lru.insert(key, frames.clone(), frames.len() as u64);
+        guard.publish(frames.clone());
+        Ok((frames, false))
     }
 
     /// GOP lookups served from the cache.
@@ -206,7 +148,7 @@ impl GopCache {
 
     /// Decoded frames currently held.
     pub fn frames_held(&self) -> usize {
-        self.lock().total_frames
+        self.lru.total() as usize
     }
 }
 

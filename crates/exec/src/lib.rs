@@ -21,6 +21,7 @@
 //! benchmarks and tests can attribute costs.
 
 pub mod apply;
+mod budget_lru;
 pub mod catalog;
 pub mod cursor;
 pub mod executor;
@@ -40,12 +41,12 @@ pub use catalog::{Catalog, VariantSource};
 pub use cursor::SourceCursor;
 pub use executor::{execute, execute_traced, ExecOptions, ExecStats};
 pub use fault::{error_kind, ErrorPolicy, FaultAction, FaultInjector, FaultKind, SegmentFault};
-pub use flight::{Claim, FlightGuard, FragmentFlight};
+pub use flight::{Claim, FlightGuard, FragmentFlight, SingleFlight};
 pub use gop_cache::{GopCache, GopFrames};
 pub use mem_tier::MemTier;
 pub use naive::execute_naive;
 pub use remote::RemoteRenderer;
-pub use render_cache::{CacheStats, CacheTier, RenderCache, SegmentCacheCtx};
+pub use render_cache::{CacheStats, EntryKey, Origin, RenderCache, SegmentCacheCtx};
 pub use scheduler::{segment_cost, PartOutput, SchedReport};
 pub use streaming::{execute_streaming, execute_streaming_with, StreamingStats};
 pub use trace::{ExecTrace, SegmentTrace, StageTimes};

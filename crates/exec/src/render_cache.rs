@@ -25,18 +25,19 @@
 //!   checksum; a bad entry (bit rot, truncation, a meddling process) is
 //!   evicted and the caller re-renders. Classified as
 //!   [`ErrorKind::CorruptData`] internally, never a panic.
-//! * **Bounded footprint.** A byte budget with LRU eviction; the
-//!   just-inserted entry is never evicted by its own insertion.
+//! * **Bounded footprint.** A byte budget with LRU eviction (the
+//!   shared `BudgetLru`); the just-inserted entry is never evicted by
+//!   its own insertion.
 //!
 //! [`ErrorKind::CorruptData`]: v2v_container::ContainerError::BadFile
 
+use crate::budget_lru::BudgetLru;
 use crate::flight::FragmentFlight;
 use crate::mem_tier::MemTier;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use v2v_container::{fragment_to_bytes, read_fragment, Fragment, VideoStream};
 
 /// Render-cache activity for one run, embedded in
@@ -87,27 +88,64 @@ impl CacheStats {
         self.remote_segments += other.remote_segments;
         self
     }
+
+    /// The attribution of one reused entry: `bytes` compressed bytes of
+    /// `key` that came from `origin` instead of being rendered here.
+    pub fn for_hit(key: EntryKey, origin: Origin, bytes: u64) -> CacheStats {
+        let mut stats = CacheStats {
+            bytes_reused: bytes,
+            mem_hits: u64::from(origin == Origin::Memory),
+            ..Default::default()
+        };
+        match (origin, key) {
+            (Origin::Flight, _) => stats.shared_segment_hits = 1,
+            (Origin::Remote, _) => stats.remote_segments = 1,
+            (_, EntryKey::Result(_)) => stats.result_hits = 1,
+            (_, EntryKey::Segment(_)) => stats.segment_hits = 1,
+        }
+        stats
+    }
 }
 
-/// Which tier served a cache hit.
+/// Where a reused fragment came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CacheTier {
-    /// Served from the in-memory hot tier, no disk I/O.
+pub enum Origin {
+    /// The in-memory hot tier, no disk I/O.
     Memory,
     /// Read (and checksum-verified) from the persistent directory.
     Disk,
+    /// Another run's concurrent render ([`FragmentFlight`]).
+    Flight,
+    /// A remote worker (coordinator dispatch).
+    Remote,
 }
 
-struct EntryMeta {
-    bytes: u64,
-    /// Last-touch stamp for LRU eviction.
-    stamp: u64,
+/// The address of one cache entry, shared by the memory and disk tiers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum EntryKey {
+    /// A whole result, by canonical plan fingerprint.
+    Result(u64),
+    /// One rendered segment, by segment key.
+    Segment(u64),
 }
 
-struct Index {
-    entries: HashMap<String, EntryMeta>,
-    total_bytes: u64,
-    next_stamp: u64,
+impl EntryKey {
+    /// The entry's file name — built only at the filesystem edge.
+    fn file_name(self) -> String {
+        match self {
+            EntryKey::Result(fp) => format!("res-{fp:016x}.svf"),
+            EntryKey::Segment(key) => format!("seg-{key:016x}.svf"),
+        }
+    }
+
+    /// Inverse of [`file_name`](EntryKey::file_name); `None` for any
+    /// file this cache did not write.
+    fn parse(name: &str) -> Option<EntryKey> {
+        let id = u64::from_str_radix(name.get(4..20)?, 16).ok()?;
+        [EntryKey::Result(id), EntryKey::Segment(id)]
+            .into_iter()
+            .find(|key| key.file_name() == name)
+    }
 }
 
 /// A persistent, byte-budgeted, content-addressed cache of rendered
@@ -115,8 +153,11 @@ struct Index {
 /// one instance across concurrent jobs.
 pub struct RenderCache {
     dir: PathBuf,
+    /// `0` means unbounded.
     budget_bytes: u64,
-    index: Mutex<Index>,
+    /// Which entries exist and their LRU order; weight = file bytes.
+    /// Only redundant metadata — the files are the truth.
+    index: BudgetLru<EntryKey, ()>,
     evictions: AtomicU64,
     tmp_seq: AtomicU64,
     /// Optional hot tier above the directory; entries are promoted on
@@ -135,14 +176,6 @@ impl std::fmt::Debug for RenderCache {
     }
 }
 
-fn result_name(fingerprint: u64) -> String {
-    format!("res-{fingerprint:016x}.svf")
-}
-
-fn segment_name(key: u64) -> String {
-    format!("seg-{key:016x}.svf")
-}
-
 impl RenderCache {
     /// Opens (or creates) a cache rooted at `dir` with the given byte
     /// budget, seeding the LRU order from entry modification times and
@@ -150,53 +183,38 @@ impl RenderCache {
     pub fn open(dir: impl AsRef<Path>, budget_bytes: u64) -> std::io::Result<RenderCache> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let mut found: Vec<(String, u64, std::time::SystemTime)> = Vec::new();
+        let mut found: Vec<(std::time::SystemTime, EntryKey, u64)> = Vec::new();
         for entry in std::fs::read_dir(&dir)? {
             let entry = entry?;
             let name = entry.file_name().to_string_lossy().into_owned();
             if name.ends_with(".tmp") {
                 let _ = std::fs::remove_file(entry.path());
-                continue;
+            } else if let Some(key) = EntryKey::parse(&name) {
+                let meta = entry.metadata()?;
+                let mtime = meta.modified().unwrap_or(std::time::UNIX_EPOCH);
+                found.push((mtime, key, meta.len()));
             }
-            if !name.ends_with(".svf") {
-                continue;
-            }
-            let meta = entry.metadata()?;
-            let mtime = meta.modified().unwrap_or(std::time::UNIX_EPOCH);
-            found.push((name, meta.len(), mtime));
         }
-        found.sort_by_key(|(_, _, mtime)| *mtime);
-        let mut index = Index {
-            entries: HashMap::with_capacity(found.len()),
-            total_bytes: 0,
-            next_stamp: 0,
+        found.sort_by_key(|(mtime, _, _)| *mtime);
+        let limit = if budget_bytes == 0 {
+            u64::MAX
+        } else {
+            budget_bytes
         };
-        for (name, bytes, _) in found {
-            index.next_stamp += 1;
-            index.total_bytes += bytes;
-            index.entries.insert(
-                name,
-                EntryMeta {
-                    bytes,
-                    stamp: index.next_stamp,
-                },
-            );
-        }
         let cache = RenderCache {
             dir,
             budget_bytes,
-            index: Mutex::new(index),
+            index: BudgetLru::new(limit),
             evictions: AtomicU64::new(0),
             tmp_seq: AtomicU64::new(0),
             mem: None,
         };
-        // A crash can leave the directory over budget; restore the
-        // invariant before serving (these do not count as run-visible
-        // evictions — no run is in flight yet).
-        let mut guard = cache.lock();
-        cache.evict_to_budget(&mut guard, None);
-        drop(guard);
-        cache.evictions.store(0, Ordering::Relaxed);
+        // A crash can leave the directory over budget; indexing oldest
+        // first restores the invariant before serving (not counted as
+        // run-visible evictions — no run is in flight yet).
+        for (_, key, bytes) in found {
+            cache.unlink(cache.index.insert(key, (), bytes));
+        }
         Ok(cache)
     }
 
@@ -230,19 +248,12 @@ impl RenderCache {
 
     /// Total bytes currently indexed.
     pub fn bytes_held(&self) -> u64 {
-        self.lock().total_bytes
+        self.index.total()
     }
 
     /// Number of entries currently indexed.
     pub fn entries(&self) -> usize {
-        self.lock().entries.len()
-    }
-
-    /// The index holds only redundant metadata (the files are the
-    /// truth), so recover from poisoning rather than cascading a panic
-    /// into every later request.
-    fn lock(&self) -> MutexGuard<'_, Index> {
-        self.index.lock().unwrap_or_else(PoisonError::into_inner)
+        self.index.len()
     }
 
     /// Looks up a cached whole result by plan fingerprint.
@@ -251,29 +262,18 @@ impl RenderCache {
     }
 
     /// Looks up a cached whole result, reporting which tier served it.
-    pub fn load_result_tiered(&self, fingerprint: u64) -> Option<(VideoStream, CacheTier)> {
-        let name = result_name(fingerprint);
-        if let Some(mem) = &self.mem {
-            if let Some(frag) = mem.get(&name) {
-                // A resident fragment was validated when it was read
-                // from disk; a conversion failure here means memory
-                // corruption — drop it and fall through to disk.
-                match (*frag).clone().into_stream() {
-                    Ok(stream) => return Some((stream, CacheTier::Memory)),
-                    Err(_) => mem.invalidate(&name),
-                }
-            }
-        }
-        let frag = Arc::new(self.load(&name)?);
+    pub fn load_result_tiered(&self, fingerprint: u64) -> Option<(VideoStream, Origin)> {
+        let key = EntryKey::Result(fingerprint);
+        let (frag, origin) = self.load(key)?;
         match (*frag).clone().into_stream() {
-            Ok(stream) => {
-                if let Some(mem) = &self.mem {
-                    mem.admit(&name, &frag, frag.byte_size());
-                }
-                Some((stream, CacheTier::Disk))
-            }
+            Ok(stream) => Some((stream, origin)),
             Err(_) => {
-                self.evict_corrupt(&name);
+                // Checksum-clean but not a stream: drop it from both
+                // tiers so the caller re-renders and re-stores.
+                if let Some(mem) = &self.mem {
+                    mem.invalidate(key);
+                }
+                self.evict_corrupt(key);
                 None
             }
         }
@@ -287,54 +287,47 @@ impl RenderCache {
     /// Looks up a cached segment fragment, reporting which tier served
     /// it. The fragment is shared (`Arc`) so a memory hit copies
     /// nothing.
-    pub fn load_segment_tiered(&self, key: u64) -> Option<(Arc<Fragment>, CacheTier)> {
-        let name = segment_name(key);
-        if let Some(mem) = &self.mem {
-            if let Some(frag) = mem.get(&name) {
-                return Some((frag, CacheTier::Memory));
-            }
-        }
-        let frag = Arc::new(self.load(&name)?);
-        if let Some(mem) = &self.mem {
-            mem.admit(&name, &frag, frag.byte_size());
-        }
-        Some((frag, CacheTier::Disk))
+    pub fn load_segment_tiered(&self, key: u64) -> Option<(Arc<Fragment>, Origin)> {
+        self.load(EntryKey::Segment(key))
     }
 
     /// Stores a whole result under the plan fingerprint. Best-effort:
     /// an I/O failure leaves the cache without the entry, nothing more.
     pub fn store_result(&self, fingerprint: u64, stream: &VideoStream) -> std::io::Result<()> {
         let frag = Fragment::from_stream(stream);
-        self.store(&result_name(fingerprint), &frag)
+        self.store(EntryKey::Result(fingerprint), &frag)
     }
 
     /// Stores a rendered segment fragment under its key.
     pub fn store_segment(&self, key: u64, frag: &Fragment) -> std::io::Result<()> {
-        self.store(&segment_name(key), frag)
+        self.store(EntryKey::Segment(key), frag)
     }
 
-    fn load(&self, name: &str) -> Option<Fragment> {
-        {
-            let mut idx = self.lock();
-            idx.next_stamp += 1;
-            let stamp = idx.next_stamp;
-            match idx.entries.get_mut(name) {
-                Some(e) => e.stamp = stamp,
-                None => return None,
-            }
+    /// Memory tier, then disk (touching the entry's LRU stamp and
+    /// offering the fragment to the memory tier's admission gate).
+    fn load(&self, key: EntryKey) -> Option<(Arc<Fragment>, Origin)> {
+        if let Some(frag) = self.mem.as_ref().and_then(|mem| mem.get(key)) {
+            return Some((frag, Origin::Memory));
         }
-        match read_fragment(self.dir.join(name)) {
-            Ok(frag) => Some(frag),
+        self.index.get(&key)?;
+        match read_fragment(self.dir.join(key.file_name())) {
+            Ok(frag) => {
+                let frag = Arc::new(frag);
+                if let Some(mem) = &self.mem {
+                    mem.admit(key, &frag, frag.byte_size());
+                }
+                Some((frag, Origin::Disk))
+            }
             Err(_) => {
                 // Corrupt (checksum, truncation) or vanished: evict so
                 // the slot is re-rendered, never surfaced.
-                self.evict_corrupt(name);
+                self.evict_corrupt(key);
                 None
             }
         }
     }
 
-    fn store(&self, name: &str, frag: &Fragment) -> std::io::Result<()> {
+    fn store(&self, key: EntryKey, frag: &Fragment) -> std::io::Result<()> {
         let bytes = fragment_to_bytes(frag)
             .map_err(|e| std::io::Error::other(format!("fragment encode: {e}")))?;
         if self.budget_bytes > 0 && bytes.len() as u64 > self.budget_bytes {
@@ -342,6 +335,7 @@ impl RenderCache {
             // everything else and then itself on the next insert.
             return Ok(());
         }
+        let name = key.file_name();
         let seq = self.tmp_seq.fetch_add(1, Ordering::Relaxed);
         let tmp = self
             .dir
@@ -350,53 +344,25 @@ impl RenderCache {
         // Publish atomically; a concurrent writer of the same key simply
         // wins the rename race with identical content.
         std::fs::rename(&tmp, self.dir.join(name))?;
-        let mut idx = self.lock();
-        idx.next_stamp += 1;
-        let stamp = idx.next_stamp;
-        let added = bytes.len() as u64;
-        if let Some(old) = idx.entries.insert(
-            name.to_string(),
-            EntryMeta {
-                bytes: added,
-                stamp,
-            },
-        ) {
-            idx.total_bytes -= old.bytes;
-        }
-        idx.total_bytes += added;
-        self.evict_to_budget(&mut idx, Some(name));
+        let evicted = self.index.insert(key, (), bytes.len() as u64);
+        self.evictions
+            .fetch_add(evicted.len() as u64, Ordering::Relaxed);
+        self.unlink(evicted);
         Ok(())
     }
 
-    /// Evicts least-recently-used entries until the total fits the
-    /// budget, never evicting `keep` (the just-inserted entry).
-    fn evict_to_budget(&self, idx: &mut Index, keep: Option<&str>) {
-        if self.budget_bytes == 0 {
-            return;
-        }
-        while idx.total_bytes > self.budget_bytes {
-            let victim = idx
-                .entries
-                .iter()
-                .filter(|(name, _)| Some(name.as_str()) != keep)
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(name, _)| name.clone());
-            let Some(victim) = victim else { break };
-            if let Some(old) = idx.entries.remove(&victim) {
-                idx.total_bytes -= old.bytes;
-            }
-            let _ = std::fs::remove_file(self.dir.join(&victim));
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+    /// Deletes the files behind entries the index just evicted.
+    fn unlink(&self, evicted: Vec<(EntryKey, ())>) {
+        for (key, ()) in evicted {
+            let _ = std::fs::remove_file(self.dir.join(key.file_name()));
         }
     }
 
     /// Drops a corrupt entry: file and index row, counted as an
     /// eviction exactly once even under concurrent detection.
-    fn evict_corrupt(&self, name: &str) {
-        let mut idx = self.lock();
-        if let Some(old) = idx.entries.remove(name) {
-            idx.total_bytes -= old.bytes;
-            let _ = std::fs::remove_file(self.dir.join(name));
+    fn evict_corrupt(&self, key: EntryKey) {
+        if self.index.remove(&key).is_some() {
+            let _ = std::fs::remove_file(self.dir.join(key.file_name()));
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -451,9 +417,15 @@ mod tests {
         Fragment::from_stream(&w.finish().unwrap())
     }
 
+    /// A fresh directory per call: test name + pid + counter, so no
+    /// two tests (or reruns racing a slow cleanup) ever share files.
     fn temp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("v2v_render_cache_{tag}_{}", std::process::id()));
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "v2v_render_cache_{tag}_{}_{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -477,12 +449,43 @@ mod tests {
     }
 
     #[test]
+    fn entries_written_by_the_parent_format_are_hits() {
+        // The on-disk names are a compatibility surface: a directory
+        // populated by an earlier build must be read back as hits.
+        let dir = temp_dir("parent_format");
+        std::fs::create_dir_all(&dir).unwrap();
+        let frag = sample_fragment(6, 10);
+        let bytes = fragment_to_bytes(&frag).unwrap();
+        std::fs::write(dir.join("seg-000000000000002a.svf"), &bytes).unwrap();
+        std::fs::write(dir.join("res-00000000deadbeef.svf"), &bytes).unwrap();
+        // Foreign files are neither indexed nor ever deleted.
+        std::fs::write(dir.join("seg-2a.svf"), &bytes).unwrap();
+        std::fs::write(dir.join("notes.svf"), b"not ours").unwrap();
+        let cache = RenderCache::open(&dir, 1 << 20).unwrap();
+        assert_eq!(cache.entries(), 2);
+        assert_eq!(cache.bytes_held(), 2 * bytes.len() as u64);
+        assert_eq!(cache.load_segment(0x2a).unwrap().len(), 6);
+        assert_eq!(cache.load_result(0xdead_beef).unwrap().len(), 6);
+        assert!(cache.load_segment(0xdead_beef).is_none());
+        // And what this build writes carries the same names and bytes.
+        cache.store_segment(0x2b, &frag).unwrap();
+        cache
+            .store_result(0x2c, &frag.clone().into_stream().unwrap())
+            .unwrap();
+        for name in ["seg-000000000000002b.svf", "res-000000000000002c.svf"] {
+            assert_eq!(std::fs::read(dir.join(name)).unwrap(), bytes, "{name}");
+        }
+        assert!(dir.join("notes.svf").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn corrupt_entry_is_evicted_not_surfaced() {
         let dir = temp_dir("corrupt");
         let cache = RenderCache::open(&dir, 1 << 20).unwrap();
         cache.store_segment(7, &sample_fragment(5, 3)).unwrap();
         // Flip a byte in the packet table on disk.
-        let path = dir.join(segment_name(7));
+        let path = dir.join("seg-0000000000000007.svf");
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
@@ -563,14 +566,14 @@ mod tests {
         cache.store_segment(11, &sample_fragment(6, 4)).unwrap();
         // First load: disk (counts one mem-tier access).
         let (_, tier) = cache.load_segment_tiered(11).unwrap();
-        assert_eq!(tier, CacheTier::Disk);
+        assert_eq!(tier, Origin::Disk);
         // Second load: disk again, but now past the promotion gate.
         let (_, tier) = cache.load_segment_tiered(11).unwrap();
-        assert_eq!(tier, CacheTier::Disk);
+        assert_eq!(tier, Origin::Disk);
         // Third load: memory — survives deleting the backing file.
-        std::fs::remove_file(dir.join(segment_name(11))).unwrap();
+        std::fs::remove_file(dir.join("seg-000000000000000b.svf")).unwrap();
         let (frag, tier) = cache.load_segment_tiered(11).unwrap();
-        assert_eq!(tier, CacheTier::Memory);
+        assert_eq!(tier, Origin::Memory);
         assert_eq!(frag.len(), 6);
         assert_eq!(cache.mem_tier().unwrap().hits(), 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -584,10 +587,10 @@ mod tests {
             .with_mem_tier(1 << 20);
         let stream = sample_fragment(5, 8).into_stream().unwrap();
         cache.store_result(0x77, &stream).unwrap();
-        assert_eq!(cache.load_result_tiered(0x77).unwrap().1, CacheTier::Disk);
-        assert_eq!(cache.load_result_tiered(0x77).unwrap().1, CacheTier::Disk);
+        assert_eq!(cache.load_result_tiered(0x77).unwrap().1, Origin::Disk);
+        assert_eq!(cache.load_result_tiered(0x77).unwrap().1, Origin::Disk);
         let (back, tier) = cache.load_result_tiered(0x77).unwrap();
-        assert_eq!(tier, CacheTier::Memory);
+        assert_eq!(tier, Origin::Memory);
         assert_eq!(back.content_digest(), stream.content_digest());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -41,7 +41,7 @@ use crate::executor::{ExecOptions, ExecStats};
 use crate::fault::{error_kind, ErrorPolicy, FaultAction, FaultInjector, SegmentFault};
 use crate::flight::Claim;
 use crate::gop_cache::GopCache;
-use crate::render_cache::{CacheStats, CacheTier, SegmentCacheCtx};
+use crate::render_cache::{CacheStats, EntryKey, Origin, SegmentCacheCtx};
 use crate::trace::StageTimes;
 use crate::ExecError;
 use crossbeam::channel;
@@ -51,6 +51,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 use v2v_codec::{Encoder, Packet};
+use v2v_container::Fragment;
 use v2v_frame::ops::{conform, conform_shared};
 use v2v_frame::{Frame, FrameType};
 use v2v_plan::{CostModel, FrameProgram, InputClip, PhysicalPlan, SegPlan, Segment};
@@ -331,9 +332,19 @@ pub(crate) fn execute_scheduled(
         .collect();
     // Ascending cost, ties broken so the back of the queue (popped
     // first) is the earliest segment — better for streaming delivery.
+    // Stream copies sort behind every render: they cost microseconds, so
+    // popping them first moves no makespan, and a copy at the head of
+    // the output is delivered at once instead of after the longest
+    // render.
+    let rank = |t: &Task| {
+        let copy = plan.segments[t.seg_index].plan.is_copy();
+        (copy, if copy { 0.0 } else { t.cost })
+    };
     tasks.sort_by(|a, b| {
-        a.cost
-            .total_cmp(&b.cost)
+        let ((copy_a, cost_a), (copy_b, cost_b)) = (rank(a), rank(b));
+        copy_a
+            .cmp(&copy_b)
+            .then(cost_a.total_cmp(&cost_b))
             .then(b.seg_index.cmp(&a.seg_index))
     });
     let shared = Shared::new(tasks);
@@ -440,7 +451,7 @@ fn worker_loop(
                             && t.to == plan.segments[t.seg_index].count
                         {
                             if let Some(key) = sc.key(t.seg_index) {
-                                if flight.is_inflight(key) {
+                                if flight.is_inflight(&key) {
                                     let mut t = t;
                                     t.deferred = true;
                                     st.queue.insert(0, t);
@@ -539,7 +550,7 @@ fn worker_loop(
 /// frame count, grid, and codec parameters. Content-addressed keys make
 /// a mismatch nearly impossible; the check keeps a hash collision or a
 /// foreign cache directory from corrupting output.
-fn fragment_matches(ctx: &PartCtx<'_>, frag: &v2v_container::Fragment) -> bool {
+fn fragment_matches(ctx: &PartCtx<'_>, frag: &Fragment) -> bool {
     frag.len() as u64 == ctx.seg.count
         && frag.frame_dur() == ctx.plan.frame_dur
         && frag.params().compatible_with(&ctx.plan.out_params)
@@ -547,11 +558,7 @@ fn fragment_matches(ctx: &PartCtx<'_>, frag: &v2v_container::Fragment) -> bool {
 
 /// A whole-segment part whose packets come from a reused fragment, with
 /// the given cache attribution.
-fn part_from_fragment(
-    ctx: &PartCtx<'_>,
-    frag: &v2v_container::Fragment,
-    cache: CacheStats,
-) -> PartOutput {
+fn part_from_fragment(ctx: &PartCtx<'_>, frag: &Fragment, cache: CacheStats) -> PartOutput {
     PartOutput {
         seg_index: ctx.seg_index,
         abs_start: ctx.seg.out_start,
@@ -569,68 +576,16 @@ fn part_from_fragment(
     }
 }
 
-/// Loads this segment's fragment from the memory/disk tiers, if
-/// present and valid, returning the attributed part plus the fragment
-/// (so a single-flight owner can publish it to waiters).
-fn load_cached_part(
-    ctx: &PartCtx<'_>,
-    sc: &SegmentCacheCtx,
-    key: u64,
-) -> Option<(PartOutput, Arc<v2v_container::Fragment>)> {
-    let cache = sc.cache.as_deref()?;
-    let (frag, tier) = cache.load_segment_tiered(key)?;
-    if !fragment_matches(ctx, &frag) {
-        return None;
-    }
-    let stats = CacheStats {
-        segment_hits: 1,
-        bytes_reused: frag.byte_size(),
-        mem_hits: u64::from(tier == CacheTier::Memory),
-        ..Default::default()
-    };
-    Some((part_from_fragment(ctx, &frag, stats), frag))
-}
-
-/// Asks the remote dispatch hook for this segment's fragment. The
-/// transport is responsible for digest verification; here the fragment
-/// is additionally shape-checked against the plan, persisted to the
-/// local cache (so the coordinator's own tiers warm up for the next
-/// query), and attributed as a remote segment. `None` on any failure —
-/// the caller falls back to an in-process render.
-fn remote_part(
-    ctx: &PartCtx<'_>,
-    sc: &SegmentCacheCtx,
-    key: u64,
-) -> Option<(PartOutput, Arc<v2v_container::Fragment>)> {
-    let remote = sc.remote.as_deref()?;
-    let cost = segment_cost(ctx.plan, ctx.seg);
-    let frag = remote.render_remote(ctx.seg_index, key, cost)?;
-    if !fragment_matches(ctx, &frag) {
-        return None;
-    }
-    let frag = Arc::new(frag);
-    let stats = CacheStats {
-        remote_segments: 1,
-        bytes_reused: frag.byte_size(),
-        ..Default::default()
-    };
-    let mut part = part_from_fragment(ctx, &frag, stats);
-    if let Some(cache) = sc.cache.as_deref() {
-        if cache.store_segment(key, &frag).is_ok() {
-            part.cache_stored = true;
-        }
-    }
-    Some((part, frag))
-}
-
-/// Renders one segment range, sharing work through the segment-cache
-/// context when the range is a whole keyed segment.
+/// Renders one segment range, reusing a fragment when the range is a
+/// whole keyed segment. This is the one place the reuse order is
+/// spelled: **in-flight → memory → disk → remote → render**, then
+/// **store → publish**.
 ///
-/// Ordering invariant: the flight is claimed **before** the cache tiers
-/// are consulted, and an owner stores to disk **before** publishing.
-/// Any concurrent duplicate therefore either joins the flight or finds
-/// the entry on disk — a segment is never rendered twice, under any
-/// interleaving.
+/// The flight is claimed *before* the tiers are consulted and an owner
+/// stores *before* it publishes, so a concurrent duplicate either joins
+/// the flight or finds the entry on disk — a segment is never rendered
+/// twice, under any interleaving. A run without a flight (one-shot
+/// `v2v run`) is simply an owner nobody waits on.
 #[allow(clippy::too_many_arguments)]
 fn render_segment(
     ctx: &PartCtx<'_>,
@@ -642,117 +597,84 @@ fn render_segment(
     pipeline_frames: usize,
     fanout: usize,
 ) -> Result<PartOutput, ExecError> {
+    let fresh = |probe: Option<&SplitProbe<'_>>| {
+        render_fresh(
+            ctx,
+            program,
+            inputs,
+            from,
+            to,
+            probe,
+            pipeline_frames,
+            fanout,
+        )
+    };
     // Only whole segments are shared or cached: a split range would
     // interleave reused and freshly encoded packets inside one encoder
     // session.
     let whole = from == 0 && to == ctx.seg.count && ctx.seg.count > 0 && ctx.fault.is_none();
-    let keyed = whole.then(|| {
-        ctx.seg_cache
-            .and_then(|sc| sc.key(ctx.seg_index).map(|k| (sc, k)))
-    });
-    let Some(Some((sc, key))) = keyed else {
-        return render_fresh(
-            ctx,
-            program,
-            inputs,
-            from,
-            to,
-            probe,
-            pipeline_frames,
-            fanout,
-        );
+    let keyed = ctx
+        .seg_cache
+        .filter(|_| whole)
+        .and_then(|sc| Some((sc, sc.key(ctx.seg_index)?)));
+    let Some((sc, key)) = keyed else {
+        return fresh(probe);
     };
-    let Some(flight) = sc.flight.as_deref() else {
-        // No concurrent sharing (one-shot `v2v run`): memory/disk tiers,
-        // then remote dispatch, then a fresh render that may split under
-        // the probe.
-        if let Some((part, _)) = load_cached_part(ctx, sc, key) {
-            return Ok(part);
-        }
-        if let Some((part, _)) = remote_part(ctx, sc, key) {
-            return Ok(part);
-        }
-        return render_fresh(
-            ctx,
-            program,
-            inputs,
-            from,
-            to,
-            probe,
-            pipeline_frames,
-            fanout,
-        );
+    let reused = |frag: &Fragment, origin: Origin| {
+        let cache = CacheStats::for_hit(EntryKey::Segment(key), origin, frag.byte_size());
+        part_from_fragment(ctx, frag, cache)
     };
-    match flight.claim(key) {
-        Claim::Owner(guard) => {
-            if let Some((part, frag)) = load_cached_part(ctx, sc, key) {
-                guard.publish(frag);
-                return Ok(part);
-            }
-            // Remote dispatch before a local render: the received
-            // fragment is stored to disk first (inside `remote_part`),
-            // so the store-before-publish invariant holds here too.
-            if let Some((part, frag)) = remote_part(ctx, sc, key) {
-                guard.publish(frag);
-                return Ok(part);
-            }
-            // Render the whole segment without a split probe: waiters
-            // need one coherent fragment, and giving half away would
-            // leave them with nothing to subscribe to. The daemon's
-            // concurrent jobs keep the other workers busy instead.
-            let mut part = render_fresh(
-                ctx,
-                program,
-                inputs,
-                from,
-                to,
-                None,
-                pipeline_frames,
-                fanout,
-            )?;
-            match v2v_container::Fragment::new(
-                ctx.plan.out_params,
-                ctx.plan.frame_dur,
-                part.packets.clone(),
-            ) {
-                Ok(frag) => {
-                    let frag = Arc::new(frag);
-                    // Disk before publish: a latecomer that misses the
-                    // drained flight must find the entry on disk.
-                    if let Some(cache) = sc.cache.as_deref() {
-                        if cache.store_segment(key, &frag).is_ok() {
-                            part.cache_stored = true;
-                        }
-                    }
-                    guard.publish(frag);
-                }
-                // An unfragmentable part (shouldn't happen for a clean
-                // whole render): drop the guard so waiters fall back.
-                Err(_) => drop(guard),
-            }
-            Ok(part)
-        }
-        Claim::Shared(Some(frag)) if fragment_matches(ctx, &frag) => {
-            let stats = CacheStats {
-                shared_segment_hits: 1,
-                bytes_reused: frag.byte_size(),
-                ..Default::default()
-            };
-            Ok(part_from_fragment(ctx, &frag, stats))
+    let guard = match sc.flight.as_deref().map(|flight| flight.claim(key)) {
+        Some(Claim::Shared(Some(frag))) if fragment_matches(ctx, &frag) => {
+            return Ok(reused(&frag, Origin::Flight));
         }
         // Owner failed, or (vanishingly unlikely) published a fragment
         // that does not fit this plan: render locally, probe allowed.
-        Claim::Shared(_) => render_fresh(
-            ctx,
-            program,
-            inputs,
-            from,
-            to,
-            probe,
-            pipeline_frames,
-            fanout,
-        ),
+        Some(Claim::Shared(_)) => return fresh(probe),
+        Some(Claim::Owner(guard)) => Some(guard),
+        None => None,
+    };
+    let fits = |found: &(Arc<Fragment>, Origin)| fragment_matches(ctx, &found.0);
+    let tiers = || sc.cache.as_deref()?.load_segment_tiered(key);
+    // The transport verifies the digest; `fits` shape-checks the
+    // fragment against the plan. Any failure falls back to rendering.
+    let remote = || {
+        let cost = segment_cost(ctx.plan, ctx.seg);
+        let frag = sc
+            .remote
+            .as_deref()?
+            .render_remote(ctx.seg_index, key, cost)?;
+        Some((Arc::new(frag), Origin::Remote))
+    };
+    let (mut part, frag, store) = match tiers().filter(fits).or_else(|| remote().filter(fits)) {
+        // A remote fragment is persisted so the coordinator's own tiers
+        // warm up for the next query.
+        Some((frag, origin)) => (reused(&frag, origin), Some(frag), origin == Origin::Remote),
+        None => {
+            // Waiters need one coherent fragment, so an owner renders
+            // the whole segment without a split probe; the daemon's
+            // concurrent jobs keep the other workers busy instead.
+            // Nobody waits on a run without a flight: it may split, and
+            // the deliver-side `StoreAccum` stores the parts whole.
+            let part = fresh(probe.filter(|_| guard.is_none()))?;
+            let (params, dur) = (ctx.plan.out_params, ctx.plan.frame_dur);
+            let frag = guard
+                .as_ref()
+                .and_then(|_| Fragment::new(params, dur, part.packets.clone()).ok());
+            (part, frag.map(Arc::new), true)
+        }
+    };
+    // A `None` here is an unfragmentable part (shouldn't happen for a
+    // clean whole render): the guard drops and waiters fall back.
+    if let Some(frag) = frag {
+        if let Some(cache) = sc.cache.as_deref().filter(|_| store) {
+            part.cache_stored = cache.store_segment(key, &frag).is_ok();
+        }
+        if let Some(guard) = guard {
+            guard.publish(frag);
+        }
     }
+    Ok(part)
 }
 
 /// Dispatches a fresh render of `[from, to)` to the pipelined or
@@ -844,7 +766,7 @@ fn accumulate_for_store(
     }
     if acc.delivered >= seg.count {
         if acc.clean && acc.delivered == seg.count {
-            if let Ok(frag) = v2v_container::Fragment::new(
+            if let Ok(frag) = Fragment::new(
                 plan.out_params,
                 plan.frame_dur,
                 std::mem::take(&mut acc.packets),
@@ -1328,4 +1250,183 @@ fn encode_window(
         packets.push(pkt);
     }
     Ok((packets, bytes))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::executor::execute;
+    use crate::flight::FragmentFlight;
+    use crate::remote::RemoteRenderer;
+    use crate::render_cache::RenderCache;
+    use v2v_codec::CodecParams;
+    use v2v_container::{StreamWriter, VideoStream};
+    use v2v_frame::marker;
+    use v2v_plan::{lower_spec, optimize, OptimizerConfig};
+    use v2v_spec::builder::blur;
+    use v2v_spec::{OutputSettings, SpecBuilder};
+    use v2v_time::r;
+
+    const KEY: u64 = 0x5e6;
+
+    /// One keyed 30-frame render segment over a marked source.
+    fn setup() -> (Catalog, PhysicalPlan) {
+        let ty = FrameType::gray8(64, 32);
+        let mut w = StreamWriter::new(CodecParams::new(ty, 30, 0), Rational::ZERO, r(1, 30));
+        for i in 0..60 {
+            let mut f = Frame::black(ty);
+            marker::embed(&mut f, i);
+            w.push_frame(&f).unwrap();
+        }
+        let mut catalog = Catalog::new();
+        catalog.add_video("src", w.finish().unwrap());
+        let output = OutputSettings {
+            frame_ty: ty,
+            frame_dur: r(1, 30),
+            gop_size: 30,
+            quantizer: 0,
+        };
+        let spec = SpecBuilder::new(output)
+            .video("src", "src.svc")
+            .append_filtered("src", r(0, 1), r(1, 1), |e| blur(e, 1.0))
+            .build();
+        let config = OptimizerConfig {
+            shard_min_frames: u64::MAX,
+            ..Default::default()
+        };
+        let plan = optimize(
+            &lower_spec(&spec).unwrap(),
+            &catalog.plan_context(),
+            &config,
+        )
+        .unwrap();
+        assert_eq!(plan.segments.len(), 1, "test premise: single segment");
+        (catalog, plan)
+    }
+
+    #[derive(Debug)]
+    struct Canned(Fragment);
+
+    impl RemoteRenderer for Canned {
+        fn render_remote(&self, _seg: usize, key: u64, _cost: f64) -> Option<Fragment> {
+            (key == KEY).then(|| self.0.clone())
+        }
+    }
+
+    fn temp_cache(tag: &str) -> Arc<RenderCache> {
+        let dir = std::env::temp_dir().join(format!("v2v_sched_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        Arc::new(RenderCache::open(dir, 0).unwrap().with_mem_tier(1 << 20))
+    }
+
+    fn run(
+        catalog: &Catalog,
+        plan: &PhysicalPlan,
+        sc: SegmentCacheCtx,
+    ) -> (VideoStream, CacheStats) {
+        let opts = ExecOptions {
+            segment_cache: Some(Arc::new(sc)),
+            ..Default::default()
+        };
+        let (out, stats, _) = execute(plan, catalog, &opts).unwrap();
+        (out, stats.cache)
+    }
+
+    /// Drives the one lookup chain through every origin and checks the
+    /// attribution each has always reported.
+    #[test]
+    fn every_origin_attributes_as_before_and_yields_the_same_bytes() {
+        let (catalog, plan) = setup();
+        let ctx = |cache: Option<&Arc<RenderCache>>| SegmentCacheCtx {
+            cache: cache.cloned(),
+            keys: vec![Some(KEY)],
+            ..Default::default()
+        };
+        let cache = temp_cache("tiers");
+
+        // Fresh: nothing reused; the deliver-side accumulator stores it.
+        let (fresh, stats) = run(&catalog, &plan, ctx(Some(&cache)));
+        assert_eq!(stats, CacheStats::default());
+        assert_eq!(cache.entries(), 1);
+        let bytes = fresh.byte_size();
+        let same = |out: &VideoStream| assert_eq!(out.content_digest(), fresh.content_digest());
+
+        // Disk (the fresh run's miss was the first access, so this
+        // second one promotes), then memory.
+        let disk = CacheStats {
+            segment_hits: 1,
+            bytes_reused: bytes,
+            ..Default::default()
+        };
+        for want in [
+            disk,
+            CacheStats {
+                mem_hits: 1,
+                ..disk
+            },
+        ] {
+            let (out, stats) = run(&catalog, &plan, ctx(Some(&cache)));
+            assert_eq!(stats, want);
+            same(&out);
+        }
+
+        // Flight: another run owns the key and publishes while we wait.
+        let flight = Arc::new(FragmentFlight::new());
+        let frag = Arc::new(cache.load_segment(KEY).unwrap());
+        let (out, stats) = std::thread::scope(|scope| {
+            let Claim::Owner(guard) = flight.claim(KEY) else {
+                panic!("unclaimed key");
+            };
+            let sc = SegmentCacheCtx {
+                flight: Some(Arc::clone(&flight)),
+                ..ctx(None)
+            };
+            let waiter = scope.spawn(|| run(&catalog, &plan, sc));
+            while flight.waiting() == 0 {
+                std::thread::yield_now();
+            }
+            guard.publish(Arc::clone(&frag));
+            waiter.join().unwrap()
+        });
+        let shared = CacheStats {
+            shared_segment_hits: 1,
+            bytes_reused: bytes,
+            ..Default::default()
+        };
+        assert_eq!(stats, shared);
+        same(&out);
+
+        // Remote: every local tier misses, the hook answers, and the
+        // fragment is stored before it is published.
+        let cold = temp_cache("remote");
+        let sc = SegmentCacheCtx {
+            flight: Some(Arc::clone(&flight)),
+            remote: Some(Arc::new(Canned((*frag).clone()))),
+            ..ctx(Some(&cold))
+        };
+        let (out, stats) = run(&catalog, &plan, sc);
+        let remote = CacheStats {
+            remote_segments: 1,
+            bytes_reused: bytes,
+            ..Default::default()
+        };
+        assert_eq!(stats, remote);
+        same(&out);
+        assert_eq!((cold.entries(), flight.published()), (1, 2));
+
+        // Fresh again, this time as a flight owner: stored, published.
+        let cold = temp_cache("owner");
+        let sc = SegmentCacheCtx {
+            flight: Some(Arc::clone(&flight)),
+            ..ctx(Some(&cold))
+        };
+        let (out, stats) = run(&catalog, &plan, sc);
+        assert_eq!(stats, CacheStats::default());
+        same(&out);
+        assert_eq!((cold.entries(), flight.published()), (1, 3));
+        assert_eq!((flight.inflight(), flight.shared()), (0, 1));
+        for c in [cache, cold] {
+            let _ = std::fs::remove_dir_all(c.dir());
+        }
+    }
 }

@@ -139,7 +139,10 @@ mod tests {
     use v2v_time::r;
 
     fn marked_stream(n: usize, gop: u32) -> VideoStream {
-        let ty = FrameType::gray8(64, 32);
+        marked_stream_of(FrameType::gray8(64, 32), n, gop)
+    }
+
+    fn marked_stream_of(ty: FrameType, n: usize, gop: u32) -> VideoStream {
         let params = CodecParams::new(ty, gop, 0);
         let mut w = StreamWriter::new(params, Rational::ZERO, r(1, 30));
         for i in 0..n {
@@ -151,10 +154,14 @@ mod tests {
     }
 
     fn setup() -> (Catalog, v2v_spec::Spec) {
+        setup_of(FrameType::gray8(64, 32))
+    }
+
+    fn setup_of(ty: FrameType) -> (Catalog, v2v_spec::Spec) {
         let mut catalog = Catalog::new();
-        catalog.add_video("src", marked_stream(300, 30));
+        catalog.add_video("src", marked_stream_of(ty, 300, 30));
         let output = OutputSettings {
-            frame_ty: FrameType::gray8(64, 32),
+            frame_ty: ty,
             frame_dur: r(1, 30),
             gop_size: 30,
             quantizer: 0,
@@ -217,8 +224,10 @@ mod tests {
     #[test]
     fn copy_first_plans_start_fast() {
         // A plan whose first segment is a copy should deliver its first
-        // packet long before the blur-heavy tail finishes.
-        let (catalog, spec) = setup();
+        // packet long before the blur-heavy tail finishes. Frames big
+        // enough that the tail takes tens of milliseconds: the margin
+        // must dwarf one scheduler timeslice lost to a sibling test.
+        let (catalog, spec) = setup_of(FrameType::gray8(256, 128));
         let logical = lower_spec(&spec).unwrap();
         let plan = optimize(
             &logical,
@@ -227,13 +236,21 @@ mod tests {
         )
         .unwrap();
         assert!(plan.segments[0].plan.is_copy(), "test premise");
-        let (_, stats) = execute_streaming(&plan, &catalog, |_| {}).unwrap();
-        assert!(
-            stats.time_to_first_packet < stats.total / 2,
-            "ttfp {:?} vs total {:?}",
-            stats.time_to_first_packet,
-            stats.total
-        );
+        // Pinned worker counts, not the host's: copies are dispatched
+        // ahead of every render at any pool width.
+        for num_threads in [1, 2, 4, 8] {
+            let opts = ExecOptions {
+                num_threads,
+                ..Default::default()
+            };
+            let (_, stats) = execute_streaming_with(&plan, &catalog, &opts, |_| {}).unwrap();
+            assert!(
+                stats.time_to_first_packet < stats.total / 2,
+                "{num_threads} threads: ttfp {:?} vs total {:?}",
+                stats.time_to_first_packet,
+                stats.total
+            );
+        }
     }
 
     #[test]

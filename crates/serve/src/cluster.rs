@@ -58,16 +58,6 @@ pub const MAX_ATTEMPTS: usize = 2;
 /// flapping worker cannot turn every dispatch into a probe storm.
 const REPROBE_INTERVAL: Duration = Duration::from_millis(250);
 
-/// FNV-1a, the same hash family the fragment keys use.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// One worker in the pool.
 #[derive(Debug)]
 struct Worker {
@@ -139,7 +129,10 @@ impl WorkerPool {
         let mut ring = Vec::with_capacity(workers.len() * VNODES as usize);
         for (i, w) in workers.iter().enumerate() {
             for v in 0..VNODES {
-                ring.push((fnv64(format!("{}#{v}", w.name).as_bytes()), i));
+                // FNV-1a, the same hash the fragment keys use.
+                let mut h = v2v_container::Fnv64::new();
+                h.write(format!("{}#{v}", w.name).as_bytes());
+                ring.push((h.finish(), i));
             }
         }
         ring.sort_unstable();
@@ -379,6 +372,25 @@ mod tests {
     }
 
     #[test]
+    fn ring_positions_are_pinned() {
+        // Every coordinator must agree on the ring: a change to the
+        // vnode hash would silently re-home every segment.
+        let p = pool(4);
+        let got: Vec<Vec<usize>> = (1..=6u64)
+            .map(|k| p.candidates(k.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
+            .collect();
+        let pinned = [
+            [2, 3, 1, 0],
+            [3, 0, 1, 2],
+            [1, 3, 0, 2],
+            [0, 1, 2, 3],
+            [3, 0, 1, 2],
+            [2, 1, 3, 0],
+        ];
+        assert_eq!(got, pinned);
+    }
+
+    #[test]
     fn adding_a_worker_moves_only_part_of_the_keyspace() {
         let small = pool(3);
         let big = pool(4);
@@ -441,26 +453,43 @@ mod tests {
         // tests rely on their 40000-range ports staying unbound.
         let p = Arc::new(WorkerPool::new(&["127.0.0.1:41997".to_string()]).unwrap());
         p.workers[0].alive.store(false, Ordering::Relaxed);
-        // A plain TCP listener that speaks just enough HTTP: accept one
-        // connection and answer 200 to whatever arrives.
+        // A plain TCP listener that speaks just enough HTTP: answer 200
+        // to whatever arrives on each connection.
         let listener = std::net::TcpListener::bind(p.workers[0].addr);
         let Ok(listener) = listener else {
             return; // port taken on this machine: skip rather than flake
         };
-        let server = std::thread::spawn(move || {
-            if let Ok((mut conn, _)) = listener.accept() {
-                use std::io::{Read, Write};
-                let mut buf = [0u8; 1024];
-                let _ = conn.read(&mut buf);
-                let _ = conn.write_all(
-                    b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\nconnection: close\r\n\r\n{}",
-                );
+        let stop = Arc::new(AtomicBool::new(false));
+        let server = std::thread::spawn({
+            let stop = Arc::clone(&stop);
+            move || {
+                for mut conn in listener.incoming().flatten() {
+                    use std::io::{Read, Write};
+                    if stop.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    let mut buf = [0u8; 1024];
+                    let _ = conn.read(&mut buf);
+                    let _ = conn.write_all(
+                        b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\nconnection: close\r\n\r\n{}",
+                    );
+                }
             }
         });
-        std::thread::sleep(Duration::from_millis(300));
-        p.maybe_revive();
+        // A probe has one rate-limit interval to be answered; on a
+        // loaded 2-core host the listener thread can miss that, so
+        // allow a few sweeps before calling the worker dead.
+        for _ in 0..5 {
+            std::thread::sleep(Duration::from_millis(300));
+            p.maybe_revive();
+            if p.alive() == 1 {
+                break;
+            }
+        }
+        stop.store(true, Ordering::SeqCst);
+        let _ = std::net::TcpStream::connect(p.workers[0].addr); // unblock accept
+        server.join().unwrap();
         assert_eq!(p.alive(), 1, "an answering worker rejoins the pool");
-        let _ = server.join();
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub mod sub;
 
 use cluster::{PoolRemote, WorkerPool};
 use http::{read_request, write_response, Request, Response};
-use share::{InflightRegistry, Join, LeaderGuard, QueryOutcome, SharedError};
+use share::{follower_outcome, InflightRegistry, QueryOutcome, SharedError};
 use std::collections::BTreeMap;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -91,7 +91,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use v2v_core::{EngineConfig, ErrorKind, PreparedRun, V2vEngine, V2vError};
 use v2v_data::Database;
-use v2v_exec::{Catalog, ExecStats, FragmentFlight, RenderCache};
+use v2v_exec::{Catalog, Claim, ExecStats, FlightGuard, FragmentFlight, RenderCache};
 use v2v_obs::{Counter, Gauge, Histogram, Registry};
 use v2v_spec::Spec;
 use v2v_store::{profile_plan, AccessProfile, SourceStore};
@@ -365,24 +365,15 @@ struct Shared {
     flight: Arc<FragmentFlight>,
     /// The worker pool, present on a frontend with configured workers.
     pool: Option<Arc<WorkerPool>>,
-    jobs_done: AtomicU64,
-    jobs_failed: AtomicU64,
-    jobs_rejected: AtomicU64,
-    queue_waits: AtomicU64,
-    queue_wait_total_ns: AtomicU64,
-    queue_wait_max_ns: AtomicU64,
+    /// Live subscriptions; the `sub.active` gauge is set from this (a
+    /// gauge cannot add atomically).
     subs_active: AtomicU64,
-    subs_deltas: AtomicU64,
-    subs_frames_pushed: AtomicU64,
-    subs_renders: AtomicU64,
-    appends: AtomicU64,
     /// The variant store, when [`ServeConfig::store`] is configured.
     store: Option<Arc<SourceStore>>,
     /// Accumulated access profiles since startup, by source name — the
     /// compactor's demand signal.
     profiles: Mutex<BTreeMap<String, AccessProfile>>,
-    store_materializations: AtomicU64,
-    store_drops: AtomicU64,
+    /// Compaction passes run; the only store counter with no metric.
     store_compactions: AtomicU64,
 }
 
@@ -484,21 +475,9 @@ impl V2vServer {
             inflight: InflightRegistry::new(),
             flight: Arc::new(FragmentFlight::new()),
             pool,
-            jobs_done: AtomicU64::new(0),
-            jobs_failed: AtomicU64::new(0),
-            jobs_rejected: AtomicU64::new(0),
-            queue_waits: AtomicU64::new(0),
-            queue_wait_total_ns: AtomicU64::new(0),
-            queue_wait_max_ns: AtomicU64::new(0),
             subs_active: AtomicU64::new(0),
-            subs_deltas: AtomicU64::new(0),
-            subs_frames_pushed: AtomicU64::new(0),
-            subs_renders: AtomicU64::new(0),
-            appends: AtomicU64::new(0),
             store,
             profiles: Mutex::new(BTreeMap::new()),
-            store_materializations: AtomicU64::new(0),
-            store_drops: AtomicU64::new(0),
             store_compactions: AtomicU64::new(0),
         });
         let stop = Arc::new(AtomicBool::new(false));
@@ -550,10 +529,11 @@ impl ServerHandle {
 
     /// Completed / failed / rejected job counts so far.
     pub fn job_counts(&self) -> (u64, u64, u64) {
+        let m = &self.shared.metrics;
         (
-            self.shared.jobs_done.load(Ordering::Relaxed),
-            self.shared.jobs_failed.load(Ordering::Relaxed),
-            self.shared.jobs_rejected.load(Ordering::Relaxed),
+            m.jobs_done.get(),
+            m.jobs_failed.get(),
+            m.jobs_rejected.get(),
         )
     }
 
@@ -715,7 +695,6 @@ fn handle_append(path: &str, req: &Request, shared: &Shared) -> Response {
         }
     };
     drop(catalog);
-    shared.appends.fetch_add(1, Ordering::Relaxed);
     shared.metrics.sub_appends.inc();
     shared.bump_version();
     Response::json(
@@ -771,7 +750,6 @@ fn handle_append_data(path: &str, req: &Request, shared: &Shared) -> Response {
     }
     let total = array.len();
     drop(catalog);
-    shared.appends.fetch_add(1, Ordering::Relaxed);
     shared.metrics.sub_appends.inc();
     shared.bump_version();
     Response::json(
@@ -939,17 +917,11 @@ fn handle_subscribe(
     {
         return;
     }
-    shared.subs_active.fetch_add(1, Ordering::Relaxed);
-    shared
-        .metrics
-        .sub_active
-        .set(shared.subs_active.load(Ordering::Relaxed));
+    let before = shared.subs_active.fetch_add(1, Ordering::Relaxed);
+    shared.metrics.sub_active.set(before + 1);
     subscription_loop(&spec, &mut reader, &mut writer, shared);
-    shared.subs_active.fetch_sub(1, Ordering::Relaxed);
-    shared
-        .metrics
-        .sub_active
-        .set(shared.subs_active.load(Ordering::Relaxed));
+    let before = shared.subs_active.fetch_sub(1, Ordering::Relaxed);
+    shared.metrics.sub_active.set(before - 1);
 }
 
 /// Binds `spec`'s sources over a catalog snapshot and returns the
@@ -1007,7 +979,6 @@ fn subscription_loop(
                 Ok(r) => r,
                 Err(_) => return, // render failure terminates the stream
             };
-            shared.subs_renders.fetch_add(1, Ordering::Relaxed);
             shared.metrics.sub_renders.inc();
             record_exec_metrics(&shared.metrics.exec, &report.stats);
             if let Some((from, delta)) = sub::delta_between(cumulative.as_ref(), &report.output) {
@@ -1026,11 +997,7 @@ fn subscription_loop(
                     return; // client gone
                 }
                 seq += 1;
-                shared.subs_deltas.fetch_add(1, Ordering::Relaxed);
                 shared.metrics.sub_deltas.inc();
-                shared
-                    .subs_frames_pushed
-                    .fetch_add(delta.len() as u64, Ordering::Relaxed);
                 shared.metrics.sub_frames_pushed.add(delta.len() as u64);
             }
             cumulative = Some(report.output);
@@ -1090,6 +1057,7 @@ fn client_disconnected(reader: &mut BufReader<TcpStream>) -> bool {
 
 fn handle_status(shared: &Shared) -> Response {
     let (active, queued) = shared.gate.snapshot();
+    let m = &shared.metrics;
     let cache = shared.config.engine.render_cache.as_ref().map(|c| {
         let mem = c.mem_tier().map(|m| {
             serde_json::json!({
@@ -1117,28 +1085,28 @@ fn handle_status(shared: &Shared) -> Response {
             "queued": queued,
             "max_concurrent": shared.config.max_concurrent,
             "queue_depth": shared.config.queue_depth,
-            "jobs_done": shared.jobs_done.load(Ordering::Relaxed),
-            "jobs_failed": shared.jobs_failed.load(Ordering::Relaxed),
-            "jobs_rejected": shared.jobs_rejected.load(Ordering::Relaxed),
+            "jobs_done": m.jobs_done.get(),
+            "jobs_failed": m.jobs_failed.get(),
+            "jobs_rejected": m.jobs_rejected.get(),
             "queue_wait": {
-                "count": shared.queue_waits.load(Ordering::Relaxed),
-                "total_ns": shared.queue_wait_total_ns.load(Ordering::Relaxed),
-                "max_ns": shared.queue_wait_max_ns.load(Ordering::Relaxed),
+                "count": m.queue_wait_ns.count(),
+                "total_ns": m.queue_wait_ns.sum(),
+                "max_ns": m.queue_wait_ns.max(),
             },
             "sharing": {
                 "enabled": shared.config.work_sharing,
                 "inflight": shared.inflight.inflight(),
                 "waiting": shared.inflight.waiting(),
-                "inflight_hits": shared.inflight.hits(),
+                "inflight_hits": shared.inflight.shared(),
                 "segments_published": shared.flight.published(),
                 "segment_hits": shared.flight.shared(),
             },
             "subscriptions": {
                 "active": shared.subs_active.load(Ordering::Relaxed),
-                "deltas": shared.subs_deltas.load(Ordering::Relaxed),
-                "frames_pushed": shared.subs_frames_pushed.load(Ordering::Relaxed),
-                "renders": shared.subs_renders.load(Ordering::Relaxed),
-                "appends": shared.appends.load(Ordering::Relaxed),
+                "deltas": m.sub_deltas.get(),
+                "frames_pushed": m.sub_frames_pushed.get(),
+                "renders": m.sub_renders.get(),
+                "appends": m.sub_appends.get(),
                 "catalog_version": shared.version(),
             },
             "pool": shared.pool.as_ref().map(|p| p.status_json()),
@@ -1163,16 +1131,15 @@ fn handle_query(req: &Request, shared: &Shared) -> Response {
     let prepared = match prepare_query(&req.body, shared) {
         Ok(p) => p,
         Err(e) => {
-            shared.jobs_failed.fetch_add(1, Ordering::Relaxed);
             shared.metrics.jobs_failed.inc();
             return error_response(status_for(e.kind()), e.kind().name(), &e.to_string());
         }
     };
     if shared.config.work_sharing {
         if let Some(fp) = prepared.run.fingerprint() {
-            return match shared.inflight.join(fp) {
-                Join::Leader(guard) => run_admitted(shared, prepared, Some(guard)),
-                Join::Follower(outcome) => respond_follower(shared, &outcome),
+            return match shared.inflight.claim(fp) {
+                Claim::Owner(guard) => run_admitted(shared, prepared, Some(guard)),
+                Claim::Shared(outcome) => respond_follower(shared, &follower_outcome(outcome)),
             };
         }
     }
@@ -1185,11 +1152,10 @@ fn handle_query(req: &Request, shared: &Shared) -> Response {
 fn run_admitted(
     shared: &Shared,
     prepared: PreparedQuery,
-    guard: Option<LeaderGuard<'_>>,
+    guard: Option<FlightGuard<'_, u64, QueryOutcome>>,
 ) -> Response {
     let waiting = Instant::now();
     if !shared.gate.enter() {
-        shared.jobs_rejected.fetch_add(1, Ordering::Relaxed);
         shared.metrics.jobs_rejected.inc();
         if let Some(guard) = guard {
             guard.publish(Err(SharedError {
@@ -1201,7 +1167,7 @@ fn run_admitted(
         return overload_response(shared);
     }
     let queue_wait_ns = waiting.elapsed().as_nanos() as u64;
-    record_queue_wait(shared, queue_wait_ns);
+    shared.metrics.queue_wait_ns.record(queue_wait_ns);
     let (active, _) = shared.gate.snapshot();
     shared.metrics.active_jobs.set(active as u64);
     let started = Instant::now();
@@ -1213,7 +1179,6 @@ fn run_admitted(
         .record(started.elapsed().as_nanos() as u64);
     match result {
         Ok((bytes, stats)) => {
-            shared.jobs_done.fetch_add(1, Ordering::Relaxed);
             shared.metrics.jobs_done.inc();
             record_exec_metrics(&shared.metrics.exec, &stats);
             let bytes = Arc::new(bytes);
@@ -1224,7 +1189,6 @@ fn run_admitted(
                 .header("x-v2v-stats", stats_header(&stats, queue_wait_ns))
         }
         Err(e) => {
-            shared.jobs_failed.fetch_add(1, Ordering::Relaxed);
             shared.metrics.jobs_failed.inc();
             let status = status_for(e.kind());
             let kind = e.kind().name();
@@ -1249,7 +1213,6 @@ fn respond_follower(shared: &Shared, outcome: &QueryOutcome) -> Response {
     shared.metrics.inflight_hits.inc();
     match outcome {
         Ok((bytes, _)) => {
-            shared.jobs_done.fetch_add(1, Ordering::Relaxed);
             shared.metrics.jobs_done.inc();
             let mut stats = ExecStats::default();
             stats.cache.inflight_hits = 1;
@@ -1259,12 +1222,10 @@ fn respond_follower(shared: &Shared, outcome: &QueryOutcome) -> Response {
                 .header("x-v2v-stats", stats_header(&stats, 0))
         }
         Err(e) if e.status == 429 => {
-            shared.jobs_rejected.fetch_add(1, Ordering::Relaxed);
             shared.metrics.jobs_rejected.inc();
             overload_response(shared)
         }
         Err(e) => {
-            shared.jobs_failed.fetch_add(1, Ordering::Relaxed);
             shared.metrics.jobs_failed.inc();
             error_response(e.status, &e.kind, &e.message)
         }
@@ -1319,13 +1280,6 @@ fn execute_prepared(mut prepared: PreparedQuery) -> Result<(Vec<u8>, ExecStats),
     let (report, _trace) = prepared.engine.run_prepared(prepared.run)?;
     let bytes = v2v_container::svc_to_bytes(&report.output)?;
     Ok((bytes, report.stats))
-}
-
-fn record_queue_wait(shared: &Shared, ns: u64) {
-    shared.queue_waits.fetch_add(1, Ordering::Relaxed);
-    shared.queue_wait_total_ns.fetch_add(ns, Ordering::Relaxed);
-    shared.queue_wait_max_ns.fetch_max(ns, Ordering::Relaxed);
-    shared.metrics.queue_wait_ns.record(ns);
 }
 
 /// The `x-v2v-stats` header value: the run's [`ExecStats`] JSON with
@@ -1494,6 +1448,108 @@ mod tests {
 
         handle.stop();
     }
+
+    /// Every object key under `v`, as sorted dotted paths.
+    fn key_paths(v: &serde_json::Value) -> Vec<String> {
+        fn walk(v: &serde_json::Value, prefix: &str, out: &mut Vec<String>) {
+            for (k, child) in v.as_object().into_iter().flatten() {
+                let path = format!("{prefix}{k}");
+                walk(child, &format!("{path}."), out);
+                out.push(path);
+            }
+        }
+        let mut out = Vec::new();
+        walk(v, "", &mut out);
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn observability_key_sets_are_pinned() {
+        // Dashboards, the benchmark and the golden traces read these
+        // names; a refactor of the counters behind them must not move
+        // one. The lists were recorded from the parent of the PR that
+        // deleted the daemon's shadow counters.
+        let dir = store_tempdir("keys");
+        let cache = RenderCache::open(&dir, 1 << 20)
+            .unwrap()
+            .with_mem_tier(1 << 20);
+        let mut config = ServeConfig::default();
+        config.engine.render_cache = Some(Arc::new(cache));
+        let handle = V2vServer::new(catalog())
+            .with_config(config)
+            .start("127.0.0.1:0")
+            .unwrap();
+        let addr = handle.addr();
+        let resp = client::post_query(addr, spec_json().as_bytes()).unwrap();
+        assert_eq!(resp.status, 200);
+        let get = |path: &str| -> serde_json::Value {
+            serde_json::from_slice(&client::request(addr, "GET", path, b"").unwrap().body).unwrap()
+        };
+        let stats = serde_json::from_str(resp.header_value("x-v2v-stats").unwrap()).unwrap();
+        let got = [
+            key_paths(&get("/status")),
+            key_paths(&get("/metrics")),
+            key_paths(&stats),
+        ];
+        let want = [STATUS_KEYS, METRICS_KEYS, STATS_KEYS];
+        for (got, want) in got.iter().zip(want) {
+            assert_eq!(got, &want.split_whitespace().collect::<Vec<_>>());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    const STATUS_KEYS: &str = "\
+        active cache cache.budget_bytes cache.bytes_held cache.entries cache.evictions \
+        cache.mem cache.mem.budget_bytes cache.mem.bytes_held cache.mem.entries \
+        cache.mem.evictions cache.mem.hits cache.mem.promotions jobs_done jobs_failed \
+        jobs_rejected max_concurrent pool queue_depth queue_wait queue_wait.count \
+        queue_wait.max_ns queue_wait.total_ns queued role sharing sharing.enabled \
+        sharing.inflight sharing.inflight_hits sharing.segment_hits \
+        sharing.segments_published sharing.waiting store subscriptions subscriptions.active \
+        subscriptions.appends subscriptions.catalog_version subscriptions.deltas \
+        subscriptions.frames_pushed subscriptions.renders";
+    const METRICS_KEYS: &str = "\
+        metrics metrics.exec.bytes_decoded metrics.exec.bytes_decoded.Counter \
+        metrics.exec.cache.bytes_reused metrics.exec.cache.bytes_reused.Counter \
+        metrics.exec.cache.evictions metrics.exec.cache.evictions.Counter \
+        metrics.exec.cache.inflight_hits metrics.exec.cache.inflight_hits.Counter \
+        metrics.exec.cache.mem_hits metrics.exec.cache.mem_hits.Counter \
+        metrics.exec.cache.result_hits metrics.exec.cache.result_hits.Counter \
+        metrics.exec.cache.segment_hits metrics.exec.cache.segment_hits.Counter \
+        metrics.exec.cache.shared_segment_hits \
+        metrics.exec.cache.shared_segment_hits.Counter metrics.exec.frames_decoded \
+        metrics.exec.frames_decoded.Counter metrics.exec.frames_encoded \
+        metrics.exec.frames_encoded.Counter metrics.exec.packets_copied \
+        metrics.exec.packets_copied.Counter metrics.exec.remote.segments \
+        metrics.exec.remote.segments.Counter metrics.serve.active_jobs \
+        metrics.serve.active_jobs.Gauge metrics.serve.inflight_hits \
+        metrics.serve.inflight_hits.Counter metrics.serve.job_wall_ns \
+        metrics.serve.job_wall_ns.Histogram metrics.serve.job_wall_ns.Histogram.buckets \
+        metrics.serve.job_wall_ns.Histogram.count metrics.serve.job_wall_ns.Histogram.max \
+        metrics.serve.job_wall_ns.Histogram.sum metrics.serve.jobs_done \
+        metrics.serve.jobs_done.Counter metrics.serve.jobs_failed \
+        metrics.serve.jobs_failed.Counter metrics.serve.jobs_rejected \
+        metrics.serve.jobs_rejected.Counter metrics.serve.queue_wait_ns \
+        metrics.serve.queue_wait_ns.Histogram metrics.serve.queue_wait_ns.Histogram.buckets \
+        metrics.serve.queue_wait_ns.Histogram.count \
+        metrics.serve.queue_wait_ns.Histogram.max metrics.serve.queue_wait_ns.Histogram.sum \
+        metrics.serve.requests metrics.serve.requests.Counter \
+        metrics.serve.segments_rendered metrics.serve.segments_rendered.Counter \
+        metrics.store.drops metrics.store.drops.Counter metrics.store.materializations \
+        metrics.store.materializations.Counter metrics.store.reads.preview \
+        metrics.store.reads.preview.Counter metrics.store.reads.scan \
+        metrics.store.reads.scan.Counter metrics.store.reads.smart_cut \
+        metrics.store.reads.smart_cut.Counter metrics.sub.active metrics.sub.active.Gauge \
+        metrics.sub.appends metrics.sub.appends.Counter metrics.sub.deltas \
+        metrics.sub.deltas.Counter metrics.sub.frames_pushed \
+        metrics.sub.frames_pushed.Counter metrics.sub.renders metrics.sub.renders.Counter";
+    const STATS_KEYS: &str = "\
+        bytes_copied bytes_decoded bytes_encoded cache cache.bytes_reused cache.evictions \
+        cache.inflight_hits cache.mem_hits cache.remote_segments cache.result_hits \
+        cache.segment_hits cache.shared_segment_hits faults_injected frames_decoded \
+        frames_encoded frames_substituted gop_cache_hits gop_cache_misses packets_copied \
+        parts_skipped parts_substituted queue_wait_ns retries seeks segments splits steals";
 
     #[test]
     fn bad_spec_maps_to_400_and_unknown_route_to_404() {

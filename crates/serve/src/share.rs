@@ -10,26 +10,13 @@
 //! Leaders register **before** entering the admission gate, so
 //! duplicates of a queued request coalesce too, and a burst of K
 //! identical queries consumes one admission slot instead of K.
-//! The registry mirrors [`FragmentFlight`](v2v_exec::FragmentFlight)
-//! one layer up: leader/follower instead of owner/waiter, HTTP outcome
-//! instead of fragment.
 //!
-//! The slot map is sharded by fingerprint: every request (shared or
-//! not) takes the registry lock at least once, and at high client
-//! counts a single map mutex serialized otherwise-independent
-//! requests. Fingerprints are uniform hashes, so `fp % SHARD_COUNT`
-//! spreads them evenly; unrelated queries now contend only within
-//! their shard while duplicates of one query still meet on the same
-//! shard's lock and condvar.
+//! The registry is the engine's [`SingleFlight`] one layer up —
+//! leader/follower instead of owner/waiter, HTTP outcome instead of
+//! fragment. This module only defines what is published.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use v2v_exec::ExecStats;
-
-/// Independent slot-map shards (a power of two; fingerprints are
-/// uniform, so the low bits index fairly).
-const SHARD_COUNT: usize = 8;
+use std::sync::Arc;
+use v2v_exec::{ExecStats, SingleFlight};
 
 /// The error half of a shared outcome: enough to rebuild the HTTP
 /// response for every follower.
@@ -49,306 +36,99 @@ pub struct SharedError {
 /// back-pressure the gate intended).
 pub type QueryOutcome = Result<(Arc<Vec<u8>>, ExecStats), SharedError>;
 
-// Slots are few (one per in-flight fingerprint) and short-lived, so
-// the size skew between the variants is irrelevant.
-#[allow(clippy::large_enum_variant)]
-enum SlotState {
-    Running,
-    Done(QueryOutcome),
-}
-
-struct Slot {
-    state: SlotState,
-    waiters: usize,
-}
-
-/// One shard: its own slot map and wake-up channel.
-#[derive(Default)]
-struct Shard {
-    slots: Mutex<HashMap<u64, Slot>>,
-    done: Condvar,
-}
-
-impl Shard {
-    fn lock(&self) -> MutexGuard<'_, HashMap<u64, Slot>> {
-        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
 /// Registry of in-flight `POST /query` renders, keyed by plan
 /// fingerprint.
-pub struct InflightRegistry {
-    shards: Vec<Shard>,
-    hits: AtomicU64,
-}
+pub type InflightRegistry = SingleFlight<u64, QueryOutcome>;
 
-impl Default for InflightRegistry {
-    fn default() -> Self {
-        InflightRegistry {
-            shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
-            hits: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Result of [`InflightRegistry::join`].
-pub enum Join<'a> {
-    /// This request runs the render and must
-    /// [`publish`](LeaderGuard::publish) (or drop the guard, which
-    /// publishes an internal error).
-    Leader(LeaderGuard<'a>),
-    /// An identical render was in flight; here is its outcome.
-    Follower(QueryOutcome),
-}
-
-/// Ownership of one in-flight fingerprint.
-pub struct LeaderGuard<'a> {
-    registry: &'a InflightRegistry,
-    fingerprint: u64,
-    released: bool,
-}
-
-impl LeaderGuard<'_> {
-    /// Hands the outcome to every follower and releases the slot.
-    pub fn publish(mut self, outcome: QueryOutcome) {
-        self.released = true;
-        self.registry.release(self.fingerprint, outcome);
-    }
-}
-
-impl Drop for LeaderGuard<'_> {
-    fn drop(&mut self) {
-        if !self.released {
-            self.registry.release(
-                self.fingerprint,
-                Err(SharedError {
-                    status: 500,
-                    kind: "internal".into(),
-                    message: "in-flight render aborted".into(),
-                }),
-            );
-        }
-    }
-}
-
-impl InflightRegistry {
-    /// An empty registry.
-    pub fn new() -> InflightRegistry {
-        InflightRegistry::default()
-    }
-
-    fn shard(&self, fingerprint: u64) -> &Shard {
-        &self.shards[(fingerprint % SHARD_COUNT as u64) as usize]
-    }
-
-    /// Requests coalesced into an in-flight render so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Fingerprints currently in flight.
-    pub fn inflight(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .values()
-                    .filter(|slot| matches!(slot.state, SlotState::Running))
-                    .count()
-            })
-            .sum()
-    }
-
-    /// Followers currently blocked on a leader.
-    pub fn waiting(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().values().map(|slot| slot.waiters).sum::<usize>())
-            .sum()
-    }
-
-    /// Joins the flight for `fingerprint`: the first request leads,
-    /// concurrent duplicates block until the leader publishes.
-    pub fn join(&self, fingerprint: u64) -> Join<'_> {
-        let shard = self.shard(fingerprint);
-        let mut inner = shard.lock();
-        loop {
-            match inner.get_mut(&fingerprint) {
-                None => {
-                    inner.insert(
-                        fingerprint,
-                        Slot {
-                            state: SlotState::Running,
-                            waiters: 0,
-                        },
-                    );
-                    return Join::Leader(LeaderGuard {
-                        registry: self,
-                        fingerprint,
-                        released: false,
-                    });
-                }
-                Some(slot) => match &slot.state {
-                    SlotState::Done(outcome) => {
-                        let outcome = outcome.clone();
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return Join::Follower(outcome);
-                    }
-                    SlotState::Running => {
-                        slot.waiters += 1;
-                        inner = shard
-                            .done
-                            .wait(inner)
-                            .unwrap_or_else(PoisonError::into_inner);
-                        let slot = inner
-                            .get_mut(&fingerprint)
-                            .expect("slot removed while followers were registered");
-                        if let SlotState::Done(outcome) = &slot.state {
-                            let outcome = outcome.clone();
-                            slot.waiters -= 1;
-                            if slot.waiters == 0 {
-                                inner.remove(&fingerprint);
-                            }
-                            self.hits.fetch_add(1, Ordering::Relaxed);
-                            return Join::Follower(outcome);
-                        }
-                        slot.waiters -= 1;
-                        // Spurious wakeup: loop and re-wait.
-                    }
-                },
-            }
-        }
-    }
-
-    /// Marks the fingerprint done and wakes every follower. With no
-    /// followers the slot is removed immediately — a later identical
-    /// request is served by the render cache, not a stale slot.
-    fn release(&self, fingerprint: u64, outcome: QueryOutcome) {
-        let shard = self.shard(fingerprint);
-        let mut inner = shard.lock();
-        if let Some(slot) = inner.get_mut(&fingerprint) {
-            if slot.waiters == 0 {
-                inner.remove(&fingerprint);
-            } else {
-                slot.state = SlotState::Done(outcome);
-            }
-        }
-        drop(inner);
-        shard.done.notify_all();
-    }
+/// What a follower sees of a leader: the published outcome, or — when
+/// the leader's guard dropped without publishing (a panic mid-render) —
+/// an internal error, so the follower's client gets an answer, not a
+/// hang.
+pub fn follower_outcome(shared: Option<QueryOutcome>) -> QueryOutcome {
+    shared.unwrap_or_else(|| {
+        Err(SharedError {
+            status: 500,
+            kind: "internal".into(),
+            message: "in-flight render aborted".into(),
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use v2v_exec::Claim;
 
-    fn ok_outcome(tag: u8) -> QueryOutcome {
-        Ok((Arc::new(vec![tag; 4]), ExecStats::default()))
+    /// Leads fingerprint 1, waits for `followers` to block, publishes
+    /// `outcome` (or drops the guard on `None`), and returns what each
+    /// follower saw.
+    fn fan_out(followers: usize, outcome: Option<QueryOutcome>) -> Vec<QueryOutcome> {
+        let reg = InflightRegistry::new();
+        std::thread::scope(|scope| {
+            let Claim::Owner(guard) = reg.claim(1) else {
+                panic!("first joiner leads");
+            };
+            let handles: Vec<_> = (0..followers)
+                .map(|_| {
+                    scope.spawn(|| match reg.claim(1) {
+                        Claim::Shared(shared) => follower_outcome(shared),
+                        Claim::Owner(_) => panic!("a follower must not lead"),
+                    })
+                })
+                .collect();
+            while reg.waiting() < followers {
+                std::thread::yield_now();
+            }
+            match outcome {
+                Some(outcome) => guard.publish(outcome),
+                None => drop(guard),
+            }
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
     }
 
-    #[test]
-    fn followers_receive_the_leaders_bytes_exactly_once() {
-        let reg = InflightRegistry::new();
-        let leads = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| match reg.join(42) {
-                    Join::Leader(guard) => {
-                        leads.fetch_add(1, Ordering::SeqCst);
-                        std::thread::sleep(std::time::Duration::from_millis(20));
-                        guard.publish(ok_outcome(7));
-                    }
-                    Join::Follower(outcome) => {
-                        let (bytes, _) = outcome.expect("leader succeeded");
-                        assert_eq!(*bytes, vec![7; 4]);
-                    }
-                });
-            }
-        });
-        assert_eq!(leads.load(Ordering::SeqCst), 1);
-        assert_eq!(reg.hits(), 7);
-        assert_eq!(reg.inflight(), 0);
-        assert_eq!(reg.waiting(), 0);
-        // Drained: the next identical request leads afresh.
-        assert!(matches!(reg.join(42), Join::Leader(_)));
+    fn failed(status: u16, kind: &str) -> QueryOutcome {
+        Err(SharedError {
+            status,
+            kind: kind.into(),
+            message: kind.into(),
+        })
     }
 
     #[test]
     fn errors_fan_out_to_followers() {
-        let reg = InflightRegistry::new();
-        std::thread::scope(|scope| {
-            let Join::Leader(guard) = reg.join(9) else {
-                panic!("first joiner leads");
-            };
-            let follower = scope.spawn(|| match reg.join(9) {
-                Join::Follower(Err(e)) => assert_eq!(e.status, 404),
-                _ => panic!("follower must see the leader's error"),
-            });
-            while reg.waiting() == 0 {
-                std::thread::yield_now();
-            }
-            guard.publish(Err(SharedError {
-                status: 404,
-                kind: "not_found".into(),
-                message: "missing".into(),
-            }));
-            follower.join().unwrap();
-        });
+        for seen in fan_out(2, Some(failed(404, "not_found"))) {
+            assert_eq!(seen.unwrap_err().status, 404);
+        }
     }
 
     #[test]
-    fn dropped_leader_publishes_internal_error() {
-        let reg = InflightRegistry::new();
-        std::thread::scope(|scope| {
-            let Join::Leader(guard) = reg.join(1) else {
-                panic!("first joiner leads");
-            };
-            let follower = scope.spawn(|| match reg.join(1) {
-                Join::Follower(Err(e)) => assert_eq!(e.status, 500),
-                _ => panic!("follower must see the abort"),
-            });
-            while reg.waiting() == 0 {
-                std::thread::yield_now();
-            }
-            drop(guard);
-            follower.join().unwrap();
-        });
-        assert!(matches!(reg.join(1), Join::Leader(_)));
+    fn rejected_leader_rejects_its_cohort() {
+        let seen = fan_out(3, Some(failed(429, "overloaded")));
+        assert_eq!(seen.len(), 3);
+        for outcome in seen {
+            let e = outcome.unwrap_err();
+            assert_eq!((e.status, e.kind.as_str()), (429, "overloaded"));
+        }
     }
 
     #[test]
-    fn distinct_fingerprints_run_independently() {
-        let reg = InflightRegistry::new();
-        let Join::Leader(a) = reg.join(1) else {
-            panic!("lead 1");
-        };
-        let Join::Leader(b) = reg.join(2) else {
-            panic!("lead 2");
-        };
-        assert_eq!(reg.inflight(), 2);
-        a.publish(ok_outcome(1));
-        b.publish(ok_outcome(2));
-        assert_eq!(reg.inflight(), 0);
-        assert_eq!(reg.hits(), 0);
+    fn dropped_leader_maps_to_internal_error() {
+        for seen in fan_out(2, None) {
+            let e = seen.unwrap_err();
+            assert_eq!((e.status, e.kind.as_str()), (500, "internal"));
+        }
     }
 
     #[test]
-    fn same_shard_fingerprints_coalesce_independently() {
-        // 3 and 3 + SHARD_COUNT land on the same shard; each must still
-        // keep its own flight.
-        let reg = InflightRegistry::new();
-        let fp_a = 3u64;
-        let fp_b = 3u64 + SHARD_COUNT as u64;
-        let Join::Leader(a) = reg.join(fp_a) else {
-            panic!("lead a");
-        };
-        let Join::Leader(b) = reg.join(fp_b) else {
-            panic!("lead b");
-        };
-        assert_eq!(reg.inflight(), 2);
-        a.publish(ok_outcome(1));
-        b.publish(ok_outcome(2));
-        assert_eq!(reg.inflight(), 0);
+    fn followers_receive_the_leaders_bytes() {
+        let bytes = Arc::new(vec![7u8; 4]);
+        let ok: QueryOutcome = Ok((Arc::clone(&bytes), ExecStats::default()));
+        for seen in fan_out(2, Some(ok)) {
+            assert!(
+                Arc::ptr_eq(&seen.unwrap().0, &bytes),
+                "no copy per follower"
+            );
+        }
     }
 }

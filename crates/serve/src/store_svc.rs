@@ -96,8 +96,8 @@ pub(crate) fn status_block(shared: &Shared) -> Option<serde_json::Value> {
         "attached": attached,
         "variants": variants,
         "profiles": profiles_snapshot(shared),
-        "materializations": shared.store_materializations.load(Ordering::Relaxed),
-        "drops": shared.store_drops.load(Ordering::Relaxed),
+        "materializations": shared.metrics.store_materializations.get(),
+        "drops": shared.metrics.store_drops.get(),
         "compactions": shared.store_compactions.load(Ordering::Relaxed),
     }))
 }
@@ -154,7 +154,6 @@ pub(crate) fn handle_store_admin(path: &str, req: &Request, shared: &Shared) -> 
             Ok(dropped) => {
                 if dropped {
                     detach(shared, &name, kind);
-                    shared.store_drops.fetch_add(1, Ordering::Relaxed);
                     shared.metrics.store_drops.inc();
                 }
                 Response::json(
@@ -220,9 +219,6 @@ fn materialize_and_attach(
         .write()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
         .add_variant(name, kind, Arc::new(stream), entry.covered_frames);
-    shared
-        .store_materializations
-        .fetch_add(1, Ordering::Relaxed);
     shared.metrics.store_materializations.inc();
     Ok(entry)
 }
@@ -298,7 +294,6 @@ pub(crate) fn compaction_pass(shared: &Shared) -> Vec<serde_json::Value> {
                 Ok(dropped) => {
                     if dropped {
                         detach(shared, &name, kind);
-                        shared.store_drops.fetch_add(1, Ordering::Relaxed);
                         shared.metrics.store_drops.inc();
                     }
                     Ok(())
