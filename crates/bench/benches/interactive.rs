@@ -13,7 +13,7 @@
 //! executor start, so `setup + ttfp` is the user-visible latency.
 
 use v2v_bench::{build_query, engine_for, measure, print_header, secs, setup_kabr, Arm, QueryId};
-use v2v_exec::execute_streaming;
+use v2v_exec::{execute_streaming_with, ExecOptions};
 
 fn main() {
     let ds = setup_kabr();
@@ -34,7 +34,10 @@ fn main() {
         let (plan, _) = engine.plan(&specialized).expect("plan");
         let mut delivered = 0u64;
         let (_, stats) =
-            execute_streaming(&plan, engine.catalog(), |_| delivered += 1).expect("streaming run");
+            execute_streaming_with(&plan, engine.catalog(), &ExecOptions::default(), |_| {
+                delivered += 1
+            })
+            .expect("streaming run");
         let unopt = measure(&ds, q, Arm::Unoptimized);
         println!(
             "{:<6} {:>12} {:>14} {:>14} {:>14}",

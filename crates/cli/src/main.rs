@@ -264,6 +264,32 @@ fn open_render_cache(
         })
 }
 
+/// A cursor over one subcommand's arguments: hands out each argument
+/// in turn, and the value that must follow a flag.
+struct Args<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Args<'a> {
+    fn next(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+
+    /// The value following `flag`.
+    fn value(&mut self, flag: &str) -> Result<&'a str, CliError> {
+        self.next()
+            .ok_or_else(|| format!("missing value after {flag}").into())
+    }
+
+    /// The value following `flag`, parsed.
+    fn parsed<T: std::str::FromStr>(&mut self, flag: &str) -> Result<T, CliError>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.value(flag)?
+            .parse()
+            .map_err(|e| format!("bad {flag} value: {e}").into())
+    }
+}
+
 /// Default persistent-cache byte budget (1 GiB).
 const DEFAULT_CACHE_BUDGET: u64 = 1 << 30;
 
@@ -323,99 +349,36 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let mut store_dir: Option<String> = None;
     let mut config = EngineConfig::default();
     let mut optimize = true;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "-o" | "--output" => {
-                i += 1;
-                out_path = args.get(i).ok_or("missing value after -o")?.clone();
-            }
-            "--db" => {
-                i += 1;
-                db_path = Some(args.get(i).ok_or("missing value after --db")?.clone());
-            }
-            "--trace" => {
-                i += 1;
-                trace_path = Some(args.get(i).ok_or("missing value after --trace")?.clone());
-            }
+    let mut args = Args(args.iter());
+    while let Some(arg) = args.next() {
+        match arg {
+            "-o" | "--output" => out_path = args.value("-o")?.to_string(),
+            "--db" => db_path = Some(args.value(arg)?.to_string()),
+            "--trace" => trace_path = Some(args.value(arg)?.to_string()),
             "--no-optimize" => optimize = false,
             "--no-dde" => config.data_rewrites = false,
             "--serial" => config.exec.parallel = false,
-            "--threads" => {
-                i += 1;
-                config.exec.num_threads = args
-                    .get(i)
-                    .ok_or("missing value after --threads")?
-                    .parse()
-                    .map_err(|e| format!("bad --threads value: {e}"))?;
-            }
+            "--threads" => config.exec.num_threads = args.parsed(arg)?,
             "--no-pipeline" => config.exec.pipeline_depth = 0,
             "--no-split" => config.exec.runtime_split = false,
             "--no-cache" => config.exec.gop_cache_frames = 0,
-            "--cache-dir" => {
-                i += 1;
-                cache_dir = Some(
-                    args.get(i)
-                        .ok_or("missing value after --cache-dir")?
-                        .clone(),
-                );
-            }
-            "--cache-budget" => {
-                i += 1;
-                cache_budget = args
-                    .get(i)
-                    .ok_or("missing value after --cache-budget")?
-                    .parse()
-                    .map_err(|e| format!("bad --cache-budget value: {e}"))?;
-            }
-            "--mem-cache-budget" => {
-                i += 1;
-                mem_cache_budget = args
-                    .get(i)
-                    .ok_or("missing value after --mem-cache-budget")?
-                    .parse()
-                    .map_err(|e| format!("bad --mem-cache-budget value: {e}"))?;
-            }
-            "--store" => {
-                i += 1;
-                store_dir = Some(args.get(i).ok_or("missing value after --store")?.clone());
-            }
+            "--cache-dir" => cache_dir = Some(args.value(arg)?.to_string()),
+            "--cache-budget" => cache_budget = args.parsed(arg)?,
+            "--mem-cache-budget" => mem_cache_budget = args.parsed(arg)?,
+            "--store" => store_dir = Some(args.value(arg)?.to_string()),
             "--variant" => {
-                i += 1;
-                let v = args.get(i).ok_or("missing value after --variant")?;
+                let v = args.value(arg)?;
                 config.variants = v2v_plan::VariantPolicy::parse(v).ok_or_else(|| {
                     format!("bad --variant value '{v}' (auto|off|dense|archive|proxy)")
                 })?;
             }
             "--json" => {}
-            "--on-error" => {
-                i += 1;
-                config.exec.on_error = args
-                    .get(i)
-                    .ok_or("missing value after --on-error")?
-                    .parse()
-                    .map_err(|e| format!("bad --on-error value: {e}"))?;
-            }
-            "--max-retries" => {
-                i += 1;
-                config.exec.max_retries = args
-                    .get(i)
-                    .ok_or("missing value after --max-retries")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-retries value: {e}"))?;
-            }
-            "--error-report" => {
-                i += 1;
-                error_report_path = Some(
-                    args.get(i)
-                        .ok_or("missing value after --error-report")?
-                        .clone(),
-                );
-            }
+            "--on-error" => config.exec.on_error = args.parsed(arg)?,
+            "--max-retries" => config.exec.max_retries = args.parsed(arg)?,
+            "--error-report" => error_report_path = Some(args.value(arg)?.to_string()),
             other if spec_path.is_none() => spec_path = Some(other.to_string()),
             other => return Err(format!("unexpected argument '{other}'").into()),
         }
-        i += 1;
     }
     let spec_path = spec_path.ok_or("missing spec path")?;
     if trace_path.is_some() && !optimize {
@@ -546,114 +509,42 @@ fn cmd_serve(args: &[String], role: ServeRole) -> Result<(), CliError> {
         role,
         ..ServeConfig::default()
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = Args(args.iter());
+    while let Some(arg) = args.next() {
+        match arg {
             "--workers" => {
-                i += 1;
                 if role == ServeRole::Worker {
                     return Err(
-                        "--workers only applies to 'v2v serve' (workers do not fan out)"
-                            .to_string()
-                            .into(),
+                        "--workers only applies to 'v2v serve' (workers do not fan out)".into(),
                     );
                 }
                 config.workers = args
-                    .get(i)
-                    .ok_or("missing value after --workers")?
+                    .value(arg)?
                     .split(',')
                     .filter(|s| !s.is_empty())
                     .map(str::to_string)
                     .collect();
             }
-            "--addr" => {
-                i += 1;
-                addr = args.get(i).ok_or("missing value after --addr")?.clone();
-            }
-            "--cache-dir" => {
-                i += 1;
-                cache_dir = Some(
-                    args.get(i)
-                        .ok_or("missing value after --cache-dir")?
-                        .clone(),
-                );
-            }
-            "--cache-budget" => {
-                i += 1;
-                cache_budget = args
-                    .get(i)
-                    .ok_or("missing value after --cache-budget")?
-                    .parse()
-                    .map_err(|e| format!("bad --cache-budget value: {e}"))?;
-            }
-            "--mem-cache-budget" => {
-                i += 1;
-                mem_cache_budget = args
-                    .get(i)
-                    .ok_or("missing value after --mem-cache-budget")?
-                    .parse()
-                    .map_err(|e| format!("bad --mem-cache-budget value: {e}"))?;
-            }
+            "--addr" => addr = args.value(arg)?.to_string(),
+            "--cache-dir" => cache_dir = Some(args.value(arg)?.to_string()),
+            "--cache-budget" => cache_budget = args.parsed(arg)?,
+            "--mem-cache-budget" => mem_cache_budget = args.parsed(arg)?,
             "--store-dir" => {
-                i += 1;
                 if role == ServeRole::Worker {
-                    return Err("--store-dir only applies to 'v2v serve' (workers fall back to the originals their coordinator references)".to_string().into());
+                    return Err("--store-dir only applies to 'v2v serve' (workers fall back to the originals their coordinator references)".into());
                 }
-                store_dir = Some(
-                    args.get(i)
-                        .ok_or("missing value after --store-dir")?
-                        .clone(),
-                );
+                store_dir = Some(args.value(arg)?.to_string());
             }
-            "--store-budget" => {
-                i += 1;
-                store_budget = args
-                    .get(i)
-                    .ok_or("missing value after --store-budget")?
-                    .parse()
-                    .map_err(|e| format!("bad --store-budget value: {e}"))?;
-            }
-            "--compact-secs" => {
-                i += 1;
-                compact_secs = args
-                    .get(i)
-                    .ok_or("missing value after --compact-secs")?
-                    .parse()
-                    .map_err(|e| format!("bad --compact-secs value: {e}"))?;
-            }
+            "--store-budget" => store_budget = args.parsed(arg)?,
+            "--compact-secs" => compact_secs = args.parsed(arg)?,
             "--no-share" => config.work_sharing = false,
-            "--max-concurrent" => {
-                i += 1;
-                config.max_concurrent = args
-                    .get(i)
-                    .ok_or("missing value after --max-concurrent")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-concurrent value: {e}"))?;
-            }
-            "--queue-depth" => {
-                i += 1;
-                config.queue_depth = args
-                    .get(i)
-                    .ok_or("missing value after --queue-depth")?
-                    .parse()
-                    .map_err(|e| format!("bad --queue-depth value: {e}"))?;
-            }
-            "--threads" => {
-                i += 1;
-                config.engine.exec.num_threads = args
-                    .get(i)
-                    .ok_or("missing value after --threads")?
-                    .parse()
-                    .map_err(|e| format!("bad --threads value: {e}"))?;
-            }
-            "--db" => {
-                i += 1;
-                db_path = Some(args.get(i).ok_or("missing value after --db")?.clone());
-            }
+            "--max-concurrent" => config.max_concurrent = args.parsed(arg)?,
+            "--queue-depth" => config.queue_depth = args.parsed(arg)?,
+            "--threads" => config.engine.exec.num_threads = args.parsed(arg)?,
+            "--db" => db_path = Some(args.value(arg)?.to_string()),
             "--json" => {}
             other => return Err(format!("unexpected argument '{other}'").into()),
         }
-        i += 1;
     }
     if mem_cache_budget > 0 && cache_dir.is_none() {
         return Err("--mem-cache-budget requires --cache-dir".into());
@@ -723,19 +614,15 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
     let mut db_path = None;
     let mut analyze = false;
     let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--db" => {
-                i += 1;
-                db_path = Some(args.get(i).ok_or("missing value after --db")?.clone());
-            }
+    let mut args = Args(args.iter());
+    while let Some(arg) = args.next() {
+        match arg {
+            "--db" => db_path = Some(args.value(arg)?.to_string()),
             "--analyze" => analyze = true,
             "--json" => json = true,
             other if spec_path.is_none() => spec_path = Some(other.to_string()),
             other => return Err(format!("unexpected argument '{other}'").into()),
         }
-        i += 1;
     }
     let spec_path = spec_path.ok_or("missing spec path")?;
     let spec = load_spec(&spec_path)?;
@@ -891,20 +778,16 @@ fn cmd_store(args: &[String]) -> Result<(), CliError> {
     };
     let mut store_dir = DEFAULT_STORE_DIR.to_string();
     let mut positional: Vec<String> = Vec::new();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--store" => {
-                i += 1;
-                store_dir = args.get(i).ok_or("missing value after --store")?.clone();
-            }
+    let mut args = Args(args[1..].iter());
+    while let Some(arg) = args.next() {
+        match arg {
+            "--store" => store_dir = args.value(arg)?.to_string(),
             "--json" => {}
             other if other.starts_with("--") => {
                 return Err(format!("unexpected argument '{other}'").into())
             }
             other => positional.push(other.to_string()),
         }
-        i += 1;
     }
     let parse_kind = |s: &str| {
         v2v_plan::VariantKind::parse(s)
@@ -1012,20 +895,16 @@ fn kind_for_status(status: u16) -> ErrorKind {
 fn cmd_append(args: &[String]) -> Result<(), CliError> {
     let mut to: Option<String> = None;
     let mut positional: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--to" => {
-                i += 1;
-                to = Some(args.get(i).ok_or("missing value after --to")?.clone());
-            }
+    let mut args = Args(args.iter());
+    while let Some(arg) = args.next() {
+        match arg {
+            "--to" => to = Some(args.value(arg)?.to_string()),
             "--json" => {}
             other if other.starts_with("--") => {
                 return Err(format!("unexpected argument '{other}'").into())
             }
             other => positional.push(other.to_string()),
         }
-        i += 1;
     }
     let [target, more_path] = positional.as_slice() else {
         return Err(if to.is_some() {
@@ -1111,31 +990,16 @@ fn cmd_subscribe(args: &[String]) -> Result<(), CliError> {
     let mut to = "127.0.0.1:7878".to_string();
     let mut out_path: Option<String> = None;
     let mut max_deltas: Option<u64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--to" => {
-                i += 1;
-                to = args.get(i).ok_or("missing value after --to")?.clone();
-            }
-            "-o" | "--output" => {
-                i += 1;
-                out_path = Some(args.get(i).ok_or("missing value after -o")?.clone());
-            }
-            "--max-deltas" => {
-                i += 1;
-                max_deltas = Some(
-                    args.get(i)
-                        .ok_or("missing value after --max-deltas")?
-                        .parse()
-                        .map_err(|e| format!("bad --max-deltas value: {e}"))?,
-                );
-            }
+    let mut args = Args(args.iter());
+    while let Some(arg) = args.next() {
+        match arg {
+            "--to" => to = args.value(arg)?.to_string(),
+            "-o" | "--output" => out_path = Some(args.value("-o")?.to_string()),
+            "--max-deltas" => max_deltas = Some(args.parsed(arg)?),
             "--json" => {}
             other if spec_path.is_none() => spec_path = Some(other.to_string()),
             other => return Err(format!("unexpected argument '{other}'").into()),
         }
-        i += 1;
     }
     let spec_path = spec_path.ok_or("missing spec path")?;
     let spec = load_spec(&spec_path)?;

@@ -5,6 +5,7 @@ use crate::EngineError;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use v2v_codec::Packet;
 use v2v_container::{Fnv64, Fragment, VideoStream};
 use v2v_data::{Database, Query};
 use v2v_exec::{
@@ -255,18 +256,21 @@ impl V2vEngine {
         Ok((physical, check))
     }
 
+    /// Statically checks a bound spec against the catalog's sources and
+    /// UDF registry.
+    fn check(&self, spec: &Spec) -> Result<CheckReport, EngineError> {
+        let sources = self.catalog.source_infos();
+        check_spec_with_udfs(spec, &sources, self.catalog.udf_registry())
+            .map_err(EngineError::Check)
+    }
+
     /// [`plan`](V2vEngine::plan), also returning the optimizer's rewrite
     /// trace (one event per rule application).
-    pub fn plan_traced(
+    fn plan_traced(
         &self,
         spec: &Spec,
     ) -> Result<(PhysicalPlan, CheckReport, PlanTrace), EngineError> {
-        let check = check_spec_with_udfs(
-            spec,
-            &self.catalog.source_infos(),
-            self.catalog.udf_registry(),
-        )
-        .map_err(EngineError::Check)?;
+        let check = self.check(spec)?;
         let logical = lower_spec(spec)?;
         let ctx = self.catalog.plan_context();
         let (mut physical, trace) = optimize_traced(&logical, &ctx, &self.config.optimizer)?;
@@ -378,6 +382,17 @@ impl V2vEngine {
     /// identical in-flight render can be joined without executing at
     /// all; [`run_prepared`](V2vEngine::run_prepared) finishes the job.
     pub fn prepare(&mut self, spec: &Spec) -> Result<PreparedRun, EngineError> {
+        self.front_half(spec, true)
+    }
+
+    /// The one front half behind every entry point: bind → specialize →
+    /// check → plan, each under its span. The plan's cache identity (a
+    /// digest over every source it reads) is computed only on request:
+    /// [`prepare`](V2vEngine::prepare) always asks, a streaming run
+    /// asks only when [`reuse_configured`](V2vEngine::reuse_configured)
+    /// — nothing else would read it, and it would delay the first
+    /// packet — and `explain` never does.
+    fn front_half(&mut self, spec: &Spec, identity: bool) -> Result<PreparedRun, EngineError> {
         let spans = SpanSink::new();
         let timer = spans.start("bind");
         self.bind(spec)?;
@@ -391,10 +406,9 @@ impl V2vEngine {
             .attr("segments", physical.segments.len())
             .attr("rewrites", plan_trace.events.len())
             .finish();
-        let identity = self.plan_identity(&physical);
-        let (fingerprint, keys) = match identity {
-            Some((fp, keys)) => (Some(fp), keys),
-            None => (None, Vec::new()),
+        let (fingerprint, keys) = match identity.then(|| self.plan_identity(&physical)) {
+            Some(Some((fp, keys))) => (Some(fp), keys),
+            _ => (None, Vec::new()),
         };
         Ok(PreparedRun {
             physical,
@@ -407,6 +421,32 @@ impl V2vEngine {
         })
     }
 
+    /// True when some reuse tier (render cache, in-flight sharing,
+    /// remote dispatch) is configured, i.e. something reads a plan's
+    /// cache identity.
+    fn reuse_configured(&self) -> bool {
+        let c = &self.config;
+        c.render_cache.is_some() || c.work_share.is_some() || c.remote.is_some()
+    }
+
+    /// The options a plan with these segment keys executes under: the
+    /// configured ones plus, when the plan is keyed (`keys` non-empty)
+    /// and a reuse tier is configured, the segment-cache context wiring
+    /// the tiers to the keys. `remote` admits the dispatch hook.
+    fn exec_options(&self, keys: Vec<Option<u64>>, remote: bool) -> ExecOptions {
+        let c = &self.config;
+        let mut opts = c.exec.clone();
+        opts.segment_cache = (self.reuse_configured() && !keys.is_empty()).then(|| {
+            Arc::new(SegmentCacheCtx {
+                cache: c.render_cache.clone(),
+                flight: c.work_share.clone(),
+                keys,
+                remote: c.remote.clone().filter(|_| remote),
+            })
+        });
+        opts
+    }
+
     /// Executes a [`PreparedRun`]: whole-result cache lookup (memory
     /// tier first), shared-segment execution, result store, span and
     /// trace assembly.
@@ -414,58 +454,64 @@ impl V2vEngine {
         &mut self,
         prepared: PreparedRun,
     ) -> Result<(RunReport, RunTrace), EngineError> {
-        let PreparedRun {
-            physical,
-            check,
-            plan_trace,
-            dde_rewrites,
-            fingerprint,
-            keys,
-            spans,
-        } = prepared;
-        let cache = fingerprint.and_then(|_| self.config.render_cache.clone());
-        let flight = fingerprint.and_then(|_| self.config.work_share.clone());
-        let remote = fingerprint.and_then(|_| self.config.remote.clone());
+        let (report, trace, _) = self.run_prepared_with(prepared, None)?;
+        Ok((report, trace))
+    }
+
+    /// [`run_prepared`](V2vEngine::run_prepared) with an optional
+    /// packet sink: the one back half. With a sink, packets reach it in
+    /// presentation order as parts complete (a whole-result hit feeds
+    /// it the cached packets); the third value is the time from
+    /// execution start to the first packet delivered (zero without a
+    /// sink).
+    fn run_prepared_with(
+        &mut self,
+        prepared: PreparedRun,
+        mut sink: Option<&mut dyn FnMut(&Packet)>,
+    ) -> Result<(RunReport, RunTrace, Duration), EngineError> {
+        let (physical, spans) = (&prepared.physical, &prepared.spans);
+        let result_cache = prepared.fingerprint.zip(self.config.render_cache.clone());
         let timer = spans.start("execute");
         let exec_start_ns = spans.now_ns();
         let hit_start = Instant::now();
-        let result_hit = cache.as_ref().zip(fingerprint).and_then(|(cache, fp)| {
-            let (output, origin) = cache.load_result_tiered(fp)?;
-            let stats = CacheStats::for_hit(EntryKey::Result(fp), origin, output.byte_size());
+        let result_hit = result_cache.as_ref().and_then(|(fp, cache)| {
+            let (output, origin) = cache.load_result_tiered(*fp)?;
+            let stats = CacheStats::for_hit(EntryKey::Result(*fp), origin, output.byte_size());
             Some((output, stats))
         });
+        let mut first_packet = Duration::ZERO;
         let (output, exec_trace, wall) = match result_hit {
             Some((output, stats)) => {
                 // Whole-result hit: splice the cached container bytes
                 // straight through — no planning cost was wasted (the
                 // fingerprint needs the optimized plan), but no decode,
                 // render, or encode happens at all.
+                if let Some(sink) = sink.as_mut() {
+                    first_packet = hit_start.elapsed();
+                    output.packets().iter().for_each(sink);
+                }
                 let mut trace = ExecTrace::default();
                 trace.totals.cache = stats;
                 let wall = hit_start.elapsed();
                 trace.wall_ns = wall.as_nanos() as u64;
                 (output, trace, wall)
             }
-            _ => {
-                let share_exec = fingerprint.is_some()
-                    && (cache.is_some() || flight.is_some() || remote.is_some());
-                let (output, exec_trace, wall) = if share_exec {
-                    let mut exec_opts = self.config.exec.clone();
-                    exec_opts.segment_cache = Some(Arc::new(SegmentCacheCtx {
-                        cache: cache.clone(),
-                        flight: flight.clone(),
-                        keys,
-                        remote: remote.clone(),
-                    }));
-                    execute_traced(&physical, &self.catalog, &exec_opts)?
-                } else {
-                    execute_traced(&physical, &self.catalog, &self.config.exec)?
+            None => {
+                let opts = self.exec_options(prepared.keys, true);
+                let (output, exec_trace, wall) = match sink {
+                    Some(sink) => {
+                        let (output, streaming) =
+                            execute_streaming_with(physical, &self.catalog, &opts, sink)?;
+                        first_packet = streaming.time_to_first_packet;
+                        (output, streaming.trace, streaming.total)
+                    }
+                    None => execute_traced(physical, &self.catalog, &opts)?,
                 };
-                if let (Some(cache), Some(fp)) = (&cache, fingerprint) {
+                if let Some((fp, cache)) = &result_cache {
                     if exec_trace.errors.is_empty() {
                         // Failed stores only cost the next run a
                         // re-render; never fail the query for one.
-                        let _ = cache.store_result(fp, &output);
+                        let _ = cache.store_result(*fp, &output);
                     }
                 }
                 (output, exec_trace, wall)
@@ -502,21 +548,21 @@ impl V2vEngine {
         }
         let report = RunReport {
             output,
-            check,
+            check: prepared.check,
             stats: exec_trace.totals,
             plan_stats: physical.stats,
-            dde_rewrites,
+            dde_rewrites: prepared.dde_rewrites,
             wall,
             errors: exec_trace.errors.clone(),
         };
         let trace = RunTrace::assemble(
-            dde_rewrites as u64,
+            prepared.dde_rewrites as u64,
             physical.stats,
-            plan_trace,
+            prepared.plan_trace,
             exec_trace,
             spans.take(),
         );
-        Ok((report, trace))
+        Ok((report, trace, first_packet))
     }
 
     /// Renders exactly one segment of a prepared plan and returns it as
@@ -543,57 +589,39 @@ impl V2vEngine {
                 index: seg_index,
                 count: prepared.physical.segments.len(),
             })?;
+        // The carved plan has one segment at index 0; hand it the
+        // parent's key (segment keys are position-independent, so the
+        // carve preserves the content address). Never admit the remote
+        // hook here — a worker must not re-dispatch.
         let key = prepared.keys.get(seg_index).copied().flatten();
-        let cache = key.and_then(|_| self.config.render_cache.clone());
-        let flight = key.and_then(|_| self.config.work_share.clone());
-        let mut exec_opts = self.config.exec.clone();
-        if key.is_some() && (cache.is_some() || flight.is_some()) {
-            // The carved plan has one segment at index 0; hand it the
-            // parent's key (segment keys are position-independent, so
-            // the carve preserves the content address). Never install a
-            // remote hook here — a worker must not re-dispatch.
-            exec_opts.segment_cache = Some(Arc::new(SegmentCacheCtx {
-                cache,
-                flight,
-                keys: vec![key],
-                remote: None,
-            }));
-        } else {
-            exec_opts.segment_cache = None;
-        }
-        let (output, exec_trace, _) = execute_traced(&sub, &self.catalog, &exec_opts)?;
+        let opts = self.exec_options(key.map(Some).into_iter().collect(), false);
+        let (output, exec_trace, _) = execute_traced(&sub, &self.catalog, &opts)?;
         Ok((Fragment::from_stream(&output), exec_trace.totals))
     }
 
     /// Full pipeline with on-demand streaming delivery: packets reach
     /// `sink` in presentation order as segments complete, so playback
     /// can begin long before synthesis finishes (paper §I: "begin
-    /// playback within seconds").
+    /// playback within seconds"). Delivery is the only difference from
+    /// [`run`](V2vEngine::run): a streaming run reads and warms the
+    /// same reuse tiers, and a repeated query streams from the cache.
     pub fn run_streaming(
         &mut self,
         spec: &Spec,
-        sink: impl FnMut(&v2v_codec::Packet),
+        mut sink: impl FnMut(&Packet),
     ) -> Result<(RunReport, StreamingStats), EngineError> {
-        self.bind(spec)?;
-        let (specialized, dde_rewrites) = self.specialize(spec);
-        let (physical, check) = self.plan(&specialized)?;
-        // Streaming honors the same ExecOptions as batch runs (it used
-        // to silently fall back to the default GOP-cache size, making
-        // the two executors report different cache hit/miss counts).
-        let (output, streaming) =
-            execute_streaming_with(&physical, &self.catalog, &self.config.exec, sink)?;
-        Ok((
-            RunReport {
-                output,
-                check,
-                stats: streaming.exec,
-                plan_stats: physical.stats,
-                dde_rewrites,
-                wall: streaming.total,
-                errors: streaming.errors.clone(),
-            },
-            streaming,
-        ))
+        let prepared = self.front_half(spec, self.reuse_configured())?;
+        let (report, trace, time_to_first_packet) =
+            self.run_prepared_with(prepared, Some(&mut sink))?;
+        let streaming = StreamingStats {
+            setup: Duration::ZERO,
+            time_to_first_packet,
+            total: report.wall,
+            exec: report.stats,
+            errors: report.errors.clone(),
+            trace: trace.exec,
+        };
+        Ok((report, streaming))
     }
 
     /// Runs a spec and binds its output video back into the catalog under
@@ -615,12 +643,7 @@ impl V2vEngine {
     /// data rewrites) — the baseline arm of the paper's evaluation.
     pub fn run_unoptimized(&mut self, spec: &Spec) -> Result<RunReport, EngineError> {
         self.bind(spec)?;
-        let check = check_spec_with_udfs(
-            spec,
-            &self.catalog.source_infos(),
-            self.catalog.udf_registry(),
-        )
-        .map_err(EngineError::Check)?;
+        let check = self.check(spec)?;
         let logical = lower_spec(spec)?;
         let (output, stats, wall) = execute_naive(&logical, &self.catalog)?;
         Ok(RunReport {
@@ -637,40 +660,36 @@ impl V2vEngine {
     /// Explains a spec without executing it: both plan renderings (the
     /// Fig. 2 pair) plus the optimizer's rewrite trace.
     pub fn explain(&mut self, spec: &Spec) -> Result<ExplainReport, EngineError> {
-        self.bind(spec)?;
-        let (specialized, dde_rewrites) = self.specialize(spec);
-        let logical_unopt = lower_spec(spec)?;
-        let (physical, _, trace) = self.plan_traced(&specialized)?;
-        Ok(ExplainReport {
-            logical: explain_logical(&logical_unopt),
-            physical: explain_physical(&physical),
-            trace,
-            plan_stats: physical.stats,
-            dde_rewrites: dde_rewrites as u64,
-        })
+        let prepared = self.front_half(spec, false)?;
+        explain_report(spec, &prepared)
     }
 
     /// `EXPLAIN ANALYZE`: plans *and runs* the spec, returning the plan
     /// annotated with the measured per-operator execution metrics (the
-    /// output video is discarded).
+    /// output video is discarded). No cache identity is computed, so
+    /// the run is always measured, never answered from a reuse tier.
     pub fn explain_analyze(&mut self, spec: &Spec) -> Result<AnalyzeReport, EngineError> {
-        self.bind(spec)?;
-        let (specialized, dde_rewrites) = self.specialize(spec);
-        let logical_unopt = lower_spec(spec)?;
-        let (physical, _, trace) = self.plan_traced(&specialized)?;
-        let (output, exec_trace, _) = execute_traced(&physical, &self.catalog, &self.config.exec)?;
+        let prepared = self.front_half(spec, false)?;
+        let explain = explain_report(spec, &prepared)?;
+        let (report, trace) = self.run_prepared(prepared)?;
         Ok(AnalyzeReport {
-            explain: ExplainReport {
-                logical: explain_logical(&logical_unopt),
-                physical: explain_physical(&physical),
-                trace,
-                plan_stats: physical.stats,
-                dde_rewrites: dde_rewrites as u64,
-            },
-            exec: exec_trace,
-            output_frames: output.len() as u64,
+            explain,
+            exec: trace.exec,
+            output_frames: report.output.len() as u64,
         })
     }
+}
+
+/// The `explain` view of a front half: the unoptimized logical plan of
+/// the spec as written beside the optimized physical plan.
+fn explain_report(spec: &Spec, prepared: &PreparedRun) -> Result<ExplainReport, EngineError> {
+    Ok(ExplainReport {
+        logical: explain_logical(&lower_spec(spec)?),
+        physical: explain_physical(&prepared.physical),
+        trace: prepared.plan_trace.clone(),
+        plan_stats: prepared.physical.stats,
+        dde_rewrites: prepared.dde_rewrites as u64,
+    })
 }
 
 #[cfg(test)]
@@ -913,6 +932,81 @@ mod tests {
         // The artifact survives a JSON round trip unchanged.
         let back = crate::observe::RunTrace::from_json(&trace.to_json()).unwrap();
         assert_eq!(back, trace);
+    }
+
+    fn cached_engine(tag: &str) -> (V2vEngine, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("v2v_engine_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = EngineConfig {
+            render_cache: Some(Arc::new(RenderCache::open(&dir, 0).unwrap())),
+            ..Default::default()
+        };
+        (engine_with_video().with_config(config), dir)
+    }
+
+    /// One blurred second of `a` per entry of `starts` — each its own
+    /// render segment, so specs sharing a start share that segment.
+    fn blur_spec(starts: &[i64]) -> Spec {
+        let mut b = SpecBuilder::new(output()).video("a", "a.svc");
+        for &from in starts {
+            b = b.append_filtered("a", r(from, 1), r(1, 1), |e| {
+                v2v_spec::builder::blur(e, 1.0)
+            });
+        }
+        b.build()
+    }
+
+    #[test]
+    fn streaming_runs_read_and_warm_the_render_cache() {
+        let spec = blur_spec(&[0, 2]);
+        let batch = engine_with_video().run(&spec).unwrap();
+        let (mut engine, dir) = cached_engine("stream");
+        let mut runs = Vec::new();
+        for _ in 0..2 {
+            let mut sunk = Vec::new();
+            let (report, _) = engine
+                .run_streaming(&spec, |p| sunk.push(p.clone()))
+                .unwrap();
+            assert_eq!(
+                report.output.content_digest(),
+                batch.output.content_digest()
+            );
+            assert_eq!(sunk, report.output.packets(), "every packet, in order");
+            runs.push(report.stats);
+        }
+        assert_eq!(runs[0].cache.result_hits, 0);
+        assert_eq!(runs[0].frames_encoded, 60);
+        assert_eq!(runs[1].cache.result_hits, 1);
+        assert_eq!(runs[1].frames_encoded, 0);
+        // A different query sharing the first second: a result miss
+        // whose shared segment comes out of the warmed cache.
+        let overlap = blur_spec(&[0, 3]);
+        let (report, _) = engine.run_streaming(&overlap, |_| {}).unwrap();
+        assert_eq!(report.stats.cache.result_hits, 0);
+        assert!(report.stats.cache.segment_hits > 0, "{:?}", report.stats);
+        let cold = engine_with_video().run(&overlap).unwrap();
+        assert_eq!(report.output.content_digest(), cold.output.content_digest());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn identity_is_computed_only_where_something_reads_it() {
+        let spec = blur_spec(&[0]);
+        let mut plain = engine_with_video();
+        let streaming = plain.front_half(&spec, plain.reuse_configured()).unwrap();
+        assert_eq!(streaming.fingerprint(), None);
+        assert!(streaming.segment_keys().is_empty());
+        let prepared = plain.prepare(&spec).unwrap();
+        assert!(prepared.fingerprint().is_some());
+
+        let (mut cached, dir) = cached_engine("identity");
+        let streaming = cached.front_half(&spec, cached.reuse_configured()).unwrap();
+        assert_eq!(streaming.fingerprint(), prepared.fingerprint());
+        assert_eq!(
+            cached.prepare(&spec).unwrap().fingerprint(),
+            prepared.fingerprint()
+        );
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -18,6 +18,7 @@ use crate::trace::{ExecTrace, SegmentTrace};
 use crate::ExecError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use v2v_codec::Packet;
 use v2v_container::{StreamWriter, VideoStream};
 use v2v_plan::PhysicalPlan;
 use v2v_time::Rational;
@@ -223,10 +224,42 @@ pub fn execute_traced(
     opts: &ExecOptions,
 ) -> Result<(VideoStream, ExecTrace, Duration), ExecError> {
     let started = Instant::now();
+    let (out, mut trace, _, _) = drive(plan, catalog, opts, None)?;
+    let wall = started.elapsed();
+    trace.wall_ns = wall.as_nanos() as u64;
+    Ok((out, trace, wall))
+}
+
+/// The one executor driver behind [`execute_traced`] and
+/// [`execute_streaming_with`](crate::execute_streaming_with): builds the
+/// run's decoded-GOP cache and output writer, splices every part the
+/// scheduler delivers (in presentation order) into the writer and the
+/// trace, and books the run-level totals.
+///
+/// With a `sink`, each packet is also handed to it re-stamped onto the
+/// output presentation grid, before its part is spliced; without one no
+/// packet is re-stamped. Returns the stream, the trace (`wall_ns` left
+/// to the caller's clock), the instant dispatch began, and the instant
+/// the first packet reached the sink.
+pub(crate) fn drive(
+    plan: &PhysicalPlan,
+    catalog: &Catalog,
+    opts: &ExecOptions,
+    mut sink: Option<&mut dyn FnMut(&Packet)>,
+) -> Result<(VideoStream, ExecTrace, Instant, Option<Instant>), ExecError> {
     let cache = GopCache::new(opts.gop_cache_frames);
     let mut writer = StreamWriter::new(plan.out_params, Rational::ZERO, plan.frame_dur);
     let mut trace = ExecTrace::default();
+    let exec_started = Instant::now();
+    let mut first_packet = None;
     let mut deliver = |part: PartOutput| -> Result<(), ExecError> {
+        if let Some(sink) = sink.as_mut() {
+            let base = writer.len() as i64;
+            for (k, p) in part.packets.iter().enumerate() {
+                first_packet.get_or_insert_with(Instant::now);
+                sink(&p.retimed(plan.frame_dur * Rational::from_int(base + k as i64)));
+            }
+        }
         writer.push_copied(&part.packets)?;
         if let Some(fault) = &part.fault {
             trace.errors.push(fault.clone());
@@ -257,36 +290,28 @@ pub fn execute_traced(
         }
         Ok(())
     };
-    let evictions_before = opts
+    let shared_cache = opts
         .segment_cache
         .as_deref()
-        .and_then(|sc| sc.cache.as_deref())
-        .map(|c| c.evictions());
-    let report = execute_scheduled(plan, catalog, opts, Some(&cache), &mut deliver)?;
+        .and_then(|sc| sc.cache.as_deref());
+    let evictions_before = shared_cache.map_or(0, |c| c.evictions());
+    let report = execute_scheduled(plan, catalog, opts, &cache, &mut deliver)?;
     for seg in &trace.segments {
         trace.totals = trace.totals.merge(seg.stats);
     }
     trace.totals.splits = report.splits;
     trace.totals.steals = report.steals;
-    if let (Some(c), Some(before)) = (
-        opts.segment_cache
-            .as_deref()
-            .and_then(|sc| sc.cache.as_deref()),
-        evictions_before,
-    ) {
+    if let Some(c) = shared_cache {
         // Evictions are a property of the shared cache, not any one
         // part; attribute the delta this run caused to the run totals.
-        trace.totals.cache.evictions += c.evictions().saturating_sub(before);
+        trace.totals.cache.evictions += c.evictions().saturating_sub(evictions_before);
     }
     if let Some(injector) = &opts.fault {
         // Run-level, from the injector itself: a fault that killed its
         // part never reaches the per-part stats roll-up.
         trace.totals.faults_injected = injector.injections();
     }
-    let out = writer.finish()?;
-    let wall = started.elapsed();
-    trace.wall_ns = wall.as_nanos() as u64;
-    Ok((out, trace, wall))
+    Ok((writer.finish()?, trace, exec_started, first_packet))
 }
 
 #[cfg(test)]
@@ -485,6 +510,66 @@ mod tests {
         let (fa, _) = out.decode_range(0, out.len()).unwrap();
         let (fb, _) = out_nc.decode_range(0, out_nc.len()).unwrap();
         assert_eq!(fa, fb, "cache on/off must be byte-identical");
+    }
+
+    /// `segment_cost` is the planner's per-segment estimate now; this
+    /// pins it, bit for bit, to the formula the scheduler used to carry.
+    #[test]
+    fn segment_cost_equals_the_formula_it_replaced() {
+        use v2v_spec::builder::grid4;
+        use v2v_spec::RenderExpr;
+        let old = |plan: &PhysicalPlan, seg: &Segment| {
+            let model = v2v_plan::CostModel::default();
+            let ty = plan.out_params.frame_ty;
+            let px = f64::from(ty.width) * f64::from(ty.height);
+            match &seg.plan {
+                SegPlan::StreamCopy { .. } => seg.count as f64 * model.copy_per_packet,
+                SegPlan::Render { program, inputs } => {
+                    seg.count as f64
+                        * (px
+                            * (inputs.len() as f64 * model.decode_per_pixel
+                                + program.op_count().max(1) as f64 * model.op_per_pixel
+                                + model.encode_per_pixel))
+                }
+            }
+        };
+        let mut catalog = Catalog::new();
+        catalog.add_video("a", marked_stream(120, 30));
+        let spec = SpecBuilder::new(output())
+            .video("a", "a.svc")
+            .append_clip("a", r(1, 1), r(1, 1))
+            .append_filtered("a", r(0, 1), r(1, 1), |e| blur(e, 1.0))
+            .append_with(r(1, 2), |_| {
+                grid4(
+                    RenderExpr::video("a"),
+                    RenderExpr::video_shifted("a", r(1, 30)),
+                    RenderExpr::video_shifted("a", r(2, 30)),
+                    RenderExpr::video_shifted("a", r(3, 30)),
+                )
+            })
+            .build();
+        let plan = optimize(
+            &lower_spec(&spec).unwrap(),
+            &catalog.plan_context(),
+            &OptimizerConfig::default(),
+        )
+        .unwrap();
+        let mut input_counts = Vec::new();
+        for seg in &plan.segments {
+            let cost = crate::segment_cost(&plan, seg);
+            assert_eq!(cost.to_bits(), old(&plan, seg).to_bits());
+            input_counts.push(match &seg.plan {
+                SegPlan::StreamCopy { .. } => 0,
+                SegPlan::Render { inputs, .. } => inputs.len(),
+            });
+        }
+        input_counts.sort_unstable();
+        input_counts.dedup();
+        assert_eq!(
+            input_counts,
+            [0, 1, 4],
+            "a copy, a 1-input and a 4-input render"
+        );
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use naive::execute_naive;
 pub use remote::RemoteRenderer;
 pub use render_cache::{CacheStats, EntryKey, Origin, RenderCache, SegmentCacheCtx};
 pub use scheduler::{segment_cost, PartOutput, SchedReport};
-pub use streaming::{execute_streaming, execute_streaming_with, StreamingStats};
+pub use streaming::{execute_streaming_with, StreamingStats};
 pub use trace::{ExecTrace, SegmentTrace, StageTimes};
 
 /// Errors raised during execution.

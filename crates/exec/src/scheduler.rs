@@ -2,12 +2,12 @@
 //!
 //! The paper's runtime story (§IV-A) is to "use the dependency graph to
 //! execute operators in parallel"; this module is the engine behind
-//! both executors' parallelism. It improves on plain
+//! the executor's parallelism. It improves on plain
 //! segment-at-a-time fan-out in three ways:
 //!
-//! 1. **Cost-ordered dispatch.** Each segment's cost is estimated from
-//!    the physical plan (copy ≈ packets, render ≈ frames × program
-//!    width, the same weights as [`v2v_plan::CostModel`]) and work is
+//! 1. **Cost-ordered dispatch.** Each segment's cost is the planner's
+//!    own per-segment estimate ([`v2v_plan::CostModel::segment`]: copy ≈
+//!    packets, render ≈ frames × program width) and work is
 //!    handed out longest-processing-time-first, the classic makespan
 //!    heuristic: expensive renders start first so they never become the
 //!    lonely tail of the run.
@@ -28,9 +28,9 @@
 //!    runtime analogue of the planner's lossless shard re-concat.
 //!
 //! Parts are emitted to a `deliver` callback **in presentation order**
-//! (a reorder buffer holds early finishers), so the batch executor can
-//! splice directly into a [`StreamWriter`] and the streaming executor
-//! can sink packets as soon as the head of the output is ready.
+//! (a reorder buffer holds early finishers), so the executor's driver
+//! can splice directly into a [`StreamWriter`] and sink packets as soon
+//! as the head of the output is ready.
 //!
 //! [`StreamWriter`]: v2v_container::StreamWriter
 
@@ -54,7 +54,7 @@ use v2v_codec::{Encoder, Packet};
 use v2v_container::Fragment;
 use v2v_frame::ops::{conform, conform_shared};
 use v2v_frame::{Frame, FrameType};
-use v2v_plan::{CostModel, FrameProgram, InputClip, PhysicalPlan, SegPlan, Segment};
+use v2v_plan::{CostModel, FrameProgram, InputClip, PhysicalPlan, PlanContext, SegPlan, Segment};
 use v2v_time::Rational;
 
 /// Scheduler-level counters for one run.
@@ -93,6 +93,30 @@ pub struct PartOutput {
     /// render cache (a single-flight owner stores before publishing),
     /// so the delivery-side store accumulator must not store it again.
     pub cache_stored: bool,
+}
+
+impl PartOutput {
+    /// A clean part of `ctx`'s segment: `count` frames from the
+    /// segment-relative frame `from`, no stage times, no fault.
+    fn new(
+        ctx: &PartCtx<'_>,
+        from: u64,
+        count: u64,
+        packets: Vec<Packet>,
+        stats: ExecStats,
+    ) -> PartOutput {
+        PartOutput {
+            seg_index: ctx.seg_index,
+            abs_start: ctx.seg.out_start + from,
+            count,
+            packets,
+            stats,
+            stage: StageTimes::default(),
+            wall_ns: 0,
+            fault: None,
+            cache_stored: false,
+        }
+    }
 }
 
 /// A schedulable unit: a segment-relative frame range of one segment.
@@ -170,17 +194,43 @@ impl Shared {
     }
 }
 
+/// The facts of one run, derived once in [`execute_scheduled`].
+#[derive(Clone, Copy)]
+struct RunCtx<'a> {
+    plan: &'a PhysicalPlan,
+    catalog: &'a Catalog,
+    cache: &'a GopCache,
+    opts: &'a ExecOptions,
+    /// The fault injector, when one is configured and non-empty.
+    fault: Option<&'a FaultInjector>,
+    /// Persistent segment cache for this run (`None` disables reuse).
+    /// Always `None` while a fault injector is active: a degraded
+    /// (skipped/substituted) part must never be persisted, and a cache
+    /// hit would mask the injection the test asked for.
+    seg_cache: Option<&'a SegmentCacheCtx>,
+    /// Decode-ahead window of a render part, in frames (whole output
+    /// GOPs); `0` runs the sequential decode → compose → encode loop.
+    pipeline_frames: usize,
+}
+
 /// Everything a worker needs to execute parts of one segment.
 struct PartCtx<'a> {
-    plan: &'a PhysicalPlan,
+    run: RunCtx<'a>,
     seg: &'a Segment,
     seg_index: usize,
-    catalog: &'a Catalog,
-    cache: Option<&'a GopCache>,
-    fault: Option<&'a FaultInjector>,
-    /// Persistent segment cache for this run (`None` disables reuse;
-    /// always `None` while a fault injector is active).
-    seg_cache: Option<&'a SegmentCacheCtx>,
+    /// Threads this part's compose and encode stages may use.
+    fanout: usize,
+}
+
+impl<'a> RunCtx<'a> {
+    fn part(self, seg_index: usize, fanout: usize) -> PartCtx<'a> {
+        PartCtx {
+            run: self,
+            seg: &self.plan.segments[seg_index],
+            seg_index,
+            fanout,
+        }
+    }
 }
 
 /// A split probe carried into a render loop: checked at output-GOP
@@ -245,26 +295,13 @@ impl SplitProbe<'_> {
     }
 }
 
-/// Estimates a segment's execution cost in [`CostModel`] units,
-/// mirroring the executor's actual cost structure: a copy is a
-/// per-packet constant, a render pays decode + program ops + encode per
-/// output pixel.
+/// Estimates a segment's execution cost in [`CostModel`] units: the
+/// planner's per-segment estimate with no source metadata (every input
+/// priced at the output geometry, no roll-in).
 pub fn segment_cost(plan: &PhysicalPlan, seg: &Segment) -> f64 {
-    match &seg.plan {
-        SegPlan::StreamCopy { .. } => seg.count as f64 * CostModel::default().copy_per_packet,
-        SegPlan::Render { program, inputs } => {
-            seg.count as f64 * render_frame_cost(plan, program, inputs)
-        }
-    }
-}
-
-/// Estimated cost of rendering one output frame of a program.
-fn render_frame_cost(plan: &PhysicalPlan, program: &FrameProgram, inputs: &[InputClip]) -> f64 {
-    let model = CostModel::default();
-    let px = f64::from(plan.out_params.frame_ty.width) * f64::from(plan.out_params.frame_ty.height);
-    px * (inputs.len() as f64 * model.decode_per_pixel
-        + program.op_count().max(1) as f64 * model.op_per_pixel
-        + model.encode_per_pixel)
+    CostModel::default()
+        .segment(plan, seg, &PlanContext::new())
+        .total()
 }
 
 /// Executes every segment of `plan`, invoking `deliver` with each part
@@ -275,42 +312,36 @@ pub(crate) fn execute_scheduled(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     opts: &ExecOptions,
-    cache: Option<&GopCache>,
+    cache: &GopCache,
     deliver: &mut dyn FnMut(PartOutput) -> Result<(), ExecError>,
 ) -> Result<SchedReport, ExecError> {
     let workers = opts.effective_threads();
     let fault = opts.fault.as_deref().filter(|f| !f.is_empty());
-    // Segment reuse is disabled while faults are being injected: a
-    // degraded (skipped/substituted) part must never be persisted, and a
-    // cache hit would mask the injection the test asked for.
-    let seg_cache = if fault.is_none() {
-        opts.segment_cache.as_deref()
-    } else {
-        None
+    let run = RunCtx {
+        plan,
+        catalog,
+        cache,
+        opts,
+        fault,
+        seg_cache: opts.segment_cache.as_deref().filter(|_| fault.is_none()),
+        pipeline_frames: if workers <= 1 {
+            0
+        } else {
+            opts.pipeline_depth
+                .saturating_mul(plan.out_params.gop_size as usize)
+        },
     };
     let mut store_accum: Option<StoreAccum> = None;
     let mut deliver = |part: PartOutput| -> Result<(), ExecError> {
-        if let Some(sc) = seg_cache {
+        if let Some(sc) = run.seg_cache {
             accumulate_for_store(sc, plan, &mut store_accum, &part);
         }
         deliver(part)
     };
     if workers <= 1 {
         for (i, seg) in plan.segments.iter().enumerate() {
-            let ctx = PartCtx {
-                plan,
-                seg,
-                seg_index: i,
-                catalog,
-                cache,
-                fault,
-                seg_cache,
-            };
-            let part = match run_part(&ctx, 0, seg.count, None, 0, 1) {
-                Ok(part) => part,
-                Err(err) => recover_part(&ctx, opts, 0, seg.count, 0, 1, err)?,
-            };
-            deliver(part)?;
+            let ctx = run.part(i, 1);
+            deliver(run_part_recovering(&ctx, 0, seg.count, None)?)?;
         }
         return Ok(SchedReport::default());
     }
@@ -348,26 +379,12 @@ pub(crate) fn execute_scheduled(
             .then(b.seg_index.cmp(&a.seg_index))
     });
     let shared = Shared::new(tasks);
-    let pipeline_frames = opts
-        .pipeline_depth
-        .saturating_mul(plan.out_params.gop_size as usize);
     let (tx, rx) = channel::unbounded::<Result<PartOutput, ExecError>>();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();
             let shared = &shared;
-            scope.spawn(move || {
-                worker_loop(
-                    plan,
-                    catalog,
-                    cache,
-                    opts,
-                    shared,
-                    workers,
-                    pipeline_frames,
-                    &tx,
-                )
-            });
+            scope.spawn(move || worker_loop(run, shared, workers, &tx));
         }
         drop(tx);
         drive(&rx, &mut deliver, total, &shared)
@@ -411,25 +428,15 @@ fn drive(
     result.map(|()| shared.report())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
-    plan: &PhysicalPlan,
-    catalog: &Catalog,
-    cache: Option<&GopCache>,
-    opts: &ExecOptions,
+    run: RunCtx<'_>,
     shared: &Shared,
     workers: usize,
-    pipeline_frames: usize,
     tx: &channel::Sender<Result<PartOutput, ExecError>>,
 ) {
-    let fault_active = opts.fault.as_deref().is_some_and(|f| !f.is_empty());
-    let flight = if fault_active {
-        None
-    } else {
-        opts.segment_cache
-            .as_deref()
-            .and_then(|sc| sc.flight.as_deref().map(|f| (sc, f)))
-    };
+    let flight = run
+        .seg_cache
+        .and_then(|sc| sc.flight.as_deref().map(|f| (sc, f)));
     loop {
         let (task, running_now) = {
             let mut st = shared.lock();
@@ -448,7 +455,7 @@ fn worker_loop(
                         if !t.deferred
                             && !st.queue.is_empty()
                             && t.from == 0
-                            && t.to == plan.segments[t.seg_index].count
+                            && t.to == run.plan.segments[t.seg_index].count
                         {
                             if let Some(key) = sc.key(t.seg_index) {
                                 if flight.is_inflight(&key) {
@@ -480,25 +487,10 @@ fn worker_loop(
                 shared.idle_hint.store(st.idle, Ordering::Relaxed);
             }
         };
-        let seg = &plan.segments[task.seg_index];
-        let fault = opts.fault.as_deref().filter(|f| !f.is_empty());
-        let ctx = PartCtx {
-            plan,
-            seg,
-            seg_index: task.seg_index,
-            catalog,
-            cache,
-            fault,
-            seg_cache: if fault.is_none() {
-                opts.segment_cache.as_deref()
-            } else {
-                None
-            },
-        };
         // A lone running part composes with the whole pool's width; with
         // many parts in flight each keeps roughly its fair share.
-        let fanout = (workers / running_now.max(1)).max(1);
-        let probe = opts.runtime_split.then(|| SplitProbe {
+        let ctx = run.part(task.seg_index, (workers / running_now.max(1)).max(1));
+        let probe = run.opts.runtime_split.then(|| SplitProbe {
             shared,
             seg_index: task.seg_index,
             per_frame_cost: if task.to > task.from {
@@ -508,27 +500,7 @@ fn worker_loop(
             },
             committed_end: AtomicU64::new(task.to),
         });
-        let res = run_part(
-            &ctx,
-            task.from,
-            task.to,
-            probe.as_ref(),
-            pipeline_frames,
-            fanout,
-        );
-        let res = match res {
-            Ok(part) => Ok(part),
-            Err(err) => {
-                // Retry only the range this part still owns: far halves
-                // given away by earlier splits run on other workers.
-                let end = probe
-                    .as_ref()
-                    .map(|p| p.owned_end())
-                    .unwrap_or(task.to)
-                    .min(task.to);
-                recover_part(&ctx, opts, task.from, end, pipeline_frames, fanout, err)
-            }
-        };
+        let res = run_part_recovering(&ctx, task.from, task.to, probe.as_ref());
         let failed = res.is_err();
         {
             let mut st = shared.lock();
@@ -552,28 +524,8 @@ fn worker_loop(
 /// foreign cache directory from corrupting output.
 fn fragment_matches(ctx: &PartCtx<'_>, frag: &Fragment) -> bool {
     frag.len() as u64 == ctx.seg.count
-        && frag.frame_dur() == ctx.plan.frame_dur
-        && frag.params().compatible_with(&ctx.plan.out_params)
-}
-
-/// A whole-segment part whose packets come from a reused fragment, with
-/// the given cache attribution.
-fn part_from_fragment(ctx: &PartCtx<'_>, frag: &Fragment, cache: CacheStats) -> PartOutput {
-    PartOutput {
-        seg_index: ctx.seg_index,
-        abs_start: ctx.seg.out_start,
-        count: ctx.seg.count,
-        packets: frag.packets().to_vec(),
-        stats: ExecStats {
-            segments: 1,
-            cache,
-            ..Default::default()
-        },
-        stage: StageTimes::default(),
-        wall_ns: 0,
-        fault: None,
-        cache_stored: false,
-    }
+        && frag.frame_dur() == ctx.run.plan.frame_dur
+        && frag.params().compatible_with(&ctx.run.plan.out_params)
 }
 
 /// Renders one segment range, reusing a fragment when the range is a
@@ -586,7 +538,6 @@ fn part_from_fragment(ctx: &PartCtx<'_>, frag: &Fragment, cache: CacheStats) -> 
 /// the flight or finds the entry on disk — a segment is never rendered
 /// twice, under any interleaving. A run without a flight (one-shot
 /// `v2v run`) is simply an owner nobody waits on.
-#[allow(clippy::too_many_arguments)]
 fn render_segment(
     ctx: &PartCtx<'_>,
     program: &FrameProgram,
@@ -594,35 +545,36 @@ fn render_segment(
     from: u64,
     to: u64,
     probe: Option<&SplitProbe<'_>>,
-    pipeline_frames: usize,
-    fanout: usize,
 ) -> Result<PartOutput, ExecError> {
+    // A fresh render of `[from, to)`: pipelined, or the sequential loop
+    // when pipelining is off.
     let fresh = |probe: Option<&SplitProbe<'_>>| {
-        render_fresh(
-            ctx,
-            program,
-            inputs,
-            from,
-            to,
-            probe,
-            pipeline_frames,
-            fanout,
-        )
+        if ctx.run.pipeline_frames > 0 {
+            run_render_pipelined(ctx, program, inputs, from, to, probe)
+        } else {
+            run_render_sequential(ctx, program, inputs, from, to, probe)
+        }
     };
     // Only whole segments are shared or cached: a split range would
     // interleave reused and freshly encoded packets inside one encoder
     // session.
-    let whole = from == 0 && to == ctx.seg.count && ctx.seg.count > 0 && ctx.fault.is_none();
+    let whole = from == 0 && to == ctx.seg.count && ctx.seg.count > 0;
     let keyed = ctx
+        .run
         .seg_cache
         .filter(|_| whole)
         .and_then(|sc| Some((sc, sc.key(ctx.seg_index)?)));
     let Some((sc, key)) = keyed else {
         return fresh(probe);
     };
+    // A whole-segment part whose packets come from a reused fragment.
     let reused = |frag: &Fragment, origin: Origin| {
-        let cache = CacheStats::for_hit(EntryKey::Segment(key), origin, frag.byte_size());
-        part_from_fragment(ctx, frag, cache)
+        let stats = ExecStats {
+            segments: 1,
+            cache: CacheStats::for_hit(EntryKey::Segment(key), origin, frag.byte_size()),
+            ..Default::default()
+        };
+        PartOutput::new(ctx, 0, ctx.seg.count, frag.packets().to_vec(), stats)
     };
     let guard = match sc.flight.as_deref().map(|flight| flight.claim(key)) {
         Some(Claim::Shared(Some(frag))) if fragment_matches(ctx, &frag) => {
@@ -639,7 +591,7 @@ fn render_segment(
     // The transport verifies the digest; `fits` shape-checks the
     // fragment against the plan. Any failure falls back to rendering.
     let remote = || {
-        let cost = segment_cost(ctx.plan, ctx.seg);
+        let cost = segment_cost(ctx.run.plan, ctx.seg);
         let frag = sc
             .remote
             .as_deref()?
@@ -657,7 +609,7 @@ fn render_segment(
             // Nobody waits on a run without a flight: it may split, and
             // the deliver-side `StoreAccum` stores the parts whole.
             let part = fresh(probe.filter(|_| guard.is_none()))?;
-            let (params, dur) = (ctx.plan.out_params, ctx.plan.frame_dur);
+            let (params, dur) = (ctx.run.plan.out_params, ctx.run.plan.frame_dur);
             let frag = guard
                 .as_ref()
                 .and_then(|_| Fragment::new(params, dur, part.packets.clone()).ok());
@@ -675,35 +627,6 @@ fn render_segment(
         }
     }
     Ok(part)
-}
-
-/// Dispatches a fresh render of `[from, to)` to the pipelined or
-/// sequential loop.
-#[allow(clippy::too_many_arguments)]
-fn render_fresh(
-    ctx: &PartCtx<'_>,
-    program: &FrameProgram,
-    inputs: &[InputClip],
-    from: u64,
-    to: u64,
-    probe: Option<&SplitProbe<'_>>,
-    pipeline_frames: usize,
-    fanout: usize,
-) -> Result<PartOutput, ExecError> {
-    if pipeline_frames > 0 {
-        run_render_pipelined(
-            ctx,
-            program,
-            inputs,
-            from,
-            to,
-            probe,
-            pipeline_frames,
-            fanout,
-        )
-    } else {
-        run_render_sequential(ctx, program, inputs, from, to, probe)
-    }
 }
 
 /// In-flight state for persisting one segment's rendered packets: parts
@@ -788,8 +711,6 @@ fn run_part(
     from: u64,
     to: u64,
     probe: Option<&SplitProbe<'_>>,
-    pipeline_frames: usize,
-    fanout: usize,
 ) -> Result<PartOutput, ExecError> {
     let started = Instant::now();
     let mut part = match &ctx.seg.plan {
@@ -800,6 +721,7 @@ fn run_part(
         } => {
             debug_assert!(from == 0 && to == ctx.seg.count, "copies are never split");
             let stream = ctx
+                .run
                 .catalog
                 .video(video)
                 .ok_or_else(|| ExecError::UnknownVideo(video.clone()))?;
@@ -811,31 +733,30 @@ fn run_part(
                 segments: 1,
                 ..Default::default()
             };
-            PartOutput {
-                seg_index: ctx.seg_index,
-                abs_start: ctx.seg.out_start,
-                count: ctx.seg.count,
-                packets,
-                stats,
-                stage: StageTimes::default(),
-                wall_ns: 0,
-                fault: None,
-                cache_stored: false,
-            }
+            PartOutput::new(ctx, 0, ctx.seg.count, packets, stats)
         }
-        SegPlan::Render { program, inputs } => render_segment(
-            ctx,
-            program,
-            inputs,
-            from,
-            to,
-            probe,
-            pipeline_frames,
-            fanout,
-        )?,
+        SegPlan::Render { program, inputs } => {
+            render_segment(ctx, program, inputs, from, to, probe)?
+        }
     };
     part.wall_ns = started.elapsed().as_nanos() as u64;
     Ok(part)
+}
+
+/// [`run_part`] under the run's [`ErrorPolicy`]: a failure goes to
+/// [`recover_part`].
+fn run_part_recovering(
+    ctx: &PartCtx<'_>,
+    from: u64,
+    to: u64,
+    probe: Option<&SplitProbe<'_>>,
+) -> Result<PartOutput, ExecError> {
+    run_part(ctx, from, to, probe).or_else(|err| {
+        // Retry only the range this part still owns: far halves given
+        // away by earlier splits run on other workers.
+        let end = probe.map_or(to, |p| p.owned_end().min(to));
+        recover_part(ctx, from, end, err)
+    })
 }
 
 /// Applies the run's [`ErrorPolicy`] to a failed part: bounded retries
@@ -847,67 +768,44 @@ fn run_part(
 /// the last error propagates.
 fn recover_part(
     ctx: &PartCtx<'_>,
-    opts: &ExecOptions,
     from: u64,
     to: u64,
-    pipeline_frames: usize,
-    fanout: usize,
     err: ExecError,
 ) -> Result<PartOutput, ExecError> {
-    let mut retries = 0u64;
-    let mut last_err = err;
-    while retries < u64::from(opts.max_retries) {
-        retries += 1;
-        // Retry without a split probe: determinism over load balancing
-        // on the recovery path.
-        match run_part(ctx, from, to, None, pipeline_frames, fanout) {
-            Ok(mut part) => {
-                part.stats.retries = retries;
-                part.fault = Some(SegmentFault {
-                    seg_index: ctx.seg_index as u64,
-                    abs_start: ctx.seg.out_start + from,
-                    frames: to - from,
-                    action: FaultAction::Recovered,
-                    retries,
-                    error: last_err.to_string(),
-                    kind: error_kind(&last_err).to_string(),
-                });
-                return Ok(part);
-            }
-            Err(e) => last_err = e,
-        }
-    }
-    let error_text = last_err.to_string();
-    let kind_text = error_kind(&last_err).to_string();
-    let fault = |action: FaultAction| SegmentFault {
+    let fault = |action: FaultAction, retries: u64, err: &ExecError| SegmentFault {
         seg_index: ctx.seg_index as u64,
         abs_start: ctx.seg.out_start + from,
         frames: to - from,
         action,
         retries,
-        error: error_text.clone(),
-        kind: kind_text.clone(),
+        error: err.to_string(),
+        kind: error_kind(err).to_string(),
     };
+    let mut retries = 0u64;
+    let mut last_err = err;
+    while retries < u64::from(ctx.run.opts.max_retries) {
+        retries += 1;
+        // Retry without a split probe: determinism over load balancing
+        // on the recovery path.
+        match run_part(ctx, from, to, None) {
+            Ok(mut part) => {
+                part.stats.retries = retries;
+                part.fault = Some(fault(FaultAction::Recovered, retries, &last_err));
+                return Ok(part);
+            }
+            Err(e) => last_err = e,
+        }
+    }
     let mut stats = ExecStats {
         segments: u64::from(from == 0),
         retries,
         ..Default::default()
     };
-    match opts.on_error {
-        ErrorPolicy::Abort => Err(last_err),
+    let (action, packets) = match ctx.run.opts.on_error {
+        ErrorPolicy::Abort => return Err(last_err),
         ErrorPolicy::SkipSegment => {
             stats.parts_skipped = 1;
-            Ok(PartOutput {
-                seg_index: ctx.seg_index,
-                abs_start: ctx.seg.out_start + from,
-                count: to - from,
-                packets: Vec::new(),
-                stats,
-                stage: StageTimes::default(),
-                wall_ns: 0,
-                fault: Some(fault(FaultAction::Skipped)),
-                cache_stored: false,
-            })
+            (FaultAction::Skipped, Vec::new())
         }
         ErrorPolicy::SubstituteBlack => {
             let packets = encode_black(ctx, from, to)?;
@@ -915,27 +813,21 @@ fn recover_part(
             stats.frames_substituted = to - from;
             stats.frames_encoded = to - from;
             stats.bytes_encoded = packets.iter().map(|p| p.size() as u64).sum();
-            Ok(PartOutput {
-                seg_index: ctx.seg_index,
-                abs_start: ctx.seg.out_start + from,
-                count: to - from,
-                packets,
-                stats,
-                stage: StageTimes::default(),
-                wall_ns: 0,
-                fault: Some(fault(FaultAction::SubstitutedBlack)),
-                cache_stored: false,
-            })
+            (FaultAction::SubstitutedBlack, packets)
         }
-    }
+    };
+    Ok(PartOutput {
+        fault: Some(fault(action, retries, &last_err)),
+        ..PartOutput::new(ctx, from, to - from, packets, stats)
+    })
 }
 
 /// Encodes black frames over `[from, to)` on the output grid, one fresh
 /// encoder per output GOP so the keyframe cadence matches a clean run
 /// (`from` is GOP-aligned: parts start on GOP boundaries).
 fn encode_black(ctx: &PartCtx<'_>, from: u64, to: u64) -> Result<Vec<Packet>, ExecError> {
-    let gop = u64::from(ctx.plan.out_params.gop_size.max(1));
-    let black = Frame::black(ctx.plan.out_params.frame_ty);
+    let gop = u64::from(ctx.run.plan.out_params.gop_size.max(1));
+    let black = Frame::black(ctx.run.plan.out_params.frame_ty);
     let mut packets = Vec::with_capacity((to - from) as usize);
     let mut wj = from;
     while wj < to {
@@ -968,20 +860,17 @@ fn build_cursors<'a>(
             let resolved = if clip.variant.is_original() {
                 None
             } else {
-                ctx.catalog.variant(&clip.video, clip.variant)
+                ctx.run.catalog.variant(&clip.video, clip.variant)
             };
             let (stream, ident) = match resolved {
                 Some(v) => (&*v.stream, format!("{}#{}", clip.video, clip.variant)),
-                None => match ctx.catalog.video(&clip.video) {
+                None => match ctx.run.catalog.video(&clip.video) {
                     Some(s) => (&**s, clip.video.clone()),
                     None => return Err(ExecError::UnknownVideo(clip.video.clone())),
                 },
             };
-            let mut cursor = SourceCursor::new(stream, ident);
-            if let Some(cache) = ctx.cache {
-                cursor = cursor.with_cache(cache);
-            }
-            if let Some(fault) = ctx.fault {
+            let mut cursor = SourceCursor::new(stream, ident).with_cache(ctx.run.cache);
+            if let Some(fault) = ctx.run.fault {
                 cursor = cursor.with_fault(fault);
             }
             Ok((cursor, clip))
@@ -1036,10 +925,11 @@ fn run_render_sequential(
     to: u64,
     probe: Option<&SplitProbe<'_>>,
 ) -> Result<PartOutput, ExecError> {
-    let gop = u64::from(ctx.plan.out_params.gop_size);
-    let out_ty = ctx.plan.out_params.frame_ty;
+    let plan = ctx.run.plan;
+    let gop = u64::from(plan.out_params.gop_size);
+    let out_ty = plan.out_params.frame_ty;
     let mut cursors = build_cursors(ctx, inputs)?;
-    let mut encoder = Encoder::new(ctx.plan.out_params);
+    let mut encoder = Encoder::new(plan.out_params);
     let mut stats = ExecStats::default();
     let mut stage = StageTimes::default();
     let mut end = to;
@@ -1055,13 +945,14 @@ fn run_render_sequential(
             }
         }
         let t0 = Instant::now();
-        let t = ctx.plan.instant_of(ctx.seg.out_start + j);
+        let t = plan.instant_of(ctx.seg.out_start + j);
         let frames = gather_inputs(&mut cursors, t, out_ty)?;
         let t1 = Instant::now();
-        let out = apply_program(program, t, &frames, ctx.catalog.arrays(), ctx.catalog)?;
+        let catalog = ctx.run.catalog;
+        let out = apply_program(program, t, &frames, catalog.arrays(), catalog)?;
         let out = conform(&out, out_ty);
         let t2 = Instant::now();
-        let pts = ctx.plan.frame_dur * Rational::from_int(j as i64);
+        let pts = plan.frame_dur * Rational::from_int(j as i64);
         let pkt = encoder.encode(&out, pts)?;
         stage.decode_ns += (t1 - t0).as_nanos() as u64;
         stage.compose_ns += (t2 - t1).as_nanos() as u64;
@@ -1074,22 +965,14 @@ fn run_render_sequential(
     collect_cursor_stats(&cursors, &mut stats);
     stats.segments = u64::from(from == 0);
     Ok(PartOutput {
-        seg_index: ctx.seg_index,
-        abs_start: ctx.seg.out_start + from,
-        count: j - from,
-        packets,
-        stats,
         stage,
-        wall_ns: 0,
-        fault: None,
-        cache_stored: false,
+        ..PartOutput::new(ctx, from, j - from, packets, stats)
     })
 }
 
 /// The pipelined render: a prefetch thread decodes ahead through the
 /// cursors into a bounded channel while this thread composes batches in
 /// parallel and encodes independent output GOPs concurrently.
-#[allow(clippy::too_many_arguments)]
 fn run_render_pipelined(
     ctx: &PartCtx<'_>,
     program: &FrameProgram,
@@ -1097,18 +980,18 @@ fn run_render_pipelined(
     from: u64,
     to: u64,
     probe: Option<&SplitProbe<'_>>,
-    pipeline_frames: usize,
-    fanout: usize,
 ) -> Result<PartOutput, ExecError> {
-    let gop = u64::from(ctx.plan.out_params.gop_size);
-    let out_ty = ctx.plan.out_params.frame_ty;
+    let (plan, catalog) = (ctx.run.plan, ctx.run.catalog);
+    let pipeline_frames = ctx.run.pipeline_frames;
+    let gop = u64::from(plan.out_params.gop_size);
+    let out_ty = plan.out_params.frame_ty;
     debug_assert!(pipeline_frames as u64 % gop == 0, "depth is whole GOPs");
     // Lowered on split so the prefetcher stops decoding the given-away
     // range as soon as it next checks.
     let end_ctrl = AtomicU64::new(to);
     let (tx, rx) = channel::bounded::<(u64, Rational, Vec<Arc<Frame>>)>(pipeline_frames.max(1));
     let pool = ThreadPoolBuilder::new()
-        .num_threads(fanout)
+        .num_threads(ctx.fanout)
         .build()
         .expect("compose pool");
 
@@ -1120,7 +1003,7 @@ fn run_render_pipelined(
             let mut j = from;
             while j < end_ctrl.load(Ordering::Acquire) {
                 let t0 = Instant::now();
-                let t = ctx.plan.instant_of(ctx.seg.out_start + j);
+                let t = plan.instant_of(ctx.seg.out_start + j);
                 let frames = gather_inputs(&mut cursors, t, out_ty)?;
                 decode_ns += elapsed_ns(t0);
                 if tx.send((j, t, frames)).is_err() {
@@ -1165,14 +1048,8 @@ fn run_render_pipelined(
                         batch
                             .par_iter()
                             .map(|(_, t, frames)| {
-                                apply_program(
-                                    program,
-                                    *t,
-                                    frames,
-                                    ctx.catalog.arrays(),
-                                    ctx.catalog,
-                                )
-                                .map(|f| conform(&f, out_ty))
+                                apply_program(program, *t, frames, catalog.arrays(), catalog)
+                                    .map(|f| conform(&f, out_ty))
                             })
                             .collect::<Result<Vec<Frame>, ExecError>>()
                     })
@@ -1214,15 +1091,8 @@ fn run_render_pipelined(
                 stats.segments = u64::from(from == 0);
                 stage.decode_ns += decode_ns;
                 Ok(PartOutput {
-                    seg_index: ctx.seg_index,
-                    abs_start: ctx.seg.out_start + from,
-                    count: end - from,
-                    packets,
-                    stats,
                     stage,
-                    wall_ns: 0,
-                    fault: None,
-                    cache_stored: false,
+                    ..PartOutput::new(ctx, from, end - from, packets, stats)
                 })
             }
             (_, Err(e)) => Err(e),
@@ -1240,11 +1110,11 @@ fn encode_window(
     wj: u64,
     frames: &[Frame],
 ) -> Result<(Vec<Packet>, u64), ExecError> {
-    let mut encoder = Encoder::new(ctx.plan.out_params);
+    let mut encoder = Encoder::new(ctx.run.plan.out_params);
     let mut packets = Vec::with_capacity(frames.len());
     let mut bytes = 0u64;
     for (k, frame) in frames.iter().enumerate() {
-        let pts = ctx.plan.frame_dur * Rational::from_int((wj + k as u64) as i64);
+        let pts = ctx.run.plan.frame_dur * Rational::from_int((wj + k as u64) as i64);
         let pkt = encoder.encode(frame, pts)?;
         bytes += pkt.size() as u64;
         packets.push(pkt);

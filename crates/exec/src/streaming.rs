@@ -1,12 +1,13 @@
-//! Ordered streaming execution: begin playback before synthesis ends.
+//! Ordered streaming delivery: begin playback before synthesis ends.
 //!
 //! The paper's interactivity story (§I): "Through database-style
 //! optimizations described in this paper and on-demand streaming, V2V
 //! enables a VDBMS to execute such a query and to begin playback within
-//! seconds." The batch executor returns only when the whole output
-//! exists; [`execute_streaming`] instead delivers packets *in
-//! presentation order as soon as they are ready*, while later segments
-//! are still being rendered in parallel.
+//! seconds." Streaming is a delivery choice, not a second executor:
+//! [`execute_streaming_with`] is the executor's one driver with a
+//! packet sink attached, so packets are delivered *in presentation
+//! order as soon as they are ready*, while later segments are still
+//! being rendered in parallel.
 //!
 //! Segments are independent (each starts its own GOP), so the scheduler
 //! renders them concurrently — splitting long renders at GOP boundaries
@@ -17,16 +18,14 @@
 //! how the interactive claim is quantified in the benches.
 
 use crate::catalog::Catalog;
-use crate::executor::{ExecOptions, ExecStats};
+use crate::executor::{drive, ExecOptions, ExecStats};
 use crate::fault::SegmentFault;
-use crate::gop_cache::GopCache;
-use crate::scheduler::{execute_scheduled, PartOutput};
+use crate::trace::ExecTrace;
 use crate::ExecError;
 use std::time::{Duration, Instant};
 use v2v_codec::Packet;
-use v2v_container::{StreamWriter, VideoStream};
+use v2v_container::VideoStream;
 use v2v_plan::PhysicalPlan;
-use v2v_time::Rational;
 
 /// Latency profile of a streaming run.
 #[derive(Clone, Debug, Default)]
@@ -47,28 +46,20 @@ pub struct StreamingStats {
     /// Structured error report: one entry per part that failed and was
     /// recovered, skipped, or substituted under the run's error policy.
     pub errors: Vec<SegmentFault>,
+    /// The per-segment trace `exec` and `errors` are taken from — the
+    /// same artifact a batch run returns.
+    pub trace: ExecTrace,
 }
 
 /// Executes a plan, delivering packets to `sink` in presentation order
 /// as parts complete. Returns the assembled stream (identical to the
 /// batch executor's output) plus latency stats.
 ///
-/// Worker parallelism uses the scheduler's scoped pool; ordered delivery
-/// runs on the calling thread, so `sink` needs no synchronization.
-pub fn execute_streaming(
-    plan: &PhysicalPlan,
-    catalog: &Catalog,
-    sink: impl FnMut(&Packet),
-) -> Result<(VideoStream, StreamingStats), ExecError> {
-    execute_streaming_with(plan, catalog, &ExecOptions::default(), sink)
-}
-
-/// [`execute_streaming`] with explicit [`ExecOptions`].
-///
-/// Streaming runs honor the same options as batch runs — `parallel`,
-/// `num_threads`, `pipeline_depth`, `runtime_split`, and
-/// `gop_cache_frames` — so a streaming execution reports the same cache
-/// hit/miss counts as a batch execution of the same plan. Packets reach
+/// This is the batch executor's driver with a sink attached, so a
+/// streaming run honors the same [`ExecOptions`] and reports the same
+/// [`ExecStats`] as a batch run of the same plan. Worker parallelism
+/// uses the scheduler's scoped pool; ordered delivery runs on the
+/// calling thread, so `sink` needs no synchronization. Packets reach
 /// `sink` already re-stamped onto the output presentation grid, so the
 /// sink-visible bytes are identical however the scheduler split the
 /// work.
@@ -79,51 +70,17 @@ pub fn execute_streaming_with(
     mut sink: impl FnMut(&Packet),
 ) -> Result<(VideoStream, StreamingStats), ExecError> {
     let started = Instant::now();
-    let cache = GopCache::new(opts.gop_cache_frames);
-    let mut writer = StreamWriter::new(plan.out_params, Rational::ZERO, plan.frame_dur);
-    let mut stats = StreamingStats {
-        setup: started.elapsed(),
-        ..Default::default()
+    let (out, mut trace, exec_started, first_packet) = drive(plan, catalog, opts, Some(&mut sink))?;
+    let total = exec_started.elapsed();
+    trace.wall_ns = total.as_nanos() as u64;
+    let stats = StreamingStats {
+        setup: exec_started - started,
+        time_to_first_packet: first_packet.map_or(Duration::ZERO, |at| at - exec_started),
+        total,
+        exec: trace.totals,
+        errors: trace.errors.clone(),
+        trace,
     };
-    let exec_started = Instant::now();
-    let mut first_sent = false;
-    let mut deliver = |part: PartOutput| -> Result<(), ExecError> {
-        let base = writer.len() as i64;
-        for (k, p) in part.packets.iter().enumerate() {
-            if !first_sent {
-                stats.time_to_first_packet = exec_started.elapsed();
-                first_sent = true;
-            }
-            sink(&p.retimed(plan.frame_dur * Rational::from_int(base + k as i64)));
-        }
-        writer.push_copied(&part.packets)?;
-        stats.exec = stats.exec.merge(part.stats);
-        if let Some(fault) = part.fault {
-            stats.errors.push(fault);
-        }
-        Ok(())
-    };
-    let evictions_before = opts
-        .segment_cache
-        .as_deref()
-        .and_then(|sc| sc.cache.as_deref())
-        .map(|c| c.evictions());
-    let report = execute_scheduled(plan, catalog, opts, Some(&cache), &mut deliver)?;
-    stats.exec.splits = report.splits;
-    stats.exec.steals = report.steals;
-    if let (Some(c), Some(before)) = (
-        opts.segment_cache
-            .as_deref()
-            .and_then(|sc| sc.cache.as_deref()),
-        evictions_before,
-    ) {
-        stats.exec.cache.evictions += c.evictions().saturating_sub(before);
-    }
-    if let Some(injector) = &opts.fault {
-        stats.exec.faults_injected = injector.injections();
-    }
-    let out = writer.finish()?;
-    stats.total = exec_started.elapsed();
     Ok((out, stats))
 }
 
@@ -132,11 +89,12 @@ mod tests {
     use super::*;
     use crate::executor::{execute, ExecOptions};
     use v2v_codec::CodecParams;
+    use v2v_container::StreamWriter;
     use v2v_frame::{marker, Frame, FrameType};
     use v2v_plan::{lower_spec, optimize, OptimizerConfig};
     use v2v_spec::builder::blur;
     use v2v_spec::{OutputSettings, SpecBuilder};
-    use v2v_time::r;
+    use v2v_time::{r, Rational};
 
     fn marked_stream(n: usize, gop: u32) -> VideoStream {
         marked_stream_of(FrameType::gray8(64, 32), n, gop)
@@ -185,7 +143,11 @@ mod tests {
         )
         .unwrap();
         let mut sink_count = 0usize;
-        let (streamed, stats) = execute_streaming(&plan, &catalog, |_| sink_count += 1).unwrap();
+        let (streamed, stats) =
+            execute_streaming_with(&plan, &catalog, &ExecOptions::default(), |_| {
+                sink_count += 1
+            })
+            .unwrap();
         let (batch, _, _) = execute(&plan, &catalog, &ExecOptions::default()).unwrap();
         assert_eq!(sink_count, streamed.len());
         assert_eq!(streamed.len(), batch.len());
@@ -207,7 +169,7 @@ mod tests {
         .unwrap();
         let mut keyframes_seen = 0;
         let mut count = 0usize;
-        execute_streaming(&plan, &catalog, |p| {
+        execute_streaming_with(&plan, &catalog, &ExecOptions::default(), |p| {
             if count == 0 {
                 assert!(p.keyframe, "stream must open with a keyframe");
             }
@@ -327,6 +289,6 @@ mod tests {
         if let v2v_plan::SegPlan::StreamCopy { video, .. } = &mut plan.segments[0].plan {
             *video = "ghost".into();
         }
-        assert!(execute_streaming(&plan, &catalog, |_| {}).is_err());
+        assert!(execute_streaming_with(&plan, &catalog, &ExecOptions::default(), |_| {}).is_err());
     }
 }

@@ -13,8 +13,7 @@
 //!   entry) — orders of magnitude below raster work.
 
 use crate::meta::PlanContext;
-use crate::physical::{PhysicalPlan, SegPlan};
-use crate::program::FrameProgram;
+use crate::physical::{PhysicalPlan, SegPlan, Segment};
 use serde::{Deserialize, Serialize};
 
 /// Relative cost weights (arbitrary units; defaults calibrated so one
@@ -72,59 +71,72 @@ impl CostEstimate {
     }
 }
 
-/// Estimates the execution cost of a physical plan.
-pub fn estimate(plan: &PhysicalPlan, ctx: &PlanContext, model: &CostModel) -> CostEstimate {
-    let out_pixels =
-        f64::from(plan.out_params.frame_ty.width) * f64::from(plan.out_params.frame_ty.height);
-    let mut est = CostEstimate::default();
-    for seg in &plan.segments {
-        match &seg.plan {
+impl CostModel {
+    /// Estimates the cost of one segment of `plan`. An input whose
+    /// source `ctx` does not know is priced at the output geometry with
+    /// no roll-in — with an empty context this is the scheduler's
+    /// dispatch cost (`v2v_exec::segment_cost`).
+    pub fn segment(&self, plan: &PhysicalPlan, seg: &Segment, ctx: &PlanContext) -> CostEstimate {
+        let n = seg.count as f64;
+        let mut est = CostEstimate::default();
+        let (program, inputs) = match &seg.plan {
             SegPlan::StreamCopy { .. } => {
-                est.copy += seg.count as f64 * model.copy_per_packet;
+                est.copy = n * self.copy_per_packet;
+                return est;
             }
-            SegPlan::Render { program, inputs } => {
-                let n = seg.count as f64;
-                // Decode each input across the segment plus its roll-in
-                // from the previous keyframe.
-                for clip in inputs {
-                    let (pixels, rollin) = match ctx.source(&clip.video) {
-                        Some(meta) => {
-                            let px = f64::from(meta.params.frame_ty.width)
-                                * f64::from(meta.params.frame_ty.height);
-                            let rollin = clip
-                                .time
-                                .is_shift()
-                                .then(|| {
-                                    let t0 = plan.instant_of(seg.out_start);
-                                    meta.index_of(clip.time.apply(t0)).map(|idx| {
-                                        let kf = meta
-                                            .keyframes
-                                            .iter()
-                                            .copied()
-                                            .take_while(|&k| k <= idx)
-                                            .last()
-                                            .unwrap_or(0);
-                                        (idx - kf) as f64
-                                    })
-                                })
-                                .flatten()
-                                .unwrap_or(0.0);
-                            (px, rollin)
-                        }
-                        None => (out_pixels, 0.0),
-                    };
-                    est.decode += (n + rollin) * pixels * model.decode_per_pixel;
+            SegPlan::Render { program, inputs } => (program, inputs),
+        };
+        let out_ty = plan.out_params.frame_ty;
+        let out_pixels = f64::from(out_ty.width) * f64::from(out_ty.height);
+        // Decode each input across the segment plus its roll-in from
+        // the previous keyframe.
+        for clip in inputs {
+            let (pixels, rollin) = match ctx.source(&clip.video) {
+                Some(meta) => {
+                    let px = f64::from(meta.params.frame_ty.width)
+                        * f64::from(meta.params.frame_ty.height);
+                    let rollin = clip
+                        .time
+                        .is_shift()
+                        .then(|| {
+                            let t0 = plan.instant_of(seg.out_start);
+                            meta.index_of(clip.time.apply(t0)).map(|idx| {
+                                let kf = meta
+                                    .keyframes
+                                    .iter()
+                                    .copied()
+                                    .take_while(|&k| k <= idx)
+                                    .last()
+                                    .unwrap_or(0);
+                                (idx - kf) as f64
+                            })
+                        })
+                        .flatten()
+                        .unwrap_or(0.0);
+                    (px, rollin)
                 }
-                est.transform += n * out_pixels * op_count(program) as f64 * model.op_per_pixel;
-                est.encode += n * out_pixels * model.encode_per_pixel;
-            }
+                None => (out_pixels, 0.0),
+            };
+            est.decode += (n + rollin) * pixels * self.decode_per_pixel;
         }
+        est.transform = n * out_pixels * program.op_count().max(1) as f64 * self.op_per_pixel;
+        est.encode = n * out_pixels * self.encode_per_pixel;
+        est
     }
-    est
 }
 
-fn op_count(p: &FrameProgram) -> usize {
-    p.op_count().max(1)
+/// Estimates the execution cost of a physical plan: the sum of its
+/// segments' costs.
+pub fn estimate(plan: &PhysicalPlan, ctx: &PlanContext, model: &CostModel) -> CostEstimate {
+    let mut est = CostEstimate::default();
+    for seg in &plan.segments {
+        let s = model.segment(plan, seg, ctx);
+        est.decode += s.decode;
+        est.transform += s.transform;
+        est.encode += s.encode;
+        est.copy += s.copy;
+    }
+    est
 }
 
 #[cfg(test)]

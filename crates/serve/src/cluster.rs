@@ -254,7 +254,7 @@ impl WorkerPool {
 #[derive(Debug)]
 pub struct PoolRemote {
     pool: Arc<WorkerPool>,
-    /// The spec as parsed JSON, embedded verbatim in every dispatch.
+    /// The spec as a JSON value, embedded in every dispatch.
     spec: serde_json::Value,
 }
 

@@ -385,20 +385,18 @@ impl Shared {
             .clone()
     }
 
-    fn version(&self) -> u64 {
-        *self
-            .catalog_version
+    fn version_lock(&self) -> std::sync::MutexGuard<'_, u64> {
+        self.catalog_version
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
+    fn version(&self) -> u64 {
+        *self.version_lock()
+    }
+
     fn bump_version(&self) {
-        let mut v = self
-            .catalog_version
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        *v += 1;
-        drop(v);
+        *self.version_lock() += 1;
         self.catalog_grew.notify_all();
     }
 }
@@ -771,8 +769,8 @@ fn parse_instant(v: &serde_json::Value) -> Option<v2v_time::Rational> {
 /// spec and return the fragment in wire framing.
 #[derive(serde::Deserialize)]
 struct RenderSegmentRequest {
-    /// The full spec, verbatim from the coordinator's client.
-    spec: serde_json::Value,
+    /// The full spec of the coordinator's query.
+    spec: Spec,
     /// Index of the segment to render in the prepared physical plan.
     seg_index: usize,
     /// Expected fragment key (hex), cross-checked against the plan the
@@ -791,13 +789,9 @@ fn handle_render_segment(req: &Request, shared: &Shared) -> Response {
     let Ok(key) = u64::from_str_radix(&parsed.key, 16) else {
         return error_response(400, "invalid_request", "key is not a hex u64");
     };
-    let spec_bytes = match serde_json::to_vec(&parsed.spec) {
-        Ok(b) => b,
-        Err(e) => return error_response(400, "invalid_request", &format!("bad spec: {e}")),
-    };
-    let prepared = match prepare_query(&spec_bytes, shared) {
+    let mut prepared = match prepare_query(&parsed.spec, shared) {
         Ok(p) => p,
-        Err(e) => return error_response(status_for(e.kind()), e.kind().name(), &e.to_string()),
+        Err(e) => return error_of(&e),
     };
     // The segment key is content-derived, so equality proves both sides
     // planned the same segment over the same sources.
@@ -811,33 +805,20 @@ fn handle_render_segment(req: &Request, shared: &Shared) -> Response {
             ),
         );
     }
-    if !shared.gate.enter() {
-        shared.metrics.jobs_rejected.inc();
+    let Some((result, _)) = admitted(shared, || {
+        prepared
+            .engine
+            .render_segment_fragment(&prepared.run, parsed.seg_index)
+    }) else {
         return overload_response(shared);
-    }
-    let started = Instant::now();
-    let mut prepared = prepared;
-    let result = prepared
-        .engine
-        .render_segment_fragment(&prepared.run, parsed.seg_index);
-    shared.gate.leave();
-    shared
-        .metrics
-        .job_wall_ns
-        .record(started.elapsed().as_nanos() as u64);
+    };
     match result {
         Ok((frag, stats)) => {
             shared.metrics.segments_rendered.inc();
             record_exec_metrics(&shared.metrics.exec, &stats);
-            match v2v_container::fragment_to_wire(key, &frag) {
-                Ok(bytes) => Response::new(200, "application/octet-stream", bytes),
-                Err(e) => error_response(500, "internal", &format!("fragment encode: {e}")),
-            }
+            fragment_response(key, &frag)
         }
-        Err(e) => {
-            let e = v2v_core::V2vError::from(e);
-            error_response(status_for(e.kind()), e.kind().name(), &e.to_string())
-        }
+        Err(e) => error_of(&e.into()),
     }
 }
 
@@ -853,11 +834,16 @@ fn handle_fragment(path: &str, shared: &Shared) -> Response {
         return error_response(404, "not_found", "no render cache configured");
     };
     match cache.load_segment_tiered(key) {
-        Some((frag, _tier)) => match v2v_container::fragment_to_wire(key, &frag) {
-            Ok(bytes) => Response::new(200, "application/octet-stream", bytes),
-            Err(e) => error_response(500, "internal", &format!("fragment encode: {e}")),
-        },
+        Some((frag, _tier)) => fragment_response(key, &frag),
         None => error_response(404, "not_found", &format!("no fragment {key:016x}")),
+    }
+}
+
+/// A fragment in wire framing, as both fragment routes answer.
+fn fragment_response(key: u64, frag: &v2v_container::Fragment) -> Response {
+    match v2v_container::fragment_to_wire(key, frag) {
+        Ok(bytes) => Response::new(200, "application/octet-stream", bytes),
+        Err(e) => error_response(500, "internal", &format!("fragment encode: {e}")),
     }
 }
 
@@ -883,29 +869,15 @@ fn handle_subscribe(
     mut writer: TcpStream,
     shared: &Shared,
 ) {
-    let text = match std::str::from_utf8(&req.body) {
-        Ok(t) => t,
-        Err(e) => {
-            let resp = error_response(400, "invalid_request", &format!("spec not UTF-8: {e}"));
-            let _ = write_response(&mut writer, &resp);
-            return;
-        }
-    };
-    let spec = match Spec::from_json(text) {
-        Ok(s) => s,
-        Err(e) => {
-            let resp = error_response(400, "invalid_request", &format!("bad spec: {e}"));
-            let _ = write_response(&mut writer, &resp);
-            return;
-        }
-    };
     // Bind once up front so an unservable spec (missing file, bad SQL)
     // is a proper error response, not an empty stream.
-    if let Err(e) = bound_infos(&spec, shared) {
-        let resp = error_response(status_for(e.kind()), e.kind().name(), &e.to_string());
-        let _ = write_response(&mut writer, &resp);
-        return;
-    }
+    let spec = match parse_spec(&req.body).and_then(|s| bound_infos(&s, shared).map(|_| s)) {
+        Ok(s) => s,
+        Err(e) => {
+            let _ = write_response(&mut writer, &error_of(&e));
+            return;
+        }
+    };
     // Accepted: switch to the open-ended delta stream.
     if write!(
         writer,
@@ -961,23 +933,18 @@ fn subscription_loop(
         if dirty {
             let mut clamped_spec = spec.clone();
             clamped_spec.time_domain = clamped.clone();
-            let body = clamped_spec.to_json();
-            let prepared = match prepare_query(body.as_bytes(), shared) {
-                Ok(p) => p,
-                Err(_) => return,
+            let Ok(mut prepared) = prepare_query(&clamped_spec, shared) else {
+                return;
             };
-            if !shared.gate.enter() {
+            let Some((result, _)) = admitted(shared, || prepared.engine.run_prepared(prepared.run))
+            else {
                 // Saturated: back off, leave last_domain unset so the
                 // next cycle retries the same refresh.
                 std::thread::sleep(Duration::from_secs(shared.config.retry_after_secs.max(1)));
                 continue;
-            }
-            let mut prepared = prepared;
-            let result = prepared.engine.run_prepared(prepared.run);
-            shared.gate.leave();
-            let (report, _trace) = match result {
-                Ok(r) => r,
-                Err(_) => return, // render failure terminates the stream
+            };
+            let Ok((report, _trace)) = result else {
+                return; // render failure terminates the stream
             };
             shared.metrics.sub_renders.inc();
             record_exec_metrics(&shared.metrics.exec, &report.stats);
@@ -1006,10 +973,7 @@ fn subscription_loop(
         // Sleep until the catalog grows (or the server stops); poll the
         // client socket each interval so an abandoned subscription does
         // not linger forever.
-        let mut v = shared
-            .catalog_version
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let mut v = shared.version_lock();
         while *v == seen {
             if shared.stopping.load(Ordering::SeqCst) {
                 return;
@@ -1024,10 +988,7 @@ fn subscription_loop(
                 if client_disconnected(reader) {
                     return;
                 }
-                v = shared
-                    .catalog_version
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
+                v = shared.version_lock();
             }
         }
     }
@@ -1128,11 +1089,11 @@ fn handle_query(req: &Request, shared: &Shared) -> Response {
     // Parse and plan before admission: planning is cheap next to
     // rendering, and the plan fingerprint is what lets an identical
     // in-flight render absorb this request without a slot.
-    let prepared = match prepare_query(&req.body, shared) {
+    let prepared = match parse_spec(&req.body).and_then(|spec| prepare_query(&spec, shared)) {
         Ok(p) => p,
         Err(e) => {
             shared.metrics.jobs_failed.inc();
-            return error_response(status_for(e.kind()), e.kind().name(), &e.to_string());
+            return error_of(&e);
         }
     };
     if shared.config.work_sharing {
@@ -1146,17 +1107,41 @@ fn handle_query(req: &Request, shared: &Shared) -> Response {
     run_admitted(shared, prepared, None)
 }
 
-/// Takes an admission slot, executes, and (when leading a flight)
-/// publishes the outcome — success, failure, or the 429 itself — to
-/// every coalesced follower.
+/// The one admitted-render sequence, shared by `/query`,
+/// `/render-segment` and subscription refreshes: takes an admission
+/// slot (waiting in the bounded queue), runs `job`, and gives the slot
+/// back, keeping `serve.queue_wait_ns`, the `serve.active_jobs` gauge
+/// and `serve.job_wall_ns` in step. Returns the job's value and the
+/// time it waited for admission, or `None` when the queue was full and
+/// the job did not run.
+fn admitted<T>(shared: &Shared, job: impl FnOnce() -> T) -> Option<(T, u64)> {
+    let metrics = &shared.metrics;
+    let waiting = Instant::now();
+    if !shared.gate.enter() {
+        return None;
+    }
+    let queue_wait_ns = waiting.elapsed().as_nanos() as u64;
+    metrics.queue_wait_ns.record(queue_wait_ns);
+    metrics.active_jobs.set(shared.gate.snapshot().0 as u64);
+    let started = Instant::now();
+    let out = job();
+    shared.gate.leave();
+    metrics.active_jobs.set(shared.gate.snapshot().0 as u64);
+    metrics
+        .job_wall_ns
+        .record(started.elapsed().as_nanos() as u64);
+    Some((out, queue_wait_ns))
+}
+
+/// Executes an admitted `/query` and (when leading a flight) publishes
+/// the outcome — success, failure, or the 429 itself — to every
+/// coalesced follower.
 fn run_admitted(
     shared: &Shared,
     prepared: PreparedQuery,
     guard: Option<FlightGuard<'_, u64, QueryOutcome>>,
 ) -> Response {
-    let waiting = Instant::now();
-    if !shared.gate.enter() {
-        shared.metrics.jobs_rejected.inc();
+    let Some((result, queue_wait_ns)) = admitted(shared, || execute_prepared(prepared)) else {
         if let Some(guard) = guard {
             guard.publish(Err(SharedError {
                 status: 429,
@@ -1165,18 +1150,7 @@ fn run_admitted(
             }));
         }
         return overload_response(shared);
-    }
-    let queue_wait_ns = waiting.elapsed().as_nanos() as u64;
-    shared.metrics.queue_wait_ns.record(queue_wait_ns);
-    let (active, _) = shared.gate.snapshot();
-    shared.metrics.active_jobs.set(active as u64);
-    let started = Instant::now();
-    let result = execute_prepared(prepared);
-    shared.gate.leave();
-    shared
-        .metrics
-        .job_wall_ns
-        .record(started.elapsed().as_nanos() as u64);
+    };
     match result {
         Ok((bytes, stats)) => {
             shared.metrics.jobs_done.inc();
@@ -1190,17 +1164,14 @@ fn run_admitted(
         }
         Err(e) => {
             shared.metrics.jobs_failed.inc();
-            let status = status_for(e.kind());
-            let kind = e.kind().name();
-            let message = e.to_string();
             if let Some(guard) = guard {
                 guard.publish(Err(SharedError {
-                    status,
-                    kind: kind.into(),
-                    message: message.clone(),
+                    status: status_for(e.kind()),
+                    kind: e.kind().name().into(),
+                    message: e.to_string(),
                 }));
             }
-            error_response(status, kind, &message)
+            error_of(&e)
         }
     }
 }
@@ -1221,10 +1192,7 @@ fn respond_follower(shared: &Shared, outcome: &QueryOutcome) -> Response {
             Response::new(200, "application/octet-stream", bytes.as_ref().clone())
                 .header("x-v2v-stats", stats_header(&stats, 0))
         }
-        Err(e) if e.status == 429 => {
-            shared.metrics.jobs_rejected.inc();
-            overload_response(shared)
-        }
+        Err(e) if e.status == 429 => overload_response(shared),
         Err(e) => {
             shared.metrics.jobs_failed.inc();
             error_response(e.status, &e.kind, &e.message)
@@ -1232,24 +1200,28 @@ fn respond_follower(shared: &Shared, outcome: &QueryOutcome) -> Response {
     }
 }
 
-/// Parses and plans one spec on a fresh engine over the shared sources
-/// (the catalog clone is cheap: streams are `Arc`-backed). The engine
-/// is wired to the daemon-wide fragment flight so its segments share
-/// with every concurrent render.
-fn prepare_query(body: &[u8], shared: &Shared) -> Result<PreparedQuery, V2vError> {
+/// Parses a request body as spec JSON.
+fn parse_spec(body: &[u8]) -> Result<Spec, V2vError> {
     let text = std::str::from_utf8(body)
         .map_err(|e| V2vError::new(ErrorKind::InvalidRequest, format!("spec not UTF-8: {e}")))?;
-    let spec = Spec::from_json(text)
-        .map_err(|e| V2vError::new(ErrorKind::InvalidRequest, format!("bad spec: {e}")))?;
+    Spec::from_json(text)
+        .map_err(|e| V2vError::new(ErrorKind::InvalidRequest, format!("bad spec: {e}")))
+}
+
+/// Plans one spec on a fresh engine over the shared sources (the
+/// catalog clone is cheap: streams are `Arc`-backed). The engine is
+/// wired to the daemon-wide fragment flight so its segments share with
+/// every concurrent render.
+fn prepare_query(spec: &Spec, shared: &Shared) -> Result<PreparedQuery, V2vError> {
     let mut config = shared.config.engine.clone();
     if shared.config.work_sharing {
         config.work_share = Some(Arc::clone(&shared.flight));
     }
     if let Some(pool) = &shared.pool {
         // Coordinator: keyed segments of this query may render on
-        // workers. The spec rides along verbatim so each dispatch is
+        // workers. The spec rides along so each dispatch is
         // self-describing.
-        if let Ok(value) = serde_json::from_str::<serde_json::Value>(text) {
+        if let Ok(value) = serde_json::to_value(spec) {
             config.remote = Some(Arc::new(PoolRemote::new(Arc::clone(pool), value)));
         }
     }
@@ -1262,10 +1234,10 @@ fn prepare_query(body: &[u8], shared: &Shared) -> Result<PreparedQuery, V2vError
         // bind is an idempotent no-op after this) and attach whatever
         // variants the store holds for them. Attach failures degrade
         // to the original: variants are advisory, never load-bearing.
-        engine.bind(&spec)?;
+        engine.bind(spec)?;
         let _ = store.attach(engine.catalog_mut());
     }
-    let run = engine.prepare(&spec)?;
+    let run = engine.prepare(spec)?;
     if shared.store.is_some() {
         // Feed the compactor: classify this plan's source reads by
         // access shape (smart-cut / scan / preview).
@@ -1321,6 +1293,11 @@ fn status_for(kind: ErrorKind) -> u16 {
     }
 }
 
+/// The error response for a classified engine or request failure.
+fn error_of(e: &V2vError) -> Response {
+    error_response(status_for(e.kind()), e.kind().name(), &e.to_string())
+}
+
 fn error_response(status: u16, kind: &str, message: &str) -> Response {
     Response::json(
         status,
@@ -1341,7 +1318,9 @@ fn overload_body(queued: usize, queue_limit: usize, retry_after_secs: u64) -> se
     }})
 }
 
+/// Books one rejected job and builds its 429.
 fn overload_response(shared: &Shared) -> Response {
+    shared.metrics.jobs_rejected.inc();
     let (_, queued) = shared.gate.snapshot();
     Response::json(
         429,
@@ -1447,6 +1426,52 @@ mod tests {
         assert_eq!(snap.counter("exec.frames_encoded"), 30);
 
         handle.stop();
+    }
+
+    /// Regression: `serve.active_jobs` was set on admission only (an
+    /// idle daemon read >= 1 for ever), and only `/query` kept the
+    /// admission accounting at all.
+    #[test]
+    fn every_admitted_render_is_accounted_and_the_gauge_returns_to_zero() {
+        use v2v_obs::MetricValue;
+        let handle = V2vServer::new(catalog()).start("127.0.0.1:0").unwrap();
+        let addr = handle.addr();
+        assert_eq!(
+            client::post_query(addr, spec_json().as_bytes())
+                .unwrap()
+                .status,
+            200
+        );
+
+        let spec = Spec::from_json(&spec_json()).unwrap();
+        let key = V2vEngine::new(catalog())
+            .prepare(&spec)
+            .unwrap()
+            .segment_keys()[0]
+            .unwrap();
+        let body = serde_json::json!({"spec": spec, "seg_index": 0, "key": format!("{key:016x}")});
+        let resp = client::request(addr, "POST", "/render-segment", body.to_string().as_bytes());
+        assert_eq!(resp.unwrap().status, 200);
+
+        // One refresh: the first delta is written after its render left
+        // the gate.
+        let mut stream =
+            client::open_stream(addr, "POST", "/subscribe", spec_json().as_bytes()).unwrap();
+        assert!(sub::read_delta(&mut stream.reader).unwrap().is_some());
+
+        let metrics = client::request(addr, "GET", "/metrics", b"").unwrap();
+        let snap: v2v_obs::MetricsSnapshot = serde_json::from_slice(&metrics.body).unwrap();
+        let count = |name: &str| match snap.metrics.get(name) {
+            Some(MetricValue::Histogram(h)) => h.count,
+            other => panic!("{name}: {other:?}"),
+        };
+        assert_eq!(count("serve.job_wall_ns"), 3);
+        assert_eq!(count("serve.queue_wait_ns"), 3);
+        let Some(MetricValue::Gauge(active, high_water)) = snap.metrics.get("serve.active_jobs")
+        else {
+            panic!("no serve.active_jobs gauge");
+        };
+        assert_eq!((*active, *high_water), (0, 1));
     }
 
     /// Every object key under `v`, as sorted dotted paths.
