@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! v2v run <spec.json> -o <out.svc> [--no-optimize] [--no-dde] [--serial]
-//!         [--threads N] [--no-pipeline] [--no-split]
+//!         [--threads N] [--no-pipeline]
 //!         [--no-cache] [--trace trace.json]
 //!         [--on-error abort|skip|black] [--max-retries N]
 //!         [--error-report errors.json]
@@ -57,10 +57,9 @@
 //!
 //! Scheduler knobs: `--threads N` caps the executor's worker pool (0 =
 //! auto, also settable via `V2V_NUM_THREADS`); `--no-pipeline` disables
-//! the decode-ahead pipeline inside render segments; `--no-split`
-//! disables runtime splitting of long renders across idle workers;
-//! `--serial` turns all three off and runs segments one at a time. Every
-//! combination produces byte-identical output.
+//! the decode-ahead pipeline inside render segments; `--serial` turns
+//! both off and runs segments one at a time. Every combination produces
+//! byte-identical output.
 //!
 //! Fault tolerance: `--on-error` picks the degraded-mode policy when a
 //! segment keeps failing after `--max-retries` attempts (default 1):
@@ -118,7 +117,7 @@ use v2v_spec::Spec;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  v2v run <spec.json> [-o out.svc] [--db tables.json] [--no-optimize] [--no-dde] [--serial] [--threads N] [--no-pipeline] [--no-split] [--no-cache] [--cache-dir DIR] [--cache-budget BYTES] [--mem-cache-budget BYTES] [--store DIR] [--variant auto|off|dense|archive|proxy] [--trace trace.json] [--on-error abort|skip|black] [--max-retries N] [--error-report errors.json] [--json]\n  v2v serve [--addr HOST:PORT] [--workers HOST:PORT,...] [--cache-dir DIR] [--cache-budget BYTES] [--mem-cache-budget BYTES] [--store-dir DIR] [--store-budget BYTES] [--compact-secs SECS] [--no-share] [--max-concurrent N] [--queue-depth N] [--db tables.json] [--threads N]\n  v2v worker [--addr HOST:PORT] [--cache-dir DIR] [--cache-budget BYTES] [--mem-cache-budget BYTES] [--max-concurrent N] [--queue-depth N] [--db tables.json] [--threads N]\n  v2v explain <spec.json> [--db tables.json] [--analyze] [--json]\n  v2v check <spec.json>\n  v2v info <video.svc>\n  v2v inspect <video.svc>\n  v2v store ls [--store DIR]\n  v2v store materialize <name> <video.svc> <dense|archive|proxy> [--store DIR]\n  v2v store drop <name> <dense|archive|proxy> [--store DIR]\n  v2v frame <video.svc> <t> [-o still.ppm]\n  v2v append [--to HOST:PORT] <live.svc|name> <more.svc> [--json]\n  v2v subscribe <spec.json> [--to HOST:PORT] [-o out.svc] [--max-deltas N] [--json]"
+        "usage:\n  v2v run <spec.json> [-o out.svc] [--db tables.json] [--no-optimize] [--no-dde] [--serial] [--threads N] [--no-pipeline] [--no-cache] [--cache-dir DIR] [--cache-budget BYTES] [--mem-cache-budget BYTES] [--store DIR] [--variant auto|off|dense|archive|proxy] [--trace trace.json] [--on-error abort|skip|black] [--max-retries N] [--error-report errors.json] [--json]\n  v2v serve [--addr HOST:PORT] [--workers HOST:PORT,...] [--cache-dir DIR] [--cache-budget BYTES] [--mem-cache-budget BYTES] [--store-dir DIR] [--store-budget BYTES] [--compact-secs SECS] [--no-share] [--max-concurrent N] [--queue-depth N] [--db tables.json] [--threads N]\n  v2v worker [--addr HOST:PORT] [--cache-dir DIR] [--cache-budget BYTES] [--mem-cache-budget BYTES] [--max-concurrent N] [--queue-depth N] [--db tables.json] [--threads N]\n  v2v explain <spec.json> [--db tables.json] [--analyze] [--json]\n  v2v check <spec.json>\n  v2v info <video.svc>\n  v2v inspect <video.svc>\n  v2v store ls [--store DIR]\n  v2v store materialize <name> <video.svc> <dense|archive|proxy> [--store DIR]\n  v2v store drop <name> <dense|archive|proxy> [--store DIR]\n  v2v frame <video.svc> <t> [-o still.ppm]\n  v2v append [--to HOST:PORT] <live.svc|name> <more.svc> [--json]\n  v2v subscribe <spec.json> [--to HOST:PORT] [-o out.svc] [--max-deltas N] [--json]"
     );
     ExitCode::from(2)
 }
@@ -360,7 +359,6 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             "--serial" => config.exec.parallel = false,
             "--threads" => config.exec.num_threads = args.parsed(arg)?,
             "--no-pipeline" => config.exec.pipeline_depth = 0,
-            "--no-split" => config.exec.runtime_split = false,
             "--no-cache" => config.exec.gop_cache_frames = 0,
             "--cache-dir" => cache_dir = Some(args.value(arg)?.to_string()),
             "--cache-budget" => cache_budget = args.parsed(arg)?,

@@ -26,8 +26,8 @@ pub struct EngineConfig {
     /// Plan-level rewrites (stream copy, smart cut, sharding).
     pub optimizer: OptimizerConfig,
     /// Runtime options (parallel segment execution, worker count,
-    /// pipeline depth, runtime work splitting, shared decoded-GOP cache
-    /// size via `gop_cache_frames`).
+    /// pipeline depth, shared decoded-GOP cache size via
+    /// `gop_cache_frames`).
     pub exec: ExecOptions,
     /// Apply data-dependent rewrites before planning (§IV-C).
     pub data_rewrites: bool,
@@ -88,7 +88,7 @@ pub struct RunReport {
     pub dde_rewrites: usize,
     /// Wall-clock execution time (excludes planning).
     pub wall: Duration,
-    /// Structured error report: one entry per segment part that failed
+    /// Structured error report: one entry per segment that failed
     /// and was recovered, skipped, or substituted under the configured
     /// [`ErrorPolicy`](v2v_exec::ErrorPolicy). Empty on clean runs (and
     /// always empty under `Abort`, where the first failure aborts the
@@ -519,8 +519,6 @@ impl V2vEngine {
         };
         timer
             .attr("frames", output.len())
-            .attr("splits", exec_trace.totals.splits)
-            .attr("steals", exec_trace.totals.steals)
             .attr("faults", exec_trace.totals.faults_injected)
             .attr("fault_retries", exec_trace.totals.retries)
             .attr("parts_skipped", exec_trace.totals.parts_skipped)

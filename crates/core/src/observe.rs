@@ -145,8 +145,6 @@ impl RunTrace {
         registry
             .counter("exec.gop_cache_misses")
             .add(t.gop_cache_misses);
-        registry.counter("exec.splits").add(t.splits);
-        registry.counter("exec.steals").add(t.steals);
         registry
             .counter("exec.faults.injected")
             .add(t.faults_injected);

@@ -5,10 +5,10 @@
 //! evaluates them in parallel and splices the resulting packet runs in
 //! output order — "we use the dependency graph to execute operators in
 //! parallel as an additional optimization at runtime" (§IV-A). The
-//! parallelism itself lives in [`crate::scheduler`]: work is dispatched
-//! longest-first by estimated cost, long renders are split at output-GOP
-//! boundaries when workers idle, and each render part internally
-//! pipelines decode-ahead, parallel compose, and per-GOP encoding.
+//! parallelism itself lives in [`crate::scheduler`]: segments are
+//! dispatched longest-first by estimated cost, and each render segment
+//! internally pipelines decode-ahead, parallel compose, and per-GOP
+//! encoding.
 
 use crate::catalog::Catalog;
 use crate::fault::{ErrorPolicy, FaultInjector};
@@ -29,7 +29,7 @@ pub struct ExecOptions {
     /// Evaluate segments in parallel (the runtime half of the paper's
     /// optimization story). Disable for the ablation benches; when
     /// `false` the engine runs strictly sequentially, ignoring
-    /// `num_threads`, `pipeline_depth`, and `runtime_split`.
+    /// `num_threads` and `pipeline_depth`.
     pub parallel: bool,
     /// Capacity of the shared decoded-GOP cache, in frames. Segments
     /// reading the same source ranges (grid cells, splice neighbours)
@@ -49,26 +49,21 @@ pub struct ExecOptions {
     /// Decode-ahead depth of the intra-segment pipeline, in output GOPs:
     /// the prefetch stage may run this many GOPs ahead of the encoder,
     /// and up to this many output GOPs are composed/encoded per parallel
-    /// batch. `0` disables pipelining (render parts run the classic
+    /// batch. `0` disables pipelining (render segments run the classic
     /// sequential decode → compose → encode loop).
     pub pipeline_depth: usize,
-    /// Allow running renders to split at output-GOP boundaries when
-    /// workers go idle. Splits are lossless (output GOPs are
-    /// codec-independent) and replace the planner's static shard-size
-    /// guess with load-driven balancing.
-    pub runtime_split: bool,
     /// Deterministic fault injection hook: every cursor consults the
     /// injector before decoding a source packet. `None` (the default)
     /// costs one branch per decode; runs without an injector are
     /// byte-identical to builds without the hook.
     pub fault: Option<Arc<FaultInjector>>,
-    /// Degraded-mode policy: what the scheduler does with a part that
+    /// Degraded-mode policy: what the scheduler does with a segment that
     /// still fails after `max_retries` retries. The default aborts the
     /// run, which is the historical behavior.
     pub on_error: ErrorPolicy,
-    /// Bounded per-part retries before `on_error` applies. A retry
-    /// re-runs the failed range from its GOP-aligned start, so a
-    /// transient fault recovers byte-identically.
+    /// Bounded per-segment retries before `on_error` applies. A retry
+    /// re-runs the whole segment, so a transient fault recovers
+    /// byte-identically.
     pub max_retries: u32,
     /// Persistent segment-cache context for this run: the shared
     /// [`RenderCache`](crate::RenderCache) plus the plan's per-segment
@@ -86,7 +81,6 @@ impl Default for ExecOptions {
             gop_cache_frames: 4096,
             num_threads: 0,
             pipeline_depth: 2,
-            runtime_split: true,
             fault: None,
             on_error: ErrorPolicy::default(),
             max_retries: 1,
@@ -144,11 +138,11 @@ pub struct ExecStats {
     pub gop_cache_hits: u64,
     /// GOP lookups that had to decode.
     pub gop_cache_misses: u64,
-    /// Times the scheduler split a running render to feed idle workers
-    /// (run-level; load-dependent, zero under serial execution).
+    /// Always 0 (runtime splitting is gone); kept for the pinned
+    /// `x-v2v-stats` key set and the repo benchmark.
     #[serde(default)]
     pub splits: u64,
-    /// Split-off tasks picked up by another worker (run-level).
+    /// Always 0, kept for the same readers as `splits`.
     #[serde(default)]
     pub steals: u64,
     /// Faults the injector fired during the run (run-level; zero
@@ -188,8 +182,6 @@ impl ExecStats {
         self.segments += other.segments;
         self.gop_cache_hits += other.gop_cache_hits;
         self.gop_cache_misses += other.gop_cache_misses;
-        self.splits += other.splits;
-        self.steals += other.steals;
         self.faults_injected += other.faults_injected;
         self.retries += other.retries;
         self.parts_skipped += other.parts_skipped;
@@ -232,12 +224,12 @@ pub fn execute_traced(
 
 /// The one executor driver behind [`execute_traced`] and
 /// [`execute_streaming_with`](crate::execute_streaming_with): builds the
-/// run's decoded-GOP cache and output writer, splices every part the
+/// run's decoded-GOP cache and output writer, splices every segment the
 /// scheduler delivers (in presentation order) into the writer and the
 /// trace, and books the run-level totals.
 ///
 /// With a `sink`, each packet is also handed to it re-stamped onto the
-/// output presentation grid, before its part is spliced; without one no
+/// output presentation grid, before its segment is spliced; without one no
 /// packet is re-stamped. Returns the stream, the trace (`wall_ns` left
 /// to the caller's clock), the instant dispatch began, and the instant
 /// the first packet reached the sink.
@@ -264,30 +256,17 @@ pub(crate) fn drive(
         if let Some(fault) = &part.fault {
             trace.errors.push(fault.clone());
         }
-        match trace.segments.last_mut() {
-            // Continuation part of the segment we're already tracing
-            // (parts of one segment arrive contiguously, in order).
-            Some(last) if last.index == part.seg_index as u64 && part.stats.segments == 0 => {
-                last.frames += part.count;
-                last.stats = last.stats.merge(part.stats);
-                last.stage = last.stage.merge(part.stage);
-                last.wall_ns += part.wall_ns;
-                last.parts += 1;
-            }
-            _ => {
-                let seg = &plan.segments[part.seg_index];
-                trace.segments.push(SegmentTrace {
-                    index: part.seg_index as u64,
-                    kind: seg.plan.kind_name().to_string(),
-                    out_start: seg.out_start,
-                    frames: part.count,
-                    stats: part.stats,
-                    wall_ns: part.wall_ns,
-                    parts: 1,
-                    stage: part.stage,
-                });
-            }
-        }
+        let seg = &plan.segments[part.seg_index];
+        trace.segments.push(SegmentTrace {
+            index: part.seg_index as u64,
+            kind: seg.plan.kind_name().to_string(),
+            out_start: seg.out_start,
+            frames: seg.count,
+            stats: part.stats,
+            wall_ns: part.wall_ns,
+            parts: 1,
+            stage: part.stage,
+        });
         Ok(())
     };
     let shared_cache = opts
@@ -295,20 +274,18 @@ pub(crate) fn drive(
         .as_deref()
         .and_then(|sc| sc.cache.as_deref());
     let evictions_before = shared_cache.map_or(0, |c| c.evictions());
-    let report = execute_scheduled(plan, catalog, opts, &cache, &mut deliver)?;
+    execute_scheduled(plan, catalog, opts, &cache, &mut deliver)?;
     for seg in &trace.segments {
         trace.totals = trace.totals.merge(seg.stats);
     }
-    trace.totals.splits = report.splits;
-    trace.totals.steals = report.steals;
     if let Some(c) = shared_cache {
         // Evictions are a property of the shared cache, not any one
-        // part; attribute the delta this run caused to the run totals.
+        // segment; attribute the delta this run caused to the run totals.
         trace.totals.cache.evictions += c.evictions().saturating_sub(evictions_before);
     }
     if let Some(injector) = &opts.fault {
         // Run-level, from the injector itself: a fault that killed its
-        // part never reaches the per-part stats roll-up.
+        // segment never reaches the per-segment stats roll-up.
         trace.totals.faults_injected = injector.injections();
     }
     Ok((writer.finish()?, trace, exec_started, first_packet))

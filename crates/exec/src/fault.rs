@@ -8,13 +8,13 @@
 //!   deterministically injects I/O failures, corrupt packets, and
 //!   truncated reads at cursor decode sites. Rules match on
 //!   `(video, frame index)`, not call order, so a faulted run behaves
-//!   identically under the serial, pipelined, and split arms.
-//! * [`ErrorPolicy`] — what the scheduler does when a part fails after
+//!   identically under the serial and pipelined arms.
+//! * [`ErrorPolicy`] — what the scheduler does when a segment fails after
 //!   its bounded retries: abort the run (default, the historical
 //!   behavior), skip the segment (a hole in the output), or substitute
 //!   encoded black frames so the output keeps its full length.
 //!
-//! Every degraded part is reported as a [`SegmentFault`] — a structured,
+//! Every degraded segment is reported as a [`SegmentFault`] — a structured,
 //! serializable record carried on [`PartOutput::fault`], collected into
 //! [`ExecTrace::errors`], and surfaced by the CLI's `--error-report`.
 //!
@@ -153,7 +153,7 @@ impl FaultInjector {
     }
 }
 
-/// What the scheduler does with a part that still fails after its
+/// What the scheduler does with a segment that still fails after its
 /// bounded retries.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
@@ -202,7 +202,7 @@ impl std::str::FromStr for ErrorPolicy {
     }
 }
 
-/// How a failed part was resolved.
+/// How a failed segment was resolved.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum FaultAction {
@@ -226,15 +226,16 @@ impl FaultAction {
     }
 }
 
-/// A structured record of one degraded (or recovered) part: which output
-/// range was affected, what the error was, and how it was resolved.
+/// A structured record of one degraded (or recovered) segment: which
+/// output range was affected, what the error was, and how it was resolved.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SegmentFault {
     /// Index of the segment in the physical plan.
     pub seg_index: u64,
-    /// Absolute output frame index of the affected range.
+    /// Absolute output frame index of the segment's first frame.
     pub abs_start: u64,
-    /// Output frames in the affected range.
+    /// Output frames in the segment (degraded output never depends on
+    /// load: the whole segment is retried, skipped or substituted).
     pub frames: u64,
     /// How the failure was resolved.
     pub action: FaultAction,

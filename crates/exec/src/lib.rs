@@ -6,10 +6,9 @@
 //!
 //! * [`execute`] — the optimized engine: runs a [`v2v_plan::PhysicalPlan`]
 //!   through the cost-based [`scheduler`] (longest-processing-time
-//!   dispatch, decode-ahead pipelining, runtime splitting of long render
-//!   segments at GOP boundaries), fusing decode → transform → encode per
-//!   render segment and splicing stream-copied packet runs without
-//!   touching raster data;
+//!   dispatch, decode-ahead pipelining), fusing decode → transform →
+//!   encode per render segment and splicing stream-copied packet runs
+//!   without touching raster data;
 //! * [`execute_naive`] — the unoptimized reference: interprets the
 //!   logical plan operator-at-a-time, materializing an encoded
 //!   intermediate stream at every `Clip`, `Filter`, and the final
@@ -47,7 +46,7 @@ pub use mem_tier::MemTier;
 pub use naive::execute_naive;
 pub use remote::RemoteRenderer;
 pub use render_cache::{CacheStats, EntryKey, Origin, RenderCache, SegmentCacheCtx};
-pub use scheduler::{segment_cost, PartOutput, SchedReport};
+pub use scheduler::{segment_cost, PartOutput};
 pub use streaming::{execute_streaming_with, StreamingStats};
 pub use trace::{ExecTrace, SegmentTrace, StageTimes};
 

@@ -1,9 +1,12 @@
-//! Cost-based segment scheduling with runtime work splitting.
+//! Cost-based segment scheduling.
 //!
 //! The paper's runtime story (§IV-A) is to "use the dependency graph to
 //! execute operators in parallel"; this module is the engine behind
-//! the executor's parallelism. It improves on plain
-//! segment-at-a-time fan-out in three ways:
+//! the executor's parallelism. One physical-plan segment is the unit of
+//! dispatch, reuse, storage, recovery and tracing — the planner's
+//! temporal sharding (§IV) is the only mechanism that cuts a long
+//! render into parallel pieces. On top of plain segment-at-a-time
+//! fan-out the scheduler adds:
 //!
 //! 1. **Cost-ordered dispatch.** Each segment's cost is the planner's
 //!    own per-segment estimate ([`v2v_plan::CostModel::segment`]: copy ≈
@@ -11,26 +14,20 @@
 //!    handed out longest-processing-time-first, the classic makespan
 //!    heuristic: expensive renders start first so they never become the
 //!    lonely tail of the run.
-//! 2. **Runtime splitting.** When a worker goes idle and the queue is
-//!    dry, a running render *splits at an output-GOP boundary*: the
-//!    remaining range is halved and the far half is pushed back as a
-//!    stolen task. Output GOPs are independent under the codec (intra
-//!    frames reference nothing, inter frames chain only within their
-//!    GOP, and a fresh [`Encoder`] at a GOP boundary reproduces
-//!    identical bytes), so splits are lossless — this replaces the
-//!    planner's static `shard_gops` guess with dynamic balancing while
-//!    keeping every arm byte-identical.
-//! 3. **Intra-part pipelining.** Within a render part, a decode-ahead
-//!    prefetch thread pulls source frames through [`SourceCursor`] /
-//!    the shared GOP cache into a bounded channel, frames are composed
-//!    in parallel over a batch window, and independent output GOPs are
-//!    encoded concurrently, their packet runs spliced in order — the
-//!    runtime analogue of the planner's lossless shard re-concat.
+//! 2. **Intra-segment pipelining.** Within a render segment, a
+//!    decode-ahead prefetch thread pulls source frames through
+//!    [`SourceCursor`] / the shared GOP cache into a bounded channel,
+//!    frames are composed in parallel over a batch window, and
+//!    independent output GOPs are encoded concurrently, their packet
+//!    runs spliced in order (output GOPs are independent under the
+//!    codec: a fresh [`Encoder`] at a GOP boundary reproduces identical
+//!    bytes). The pool width is `PartCtx::fanout`: a lone running
+//!    render composes and encodes with every worker's share.
 //!
-//! Parts are emitted to a `deliver` callback **in presentation order**
-//! (a reorder buffer holds early finishers), so the executor's driver
-//! can splice directly into a [`StreamWriter`] and sink packets as soon
-//! as the head of the output is ready.
+//! Segments are emitted to a `deliver` callback **in presentation
+//! order** (a reorder buffer holds early finishers), so the executor's
+//! driver can splice directly into a [`StreamWriter`] and sink packets
+//! as soon as the head of the output is ready.
 //!
 //! [`StreamWriter`]: v2v_container::StreamWriter
 
@@ -47,8 +44,7 @@ use crate::ExecError;
 use crossbeam::channel;
 use rayon::ThreadPoolBuilder;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 use v2v_codec::{Encoder, Packet};
 use v2v_container::Fragment;
@@ -57,141 +53,63 @@ use v2v_frame::{Frame, FrameType};
 use v2v_plan::{CostModel, FrameProgram, InputClip, PhysicalPlan, PlanContext, SegPlan, Segment};
 use v2v_time::Rational;
 
-/// Scheduler-level counters for one run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SchedReport {
-    /// Times a running render gave away half of its remaining range.
-    pub splits: u64,
-    /// Split-off tasks that were picked up by another worker.
-    pub steals: u64,
-}
-
-/// One contiguous run of output packets produced by a worker: a whole
-/// segment, or a GOP-aligned part of one after a runtime split.
+/// The output packets of one segment, as produced by a worker.
 #[derive(Debug)]
 pub struct PartOutput {
     /// Index of the segment in the physical plan.
     pub seg_index: usize,
-    /// Absolute output frame index of the part's first packet.
-    pub abs_start: u64,
-    /// Output frames in this part.
-    pub count: u64,
-    /// The part's packets, keyframe-first (parts start on GOP
-    /// boundaries).
+    /// The segment's packets, keyframe-first (none when skipped).
     pub packets: Vec<Packet>,
-    /// Cost counters. `segments` is 1 only on a segment's first part so
-    /// per-segment merges stay exact.
+    /// Cost counters.
     pub stats: ExecStats,
     /// Busy time per pipeline stage.
     pub stage: StageTimes,
-    /// Part wall time in nanoseconds.
+    /// Segment wall time in nanoseconds.
     pub wall_ns: u64,
-    /// Set when this part failed and was recovered, skipped, or
+    /// Set when this segment failed and was recovered, skipped, or
     /// substituted under the run's [`ErrorPolicy`].
     pub fault: Option<SegmentFault>,
-    /// Set when the worker already persisted this part's segment to the
-    /// render cache (a single-flight owner stores before publishing),
-    /// so the delivery-side store accumulator must not store it again.
-    pub cache_stored: bool,
 }
 
 impl PartOutput {
-    /// A clean part of `ctx`'s segment: `count` frames from the
-    /// segment-relative frame `from`, no stage times, no fault.
-    fn new(
-        ctx: &PartCtx<'_>,
-        from: u64,
-        count: u64,
-        packets: Vec<Packet>,
-        stats: ExecStats,
-    ) -> PartOutput {
+    /// The clean output of `ctx`'s segment: no stage times, no fault.
+    fn new(ctx: &PartCtx<'_>, packets: Vec<Packet>, stats: ExecStats) -> PartOutput {
         PartOutput {
             seg_index: ctx.seg_index,
-            abs_start: ctx.seg.out_start + from,
-            count,
             packets,
             stats,
             stage: StageTimes::default(),
             wall_ns: 0,
             fault: None,
-            cache_stored: false,
         }
     }
 }
 
-/// A schedulable unit: a segment-relative frame range of one segment.
+/// A schedulable unit: one segment of the plan.
 struct Task {
     seg_index: usize,
-    /// Segment-relative first frame (a multiple of the output GOP size).
-    from: u64,
-    /// Segment-relative end frame (exclusive).
-    to: u64,
     /// Estimated cost in [`CostModel`] units.
     cost: f64,
-    /// `true` if this task was split off a running part.
-    stolen: bool,
     /// `true` once the task has been pushed back because its fragment
     /// key was in flight on another run — deferred at most once so the
     /// queue always drains.
     deferred: bool,
 }
 
+/// Dispatch state shared by the workers and the driver.
 struct SchedState {
     /// Pending tasks sorted by ascending cost (pop from the back = LPT).
+    /// Nothing is added mid-run; the one-time deferral re-inserts a
+    /// popped task at the front.
     queue: Vec<Task>,
     running: usize,
-    idle: usize,
+    /// Set by the driver when it stops listening and by a worker whose
+    /// segment failed: nobody pops another task.
     shutdown: bool,
-    splits: u64,
-    steals: u64,
 }
 
-/// State shared between workers, split probes, and the driver.
-struct Shared {
-    state: Mutex<SchedState>,
-    work: Condvar,
-    /// Mirror of `state.idle`, readable without the lock (split probes
-    /// run on the hot path; a stale read only delays or skips one
-    /// split, never breaks correctness).
-    idle_hint: AtomicUsize,
-    /// Mirror of `state.queue.len()`.
-    queued_hint: AtomicUsize,
-}
-
-impl Shared {
-    fn new(queue: Vec<Task>) -> Shared {
-        let queued = queue.len();
-        Shared {
-            state: Mutex::new(SchedState {
-                queue,
-                running: 0,
-                idle: 0,
-                shutdown: false,
-                splits: 0,
-                steals: 0,
-            }),
-            work: Condvar::new(),
-            idle_hint: AtomicUsize::new(0),
-            queued_hint: AtomicUsize::new(queued),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, SchedState> {
-        self.state.lock().expect("scheduler state poisoned")
-    }
-
-    fn shutdown(&self) {
-        self.lock().shutdown = true;
-        self.work.notify_all();
-    }
-
-    fn report(&self) -> SchedReport {
-        let st = self.lock();
-        SchedReport {
-            splits: st.splits,
-            steals: st.steals,
-        }
-    }
+fn lock(sched: &Mutex<SchedState>) -> MutexGuard<'_, SchedState> {
+    sched.lock().expect("scheduler state poisoned")
 }
 
 /// The facts of one run, derived once in [`execute_scheduled`].
@@ -204,21 +122,20 @@ struct RunCtx<'a> {
     /// The fault injector, when one is configured and non-empty.
     fault: Option<&'a FaultInjector>,
     /// Persistent segment cache for this run (`None` disables reuse).
-    /// Always `None` while a fault injector is active: a degraded
-    /// (skipped/substituted) part must never be persisted, and a cache
-    /// hit would mask the injection the test asked for.
+    /// Always `None` while a fault injector is active: a cache hit would
+    /// mask the injection the test asked for.
     seg_cache: Option<&'a SegmentCacheCtx>,
-    /// Decode-ahead window of a render part, in frames (whole output
+    /// Decode-ahead window of a render segment, in frames (whole output
     /// GOPs); `0` runs the sequential decode → compose → encode loop.
     pipeline_frames: usize,
 }
 
-/// Everything a worker needs to execute parts of one segment.
+/// Everything a worker needs to execute one segment.
 struct PartCtx<'a> {
     run: RunCtx<'a>,
     seg: &'a Segment,
     seg_index: usize,
-    /// Threads this part's compose and encode stages may use.
+    /// Threads this segment's compose and encode stages may use.
     fanout: usize,
 }
 
@@ -233,68 +150,6 @@ impl<'a> RunCtx<'a> {
     }
 }
 
-/// A split probe carried into a render loop: checked at output-GOP
-/// boundaries, it gives the far half of the remaining range away when
-/// another worker is hungry.
-struct SplitProbe<'a> {
-    shared: &'a Shared,
-    seg_index: usize,
-    /// Estimated cost per output frame, for pricing the split-off task.
-    per_frame_cost: f64,
-    /// The end this part still owns: lowered on every split. Error
-    /// recovery retries only `[from, committed_end)` — the far halves a
-    /// part gave away before failing belong to other workers.
-    committed_end: AtomicU64,
-}
-
-impl SplitProbe<'_> {
-    /// The highest frame index this part is still responsible for.
-    fn owned_end(&self) -> u64 {
-        self.committed_end.load(Ordering::Acquire)
-    }
-
-    /// Possibly splits the range `[j, end)` at a GOP boundary. Returns
-    /// the (possibly lowered) end. `j` must be GOP-aligned relative to
-    /// the segment start.
-    fn maybe_split(&self, j: u64, end: u64, gop: u64) -> u64 {
-        if self.shared.idle_hint.load(Ordering::Relaxed) == 0
-            || self.shared.queued_hint.load(Ordering::Relaxed) > 0
-        {
-            return end;
-        }
-        let remaining = end.saturating_sub(j);
-        let ngops = remaining.div_ceil(gop);
-        if ngops < 2 {
-            return end;
-        }
-        // Keep the near half (rounded up), give the far half away.
-        let split_at = j + ngops.div_ceil(2) * gop;
-        debug_assert!(split_at > j && split_at < end);
-        let mut st = self.shared.lock();
-        if st.shutdown {
-            return end;
-        }
-        let task = Task {
-            seg_index: self.seg_index,
-            from: split_at,
-            to: end,
-            cost: self.per_frame_cost * (end - split_at) as f64,
-            stolen: true,
-            deferred: false,
-        };
-        let pos = st.queue.partition_point(|t| t.cost <= task.cost);
-        st.queue.insert(pos, task);
-        st.splits += 1;
-        self.committed_end.store(split_at, Ordering::Release);
-        self.shared
-            .queued_hint
-            .store(st.queue.len(), Ordering::Relaxed);
-        drop(st);
-        self.shared.work.notify_one();
-        split_at
-    }
-}
-
 /// Estimates a segment's execution cost in [`CostModel`] units: the
 /// planner's per-segment estimate with no source metadata (every input
 /// priced at the output geometry, no roll-in).
@@ -304,17 +159,17 @@ pub fn segment_cost(plan: &PhysicalPlan, seg: &Segment) -> f64 {
         .total()
 }
 
-/// Executes every segment of `plan`, invoking `deliver` with each part
+/// Executes every segment of `plan`, invoking `deliver` with each one
 /// in presentation order. With one effective worker this is a plain
-/// in-order loop; otherwise a cost-ordered worker pool with runtime
-/// splitting and (optionally) intra-part pipelining.
+/// in-order loop; otherwise a cost-ordered worker pool with
+/// (optionally) intra-segment pipelining.
 pub(crate) fn execute_scheduled(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     opts: &ExecOptions,
     cache: &GopCache,
     deliver: &mut dyn FnMut(PartOutput) -> Result<(), ExecError>,
-) -> Result<SchedReport, ExecError> {
+) -> Result<(), ExecError> {
     let workers = opts.effective_threads();
     let fault = opts.fault.as_deref().filter(|f| !f.is_empty());
     let run = RunCtx {
@@ -331,22 +186,13 @@ pub(crate) fn execute_scheduled(
                 .saturating_mul(plan.out_params.gop_size as usize)
         },
     };
-    let mut store_accum: Option<StoreAccum> = None;
-    let mut deliver = |part: PartOutput| -> Result<(), ExecError> {
-        if let Some(sc) = run.seg_cache {
-            accumulate_for_store(sc, plan, &mut store_accum, &part);
-        }
-        deliver(part)
-    };
     if workers <= 1 {
-        for (i, seg) in plan.segments.iter().enumerate() {
-            let ctx = run.part(i, 1);
-            deliver(run_part_recovering(&ctx, 0, seg.count, None)?)?;
+        for i in 0..plan.segments.len() {
+            deliver(run_part_recovering(&run.part(i, 1))?)?;
         }
-        return Ok(SchedReport::default());
+        return Ok(());
     }
 
-    let total: u64 = plan.segments.iter().map(|s| s.count).sum();
     let mut tasks: Vec<Task> = plan
         .segments
         .iter()
@@ -354,10 +200,7 @@ pub(crate) fn execute_scheduled(
         .filter(|(_, seg)| seg.count > 0)
         .map(|(i, seg)| Task {
             seg_index: i,
-            from: 0,
-            to: seg.count,
             cost: segment_cost(plan, seg),
-            stolen: false,
             deferred: false,
         })
         .collect();
@@ -378,39 +221,44 @@ pub(crate) fn execute_scheduled(
             .then(cost_a.total_cmp(&cost_b))
             .then(b.seg_index.cmp(&a.seg_index))
     });
-    let shared = Shared::new(tasks);
+    let sched = Mutex::new(SchedState {
+        queue: tasks,
+        running: 0,
+        shutdown: false,
+    });
     let (tx, rx) = channel::unbounded::<Result<PartOutput, ExecError>>();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();
-            let shared = &shared;
-            scope.spawn(move || worker_loop(run, shared, workers, &tx));
+            let sched = &sched;
+            scope.spawn(move || worker_loop(run, sched, workers, &tx));
         }
         drop(tx);
-        drive(&rx, &mut deliver, total, &shared)
+        drive(&rx, deliver, plan, &sched)
     })
 }
 
-/// The ordered-delivery driver: buffers early-finishing parts and
+/// The ordered-delivery driver: buffers early-finishing segments and
 /// releases them to `deliver` strictly by absolute output position.
 fn drive(
     rx: &channel::Receiver<Result<PartOutput, ExecError>>,
     deliver: &mut dyn FnMut(PartOutput) -> Result<(), ExecError>,
-    total: u64,
-    shared: &Shared,
-) -> Result<SchedReport, ExecError> {
+    plan: &PhysicalPlan,
+    sched: &Mutex<SchedState>,
+) -> Result<(), ExecError> {
+    let total: u64 = plan.segments.iter().map(|s| s.count).sum();
     let mut buffered: BTreeMap<u64, PartOutput> = BTreeMap::new();
     let mut next_abs = 0u64;
     let mut result: Result<(), ExecError> = Ok(());
     'recv: while next_abs < total {
         let part = rx
             .recv()
-            .expect("scheduler workers deliver every part or an error");
+            .expect("scheduler workers deliver every segment or an error");
         match part {
             Ok(part) => {
-                buffered.insert(part.abs_start, part);
+                buffered.insert(plan.segments[part.seg_index].out_start, part);
                 while let Some(ready) = buffered.remove(&next_abs) {
-                    let count = ready.count;
+                    let count = plan.segments[ready.seg_index].count;
                     if let Err(e) = deliver(ready) {
                         result = Err(e);
                         break 'recv;
@@ -424,13 +272,13 @@ fn drive(
             }
         }
     }
-    shared.shutdown();
-    result.map(|()| shared.report())
+    lock(sched).shutdown = true;
+    result
 }
 
 fn worker_loop(
     run: RunCtx<'_>,
-    shared: &Shared,
+    sched: &Mutex<SchedState>,
     workers: usize,
     tx: &channel::Sender<Result<PartOutput, ExecError>>,
 ) {
@@ -439,77 +287,46 @@ fn worker_loop(
         .and_then(|sc| sc.flight.as_deref().map(|f| (sc, f)));
     loop {
         let (task, running_now) = {
-            let mut st = shared.lock();
+            let mut st = lock(sched);
             loop {
                 if st.shutdown {
                     return;
                 }
-                if let Some(t) = st.queue.pop() {
-                    // Overlap-aware dispatch: a whole segment whose key
-                    // is being rendered by another run right now would
-                    // only block on its flight — push it behind the
-                    // other pending work (once) and take something that
-                    // makes progress. By the time it is re-popped the
-                    // other run has usually published.
-                    if let Some((sc, flight)) = flight {
-                        if !t.deferred
-                            && !st.queue.is_empty()
-                            && t.from == 0
-                            && t.to == run.plan.segments[t.seg_index].count
-                        {
-                            if let Some(key) = sc.key(t.seg_index) {
-                                if flight.is_inflight(&key) {
-                                    let mut t = t;
-                                    t.deferred = true;
-                                    st.queue.insert(0, t);
-                                    continue;
-                                }
+                // The queue only shrinks: an empty one means this
+                // worker is done.
+                let Some(t) = st.queue.pop() else { return };
+                // Overlap-aware dispatch: a segment whose key is being
+                // rendered by another run right now would only block on
+                // its flight — push it behind the other pending work
+                // (once) and take something that makes progress. By the
+                // time it is re-popped the other run has usually
+                // published.
+                if let Some((sc, flight)) = flight {
+                    if !t.deferred && !st.queue.is_empty() {
+                        if let Some(key) = sc.key(t.seg_index) {
+                            if flight.is_inflight(&key) {
+                                let mut t = t;
+                                t.deferred = true;
+                                st.queue.insert(0, t);
+                                continue;
                             }
                         }
                     }
-                    if t.stolen {
-                        st.steals += 1;
-                    }
-                    st.running += 1;
-                    shared.queued_hint.store(st.queue.len(), Ordering::Relaxed);
-                    break (t, st.running);
                 }
-                if st.running == 0 {
-                    st.shutdown = true;
-                    drop(st);
-                    shared.work.notify_all();
-                    return;
-                }
-                st.idle += 1;
-                shared.idle_hint.store(st.idle, Ordering::Relaxed);
-                st = shared.work.wait(st).expect("scheduler state poisoned");
-                st.idle -= 1;
-                shared.idle_hint.store(st.idle, Ordering::Relaxed);
+                st.running += 1;
+                break (t, st.running);
             }
         };
-        // A lone running part composes with the whole pool's width; with
-        // many parts in flight each keeps roughly its fair share.
+        // A lone running segment composes with the whole pool's width;
+        // with many in flight each keeps roughly its fair share.
         let ctx = run.part(task.seg_index, (workers / running_now.max(1)).max(1));
-        let probe = run.opts.runtime_split.then(|| SplitProbe {
-            shared,
-            seg_index: task.seg_index,
-            per_frame_cost: if task.to > task.from {
-                task.cost / (task.to - task.from) as f64
-            } else {
-                0.0
-            },
-            committed_end: AtomicU64::new(task.to),
-        });
-        let res = run_part_recovering(&ctx, task.from, task.to, probe.as_ref());
+        let res = run_part_recovering(&ctx);
         let failed = res.is_err();
         {
-            let mut st = shared.lock();
+            let mut st = lock(sched);
             st.running -= 1;
-            if failed || (st.queue.is_empty() && st.running == 0) {
-                st.shutdown = true;
-            }
+            st.shutdown |= failed;
         }
-        shared.work.notify_all();
         // A send failure only means the driver already bailed.
         let _ = tx.send(res);
         if failed {
@@ -528,10 +345,9 @@ fn fragment_matches(ctx: &PartCtx<'_>, frag: &Fragment) -> bool {
         && frag.params().compatible_with(&ctx.run.plan.out_params)
 }
 
-/// Renders one segment range, reusing a fragment when the range is a
-/// whole keyed segment. This is the one place the reuse order is
-/// spelled: **in-flight → memory → disk → remote → render**, then
-/// **store → publish**.
+/// Renders one segment, reusing a fragment when the segment is keyed.
+/// This is the one place the reuse order is spelled: **in-flight →
+/// memory → disk → remote → render**, then **store → publish**.
 ///
 /// The flight is claimed *before* the tiers are consulted and an owner
 /// stores *before* it publishes, so a concurrent duplicate either joins
@@ -542,47 +358,39 @@ fn render_segment(
     ctx: &PartCtx<'_>,
     program: &FrameProgram,
     inputs: &[InputClip],
-    from: u64,
-    to: u64,
-    probe: Option<&SplitProbe<'_>>,
 ) -> Result<PartOutput, ExecError> {
-    // A fresh render of `[from, to)`: pipelined, or the sequential loop
-    // when pipelining is off.
-    let fresh = |probe: Option<&SplitProbe<'_>>| {
+    // A fresh render: pipelined, or the sequential loop when pipelining
+    // is off.
+    let fresh = || {
         if ctx.run.pipeline_frames > 0 {
-            run_render_pipelined(ctx, program, inputs, from, to, probe)
+            run_render_pipelined(ctx, program, inputs)
         } else {
-            run_render_sequential(ctx, program, inputs, from, to, probe)
+            run_render_sequential(ctx, program, inputs)
         }
     };
-    // Only whole segments are shared or cached: a split range would
-    // interleave reused and freshly encoded packets inside one encoder
-    // session.
-    let whole = from == 0 && to == ctx.seg.count && ctx.seg.count > 0;
     let keyed = ctx
         .run
         .seg_cache
-        .filter(|_| whole)
         .and_then(|sc| Some((sc, sc.key(ctx.seg_index)?)));
     let Some((sc, key)) = keyed else {
-        return fresh(probe);
+        return fresh();
     };
-    // A whole-segment part whose packets come from a reused fragment.
+    // The segment's output when its packets come from a reused fragment.
     let reused = |frag: &Fragment, origin: Origin| {
         let stats = ExecStats {
             segments: 1,
             cache: CacheStats::for_hit(EntryKey::Segment(key), origin, frag.byte_size()),
             ..Default::default()
         };
-        PartOutput::new(ctx, 0, ctx.seg.count, frag.packets().to_vec(), stats)
+        PartOutput::new(ctx, frag.packets().to_vec(), stats)
     };
     let guard = match sc.flight.as_deref().map(|flight| flight.claim(key)) {
         Some(Claim::Shared(Some(frag))) if fragment_matches(ctx, &frag) => {
             return Ok(reused(&frag, Origin::Flight));
         }
         // Owner failed, or (vanishingly unlikely) published a fragment
-        // that does not fit this plan: render locally, probe allowed.
-        Some(Claim::Shared(_)) => return fresh(probe),
+        // that does not fit this plan: render locally.
+        Some(Claim::Shared(_)) => return fresh(),
         Some(Claim::Owner(guard)) => Some(guard),
         None => None,
     };
@@ -598,29 +406,24 @@ fn render_segment(
             .render_remote(ctx.seg_index, key, cost)?;
         Some((Arc::new(frag), Origin::Remote))
     };
-    let (mut part, frag, store) = match tiers().filter(fits).or_else(|| remote().filter(fits)) {
+    let (part, frag, store) = match tiers().filter(fits).or_else(|| remote().filter(fits)) {
         // A remote fragment is persisted so the coordinator's own tiers
         // warm up for the next query.
         Some((frag, origin)) => (reused(&frag, origin), Some(frag), origin == Origin::Remote),
         None => {
-            // Waiters need one coherent fragment, so an owner renders
-            // the whole segment without a split probe; the daemon's
-            // concurrent jobs keep the other workers busy instead.
-            // Nobody waits on a run without a flight: it may split, and
-            // the deliver-side `StoreAccum` stores the parts whole.
-            let part = fresh(probe.filter(|_| guard.is_none()))?;
+            let part = fresh()?;
             let (params, dur) = (ctx.run.plan.out_params, ctx.run.plan.frame_dur);
-            let frag = guard
-                .as_ref()
-                .and_then(|_| Fragment::new(params, dur, part.packets.clone()).ok());
+            let frag = Fragment::new(params, dur, part.packets.clone()).ok();
             (part, frag.map(Arc::new), true)
         }
     };
-    // A `None` here is an unfragmentable part (shouldn't happen for a
-    // clean whole render): the guard drops and waiters fall back.
+    // A `None` here is an unfragmentable render (shouldn't happen for a
+    // clean one): the guard drops and waiters fall back.
     if let Some(frag) = frag {
         if let Some(cache) = sc.cache.as_deref().filter(|_| store) {
-            part.cache_stored = cache.store_segment(key, &frag).is_ok();
+            // A failed store (disk full, permissions) only costs the
+            // next run a re-render; never fail the query for it.
+            let _ = cache.store_segment(key, &frag);
         }
         if let Some(guard) = guard {
             guard.publish(frag);
@@ -629,89 +432,8 @@ fn render_segment(
     Ok(part)
 }
 
-/// In-flight state for persisting one segment's rendered packets: parts
-/// of a segment reach the deliver callback contiguously and in order,
-/// so a single accumulator suffices.
-struct StoreAccum {
-    seg_index: usize,
-    key: u64,
-    packets: Vec<Packet>,
-    delivered: u64,
-    clean: bool,
-}
-
-/// Feeds one delivered part into the segment-store accumulator and
-/// flushes a finished segment to the persistent cache. Parts that were
-/// themselves cache hits (local, shared, or already stored by a
-/// single-flight owner), segments without a key (stream copies, UDF
-/// programs), and segments touched by fault recovery are never stored.
-fn accumulate_for_store(
-    sc: &SegmentCacheCtx,
-    plan: &PhysicalPlan,
-    accum: &mut Option<StoreAccum>,
-    part: &PartOutput,
-) {
-    if part.cache_stored
-        || part.stats.cache.segment_hits > 0
-        || part.stats.cache.shared_segment_hits > 0
-    {
-        return;
-    }
-    let Some(cache) = sc.cache.as_deref() else {
-        return;
-    };
-    let Some(seg) = plan.segments.get(part.seg_index) else {
-        return;
-    };
-    if seg.count == 0 {
-        return;
-    }
-    let Some(key) = sc.key(part.seg_index) else {
-        return;
-    };
-    if part.abs_start == seg.out_start {
-        *accum = Some(StoreAccum {
-            seg_index: part.seg_index,
-            key,
-            packets: Vec::with_capacity(seg.count as usize),
-            delivered: 0,
-            clean: true,
-        });
-    }
-    let Some(acc) = accum.as_mut() else { return };
-    if acc.seg_index != part.seg_index {
-        return;
-    }
-    acc.clean &= part.fault.is_none();
-    acc.delivered += part.count;
-    if acc.clean {
-        acc.packets.extend(part.packets.iter().cloned());
-    }
-    if acc.delivered >= seg.count {
-        if acc.clean && acc.delivered == seg.count {
-            if let Ok(frag) = Fragment::new(
-                plan.out_params,
-                plan.frame_dur,
-                std::mem::take(&mut acc.packets),
-            ) {
-                // A failed store (disk full, permissions) only costs the
-                // next run a re-render; never fail the query for it.
-                let _ = cache.store_segment(acc.key, &frag);
-            }
-        }
-        *accum = None;
-    }
-}
-
-/// Executes the segment-relative range `[from, to)` of one segment.
-/// Renders may end early (at a GOP boundary) if the probe split the
-/// range; the returned part covers exactly what was produced.
-fn run_part(
-    ctx: &PartCtx<'_>,
-    from: u64,
-    to: u64,
-    probe: Option<&SplitProbe<'_>>,
-) -> Result<PartOutput, ExecError> {
+/// Executes one segment: a stream copy, or [`render_segment`].
+fn run_part(ctx: &PartCtx<'_>) -> Result<PartOutput, ExecError> {
     let started = Instant::now();
     let mut part = match &ctx.seg.plan {
         SegPlan::StreamCopy {
@@ -719,7 +441,6 @@ fn run_part(
             src_from,
             src_to,
         } => {
-            debug_assert!(from == 0 && to == ctx.seg.count, "copies are never split");
             let stream = ctx
                 .run
                 .catalog
@@ -733,11 +454,9 @@ fn run_part(
                 segments: 1,
                 ..Default::default()
             };
-            PartOutput::new(ctx, 0, ctx.seg.count, packets, stats)
+            PartOutput::new(ctx, packets, stats)
         }
-        SegPlan::Render { program, inputs } => {
-            render_segment(ctx, program, inputs, from, to, probe)?
-        }
+        SegPlan::Render { program, inputs } => render_segment(ctx, program, inputs)?,
     };
     part.wall_ns = started.elapsed().as_nanos() as u64;
     Ok(part)
@@ -745,37 +464,21 @@ fn run_part(
 
 /// [`run_part`] under the run's [`ErrorPolicy`]: a failure goes to
 /// [`recover_part`].
-fn run_part_recovering(
-    ctx: &PartCtx<'_>,
-    from: u64,
-    to: u64,
-    probe: Option<&SplitProbe<'_>>,
-) -> Result<PartOutput, ExecError> {
-    run_part(ctx, from, to, probe).or_else(|err| {
-        // Retry only the range this part still owns: far halves given
-        // away by earlier splits run on other workers.
-        let end = probe.map_or(to, |p| p.owned_end().min(to));
-        recover_part(ctx, from, end, err)
-    })
+fn run_part_recovering(ctx: &PartCtx<'_>) -> Result<PartOutput, ExecError> {
+    run_part(ctx).or_else(|err| recover_part(ctx, err))
 }
 
-/// Applies the run's [`ErrorPolicy`] to a failed part: bounded retries
-/// first (a transient fault recovers byte-identically, since the retry
-/// re-runs the same GOP-aligned range), then skip or substitute.
-/// `[from, to)` is the range the failed part still owned — far halves
-/// already given away by splits belong to other workers. Under
-/// [`ErrorPolicy::Abort`] (or when even the black-frame fallback fails)
-/// the last error propagates.
-fn recover_part(
-    ctx: &PartCtx<'_>,
-    from: u64,
-    to: u64,
-    err: ExecError,
-) -> Result<PartOutput, ExecError> {
+/// Applies the run's [`ErrorPolicy`] to a failed segment: bounded
+/// retries first (a transient fault recovers byte-identically, since
+/// the retry re-runs the whole segment), then skip or substitute.
+/// Under [`ErrorPolicy::Abort`] (or when even the black-frame fallback
+/// fails) the last error propagates.
+fn recover_part(ctx: &PartCtx<'_>, err: ExecError) -> Result<PartOutput, ExecError> {
+    let frames = ctx.seg.count;
     let fault = |action: FaultAction, retries: u64, err: &ExecError| SegmentFault {
         seg_index: ctx.seg_index as u64,
-        abs_start: ctx.seg.out_start + from,
-        frames: to - from,
+        abs_start: ctx.seg.out_start,
+        frames,
         action,
         retries,
         error: err.to_string(),
@@ -785,9 +488,7 @@ fn recover_part(
     let mut last_err = err;
     while retries < u64::from(ctx.run.opts.max_retries) {
         retries += 1;
-        // Retry without a split probe: determinism over load balancing
-        // on the recovery path.
-        match run_part(ctx, from, to, None) {
+        match run_part(ctx) {
             Ok(mut part) => {
                 part.stats.retries = retries;
                 part.fault = Some(fault(FaultAction::Recovered, retries, &last_err));
@@ -797,7 +498,7 @@ fn recover_part(
         }
     }
     let mut stats = ExecStats {
-        segments: u64::from(from == 0),
+        segments: 1,
         retries,
         ..Default::default()
     };
@@ -808,28 +509,28 @@ fn recover_part(
             (FaultAction::Skipped, Vec::new())
         }
         ErrorPolicy::SubstituteBlack => {
-            let packets = encode_black(ctx, from, to)?;
+            let packets = encode_black(ctx)?;
             stats.parts_substituted = 1;
-            stats.frames_substituted = to - from;
-            stats.frames_encoded = to - from;
+            stats.frames_substituted = frames;
+            stats.frames_encoded = frames;
             stats.bytes_encoded = packets.iter().map(|p| p.size() as u64).sum();
             (FaultAction::SubstitutedBlack, packets)
         }
     };
     Ok(PartOutput {
         fault: Some(fault(action, retries, &last_err)),
-        ..PartOutput::new(ctx, from, to - from, packets, stats)
+        ..PartOutput::new(ctx, packets, stats)
     })
 }
 
-/// Encodes black frames over `[from, to)` on the output grid, one fresh
-/// encoder per output GOP so the keyframe cadence matches a clean run
-/// (`from` is GOP-aligned: parts start on GOP boundaries).
-fn encode_black(ctx: &PartCtx<'_>, from: u64, to: u64) -> Result<Vec<Packet>, ExecError> {
+/// Encodes the segment as black frames on the output grid, one fresh
+/// encoder per output GOP so the keyframe cadence matches a clean run.
+fn encode_black(ctx: &PartCtx<'_>) -> Result<Vec<Packet>, ExecError> {
     let gop = u64::from(ctx.run.plan.out_params.gop_size.max(1));
     let black = Frame::black(ctx.run.plan.out_params.frame_ty);
-    let mut packets = Vec::with_capacity((to - from) as usize);
-    let mut wj = from;
+    let to = ctx.seg.count;
+    let mut packets = Vec::with_capacity(to as usize);
+    let mut wj = 0;
     while wj < to {
         let n = gop.min(to - wj) as usize;
         let frames: Vec<Frame> = (0..n).map(|_| black.clone()).collect();
@@ -915,35 +616,20 @@ fn elapsed_ns(since: Instant) -> u64 {
     since.elapsed().as_nanos() as u64
 }
 
-/// The classic decode → compose → encode loop over `[from, to)`, with
-/// split probes at output-GOP boundaries.
+/// The classic decode → compose → encode loop over the segment.
 fn run_render_sequential(
     ctx: &PartCtx<'_>,
     program: &FrameProgram,
     inputs: &[InputClip],
-    from: u64,
-    to: u64,
-    probe: Option<&SplitProbe<'_>>,
 ) -> Result<PartOutput, ExecError> {
     let plan = ctx.run.plan;
-    let gop = u64::from(plan.out_params.gop_size);
     let out_ty = plan.out_params.frame_ty;
     let mut cursors = build_cursors(ctx, inputs)?;
     let mut encoder = Encoder::new(plan.out_params);
     let mut stats = ExecStats::default();
     let mut stage = StageTimes::default();
-    let mut end = to;
-    let mut packets = Vec::with_capacity((end - from) as usize);
-    let mut j = from;
-    while j < end {
-        if j % gop == 0 {
-            if let Some(p) = probe {
-                end = p.maybe_split(j, end, gop);
-                if j >= end {
-                    break;
-                }
-            }
-        }
+    let mut packets = Vec::with_capacity(ctx.seg.count as usize);
+    for j in 0..ctx.seg.count {
         let t0 = Instant::now();
         let t = plan.instant_of(ctx.seg.out_start + j);
         let frames = gather_inputs(&mut cursors, t, out_ty)?;
@@ -960,13 +646,12 @@ fn run_render_sequential(
         stats.frames_encoded += 1;
         stats.bytes_encoded += pkt.size() as u64;
         packets.push(pkt);
-        j += 1;
     }
     collect_cursor_stats(&cursors, &mut stats);
-    stats.segments = u64::from(from == 0);
+    stats.segments = 1;
     Ok(PartOutput {
         stage,
-        ..PartOutput::new(ctx, from, j - from, packets, stats)
+        ..PartOutput::new(ctx, packets, stats)
     })
 }
 
@@ -977,18 +662,13 @@ fn run_render_pipelined(
     ctx: &PartCtx<'_>,
     program: &FrameProgram,
     inputs: &[InputClip],
-    from: u64,
-    to: u64,
-    probe: Option<&SplitProbe<'_>>,
 ) -> Result<PartOutput, ExecError> {
     let (plan, catalog) = (ctx.run.plan, ctx.run.catalog);
     let pipeline_frames = ctx.run.pipeline_frames;
     let gop = u64::from(plan.out_params.gop_size);
     let out_ty = plan.out_params.frame_ty;
+    let end = ctx.seg.count;
     debug_assert!(pipeline_frames as u64 % gop == 0, "depth is whole GOPs");
-    // Lowered on split so the prefetcher stops decoding the given-away
-    // range as soon as it next checks.
-    let end_ctrl = AtomicU64::new(to);
     let (tx, rx) = channel::bounded::<(u64, Rational, Vec<Arc<Frame>>)>(pipeline_frames.max(1));
     let pool = ThreadPoolBuilder::new()
         .num_threads(ctx.fanout)
@@ -996,20 +676,17 @@ fn run_render_pipelined(
         .expect("compose pool");
 
     std::thread::scope(|scope| {
-        let end_ctrl = &end_ctrl;
         let prefetch = scope.spawn(move || -> Result<(ExecStats, u64), ExecError> {
             let mut cursors = build_cursors(ctx, inputs)?;
             let mut decode_ns = 0u64;
-            let mut j = from;
-            while j < end_ctrl.load(Ordering::Acquire) {
+            for j in 0..end {
                 let t0 = Instant::now();
                 let t = plan.instant_of(ctx.seg.out_start + j);
                 let frames = gather_inputs(&mut cursors, t, out_ty)?;
                 decode_ns += elapsed_ns(t0);
                 if tx.send((j, t, frames)).is_err() {
-                    break; // consumer finished early (split or error)
+                    break; // consumer bailed on an error
                 }
-                j += 1;
             }
             let mut stats = ExecStats::default();
             collect_cursor_stats(&cursors, &mut stats);
@@ -1020,19 +697,11 @@ fn run_render_pipelined(
         // parallel, then encoded one GOP per lane. `Err(None)` marks a
         // starved channel (the prefetcher died; its join has the cause).
         let consumed = (|| -> Result<_, Option<ExecError>> {
-            let mut end = to;
-            let mut packets = Vec::with_capacity((end - from) as usize);
+            let mut packets = Vec::with_capacity(end as usize);
             let mut stats = ExecStats::default();
             let mut stage = StageTimes::default();
-            let mut j = from;
+            let mut j = 0;
             while j < end {
-                if let Some(p) = probe {
-                    end = p.maybe_split(j, end, gop);
-                    end_ctrl.store(end, Ordering::Release);
-                    if j >= end {
-                        break;
-                    }
-                }
                 let batch_end = end.min(j + pipeline_frames as u64);
                 let mut batch: Vec<(u64, Rational, Vec<Arc<Frame>>)> =
                     Vec::with_capacity((batch_end - j) as usize);
@@ -1080,19 +749,19 @@ fn run_render_pipelined(
                 }
                 j = batch_end;
             }
-            Ok((packets, stats, stage, j))
+            Ok((packets, stats, stage))
         })();
         drop(rx); // unblock a prefetcher stuck on a full channel
         let prefetched = prefetch.join().expect("prefetch thread panicked");
 
         match (consumed, prefetched) {
-            (Ok((packets, mut stats, mut stage, end)), Ok((dec_stats, decode_ns))) => {
+            (Ok((packets, mut stats, mut stage)), Ok((dec_stats, decode_ns))) => {
                 stats = stats.merge(dec_stats);
-                stats.segments = u64::from(from == 0);
+                stats.segments = 1;
                 stage.decode_ns += decode_ns;
                 Ok(PartOutput {
                     stage,
-                    ..PartOutput::new(ctx, from, end - from, packets, stats)
+                    ..PartOutput::new(ctx, packets, stats)
                 })
             }
             (_, Err(e)) => Err(e),
@@ -1104,7 +773,7 @@ fn run_render_pipelined(
 
 /// Encodes one output GOP with a fresh encoder. `wj` is the window's
 /// segment-relative first frame (a GOP multiple, so the fresh encoder's
-/// keyframe cadence matches an unsplit run exactly).
+/// keyframe cadence matches the sequential loop exactly).
 fn encode_window(
     ctx: &PartCtx<'_>,
     wj: u64,
@@ -1214,7 +883,9 @@ mod tests {
         };
         let cache = temp_cache("tiers");
 
-        // Fresh: nothing reused; the deliver-side accumulator stores it.
+        // Fresh, one-shot (no flight): nothing reused, and the segment
+        // is stored exactly once, by `render_segment` — an owner nobody
+        // waits on. The disk run below reads that entry back.
         let (fresh, stats) = run(&catalog, &plan, ctx(Some(&cache)));
         assert_eq!(stats, CacheStats::default());
         assert_eq!(cache.entries(), 1);

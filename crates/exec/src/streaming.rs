@@ -10,12 +10,12 @@
 //! being rendered in parallel.
 //!
 //! Segments are independent (each starts its own GOP), so the scheduler
-//! renders them concurrently — splitting long renders at GOP boundaries
-//! when workers idle — and its ordered-delivery stage releases each
-//! part's packets once all earlier output has been delivered. A plan
-//! whose first segment is a stream copy starts playback after a refcount
-//! bump — the measured `time_to_first_packet` in [`StreamingStats`] is
-//! how the interactive claim is quantified in the benches.
+//! renders them concurrently and its ordered-delivery stage releases
+//! each segment's packets once all earlier output has been delivered. A
+//! plan whose first segment is a stream copy starts playback after a
+//! refcount bump — the measured `time_to_first_packet` in
+//! [`StreamingStats`] is how the interactive claim is quantified in the
+//! benches.
 
 use crate::catalog::Catalog;
 use crate::executor::{drive, ExecOptions, ExecStats};
@@ -61,7 +61,7 @@ pub struct StreamingStats {
 /// uses the scheduler's scoped pool; ordered delivery runs on the
 /// calling thread, so `sink` needs no synchronization. Packets reach
 /// `sink` already re-stamped onto the output presentation grid, so the
-/// sink-visible bytes are identical however the scheduler split the
+/// sink-visible bytes are identical however the scheduler ordered the
 /// work.
 pub fn execute_streaming_with(
     plan: &PhysicalPlan,

@@ -57,13 +57,10 @@ pub struct SegmentTrace {
     /// its cursors performed (hits/misses are attributed to exactly one
     /// cursor per request, so the roll-up is deterministic).
     pub stats: ExecStats,
-    /// Segment wall time in nanoseconds (summed busy time of its parts
-    /// when the scheduler split it). Unstable; excluded from golden
+    /// Segment wall time in nanoseconds. Unstable; excluded from golden
     /// comparisons.
     pub wall_ns: u64,
-    /// Runtime parts the segment executed as: 1 unless the scheduler
-    /// split it to feed idle workers. Load-dependent; excluded from
-    /// golden comparisons.
+    /// Always 1 (a segment executes whole); kept for trace schema 5.
     #[serde(default)]
     pub parts: u64,
     /// Per-stage busy times. Unstable; excluded from golden comparisons.
@@ -81,7 +78,7 @@ pub struct ExecTrace {
     /// End-to-end wall time in nanoseconds. Unstable; excluded from
     /// golden comparisons.
     pub wall_ns: u64,
-    /// Structured error report: one entry per part that failed and was
+    /// Structured error report: one entry per segment that failed and was
     /// recovered, skipped, or substituted under the run's error policy.
     /// Empty on clean runs (and absent from their JSON).
     #[serde(default, skip_serializing_if = "Vec::is_empty")]

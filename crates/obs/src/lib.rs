@@ -38,6 +38,8 @@ pub use span::{SpanRecord, SpanSink, SpanTimer};
 /// * 1 — initial layout (rewrites + exec trace + spans + metrics).
 /// * 2 — pipelined scheduler: per-segment `parts`/`stage` fields,
 ///   `splits`/`steals` counters, and synthetic `exec.stage.*` spans.
+///   (Since runtime splitting was removed `parts` reads 1 and the two
+///   counters read 0; the layout is unchanged.)
 /// * 3 — fault tolerance: `exec.faults.*` counters, fault-related
 ///   `ExecStats` fields, the `errors` segment-fault report on the exec
 ///   trace, and fault attrs on the `execute` span.

@@ -78,11 +78,16 @@ impl VideoDigest {
         }
     }
 
-    /// Digests a stream with its full committed-GOP boundary index.
+    /// Digests a stream with its full committed-GOP boundary index: one
+    /// pass over the packet bytes, the index's last entry being the
+    /// whole stream.
     pub fn of(stream: &VideoStream) -> VideoDigest {
+        let prefixes = stream.digest_index();
         VideoDigest {
-            full: stream.content_digest(),
-            prefixes: stream.digest_index(),
+            full: prefixes
+                .last()
+                .map_or_else(|| stream.content_digest(), |&(_, digest)| digest),
+            prefixes,
             start: stream.start(),
             frame_dur: stream.frame_dur(),
         }
@@ -514,6 +519,21 @@ mod tests {
             n_frames,
             stats: Default::default(),
         }
+    }
+
+    #[test]
+    fn video_digest_of_reads_the_full_digest_off_the_index() {
+        let ty = FrameType::gray8(32, 32);
+        let params = CodecParams::new(ty, 4, 0);
+        let mut w = v2v_container::StreamWriter::new(params, Rational::ZERO, r(1, 30));
+        for _ in 0..10 {
+            w.push_frame(&v2v_frame::Frame::black(ty)).unwrap();
+        }
+        let s = w.finish().unwrap();
+        let d = VideoDigest::of(&s);
+        assert_eq!(d.full, s.content_digest());
+        assert_eq!(d.prefixes, s.digest_index());
+        assert_eq!(d.prefixes.last(), Some(&(10, d.full)));
     }
 
     #[test]

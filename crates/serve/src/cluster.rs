@@ -172,8 +172,7 @@ impl WorkerPool {
         }
         let start = self.ring.partition_point(|&(p, _)| p < key);
         let mut order = Vec::with_capacity(self.workers.len());
-        for i in 0..self.ring.len() {
-            let (_, w) = self.ring[(start + i) % self.ring.len()];
+        for &(_, w) in self.ring.iter().cycle().skip(start).take(self.ring.len()) {
             if !order.contains(&w) {
                 order.push(w);
                 if order.len() == self.workers.len() {
@@ -292,9 +291,9 @@ impl RemoteRenderer for PoolRemote {
         // so a recovered worker is rediscovered without a health check.
         let (live, dead): (Vec<_>, Vec<_>) = candidates
             .into_iter()
-            .partition(|&w| self.pool.workers[w].alive.load(Ordering::Relaxed));
-        for (attempt, w) in live.into_iter().chain(dead).take(MAX_ATTEMPTS).enumerate() {
-            let worker = &self.pool.workers[w];
+            .filter_map(|w| self.pool.workers.get(w))
+            .partition(|w| w.alive.load(Ordering::Relaxed));
+        for (attempt, worker) in live.into_iter().chain(dead).take(MAX_ATTEMPTS).enumerate() {
             stats.dispatched.fetch_add(1, Ordering::Relaxed);
             if attempt > 0 {
                 stats.re_dispatched.fetch_add(1, Ordering::Relaxed);

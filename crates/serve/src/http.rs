@@ -10,7 +10,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
 /// Largest accepted header block (request line + headers).
-const MAX_HEAD: usize = 64 * 1024;
+pub const MAX_HEAD: usize = 64 * 1024;
 /// Largest accepted request body (a serialized spec).
 pub const MAX_BODY: usize = 16 * 1024 * 1024;
 
@@ -101,22 +101,23 @@ fn bad(msg: impl Into<String>) -> io::Error {
 }
 
 /// Reads the header block (through the blank line), bounded by
-/// [`MAX_HEAD`].
+/// [`MAX_HEAD`]. The bound sits on the reader, not on a line already
+/// read: a peer that never sends a newline gets at most `MAX_HEAD + 1`
+/// bytes buffered.
 fn read_head(reader: &mut impl BufRead) -> io::Result<Vec<String>> {
+    let mut head = reader.take(MAX_HEAD as u64 + 1);
     let mut lines = Vec::new();
-    let mut total = 0usize;
     loop {
         let mut line = String::new();
-        let n = reader.read_line(&mut line)?;
+        let n = head.read_line(&mut line)?;
+        if head.limit() == 0 {
+            return Err(bad("header block too large"));
+        }
         if n == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "connection closed mid-header",
             ));
-        }
-        total += n;
-        if total > MAX_HEAD {
-            return Err(bad("header block too large"));
         }
         let line = line.trim_end_matches(['\r', '\n']);
         if line.is_empty() {
@@ -159,11 +160,11 @@ fn read_body(reader: &mut impl BufRead, headers: &[(String, String)]) -> io::Res
 /// Reads one request from the stream.
 pub fn read_request(reader: &mut impl BufRead) -> io::Result<Request> {
     let lines = read_head(reader)?;
-    let first = lines.first().ok_or_else(|| bad("empty request"))?;
+    let (first, rest) = lines.split_first().ok_or_else(|| bad("empty request"))?;
     let mut parts = first.split_whitespace();
     let method = parts.next().ok_or_else(|| bad("missing method"))?;
     let path = parts.next().ok_or_else(|| bad("missing path"))?;
-    let headers = parse_headers(&lines[1..])?;
+    let headers = parse_headers(rest)?;
     let body = read_body(reader, &headers)?;
     Ok(Request {
         method: method.to_ascii_uppercase(),
@@ -299,13 +300,13 @@ pub mod client {
         stream.flush()?;
         let mut reader = BufReader::new(stream);
         let lines = read_head(&mut reader)?;
-        let first = lines.first().ok_or_else(|| bad("empty response"))?;
+        let (first, rest) = lines.split_first().ok_or_else(|| bad("empty response"))?;
         let status = first
             .split_whitespace()
             .nth(1)
             .and_then(|s| s.parse::<u16>().ok())
             .ok_or_else(|| bad("malformed status line"))?;
-        let headers = parse_headers(&lines[1..])?;
+        let headers = parse_headers(rest)?;
         let body = match headers.iter().find(|(n, _)| n == "content-length") {
             Some(_) => read_body(&mut reader, &headers)?,
             None => {
@@ -367,13 +368,13 @@ pub mod client {
         stream.flush()?;
         let mut reader = BufReader::new(stream);
         let lines = read_head(&mut reader)?;
-        let first = lines.first().ok_or_else(|| bad("empty response"))?;
+        let (first, rest) = lines.split_first().ok_or_else(|| bad("empty response"))?;
         let status = first
             .split_whitespace()
             .nth(1)
             .and_then(|s| s.parse::<u16>().ok())
             .ok_or_else(|| bad("malformed status line"))?;
-        let headers = parse_headers(&lines[1..])?;
+        let headers = parse_headers(rest)?;
         Ok(StreamingResponse {
             status,
             headers,
@@ -417,6 +418,26 @@ mod tests {
         assert!(text.contains("x-v2v-stats: {\"a\":1}\r\n"));
         assert!(text.contains("content-length: 2\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
+    }
+
+    /// Regression: the head bound used to be checked only after
+    /// `read_line` returned, so a peer sending no newline at all grew one
+    /// `String` without limit.
+    #[test]
+    fn a_head_without_newlines_is_rejected_after_max_head_bytes() {
+        let mut peer = Cursor::new(vec![b'a'; 4 * MAX_HEAD]);
+        let err = read_request(&mut peer).unwrap_err();
+        assert!(err.to_string().contains("header block too large"), "{err}");
+        assert!(
+            peer.position() <= MAX_HEAD as u64 + 1,
+            "{}",
+            peer.position()
+        );
+        // A block of exactly MAX_HEAD bytes still parses.
+        let mut raw = b"GET / HTTP/1.1\r\nx: ".to_vec();
+        raw.resize(MAX_HEAD - 4, b'a');
+        raw.extend_from_slice(b"\r\n\r\n");
+        assert!(read_request(&mut Cursor::new(raw)).is_ok());
     }
 
     #[test]

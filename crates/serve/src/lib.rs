@@ -758,9 +758,8 @@ fn handle_append_data(path: &str, req: &Request, shared: &Shared) -> Response {
 
 /// Reads a JSON instant: a number of seconds or an exact `[num, den]`.
 fn parse_instant(v: &serde_json::Value) -> Option<v2v_time::Rational> {
-    if let Some(pair) = v.as_array().filter(|p| p.len() == 2) {
-        let (n, d) = (pair[0].as_i64()?, pair[1].as_i64()?);
-        return v2v_time::Rational::checked_new(n, d).ok();
+    if let Some([n, d]) = v.as_array().map(Vec::as_slice) {
+        return v2v_time::Rational::checked_new(n.as_i64()?, d.as_i64()?).ok();
     }
     v.as_i64().map(v2v_time::Rational::from_int)
 }

@@ -69,7 +69,7 @@ pub fn read_delta(r: &mut impl Read) -> io::Result<Option<(DeltaHeader, Vec<u8>)
     let mut len = [0u8; 4];
     match r.read(&mut len)? {
         0 => return Ok(None),
-        n => r.read_exact(&mut len[n..])?,
+        n => r.read_exact(len.get_mut(n..).unwrap_or_default())?,
     }
     let len = u32::from_le_bytes(len) as usize;
     // A spec-sized bound: headers are a few hundred bytes of JSON.
@@ -80,8 +80,18 @@ pub fn read_delta(r: &mut impl Read) -> io::Result<Option<(DeltaHeader, Vec<u8>)
     r.read_exact(&mut json)?;
     let header: DeltaHeader =
         serde_json::from_slice(&json).map_err(|e| bad(format!("delta header: {e}")))?;
-    let mut svc = vec![0u8; header.svc_len as usize];
-    r.read_exact(&mut svc)?;
+    // `svc_len` is the peer's claim, and a first delta is a whole result
+    // with no natural bound: never allocate the claim. Pre-size up to a
+    // request body's worth (one exact allocation for every ordinary
+    // delta); past that the buffer grows with the bytes that arrive.
+    let mut svc = Vec::with_capacity(header.svc_len.min(crate::http::MAX_BODY as u64) as usize);
+    r.take(header.svc_len).read_to_end(&mut svc)?;
+    if (svc.len() as u64) < header.svc_len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed mid-delta",
+        ));
+    }
     Ok(Some((header, svc)))
 }
 
@@ -98,14 +108,12 @@ pub fn delta_between(
     let common = match prev {
         None => 0,
         Some(p) => {
-            let mut k = 0;
-            while k < p.len().min(next.len()) {
-                let (a, b) = (&p.packets()[k], &next.packets()[k]);
-                if a.keyframe != b.keyframe || a.data != b.data {
-                    break;
-                }
-                k += 1;
-            }
+            let k = p
+                .packets()
+                .iter()
+                .zip(next.packets())
+                .take_while(|(a, b)| a.keyframe == b.keyframe && a.data == b.data)
+                .count();
             if k == next.len() && k == p.len() {
                 return None; // identical outputs
             }
@@ -161,12 +169,12 @@ impl DeltaApplier {
             (_, 0) => delta,
             (None, _) => return Err(bad("first delta must start at frame 0")),
             (Some(cum), _) => {
-                if from > cum.len() {
-                    return Err(bad(format!(
+                let held = cum.packets().get(..from).ok_or_else(|| {
+                    bad(format!(
                         "delta splices at {from} but only {} frames held",
                         cum.len()
-                    )));
-                }
+                    ))
+                })?;
                 let expect =
                     cum.start() + cum.frame_dur() * v2v_time::Rational::from_int(from as i64);
                 if *delta.params() != *cum.params()
@@ -175,7 +183,7 @@ impl DeltaApplier {
                 {
                     return Err(bad("delta does not land on the cumulative grid"));
                 }
-                let mut packets = cum.packets()[..from].to_vec();
+                let mut packets = held.to_vec();
                 packets.extend_from_slice(delta.packets());
                 VideoStream::new(*cum.params(), cum.start(), cum.frame_dur(), packets)
                     .map_err(|e| bad(format!("splicing delta: {e}")))?
@@ -225,6 +233,25 @@ mod tests {
         // A record cut mid-body is an error, not a silent None.
         let mut cut = std::io::Cursor::new(&wire[..wire.len() - 3]);
         assert!(read_delta(&mut cut).is_err());
+    }
+
+    /// Regression: the body buffer used to be `vec![0; svc_len]` straight
+    /// off the wire, so a hostile length aborted on capacity overflow.
+    #[test]
+    fn a_delta_claiming_more_than_arrives_is_an_error_not_an_allocation() {
+        let header = DeltaHeader {
+            seq: 0,
+            from_frame: 0,
+            frames: 1,
+            svc_len: u64::MAX,
+            version: 1,
+        };
+        let json = serde_json::to_vec(&header).unwrap();
+        let mut wire = (json.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&json);
+        wire.extend_from_slice(&[0u8; 10]);
+        let err = read_delta(&mut std::io::Cursor::new(&wire)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

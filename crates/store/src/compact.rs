@@ -86,21 +86,21 @@ fn wanted(kind: VariantKind, p: &AccessProfile) -> bool {
 /// descending demand, then budget evictions by ascending demand.
 pub fn plan_compaction(inputs: &[CompactionInput], budget_bytes: u64) -> Vec<StoreAction> {
     let mut actions = Vec::new();
-    let mut held: Vec<(usize, VariantKind, u64, bool)> = Vec::new();
+    let mut held: Vec<(&CompactionInput, VariantKind, u64, bool)> = Vec::new();
     let mut total: u64 = 0;
-    for (i, input) in inputs.iter().enumerate() {
+    for input in inputs {
         for &(kind, bytes, pinned) in &input.materialized {
-            held.push((i, kind, bytes, pinned));
+            held.push((input, kind, bytes, pinned));
             total += bytes;
         }
     }
 
     // 1. Drop unwanted, unpinned variants regardless of budget.
-    held.retain(|&(i, kind, bytes, pinned)| {
-        let keep = pinned || wanted(kind, &inputs[i].profile);
+    held.retain(|&(input, kind, bytes, pinned)| {
+        let keep = pinned || wanted(kind, &input.profile);
         if !keep {
             actions.push(StoreAction {
-                name: inputs[i].name.clone(),
+                name: input.name.clone(),
                 kind,
                 op: StoreOp::Drop,
             });
@@ -111,24 +111,24 @@ pub fn plan_compaction(inputs: &[CompactionInput], budget_bytes: u64) -> Vec<Sto
 
     // 2. Materialize wanted-but-missing variants while they fit,
     //    highest demand first.
-    let mut candidates: Vec<(usize, VariantKind, u64)> = Vec::new();
+    let mut candidates: Vec<(usize, &CompactionInput, VariantKind, u64)> = Vec::new();
     for (i, input) in inputs.iter().enumerate() {
         for kind in [VariantKind::Dense, VariantKind::Archive, VariantKind::Proxy] {
             if wanted(kind, &input.profile)
                 && !input.materialized.iter().any(|&(k, _, _)| k == kind)
             {
-                candidates.push((i, kind, demand(kind, &input.profile)));
+                candidates.push((i, input, kind, demand(kind, &input.profile)));
             }
         }
     }
-    candidates.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
-    for (i, kind, _) in candidates {
-        let est = estimated_bytes(kind, inputs[i].original_bytes);
+    candidates.sort_by(|a, b| b.3.cmp(&a.3).then(a.0.cmp(&b.0)));
+    for (_, input, kind, _) in candidates {
+        let est = estimated_bytes(kind, input.original_bytes);
         if total.saturating_add(est) > budget_bytes {
             continue;
         }
         actions.push(StoreAction {
-            name: inputs[i].name.clone(),
+            name: input.name.clone(),
             kind,
             op: StoreOp::Materialize,
         });
@@ -138,8 +138,8 @@ pub fn plan_compaction(inputs: &[CompactionInput], budget_bytes: u64) -> Vec<Sto
     // 3. Still over budget (budget shrank): evict unpinned variants,
     //    least-demanded first.
     if total > budget_bytes {
-        held.sort_by_key(|&(i, kind, _, _)| demand(kind, &inputs[i].profile));
-        for &(i, kind, bytes, pinned) in &held {
+        held.sort_by_key(|&(input, kind, _, _)| demand(kind, &input.profile));
+        for &(input, kind, bytes, pinned) in &held {
             if total <= budget_bytes {
                 break;
             }
@@ -147,7 +147,7 @@ pub fn plan_compaction(inputs: &[CompactionInput], budget_bytes: u64) -> Vec<Sto
                 continue;
             }
             actions.push(StoreAction {
-                name: inputs[i].name.clone(),
+                name: input.name.clone(),
                 kind,
                 op: StoreOp::Drop,
             });

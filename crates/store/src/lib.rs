@@ -311,12 +311,14 @@ impl SourceStore {
         let Some(mut manifest) = self.manifest(name)? else {
             return Err(StoreError::UnknownSource(name.to_string()));
         };
-        let Some(pos) = manifest.variants.iter().position(|v| v.kind == kind) else {
+        // Absent, or pinned and not forced: nothing to drop.
+        let Some(pos) = manifest
+            .variants
+            .iter()
+            .position(|v| v.kind == kind && (force || !v.pinned))
+        else {
             return Ok(false);
         };
-        if manifest.variants[pos].pinned && !force {
-            return Ok(false);
-        }
         manifest.variants.remove(pos);
         self.write_manifest(&manifest)?;
         let path = self.variant_path(name, kind);

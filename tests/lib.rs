@@ -32,3 +32,18 @@ pub fn markers_of(stream: &VideoStream) -> Vec<Option<u32>> {
     let (frames, _) = stream.decode_range(0, stream.len()).unwrap();
     frames.iter().map(marker::read).collect()
 }
+
+/// A fresh scratch directory per call: tag + pid + counter, so no two
+/// tests (or two calls sharing a tag) ever collide. Not created; any
+/// stale directory of that name is removed.
+pub fn temp_dir(tag: &str) -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "v2v_it_{tag}_{}_{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}

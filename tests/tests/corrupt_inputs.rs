@@ -18,6 +18,12 @@
 //!
 //! A mutation that happens to still parse is fine — the property is
 //! "Result, never panic", not "always Err".
+//!
+//! The daemon's two wire parsers get the same treatment: mutated HTTP
+//! requests (`http::read_request`) and `/subscribe` delta records
+//! (`sub::read_delta` → `DeltaApplier`) must return a `Result` and must
+//! never buffer more than arrived — a head is cut off at `MAX_HEAD + 1`
+//! bytes, a body or delta container is never sized from its claim.
 
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -26,6 +32,8 @@ use v2v_codec::bitstream::{put_varint, zigzag, Reader, RunDecoder};
 use v2v_codec::{CodecError, Decoder, Packet};
 use v2v_container::{read_svc, write_svc, ContainerError, VideoStream};
 use v2v_integration_tests::marked_stream;
+use v2v_serve::http::{read_request, MAX_HEAD};
+use v2v_serve::sub::{read_delta, write_delta, DeltaApplier, DeltaHeader};
 
 /// A small valid stream: 60 frames, 4 GOPs, lossless gray.
 fn valid_stream() -> VideoStream {
@@ -146,6 +154,101 @@ proptest! {
         // all, then feed the mangled packet.
         let _ = dec.decode(&stream.packets()[0]);
         let _ = dec.decode(&mangled);
+    }
+}
+
+/// Flips bits, then truncates to `keep` bytes (when given), then appends
+/// `tail`: the three mutation classes of this suite, composed.
+fn mutate(bytes: &mut Vec<u8>, flips: &[(usize, u8)], keep: (bool, usize), tail: &[u8]) {
+    for &(pos, bit) in flips {
+        if !bytes.is_empty() {
+            let pos = pos % bytes.len();
+            bytes[pos] ^= 1 << bit;
+        }
+    }
+    if let (true, keep) = keep {
+        bytes.truncate(keep % (bytes.len() + 1));
+    }
+    bytes.extend_from_slice(tail);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Mutated HTTP requests, including a head line with no newline
+    /// that runs far past the limit: `Ok` or `Err`, the head stage
+    /// stops after `MAX_HEAD + 1` bytes, a body is no larger than what
+    /// arrived.
+    #[test]
+    fn mutated_requests_never_panic_or_overread(
+        flips in prop::collection::vec((0usize..4096, 0u8..8), 0..4),
+        keep in (any::<bool>(), 0usize..4096),
+        tail in prop::collection::vec(any::<u8>(), 0..256),
+        flood in (any::<bool>(), 0usize..40),
+    ) {
+        let body = br#"{"time_domain":[[0,1],[1,30]],"render":{"video":"src"}}"#;
+        let mut bytes = format!(
+            "POST /query HTTP/1.1\r\nhost: x\r\ncontent-length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        bytes.extend_from_slice(body);
+        if let (true, at) = flood {
+            // A peer that stops sending newlines mid-head.
+            bytes.splice(at..at, std::iter::repeat(b'a').take(4 * MAX_HEAD));
+        }
+        mutate(&mut bytes, &flips, keep, &tail);
+        let mut wire = std::io::Cursor::new(&bytes);
+        let parsed = read_request(&mut wire);
+        let consumed = wire.position() as usize;
+        match parsed {
+            Ok(req) => {
+                prop_assert!(req.body.len() <= bytes.len());
+                prop_assert!(consumed <= MAX_HEAD + req.body.len());
+            }
+            Err(e) if e.to_string().contains("header block too large") => {
+                prop_assert!(consumed <= MAX_HEAD + 1, "{consumed} bytes read");
+            }
+            Err(_) => {}
+        }
+    }
+
+    /// Mutated delta records, including a header whose `svc_len` claims
+    /// any `u64`: `Ok` or `Err` from framing and from reassembly, and a
+    /// container no larger than what arrived.
+    #[test]
+    fn mutated_deltas_never_panic_or_overallocate(
+        flips in prop::collection::vec((0usize..4096, 0u8..8), 0..4),
+        keep in (any::<bool>(), 0usize..4096),
+        tail in prop::collection::vec(any::<u8>(), 0..256),
+        claim in (any::<bool>(), any::<u64>()),
+    ) {
+        let svc = v2v_container::svc_to_bytes(&marked_stream(8, 4)).unwrap();
+        let header = DeltaHeader {
+            seq: 0,
+            from_frame: 0,
+            frames: 8,
+            svc_len: svc.len() as u64,
+            version: 1,
+        };
+        let mut bytes = Vec::new();
+        write_delta(&mut bytes, &header, &svc).unwrap();
+        if let (true, svc_len) = claim {
+            // Same body, lying length (`write_delta` would assert).
+            let json = serde_json::to_vec(&DeltaHeader { svc_len, ..header }).unwrap();
+            bytes = (json.len() as u32).to_le_bytes().to_vec();
+            bytes.extend_from_slice(&json);
+            bytes.extend_from_slice(&svc);
+        }
+        mutate(&mut bytes, &flips, keep, &tail);
+        let mut wire = std::io::Cursor::new(&bytes);
+        let mut applier = DeltaApplier::new();
+        // A record is at least its 4-byte length: the loop is bounded.
+        while let Ok(Some((h, body))) = read_delta(&mut wire) {
+            prop_assert_eq!(body.len() as u64, h.svc_len);
+            prop_assert!(body.len() <= bytes.len());
+            let _ = applier.apply(&h, &body);
+        }
     }
 }
 

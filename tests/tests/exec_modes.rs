@@ -1,18 +1,17 @@
 //! Byte-identity across every execution mode.
 //!
-//! The scheduler (PR 3) may reorder, pipeline, and split work at
-//! runtime, but the output container must stay *byte-identical* to the
-//! serial executor's — splits land on output-GOP boundaries and packets
-//! are re-stamped onto the presentation grid, so no arm is allowed to
-//! change a single payload byte. This suite pins that invariant over
-//! the full `{batch, streaming} × {serial, parallel, pipelined,
-//! runtime-split} × {1, 2, 8 threads}` matrix on adversarial plan
-//! shapes:
+//! The scheduler may reorder and pipeline work at runtime, but the
+//! output container must stay *byte-identical* to the serial
+//! executor's — per-GOP encode lanes start on output-GOP boundaries and
+//! packets are re-stamped onto the presentation grid, so no arm is
+//! allowed to change a single payload byte. This suite pins that
+//! invariant over the full `{batch, streaming} × {serial, parallel,
+//! pipelined} × {1, 2, 8 threads}` matrix on adversarial plan shapes:
 //!
-//! * 1-frame render segments (splits impossible, merge logic stressed),
+//! * 1-frame render segments (shorter than any GOP window),
 //! * many small segments (segment count ≫ worker count),
-//! * a single giant render segment (runtime splitting is the only
-//!   source of parallelism),
+//! * a single giant render segment (a lone unsharded segment composed
+//!   and encoded at `fanout` = the whole pool),
 //!
 //! plus a proptest arm over randomly shaped specs.
 
@@ -39,8 +38,7 @@ fn plan_of(spec: &Spec, catalog: &Catalog, cfg: &OptimizerConfig) -> PhysicalPla
 /// The adversarial plan shapes, as `(name, plan)`.
 fn adversarial_plans(catalog: &Catalog) -> Vec<(&'static str, PhysicalPlan)> {
     // Ten 1-frame mid-GOP clips: every segment renders exactly one
-    // frame, so parts can never split and the per-segment merge in the
-    // traced executor sees a part per segment.
+    // frame.
     let mut one_frame = SpecBuilder::new(marked_output()).video("src", "src.svc");
     for i in 0..10 {
         one_frame = one_frame.append_clip("src", r(7 + 13 * i, 30), r(1, 30));
@@ -54,8 +52,8 @@ fn adversarial_plans(catalog: &Catalog) -> Vec<(&'static str, PhysicalPlan)> {
         .append_clip("src", r(1, 2), r(3, 2))
         .build();
     // One giant render segment: disable static sharding so the whole
-    // 8-second blur is a single segment and runtime splitting is the
-    // only way more than one worker ever touches it.
+    // 8-second blur is a single segment; under 8 threads it runs at
+    // fanout 8 and must still match the serial bytes.
     let giant = SpecBuilder::new(marked_output())
         .video("src", "src.svc")
         .append_filtered("src", r(1, 1), r(8, 1), |e| blur(e, 1.0))
@@ -97,18 +95,10 @@ fn arms() -> Vec<(&'static str, ExecOptions)> {
             "parallel_plain",
             ExecOptions {
                 pipeline_depth: 0,
-                runtime_split: false,
                 ..Default::default()
             },
         ),
-        (
-            "pipelined",
-            ExecOptions {
-                runtime_split: false,
-                ..Default::default()
-            },
-        ),
-        ("runtime_split", ExecOptions::default()),
+        ("pipelined", ExecOptions::default()),
     ]
 }
 
@@ -158,39 +148,6 @@ fn all_modes_are_byte_identical() {
             }
         }
     }
-}
-
-#[test]
-fn split_heavy_run_splits_and_stays_identical() {
-    // The single-giant-render plan at 8 threads must actually exercise
-    // the runtime splitter (otherwise the matrix above proves nothing
-    // about it) and still match the serial bytes.
-    let catalog = catalog();
-    let plans = adversarial_plans(&catalog);
-    let (_, plan) = plans
-        .iter()
-        .find(|(n, _)| *n == "single_giant_render")
-        .unwrap();
-    let (baseline, _, _) = execute(
-        plan,
-        &catalog,
-        &ExecOptions {
-            parallel: false,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let opts = ExecOptions {
-        num_threads: 8,
-        ..Default::default()
-    };
-    let (out, stats, _) = execute(plan, &catalog, &opts).unwrap();
-    assert_same_stream("split_heavy", &baseline, &out);
-    assert!(
-        stats.splits > 0,
-        "8 idle workers against one giant segment must trigger runtime splits: {stats:?}"
-    );
-    assert_eq!(stats.steals, stats.splits, "every split is stolen");
 }
 
 proptest! {

@@ -4,8 +4,8 @@
 //! `ExecOptions::fault` injects I/O errors, corrupt packets, and
 //! truncated reads at exact (video, source-frame) coordinates, so the
 //! same fault fires identically whatever the scheduler does. This suite
-//! pins the degraded-mode contract across `{serial, pipelined,
-//! runtime-split} × {batch, streaming}`:
+//! pins the degraded-mode contract across `{serial, pipelined} ×
+//! {batch, streaming}`:
 //!
 //! * zero-fault runs with a non-default policy stay byte-identical to
 //!   the clean serial baseline (the fault layer is free when unused);
@@ -17,11 +17,8 @@
 //! * under `SubstituteBlack` the run completes at full length with
 //!   black frames in the hole.
 //!
-//! Under *active* faults with runtime splitting enabled, the failing
-//! part's extent depends on where splits landed, so cross-arm byte
-//! identity is only asserted for recovered (transient) runs and
-//! zero-fault runs — skip/black holes are checked per-arm against the
-//! plan's segment table instead.
+//! The unit of recovery is the segment: a persistent fault degrades
+//! exactly the faulted segment's frames, whatever the worker count.
 
 use std::sync::Arc;
 use v2v_container::VideoStream;
@@ -83,14 +80,6 @@ fn arms() -> Vec<(&'static str, ExecOptions)> {
         ),
         (
             "pipelined",
-            ExecOptions {
-                runtime_split: false,
-                num_threads: 4,
-                ..Default::default()
-            },
-        ),
-        (
-            "split",
             ExecOptions {
                 num_threads: 4,
                 ..Default::default()
@@ -243,15 +232,10 @@ fn skip_segment_completes_with_a_reported_hole() {
             ..base
         };
         let (out, trace, _) = execute_traced(&plan, &catalog, &opts).unwrap();
-        // The run completed; the hole removed at most the render
-        // segment, and under splits at least the faulted part.
-        assert!(out.len() < clean.len(), "batch/{arm}: nothing skipped");
-        assert!(
-            out.len() >= TOTAL_FRAMES - RENDER_FRAMES,
-            "batch/{arm}: skipped more than the render segment ({} frames)",
-            out.len()
-        );
-        assert!(trace.totals.parts_skipped >= 1, "batch/{arm}");
+        // The run completed; the hole is exactly the render segment.
+        assert_eq!(clean.len(), TOTAL_FRAMES);
+        assert_eq!(out.len(), TOTAL_FRAMES - RENDER_FRAMES, "batch/{arm}");
+        assert_eq!(trace.totals.parts_skipped, 1, "batch/{arm}");
         assert_skip_report(&trace.errors, &format!("batch/{arm}"));
         // The surviving copy segments are intact: first and last output
         // frames still carry their source markers.
@@ -329,6 +313,34 @@ fn substitute_black_completes_at_full_length() {
         assert_eq!(streamed.len(), clean.len(), "streaming/{arm}");
         assert!(stats.exec.parts_substituted >= 1, "streaming/{arm}");
         assert!(!stats.errors.is_empty(), "streaming/{arm}");
+    }
+}
+
+#[test]
+fn degraded_extent_is_the_whole_segment_at_any_thread_count() {
+    let catalog = catalog();
+    let plan = plan(&catalog);
+    for threads in [1usize, 4, 8] {
+        let injector = FaultInjector::new().fail("src", FAULTED_SOURCE_FRAME, FaultKind::Io);
+        let opts = ExecOptions {
+            fault: Some(Arc::new(injector)),
+            on_error: ErrorPolicy::SubstituteBlack,
+            max_retries: 1,
+            num_threads: threads,
+            ..Default::default()
+        };
+        let (_, trace, _) = execute_traced(&plan, &catalog, &opts).unwrap();
+        let extents: Vec<(u64, u64)> = trace
+            .errors
+            .iter()
+            .map(|f| (f.abs_start, f.frames))
+            .collect();
+        assert_eq!(
+            extents,
+            [(RENDER_OUT_START as u64, RENDER_FRAMES as u64)],
+            "threads={threads}"
+        );
+        assert_eq!(trace.totals.frames_substituted, RENDER_FRAMES as u64);
     }
 }
 

@@ -8,16 +8,10 @@ use std::sync::Arc;
 use v2v_container::svc_to_bytes;
 use v2v_core::{EngineConfig, V2vEngine};
 use v2v_exec::{Catalog, RenderCache};
-use v2v_integration_tests::{marked_output, marked_stream};
+use v2v_integration_tests::{marked_output, marked_stream, temp_dir};
 use v2v_spec::builder::blur;
 use v2v_spec::{Spec, SpecBuilder};
 use v2v_time::{r, Rational};
-
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("v2v_cache_accept_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn catalog() -> Catalog {
     let mut c = Catalog::new();

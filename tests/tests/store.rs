@@ -13,7 +13,7 @@ use v2v_container::{svc_to_bytes, VideoStream};
 use v2v_core::{EngineConfig, V2vEngine};
 use v2v_exec::{Catalog, ExecStats};
 use v2v_frame::{marker, Frame, FrameType};
-use v2v_integration_tests::{marked_output, marked_stream};
+use v2v_integration_tests::{marked_output, marked_stream, temp_dir};
 use v2v_plan::{VariantKind, VariantPolicy};
 use v2v_serve::http::client;
 use v2v_serve::sub::{read_delta, DeltaApplier};
@@ -234,12 +234,6 @@ proptest! {
             );
         }
     }
-}
-
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("v2v_store_it_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// The live history for the append regression: 150 frames delivered as

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 use v2v_container::svc_to_bytes;
 use v2v_core::V2vEngine;
 use v2v_exec::{Catalog, RenderCache};
-use v2v_integration_tests::{marked_output, marked_stream};
+use v2v_integration_tests::{marked_output, marked_stream, temp_dir};
 use v2v_serve::http::client;
 use v2v_serve::sub::{read_delta, DeltaApplier, DELTA_CONTENT_TYPE};
 use v2v_serve::{ServeConfig, V2vServer};
@@ -65,12 +65,6 @@ fn direct_bytes(frames: usize) -> Vec<u8> {
     clamped.time_domain = v2v_spec::servable_domain(&spec, &engine.catalog().source_infos());
     let report = engine.run(&clamped).expect("direct run");
     svc_to_bytes(&report.output).unwrap()
-}
-
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("v2v_subscribe_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 fn status(addr: std::net::SocketAddr) -> serde_json::Value {

@@ -9,18 +9,12 @@ use std::time::{Duration, Instant};
 use v2v_container::svc_to_bytes;
 use v2v_core::{EngineConfig, V2vEngine};
 use v2v_exec::{Catalog, FragmentFlight, RenderCache};
-use v2v_integration_tests::{marked_output, marked_stream};
+use v2v_integration_tests::{marked_output, marked_stream, temp_dir};
 use v2v_serve::http::client;
 use v2v_serve::{ServeConfig, V2vServer};
 use v2v_spec::builder::blur;
 use v2v_spec::{OutputSettings, Spec, SpecBuilder};
 use v2v_time::{r, Rational};
-
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("v2v_work_share_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// A big-frame stream: renders over it are slow enough (hundreds of
 /// milliseconds) to hold the daemon's single admission slot while the
