@@ -1,6 +1,8 @@
 //! In-memory video streams with keyframe indexes.
 
+use crate::digest::Fnv64;
 use crate::ContainerError;
+use std::sync::{Arc, OnceLock};
 use v2v_codec::{CodecParams, Decoder, Packet};
 use v2v_frame::Frame;
 use v2v_time::{Rational, TimeRange, TimeSet};
@@ -16,6 +18,24 @@ pub struct VideoStream {
     start: Rational,
     frame_dur: Rational,
     packets: Vec<Packet>,
+    /// The stream's identity, folded on first use. The stream is
+    /// immutable, so the memo is never invalidated: a different stream
+    /// is a different memo, and `Clone` carries a filled one along.
+    digests: OnceLock<DigestMemo>,
+    /// Digest state of a prefix of `packets` ([`concat`](Self::concat)'s
+    /// first operand, when its memo was filled): the first fold starts
+    /// there, so an append digests only the appended packets.
+    resume: Option<DigestMemo>,
+}
+
+/// What one fold over a stream's packets leaves behind.
+#[derive(Clone)]
+struct DigestMemo {
+    /// `(frames, digest)` per committed GOP boundary, then the whole
+    /// stream — what [`VideoStream::digest_index`] hands out.
+    index: Arc<[(u64, u64)]>,
+    /// Packet-body hasher state after the last packet.
+    body: Fnv64,
 }
 
 impl VideoStream {
@@ -52,6 +72,8 @@ impl VideoStream {
             start,
             frame_dur,
             packets,
+            digests: OnceLock::new(),
+            resume: None,
         })
     }
 
@@ -105,47 +127,107 @@ impl VideoStream {
     /// digest depends only on the prefix — appending packets never
     /// changes the digest of any earlier GOP range (the invalidation
     /// property live sources rely on).
+    ///
+    /// Cost: the first digest query on a stream (this,
+    /// [`prefix_digest`](Self::prefix_digest) at a GOP boundary, or
+    /// [`digest_index`](Self::digest_index)) folds the packet bytes
+    /// once — only the appended ones when the stream came from
+    /// [`concat`](Self::concat) onto an already-digested stream; every
+    /// later query, on this stream or a clone, is a lookup.
     pub fn content_digest(&self) -> u64 {
         self.prefix_digest(self.packets.len())
     }
 
     /// Digest of the first `n` packets (clamped to `len()`), equal to
     /// `content_digest()` of a stream sealed from that prefix alone.
+    /// A lookup when `n` is a GOP boundary or `len()`; a cut inside a
+    /// GOP is no recorded boundary and folds its prefix.
     pub fn prefix_digest(&self, n: usize) -> u64 {
         let n = n.min(self.packets.len());
-        let mut body = crate::digest::Fnv64::new();
-        for p in self.packets.iter().take(n) {
-            fold_packet(&mut body, p);
+        let recorded = self.packets.get(n).map_or(true, |p| n > 0 && p.keyframe);
+        if recorded {
+            let index = &self.digests().index;
+            let at = index.binary_search_by_key(&(n as u64), |&(frames, _)| frames);
+            if let Some(&(_, digest)) = at.ok().and_then(|i| index.get(i)) {
+                return digest;
+            }
         }
+        let body = self.fold_packets(0, n, Fnv64::new(), |_, _| {});
         self.finish_digest(n as u64, &body)
     }
 
     /// Digests at every committed GOP boundary, ascending: one entry
     /// `(frames, digest)` per prefix that ends just before a keyframe,
-    /// plus the full stream. Single pass over the packet bytes.
+    /// plus the full stream. Memoized and shared: every call on this
+    /// stream or its clones returns the same allocation.
     ///
     /// Appending whole GOPs extends this index without changing any
     /// existing entry, so a cache key derived from the smallest boundary
     /// covering a segment's reads survives appends untouched.
-    pub fn digest_index(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        let mut body = crate::digest::Fnv64::new();
-        for (k, p) in self.packets.iter().enumerate() {
+    pub fn digest_index(&self) -> Arc<[(u64, u64)]> {
+        self.digests().index.clone()
+    }
+
+    /// `true` once this stream's digests have been folded, i.e. every
+    /// further digest query is a lookup. Tests use it to pin down who
+    /// pays a source's first digest — and who never asks for one.
+    pub fn digests_known(&self) -> bool {
+        self.digests.get().is_some()
+    }
+
+    /// The memoized digest state, folded on first use from the resume
+    /// point (or from packet 0 without one).
+    fn digests(&self) -> &DigestMemo {
+        self.digests.get_or_init(|| {
+            // The resume point's last entry is its whole-stream digest;
+            // the fold re-derives it as a boundary (or, with nothing
+            // appended, as the whole stream again).
+            let (mut index, from, body) = self
+                .resume
+                .as_ref()
+                .and_then(|memo| {
+                    let (&(frames, _), earlier) = memo.index.split_last()?;
+                    Some((earlier.to_vec(), frames as usize, memo.body))
+                })
+                .unwrap_or_else(|| (Vec::new(), 0, Fnv64::new()));
+            let n = self.packets.len();
+            let body = self.fold_packets(from, n, body, |k, body| {
+                index.push((k, self.finish_digest(k, body)));
+            });
+            index.push((n as u64, self.finish_digest(n as u64, &body)));
+            DigestMemo {
+                index: index.into(),
+                body,
+            }
+        })
+    }
+
+    /// The one pass over packet bytes: folds packets `[from, to)` into
+    /// `body` (the hasher state after packet `from - 1`), reporting the
+    /// state just before every keyframe past the first.
+    fn fold_packets(
+        &self,
+        from: usize,
+        to: usize,
+        mut body: Fnv64,
+        mut boundary: impl FnMut(u64, &Fnv64),
+    ) -> Fnv64 {
+        for (k, p) in self.packets.iter().enumerate().take(to).skip(from) {
             if k > 0 && p.keyframe {
-                out.push((k as u64, self.finish_digest(k as u64, &body)));
+                boundary(k as u64, &body);
             }
             fold_packet(&mut body, p);
         }
-        let n = self.packets.len() as u64;
-        out.push((n, self.finish_digest(n, &body)));
-        out
+        #[cfg(test)]
+        tests::FOLDED_PACKETS.with(|c| c.set(c.get() + to.saturating_sub(from)));
+        body
     }
 
     /// Combines the streaming packet-body state with the header fields.
     /// `Fnv64` is `Copy`, so callers snapshot the body state at GOP
     /// boundaries and finish each prefix in O(1).
-    fn finish_digest(&self, n: u64, body: &crate::digest::Fnv64) -> u64 {
-        let mut h = crate::digest::Fnv64::new();
+    fn finish_digest(&self, n: u64, body: &Fnv64) -> u64 {
+        let mut h = Fnv64::new();
         h.write_str(&serde_json::to_string(&self.params).unwrap_or_default());
         h.write_str(&self.start.to_string());
         h.write_str(&self.frame_dur.to_string());
@@ -293,6 +375,11 @@ impl VideoStream {
     /// Concatenates compatible streams by stream copy. Each input begins
     /// with a keyframe (invariant), so decode state is self-contained at
     /// every splice point.
+    ///
+    /// The result shares the first stream's header and packet prefix,
+    /// so when that stream's digests are already known the result's
+    /// first digest query resumes from them and folds only the packets
+    /// after it.
     pub fn concat(streams: &[&VideoStream]) -> Result<VideoStream, ContainerError> {
         let first = streams.first().ok_or(ContainerError::Incompatible)?;
         for s in streams {
@@ -308,11 +395,13 @@ impl VideoStream {
                 k += 1;
             }
         }
-        VideoStream::new(first.params, first.start, first.frame_dur, packets)
+        let mut joined = VideoStream::new(first.params, first.start, first.frame_dur, packets)?;
+        joined.resume = first.digests.get().cloned();
+        Ok(joined)
     }
 }
 
-fn fold_packet(h: &mut crate::digest::Fnv64, p: &Packet) {
+fn fold_packet(h: &mut Fnv64, p: &Packet) {
     h.write_u64(u64::from(p.keyframe));
     h.write_u64(p.size() as u64);
     h.write(&p.data);
@@ -337,6 +426,18 @@ mod tests {
     use crate::writer::StreamWriter;
     use v2v_frame::FrameType;
     use v2v_time::r;
+
+    thread_local! {
+        /// Packets the fold loop has hashed on this thread (each test
+        /// runs on its own): how the memo tests see what was *not*
+        /// re-hashed.
+        pub(super) static FOLDED_PACKETS: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
+    }
+
+    fn folded() -> usize {
+        FOLDED_PACKETS.with(std::cell::Cell::get)
+    }
 
     pub(crate) fn test_stream(n: usize, gop: u32) -> VideoStream {
         let ty = FrameType::gray8(32, 32);
@@ -475,7 +576,7 @@ mod tests {
             index.iter().map(|&(n, _)| n).collect::<Vec<_>>(),
             vec![4, 8, 12]
         );
-        for &(n, d) in &index {
+        for &(n, d) in index.iter() {
             // A stream sealed from just those packets digests identically.
             let prefix = VideoStream::new(
                 *s.params(),
@@ -489,6 +590,70 @@ mod tests {
         }
         // Distinct prefixes digest differently.
         assert_ne!(index[0].1, index[1].1);
+    }
+
+    #[test]
+    fn digests_are_folded_once_and_shared() {
+        let s = test_stream(12, 4);
+        let index = s.digest_index();
+        assert_eq!(folded(), 12);
+        // Every later query is a lookup into the same allocation, on
+        // the stream and on its clones.
+        assert!(Arc::ptr_eq(&index, &s.digest_index()));
+        assert!(Arc::ptr_eq(&index, &s.clone().digest_index()));
+        assert_eq!(s.content_digest(), index[2].1);
+        assert_eq!(s.prefix_digest(8), index[1].1);
+        assert_eq!(folded(), 12);
+        // A cut inside a GOP is no recorded boundary: it folds its own
+        // prefix and leaves the memo alone.
+        let mid = s.prefix_digest(6);
+        assert_eq!(folded(), 18);
+        let sealed = VideoStream::new(
+            *s.params(),
+            s.start(),
+            s.frame_dur(),
+            s.packets()[..6].to_vec(),
+        )
+        .unwrap();
+        assert_eq!(mid, sealed.content_digest());
+    }
+
+    #[test]
+    fn concat_resumes_from_the_first_operands_digests() {
+        let whole = test_stream(20, 4);
+        let cut = |from: usize, to: usize| {
+            let pts = whole.pts_of(from).unwrap();
+            let packets = whole.copy_packet_range(from, to, pts).unwrap();
+            VideoStream::new(*whole.params(), pts, whole.frame_dur(), packets).unwrap()
+        };
+        let (head, tail) = (cut(0, 12), cut(12, 20));
+        let expect = whole.digest_index();
+
+        // Known head: the joined stream folds the 8 appended packets.
+        let head_index = head.digest_index();
+        let before = folded();
+        let joined = VideoStream::concat(&[&head, &tail]).unwrap();
+        assert_eq!(folded(), before, "concat itself digests nothing");
+        assert_eq!(joined.digest_index(), expect);
+        assert_eq!(folded() - before, 8);
+        assert_eq!(joined.digest_index()[..3], head_index[..]);
+
+        // Unknown head: nothing to resume from, one full fold.
+        let before = folded();
+        let cold = VideoStream::concat(&[&cut(0, 12), &tail]).unwrap();
+        assert_eq!(cold.digest_index(), expect);
+        assert_eq!(folded() - before, 20);
+
+        // Degenerate operands: an empty head, and nothing appended.
+        let empty =
+            VideoStream::new(*whole.params(), whole.start(), whole.frame_dur(), vec![]).unwrap();
+        assert_eq!(empty.digest_index().len(), 1);
+        let onto_empty = VideoStream::concat(&[&empty, &whole]).unwrap();
+        assert_eq!(onto_empty.digest_index(), expect);
+        let alone = VideoStream::concat(&[&whole]).unwrap();
+        let before = folded();
+        assert_eq!(alone.digest_index(), expect);
+        assert_eq!(folded(), before);
     }
 
     #[test]
@@ -514,6 +679,8 @@ mod tests {
             start: s.start(),
             frame_dur: s.frame_dur(),
             packets,
+            digests: OnceLock::new(),
+            resume: None,
         }
     }
 

@@ -313,7 +313,8 @@ impl V2vEngine {
     }
 
     /// Content digests of every source the plan reads: per-video stream
-    /// digests with their committed-GOP prefix index, per-array entry
+    /// digests with their committed-GOP prefix index (looked up on the
+    /// stream, which memoizes them), per-array entry
     /// digests (so segment keys fold only the entries their windows can
     /// reach), plus one coarse digest over all bound arrays.
     fn source_digests(&self, plan: &PhysicalPlan) -> SourceDigests {
@@ -372,26 +373,28 @@ impl V2vEngine {
     /// pipeline-stage spans, and a metrics snapshot, serializable as one
     /// JSON document (the CLI's `--trace` flag).
     pub fn run_traced(&mut self, spec: &Spec) -> Result<(RunReport, RunTrace), EngineError> {
-        let prepared = self.prepare(spec)?;
+        let prepared = self.front_half(spec, self.reuse_configured())?;
         self.run_prepared(prepared)
     }
 
     /// The front half of [`run_traced`](V2vEngine::run_traced): bind →
-    /// specialize → check → plan, plus the plan's canonical cache
-    /// identity. The daemon prepares a request *before* admission so an
-    /// identical in-flight render can be joined without executing at
-    /// all; [`run_prepared`](V2vEngine::run_prepared) finishes the job.
+    /// specialize → check → plan, always with the plan's canonical
+    /// cache identity. The daemon prepares a request *before* admission
+    /// so an identical in-flight render can be joined without executing
+    /// at all; [`run_prepared`](V2vEngine::run_prepared) finishes the
+    /// job.
     pub fn prepare(&mut self, spec: &Spec) -> Result<PreparedRun, EngineError> {
         self.front_half(spec, true)
     }
 
     /// The one front half behind every entry point: bind → specialize →
-    /// check → plan, each under its span. The plan's cache identity (a
-    /// digest over every source it reads) is computed only on request:
-    /// [`prepare`](V2vEngine::prepare) always asks, a streaming run
-    /// asks only when [`reuse_configured`](V2vEngine::reuse_configured)
-    /// — nothing else would read it, and it would delay the first
-    /// packet — and `explain` never does.
+    /// check → plan, each under its span. The plan's cache identity is
+    /// computed only on request: [`prepare`](V2vEngine::prepare) always
+    /// asks, a one-shot or streaming run asks only when
+    /// [`reuse_configured`](V2vEngine::reuse_configured) — nothing else
+    /// would read it, and a source's first digest reads all its bytes
+    /// ([`VideoStream::content_digest`](v2v_container::VideoStream::content_digest);
+    /// later ones are lookups) — and `explain` never does.
     fn front_half(&mut self, spec: &Spec, identity: bool) -> Result<PreparedRun, EngineError> {
         let spans = SpanSink::new();
         let timer = spans.start("bind");
@@ -994,8 +997,15 @@ mod tests {
         let streaming = plain.front_half(&spec, plain.reuse_configured()).unwrap();
         assert_eq!(streaming.fingerprint(), None);
         assert!(streaming.segment_keys().is_empty());
+        // Nor does a one-shot `run`: with no reuse tier, the source is
+        // never digested — not even once.
+        let source = plain.catalog().video("a").expect("bound").clone();
+        plain.run(&spec).unwrap();
+        plain.run_streaming(&spec, |_| {}).unwrap();
+        assert!(!source.digests_known());
         let prepared = plain.prepare(&spec).unwrap();
         assert!(prepared.fingerprint().is_some());
+        assert!(source.digests_known());
 
         let (mut cached, dir) = cached_engine("identity");
         let streaming = cached.front_half(&spec, cached.reuse_configured()).unwrap();

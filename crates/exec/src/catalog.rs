@@ -281,6 +281,22 @@ mod tests {
     }
 
     #[test]
+    fn snapshots_share_one_digest_index() {
+        // A source's identity is computed once per stream, not once per
+        // catalog: whichever snapshot asks first fills the memo every
+        // other snapshot (each per-request engine has one) reads.
+        let mut c = Catalog::new();
+        c.add_video("a", stream(9));
+        let (first, second) = (c.clone(), c.clone());
+        let index = first.video("a").unwrap().digest_index();
+        assert!(c.video("a").unwrap().digests_known());
+        assert!(Arc::ptr_eq(
+            &index,
+            &second.video("a").unwrap().digest_index()
+        ));
+    }
+
+    #[test]
     fn source_infos_reflect_availability() {
         let mut c = Catalog::new();
         c.add_video("a", stream(6));

@@ -39,6 +39,7 @@
 use crate::physical::{PhysicalPlan, SegPlan, Segment};
 use crate::program::{FrameProgram, ProgArg};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use v2v_container::{Fnv64, VideoStream};
 use v2v_spec::TransformOp;
 use v2v_time::{AffineTimeMap, Rational};
@@ -60,7 +61,8 @@ pub struct VideoDigest {
     /// ([`VideoStream::digest_index`](v2v_container::VideoStream::digest_index)).
     /// Empty means the prefix structure is unknown: every key falls
     /// back to the full digest and appends invalidate everything.
-    pub prefixes: Vec<(u64, u64)>,
+    /// Shared with the stream's memoized index, not copied.
+    pub prefixes: Arc<[(u64, u64)]>,
     /// Grid start (used to turn a read window into a frame count).
     pub start: Rational,
     /// Frame duration.
@@ -72,22 +74,19 @@ impl VideoDigest {
     pub fn opaque(full: u64) -> VideoDigest {
         VideoDigest {
             full,
-            prefixes: Vec::new(),
+            prefixes: Arc::from([]),
             start: Rational::ZERO,
             frame_dur: Rational::ONE,
         }
     }
 
-    /// Digests a stream with its full committed-GOP boundary index: one
-    /// pass over the packet bytes, the index's last entry being the
-    /// whole stream.
+    /// A stream's digest with its full committed-GOP boundary index.
+    /// The stream memoizes both, so only the first call on a source
+    /// reads its packet bytes.
     pub fn of(stream: &VideoStream) -> VideoDigest {
-        let prefixes = stream.digest_index();
         VideoDigest {
-            full: prefixes
-                .last()
-                .map_or_else(|| stream.content_digest(), |&(_, digest)| digest),
-            prefixes,
+            full: stream.content_digest(),
+            prefixes: stream.digest_index(),
             start: stream.start(),
             frame_dur: stream.frame_dur(),
         }
@@ -105,7 +104,7 @@ impl VideoDigest {
         } else {
             (hi - self.start).div_floor(self.frame_dur).max(0) as u64 + 1
         };
-        for &(n, d) in &self.prefixes {
+        for &(n, d) in self.prefixes.iter() {
             if n >= needed {
                 return (n, d);
             }
@@ -522,7 +521,7 @@ mod tests {
     }
 
     #[test]
-    fn video_digest_of_reads_the_full_digest_off_the_index() {
+    fn video_digest_of_shares_the_streams_memoized_index() {
         let ty = FrameType::gray8(32, 32);
         let params = CodecParams::new(ty, 4, 0);
         let mut w = v2v_container::StreamWriter::new(params, Rational::ZERO, r(1, 30));
@@ -532,7 +531,8 @@ mod tests {
         let s = w.finish().unwrap();
         let d = VideoDigest::of(&s);
         assert_eq!(d.full, s.content_digest());
-        assert_eq!(d.prefixes, s.digest_index());
+        assert!(Arc::ptr_eq(&d.prefixes, &s.digest_index()));
+        assert!(Arc::ptr_eq(&d.prefixes, &VideoDigest::of(&s).prefixes));
         assert_eq!(d.prefixes.last(), Some(&(10, d.full)));
     }
 

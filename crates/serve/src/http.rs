@@ -175,18 +175,18 @@ pub fn read_request(reader: &mut impl BufRead) -> io::Result<Request> {
 }
 
 /// Writes a response, adding `Content-Length` and `Connection: close`.
+/// The head is assembled first, so an unbuffered socket sees two
+/// writes — head, body — not one per header line.
 pub fn write_response(stream: &mut impl Write, resp: &Response) -> io::Result<()> {
-    write!(
-        stream,
-        "HTTP/1.1 {} {}\r\n",
-        resp.status,
-        reason(resp.status)
-    )?;
+    let mut head = format!("HTTP/1.1 {} {}\r\n", resp.status, reason(resp.status));
     for (name, value) in &resp.headers {
-        write!(stream, "{name}: {value}\r\n")?;
+        head.push_str(&format!("{name}: {value}\r\n"));
     }
-    write!(stream, "content-length: {}\r\n", resp.body.len())?;
-    write!(stream, "connection: close\r\n\r\n")?;
+    head.push_str(&format!(
+        "content-length: {}\r\nconnection: close\r\n\r\n",
+        resp.body.len()
+    ));
+    stream.write_all(head.as_bytes())?;
     stream.write_all(&resp.body)?;
     stream.flush()
 }

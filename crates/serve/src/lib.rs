@@ -63,7 +63,12 @@
 //! append, only segments whose inputs actually changed re-render — the
 //! prefix-incremental source digests keep clean segment keys stable,
 //! so the render cache answers the rest (`sub.*` and `exec.cache.*`
-//! metrics make the dirty-only behavior observable).
+//! metrics make the dirty-only behavior observable). The digests are
+//! incremental in cost as well as in value: a source is hashed once,
+//! whichever request first asks, and the stream an append swaps in
+//! resumes from the old one's digest state
+//! ([`VideoStream::concat`](v2v_container::VideoStream::concat)), so
+//! the next request hashes the appended GOPs only.
 //!
 //! Query errors map the [`ErrorKind`] taxonomy onto status codes:
 //! `invalid_request`/`plan` → 400, `not_found` → 404, `corrupt_data` →
@@ -1154,11 +1159,17 @@ fn run_admitted(
         Ok((bytes, stats)) => {
             shared.metrics.jobs_done.inc();
             record_exec_metrics(&shared.metrics.exec, &stats);
-            let bytes = Arc::new(bytes);
-            if let Some(guard) = guard {
-                guard.publish(Ok((Arc::clone(&bytes), stats)));
-            }
-            Response::new(200, "application/octet-stream", bytes.as_ref().clone())
+            // The body is copied only for followers that still hold the
+            // published one; a render nobody joined moves it.
+            let body = match guard {
+                Some(guard) => {
+                    let bytes = Arc::new(bytes);
+                    guard.publish(Ok((Arc::clone(&bytes), stats)));
+                    Arc::try_unwrap(bytes).unwrap_or_else(|held| (*held).clone())
+                }
+                None => bytes,
+            };
+            Response::new(200, "application/octet-stream", body)
                 .header("x-v2v-stats", stats_header(&stats, queue_wait_ns))
         }
         Err(e) => {
@@ -1369,18 +1380,22 @@ mod tests {
         c
     }
 
-    fn spec_json() -> String {
+    /// A blur over the first `secs` seconds of "a".
+    fn blur_spec(secs: i64) -> Spec {
         let output = OutputSettings {
             frame_ty: FrameType::gray8(64, 32),
             frame_dur: r(1, 30),
             gop_size: 30,
             quantizer: 0,
         };
-        let spec = SpecBuilder::new(output)
+        SpecBuilder::new(output)
             .video("a", "a.svc")
-            .append_filtered("a", r(0, 1), r(1, 1), |e| blur(e, 1.0))
-            .build();
-        spec.to_json()
+            .append_filtered("a", r(0, 1), r(secs, 1), |e| blur(e, 1.0))
+            .build()
+    }
+
+    fn spec_json() -> String {
+        blur_spec(1).to_json()
     }
 
     #[test]
@@ -1920,5 +1935,54 @@ mod tests {
                 .and_then(|x| x.as_u64()),
             Some(coalesced)
         );
+    }
+    #[test]
+    fn append_extends_the_source_identity_instead_of_recomputing_it() {
+        let whole = marked_stream(150, 30);
+        let cut = |from: usize, to: usize| {
+            let at = whole.pts_of(from).unwrap();
+            let packets = whole.copy_packet_range(from, to, at).unwrap();
+            VideoStream::new(*whole.params(), at, whole.frame_dur(), packets).unwrap()
+        };
+        let mut live = Catalog::new();
+        live.add_video("a", cut(0, 120));
+        let live = V2vServer::new(live).start("127.0.0.1:0").unwrap();
+        let source = |h: &ServerHandle| h.shared.catalog_snapshot().video("a").unwrap().clone();
+
+        // The first request pays the source's digest, once for every
+        // snapshot the daemon will ever hand a per-request engine.
+        let before = prepare_query(&blur_spec(4), &live.shared).unwrap().run;
+        let head = source(&live);
+        assert!(head.digests_known());
+
+        let tail = v2v_container::svc_to_bytes(&cut(120, 150)).unwrap();
+        let ack = client::request(live.addr(), "POST", "/append/a", &tail).unwrap();
+        assert_eq!(ack.status, 200, "{}", String::from_utf8_lossy(&ack.body));
+        let grown = source(&live);
+        assert_eq!(grown.len(), 150);
+        assert!(
+            !grown.digests_known(),
+            "the append digests nothing under the catalog write lock"
+        );
+
+        // Every segment of the old query is clean: same keys, same
+        // fingerprint, and the grown index extends the old one.
+        let after = prepare_query(&blur_spec(4), &live.shared).unwrap().run;
+        assert_eq!(after.fingerprint(), before.fingerprint());
+        assert_eq!(after.segment_keys(), before.segment_keys());
+        let (old, new) = (head.digest_index(), grown.digest_index());
+        assert_eq!(new[..old.len()], old[..]);
+
+        // And a query into the appended second is keyed exactly as on a
+        // daemon that was started over the whole source.
+        let mut fresh = Catalog::new();
+        fresh.add_video("a", whole);
+        let fresh = V2vServer::new(fresh).start("127.0.0.1:0").unwrap();
+        let on_live = prepare_query(&blur_spec(5), &live.shared).unwrap().run;
+        let on_fresh = prepare_query(&blur_spec(5), &fresh.shared).unwrap().run;
+        assert!(on_live.fingerprint().is_some());
+        assert_eq!(on_live.fingerprint(), on_fresh.fingerprint());
+        assert_eq!(on_live.segment_keys(), on_fresh.segment_keys());
+        assert_eq!(source(&fresh).digest_index(), new);
     }
 }

@@ -24,16 +24,26 @@
 //! (`sub::read_delta` → `DeltaApplier`) must return a `Result` and must
 //! never buffer more than arrived — a head is cut off at `MAX_HEAD + 1`
 //! bytes, a body or delta container is never sized from its claim.
+//!
+//! So do the two remaining parsers of bytes this process did not just
+//! write: the cluster's `SVW1` wire frame (`fragment_from_wire`) and
+//! the variant store's `manifest.json` (`SourceStore::manifest` →
+//! `attach`) — a typed error or a value no larger than what arrived.
 
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use v2v_codec::bitstream::{put_varint, zigzag, Reader, RunDecoder};
 use v2v_codec::{CodecError, Decoder, Packet};
-use v2v_container::{read_svc, write_svc, ContainerError, VideoStream};
-use v2v_integration_tests::marked_stream;
+use v2v_container::{
+    fragment_from_wire, fragment_to_wire, read_svc, write_svc, ContainerError, Fragment,
+    VideoStream,
+};
+use v2v_core::{ErrorKind, V2vError};
+use v2v_integration_tests::{marked_stream, temp_dir};
 use v2v_serve::http::{read_request, MAX_HEAD};
 use v2v_serve::sub::{read_delta, write_delta, DeltaApplier, DeltaHeader};
+use v2v_store::{SourceStore, StoreError, TranscodeSpec};
 
 /// A small valid stream: 60 frames, 4 GOPs, lossless gray.
 fn valid_stream() -> VideoStream {
@@ -249,6 +259,85 @@ proptest! {
             prop_assert!(body.len() <= bytes.len());
             let _ = applier.apply(&h, &body);
         }
+    }
+
+    /// Mutated `SVW1` wire frames, including a header whose packet
+    /// `count` claims any `u64`: a fragment no larger than what
+    /// arrived, or `CorruptData` (what the dispatcher answers with
+    /// "drop and re-render") — never output bytes under the wrong key.
+    #[test]
+    fn mutated_wire_frames_never_panic_or_overallocate(
+        flips in prop::collection::vec((0usize..4096, 0u8..8), 0..4),
+        keep in (any::<bool>(), 0usize..4096),
+        tail in prop::collection::vec(any::<u8>(), 0..256),
+        claim in (any::<bool>(), any::<u64>()),
+    ) {
+        const KEY: u64 = 0x5eed_f00d;
+        let frag = Fragment::from_stream(&marked_stream(8, 4));
+        let mut bytes = fragment_to_wire(KEY, &frag).unwrap();
+        if let (true, count) = claim {
+            // Same packet table, lying count: `SVW1` + key, then the
+            // `.svf` magic, header length, JSON header.
+            let at = 4 + 8 + 4;
+            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+            let header = String::from_utf8(bytes[at + 4..at + 4 + len].to_vec()).unwrap();
+            let lying = header.replace("\"count\":8", &format!("\"count\":{count}"));
+            prop_assert!(count == 8 || lying != header);
+            let mut framed = (lying.len() as u32).to_le_bytes().to_vec();
+            framed.extend_from_slice(lying.as_bytes());
+            bytes.splice(at..at + 4 + len, framed);
+        }
+        let pristine = !claim.0 && flips.is_empty() && !keep.0 && tail.is_empty();
+        mutate(&mut bytes, &flips, keep, &tail);
+        match fragment_from_wire(&bytes, KEY) {
+            Ok(back) => {
+                prop_assert!(back.len() <= bytes.len() / 4);
+                prop_assert!(back.byte_size() <= bytes.len() as u64);
+            }
+            Err(e) => {
+                prop_assert!(!pristine, "{e}");
+                prop_assert_eq!(V2vError::from(e).kind(), ErrorKind::CorruptData);
+            }
+        }
+        prop_assert!(fragment_from_wire(&bytes, KEY ^ 1).is_err());
+    }
+
+    /// Mutated variant-store manifests next to an intact variant file:
+    /// loading is `Ok` or `CorruptManifest`, a parsed manifest is no
+    /// larger than what arrived, and attaching it — whatever frame
+    /// counts, digests and names it now claims — returns a `Result`.
+    #[test]
+    fn mutated_manifests_never_panic_or_overallocate(
+        flips in prop::collection::vec((0usize..4096, 0u8..8), 0..4),
+        keep in (any::<bool>(), 0usize..4096),
+        tail in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let original = marked_stream(8, 4);
+        let root = temp_dir("corrupt_manifest");
+        let store = SourceStore::open(&root).unwrap();
+        store
+            .materialize("a", &original, TranscodeSpec::for_kind(v2v_plan::VariantKind::Dense))
+            .unwrap();
+        let path = root.join("a").join("manifest.json");
+        let mut bytes = std::fs::read(&path).unwrap();
+        mutate(&mut bytes, &flips, keep, &tail);
+        std::fs::write(&path, &bytes).unwrap();
+
+        match store.manifest("a") {
+            Ok(Some(m)) => {
+                prop_assert!(m.variants.len() <= bytes.len());
+                prop_assert!(m.variants.iter().all(|v| v.keyframes.len() <= bytes.len()));
+            }
+            Ok(None) => prop_assert!(false, "the manifest file exists"),
+            Err(e) => prop_assert!(matches!(e, StoreError::CorruptManifest { .. }), "{e}"),
+        }
+        let mut catalog = v2v_exec::Catalog::new();
+        catalog.add_video("a", original);
+        if let Ok((attached, skipped)) = store.attach(&mut catalog) {
+            prop_assert!(attached + skipped <= bytes.len() as u64);
+        }
+        let _ = store.managed_bytes();
+        let _ = std::fs::remove_dir_all(&root);
     }
 }
 
