@@ -5,19 +5,27 @@
 //! (backward jumps or gaps) re-enter at the preceding keyframe — the
 //! same access pattern an FFmpeg-based engine gets from its demuxer.
 //!
-//! When attached to a [`GopCache`], the cursor decodes whole GOPs and
-//! shares them through the cache, so concurrent segments reading the
-//! same source ranges (grid cells, splice neighbours) decode each GOP
-//! once. Frames come out behind [`Arc`] either way: the decoder's
-//! zero-copy path means a served frame is never deep-copied.
+//! When attached to a [`GopCache`], the cursor decodes GOP *prefixes*
+//! and shares them through the cache, so concurrent segments reading
+//! the same source ranges (grid cells, splice neighbours) decode each
+//! GOP once. A miss decodes from the keyframe to the run's read reach
+//! for that GOP — the last frame any segment of the run reads from it —
+//! or to the GOP end when no reach is known. Frames come out behind
+//! [`Arc`] either way: the decoder's zero-copy path means a served frame
+//! is never deep-copied.
 
 use crate::fault::{FaultInjector, FaultKind};
 use crate::gop_cache::{GopCache, GopFrames};
 use crate::ExecError;
+use std::collections::HashMap;
 use std::sync::Arc;
 use v2v_codec::{Decoder, Packet};
 use v2v_container::{ContainerError, VideoStream};
 use v2v_frame::Frame;
+
+/// The read reach of one stream identity over a run: keyframe index →
+/// the last frame of that GOP the run reads.
+pub(crate) type GopReach = HashMap<u64, u64>;
 
 /// A stateful forward reader over one stream.
 pub struct SourceCursor<'a> {
@@ -26,9 +34,13 @@ pub struct SourceCursor<'a> {
     video: String,
     decoder: Decoder,
     cache: Option<&'a GopCache>,
+    /// Where a cache miss may stop decoding; GOPs absent here (or every
+    /// GOP, when `None`) are decoded to their end.
+    reach: Option<&'a GopReach>,
     /// Fault-injection hook consulted before every packet decode.
     fault: Option<&'a FaultInjector>,
-    /// The GOP currently borrowed from the cache: (keyframe index, frames).
+    /// The GOP prefix currently borrowed from the cache: (keyframe
+    /// index, frames).
     gop: Option<(u64, GopFrames)>,
     /// Index the decoder state corresponds to (last decoded), if any.
     at: Option<u64>,
@@ -59,6 +71,7 @@ impl<'a> SourceCursor<'a> {
             video: video.into(),
             decoder: Decoder::new(*stream.params()),
             cache: None,
+            reach: None,
             fault: None,
             gop: None,
             at: None,
@@ -76,6 +89,16 @@ impl<'a> SourceCursor<'a> {
         if cache.enabled() {
             self.cache = Some(cache);
         }
+        self
+    }
+
+    /// Bounds the cache-miss decodes of this cursor by the run's read
+    /// reach for its stream identity. Every cursor sharing the cache
+    /// must carry the same reach, and no read may pass it: a read past
+    /// a cached prefix trips a debug assertion (release builds roll the
+    /// missing frames privately instead).
+    pub(crate) fn with_reach(mut self, reach: Option<&'a GopReach>) -> SourceCursor<'a> {
+        self.reach = reach;
         self
     }
 
@@ -103,9 +126,15 @@ impl<'a> SourceCursor<'a> {
                     .unwrap_or_default(),
             });
         }
-        if let Some(cache) = self.cache {
-            return self.frame_from_cache(cache, idx);
+        match self.cache {
+            Some(cache) => self.frame_from_cache(cache, idx),
+            None => self.roll_to(idx),
         }
+    }
+
+    /// Serves `idx` from this cursor's own decoder: re-serves the last
+    /// frame, rolls forward, or reseeks to the governing keyframe.
+    fn roll_to(&mut self, idx: u64) -> Result<Arc<Frame>, ExecError> {
         if self.at == Some(idx) {
             if let Some(f) = &self.current {
                 return Ok(f.clone());
@@ -201,10 +230,10 @@ impl<'a> SourceCursor<'a> {
         }
     }
 
-    /// Serves `idx` through the shared GOP cache: the containing GOP is
-    /// decoded in full on a miss and memoized for other cursors. The
+    /// Serves `idx` through the shared GOP cache: the containing GOP's
+    /// prefix is decoded on a miss and memoized for other cursors. The
     /// cache's in-flight gating guarantees each GOP is decoded at most
-    /// once process-wide, and the hit/miss is booked on this cursor.
+    /// once per cache, and the hit/miss is booked on this cursor.
     fn frame_from_cache(&mut self, cache: &GopCache, idx: u64) -> Result<Arc<Frame>, ExecError> {
         let kf = self
             .stream
@@ -220,29 +249,45 @@ impl<'a> SourceCursor<'a> {
             }
             self.gop = Some((kf, frames));
         }
-        // `kf <= idx < next keyframe`, so the decoded GOP covers `idx`;
-        // stay defensive anyway rather than indexing.
-        self.gop
+        let cached = self
+            .gop
             .as_ref()
-            .and_then(|(_, frames)| frames.get((idx - kf) as usize).cloned())
-            .ok_or_else(|| ExecError::MissingFrame {
-                video: self.video.clone(),
-                at: self.stream.pts_of(idx as usize).unwrap_or_default(),
-            })
+            .and_then(|(_, frames)| frames.get((idx - kf) as usize).cloned());
+        // The run's reach covers every read by construction; output
+        // bytes never depend on it, so a miss here rolls privately.
+        debug_assert!(
+            cached.is_some(),
+            "frame {idx} of {} read past the cached prefix of GOP {kf}",
+            self.video
+        );
+        match cached {
+            Some(frame) => Ok(frame),
+            None => self.roll_to(idx),
+        }
     }
 
-    /// Decodes the whole GOP whose keyframe is at `kf`.
+    /// Decodes the GOP whose keyframe is at `kf` up to its read reach
+    /// (its end when the reach is unknown).
     fn decode_gop(&mut self, kf: u64) -> Result<GopFrames, ExecError> {
-        let end = self
+        let gop_end = self
             .stream
             .next_keyframe_at_or_after(kf as usize + 1)
             .unwrap_or(self.stream.len()) as u64;
+        let end = match self.reach.and_then(|r| r.get(&kf)) {
+            Some(&last) => gop_end.min(last.max(kf) + 1),
+            None => gop_end,
+        };
         let mut frames = Vec::with_capacity((end - kf) as usize);
         self.decoder.reset();
         self.seeks += 1;
+        self.at = None;
         for i in kf..end {
             frames.push(self.decode_packet(i)?);
         }
+        // The decoder now sits on the prefix's last frame, where a
+        // private roll past the prefix continues.
+        self.at = Some(end - 1);
+        self.current = frames.last().cloned();
         Ok(Arc::new(frames))
     }
 }
@@ -372,5 +417,86 @@ mod tests {
         c.frame_at(3).unwrap();
         assert_eq!(cache.hits() + cache.misses(), 0);
         assert_eq!(c.frames_decoded, 4, "falls back to sequential rolling");
+    }
+
+    fn reach(pairs: &[(u64, u64)]) -> GopReach {
+        pairs.iter().copied().collect()
+    }
+
+    #[test]
+    fn cached_miss_decodes_keyframe_to_reach() {
+        let s = stream(24, 12);
+        let cache = GopCache::new(64);
+        let r = reach(&[(12, 17)]);
+        let mut c = SourceCursor::new(&s, "s")
+            .with_cache(&cache)
+            .with_reach(Some(&r));
+        for i in 14..=17 {
+            c.frame_at(i).unwrap();
+        }
+        assert_eq!(
+            c.frames_decoded,
+            17 - 12 + 1,
+            "keyframe → reach, not GOP end"
+        );
+        assert_eq!(cache.frames_held(), 6);
+    }
+
+    #[test]
+    fn different_spans_share_one_prefix_covering_the_longer() {
+        let s = stream(24, 12);
+        let cache = GopCache::new(64);
+        // The run's reach for GOP 0 is the longer span's last read.
+        let r = reach(&[(0, 8)]);
+        let mut short = SourceCursor::new(&s, "s")
+            .with_cache(&cache)
+            .with_reach(Some(&r));
+        let mut long = SourceCursor::new(&s, "s")
+            .with_cache(&cache)
+            .with_reach(Some(&r));
+        let mut plain = SourceCursor::new(&s, "s");
+        for i in 1..=3 {
+            assert_eq!(*short.frame_at(i).unwrap(), *plain.frame_at(i).unwrap());
+        }
+        for i in 2..=8 {
+            assert_eq!(*long.frame_at(i).unwrap(), *plain.frame_at(i).unwrap());
+        }
+        assert_eq!((cache.misses(), cache.hits()), (1, 1));
+        assert_eq!((short.frames_decoded, long.frames_decoded), (9, 0));
+    }
+
+    /// A cursor whose cached prefix stops at frame 3 of a 12-frame GOP.
+    fn short_prefix(s: &VideoStream, cache: &GopCache) {
+        let r = reach(&[(0, 3)]);
+        SourceCursor::new(s, "s")
+            .with_cache(cache)
+            .with_reach(Some(&r))
+            .frame_at(2)
+            .unwrap();
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn read_past_the_prefix_matches_an_uncached_cursor() {
+        let s = stream(24, 12);
+        let cache = GopCache::new(64);
+        short_prefix(&s, &cache);
+        // No reach: this cursor expects whole GOPs, finds the prefix and
+        // rolls the rest privately.
+        let mut past = SourceCursor::new(&s, "s").with_cache(&cache);
+        let mut plain = SourceCursor::new(&s, "s");
+        for i in [2u64, 5, 11, 4, 12, 20] {
+            assert_eq!(*past.frame_at(i).unwrap(), *plain.frame_at(i).unwrap());
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "past the cached prefix")]
+    fn read_past_the_prefix_trips_the_debug_assert() {
+        let s = stream(24, 12);
+        let cache = GopCache::new(64);
+        short_prefix(&s, &cache);
+        let _ = SourceCursor::new(&s, "s").with_cache(&cache).frame_at(5);
     }
 }

@@ -33,13 +33,12 @@ pub struct ExecOptions {
     pub parallel: bool,
     /// Capacity of the shared decoded-GOP cache, in frames. Segments
     /// reading the same source ranges (grid cells, splice neighbours)
-    /// decode each GOP once and share it. `0` disables the cache.
+    /// decode each GOP prefix once — keyframe to the run's last read of
+    /// that GOP — and share it. `0` disables the cache.
     ///
-    /// The default must comfortably hold several *whole* GOPs or LRU
-    /// eviction defeats reuse: a movie-style 10 s GOP at 24 fps is 240
-    /// frames, and a 2×2 grid keeps four of those in flight plus one
-    /// incoming, so anything under ~1700 thrashes on such sources (the default leaves
-    /// headroom above that working set).
+    /// The capacity must hold the prefixes a run's concurrent inputs
+    /// have in flight, or LRU eviction defeats reuse; a prefix is at
+    /// most one whole GOP (240 frames for a 10 s GOP at 24 fps).
     pub gop_cache_frames: usize,
     /// Worker threads for the scheduler. `0` means auto: the
     /// `V2V_NUM_THREADS` environment variable if set, else the machine's
@@ -487,6 +486,39 @@ mod tests {
         let (fa, _) = out.decode_range(0, out.len()).unwrap();
         let (fb, _) = out_nc.decode_range(0, out_nc.len()).unwrap();
         assert_eq!(fa, fb, "cache on/off must be byte-identical");
+    }
+
+    #[test]
+    fn mid_gop_render_decodes_roll_in_plus_span() {
+        // A 2 s blur starting 12 frames into a 240-frame GOP reads source
+        // frames 12..=71: the keyframe roll-in plus the span is all that
+        // is decoded, with the GOP cache on or off, at any thread count.
+        let mut catalog = Catalog::new();
+        catalog.add_video("a", marked_stream(480, 240));
+        let spec = SpecBuilder::new(output())
+            .video("a", "a.svc")
+            .append_filtered("a", r(12, 30), r(2, 1), |e| blur(e, 1.0))
+            .build();
+        let logical = lower_spec(&spec).unwrap();
+        let phys = optimize(
+            &logical,
+            &catalog.plan_context(),
+            &OptimizerConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(phys.segments.len(), 1, "test premise: one render segment");
+        let mut outputs = Vec::new();
+        for (gop_cache_frames, num_threads) in [(4096, 1), (4096, 2), (0, 2)] {
+            let opts = ExecOptions {
+                gop_cache_frames,
+                num_threads,
+                ..Default::default()
+            };
+            let (out, stats, _) = execute(&phys, &catalog, &opts).unwrap();
+            assert_eq!(stats.frames_decoded, 12 + 60, "{opts:?}");
+            outputs.push(out);
+        }
+        assert!(outputs.windows(2).all(|w| w[0].packets() == w[1].packets()));
     }
 
     /// `segment_cost` is the planner's per-segment estimate now; this

@@ -1,11 +1,14 @@
-//! A shared cache of decoded GOPs.
+//! A shared cache of decoded GOP prefixes.
 //!
 //! Grid and splice plans read the *same* source ranges from several
 //! render segments: a 2×2 grid decodes each input once per cell, and
 //! parallel segments of one clip re-roll the boundary GOPs. The cache
-//! memoizes whole decoded GOPs behind [`Arc`], keyed by
+//! memoizes decoded GOP prefixes behind [`Arc`], keyed by
 //! `(video, keyframe index)`, so concurrent [`SourceCursor`]s decode each
-//! GOP once and share the frames without copying.
+//! GOP once and share the frames without copying. How far a prefix
+//! reaches is the decoder's business: the executor's cursors stop at the
+//! last frame their run reads from the GOP, a cursor without a read
+//! reach at the GOP end. The cache only stores what it is given.
 //!
 //! [`SourceCursor`]: crate::SourceCursor
 
@@ -15,13 +18,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use v2v_frame::Frame;
 
-/// One decoded GOP: frames in presentation order starting at the
-/// keyframe, each shared.
+/// One decoded GOP prefix: frames in presentation order starting at the
+/// keyframe, each shared. It may stop before the next keyframe.
 pub type GopFrames = Arc<Vec<Arc<Frame>>>;
 
 type GopKey = (String, u64);
 
-/// A thread-safe LRU cache of decoded GOPs, bounded by total frame count.
+/// A thread-safe LRU cache of decoded GOP prefixes, bounded by total
+/// frame count.
 ///
 /// A capacity of `0` disables the cache (cursors fall back to private
 /// sequential decoding).
@@ -32,7 +36,7 @@ type GopKey = (String, u64);
 /// reuses that result (a hit). This is what makes per-cursor hit/miss
 /// accounting deterministic.
 pub struct GopCache {
-    /// Weight = frames. Every decoded GOP is admitted, even one larger
+    /// Weight = frames. Every decoded prefix is admitted, even one larger
     /// than the whole capacity: the cursor that decoded it needs it, and
     /// the next insert evicts it.
     lru: BudgetLru<GopKey, GopFrames>,

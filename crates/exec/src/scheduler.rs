@@ -33,7 +33,7 @@
 
 use crate::apply::apply_program;
 use crate::catalog::Catalog;
-use crate::cursor::SourceCursor;
+use crate::cursor::{GopReach, SourceCursor};
 use crate::executor::{ExecOptions, ExecStats};
 use crate::fault::{error_kind, ErrorPolicy, FaultAction, FaultInjector, SegmentFault};
 use crate::flight::Claim;
@@ -43,14 +43,17 @@ use crate::trace::StageTimes;
 use crate::ExecError;
 use crossbeam::channel;
 use rayon::ThreadPoolBuilder;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 use v2v_codec::{Encoder, Packet};
-use v2v_container::Fragment;
+use v2v_container::{Fragment, VideoStream};
 use v2v_frame::ops::{conform, conform_shared};
 use v2v_frame::{Frame, FrameType};
-use v2v_plan::{CostModel, FrameProgram, InputClip, PhysicalPlan, PlanContext, SegPlan, Segment};
+use v2v_plan::{
+    clip_read_range, CostModel, FrameProgram, InputClip, PhysicalPlan, PlanContext, SegPlan,
+    Segment,
+};
 use v2v_time::Rational;
 
 /// The output packets of one segment, as produced by a worker.
@@ -112,12 +115,18 @@ fn lock(sched: &Mutex<SchedState>) -> MutexGuard<'_, SchedState> {
     sched.lock().expect("scheduler state poisoned")
 }
 
+/// The last source frame a run reads from each GOP, per cursor identity
+/// (the GOP cache's key, `(identity, keyframe)`, split in two).
+type ReadReach = HashMap<String, GopReach>;
+
 /// The facts of one run, derived once in [`execute_scheduled`].
 #[derive(Clone, Copy)]
 struct RunCtx<'a> {
     plan: &'a PhysicalPlan,
     catalog: &'a Catalog,
     cache: &'a GopCache,
+    /// Where a GOP-cache miss stops decoding ([`read_reach`]).
+    reach: &'a ReadReach,
     opts: &'a ExecOptions,
     /// The fault injector, when one is configured and non-empty.
     fault: Option<&'a FaultInjector>,
@@ -172,10 +181,12 @@ pub(crate) fn execute_scheduled(
 ) -> Result<(), ExecError> {
     let workers = opts.effective_threads();
     let fault = opts.fault.as_deref().filter(|f| !f.is_empty());
+    let reach = read_reach(plan, catalog);
     let run = RunCtx {
         plan,
         catalog,
         cache,
+        reach: &reach,
         opts,
         fault,
         seg_cache: opts.segment_cache.as_deref().filter(|_| fault.is_none()),
@@ -541,8 +552,7 @@ fn encode_black(ctx: &PartCtx<'_>) -> Result<Vec<Packet>, ExecError> {
     Ok(packets)
 }
 
-/// One forward cursor per input slot, each carrying its stream's
-/// catalog identity and (optionally) the shared GOP cache.
+/// The stream a render input decodes from, and its cache identity.
 ///
 /// A clip retargeted at a storage variant decodes from the variant
 /// bitstream under a distinct cache identity (`name#kind`), so cached
@@ -551,6 +561,64 @@ fn encode_black(ctx: &PartCtx<'_>) -> Result<Vec<Packet>, ExecError> {
 /// dropped since planning), the cursor falls back to the original —
 /// decode-sufficient variants are pixel-identical, so output bytes do
 /// not depend on which stream actually serves the read.
+fn resolve_input<'a>(
+    catalog: &'a Catalog,
+    clip: &InputClip,
+) -> Result<(&'a VideoStream, String), ExecError> {
+    let variant = if clip.variant.is_original() {
+        None
+    } else {
+        catalog.variant(&clip.video, clip.variant)
+    };
+    match variant {
+        Some(v) => Ok((&v.stream, format!("{}#{}", clip.video, clip.variant))),
+        None => match catalog.video(&clip.video) {
+            Some(s) => Ok((s, clip.video.clone())),
+            None => Err(ExecError::UnknownVideo(clip.video.clone())),
+        },
+    }
+}
+
+/// The run's read reach: for every GOP a render input touches, keyed by
+/// the input's cache identity and the GOP's keyframe, the last frame any
+/// segment reads from it. Each input's read range is the planner's own
+/// ([`clip_read_range`]) mapped onto the stream [`resolve_input`] picks;
+/// a GOP the range passes through reaches its end. An end that does not
+/// map onto the stream widens the range to the stream's edge, so a
+/// reach may overshoot a read but never fall short of one.
+fn read_reach(plan: &PhysicalPlan, catalog: &Catalog) -> ReadReach {
+    let mut reach = ReadReach::new();
+    for seg in &plan.segments {
+        let SegPlan::Render { inputs, .. } = &seg.plan else {
+            continue;
+        };
+        for clip in inputs {
+            // An unresolvable input fails its segment before any read.
+            let Ok((stream, ident)) = resolve_input(catalog, clip) else {
+                continue;
+            };
+            let (lo_t, hi_t) = clip_read_range(plan, clip, seg.out_start, seg.count);
+            let lo = stream.index_of(lo_t).unwrap_or(0);
+            let hi = stream
+                .index_of(hi_t)
+                .unwrap_or(stream.len().saturating_sub(1));
+            let gops = reach.entry(ident).or_default();
+            let mut kf = stream.keyframe_at_or_before(lo);
+            while let Some(k) = kf.filter(|&k| k <= hi) {
+                let next = stream.next_keyframe_at_or_after(k + 1);
+                let last = next.map_or(hi, |n| hi.min(n - 1)) as u64;
+                let slot = gops.entry(k as u64).or_insert(last);
+                *slot = (*slot).max(last);
+                kf = next;
+            }
+        }
+    }
+    reach
+}
+
+/// One forward cursor per input slot ([`resolve_input`]), each carrying
+/// its stream's cache identity, the shared GOP cache and the run's read
+/// reach for that identity.
 fn build_cursors<'a>(
     ctx: &PartCtx<'a>,
     inputs: &'a [InputClip],
@@ -558,19 +626,11 @@ fn build_cursors<'a>(
     inputs
         .iter()
         .map(|clip| {
-            let resolved = if clip.variant.is_original() {
-                None
-            } else {
-                ctx.run.catalog.variant(&clip.video, clip.variant)
-            };
-            let (stream, ident) = match resolved {
-                Some(v) => (&*v.stream, format!("{}#{}", clip.video, clip.variant)),
-                None => match ctx.run.catalog.video(&clip.video) {
-                    Some(s) => (&**s, clip.video.clone()),
-                    None => return Err(ExecError::UnknownVideo(clip.video.clone())),
-                },
-            };
-            let mut cursor = SourceCursor::new(stream, ident).with_cache(ctx.run.cache);
+            let (stream, ident) = resolve_input(ctx.run.catalog, clip)?;
+            let reach = ctx.run.reach.get(&ident);
+            let mut cursor = SourceCursor::new(stream, ident)
+                .with_cache(ctx.run.cache)
+                .with_reach(reach);
             if let Some(fault) = ctx.run.fault {
                 cursor = cursor.with_fault(fault);
             }

@@ -229,18 +229,16 @@ fn hash_render(
     h.write_u64(count);
     h.write_str(&serde_json::to_string(program).unwrap_or_default());
     let seg_start = plan.instant_of(out_start);
-    let seg_last = plan.instant_of(out_start + count.saturating_sub(1));
     for clip in inputs {
         let Some(d) = sources.videos.get(&clip.video) else {
             return false;
         };
-        // The segment reads source instants `clip.time([seg_start,
-        // seg_last])`; the affine image's upper end bounds them, so the
-        // smallest committed prefix past it pins every byte this
-        // segment can touch. Hashing that boundary (frames + digest)
-        // instead of the full digest is what keeps keys stable when a
-        // live source grows behind the reads.
-        let hi = clip.time.apply(seg_start).max(clip.time.apply(seg_last));
+        // The upper end of the segment's read range bounds every source
+        // instant it reads, so the smallest committed prefix past it
+        // pins every byte this segment can touch. Hashing that boundary
+        // (frames + digest) instead of the full digest is what keeps
+        // keys stable when a live source grows behind the reads.
+        let (_, hi) = crate::variant::clip_read_range(plan, clip, out_start, count);
         let (frames, digest) = d.covering(hi);
         h.write_u64(frames);
         h.write_u64(digest);
@@ -267,6 +265,7 @@ fn hash_render(
                 .then_with(|| a.1.to_string().cmp(&b.1.to_string()))
         });
         refs.dedup();
+        let seg_last = plan.instant_of(out_start + count.saturating_sub(1));
         for (array, map) in &refs {
             h.write_str(array);
             let hi = map.apply(seg_start).max(map.apply(seg_last));

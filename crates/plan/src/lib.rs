@@ -46,7 +46,7 @@ pub use optimizer::{optimize, optimize_traced, OptimizerConfig};
 pub use physical::{PhysicalPlan, PlanStats, SegPlan, Segment};
 pub use program::{FrameProgram, InputClip, ProgArg};
 pub use trace::{PlanTrace, RewriteEvent};
-pub use variant::{select_variants, VariantFacts, VariantKind, VariantPolicy};
+pub use variant::{clip_read_range, select_variants, VariantFacts, VariantKind, VariantPolicy};
 
 /// Errors raised during lowering and optimization.
 #[derive(Debug, Clone, PartialEq, thiserror::Error)]

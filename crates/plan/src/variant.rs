@@ -21,6 +21,7 @@ use crate::physical::{PhysicalPlan, SegPlan};
 use crate::program::InputClip;
 use serde::{Deserialize, Serialize};
 use v2v_codec::CodecParams;
+use v2v_time::Rational;
 
 /// Which physical variant of a source a clip reads from.
 #[derive(
@@ -138,22 +139,29 @@ impl VariantPolicy {
     }
 }
 
-/// Source frame-index range `[lo, hi]` a clip reads for a segment of
-/// `count` output frames starting at plan instant `out_start`.
-fn clip_read_range(
+/// Source instants `(lo_t, hi_t)` a clip reads for a segment of `count`
+/// output frames starting at plan instant `out_start`: the clip's time
+/// map at the segment's first and last output instants, in order. The
+/// map is affine, so every instant the clip reads lies between the two;
+/// callers map them to frame indices on the grid of the stream they
+/// read (the planner's [`SourceMeta`], the executor's resolved stream).
+///
+/// [`SourceMeta`]: crate::meta::SourceMeta
+pub fn clip_read_range(
     plan: &PhysicalPlan,
     clip: &InputClip,
     out_start: u64,
     count: u64,
-    ctx: &PlanContext,
-) -> Option<(u64, u64)> {
-    let meta = ctx.source(&clip.video)?;
+) -> (Rational, Rational) {
     let a = clip.time.apply(plan.instant_of(out_start));
     let b = clip
         .time
         .apply(plan.instant_of(out_start + count.max(1) - 1));
-    let (lo_t, hi_t) = if a <= b { (a, b) } else { (b, a) };
-    Some((meta.index_of(lo_t)?, meta.index_of(hi_t)?))
+    if a <= b {
+        (a, b)
+    } else {
+        (b, a)
+    }
 }
 
 /// Estimated decode cost of serving `[lo, hi]` from one variant:
@@ -214,7 +222,8 @@ pub fn select_variants(
             let Some(meta) = ctx.source(&clip.video) else {
                 continue;
             };
-            let Some((lo, hi)) = clip_read_range(&shell, clip, out_start, count, ctx) else {
+            let (lo_t, hi_t) = clip_read_range(&shell, clip, out_start, count);
+            let (Some(lo), Some(hi)) = (meta.index_of(lo_t), meta.index_of(hi_t)) else {
                 continue;
             };
             let eligible =

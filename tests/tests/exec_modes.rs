@@ -190,3 +190,136 @@ proptest! {
         prop_assert_eq!(baseline.packets(), streamed.packets());
     }
 }
+
+/// A 20 s source with 8 s GOPs: keyframes at frames 0, 240 and 480, so
+/// a render's roll-in and its read reach sit deep inside a GOP.
+fn long_gop_catalog() -> Catalog {
+    let mut c = Catalog::new();
+    c.add_video("src", marked_stream(600, 240));
+    c
+}
+
+/// Read shapes whose GOP prefixes differ from whole GOPs.
+fn long_gop_plans(catalog: &Catalog) -> Vec<(&'static str, PhysicalPlan)> {
+    use v2v_spec::builder::grid4;
+    use v2v_spec::RenderExpr;
+    use v2v_time::{AffineTimeMap, TimeRange, TimeSet};
+    // Four grid cells reading GOP 0 at four phases.
+    let grid = SpecBuilder::new(marked_output())
+        .video("src", "src.svc")
+        .append_with(r(2, 1), |_| {
+            grid4(
+                RenderExpr::video("src"),
+                RenderExpr::video_shifted("src", r(37, 30)),
+                RenderExpr::video_shifted("src", r(3, 1)),
+                RenderExpr::video_shifted("src", r(1, 2)),
+            )
+        })
+        .build();
+    // 7 s → 9 s reads across the keyframe at 8 s.
+    let crossing = SpecBuilder::new(marked_output())
+        .video("src", "src.svc")
+        .append_filtered("src", r(7, 1), r(2, 1), |e| blur(e, 1.0))
+        .build();
+    // vid[2·t] over [3 s, 5 s): every other frame of 6 s → 10 s, so the
+    // last read of GOP 0 is one frame short of its end.
+    let retimed = Spec {
+        time_domain: TimeSet::from_range(TimeRange::new(r(3, 1), r(5, 1), r(1, 30))),
+        render: RenderExpr::FrameRef {
+            video: "src".into(),
+            time: AffineTimeMap::retime(r(2, 1)),
+        },
+        videos: [("src".to_string(), "src.svc".to_string())].into(),
+        data_arrays: Default::default(),
+        output: marked_output(),
+    };
+    vec![
+        (
+            "grid_in_one_gop",
+            plan_of(&grid, catalog, &OptimizerConfig::default()),
+        ),
+        (
+            "range_across_keyframe",
+            plan_of(&crossing, catalog, &OptimizerConfig::default()),
+        ),
+        (
+            "retime_2",
+            plan_of(&retimed, catalog, &OptimizerConfig::default()),
+        ),
+    ]
+}
+
+#[test]
+fn long_gop_shapes_are_byte_identical_with_the_gop_cache_on_and_off() {
+    let catalog = long_gop_catalog();
+    for (plan_name, plan) in long_gop_plans(&catalog) {
+        let (baseline, _, _) = execute(
+            &plan,
+            &catalog,
+            &ExecOptions {
+                parallel: false,
+                gop_cache_frames: 0,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        for gop_cache_frames in [4096, 0] {
+            for threads in [1usize, 2, 8] {
+                let opts = ExecOptions {
+                    num_threads: threads,
+                    gop_cache_frames,
+                    ..Default::default()
+                };
+                let label = format!("{plan_name}/cache={gop_cache_frames}/threads={threads}");
+                let (batch, _, _) = execute(&plan, &catalog, &opts).unwrap();
+                assert_same_stream(&format!("batch/{label}"), &baseline, &batch);
+                let (streamed, _) = execute_streaming_with(&plan, &catalog, &opts, |_| {}).unwrap();
+                assert_same_stream(&format!("streaming/{label}"), &baseline, &streamed);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Random clip/blur windows on the long-GOP source: the GOP cache
+    /// changes no byte and never decodes more than private rolling.
+    #[test]
+    fn gop_cache_never_decodes_more_than_private_rolling(
+        segs in prop::collection::vec((0u16..560, 1u8..90, any::<bool>()), 1..4),
+        threads in 1usize..5,
+    ) {
+        let catalog = long_gop_catalog();
+        let mut b = SpecBuilder::new(marked_output()).video("src", "src.svc");
+        for (start, len, filtered) in &segs {
+            let start = r(i64::from(*start), 30);
+            let len = r(i64::from(*len), 30);
+            if (start + len) > r(600, 30) {
+                continue;
+            }
+            b = if *filtered {
+                b.append_filtered("src", start, len, |e| blur(e, 0.8))
+            } else {
+                b.append_clip("src", start, len)
+            };
+        }
+        let spec = b.build();
+        if spec.time_domain.is_empty() {
+            return Ok(());
+        }
+        let plan = plan_of(&spec, &catalog, &OptimizerConfig::default());
+        let run = |gop_cache_frames| {
+            let opts = ExecOptions { num_threads: threads, gop_cache_frames, ..Default::default() };
+            execute(&plan, &catalog, &opts).unwrap()
+        };
+        let ((on, on_stats, _), (off, off_stats, _)) = (run(4096), run(0));
+        prop_assert_eq!(on.content_digest(), off.content_digest());
+        prop_assert!(
+            on_stats.frames_decoded <= off_stats.frames_decoded,
+            "cache on decoded {} frames, off {}",
+            on_stats.frames_decoded,
+            off_stats.frames_decoded
+        );
+    }
+}

@@ -381,3 +381,60 @@ fn fault_report_round_trips_through_the_engine() {
     let back = v2v_core::RunTrace::from_json(&trace.to_json()).unwrap();
     assert_eq!(back, trace);
 }
+
+/// A 4 s → 6 s blur of a 10 s source whose first GOP is 240 frames: the
+/// run reads source frames 120..=179, so frame 179 is the read reach of
+/// GOP 0 and frames 180..=239 are never decoded.
+fn long_gop_plan() -> (Catalog, PhysicalPlan) {
+    let mut catalog = Catalog::new();
+    catalog.add_video("src", marked_stream(300, 240));
+    let spec = SpecBuilder::new(marked_output())
+        .video("src", "src.svc")
+        .append_filtered("src", r(4, 1), r(2, 1), |e| blur(e, 1.0))
+        .build();
+    let plan = optimize(
+        &lower_spec(&spec).unwrap(),
+        &catalog.plan_context(),
+        &OptimizerConfig::default(),
+    )
+    .unwrap();
+    (catalog, plan)
+}
+
+const LONG_GOP_REACH: u64 = 179;
+
+#[test]
+fn faults_fire_only_on_frames_the_query_reads() {
+    let (catalog, plan) = long_gop_plan();
+    let clean = baseline(&plan, &catalog);
+    for threads in [1usize, 2, 8] {
+        let run = |injector: FaultInjector| {
+            let opts = ExecOptions {
+                fault: Some(Arc::new(injector)),
+                on_error: ErrorPolicy::SkipSegment,
+                max_retries: 3,
+                num_threads: threads,
+                ..Default::default()
+            };
+            execute_traced(&plan, &catalog, &opts).unwrap()
+        };
+        // Past the reach: the rule never fires, the bytes are clean.
+        let (out, trace, _) =
+            run(FaultInjector::new().fail("src", LONG_GOP_REACH + 1, FaultKind::Io));
+        assert_eq!(clean.packets(), out.packets(), "threads={threads}");
+        assert_eq!(trace.totals.faults_injected, 0, "threads={threads}");
+        assert!(
+            trace.errors.is_empty(),
+            "threads={threads}: {:?}",
+            trace.errors
+        );
+
+        // Inside the read span: fires once, the retry recovers.
+        let (out, trace, _) =
+            run(FaultInjector::new().fail_times("src", FAULTED_SOURCE_FRAME, FaultKind::Io, 1));
+        assert_eq!(clean.packets(), out.packets(), "threads={threads}");
+        assert_eq!(trace.totals.faults_injected, 1, "threads={threads}");
+        let actions: Vec<&str> = trace.errors.iter().map(|f| f.action.name()).collect();
+        assert_eq!(actions, ["recovered"], "threads={threads}");
+    }
+}
