@@ -1,9 +1,12 @@
-//! Scheduler ablation: segment fan-out vs the decode-ahead pipeline.
+//! Scheduler ablation: the sequential render loop vs the decode-ahead
+//! pipeline.
 //!
-//! The scheduler dispatches whole segments longest-first and pipelines
-//! inside each render segment (decode-ahead prefetch, parallel compose,
-//! per-GOP encode at `fanout` threads). This harness isolates the two
-//! on two plan shapes:
+//! The scheduler dispatches whole segments longest-first; with more
+//! than one worker each render segment runs the decode-ahead pipeline
+//! (prefetch thread, parallel compose, per-GOP encode at `fanout`
+//! threads), and with one worker the sequential reference loop. This
+//! harness compares the `serial` arm (one worker) with the default
+//! engine at N workers on two plan shapes:
 //!
 //! * **Q8 (sharded)** — a long grid render whose output spans several
 //!   GOPs, so the optimizer's temporal sharding already produced
@@ -11,18 +14,17 @@
 //!   short-input Q3 is no use here: on ToS's 10 s GOPs a 5 s render is
 //!   smaller than one output GOP and never shards.)
 //! * **Q10 (unsharded)** — sharding disabled, so the whole long
-//!   data-join render is *one* segment. The segment-only arm
-//!   (`pipeline_depth = 0`) serializes on it no matter how many workers
-//!   exist; the pipelined arm runs it at `fanout` = the whole pool, the
-//!   only intra-segment parallelism there is. This is the row the
-//!   `single_long_render_speedup` figure in `BENCH_scheduler.json` pins.
+//!   data-join render is *one* segment: a second worker has nothing to
+//!   take, and the pipeline at `fanout` = the whole pool is the only
+//!   parallelism there is. This is the row the `serial_over_pipeline`
+//!   figure in `BENCH_scheduler.json` pins.
 //!
 //! Every arm is asserted byte-identical to the serial run. Each
 //! (plan, thread count) cell runs its arms round-robin — one run of
 //! every arm per round, the first round discarded — so a busy minute on
 //! the host lands on all arms alike; rows carry the median and the
 //! quartiles of the measured rounds. Wall-clock speedups require real
-//! cores: with fewer cores than workers the parallel arms measure
+//! cores: with fewer cores than workers the parallel arm measures
 //! scheduling overhead, and the JSON records the detected core count so
 //! readers can interpret the ratio.
 //!
@@ -34,7 +36,7 @@
 //! serial arm never spawns workers, so it is immune; treat outlier
 //! parallel samples accordingly.
 //!
-//! `--threads 2,4` picks the worker counts of the parallel arms (that
+//! `--threads 2,4` picks the worker counts of the parallel arm (that
 //! is the default). `--quick` (CI bench smoke) forces test scale and a
 //! single measured round, and skips rewriting the committed
 //! `BENCH_scheduler.json`.
@@ -45,20 +47,12 @@ use v2v_container::VideoStream;
 use v2v_core::EngineConfig;
 use v2v_exec::{execute, ExecOptions};
 
-fn arms(threads: usize) -> [(&'static str, ExecOptions); 3] {
+fn arms(threads: usize) -> [(&'static str, ExecOptions); 2] {
     [
         (
             "serial",
             ExecOptions {
                 parallel: false,
-                ..Default::default()
-            },
-        ),
-        (
-            "segment-only",
-            ExecOptions {
-                num_threads: threads,
-                pipeline_depth: 0,
                 ..Default::default()
             },
         ),
@@ -113,7 +107,7 @@ fn main() {
     let ds = setup_tos();
     print_header(
         "Scheduler",
-        "LPT segment dispatch + intra-segment pipelining, per mechanism (ToS)",
+        "LPT segment dispatch + intra-segment pipelining vs the serial loop (ToS)",
     );
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let runs = bench_runs();
@@ -200,11 +194,9 @@ fn main() {
     let speedups: Vec<(usize, f64)> = thread_counts
         .iter()
         .map(|&t| {
-            let speedup = median_of("Q10-unsharded", t, "segment-only")
+            let speedup = median_of("Q10-unsharded", t, "serial")
                 / median_of("Q10-unsharded", t, "pipeline").max(1e-9);
-            println!(
-                "single-long-render speedup (segment-only / pipeline @ {t} threads): {speedup:.2}x"
-            );
+            println!("single-long-render speedup (serial / pipeline @ {t} threads): {speedup:.2}x");
             (t, speedup)
         })
         .collect();
@@ -233,7 +225,7 @@ fn main() {
         })).collect::<Vec<_>>(),
         "single_long_render_speedup": speedups.iter().map(|(t, s)| serde_json::json!({
             "threads": t,
-            "segment_only_over_pipeline": s,
+            "serial_over_pipeline": s,
         })).collect::<Vec<_>>(),
         "byte_identical": true,
     });

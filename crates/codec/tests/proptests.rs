@@ -111,6 +111,42 @@ proptest! {
         }
     }
 
+    /// Output GOPs are independent: a fresh encoder started at each GOP
+    /// boundary emits exactly the packets (bytes, flags and pts) of one
+    /// encoder run straight through. Parallel per-GOP encoding relies on
+    /// this to splice byte-identical output.
+    #[test]
+    fn fresh_encoders_at_gop_boundaries_match_one_straight_through(
+        ty in frame_ty_strategy(),
+        gop in 1u32..6,
+        q in 0u8..8,
+        preset in preset_strategy(),
+        noise in prop::collection::vec(any::<u8>(), 16..64),
+        gops in 1usize..4,
+        tail in 0u32..6,
+    ) {
+        let mut params = CodecParams::new(ty, gop, q);
+        params.preset = preset;
+        // Up to three GOPs, the last possibly partial.
+        let n = (gops - 1) * gop as usize + (tail % gop) as usize + 1;
+        let frames: Vec<Frame> = (0..n).map(|i| build_frame(ty, i as u64, &noise)).collect();
+        let pts = |i: usize| Rational::new(i as i64, 30);
+        let mut straight = Encoder::new(params);
+        let whole: Vec<_> = frames
+            .iter()
+            .enumerate()
+            .map(|(i, f)| straight.encode(f, pts(i)).unwrap())
+            .collect();
+        let mut spliced = Vec::with_capacity(n);
+        for (w, window) in frames.chunks(gop as usize).enumerate() {
+            let mut fresh = Encoder::new(params);
+            for (k, f) in window.iter().enumerate() {
+                spliced.push(fresh.encode(f, pts(w * gop as usize + k)).unwrap());
+            }
+        }
+        prop_assert_eq!(whole, spliced);
+    }
+
     #[test]
     fn corrupt_packets_never_panic(
         data in prop::collection::vec(any::<u8>(), 0..128),

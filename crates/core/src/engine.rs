@@ -25,9 +25,9 @@ use v2v_spec::{check_spec_with_udfs, CheckReport, Spec};
 pub struct EngineConfig {
     /// Plan-level rewrites (stream copy, smart cut, sharding).
     pub optimizer: OptimizerConfig,
-    /// Runtime options (parallel segment execution, worker count,
-    /// pipeline depth, shared decoded-GOP cache size via
-    /// `gop_cache_frames`).
+    /// Runtime options (parallel segment execution, worker count — which
+    /// also picks the sequential or pipelined render loop — and the
+    /// shared decoded-GOP cache size via `gop_cache_frames`).
     pub exec: ExecOptions,
     /// Apply data-dependent rewrites before planning (§IV-C).
     pub data_rewrites: bool,
@@ -700,6 +700,7 @@ mod tests {
     use v2v_container::StreamWriter;
     use v2v_data::{Table, Value};
     use v2v_frame::{marker, BoxCoord, Frame, FrameType};
+    use v2v_plan::PlanError;
     use v2v_spec::builder::bounding_box;
     use v2v_spec::{OutputSettings, SpecBuilder};
     use v2v_time::{r, Rational};
@@ -751,6 +752,29 @@ mod tests {
         // intermediates).
         assert_eq!(unopt.stats.frames_encoded, 60);
         assert_eq!(opt.stats.frames_encoded, 0);
+    }
+
+    #[test]
+    fn unencodable_output_settings_fail_before_rendering() {
+        let mut engine = engine_with_video();
+        let bad: [fn(&mut OutputSettings); 3] = [
+            |o| o.frame_ty.width = 0,
+            |o| o.frame_ty.height = 16385,
+            |o| o.gop_size = 0,
+        ];
+        for mutate in bad {
+            let mut out = output();
+            mutate(&mut out);
+            let spec = SpecBuilder::new(out)
+                .video("a", "a.svc")
+                .append_filtered("a", r(0, 1), r(1, 1), |e| v2v_spec::builder::blur(e, 1.0))
+                .build();
+            let err = engine.run(&spec).unwrap_err();
+            assert!(
+                matches!(err, EngineError::Plan(PlanError::InvalidOutput(_))),
+                "{out:?}: {err}"
+            );
+        }
     }
 
     #[test]

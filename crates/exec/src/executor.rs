@@ -6,14 +6,14 @@
 //! output order — "we use the dependency graph to execute operators in
 //! parallel as an additional optimization at runtime" (§IV-A). The
 //! parallelism itself lives in [`crate::scheduler`]: segments are
-//! dispatched longest-first by estimated cost, and each render segment
-//! internally pipelines decode-ahead, parallel compose, and per-GOP
-//! encoding.
+//! dispatched longest-first by estimated cost, and with more than one
+//! worker each render segment internally pipelines decode-ahead,
+//! parallel compose, and per-GOP encoding.
 
 use crate::catalog::Catalog;
 use crate::fault::{ErrorPolicy, FaultInjector};
 use crate::gop_cache::GopCache;
-use crate::scheduler::{execute_scheduled, PartOutput};
+use crate::scheduler::{execute_scheduled, SegmentOutput};
 use crate::trace::{ExecTrace, SegmentTrace};
 use crate::ExecError;
 use std::sync::Arc;
@@ -28,8 +28,9 @@ use v2v_time::Rational;
 pub struct ExecOptions {
     /// Evaluate segments in parallel (the runtime half of the paper's
     /// optimization story). Disable for the ablation benches; when
-    /// `false` the engine runs strictly sequentially, ignoring
-    /// `num_threads` and `pipeline_depth`.
+    /// `false` the engine runs strictly sequentially — one worker, every
+    /// render through the sequential reference loop — ignoring
+    /// `num_threads`.
     pub parallel: bool,
     /// Capacity of the shared decoded-GOP cache, in frames. Segments
     /// reading the same source ranges (grid cells, splice neighbours)
@@ -42,15 +43,12 @@ pub struct ExecOptions {
     pub gop_cache_frames: usize,
     /// Worker threads for the scheduler. `0` means auto: the
     /// `V2V_NUM_THREADS` environment variable if set, else the machine's
-    /// available parallelism. Each engine gets its own scoped pool, so
-    /// two engines in one process never fight over a global pool.
+    /// available parallelism. The count alone picks the render loop: one
+    /// worker runs the sequential reference loop, more run the
+    /// decode-ahead pipeline (two output GOPs in flight). Each run
+    /// spawns its own scoped threads, so two engines in one process
+    /// never fight over a global pool.
     pub num_threads: usize,
-    /// Decode-ahead depth of the intra-segment pipeline, in output GOPs:
-    /// the prefetch stage may run this many GOPs ahead of the encoder,
-    /// and up to this many output GOPs are composed/encoded per parallel
-    /// batch. `0` disables pipelining (render segments run the classic
-    /// sequential decode → compose → encode loop).
-    pub pipeline_depth: usize,
     /// Deterministic fault injection hook: every cursor consults the
     /// injector before decoding a source packet. `None` (the default)
     /// costs one branch per decode; runs without an injector are
@@ -79,7 +77,6 @@ impl Default for ExecOptions {
             parallel: true,
             gop_cache_frames: 4096,
             num_threads: 0,
-            pipeline_depth: 2,
             fault: None,
             on_error: ErrorPolicy::default(),
             max_retries: 1,
@@ -148,15 +145,16 @@ pub struct ExecStats {
     /// without an injector).
     #[serde(default)]
     pub faults_injected: u64,
-    /// Part retries the scheduler spent recovering from failures.
+    /// Segment retries the scheduler spent recovering from failures.
     #[serde(default)]
     pub retries: u64,
-    /// Failed parts dropped from the output under
-    /// [`ErrorPolicy::SkipSegment`].
+    /// Failed segments dropped from the output under
+    /// [`ErrorPolicy::SkipSegment`] (the serialized name is pinned by
+    /// `x-v2v-stats` and the benchmark).
     #[serde(default)]
     pub parts_skipped: u64,
-    /// Failed parts replaced by encoded black under
-    /// [`ErrorPolicy::SubstituteBlack`].
+    /// Failed segments replaced by encoded black under
+    /// [`ErrorPolicy::SubstituteBlack`] (serialized name pinned likewise).
     #[serde(default)]
     pub parts_substituted: u64,
     /// Output frames filled with encoded black.
@@ -243,28 +241,28 @@ pub(crate) fn drive(
     let mut trace = ExecTrace::default();
     let exec_started = Instant::now();
     let mut first_packet = None;
-    let mut deliver = |part: PartOutput| -> Result<(), ExecError> {
+    let mut deliver = |out: SegmentOutput| -> Result<(), ExecError> {
         if let Some(sink) = sink.as_mut() {
             let base = writer.len() as i64;
-            for (k, p) in part.packets.iter().enumerate() {
+            for (k, p) in out.packets.iter().enumerate() {
                 first_packet.get_or_insert_with(Instant::now);
                 sink(&p.retimed(plan.frame_dur * Rational::from_int(base + k as i64)));
             }
         }
-        writer.push_copied(&part.packets)?;
-        if let Some(fault) = &part.fault {
+        writer.push_copied(&out.packets)?;
+        if let Some(fault) = &out.fault {
             trace.errors.push(fault.clone());
         }
-        let seg = &plan.segments[part.seg_index];
+        let seg = &plan.segments[out.seg_index];
         trace.segments.push(SegmentTrace {
-            index: part.seg_index as u64,
+            index: out.seg_index as u64,
             kind: seg.plan.kind_name().to_string(),
             out_start: seg.out_start,
             frames: seg.count,
-            stats: part.stats,
-            wall_ns: part.wall_ns,
+            stats: out.stats,
+            wall_ns: out.wall_ns,
             parts: 1,
-            stage: part.stage,
+            stage: out.stage,
         });
         Ok(())
     };

@@ -15,11 +15,10 @@
 //!   encoded black frames so the output keeps its full length.
 //!
 //! Every degraded segment is reported as a [`SegmentFault`] — a structured,
-//! serializable record carried on [`PartOutput::fault`], collected into
+//! serializable record carried on the segment's output, collected into
 //! [`ExecTrace::errors`], and surfaced by the CLI's `--error-report`.
 //!
 //! [`ExecOptions::fault`]: crate::ExecOptions::fault
-//! [`PartOutput::fault`]: crate::PartOutput::fault
 //! [`ExecTrace::errors`]: crate::ExecTrace::errors
 
 use crate::ExecError;

@@ -46,7 +46,7 @@ pub use mem_tier::MemTier;
 pub use naive::execute_naive;
 pub use remote::RemoteRenderer;
 pub use render_cache::{CacheStats, EntryKey, Origin, RenderCache, SegmentCacheCtx};
-pub use scheduler::{segment_cost, PartOutput};
+pub use scheduler::segment_cost;
 pub use streaming::{execute_streaming_with, StreamingStats};
 pub use trace::{ExecTrace, SegmentTrace, StageTimes};
 

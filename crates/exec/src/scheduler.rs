@@ -14,15 +14,18 @@
 //!    handed out longest-processing-time-first, the classic makespan
 //!    heuristic: expensive renders start first so they never become the
 //!    lonely tail of the run.
-//! 2. **Intra-segment pipelining.** Within a render segment, a
-//!    decode-ahead prefetch thread pulls source frames through
-//!    [`SourceCursor`] / the shared GOP cache into a bounded channel,
-//!    frames are composed in parallel over a batch window, and
-//!    independent output GOPs are encoded concurrently, their packet
-//!    runs spliced in order (output GOPs are independent under the
-//!    codec: a fresh [`Encoder`] at a GOP boundary reproduces identical
-//!    bytes). The pool width is `PartCtx::fanout`: a lone running
-//!    render composes and encodes with every worker's share.
+//! 2. **Intra-segment pipelining.** With more than one worker, a render
+//!    segment runs a decode-ahead prefetch thread that pulls source
+//!    frames through [`SourceCursor`] / the shared GOP cache into a
+//!    bounded channel two output GOPs deep; each two-GOP batch is
+//!    composed in parallel, and its independent output GOPs are encoded
+//!    concurrently, their packet runs spliced in order (output GOPs are
+//!    independent under the codec: a fresh [`Encoder`] at a GOP
+//!    boundary reproduces identical bytes). The fan-out width is
+//!    `SegmentCtx::fanout`: a lone running render composes and encodes
+//!    with every worker's share. One worker runs the sequential
+//!    decode → compose → encode loop, the reference arm of every
+//!    identity test.
 //!
 //! Segments are emitted to a `deliver` callback **in presentation
 //! order** (a reorder buffer holds early finishers), so the executor's
@@ -41,9 +44,8 @@ use crate::gop_cache::GopCache;
 use crate::render_cache::{CacheStats, EntryKey, Origin, SegmentCacheCtx};
 use crate::trace::StageTimes;
 use crate::ExecError;
-use crossbeam::channel;
-use rayon::ThreadPoolBuilder;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 use v2v_codec::{Encoder, Packet};
@@ -56,9 +58,13 @@ use v2v_plan::{
 };
 use v2v_time::Rational;
 
+/// Output GOPs the decode-ahead pipeline keeps in flight: the prefetch
+/// channel's depth and the size of each compose + encode batch.
+const PIPELINE_GOPS: u64 = 2;
+
 /// The output packets of one segment, as produced by a worker.
 #[derive(Debug)]
-pub struct PartOutput {
+pub(crate) struct SegmentOutput {
     /// Index of the segment in the physical plan.
     pub seg_index: usize,
     /// The segment's packets, keyframe-first (none when skipped).
@@ -74,10 +80,10 @@ pub struct PartOutput {
     pub fault: Option<SegmentFault>,
 }
 
-impl PartOutput {
+impl SegmentOutput {
     /// The clean output of `ctx`'s segment: no stage times, no fault.
-    fn new(ctx: &PartCtx<'_>, packets: Vec<Packet>, stats: ExecStats) -> PartOutput {
-        PartOutput {
+    fn new(ctx: &SegmentCtx<'_>, packets: Vec<Packet>, stats: ExecStats) -> SegmentOutput {
+        SegmentOutput {
             seg_index: ctx.seg_index,
             packets,
             stats,
@@ -134,13 +140,13 @@ struct RunCtx<'a> {
     /// Always `None` while a fault injector is active: a cache hit would
     /// mask the injection the test asked for.
     seg_cache: Option<&'a SegmentCacheCtx>,
-    /// Decode-ahead window of a render segment, in frames (whole output
-    /// GOPs); `0` runs the sequential decode → compose → encode loop.
-    pipeline_frames: usize,
+    /// The run's worker count: one runs every render through the
+    /// sequential loop, more through the decode-ahead pipeline.
+    workers: usize,
 }
 
 /// Everything a worker needs to execute one segment.
-struct PartCtx<'a> {
+struct SegmentCtx<'a> {
     run: RunCtx<'a>,
     seg: &'a Segment,
     seg_index: usize,
@@ -149,8 +155,8 @@ struct PartCtx<'a> {
 }
 
 impl<'a> RunCtx<'a> {
-    fn part(self, seg_index: usize, fanout: usize) -> PartCtx<'a> {
-        PartCtx {
+    fn segment(self, seg_index: usize, fanout: usize) -> SegmentCtx<'a> {
+        SegmentCtx {
             run: self,
             seg: &self.plan.segments[seg_index],
             seg_index,
@@ -170,14 +176,14 @@ pub fn segment_cost(plan: &PhysicalPlan, seg: &Segment) -> f64 {
 
 /// Executes every segment of `plan`, invoking `deliver` with each one
 /// in presentation order. With one effective worker this is a plain
-/// in-order loop; otherwise a cost-ordered worker pool with
-/// (optionally) intra-segment pipelining.
+/// in-order loop over the sequential render; otherwise a cost-ordered
+/// worker pool with intra-segment pipelining.
 pub(crate) fn execute_scheduled(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     opts: &ExecOptions,
     cache: &GopCache,
-    deliver: &mut dyn FnMut(PartOutput) -> Result<(), ExecError>,
+    deliver: &mut dyn FnMut(SegmentOutput) -> Result<(), ExecError>,
 ) -> Result<(), ExecError> {
     let workers = opts.effective_threads();
     let fault = opts.fault.as_deref().filter(|f| !f.is_empty());
@@ -190,16 +196,11 @@ pub(crate) fn execute_scheduled(
         opts,
         fault,
         seg_cache: opts.segment_cache.as_deref().filter(|_| fault.is_none()),
-        pipeline_frames: if workers <= 1 {
-            0
-        } else {
-            opts.pipeline_depth
-                .saturating_mul(plan.out_params.gop_size as usize)
-        },
+        workers,
     };
     if workers <= 1 {
         for i in 0..plan.segments.len() {
-            deliver(run_part_recovering(&run.part(i, 1))?)?;
+            deliver(run_segment_recovering(&run.segment(i, 1))?)?;
         }
         return Ok(());
     }
@@ -237,12 +238,12 @@ pub(crate) fn execute_scheduled(
         running: 0,
         shutdown: false,
     });
-    let (tx, rx) = channel::unbounded::<Result<PartOutput, ExecError>>();
+    let (tx, rx) = mpsc::channel::<Result<SegmentOutput, ExecError>>();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();
             let sched = &sched;
-            scope.spawn(move || worker_loop(run, sched, workers, &tx));
+            scope.spawn(move || worker_loop(run, sched, &tx));
         }
         drop(tx);
         drive(&rx, deliver, plan, &sched)
@@ -252,37 +253,28 @@ pub(crate) fn execute_scheduled(
 /// The ordered-delivery driver: buffers early-finishing segments and
 /// releases them to `deliver` strictly by absolute output position.
 fn drive(
-    rx: &channel::Receiver<Result<PartOutput, ExecError>>,
-    deliver: &mut dyn FnMut(PartOutput) -> Result<(), ExecError>,
+    rx: &mpsc::Receiver<Result<SegmentOutput, ExecError>>,
+    deliver: &mut dyn FnMut(SegmentOutput) -> Result<(), ExecError>,
     plan: &PhysicalPlan,
     sched: &Mutex<SchedState>,
 ) -> Result<(), ExecError> {
     let total: u64 = plan.segments.iter().map(|s| s.count).sum();
-    let mut buffered: BTreeMap<u64, PartOutput> = BTreeMap::new();
+    let mut buffered: BTreeMap<u64, SegmentOutput> = BTreeMap::new();
     let mut next_abs = 0u64;
-    let mut result: Result<(), ExecError> = Ok(());
-    'recv: while next_abs < total {
-        let part = rx
-            .recv()
-            .expect("scheduler workers deliver every segment or an error");
-        match part {
-            Ok(part) => {
-                buffered.insert(plan.segments[part.seg_index].out_start, part);
-                while let Some(ready) = buffered.remove(&next_abs) {
-                    let count = plan.segments[ready.seg_index].count;
-                    if let Err(e) = deliver(ready) {
-                        result = Err(e);
-                        break 'recv;
-                    }
-                    next_abs += count;
-                }
-            }
-            Err(e) => {
-                result = Err(e);
-                break 'recv;
+    let result = (|| {
+        while next_abs < total {
+            let out = rx
+                .recv()
+                .expect("scheduler workers deliver every segment or an error")?;
+            buffered.insert(plan.segments[out.seg_index].out_start, out);
+            while let Some(ready) = buffered.remove(&next_abs) {
+                next_abs += plan.segments[ready.seg_index].count;
+                deliver(ready)?;
             }
         }
-    }
+        Ok(())
+    })();
+    // Stop the workers, whether the run finished or failed.
     lock(sched).shutdown = true;
     result
 }
@@ -290,8 +282,7 @@ fn drive(
 fn worker_loop(
     run: RunCtx<'_>,
     sched: &Mutex<SchedState>,
-    workers: usize,
-    tx: &channel::Sender<Result<PartOutput, ExecError>>,
+    tx: &mpsc::Sender<Result<SegmentOutput, ExecError>>,
 ) {
     let flight = run
         .seg_cache
@@ -330,8 +321,8 @@ fn worker_loop(
         };
         // A lone running segment composes with the whole pool's width;
         // with many in flight each keeps roughly its fair share.
-        let ctx = run.part(task.seg_index, (workers / running_now.max(1)).max(1));
-        let res = run_part_recovering(&ctx);
+        let ctx = run.segment(task.seg_index, (run.workers / running_now.max(1)).max(1));
+        let res = run_segment_recovering(&ctx);
         let failed = res.is_err();
         {
             let mut st = lock(sched);
@@ -350,7 +341,7 @@ fn worker_loop(
 /// frame count, grid, and codec parameters. Content-addressed keys make
 /// a mismatch nearly impossible; the check keeps a hash collision or a
 /// foreign cache directory from corrupting output.
-fn fragment_matches(ctx: &PartCtx<'_>, frag: &Fragment) -> bool {
+fn fragment_matches(ctx: &SegmentCtx<'_>, frag: &Fragment) -> bool {
     frag.len() as u64 == ctx.seg.count
         && frag.frame_dur() == ctx.run.plan.frame_dur
         && frag.params().compatible_with(&ctx.run.plan.out_params)
@@ -366,14 +357,13 @@ fn fragment_matches(ctx: &PartCtx<'_>, frag: &Fragment) -> bool {
 /// twice, under any interleaving. A run without a flight (one-shot
 /// `v2v run`) is simply an owner nobody waits on.
 fn render_segment(
-    ctx: &PartCtx<'_>,
+    ctx: &SegmentCtx<'_>,
     program: &FrameProgram,
     inputs: &[InputClip],
-) -> Result<PartOutput, ExecError> {
-    // A fresh render: pipelined, or the sequential loop when pipelining
-    // is off.
+) -> Result<SegmentOutput, ExecError> {
+    // A fresh render: pipelined, or the sequential loop on one worker.
     let fresh = || {
-        if ctx.run.pipeline_frames > 0 {
+        if ctx.run.workers > 1 {
             run_render_pipelined(ctx, program, inputs)
         } else {
             run_render_sequential(ctx, program, inputs)
@@ -393,7 +383,7 @@ fn render_segment(
             cache: CacheStats::for_hit(EntryKey::Segment(key), origin, frag.byte_size()),
             ..Default::default()
         };
-        PartOutput::new(ctx, frag.packets().to_vec(), stats)
+        SegmentOutput::new(ctx, frag.packets().to_vec(), stats)
     };
     let guard = match sc.flight.as_deref().map(|flight| flight.claim(key)) {
         Some(Claim::Shared(Some(frag))) if fragment_matches(ctx, &frag) => {
@@ -417,15 +407,15 @@ fn render_segment(
             .render_remote(ctx.seg_index, key, cost)?;
         Some((Arc::new(frag), Origin::Remote))
     };
-    let (part, frag, store) = match tiers().filter(fits).or_else(|| remote().filter(fits)) {
+    let (out, frag, store) = match tiers().filter(fits).or_else(|| remote().filter(fits)) {
         // A remote fragment is persisted so the coordinator's own tiers
         // warm up for the next query.
         Some((frag, origin)) => (reused(&frag, origin), Some(frag), origin == Origin::Remote),
         None => {
-            let part = fresh()?;
+            let out = fresh()?;
             let (params, dur) = (ctx.run.plan.out_params, ctx.run.plan.frame_dur);
-            let frag = Fragment::new(params, dur, part.packets.clone()).ok();
-            (part, frag.map(Arc::new), true)
+            let frag = Fragment::new(params, dur, out.packets.clone()).ok();
+            (out, frag.map(Arc::new), true)
         }
     };
     // A `None` here is an unfragmentable render (shouldn't happen for a
@@ -440,13 +430,13 @@ fn render_segment(
             guard.publish(frag);
         }
     }
-    Ok(part)
+    Ok(out)
 }
 
 /// Executes one segment: a stream copy, or [`render_segment`].
-fn run_part(ctx: &PartCtx<'_>) -> Result<PartOutput, ExecError> {
+fn run_segment(ctx: &SegmentCtx<'_>) -> Result<SegmentOutput, ExecError> {
     let started = Instant::now();
-    let mut part = match &ctx.seg.plan {
+    let mut out = match &ctx.seg.plan {
         SegPlan::StreamCopy {
             video,
             src_from,
@@ -465,18 +455,18 @@ fn run_part(ctx: &PartCtx<'_>) -> Result<PartOutput, ExecError> {
                 segments: 1,
                 ..Default::default()
             };
-            PartOutput::new(ctx, packets, stats)
+            SegmentOutput::new(ctx, packets, stats)
         }
         SegPlan::Render { program, inputs } => render_segment(ctx, program, inputs)?,
     };
-    part.wall_ns = started.elapsed().as_nanos() as u64;
-    Ok(part)
+    out.wall_ns = started.elapsed().as_nanos() as u64;
+    Ok(out)
 }
 
-/// [`run_part`] under the run's [`ErrorPolicy`]: a failure goes to
-/// [`recover_part`].
-fn run_part_recovering(ctx: &PartCtx<'_>) -> Result<PartOutput, ExecError> {
-    run_part(ctx).or_else(|err| recover_part(ctx, err))
+/// [`run_segment`] under the run's [`ErrorPolicy`]: a failure goes to
+/// [`recover_segment`].
+fn run_segment_recovering(ctx: &SegmentCtx<'_>) -> Result<SegmentOutput, ExecError> {
+    run_segment(ctx).or_else(|err| recover_segment(ctx, err))
 }
 
 /// Applies the run's [`ErrorPolicy`] to a failed segment: bounded
@@ -484,7 +474,7 @@ fn run_part_recovering(ctx: &PartCtx<'_>) -> Result<PartOutput, ExecError> {
 /// the retry re-runs the whole segment), then skip or substitute.
 /// Under [`ErrorPolicy::Abort`] (or when even the black-frame fallback
 /// fails) the last error propagates.
-fn recover_part(ctx: &PartCtx<'_>, err: ExecError) -> Result<PartOutput, ExecError> {
+fn recover_segment(ctx: &SegmentCtx<'_>, err: ExecError) -> Result<SegmentOutput, ExecError> {
     let frames = ctx.seg.count;
     let fault = |action: FaultAction, retries: u64, err: &ExecError| SegmentFault {
         seg_index: ctx.seg_index as u64,
@@ -499,11 +489,11 @@ fn recover_part(ctx: &PartCtx<'_>, err: ExecError) -> Result<PartOutput, ExecErr
     let mut last_err = err;
     while retries < u64::from(ctx.run.opts.max_retries) {
         retries += 1;
-        match run_part(ctx) {
-            Ok(mut part) => {
-                part.stats.retries = retries;
-                part.fault = Some(fault(FaultAction::Recovered, retries, &last_err));
-                return Ok(part);
+        match run_segment(ctx) {
+            Ok(mut out) => {
+                out.stats.retries = retries;
+                out.fault = Some(fault(FaultAction::Recovered, retries, &last_err));
+                return Ok(out);
             }
             Err(e) => last_err = e,
         }
@@ -528,15 +518,15 @@ fn recover_part(ctx: &PartCtx<'_>, err: ExecError) -> Result<PartOutput, ExecErr
             (FaultAction::SubstitutedBlack, packets)
         }
     };
-    Ok(PartOutput {
+    Ok(SegmentOutput {
         fault: Some(fault(action, retries, &last_err)),
-        ..PartOutput::new(ctx, packets, stats)
+        ..SegmentOutput::new(ctx, packets, stats)
     })
 }
 
 /// Encodes the segment as black frames on the output grid, one fresh
 /// encoder per output GOP so the keyframe cadence matches a clean run.
-fn encode_black(ctx: &PartCtx<'_>) -> Result<Vec<Packet>, ExecError> {
+fn encode_black(ctx: &SegmentCtx<'_>) -> Result<Vec<Packet>, ExecError> {
     let gop = u64::from(ctx.run.plan.out_params.gop_size.max(1));
     let black = Frame::black(ctx.run.plan.out_params.frame_ty);
     let to = ctx.seg.count;
@@ -620,7 +610,7 @@ fn read_reach(plan: &PhysicalPlan, catalog: &Catalog) -> ReadReach {
 /// its stream's cache identity, the shared GOP cache and the run's read
 /// reach for that identity.
 fn build_cursors<'a>(
-    ctx: &PartCtx<'a>,
+    ctx: &SegmentCtx<'a>,
     inputs: &'a [InputClip],
 ) -> Result<Vec<(SourceCursor<'a>, &'a InputClip)>, ExecError> {
     inputs
@@ -678,10 +668,10 @@ fn elapsed_ns(since: Instant) -> u64 {
 
 /// The classic decode → compose → encode loop over the segment.
 fn run_render_sequential(
-    ctx: &PartCtx<'_>,
+    ctx: &SegmentCtx<'_>,
     program: &FrameProgram,
     inputs: &[InputClip],
-) -> Result<PartOutput, ExecError> {
+) -> Result<SegmentOutput, ExecError> {
     let plan = ctx.run.plan;
     let out_ty = plan.out_params.frame_ty;
     let mut cursors = build_cursors(ctx, inputs)?;
@@ -709,33 +699,66 @@ fn run_render_sequential(
     }
     collect_cursor_stats(&cursors, &mut stats);
     stats.segments = 1;
-    Ok(PartOutput {
+    Ok(SegmentOutput {
         stage,
-        ..PartOutput::new(ctx, packets, stats)
+        ..SegmentOutput::new(ctx, packets, stats)
+    })
+}
+
+/// Maps `f` over `items` on up to `width` threads, in order, and sums
+/// the time spent in `f` — busy time, whatever the width. Chunks are
+/// `len.div_ceil(width)` items; the first runs on the calling thread,
+/// each other on a scoped thread of its own.
+fn par_map<T: Sync, R: Send>(
+    width: usize,
+    items: &[T],
+    f: impl Fn(&T) -> R + Sync,
+) -> (Vec<R>, u64) {
+    let run = &|chunk: &[T]| {
+        let started = Instant::now();
+        let out: Vec<R> = chunk.iter().map(&f).collect();
+        (out, elapsed_ns(started))
+    };
+    let mut chunks = items.chunks(items.len().div_ceil(width.max(1)).max(1));
+    let first = chunks.next().unwrap_or_default();
+    std::thread::scope(|scope| {
+        let rest: Vec<_> = chunks
+            .map(|chunk| {
+                #[cfg(test)]
+                tests::count_spawn();
+                scope.spawn(move || run(chunk))
+            })
+            .collect();
+        let (mut out, mut busy_ns) = run(first);
+        for handle in rest {
+            let (chunk_out, ns) = handle.join().expect("par_map worker panicked");
+            out.extend(chunk_out);
+            busy_ns += ns;
+        }
+        (out, busy_ns)
     })
 }
 
 /// The pipelined render: a prefetch thread decodes ahead through the
-/// cursors into a bounded channel while this thread composes batches in
-/// parallel and encodes independent output GOPs concurrently.
+/// cursors into a channel [`PIPELINE_GOPS`] output GOPs deep while this
+/// thread composes each batch of that many GOPs in parallel and encodes
+/// its output GOPs concurrently. Compose and encode times are summed over
+/// [`par_map`]'s threads, so they are busy time at any fan-out.
 fn run_render_pipelined(
-    ctx: &PartCtx<'_>,
+    ctx: &SegmentCtx<'_>,
     program: &FrameProgram,
     inputs: &[InputClip],
-) -> Result<PartOutput, ExecError> {
+) -> Result<SegmentOutput, ExecError> {
     let (plan, catalog) = (ctx.run.plan, ctx.run.catalog);
-    let pipeline_frames = ctx.run.pipeline_frames;
-    let gop = u64::from(plan.out_params.gop_size);
+    let gop = u64::from(plan.out_params.gop_size.max(1));
+    let window = PIPELINE_GOPS * gop;
     let out_ty = plan.out_params.frame_ty;
     let end = ctx.seg.count;
-    debug_assert!(pipeline_frames as u64 % gop == 0, "depth is whole GOPs");
-    let (tx, rx) = channel::bounded::<(u64, Rational, Vec<Arc<Frame>>)>(pipeline_frames.max(1));
-    let pool = ThreadPoolBuilder::new()
-        .num_threads(ctx.fanout)
-        .build()
-        .expect("compose pool");
+    let (tx, rx) = mpsc::sync_channel::<(u64, Rational, Vec<Arc<Frame>>)>(window as usize);
 
     std::thread::scope(|scope| {
+        #[cfg(test)]
+        tests::count_spawn();
         let prefetch = scope.spawn(move || -> Result<(ExecStats, u64), ExecError> {
             let mut cursors = build_cursors(ctx, inputs)?;
             let mut decode_ns = 0u64;
@@ -753,7 +776,7 @@ fn run_render_pipelined(
             Ok((stats, decode_ns))
         });
 
-        // Consume: batches of up to `pipeline_frames` frames, composed in
+        // Consume: batches of up to `window` frames, composed in
         // parallel, then encoded one GOP per lane. `Err(None)` marks a
         // starved channel (the prefetcher died; its join has the cause).
         let consumed = (|| -> Result<_, Option<ExecError>> {
@@ -762,7 +785,7 @@ fn run_render_pipelined(
             let mut stage = StageTimes::default();
             let mut j = 0;
             while j < end {
-                let batch_end = end.min(j + pipeline_frames as u64);
+                let batch_end = end.min(j + window);
                 let mut batch: Vec<(u64, Rational, Vec<Arc<Frame>>)> =
                     Vec::with_capacity((batch_end - j) as usize);
                 while j + (batch.len() as u64) < batch_end {
@@ -770,20 +793,13 @@ fn run_render_pipelined(
                     debug_assert_eq!(item.0, j + batch.len() as u64, "frames arrive in order");
                     batch.push(item);
                 }
-                let t1 = Instant::now();
-                let composed: Vec<Frame> = pool
-                    .install(|| {
-                        use rayon::prelude::*;
-                        batch
-                            .par_iter()
-                            .map(|(_, t, frames)| {
-                                apply_program(program, *t, frames, catalog.arrays(), catalog)
-                                    .map(|f| conform(&f, out_ty))
-                            })
-                            .collect::<Result<Vec<Frame>, ExecError>>()
-                    })
-                    .map_err(Some)?;
-                let t2 = Instant::now();
+                let (composed, busy_ns) = par_map(ctx.fanout, &batch, |(_, t, frames)| {
+                    apply_program(program, *t, frames, catalog.arrays(), catalog)
+                        .map(|f| conform(&f, out_ty))
+                });
+                stage.compose_ns += busy_ns;
+                let composed: Result<Vec<Frame>, _> = composed.into_iter().collect();
+                let composed = composed.map_err(Some)?;
                 // Output GOPs are codec-independent: encode them in
                 // parallel with fresh encoders, splice runs in order.
                 let windows: Vec<(u64, &[Frame])> = composed
@@ -791,18 +807,12 @@ fn run_render_pipelined(
                     .enumerate()
                     .map(|(w, frames)| (j + (w as u64) * gop, frames))
                     .collect();
-                let runs: Vec<(Vec<Packet>, u64)> = pool
-                    .install(|| {
-                        use rayon::prelude::*;
-                        windows
-                            .par_iter()
-                            .map(|(wj, frames)| encode_window(ctx, *wj, frames))
-                            .collect::<Result<Vec<_>, ExecError>>()
-                    })
-                    .map_err(Some)?;
-                stage.compose_ns += (t2 - t1).as_nanos() as u64;
-                stage.encode_ns += elapsed_ns(t2);
-                for (run, bytes) in runs {
+                let (runs, busy_ns) = par_map(ctx.fanout, &windows, |(wj, frames)| {
+                    encode_window(ctx, *wj, frames)
+                });
+                stage.encode_ns += busy_ns;
+                for run in runs {
+                    let (run, bytes) = run.map_err(Some)?;
                     stats.frames_encoded += run.len() as u64;
                     stats.bytes_encoded += bytes;
                     packets.extend(run);
@@ -819,9 +829,9 @@ fn run_render_pipelined(
                 stats = stats.merge(dec_stats);
                 stats.segments = 1;
                 stage.decode_ns += decode_ns;
-                Ok(PartOutput {
+                Ok(SegmentOutput {
                     stage,
-                    ..PartOutput::new(ctx, packets, stats)
+                    ..SegmentOutput::new(ctx, packets, stats)
                 })
             }
             (_, Err(e)) => Err(e),
@@ -835,7 +845,7 @@ fn run_render_pipelined(
 /// segment-relative first frame (a GOP multiple, so the fresh encoder's
 /// keyframe cadence matches the sequential loop exactly).
 fn encode_window(
-    ctx: &PartCtx<'_>,
+    ctx: &SegmentCtx<'_>,
     wj: u64,
     frames: &[Frame],
 ) -> Result<(Vec<Packet>, u64), ExecError> {
@@ -868,8 +878,27 @@ mod tests {
 
     const KEY: u64 = 0x5e6;
 
-    /// One keyed 30-frame render segment over a marked source.
-    fn setup() -> (Catalog, PhysicalPlan) {
+    thread_local! {
+        /// Render-path threads this thread has spawned: the prefetch
+        /// thread and every `par_map` chunk past the first.
+        static SPAWNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    pub(super) fn count_spawn() {
+        SPAWNS.with(|n| n.set(n.get() + 1));
+    }
+
+    /// Runs `f` and returns its value with the render-path threads it
+    /// spawned from this thread.
+    fn spawns_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
+        let before = SPAWNS.with(std::cell::Cell::get);
+        let out = f();
+        (out, SPAWNS.with(std::cell::Cell::get) - before)
+    }
+
+    /// One unsharded `secs`-second render segment (30-frame output GOPs)
+    /// over a marked 60-frame source.
+    fn setup(secs: i64) -> (Catalog, PhysicalPlan) {
         let ty = FrameType::gray8(64, 32);
         let mut w = StreamWriter::new(CodecParams::new(ty, 30, 0), Rational::ZERO, r(1, 30));
         for i in 0..60 {
@@ -887,7 +916,7 @@ mod tests {
         };
         let spec = SpecBuilder::new(output)
             .video("src", "src.svc")
-            .append_filtered("src", r(0, 1), r(1, 1), |e| blur(e, 1.0))
+            .append_filtered("src", r(0, 1), r(secs, 1), |e| blur(e, 1.0))
             .build();
         let config = OptimizerConfig {
             shard_min_frames: u64::MAX,
@@ -935,7 +964,7 @@ mod tests {
     /// attribution each has always reported.
     #[test]
     fn every_origin_attributes_as_before_and_yields_the_same_bytes() {
-        let (catalog, plan) = setup();
+        let (catalog, plan) = setup(1);
         let ctx = |cache: Option<&Arc<RenderCache>>| SegmentCacheCtx {
             cache: cache.cloned(),
             keys: vec![Some(KEY)],
@@ -1029,5 +1058,70 @@ mod tests {
         for c in [cache, cold] {
             let _ = std::fs::remove_dir_all(c.dir());
         }
+    }
+
+    #[test]
+    fn par_map_preserves_item_order() {
+        let items: Vec<u64> = (0..1000).collect();
+        for width in [1, 2, 3, 7, 1000, 5000] {
+            let (out, _) = par_map(width, &items, |x| x * 2);
+            assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<_>>(), "{width}");
+        }
+    }
+
+    #[test]
+    fn par_map_runs_one_chunk_on_the_caller() {
+        let caller = std::thread::current().id();
+        let on_caller = |_: &u8| std::thread::current().id() == caller;
+        for (width, items) in [(1, vec![0u8; 5]), (4, vec![0]), (4, vec![])] {
+            let ((out, _), spawns) = spawns_during(|| par_map(width, &items, on_caller));
+            assert!(out.iter().all(|&here| here), "{width}/{}", items.len());
+            assert_eq!(spawns, 0, "{width}/{}", items.len());
+        }
+        // Wider than the item count: one item per chunk, the first here.
+        let ((out, _), spawns) = spawns_during(|| par_map(8, &[0u8; 5], on_caller));
+        assert_eq!(out, [true, false, false, false, false]);
+        assert_eq!(spawns, 4);
+        // Chunks of `len.div_ceil(width)`: 5 items at width 2 are 3 + 2.
+        let ((out, _), spawns) = spawns_during(|| par_map(2, &[0u8; 5], on_caller));
+        assert_eq!(out, [true, true, true, false, false]);
+        assert_eq!(spawns, 1);
+    }
+
+    /// A lone two-GOP render at two workers spawns the prefetch thread
+    /// plus one compose chunk and one encode chunk; one worker spawns
+    /// nothing, and both write the same bytes.
+    #[test]
+    fn a_lone_two_gop_render_spawns_three_render_threads() {
+        let (catalog, plan) = setup(2);
+        let serial = ExecOptions {
+            num_threads: 1,
+            ..Default::default()
+        };
+        let ((reference, _, _), spawns) =
+            spawns_during(|| execute(&plan, &catalog, &serial).unwrap());
+        assert_eq!(spawns, 0, "one worker renders on the caller");
+
+        // What `worker_loop` hands the only running segment at 2 workers.
+        let opts = ExecOptions {
+            num_threads: 2,
+            ..Default::default()
+        };
+        let cache = GopCache::new(opts.gop_cache_frames);
+        let reach = read_reach(&plan, &catalog);
+        let run = RunCtx {
+            plan: &plan,
+            catalog: &catalog,
+            cache: &cache,
+            reach: &reach,
+            opts: &opts,
+            fault: None,
+            seg_cache: None,
+            workers: 2,
+        };
+        let (out, spawns) = spawns_during(|| run_segment(&run.segment(0, 2)).unwrap());
+        assert_eq!(spawns, 3, "prefetch + 1 compose chunk + 1 encode chunk");
+        assert_eq!(out.packets, reference.packets());
+        assert_eq!(out.stats.frames_encoded, 60);
     }
 }

@@ -43,7 +43,7 @@ pub struct StreamingStats {
     pub total: Duration,
     /// Aggregated execution costs.
     pub exec: ExecStats,
-    /// Structured error report: one entry per part that failed and was
+    /// Structured error report: one entry per segment that failed and was
     /// recovered, skipped, or substituted under the run's error policy.
     pub errors: Vec<SegmentFault>,
     /// The per-segment trace `exec` and `errors` are taken from — the
@@ -52,13 +52,13 @@ pub struct StreamingStats {
 }
 
 /// Executes a plan, delivering packets to `sink` in presentation order
-/// as parts complete. Returns the assembled stream (identical to the
+/// as segments complete. Returns the assembled stream (identical to the
 /// batch executor's output) plus latency stats.
 ///
 /// This is the batch executor's driver with a sink attached, so a
 /// streaming run honors the same [`ExecOptions`] and reports the same
 /// [`ExecStats`] as a batch run of the same plan. Worker parallelism
-/// uses the scheduler's scoped pool; ordered delivery runs on the
+/// uses the scheduler's scoped threads; ordered delivery runs on the
 /// calling thread, so `sink` needs no synchronization. Packets reach
 /// `sink` already re-stamped onto the output presentation grid, so the
 /// sink-visible bytes are identical however the scheduler ordered the

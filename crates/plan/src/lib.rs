@@ -68,6 +68,10 @@ pub enum PlanError {
     /// (checked specs never trigger this).
     #[error("no match arm covers instant {0}")]
     Uncovered(v2v_time::Rational),
+    /// The spec's output settings are not encodable (a zero or
+    /// oversized frame dimension, a zero GOP size).
+    #[error("invalid output settings: {0}")]
+    InvalidOutput(String),
     /// A frame reference names an unbound video.
     #[error("unknown video '{0}' at plan time")]
     UnknownVideo(String),

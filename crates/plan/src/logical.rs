@@ -14,6 +14,7 @@
 
 use crate::program::{FrameProgram, InputClip, ProgArg};
 use crate::PlanError;
+use v2v_codec::CodecParams;
 use v2v_spec::{Arg, OutputSettings, RenderExpr, Spec};
 use v2v_time::{AffineTimeMap, Rational, TimeRange, TimeSet};
 
@@ -222,8 +223,24 @@ impl LogicalNode {
     }
 }
 
+/// The codec parameters a re-encoding plan writes under `output`.
+pub(crate) fn codec_params(output: &OutputSettings) -> CodecParams {
+    CodecParams {
+        frame_ty: output.frame_ty,
+        gop_size: output.gop_size,
+        quantizer: output.quantizer,
+        preset: Default::default(),
+    }
+}
+
 /// Lowers a (checked) spec to the unoptimized logical plan.
+///
+/// Output settings the codec would reject (a zero or oversized frame
+/// dimension, a zero GOP size) fail here, before anything renders.
 pub fn lower_spec(spec: &Spec) -> Result<LogicalPlan, PlanError> {
+    codec_params(&spec.output)
+        .validate()
+        .map_err(PlanError::InvalidOutput)?;
     let ranges = spec.time_domain.ranges();
     if ranges.len() != 1 {
         return Err(PlanError::NonUniformDomain(ranges.len()));

@@ -311,12 +311,7 @@ fn resolve_out_params(
     segments: &[LogicalSegment],
     ctx: &PlanContext,
 ) -> CodecParams {
-    let spec_params = CodecParams {
-        frame_ty: plan.output.frame_ty,
-        gop_size: plan.output.gop_size,
-        quantizer: plan.output.quantizer,
-        preset: Default::default(),
-    };
+    let spec_params = crate::logical::codec_params(&plan.output);
     let mut common: Option<CodecParams> = None;
     for seg in segments {
         let LogicalNode::Clip { video, time } = &seg.node else {

@@ -195,12 +195,15 @@ impl Default for ServeConfig {
     }
 }
 
-/// Admission gate: a counting semaphore with a bounded wait queue.
+/// Admission gate: a counting semaphore with a bounded wait queue. It
+/// owns the `serve.active_jobs` gauge, which it sets on every entry and
+/// release.
 struct JobGate {
     max: usize,
     depth: usize,
     state: Mutex<GateState>,
     freed: Condvar,
+    active_jobs: Arc<Gauge>,
 }
 
 #[derive(Default)]
@@ -209,13 +212,29 @@ struct GateState {
     queued: usize,
 }
 
+/// An admission slot, given back when dropped — also when the job
+/// holding it panics, so a failed render cannot leak its slot.
+struct Slot<'a>(&'a JobGate);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        let gate = self.0;
+        let mut st = gate.lock();
+        st.active = st.active.saturating_sub(1);
+        gate.active_jobs.set(st.active as u64);
+        drop(st);
+        gate.freed.notify_one();
+    }
+}
+
 impl JobGate {
-    fn new(max: usize, depth: usize) -> JobGate {
+    fn new(max: usize, depth: usize, active_jobs: Arc<Gauge>) -> JobGate {
         JobGate {
             max: max.max(1),
             depth,
             state: Mutex::new(GateState::default()),
             freed: Condvar::new(),
+            active_jobs,
         }
     }
 
@@ -225,34 +244,26 @@ impl JobGate {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Blocks until admitted; `false` means the queue was full and the
+    /// Blocks until admitted; `None` means the queue was full and the
     /// request must be rejected.
-    fn enter(&self) -> bool {
+    fn enter(&self) -> Option<Slot<'_>> {
         let mut st = self.lock();
-        if st.active < self.max {
-            st.active += 1;
-            return true;
+        if st.active >= self.max {
+            if st.queued >= self.depth {
+                return None;
+            }
+            st.queued += 1;
+            while st.active >= self.max {
+                st = self
+                    .freed
+                    .wait(st)
+                    .unwrap_or_else(|poisoned| poisoned.into_inner());
+            }
+            st.queued -= 1;
         }
-        if st.queued >= self.depth {
-            return false;
-        }
-        st.queued += 1;
-        while st.active >= self.max {
-            st = self
-                .freed
-                .wait(st)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-        st.queued -= 1;
         st.active += 1;
-        true
-    }
-
-    fn leave(&self) {
-        let mut st = self.lock();
-        st.active = st.active.saturating_sub(1);
-        drop(st);
-        self.freed.notify_one();
+        self.active_jobs.set(st.active as u64);
+        Some(Slot(self))
     }
 
     fn snapshot(&self) -> (usize, usize) {
@@ -273,7 +284,6 @@ struct Metrics {
     jobs_rejected: Arc<Counter>,
     inflight_hits: Arc<Counter>,
     segments_rendered: Arc<Counter>,
-    active_jobs: Arc<Gauge>,
     job_wall_ns: Arc<Histogram>,
     queue_wait_ns: Arc<Histogram>,
     sub_active: Arc<Gauge>,
@@ -314,7 +324,6 @@ impl Metrics {
             jobs_rejected: registry.counter("serve.jobs_rejected"),
             inflight_hits: registry.counter("serve.inflight_hits"),
             segments_rendered: registry.counter("serve.segments_rendered"),
-            active_jobs: registry.gauge("serve.active_jobs"),
             job_wall_ns: registry.histogram("serve.job_wall_ns"),
             queue_wait_ns: registry.histogram("serve.queue_wait_ns"),
             sub_active: registry.gauge("sub.active"),
@@ -443,13 +452,17 @@ impl V2vServer {
     pub fn start(self, addr: &str) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let gate = JobGate::new(self.config.max_concurrent, self.config.queue_depth);
         let pool = match (self.config.role, self.config.workers.is_empty()) {
             (ServeRole::Frontend, false) => Some(Arc::new(WorkerPool::new(&self.config.workers)?)),
             _ => None,
         };
         let registry = Registry::new();
         let metrics = Metrics::new(&registry);
+        let gate = JobGate::new(
+            self.config.max_concurrent,
+            self.config.queue_depth,
+            registry.gauge("serve.active_jobs"),
+        );
         // Open the variant store and attach every valid variant before
         // the catalog becomes shared: startup recovery is just a
         // re-attach, and digest-mismatched variants are skipped.
@@ -1114,23 +1127,19 @@ fn handle_query(req: &Request, shared: &Shared) -> Response {
 /// The one admitted-render sequence, shared by `/query`,
 /// `/render-segment` and subscription refreshes: takes an admission
 /// slot (waiting in the bounded queue), runs `job`, and gives the slot
-/// back, keeping `serve.queue_wait_ns`, the `serve.active_jobs` gauge
-/// and `serve.job_wall_ns` in step. Returns the job's value and the
+/// back, keeping `serve.queue_wait_ns`, the gate's `serve.active_jobs`
+/// gauge and `serve.job_wall_ns` in step. Returns the job's value and the
 /// time it waited for admission, or `None` when the queue was full and
 /// the job did not run.
 fn admitted<T>(shared: &Shared, job: impl FnOnce() -> T) -> Option<(T, u64)> {
     let metrics = &shared.metrics;
     let waiting = Instant::now();
-    if !shared.gate.enter() {
-        return None;
-    }
+    let slot = shared.gate.enter()?;
     let queue_wait_ns = waiting.elapsed().as_nanos() as u64;
     metrics.queue_wait_ns.record(queue_wait_ns);
-    metrics.active_jobs.set(shared.gate.snapshot().0 as u64);
     let started = Instant::now();
     let out = job();
-    shared.gate.leave();
-    metrics.active_jobs.set(shared.gate.snapshot().0 as u64);
+    drop(slot);
     metrics
         .job_wall_ns
         .record(started.elapsed().as_nanos() as u64);
@@ -1606,6 +1615,28 @@ mod tests {
         assert_eq!(resp.status, 404);
     }
 
+    /// Output settings the codec cannot encode are a plan error (400)
+    /// before anything renders; a zero width used to panic the render
+    /// and drop the connection without a response.
+    #[test]
+    fn unencodable_output_settings_answer_400() {
+        let handle = V2vServer::new(catalog()).start("127.0.0.1:0").unwrap();
+        let bad: [fn(&mut OutputSettings); 3] = [
+            |o| o.frame_ty.width = 0,
+            |o| o.frame_ty.height = 16385,
+            |o| o.gop_size = 0,
+        ];
+        for mutate in bad {
+            let mut spec = blur_spec(1);
+            mutate(&mut spec.output);
+            let resp = client::post_query(handle.addr(), spec.to_json().as_bytes()).unwrap();
+            assert_eq!(resp.status, 400, "{:?}", spec.output);
+            let v: serde_json::Value = serde_json::from_slice(&resp.body).unwrap();
+            let kind = v.get("error").and_then(|e| e.get("kind"));
+            assert_eq!(kind.and_then(|k| k.as_str()), Some("plan"), "{v}");
+        }
+    }
+
     #[test]
     fn missing_video_maps_to_404() {
         let handle = V2vServer::new(Catalog::new()).start("127.0.0.1:0").unwrap();
@@ -1783,6 +1814,23 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Regression: a job that panicked while admitted kept its slot for
+    /// good, so `max_concurrent` such renders wedged the daemon.
+    #[test]
+    fn a_panicking_job_gives_its_slot_back() {
+        let active_jobs = Arc::new(Gauge::new());
+        let gate = JobGate::new(1, 0, Arc::clone(&active_jobs));
+        let panicked = std::panic::catch_unwind(|| {
+            let _slot = gate.enter().expect("an idle gate admits");
+            assert_eq!(active_jobs.get(), 1);
+            panic!("render failed");
+        });
+        assert!(panicked.is_err());
+        assert_eq!(gate.snapshot(), (0, 0));
+        assert_eq!(active_jobs.get(), 0);
+        assert!(gate.enter().is_some(), "the next job is admitted at once");
+    }
+
     #[test]
     fn full_queue_rejects_with_retry_after() {
         // max_concurrent 1 and queue 0: while one render holds the
@@ -1790,12 +1838,12 @@ mod tests {
         // long render; the probe races it, so retry until we observe
         // the 429 (or the first finishes and both succeed — then force
         // the gate directly).
-        let gate = JobGate::new(1, 0);
-        assert!(gate.enter());
-        assert!(!gate.enter(), "queue of 0 must reject while busy");
-        gate.leave();
-        assert!(gate.enter());
-        gate.leave();
+        let gate = JobGate::new(1, 0, Arc::new(Gauge::new()));
+        let slot = gate.enter();
+        assert!(slot.is_some());
+        assert!(gate.enter().is_none(), "queue of 0 must reject while busy");
+        drop(slot);
+        assert!(gate.enter().is_some());
 
         // And over HTTP: hold the gate by saturating it with a real
         // request from another thread is racy, so instead check the

@@ -5,8 +5,8 @@
 //! executor's — per-GOP encode lanes start on output-GOP boundaries and
 //! packets are re-stamped onto the presentation grid, so no arm is
 //! allowed to change a single payload byte. This suite pins that
-//! invariant over the full `{batch, streaming} × {serial, parallel,
-//! pipelined} × {1, 2, 8 threads}` matrix on adversarial plan shapes:
+//! invariant over the full `{batch, streaming} × {serial, pipelined} ×
+//! {1, 2, 8 threads}` matrix on adversarial plan shapes:
 //!
 //! * 1-frame render segments (shorter than any GOP window),
 //! * many small segments (segment count ≫ worker count),
@@ -88,13 +88,6 @@ fn arms() -> Vec<(&'static str, ExecOptions)> {
             "serial",
             ExecOptions {
                 parallel: false,
-                ..Default::default()
-            },
-        ),
-        (
-            "parallel_plain",
-            ExecOptions {
-                pipeline_depth: 0,
                 ..Default::default()
             },
         ),
