@@ -1,24 +1,24 @@
-//! The `.svc` on-disk container format.
-//!
-//! Layout:
+//! The sealed `.svc` container format.
 //!
 //! ```text
 //! magic   4 bytes   "SVC1"
 //! hdr_len u32 LE    JSON header byte length
 //! header  JSON      {params, start, frame_dur, count}
-//! packets count ×   (u32 LE: len << 1 | keyframe, payload bytes)
+//! packets           packet table of `count` entries
 //! ```
 //!
 //! Timestamps are implied by the grid, so the packet table stores only
 //! lengths and keyframe flags — the keyframe index is rebuilt on load.
+//! Bytes after the table are ignored. The prelude and the packet table
+//! are the ones every format shares (`codec.rs`, DESIGN.md §17).
 
+use crate::codec;
 use crate::stream::VideoStream;
 use crate::ContainerError;
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 use std::path::Path;
-use v2v_codec::{CodecParams, Packet};
+use v2v_codec::CodecParams;
 use v2v_time::Rational;
 
 const MAGIC: &[u8; 4] = b"SVC1";
@@ -54,34 +54,11 @@ fn write_svc_to(stream: &VideoStream, f: &mut impl Write) -> Result<(), Containe
         frame_dur: stream.frame_dur(),
         count: stream.len() as u64,
     };
-    let hdr = serde_json::to_vec(&header)
-        .map_err(|e| ContainerError::BadFile(format!("header encode: {e}")))?;
-    f.write_all(MAGIC)?;
-    f.write_all(&(hdr.len() as u32).to_le_bytes())?;
-    f.write_all(&hdr)?;
-    for p in stream.packets() {
-        let tag = (p.size() as u32) << 1 | u32::from(p.keyframe);
-        f.write_all(&tag.to_le_bytes())?;
-        f.write_all(&p.data)?;
-    }
-    Ok(())
+    codec::write_prelude(f, MAGIC, &header)?;
+    codec::write_table(f, stream.packets())
 }
 
-/// Reads exactly `buf.len()` bytes, reporting a short read as
-/// [`ContainerError::BadFile`] naming `what`: truncation is a property
-/// of the file, not of the disk, so it must not surface as a bare I/O
-/// error.
-fn read_exact_or_bad(f: &mut impl Read, buf: &mut [u8], what: &str) -> Result<(), ContainerError> {
-    f.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            ContainerError::BadFile(format!("truncated {what}"))
-        } else {
-            ContainerError::Io(e)
-        }
-    })
-}
-
-/// Reads a stream from an `.svc` file.
+/// Reads a stream from an `.svc` file, sealed or live.
 ///
 /// Every size in the file (header length, packet count, packet lengths)
 /// is untrusted: each is validated against the file's actual size before
@@ -90,79 +67,30 @@ fn read_exact_or_bad(f: &mut impl Read, buf: &mut [u8], what: &str) -> Result<()
 pub fn read_svc(path: impl AsRef<Path>) -> Result<VideoStream, ContainerError> {
     let file = std::fs::File::open(path)?;
     let file_len = file.metadata()?.len();
-    let mut f = std::io::BufReader::new(file);
-    read_svc_from(&mut f, file_len)
+    read_svc_from(std::io::BufReader::new(file), file_len)
 }
 
 /// Parses `.svc` bytes from memory with the same hostile-input
 /// validation as [`read_svc`] — how a serving client interprets a
 /// response body.
 pub fn svc_from_bytes(bytes: &[u8]) -> Result<VideoStream, ContainerError> {
-    let mut cursor = std::io::Cursor::new(bytes);
-    read_svc_from(&mut cursor, bytes.len() as u64)
+    read_svc_from(bytes, bytes.len() as u64)
 }
 
-fn read_svc_from(f: &mut impl Read, file_len: u64) -> Result<VideoStream, ContainerError> {
-    let mut magic = [0u8; 4];
-    read_exact_or_bad(&mut *f, &mut magic, "magic")?;
+fn read_svc_from(f: impl Read, file_len: u64) -> Result<VideoStream, ContainerError> {
+    let mut r = f.take(file_len);
+    let magic = codec::read_array(&mut r, "magic")?;
     if &magic == crate::live::LIVE_MAGIC {
         // Live (append-aware) variant: yields the committed prefix.
-        return crate::live::read_live_from(f, file_len - 4);
+        return crate::live::read_live_from(r).map(|(stream, _)| stream);
     }
     if &magic != MAGIC {
-        return Err(ContainerError::BadFile("bad magic".into()));
+        return Err(codec::bad("bad magic"));
     }
-    let mut len4 = [0u8; 4];
-    read_exact_or_bad(&mut *f, &mut len4, "header length")?;
-    let hdr_len = u64::from(u32::from_le_bytes(len4));
-    if hdr_len > 1 << 20 || 8 + hdr_len > file_len {
-        return Err(ContainerError::BadFile("oversized header".into()));
-    }
-    let mut hdr = vec![0u8; hdr_len as usize];
-    read_exact_or_bad(&mut *f, &mut hdr, "header")?;
-    let header: Header = serde_json::from_slice(&hdr)
-        .map_err(|e| ContainerError::BadFile(format!("header decode: {e}")))?;
-    header
-        .params
-        .validate()
-        .map_err(|e| ContainerError::BadFile(format!("bad codec params: {e}")))?;
-    if !header.frame_dur.is_positive() {
-        return Err(ContainerError::BadFile(
-            "frame duration must be positive".into(),
-        ));
-    }
-    // Every packet costs at least its 4-byte tag, so a truthful count is
-    // bounded by the bytes left after the header; a hostile count cannot
-    // force a giant up-front allocation.
-    let body = file_len - 8 - hdr_len;
-    if header.count > body / 4 {
-        return Err(ContainerError::BadFile(format!(
-            "packet count {} exceeds what a {file_len}-byte file can hold",
-            header.count
-        )));
-    }
-    let mut packets = Vec::with_capacity(header.count as usize);
-    let mut remaining = body;
-    for k in 0..header.count {
-        remaining = remaining.checked_sub(4).ok_or_else(|| {
-            ContainerError::BadFile(format!("truncated packet table at packet {k}"))
-        })?;
-        read_exact_or_bad(&mut *f, &mut len4, "packet tag")?;
-        let tag = u32::from_le_bytes(len4);
-        let keyframe = tag & 1 == 1;
-        let len = u64::from(tag >> 1);
-        if len > remaining {
-            return Err(ContainerError::BadFile(format!(
-                "packet {k} length {len} exceeds remaining file bytes"
-            )));
-        }
-        let mut data = vec![0u8; len as usize];
-        read_exact_or_bad(&mut *f, &mut data, "packet payload")?;
-        remaining -= len;
-        let pts = header.start + header.frame_dur * Rational::from_int(k as i64);
-        packets.push(Packet::new(pts, keyframe, Bytes::from(data)));
-    }
-    VideoStream::new(header.params, header.start, header.frame_dur, packets)
+    let h: Header = codec::read_header(&mut r)?;
+    let mut packets = Vec::new();
+    codec::read_table(&mut r, h.count, h.start, h.frame_dur, &mut packets)?;
+    VideoStream::new(h.params, h.start, h.frame_dur, packets)
 }
 
 #[cfg(test)]
@@ -270,7 +198,7 @@ mod tests {
     #[test]
     fn hostile_packet_length_rejected() {
         // One packet whose tag claims a ~1 GiB payload backed by 3 bytes.
-        let tag: u32 = (1 << 30) << 1;
+        let tag: u32 = 1 << 31;
         let mut body = tag.to_le_bytes().to_vec();
         body.extend_from_slice(&[1, 2, 3]);
         let path = hostile_file(&gray_header(1), &body, "hostile_len.svc");

@@ -1,42 +1,37 @@
-//! The `.svf` cached-fragment format.
+//! The `.svf` cached-fragment format and its `SVW1` wire frame.
 //!
 //! A fragment is a self-contained run of compressed packets produced by
 //! rendering one plan segment (or a whole query result), persisted by
 //! the render cache and spliced back into later outputs by stream copy.
 //! Unlike a `.svc` file it carries no absolute start instant — packets
 //! are stored on a zero-based grid (`k · frame_dur`) and re-stamped by
-//! whoever splices them — and it *does* carry a payload checksum,
-//! because cache entries live across process lifetimes on disk where
-//! bit rot and partial writes are survivable events, not bugs: a
-//! corrupt entry must read back as [`ContainerError::BadFile`] so the
-//! cache can evict it and re-render, never as a panic or silent garbage
-//! in an output.
-//!
-//! Layout:
+//! whoever splices them — and it *does* carry a payload checksum: a
+//! corrupt cache entry must read back as [`ContainerError::BadFile`] so
+//! the cache can evict it and re-render, never as a panic or silent
+//! garbage in an output.
 //!
 //! ```text
 //! magic   4 bytes   "SVF1"
 //! hdr_len u32 LE    JSON header byte length
 //! header  JSON      {params, frame_dur, count, payload_fnv}
-//! packets count ×   (u32 LE: len << 1 | keyframe, payload bytes)
+//! packets           packet table of exactly `count` entries
 //! ```
 //!
 //! `payload_fnv` is the FNV-1a digest of the entire packet table
 //! (tags and payloads). It is verified before any packet is parsed.
+//! The prelude and the packet table are the ones every format shares
+//! (`codec.rs`, DESIGN.md §17).
 
+use crate::codec;
 use crate::digest::Fnv64;
 use crate::stream::VideoStream;
 use crate::ContainerError;
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
+use std::io::Read;
 use v2v_codec::{CodecParams, Packet};
 use v2v_time::Rational;
 
 const MAGIC: &[u8; 4] = b"SVF1";
-
-/// Maximum accepted header length — far above any real header, far
-/// below anything that could hurt.
-const MAX_HEADER: usize = 1 << 20;
 
 #[derive(Serialize, Deserialize)]
 struct Header {
@@ -63,28 +58,14 @@ pub struct Fragment {
 }
 
 impl Fragment {
-    /// Assembles a fragment, validating the splice invariants: positive
-    /// frame duration, keyframe-first, and zero-based grid timestamps.
+    /// Assembles a fragment, validating the splice invariants of a
+    /// stream starting at instant zero ([`VideoStream::new`]).
     pub fn new(
         params: CodecParams,
         frame_dur: Rational,
         packets: Vec<Packet>,
     ) -> Result<Fragment, ContainerError> {
-        if !frame_dur.is_positive() {
-            return Err(ContainerError::BadFile(format!(
-                "frame duration {frame_dur} must be positive"
-            )));
-        }
-        if let Some(first) = packets.first() {
-            if !first.keyframe {
-                return Err(ContainerError::SpliceNotKeyframe);
-            }
-        }
-        for (k, p) in packets.iter().enumerate() {
-            if p.pts != frame_dur * Rational::from_int(k as i64) {
-                return Err(ContainerError::OutOfOrder);
-            }
-        }
+        let packets = VideoStream::new(params, Rational::ZERO, frame_dur, packets)?.into_packets();
         Ok(Fragment {
             params,
             frame_dur,
@@ -148,11 +129,7 @@ impl Fragment {
 /// Serializes a fragment to `.svf` bytes.
 pub fn fragment_to_bytes(frag: &Fragment) -> Result<Vec<u8>, ContainerError> {
     let mut table = Vec::with_capacity(frag.byte_size() as usize + frag.len() * 4);
-    for p in frag.packets() {
-        let tag = (p.size() as u32) << 1 | u32::from(p.keyframe);
-        table.extend_from_slice(&tag.to_le_bytes());
-        table.extend_from_slice(&p.data);
-    }
+    codec::write_table(&mut table, frag.packets())?;
     let mut fnv = Fnv64::new();
     fnv.write(&table);
     let header = Header {
@@ -161,23 +138,10 @@ pub fn fragment_to_bytes(frag: &Fragment) -> Result<Vec<u8>, ContainerError> {
         count: frag.len() as u64,
         payload_fnv: fnv.finish(),
     };
-    let hdr = serde_json::to_vec(&header)
-        .map_err(|e| ContainerError::BadFile(format!("header encode: {e}")))?;
-    let mut out = Vec::with_capacity(8 + hdr.len() + table.len());
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&(hdr.len() as u32).to_le_bytes());
-    out.extend_from_slice(&hdr);
+    let mut out = Vec::with_capacity(512 + table.len());
+    codec::write_prelude(&mut out, MAGIC, &header)?;
     out.extend_from_slice(&table);
     Ok(out)
-}
-
-/// Splits `n` bytes off the front of `rest`, or reports a truncation
-/// naming `what`.
-fn take<'a>(rest: &'a [u8], n: usize, what: &str) -> Result<(&'a [u8], &'a [u8]), ContainerError> {
-    if rest.len() < n {
-        return Err(ContainerError::BadFile(format!("truncated {what}")));
-    }
-    Ok(rest.split_at(n))
 }
 
 /// Parses `.svf` bytes back into a fragment.
@@ -188,66 +152,25 @@ fn take<'a>(rest: &'a [u8], n: usize, what: &str) -> Result<(&'a [u8], &'a [u8])
 /// [`ContainerError::BadFile`], which the render cache treats as
 /// "evict and re-render".
 pub fn fragment_from_bytes(bytes: &[u8]) -> Result<Fragment, ContainerError> {
-    let (magic, rest) = take(bytes, 4, "magic")?;
-    if magic != MAGIC {
-        return Err(ContainerError::BadFile("bad fragment magic".into()));
+    let mut r = bytes.take(bytes.len() as u64);
+    if codec::read_array(&mut r, "magic")? != *MAGIC {
+        return Err(codec::bad("bad fragment magic"));
     }
-    let (len4, rest) = take(rest, 4, "header length")?;
-    let mut len_buf = [0u8; 4];
-    len_buf.copy_from_slice(len4);
-    let hdr_len = u32::from_le_bytes(len_buf) as usize;
-    if hdr_len > MAX_HEADER {
-        return Err(ContainerError::BadFile("oversized header".into()));
-    }
-    let (hdr, table) = take(rest, hdr_len, "header")?;
-    let header: Header = serde_json::from_slice(hdr)
-        .map_err(|e| ContainerError::BadFile(format!("header decode: {e}")))?;
-    header
-        .params
-        .validate()
-        .map_err(|e| ContainerError::BadFile(format!("bad codec params: {e}")))?;
-    if !header.frame_dur.is_positive() {
-        return Err(ContainerError::BadFile(
-            "frame duration must be positive".into(),
-        ));
-    }
+    let h: Header = codec::read_header(&mut r)?;
     let mut fnv = Fnv64::new();
-    fnv.write(table);
-    if fnv.finish() != header.payload_fnv {
-        return Err(ContainerError::BadFile(
-            "fragment payload checksum mismatch".into(),
-        ));
+    fnv.write(r.get_ref());
+    if fnv.finish() != h.payload_fnv {
+        return Err(codec::bad("fragment payload checksum mismatch"));
     }
-    // Every packet costs at least its 4-byte tag, so a truthful count
-    // is bounded by the table size.
-    if header.count > table.len() as u64 / 4 {
-        return Err(ContainerError::BadFile(format!(
-            "packet count {} exceeds what a {}-byte table can hold",
-            header.count,
-            table.len()
-        )));
-    }
-    let mut packets = Vec::with_capacity(header.count as usize);
-    let mut rest = table;
-    for k in 0..header.count {
-        let (len4, after_tag) = take(rest, 4, "packet tag")?;
-        let mut tag_buf = [0u8; 4];
-        tag_buf.copy_from_slice(len4);
-        let tag = u32::from_le_bytes(tag_buf);
-        let keyframe = tag & 1 == 1;
-        let len = (tag >> 1) as usize;
-        let (data, after) = take(after_tag, len, "packet payload")?;
-        rest = after;
-        let pts = header.frame_dur * Rational::from_int(k as i64);
-        packets.push(Packet::new(pts, keyframe, Bytes::from(data.to_vec())));
-    }
-    if !rest.is_empty() {
-        return Err(ContainerError::BadFile(format!(
+    let mut packets = Vec::new();
+    codec::read_table(&mut r, h.count, Rational::ZERO, h.frame_dur, &mut packets)?;
+    if r.limit() > 0 {
+        return Err(codec::bad(format!(
             "{} trailing bytes after packet table",
-            rest.len()
+            r.limit()
         )));
     }
-    Fragment::new(header.params, header.frame_dur, packets)
+    Fragment::new(h.params, h.frame_dur, packets)
 }
 
 /// Magic prefix of the cluster wire frame wrapping an `.svf` payload.
@@ -280,16 +203,13 @@ pub fn fragment_to_wire(key: u64, frag: &Fragment) -> Result<Vec<u8>, ContainerE
 /// [`ContainerError::BadFile`], which the dispatcher treats as "drop
 /// and re-render", never as output bytes.
 pub fn fragment_from_wire(bytes: &[u8], expect_key: u64) -> Result<Fragment, ContainerError> {
-    let (magic, rest) = take(bytes, 4, "wire magic")?;
-    if magic != WIRE_MAGIC {
-        return Err(ContainerError::BadFile("bad fragment wire magic".into()));
+    let mut svf = bytes;
+    if codec::read_array(&mut svf, "wire magic")? != *WIRE_MAGIC {
+        return Err(codec::bad("bad fragment wire magic"));
     }
-    let (key8, svf) = take(rest, 8, "wire key")?;
-    let mut key_buf = [0u8; 8];
-    key_buf.copy_from_slice(key8);
-    let key = u64::from_le_bytes(key_buf);
+    let key = u64::from_le_bytes(codec::read_array(&mut svf, "wire key")?);
     if key != expect_key {
-        return Err(ContainerError::BadFile(format!(
+        return Err(codec::bad(format!(
             "wire fragment key {key:016x} does not match expected {expect_key:016x}"
         )));
     }

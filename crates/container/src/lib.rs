@@ -19,8 +19,15 @@
 //! * [`mod@file`] — a versioned on-disk format (`.svc`) with a JSON header
 //!   and length-prefixed packet table;
 //! * [`mod@live`] — the append-aware variant: checksummed GOP batches a
-//!   [`LiveWriter`] commits while readers recover the committed prefix.
+//!   [`LiveWriter`] commits while readers recover the committed prefix;
+//! * [`mod@fragment`] — the checksummed `.svf` render-cache fragment and
+//!   its `SVW1` cluster wire frame.
+//!
+//! All four byte formats share one private codec: one prelude (magic,
+//! header length, JSON header) and one packet table, each written by one
+//! function and read by one hardened parser.
 
+mod codec;
 pub mod digest;
 pub mod file;
 pub mod fragment;

@@ -6,43 +6,44 @@
 //! reader can always recover the longest committed prefix — even while
 //! a writer is mid-append or after a crash truncated the tail.
 //!
-//! Layout:
-//!
 //! ```text
 //! magic    4 bytes   "SVCL"
 //! hdr_len  u32 LE    JSON header byte length
 //! header   JSON      {params, start, frame_dur}
 //! batch*   :=
 //!   frames   u32 LE  packets in this batch
-//!   body_len u32 LE  byte length of the packet table
-//!   body     body_len bytes: frames × (u32 LE: len << 1 | keyframe, payload)
+//!   body_len u32 LE  byte length of the body
+//!   body     packet table of exactly `frames` entries
 //!   commit   u64 LE  FNV-1a over (frames LE ‖ body)
 //! ```
 //!
 //! The commit word doubles as the per-GOP footer: a batch is visible
 //! only once its checksum is fully on disk. [`read_svc`] and
 //! [`svc_from_bytes`](crate::svc_from_bytes) detect the magic and stop
-//! at the first missing or mismatched commit, so a mid-append file
-//! yields the last committed prefix, never a parse error. A batch that
-//! *passes* its checksum but contains a malformed packet table was
-//! corrupted (or forged) after commit, which is a [`BadFile`] like any
-//! hostile sealed container.
+//! at the first batch that is short, claims more packets than its body
+//! can hold, or fails its commit, so a mid-append file yields the last
+//! committed prefix, never a parse error. A batch that *passes* its
+//! checksum but contains a malformed packet table was corrupted (or
+//! forged) after commit, which is a [`BadFile`] like any hostile sealed
+//! container. [`LiveWriter::open`] truncates exactly where that same
+//! read stops.
 //!
 //! Every batch starts at a keyframe (enforced by [`LiveWriter`]), so
 //! committed prefixes are whole GOP ranges and line up with
 //! [`VideoStream::digest_index`] boundaries — appending a batch leaves
-//! every earlier prefix digest unchanged.
+//! every earlier prefix digest unchanged. The prelude and the packet
+//! table are the ones every format shares (`codec.rs`, DESIGN.md §17).
 //!
 //! [`read_svc`]: crate::read_svc
 //! [`BadFile`]: ContainerError::BadFile
 
+use crate::codec;
 use crate::digest::Fnv64;
 use crate::stream::VideoStream;
 use crate::ContainerError;
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom, Take, Write};
 use std::path::Path;
 use v2v_codec::{CodecParams, Packet};
 use v2v_time::Rational;
@@ -64,96 +65,56 @@ fn batch_checksum(frames: u32, body: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Parses the live body (everything after the 4-byte magic), returning
-/// the committed packets. `remaining` is the byte count after the magic.
+/// Parses a live file whose 4-byte magic `r` has just consumed (its
+/// limit is the rest of the file), returning the committed packets and
+/// the byte offset where the committed data ends.
 ///
 /// Truncation mid-batch stops cleanly at the previous commit; structural
 /// damage *inside* a committed batch is a [`ContainerError::BadFile`].
-pub(crate) fn read_live_from(
-    f: &mut impl Read,
-    remaining: u64,
-) -> Result<VideoStream, ContainerError> {
-    let mut remaining = remaining;
-    let mut len4 = [0u8; 4];
-    if remaining < 4 {
-        return Err(ContainerError::BadFile("truncated header length".into()));
-    }
-    f.read_exact(&mut len4)?;
-    remaining -= 4;
-    let hdr_len = u64::from(u32::from_le_bytes(len4));
-    if hdr_len > 1 << 20 || hdr_len > remaining {
-        return Err(ContainerError::BadFile("oversized header".into()));
-    }
-    let mut hdr = vec![0u8; hdr_len as usize];
-    f.read_exact(&mut hdr)?;
-    remaining -= hdr_len;
-    let header: LiveHeader = serde_json::from_slice(&hdr)
-        .map_err(|e| ContainerError::BadFile(format!("header decode: {e}")))?;
-    header
-        .params
-        .validate()
-        .map_err(|e| ContainerError::BadFile(format!("bad codec params: {e}")))?;
-    if !header.frame_dur.is_positive() {
-        return Err(ContainerError::BadFile(
-            "frame duration must be positive".into(),
-        ));
-    }
-
-    let mut packets: Vec<Packet> = Vec::new();
-    loop {
-        // Batch header + commit word: anything short of a full batch is
-        // an uncommitted tail — stop at the prefix.
-        if remaining < 16 {
+pub(crate) fn read_live_from(mut r: Take<impl Read>) -> Result<(VideoStream, u64), ContainerError> {
+    let file_len = r.limit() + 4;
+    let h: LiveHeader = codec::read_header(&mut r)?;
+    let mut packets = Vec::new();
+    let mut end = file_len - r.limit();
+    // A batch header and commit word take 16 bytes: less is a torn tail.
+    while r.limit() >= 16 {
+        let frames = u32::from_le_bytes(codec::read_array(&mut r, "batch frames")?);
+        let body_len = u32::from_le_bytes(codec::read_array(&mut r, "batch length")?);
+        if u64::from(body_len) + 8 > r.limit() || frames > body_len / 4 {
             break;
         }
-        let mut bh = [0u8; 8];
-        f.read_exact(&mut bh)?;
-        let frames = u32::from_le_bytes([bh[0], bh[1], bh[2], bh[3]]);
-        let body_len = u64::from(u32::from_le_bytes([bh[4], bh[5], bh[6], bh[7]]));
-        if body_len + 16 > remaining || u64::from(frames) > body_len / 4 {
-            break; // tail claims more than the file holds: uncommitted
-        }
         let mut body = vec![0u8; body_len as usize];
-        f.read_exact(&mut body)?;
-        let mut commit = [0u8; 8];
-        f.read_exact(&mut commit)?;
-        if u64::from_le_bytes(commit) != batch_checksum(frames, &body) {
-            break; // partially overwritten tail: uncommitted
+        codec::read_exact(&mut r, &mut body, "batch body")?;
+        let commit = u64::from_le_bytes(codec::read_array(&mut r, "commit word")?);
+        if commit != batch_checksum(frames, &body) {
+            break;
         }
-        remaining -= 16 + body_len;
         // Committed: the packet table must now parse exactly.
-        let mut off = 0usize;
-        for k in 0..frames {
-            let Some(tag_bytes) = body.get(off..off + 4) else {
-                return Err(ContainerError::BadFile(format!(
-                    "committed batch truncated at packet {k}"
-                )));
-            };
-            let Ok(tag_arr) = <[u8; 4]>::try_from(tag_bytes) else {
-                return Err(ContainerError::BadFile(format!(
-                    "committed batch truncated at packet {k}"
-                )));
-            };
-            let tag = u32::from_le_bytes(tag_arr);
-            off += 4;
-            let len = (tag >> 1) as usize;
-            let Some(data) = body.get(off..off + len) else {
-                return Err(ContainerError::BadFile(format!(
-                    "committed packet {k} length {len} exceeds its batch"
-                )));
-            };
-            off += len;
-            let idx = packets.len() as i64;
-            let pts = header.start + header.frame_dur * Rational::from_int(idx);
-            packets.push(Packet::new(pts, tag & 1 == 1, Bytes::copy_from_slice(data)));
+        let mut table = Read::take(body.as_slice(), body.len() as u64);
+        codec::read_table(
+            &mut table,
+            frames.into(),
+            h.start,
+            h.frame_dur,
+            &mut packets,
+        )?;
+        if table.limit() > 0 {
+            return Err(codec::bad("committed batch has trailing garbage"));
         }
-        if off != body.len() {
-            return Err(ContainerError::BadFile(
-                "committed batch has trailing garbage".into(),
-            ));
-        }
+        end = file_len - r.limit();
     }
-    VideoStream::new(header.params, header.start, header.frame_dur, packets)
+    let stream = VideoStream::new(h.params, h.start, h.frame_dur, packets)?;
+    Ok((stream, end))
+}
+
+/// Reads a live file through `file`: the committed prefix and where it
+/// ends.
+fn read_live(file: &File) -> Result<(VideoStream, u64), ContainerError> {
+    let mut r = std::io::BufReader::new(file).take(file.metadata()?.len());
+    if codec::read_array(&mut r, "magic")? != *LIVE_MAGIC {
+        return Err(codec::bad("not a live .svc"));
+    }
+    read_live_from(r)
 }
 
 /// An appender for the live `.svc` format.
@@ -179,26 +140,20 @@ impl LiveWriter {
         start: Rational,
         frame_dur: Rational,
     ) -> Result<LiveWriter, ContainerError> {
-        if !frame_dur.is_positive() {
-            return Err(ContainerError::BadFile(
-                "frame duration must be positive".into(),
-            ));
-        }
+        // The grid check every stream gets (a positive frame duration).
+        VideoStream::new(params, start, frame_dur, Vec::new())?;
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(true)
             .open(path)?;
-        let hdr = serde_json::to_vec(&LiveHeader {
+        let header = LiveHeader {
             params,
             start,
             frame_dur,
-        })
-        .map_err(|e| ContainerError::BadFile(format!("header encode: {e}")))?;
-        file.write_all(LIVE_MAGIC)?;
-        file.write_all(&(hdr.len() as u32).to_le_bytes())?;
-        file.write_all(&hdr)?;
+        };
+        codec::write_prelude(&mut file, LIVE_MAGIC, &header)?;
         file.sync_data()?;
         Ok(LiveWriter {
             file,
@@ -210,12 +165,10 @@ impl LiveWriter {
     }
 
     /// Opens an existing live container for appending, recovering the
-    /// committed prefix and truncating any uncommitted tail.
+    /// committed prefix and truncating the file where that read stopped.
     pub fn open(path: impl AsRef<Path>) -> Result<LiveWriter, ContainerError> {
-        let path = path.as_ref();
-        let prefix = read_svc_live(path)?;
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        let end = committed_end(&mut file)?;
+        let (prefix, end) = read_live(&file)?;
         file.set_len(end)?;
         file.seek(SeekFrom::End(0))?;
         Ok(LiveWriter {
@@ -254,31 +207,21 @@ impl LiveWriter {
         self.append_packets(&packets)
     }
 
-    /// Appends pre-stamped packets as one committed batch. The head must
-    /// be a keyframe and every pts must continue the grid.
+    /// Appends pre-stamped packets as one committed batch: the splice
+    /// invariants of a stream starting at [`next_pts`](Self::next_pts)
+    /// ([`VideoStream::new`]).
     pub fn append_packets(&mut self, packets: &[Packet]) -> Result<(), ContainerError> {
-        let Some(head) = packets.first() else {
+        if packets.is_empty() {
             return Ok(());
-        };
-        if !head.keyframe {
-            return Err(ContainerError::SpliceNotKeyframe);
         }
-        for (i, p) in packets.iter().enumerate() {
-            let expect = self.start
-                + self.frame_dur * Rational::from_int((self.committed + i as u64) as i64);
-            if p.pts != expect {
-                return Err(ContainerError::OutOfOrder);
-            }
-        }
+        let next = self.next_pts();
+        VideoStream::new(self.params, next, self.frame_dur, packets.to_vec())?;
         let mut body = Vec::with_capacity(packets.iter().map(|p| 4 + p.size()).sum());
-        for p in packets {
-            let tag = (p.size() as u32) << 1 | u32::from(p.keyframe);
-            body.extend_from_slice(&tag.to_le_bytes());
-            body.extend_from_slice(&p.data);
-        }
-        let frames = packets.len() as u32;
+        codec::write_table(&mut body, packets)?;
+        let frames = u32::try_from(packets.len()).map_err(|_| codec::bad("batch too long"))?;
+        let body_len = u32::try_from(body.len()).map_err(|_| codec::bad("batch too large"))?;
         self.file.write_all(&frames.to_le_bytes())?;
-        self.file.write_all(&(body.len() as u32).to_le_bytes())?;
+        self.file.write_all(&body_len.to_le_bytes())?;
         self.file.write_all(&body)?;
         self.file
             .write_all(&batch_checksum(frames, &body).to_le_bytes())?;
@@ -288,60 +231,13 @@ impl LiveWriter {
     }
 }
 
-/// Byte offset of the last committed batch's end (header-only files
-/// return the offset just past the header).
-fn committed_end(file: &mut File) -> Result<u64, ContainerError> {
-    let file_len = file.metadata()?.len();
-    file.seek(SeekFrom::Start(4))?;
-    let mut len4 = [0u8; 4];
-    file.read_exact(&mut len4)?;
-    let mut end = 8 + u64::from(u32::from_le_bytes(len4));
-    file.seek(SeekFrom::Start(end))?;
-    loop {
-        let remaining = file_len.saturating_sub(end);
-        if remaining < 16 {
-            break;
-        }
-        let mut bh = [0u8; 8];
-        file.read_exact(&mut bh)?;
-        let frames = u32::from_le_bytes([bh[0], bh[1], bh[2], bh[3]]);
-        let body_len = u64::from(u32::from_le_bytes([bh[4], bh[5], bh[6], bh[7]]));
-        if body_len + 16 > remaining {
-            break;
-        }
-        let mut body = vec![0u8; body_len as usize];
-        file.read_exact(&mut body)?;
-        let mut commit = [0u8; 8];
-        file.read_exact(&mut commit)?;
-        if u64::from_le_bytes(commit) != batch_checksum(frames, &body) {
-            break;
-        }
-        end += 16 + body_len;
-    }
-    Ok(end)
-}
-
 /// Reads the committed prefix of a live `.svc` file.
 ///
 /// Equivalent to [`read_svc`](crate::read_svc) (which dispatches on the
 /// magic) but rejects sealed containers, for callers that require the
 /// appendable variant.
 pub fn read_svc_live(path: impl AsRef<Path>) -> Result<VideoStream, ContainerError> {
-    let file = File::open(path)?;
-    let file_len = file.metadata()?.len();
-    let mut f = std::io::BufReader::new(file);
-    let mut magic = [0u8; 4];
-    f.read_exact(&mut magic).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            ContainerError::BadFile("truncated magic".into())
-        } else {
-            ContainerError::Io(e)
-        }
-    })?;
-    if &magic != LIVE_MAGIC {
-        return Err(ContainerError::BadFile("not a live .svc".into()));
-    }
-    read_live_from(&mut f, file_len - 4)
+    read_live(&File::open(path)?).map(|(stream, _)| stream)
 }
 
 #[cfg(test)]
@@ -432,6 +328,38 @@ mod tests {
         w.append_stream(&b).unwrap();
         let back = read_svc(&path).unwrap();
         assert_eq!(back.len(), 12);
+        let expect = VideoStream::concat(&[&a, &b]).unwrap();
+        assert_eq!(back.content_digest(), expect.content_digest());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Regression: `open` used to find the committed end with a second
+    /// scanner that, unlike the reader, accepted a checksummed batch
+    /// claiming more packets than its body holds. It kept that batch,
+    /// and every later append landed past where any reader stops: the
+    /// writer reported 8 frames committed while `read_svc` saw 4.
+    #[test]
+    fn open_truncates_where_the_reader_stops() {
+        let a = gop_stream(4, 4, 0);
+        let b = gop_stream(4, 4, 4);
+        let path = tmp("reader_stop.svcl");
+        let mut w =
+            LiveWriter::create(path.clone(), *a.params(), a.start(), a.frame_dur()).unwrap();
+        w.append_stream(&a).unwrap();
+        drop(w);
+        // One frame in an empty body, under a valid commit word.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&batch_checksum(1, &[]).to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+
+        let mut w = LiveWriter::open(&path).unwrap();
+        assert_eq!(w.committed(), 4);
+        w.append_stream(&b).unwrap();
+        assert_eq!(w.committed(), 8);
+        let back = read_svc(&path).unwrap();
+        assert_eq!(back.len(), 8, "every committed append is readable");
         let expect = VideoStream::concat(&[&a, &b]).unwrap();
         assert_eq!(back.content_digest(), expect.content_digest());
         std::fs::remove_file(&path).unwrap();

@@ -107,6 +107,11 @@ impl VideoStream {
         &self.packets
     }
 
+    /// The packets, giving the stream up.
+    pub(crate) fn into_packets(self) -> Vec<Packet> {
+        self.packets
+    }
+
     /// Total compressed size in bytes.
     pub fn byte_size(&self) -> u64 {
         self.packets.iter().map(|p| p.size() as u64).sum()

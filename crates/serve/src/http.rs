@@ -140,15 +140,32 @@ fn parse_headers(lines: &[String]) -> io::Result<Vec<(String, String)>> {
         .collect()
 }
 
-/// Reads the body per `Content-Length` (absent means empty), bounded by
-/// [`MAX_BODY`].
-fn read_body(reader: &mut impl BufRead, headers: &[(String, String)]) -> io::Result<Vec<u8>> {
-    let len = headers
+/// The `Content-Length` header's value, if there is one.
+fn content_length(headers: &[(String, String)]) -> io::Result<Option<usize>> {
+    headers
         .iter()
         .find(|(n, _)| n == "content-length")
         .map(|(_, v)| v.parse::<usize>().map_err(|_| bad("bad content-length")))
-        .transpose()?
-        .unwrap_or(0);
+        .transpose()
+}
+
+/// Reads `len` bytes whose count is the peer's claim, never allocating
+/// the claim: capacity is capped at [`MAX_BODY`] and the buffer grows
+/// past it only with bytes that arrive. A short read is
+/// [`io::ErrorKind::UnexpectedEof`] carrying `what`.
+pub(crate) fn read_claimed(r: &mut impl Read, len: u64, what: &str) -> io::Result<Vec<u8>> {
+    let mut buf = Vec::with_capacity(len.min(MAX_BODY as u64) as usize);
+    r.take(len).read_to_end(&mut buf)?;
+    if (buf.len() as u64) < len {
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, what));
+    }
+    Ok(buf)
+}
+
+/// Reads a request body per `Content-Length` (absent means empty),
+/// bounded by [`MAX_BODY`].
+fn read_body(reader: &mut impl BufRead, headers: &[(String, String)]) -> io::Result<Vec<u8>> {
+    let len = content_length(headers)?.unwrap_or(0);
     if len > MAX_BODY {
         return Err(bad("body too large"));
     }
@@ -307,8 +324,10 @@ pub mod client {
             .and_then(|s| s.parse::<u16>().ok())
             .ok_or_else(|| bad("malformed status line"))?;
         let headers = parse_headers(rest)?;
-        let body = match headers.iter().find(|(n, _)| n == "content-length") {
-            Some(_) => read_body(&mut reader, &headers)?,
+        // A response body is as large as the result it carries: the
+        // request cap does not apply, only the declared length.
+        let body = match content_length(&headers)? {
+            Some(len) => read_claimed(&mut reader, len as u64, "connection closed mid-body")?,
             None => {
                 let mut buf = Vec::new();
                 reader.read_to_end(&mut buf)?;
@@ -444,6 +463,53 @@ mod tests {
     fn truncated_header_is_an_error() {
         let raw = b"GET / HTTP/1.1\r\nHost: x";
         assert!(read_request(&mut Cursor::new(&raw[..])).is_err());
+    }
+
+    /// A one-connection stub server: reads the request head, answers
+    /// with `response`, and closes.
+    fn stub(response: Vec<u8>) -> (SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (conn, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(conn);
+            read_head(&mut reader).unwrap();
+            reader.get_mut().write_all(&response).unwrap();
+        });
+        (addr, server)
+    }
+
+    /// Regression: responses used to be read under the *request* cap, so
+    /// a worker's fragment or a query result over 16 MiB failed with
+    /// "body too large" and the coordinator marked the worker dead.
+    #[test]
+    fn a_response_body_over_the_request_cap_arrives_whole() {
+        let mut response = format!(
+            "HTTP/1.1 200 OK\r\ncontent-length: {}\r\n\r\n",
+            MAX_BODY + 1
+        )
+        .into_bytes();
+        response.resize(response.len() + MAX_BODY + 1, 7);
+        let (addr, server) = stub(response);
+        let resp = super::client::request(addr, "GET", "/big", b"").unwrap();
+        server.join().unwrap();
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.body.len(), MAX_BODY + 1);
+        assert!(resp.body.iter().all(|&b| b == 7));
+    }
+
+    /// A response's `content-length` is the peer's claim: a huge one is
+    /// never allocated up front, and a body that stops short of it is
+    /// `UnexpectedEof`.
+    #[test]
+    fn a_response_shorter_than_its_claimed_length_is_unexpected_eof() {
+        let mut response =
+            format!("HTTP/1.1 200 OK\r\ncontent-length: {}\r\n\r\n", usize::MAX).into_bytes();
+        response.extend_from_slice(&[1; 10]);
+        let (addr, server) = stub(response);
+        let err = super::client::request(addr, "GET", "/liar", b"").unwrap_err();
+        server.join().unwrap();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
     }
 
     /// Regression: `request_timeout` must bound the *whole* exchange,

@@ -81,17 +81,8 @@ pub fn read_delta(r: &mut impl Read) -> io::Result<Option<(DeltaHeader, Vec<u8>)
     let header: DeltaHeader =
         serde_json::from_slice(&json).map_err(|e| bad(format!("delta header: {e}")))?;
     // `svc_len` is the peer's claim, and a first delta is a whole result
-    // with no natural bound: never allocate the claim. Pre-size up to a
-    // request body's worth (one exact allocation for every ordinary
-    // delta); past that the buffer grows with the bytes that arrive.
-    let mut svc = Vec::with_capacity(header.svc_len.min(crate::http::MAX_BODY as u64) as usize);
-    r.take(header.svc_len).read_to_end(&mut svc)?;
-    if (svc.len() as u64) < header.svc_len {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "connection closed mid-delta",
-        ));
-    }
+    // with no natural bound: read it without allocating the claim.
+    let svc = crate::http::read_claimed(r, header.svc_len, "connection closed mid-delta")?;
     Ok(Some((header, svc)))
 }
 
