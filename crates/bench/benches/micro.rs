@@ -235,7 +235,7 @@ fn bench_planning(c: &mut Criterion) {
             black_box(
                 optimize(
                     black_box(&logical),
-                    black_box(&ctx),
+                    black_box(ctx),
                     &OptimizerConfig::default(),
                 )
                 .unwrap(),

@@ -10,14 +10,17 @@ use v2v_time::{Rational, TimeRange, TimeSet};
 /// An indexed, immutable video stream.
 ///
 /// Frames sit on a uniform grid `start + k · frame_dur`; packet `k` holds
-/// frame `k`. The keyframe flags form the index that seeks and smart cuts
-/// consult.
+/// frame `k`. The keyframe flags form the index that seeks, smart cuts
+/// and the planner consult.
 #[derive(Clone)]
 pub struct VideoStream {
     params: CodecParams,
     start: Rational,
     frame_dur: Rational,
     packets: Vec<Packet>,
+    /// Ascending indices of the keyframe packets, built once by
+    /// [`new`](Self::new): every keyframe query is a search here.
+    keyframes: Vec<usize>,
     /// The stream's identity, folded on first use. The stream is
     /// immutable, so the memo is never invalidated: a different stream
     /// is a different memo, and `Clone` carries a filled one along.
@@ -39,9 +42,9 @@ struct DigestMemo {
 }
 
 impl VideoStream {
-    /// Assembles a stream from parts, validating the splice invariants:
-    /// the first packet must be a keyframe and timestamps must follow the
-    /// grid.
+    /// Assembles a stream from parts, validating the splice invariants
+    /// (the first packet must be a keyframe and timestamps must follow
+    /// the grid) and indexing the keyframes.
     pub fn new(
         params: CodecParams,
         start: Rational,
@@ -61,10 +64,14 @@ impl VideoStream {
                 return Err(ContainerError::SpliceNotKeyframe);
             }
         }
+        let mut keyframes = Vec::new();
         for (k, p) in packets.iter().enumerate() {
             let expect = start + frame_dur * Rational::from_int(k as i64);
             if p.pts != expect {
                 return Err(ContainerError::OutOfOrder);
+            }
+            if p.keyframe {
+                keyframes.push(k);
             }
         }
         Ok(VideoStream {
@@ -72,6 +79,7 @@ impl VideoStream {
             start,
             frame_dur,
             packets,
+            keyframes,
             digests: OnceLock::new(),
             resume: None,
         })
@@ -266,32 +274,22 @@ impl VideoStream {
         self.range().at(k as u64)
     }
 
-    /// Index of the last keyframe at or before frame `k`.
+    /// Index of the last keyframe at or before frame `k` (for `k` past
+    /// the end, the stream's last keyframe).
     pub fn keyframe_at_or_before(&self, k: usize) -> Option<usize> {
-        self.packets
-            .iter()
-            .enumerate()
-            .take(k.saturating_add(1))
-            .rev()
-            .find_map(|(i, p)| p.keyframe.then_some(i))
+        let upto = self.keyframes.partition_point(|&kf| kf <= k);
+        self.keyframes.get(..upto)?.last().copied()
     }
 
     /// Index of the first keyframe at or after frame `k`.
     pub fn next_keyframe_at_or_after(&self, k: usize) -> Option<usize> {
-        self.packets
-            .iter()
-            .enumerate()
-            .skip(k)
-            .find_map(|(i, p)| p.keyframe.then_some(i))
+        let from = self.keyframes.partition_point(|&kf| kf < k);
+        self.keyframes.get(from).copied()
     }
 
-    /// All keyframe indices.
-    pub fn keyframe_indices(&self) -> Vec<usize> {
-        self.packets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.keyframe.then_some(i))
-            .collect()
+    /// All keyframe indices, ascending.
+    pub fn keyframe_indices(&self) -> &[usize] {
+        &self.keyframes
     }
 
     /// Clones the compressed packets for frames `[from, to)` *without any
@@ -483,6 +481,52 @@ mod tests {
         assert_eq!(s.next_keyframe_at_or_after(1), Some(4));
         assert_eq!(s.next_keyframe_at_or_after(8), Some(8));
         assert_eq!(s.next_keyframe_at_or_after(9), None);
+    }
+
+    /// The packet-walk definitions the keyframe index replaced: the
+    /// oracle the indexed queries must agree with.
+    fn walk_at_or_before(s: &VideoStream, k: usize) -> Option<usize> {
+        s.packets
+            .iter()
+            .enumerate()
+            .take(k.saturating_add(1))
+            .rev()
+            .find_map(|(i, p)| p.keyframe.then_some(i))
+    }
+
+    fn walk_at_or_after(s: &VideoStream, k: usize) -> Option<usize> {
+        s.packets
+            .iter()
+            .enumerate()
+            .skip(k)
+            .find_map(|(i, p)| p.keyframe.then_some(i))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn indexed_keyframe_queries_match_the_packet_walk(
+            marks in proptest::collection::vec(0u8..4, 0..48),
+        ) {
+            // Keyframe density varies with the draw: one packet in four
+            // on average, and the head is always a keyframe.
+            let packets: Vec<Packet> = marks
+                .iter()
+                .enumerate()
+                .map(|(i, &m)| Packet::new(r(i as i64, 30), i == 0 || m == 0, Default::default()))
+                .collect();
+            let params = CodecParams::new(FrameType::gray8(8, 8), 4, 0);
+            let s = VideoStream::new(params, Rational::ZERO, r(1, 30), packets).unwrap();
+            let walked: Vec<usize> = (0..s.len()).filter(|&i| s.packets[i].keyframe).collect();
+            proptest::prop_assert_eq!(s.keyframe_indices(), walked);
+            // Past the end too: `k ≥ len` is how the planner asks for a
+            // stream's last keyframe.
+            for k in (0..s.len() + 3).chain([usize::MAX]) {
+                proptest::prop_assert_eq!(s.keyframe_at_or_before(k), walk_at_or_before(&s, k));
+                proptest::prop_assert_eq!(s.next_keyframe_at_or_after(k), walk_at_or_after(&s, k));
+            }
+        }
     }
 
     #[test]
@@ -684,6 +728,7 @@ mod tests {
             start: s.start(),
             frame_dur: s.frame_dur(),
             packets,
+            keyframes: Vec::new(),
             digests: OnceLock::new(),
             resume: None,
         }

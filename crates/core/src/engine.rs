@@ -273,13 +273,13 @@ impl V2vEngine {
         let check = self.check(spec)?;
         let logical = lower_spec(spec)?;
         let ctx = self.catalog.plan_context();
-        let (mut physical, trace) = optimize_traced(&logical, &ctx, &self.config.optimizer)?;
+        let (mut physical, trace) = optimize_traced(&logical, ctx, &self.config.optimizer)?;
         // Storage-variant selection runs after all plan rewrites: it
         // only retargets render reads, so the plan's shape, fingerprint,
         // and cache keys are already final.
         select_variants(
             &mut physical,
-            &ctx,
+            ctx,
             &CostModel::default(),
             self.config.variants,
         );

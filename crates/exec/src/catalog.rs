@@ -5,33 +5,20 @@ use std::sync::Arc;
 use v2v_container::VideoStream;
 use v2v_data::DataArray;
 use v2v_frame::Frame;
-use v2v_plan::{PlanContext, SourceMeta, VariantFacts, VariantKind};
+use v2v_plan::{PlanContext, VariantKind, VariantSource};
 use v2v_spec::{check::SourceInfo, ArgKind, Spec, UdfRegistry};
-
-/// One attached physical variant of a catalog source.
-///
-/// The stream shares the original's frame grid (start, frame duration)
-/// and decodes frame-for-frame identical to it over the covered prefix.
-#[derive(Clone)]
-pub struct VariantSource {
-    /// The variant bitstream.
-    pub stream: Arc<VideoStream>,
-    /// Leading original frame indices this variant can serve. A live
-    /// source may have grown past this since the transcode; reads at or
-    /// beyond it must fall back to the original.
-    pub covered_frames: u64,
-}
 
 /// Bound sources for one execution: videos, data arrays, overlay images.
 ///
 /// The same catalog serves the checker (frame types + availability), the
 /// optimizer (codec params + keyframe index), and the executors (packets
-/// and pixels). Streams are `Arc`-shared: cloning a catalog or handing it
-/// to parallel segments never copies media.
+/// and pixels). Videos and their variants live in the [`PlanContext`]
+/// the optimizer borrows, so planning reads the very streams execution
+/// does. Streams are `Arc`-shared: cloning a catalog or handing it to
+/// parallel segments never copies media.
 #[derive(Clone, Default)]
 pub struct Catalog {
-    videos: BTreeMap<String, Arc<VideoStream>>,
-    variants: BTreeMap<String, BTreeMap<VariantKind, VariantSource>>,
+    streams: PlanContext,
     arrays: BTreeMap<String, DataArray>,
     images: BTreeMap<String, Arc<Frame>>,
     udf_signatures: UdfRegistry,
@@ -46,7 +33,7 @@ impl Catalog {
 
     /// Binds a video stream to a name.
     pub fn add_video(&mut self, name: impl Into<String>, stream: VideoStream) -> &mut Catalog {
-        self.videos.insert(name.into(), Arc::new(stream));
+        self.streams.sources.insert(name.into(), Arc::new(stream));
         self
     }
 
@@ -56,7 +43,7 @@ impl Catalog {
         name: impl Into<String>,
         stream: Arc<VideoStream>,
     ) -> &mut Catalog {
-        self.videos.insert(name.into(), stream);
+        self.streams.sources.insert(name.into(), stream);
         self
     }
 
@@ -98,7 +85,7 @@ impl Catalog {
 
     /// Looks up a video.
     pub fn video(&self, name: &str) -> Option<&Arc<VideoStream>> {
-        self.videos.get(name)
+        self.streams.source(name)
     }
 
     /// Attaches a physical variant to an already-bound source. The
@@ -114,36 +101,41 @@ impl Catalog {
         stream: Arc<VideoStream>,
         covered_frames: u64,
     ) -> &mut Catalog {
-        self.variants.entry(name.into()).or_default().insert(
-            kind,
-            VariantSource {
-                stream,
-                covered_frames,
-            },
-        );
+        self.streams
+            .variants
+            .entry(name.into())
+            .or_default()
+            .insert(
+                kind,
+                VariantSource {
+                    stream,
+                    covered_frames,
+                },
+            );
         self
     }
 
     /// Looks up an attached variant of a source.
     pub fn variant(&self, name: &str, kind: VariantKind) -> Option<&VariantSource> {
-        self.variants.get(name)?.get(&kind)
+        self.streams.variants.get(name)?.get(&kind)
     }
 
     /// Detaches one variant; returns `true` if it was attached.
     pub fn remove_variant(&mut self, name: &str, kind: VariantKind) -> bool {
-        let Some(set) = self.variants.get_mut(name) else {
+        let Some(set) = self.streams.variants.get_mut(name) else {
             return false;
         };
         let removed = set.remove(&kind).is_some();
         if set.is_empty() {
-            self.variants.remove(name);
+            self.streams.variants.remove(name);
         }
         removed
     }
 
     /// Attached variant kinds per source (status / admin views).
     pub fn variant_kinds(&self) -> BTreeMap<String, Vec<VariantKind>> {
-        self.variants
+        self.streams
+            .variants
             .iter()
             .map(|(name, set)| (name.clone(), set.keys().copied().collect()))
             .collect()
@@ -165,67 +157,16 @@ impl Catalog {
         &mut self.arrays
     }
 
-    /// Source facts for the optimizer.
-    pub fn plan_context(&self) -> PlanContext {
-        let mut ctx = PlanContext::new();
-        for (name, stream) in &self.videos {
-            ctx = ctx.with_source(
-                name.clone(),
-                SourceMeta {
-                    params: *stream.params(),
-                    start: stream.start(),
-                    frame_dur: stream.frame_dur(),
-                    count: stream.len() as u64,
-                    keyframes: stream
-                        .keyframe_indices()
-                        .into_iter()
-                        .map(|k| k as u64)
-                        .collect(),
-                },
-            );
-        }
-        for (name, set) in &self.variants {
-            let Some(original) = self.videos.get(name) else {
-                continue;
-            };
-            let mut facts = vec![VariantFacts {
-                kind: VariantKind::Original,
-                params: *original.params(),
-                keyframes: original
-                    .keyframe_indices()
-                    .into_iter()
-                    .map(|k| k as u64)
-                    .collect(),
-                byte_size: original.byte_size(),
-                covered_frames: original.len() as u64,
-            }];
-            for (&kind, v) in set {
-                // A variant covering more frames than the original has
-                // is stale (the source was replaced): skip it.
-                if v.covered_frames > original.len() as u64 {
-                    continue;
-                }
-                facts.push(VariantFacts {
-                    kind,
-                    params: *v.stream.params(),
-                    keyframes: v
-                        .stream
-                        .keyframe_indices()
-                        .into_iter()
-                        .map(|k| k as u64)
-                        .collect(),
-                    byte_size: v.stream.byte_size(),
-                    covered_frames: v.covered_frames.min(v.stream.len() as u64),
-                });
-            }
-            ctx = ctx.with_variants(name.clone(), facts);
-        }
-        ctx
+    /// The optimizer's view of the bound videos and their variants:
+    /// the catalog's own streams, lent, not copied.
+    pub fn plan_context(&self) -> &PlanContext {
+        &self.streams
     }
 
     /// Source facts for the static checker.
     pub fn source_infos(&self) -> BTreeMap<String, SourceInfo> {
-        self.videos
+        self.streams
+            .sources
             .iter()
             .map(|(name, stream)| {
                 (
@@ -243,7 +184,7 @@ impl Catalog {
     pub fn covers(&self, spec: &Spec) -> bool {
         spec.referenced_videos()
             .iter()
-            .all(|v| self.videos.contains_key(v))
+            .all(|v| self.streams.sources.contains_key(v))
             && spec
                 .referenced_arrays()
                 .iter()
@@ -274,10 +215,26 @@ mod tests {
         let mut c = Catalog::new();
         c.add_video("a", stream(9));
         let ctx = c.plan_context();
-        let meta = ctx.source("a").unwrap();
-        assert_eq!(meta.count, 9);
-        assert_eq!(meta.keyframes, vec![0, 4, 8]);
-        assert_eq!(meta.frame_dur, r(1, 30));
+        let source = ctx.source("a").unwrap();
+        assert_eq!(source.len(), 9);
+        assert_eq!(source.keyframe_indices(), [0, 4, 8]);
+        assert_eq!(source.frame_dur(), r(1, 30));
+    }
+
+    #[test]
+    fn plan_context_lends_the_catalogs_own_streams() {
+        let mut c = Catalog::new();
+        c.add_video("a", stream(9));
+        let variant = Arc::new(stream(9));
+        c.add_variant("a", VariantKind::Dense, variant.clone(), 9);
+        let ctx = c.plan_context();
+        assert!(Arc::ptr_eq(ctx.source("a").unwrap(), c.video("a").unwrap()));
+        let lent = &ctx.variants["a"][&VariantKind::Dense];
+        assert!(Arc::ptr_eq(&lent.stream, &variant));
+        assert!(
+            std::ptr::eq(ctx, c.plan_context()),
+            "one context, not a copy per call"
+        );
     }
 
     #[test]

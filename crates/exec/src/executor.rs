@@ -27,10 +27,11 @@ use v2v_time::Rational;
 #[derive(Clone, Debug)]
 pub struct ExecOptions {
     /// Evaluate segments in parallel (the runtime half of the paper's
-    /// optimization story). Disable for the ablation benches; when
-    /// `false` the engine runs strictly sequentially — one worker, every
-    /// render through the sequential reference loop — ignoring
-    /// `num_threads`.
+    /// optimization story). `false` is another spelling of
+    /// `num_threads: 1` — one worker, every render through the
+    /// sequential reference loop — and overrides `num_threads`. It stays
+    /// because the repo benchmark's reference arm
+    /// (`benchmark/src/oracle.rs`) sets it.
     pub parallel: bool,
     /// Capacity of the shared decoded-GOP cache, in frames. Segments
     /// reading the same source ranges (grid cells, splice neighbours)
@@ -326,7 +327,7 @@ mod tests {
         cfg: &OptimizerConfig,
     ) -> (VideoStream, ExecStats) {
         let logical = lower_spec(spec).unwrap();
-        let phys = optimize(&logical, &catalog.plan_context(), cfg).unwrap();
+        let phys = optimize(&logical, catalog.plan_context(), cfg).unwrap();
         let (out, stats, _) = execute(&phys, catalog, &ExecOptions::default()).unwrap();
         (out, stats)
     }
@@ -458,7 +459,7 @@ mod tests {
         let logical = lower_spec(&spec).unwrap();
         let phys = optimize(
             &logical,
-            &catalog.plan_context(),
+            catalog.plan_context(),
             &OptimizerConfig::default(),
         )
         .unwrap();
@@ -500,7 +501,7 @@ mod tests {
         let logical = lower_spec(&spec).unwrap();
         let phys = optimize(
             &logical,
-            &catalog.plan_context(),
+            catalog.plan_context(),
             &OptimizerConfig::default(),
         )
         .unwrap();
@@ -557,7 +558,7 @@ mod tests {
             .build();
         let plan = optimize(
             &lower_spec(&spec).unwrap(),
-            &catalog.plan_context(),
+            catalog.plan_context(),
             &OptimizerConfig::default(),
         )
         .unwrap();
@@ -590,7 +591,7 @@ mod tests {
         let logical = lower_spec(&spec).unwrap();
         let phys = optimize(
             &logical,
-            &catalog.plan_context(),
+            catalog.plan_context(),
             &OptimizerConfig::default(),
         )
         .unwrap();

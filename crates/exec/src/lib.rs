@@ -36,7 +36,7 @@ pub mod streaming;
 pub mod trace;
 
 pub use apply::{apply_program, UdfKernel};
-pub use catalog::{Catalog, VariantSource};
+pub use catalog::Catalog;
 pub use cursor::SourceCursor;
 pub use executor::{execute, execute_traced, ExecOptions, ExecStats};
 pub use fault::{error_kind, ErrorPolicy, FaultAction, FaultInjector, FaultKind, SegmentFault};

@@ -161,7 +161,7 @@ mod tests {
         let (naive_out, naive_stats, _) = execute_naive(&logical, catalog).unwrap();
         let phys = optimize(
             &logical,
-            &catalog.plan_context(),
+            catalog.plan_context(),
             &OptimizerConfig::default(),
         )
         .unwrap();
@@ -219,7 +219,7 @@ mod tests {
         let (naive_out, _, _) = execute_naive(&logical, &catalog).unwrap();
         let phys = optimize(
             &logical,
-            &catalog.plan_context(),
+            catalog.plan_context(),
             &OptimizerConfig::default(),
         )
         .unwrap();

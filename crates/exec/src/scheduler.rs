@@ -922,12 +922,7 @@ mod tests {
             shard_min_frames: u64::MAX,
             ..Default::default()
         };
-        let plan = optimize(
-            &lower_spec(&spec).unwrap(),
-            &catalog.plan_context(),
-            &config,
-        )
-        .unwrap();
+        let plan = optimize(&lower_spec(&spec).unwrap(), catalog.plan_context(), &config).unwrap();
         assert_eq!(plan.segments.len(), 1, "test premise: single segment");
         (catalog, plan)
     }

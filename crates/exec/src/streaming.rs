@@ -138,7 +138,7 @@ mod tests {
         let logical = lower_spec(&spec).unwrap();
         let plan = optimize(
             &logical,
-            &catalog.plan_context(),
+            catalog.plan_context(),
             &OptimizerConfig::default(),
         )
         .unwrap();
@@ -163,7 +163,7 @@ mod tests {
         let logical = lower_spec(&spec).unwrap();
         let plan = optimize(
             &logical,
-            &catalog.plan_context(),
+            catalog.plan_context(),
             &OptimizerConfig::default(),
         )
         .unwrap();
@@ -193,7 +193,7 @@ mod tests {
         let logical = lower_spec(&spec).unwrap();
         let plan = optimize(
             &logical,
-            &catalog.plan_context(),
+            catalog.plan_context(),
             &OptimizerConfig::default(),
         )
         .unwrap();
@@ -246,7 +246,7 @@ mod tests {
         let logical = lower_spec(&spec).unwrap();
         let plan = optimize(
             &logical,
-            &catalog.plan_context(),
+            catalog.plan_context(),
             &OptimizerConfig {
                 shard_min_frames: u64::MAX, // one render segment
                 ..Default::default()
@@ -281,7 +281,7 @@ mod tests {
         let logical = lower_spec(&spec).unwrap();
         let mut plan = optimize(
             &logical,
-            &catalog.plan_context(),
+            catalog.plan_context(),
             &OptimizerConfig::default(),
         )
         .unwrap();

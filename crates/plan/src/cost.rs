@@ -15,6 +15,7 @@
 use crate::meta::PlanContext;
 use crate::physical::{PhysicalPlan, SegPlan, Segment};
 use serde::{Deserialize, Serialize};
+use v2v_container::VideoStream;
 
 /// Relative cost weights (arbitrary units; defaults calibrated so one
 /// unit ≈ one 8-bit sample touched once).
@@ -92,28 +93,16 @@ impl CostModel {
         // the previous keyframe.
         for clip in inputs {
             let (pixels, rollin) = match ctx.source(&clip.video) {
-                Some(meta) => {
-                    let px = f64::from(meta.params.frame_ty.width)
-                        * f64::from(meta.params.frame_ty.height);
-                    let rollin = clip
-                        .time
-                        .is_shift()
-                        .then(|| {
-                            let t0 = plan.instant_of(seg.out_start);
-                            meta.index_of(clip.time.apply(t0)).map(|idx| {
-                                let kf = meta
-                                    .keyframes
-                                    .iter()
-                                    .copied()
-                                    .take_while(|&k| k <= idx)
-                                    .last()
-                                    .unwrap_or(0);
-                                (idx - kf) as f64
-                            })
-                        })
-                        .flatten()
-                        .unwrap_or(0.0);
-                    (px, rollin)
+                Some(stream) => {
+                    let ty = stream.params().frame_ty;
+                    let t0 = clip.time.apply(plan.instant_of(seg.out_start));
+                    let entry = clip.time.is_shift().then(|| stream.range().index_of(t0));
+                    (
+                        f64::from(ty.width) * f64::from(ty.height),
+                        entry
+                            .flatten()
+                            .map_or(0.0, |idx| rollin(stream, idx) as f64),
+                    )
                 }
                 None => (out_pixels, 0.0),
             };
@@ -123,6 +112,12 @@ impl CostModel {
         est.encode = n * out_pixels * self.encode_per_pixel;
         est
     }
+}
+
+/// Frames a decoder entering `stream` at frame `idx` decodes before it:
+/// the roll-in from the keyframe at or before `idx`.
+pub(crate) fn rollin(stream: &VideoStream, idx: u64) -> u64 {
+    idx - stream.keyframe_at_or_before(idx as usize).unwrap_or(0) as u64
 }
 
 /// Estimates the execution cost of a physical plan: the sum of its
@@ -143,7 +138,7 @@ pub fn estimate(plan: &PhysicalPlan, ctx: &PlanContext, model: &CostModel) -> Co
 mod tests {
     use super::*;
     use crate::logical::lower_spec;
-    use crate::meta::SourceMeta;
+    use crate::meta::tests::source;
     use crate::optimizer::{optimize, OptimizerConfig};
     use v2v_codec::CodecParams;
     use v2v_frame::FrameType;
@@ -163,16 +158,10 @@ mod tests {
             .append_clip("a", r(1, 2), Rational::from_int(4))
             .append_filtered("a", r(6, 1), Rational::from_int(2), |e| blur(e, 1.0))
             .build();
-        let meta = SourceMeta {
-            params: CodecParams::new(FrameType::yuv420p(64, 64), 30, 2),
-            start: Rational::ZERO,
-            frame_dur: r(1, 30),
-            count: 300,
-            keyframes: (0..300).step_by(gop as usize).collect(),
-        };
+        let params = CodecParams::new(FrameType::yuv420p(64, 64), 30, 2);
         (
             lower_spec(&spec).unwrap(),
-            PlanContext::new().with_source("a", meta),
+            PlanContext::new().with_source("a", source(params, 300, gop, 0)),
         )
     }
 

@@ -131,13 +131,13 @@ pub fn explain_physical(plan: &PhysicalPlan) -> String {
 #[cfg(test)]
 mod tests {
     use crate::logical::lower_spec;
-    use crate::meta::{PlanContext, SourceMeta};
+    use crate::meta::{tests::source, PlanContext};
     use crate::optimizer::{optimize, OptimizerConfig};
     use v2v_codec::CodecParams;
     use v2v_frame::FrameType;
     use v2v_spec::builder::blur;
     use v2v_spec::{OutputSettings, SpecBuilder};
-    use v2v_time::{r, Rational};
+    use v2v_time::r;
 
     fn setup() -> (crate::logical::LogicalPlan, PlanContext) {
         let output = OutputSettings {
@@ -151,16 +151,10 @@ mod tests {
             .append_clip("a", r(1, 1), r(2, 1))
             .append_filtered("a", r(5, 1), r(1, 1), |e| blur(e, 1.0))
             .build();
-        let meta = SourceMeta {
-            params: CodecParams::new(FrameType::yuv420p(64, 64), 30, 2),
-            start: Rational::ZERO,
-            frame_dur: r(1, 30),
-            count: 300,
-            keyframes: (0..300).step_by(30).collect(),
-        };
+        let params = CodecParams::new(FrameType::yuv420p(64, 64), 30, 2);
         (
             lower_spec(&spec).unwrap(),
-            PlanContext::new().with_source("a", meta),
+            PlanContext::new().with_source("a", source(params, 300, 30, 0)),
         )
     }
 

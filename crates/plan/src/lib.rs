@@ -41,12 +41,12 @@ pub use cost::{estimate, CostEstimate, CostModel};
 pub use explain::{explain_logical, explain_physical};
 pub use fingerprint::{cacheable, plan_fingerprint, segment_keys, SourceDigests, VideoDigest};
 pub use logical::{lower_spec, LogicalNode, LogicalPlan, LogicalSegment};
-pub use meta::{PlanContext, SourceMeta};
+pub use meta::PlanContext;
 pub use optimizer::{optimize, optimize_traced, OptimizerConfig};
 pub use physical::{PhysicalPlan, PlanStats, SegPlan, Segment};
 pub use program::{FrameProgram, InputClip, ProgArg};
 pub use trace::{PlanTrace, RewriteEvent};
-pub use variant::{clip_read_range, select_variants, VariantFacts, VariantKind, VariantPolicy};
+pub use variant::{clip_read_range, select_variants, VariantKind, VariantPolicy, VariantSource};
 
 /// Errors raised during lowering and optimization.
 #[derive(Debug, Clone, PartialEq, thiserror::Error)]

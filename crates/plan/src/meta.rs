@@ -1,60 +1,26 @@
-//! Source metadata the optimizer consults at plan time.
+//! The source catalog the optimizer consults at plan time.
 //!
 //! The paper's optimizer decides stream copies and smart cuts from
 //! container-level facts — codec parameters and the keyframe index —
-//! without touching raster data. [`SourceMeta`] is exactly that view of
-//! a source; [`PlanContext`] is the catalog of them.
+//! without touching raster data. [`PlanContext`] hands the planner the
+//! catalog's own streams, so those facts are read where they live:
+//! [`VideoStream::params`], [`VideoStream::range`] and the stream's
+//! keyframe index.
 
+use crate::variant::{VariantKind, VariantSource};
 use std::collections::BTreeMap;
-use v2v_codec::CodecParams;
-use v2v_time::{Rational, TimeRange};
+use std::sync::Arc;
+use v2v_container::VideoStream;
 
-/// Container-level facts about one video source.
-#[derive(Clone, Debug)]
-pub struct SourceMeta {
-    /// Codec parameters (stream-copy compatibility is equality).
-    pub params: CodecParams,
-    /// First frame instant.
-    pub start: Rational,
-    /// Frame duration.
-    pub frame_dur: Rational,
-    /// Frame count.
-    pub count: u64,
-    /// Sorted keyframe frame-indices.
-    pub keyframes: Vec<u64>,
-}
-
-impl SourceMeta {
-    /// The source's frame grid.
-    pub fn range(&self) -> TimeRange {
-        TimeRange::from_parts(self.start, self.frame_dur, self.count)
-    }
-
-    /// Frame index of instant `t`, if on the grid.
-    pub fn index_of(&self, t: Rational) -> Option<u64> {
-        self.range().index_of(t)
-    }
-
-    /// `true` if frame `k` is a keyframe.
-    pub fn is_keyframe(&self, k: u64) -> bool {
-        self.keyframes.binary_search(&k).is_ok()
-    }
-
-    /// First keyframe index in `[from, to)`, if any.
-    pub fn first_keyframe_in(&self, from: u64, to: u64) -> Option<u64> {
-        let i = self.keyframes.partition_point(|&k| k < from);
-        self.keyframes.get(i).copied().filter(|&k| k < to)
-    }
-}
-
-/// The optimizer's source catalog plus output stream facts.
+/// The optimizer's source catalog: every bound video and its attached
+/// physical variants, shared with the executors that read them.
 #[derive(Clone, Debug, Default)]
 pub struct PlanContext {
-    /// Video name → metadata.
-    pub sources: BTreeMap<String, SourceMeta>,
-    /// Video name → facts for each materialized physical variant
-    /// (empty unless a variant store is attached to the catalog).
-    pub variants: BTreeMap<String, Vec<crate::variant::VariantFacts>>,
+    /// Video name → stream.
+    pub sources: BTreeMap<String, Arc<VideoStream>>,
+    /// Video name → attached physical variants (empty unless a variant
+    /// store is attached to the catalog).
+    pub variants: BTreeMap<String, BTreeMap<VariantKind, VariantSource>>,
 }
 
 impl PlanContext {
@@ -64,64 +30,80 @@ impl PlanContext {
     }
 
     /// Adds a source.
-    pub fn with_source(mut self, name: impl Into<String>, meta: SourceMeta) -> PlanContext {
-        self.sources.insert(name.into(), meta);
+    pub fn with_source(mut self, name: impl Into<String>, stream: Arc<VideoStream>) -> PlanContext {
+        self.sources.insert(name.into(), stream);
         self
     }
 
-    /// Records variant facts for a source.
-    pub fn with_variants(
+    /// Attaches a physical variant to a source.
+    pub fn with_variant(
         mut self,
         name: impl Into<String>,
-        facts: Vec<crate::variant::VariantFacts>,
+        kind: VariantKind,
+        variant: VariantSource,
     ) -> PlanContext {
-        self.variants.insert(name.into(), facts);
+        self.variants
+            .entry(name.into())
+            .or_default()
+            .insert(kind, variant);
         self
     }
 
     /// Looks up a source.
-    pub fn source(&self, name: &str) -> Option<&SourceMeta> {
+    pub fn source(&self, name: &str) -> Option<&Arc<VideoStream>> {
         self.sources.get(name)
-    }
-
-    /// Variant facts recorded for a source (empty slice when none).
-    pub fn variants_of(&self, name: &str) -> &[crate::variant::VariantFacts] {
-        self.variants.get(name).map(Vec::as_slice).unwrap_or(&[])
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use v2v_codec::{CodecParams, Packet};
     use v2v_frame::FrameType;
-    use v2v_time::r;
+    use v2v_time::{r, Rational};
 
-    fn meta() -> SourceMeta {
-        SourceMeta {
-            params: CodecParams::new(FrameType::yuv420p(64, 64), 4, 0),
-            start: Rational::ZERO,
-            frame_dur: r(1, 30),
-            count: 20,
-            keyframes: vec![0, 4, 8, 12, 16],
-        }
+    fn ctx() -> PlanContext {
+        let params = CodecParams::new(FrameType::yuv420p(64, 64), 4, 0);
+        PlanContext::new().with_source("a", source(params, 20, 4, 0))
     }
 
     #[test]
     fn keyframe_queries() {
-        let m = meta();
-        assert!(m.is_keyframe(8));
-        assert!(!m.is_keyframe(9));
-        assert_eq!(m.first_keyframe_in(1, 20), Some(4));
-        assert_eq!(m.first_keyframe_in(5, 8), None);
-        assert_eq!(m.first_keyframe_in(5, 9), Some(8));
-        assert_eq!(m.first_keyframe_in(17, 20), None);
+        // The planner's questions, asked of the stream's own index.
+        let ctx = ctx();
+        let s = ctx.source("a").unwrap();
+        assert_eq!(s.keyframe_indices(), [0, 4, 8, 12, 16]);
+        assert_eq!(s.keyframe_at_or_before(8), Some(8));
+        assert_eq!(s.keyframe_at_or_before(9), Some(8));
+        assert_eq!(s.next_keyframe_at_or_after(1), Some(4));
+        assert_eq!(s.next_keyframe_at_or_after(5), Some(8));
+        assert_eq!(s.next_keyframe_at_or_after(17), None);
+        // Past the end: the last keyframe (the conservative-tail query).
+        assert_eq!(s.keyframe_at_or_before(20), Some(16));
     }
 
     #[test]
     fn grid_queries() {
-        let m = meta();
-        assert_eq!(m.index_of(r(5, 30)), Some(5));
-        assert_eq!(m.index_of(r(1, 7)), None);
-        assert_eq!(m.range().count(), 20);
+        let ctx = ctx();
+        let s = ctx.source("a").unwrap();
+        assert_eq!(s.index_of(r(5, 30)), Some(5));
+        assert_eq!(s.index_of(r(1, 7)), None);
+        assert_eq!(s.range().count(), 20);
+        assert!(ctx.source("b").is_none());
+    }
+
+    /// A `count`-frame source at 30 fps from 0 with a keyframe every
+    /// `key_every` frames and `payload` bytes per packet. The payloads
+    /// are zeros: the planner reads container facts, never pixels.
+    pub(crate) fn source(
+        params: CodecParams,
+        count: u64,
+        key_every: u64,
+        payload: usize,
+    ) -> Arc<VideoStream> {
+        let packets = (0..count)
+            .map(|k| Packet::new(r(k as i64, 30), k % key_every == 0, vec![0; payload].into()))
+            .collect();
+        Arc::new(VideoStream::new(params, Rational::ZERO, r(1, 30), packets).unwrap())
     }
 }

@@ -320,15 +320,15 @@ fn resolve_out_params(
         if !time.is_shift() {
             return spec_params; // retimed clips always re-encode
         }
-        let Some(meta) = ctx.source(video) else {
+        let Some(source) = ctx.source(video) else {
             return spec_params;
         };
-        if meta.frame_dur != plan.frame_dur {
+        if source.frame_dur() != plan.frame_dur {
             return spec_params;
         }
         match common {
-            None => common = Some(meta.params),
-            Some(p) if p.compatible_with(&meta.params) => {}
+            None => common = Some(*source.params()),
+            Some(p) if p.compatible_with(source.params()) => {}
             Some(_) => return spec_params,
         }
     }
@@ -372,7 +372,7 @@ fn physicalize(
             Ok(())
         }
         LogicalNode::Clip { video, time } => {
-            let meta = ctx
+            let source = ctx
                 .source(video)
                 .ok_or_else(|| PlanError::UnknownVideo(video.clone()))?;
             let clip = InputClip::new(video.clone(), *time);
@@ -387,28 +387,28 @@ fn physicalize(
             // Copy legality: identical params, same frame rate, shift-only
             // time map landing on the source grid.
             let copyable = config.stream_copy
-                && meta.params.compatible_with(&out_params)
-                && meta.frame_dur == plan.frame_dur
+                && source.params().compatible_with(&out_params)
+                && source.frame_dur() == plan.frame_dur
                 && time.is_shift();
             if !copyable {
                 out.push(render(seg.out_start, seg.count));
                 return Ok(());
             }
             let t0 = plan.instant_of(seg.out_start);
-            let Some(src_from) = meta.index_of(time.apply(t0)) else {
+            let Some(src_from) = source.range().index_of(time.apply(t0)) else {
                 return Err(PlanError::MissingFrame {
                     video: video.clone(),
                     at: time.apply(t0),
                 });
             };
             let src_to = src_from + seg.count;
-            if src_to > meta.count {
+            if src_to > source.len() as u64 {
                 return Err(PlanError::MissingFrame {
                     video: video.clone(),
                     at: time.apply(plan.instant_of(seg.out_start + seg.count - 1)),
                 });
             }
-            if meta.is_keyframe(src_from) {
+            if source.keyframe_at_or_before(src_from as usize) == Some(src_from as usize) {
                 trace.record(
                     "stream_copy",
                     seg.out_start,
@@ -432,18 +432,19 @@ fn physicalize(
             // keyframe (the paper's Q1-on-ToS case), fall back to a full
             // re-encode.
             if config.smart_cut {
-                if let Some(kf) = meta.first_keyframe_in(src_from + 1, src_to) {
+                let interior = source
+                    .next_keyframe_at_or_after(src_from as usize + 1)
+                    .map(|kf| kf as u64)
+                    .filter(|&kf| kf < src_to);
+                if let Some(kf) = interior {
                     let head = kf - src_from;
                     // Conservative tail: stop the copy at the last
                     // keyframe ≤ src_to and re-encode the remainder, as an
                     // engine over a B-frame codec must.
                     let copy_to = if config.conservative_tail {
-                        meta.keyframes
-                            .iter()
-                            .copied()
-                            .take_while(|&k| k <= src_to)
-                            .last()
-                            .unwrap_or(kf)
+                        source
+                            .keyframe_at_or_before(src_to as usize)
+                            .map_or(kf, |k| k as u64)
                             .max(kf)
                     } else {
                         src_to
@@ -584,19 +585,20 @@ fn keyframe_cuts(
     if !clip.time.is_shift() {
         return None;
     }
-    let meta = ctx.source(&clip.video)?;
-    if meta.frame_dur != plan.frame_dur {
+    let source = ctx.source(&clip.video)?;
+    if source.frame_dur() != plan.frame_dur {
         return None;
     }
     let t0 = plan.instant_of(seg.out_start);
-    let src_from = meta.index_of(clip.time.apply(t0))?;
-    let src_to = src_from + seg.count;
+    let src_from = source.index_of(clip.time.apply(t0))?;
+    let src_to = src_from + seg.count as usize;
+    let keyframes = source.keyframe_indices();
+    let interior = keyframes.partition_point(|&k| k <= src_from);
     Some(
-        meta.keyframes
+        keyframes[interior..]
             .iter()
-            .copied()
-            .filter(|&k| k > src_from && k < src_to)
-            .map(|k| k - src_from)
+            .take_while(|&&k| k < src_to)
+            .map(|&k| (k - src_from) as u64)
             .collect(),
     )
 }
@@ -605,11 +607,11 @@ fn keyframe_cuts(
 mod tests {
     use super::*;
     use crate::logical::lower_spec;
-    use crate::meta::SourceMeta;
+    use crate::meta::tests::source;
     use v2v_frame::FrameType;
     use v2v_spec::builder::{blur, grid4, zoom};
     use v2v_spec::{OutputSettings, RenderExpr, SpecBuilder};
-    use v2v_time::{r, Rational};
+    use v2v_time::r;
 
     fn output() -> OutputSettings {
         OutputSettings {
@@ -620,25 +622,11 @@ mod tests {
         }
     }
 
-    /// A source matching the output params (copy-compatible) with a
+    /// Source `a` matching the output params (copy-compatible) with a
     /// keyframe every `gop` frames.
-    fn source(count: u64, gop: u64) -> SourceMeta {
-        SourceMeta {
-            params: CodecParams {
-                frame_ty: FrameType::yuv420p(64, 64),
-                gop_size: 30,
-                quantizer: 2,
-                preset: Default::default(),
-            },
-            start: Rational::ZERO,
-            frame_dur: r(1, 30),
-            count,
-            keyframes: (0..count).step_by(gop as usize).collect(),
-        }
-    }
-
     fn ctx(count: u64, gop: u64) -> PlanContext {
-        PlanContext::new().with_source("a", source(count, gop))
+        let params = CodecParams::new(FrameType::yuv420p(64, 64), 30, 2);
+        PlanContext::new().with_source("a", source(params, count, gop, 0))
     }
 
     #[test]
@@ -751,14 +739,8 @@ mod tests {
         // class applies even when they differ from the spec's output
         // settings (the paper's Q6-on-KABR outputs are source-bitrate
         // sized for exactly this reason).
-        let meta = SourceMeta {
-            params: CodecParams::new(FrameType::yuv420p(128, 128), 30, 2),
-            start: Rational::ZERO,
-            frame_dur: r(1, 30),
-            count: 300,
-            keyframes: (0..300).step_by(30).collect(),
-        };
-        let ctx = PlanContext::new().with_source("a", meta);
+        let params = CodecParams::new(FrameType::yuv420p(128, 128), 30, 2);
+        let ctx = PlanContext::new().with_source("a", source(params, 300, 30, 0));
         let spec = SpecBuilder::new(output())
             .video("a", "a.svc")
             .append_clip("a", r(1, 1), r(2, 1))
@@ -773,12 +755,13 @@ mod tests {
     fn mixed_source_params_force_reencode() {
         // Splicing two sources with different codec params: the output
         // must re-encode at the spec's settings and nothing can copy.
-        let mk = |w: u32| SourceMeta {
-            params: CodecParams::new(FrameType::yuv420p(w, w), 30, 2),
-            start: Rational::ZERO,
-            frame_dur: r(1, 30),
-            count: 300,
-            keyframes: (0..300).step_by(30).collect(),
+        let mk = |w: u32| {
+            source(
+                CodecParams::new(FrameType::yuv420p(w, w), 30, 2),
+                300,
+                30,
+                0,
+            )
         };
         let ctx = PlanContext::new()
             .with_source("a", mk(128))
@@ -805,7 +788,7 @@ mod tests {
         let plan = lower_spec(&spec).unwrap();
         let c = ctx(600, 30);
         let phys = optimize(&plan, &c, &OptimizerConfig::default()).unwrap();
-        assert_eq!(phys.out_params, c.source("a").unwrap().params);
+        assert_eq!(phys.out_params, *c.source("a").unwrap().params());
     }
 
     #[test]

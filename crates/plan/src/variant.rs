@@ -10,17 +10,19 @@
 //! segments always splice original packets, and plan fingerprints and
 //! cache keys never observe the variant choice.
 //!
-//! [`VariantFacts`] are the container-level facts the costing consults
-//! (keyframe index, byte size, covered prefix); [`select_variants`] is
-//! the post-optimization pass that retargets each render input clip at
-//! the cheapest decode-sufficient variant.
+//! A [`VariantSource`] is an attached variant's own stream plus the
+//! original prefix it covers; the costing reads the stream's keyframe
+//! index and byte size directly. [`select_variants`] is the
+//! post-optimization pass that retargets each render input clip at the
+//! cheapest decode-sufficient variant.
 
-use crate::cost::CostModel;
+use crate::cost::{rollin, CostModel};
 use crate::meta::PlanContext;
 use crate::physical::{PhysicalPlan, SegPlan};
 use crate::program::InputClip;
 use serde::{Deserialize, Serialize};
-use v2v_codec::CodecParams;
+use std::sync::Arc;
+use v2v_container::VideoStream;
 use v2v_time::Rational;
 
 /// Which physical variant of a source a clip reads from.
@@ -77,40 +79,18 @@ impl std::fmt::Display for VariantKind {
     }
 }
 
-/// Container-level facts about one materialized variant of a source.
+/// One attached physical variant of a catalog source.
 ///
-/// The byte size and keyframe index come from the variant's own
-/// bitstream; `covered_frames` bounds the original frame indices the
-/// variant can serve (a variant transcoded from a live source covers
-/// only the prefix committed at transcode time).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct VariantFacts {
-    /// Which variant these facts describe.
-    pub kind: VariantKind,
-    /// The variant's codec parameters.
-    pub params: CodecParams,
-    /// Sorted keyframe frame-indices within the variant bitstream.
-    pub keyframes: Vec<u64>,
-    /// Total compressed byte size of the variant bitstream.
-    pub byte_size: u64,
-    /// Number of leading original frames the variant covers. Reads at
-    /// or past this index must fall back to another variant.
+/// The stream shares the original's frame grid (start, frame duration)
+/// and decodes frame-for-frame identical to it over the covered prefix.
+#[derive(Clone, Debug)]
+pub struct VariantSource {
+    /// The variant bitstream.
+    pub stream: Arc<VideoStream>,
+    /// Leading original frame indices this variant can serve. A live
+    /// source may have grown past this since the transcode; reads at or
+    /// beyond it must fall back to the original.
     pub covered_frames: u64,
-}
-
-impl VariantFacts {
-    /// Frames decoded to reach `idx`: the roll-in from the nearest
-    /// keyframe at or before `idx`, plus the frame itself.
-    pub fn decode_span(&self, idx: u64) -> u64 {
-        let i = self.keyframes.partition_point(|&k| k <= idx);
-        let kf = if i == 0 { 0 } else { self.keyframes[i - 1] };
-        idx - kf + 1
-    }
-
-    /// Mean compressed bytes per frame.
-    pub fn bytes_per_frame(&self) -> f64 {
-        self.byte_size as f64 / self.covered_frames.max(1) as f64
-    }
 }
 
 /// How the planner chooses variants for render inputs.
@@ -118,7 +98,7 @@ impl VariantFacts {
 #[serde(rename_all = "snake_case")]
 pub enum VariantPolicy {
     /// Pick the cheapest decode-sufficient variant per clip (no-op when
-    /// the context carries no variant facts).
+    /// no variant is attached to the context).
     #[default]
     Auto,
     /// Always read the original.
@@ -144,9 +124,8 @@ impl VariantPolicy {
 /// map at the segment's first and last output instants, in order. The
 /// map is affine, so every instant the clip reads lies between the two;
 /// callers map them to frame indices on the grid of the stream they
-/// read (the planner's [`SourceMeta`], the executor's resolved stream).
-///
-/// [`SourceMeta`]: crate::meta::SourceMeta
+/// read (the catalog source for the planner, the resolved variant for
+/// the executor).
 pub fn clip_read_range(
     plan: &PhysicalPlan,
     clip: &InputClip,
@@ -164,29 +143,16 @@ pub fn clip_read_range(
     }
 }
 
-/// Estimated decode cost of serving `[lo, hi]` from one variant:
-/// frames decoded (roll-in to the keyframe before `lo`, then the span)
-/// times per-frame pixel and byte terms.
-fn variant_cost(facts: &VariantFacts, lo: u64, hi: u64, model: &CostModel) -> f64 {
-    let rollin = facts.decode_span(lo) - 1;
-    let frames = (hi - lo + 1 + rollin) as f64;
-    let px = f64::from(facts.params.frame_ty.width) * f64::from(facts.params.frame_ty.height);
-    frames * (px * model.decode_per_pixel + facts.bytes_per_frame() * model.decode_per_byte)
-}
-
-/// `true` if reading `[lo, hi]` from this variant yields byte-identical
-/// query output: the variant must cover the range and be either
-/// pixel-identical to the original or already conformed to the plan's
-/// output geometry (so the render path's conform is the identity).
-fn decode_sufficient(
-    facts: &VariantFacts,
-    source_ty: &CodecParams,
-    out_params: &CodecParams,
-    hi: u64,
-) -> bool {
-    facts.covered_frames > hi
-        && (facts.params.frame_ty == source_ty.frame_ty
-            || facts.params.frame_ty == out_params.frame_ty)
+/// Estimated decode cost of serving `[lo, hi]` from `stream`, whose
+/// first `covered` frames are the ones it serves: frames decoded
+/// (roll-in to the keyframe before `lo`, then the span) times per-frame
+/// pixel and byte terms.
+fn variant_cost(stream: &VideoStream, covered: u64, lo: u64, hi: u64, model: &CostModel) -> f64 {
+    let frames = (hi - lo + 1 + rollin(stream, lo)) as f64;
+    let ty = stream.params().frame_ty;
+    let px = f64::from(ty.width) * f64::from(ty.height);
+    let bytes_per_frame = stream.byte_size() as f64 / covered.max(1) as f64;
+    frames * (px * model.decode_per_pixel + bytes_per_frame * model.decode_per_byte)
 }
 
 /// Retargets render input clips at the cheapest decode-sufficient
@@ -216,40 +182,48 @@ pub fn select_variants(
         };
         for clip in inputs.iter_mut() {
             clip.variant = VariantKind::Original;
-            let Some(facts_list) = ctx.variants.get(&clip.video) else {
-                continue;
-            };
-            let Some(meta) = ctx.source(&clip.video) else {
+            let (Some(variants), Some(source)) =
+                (ctx.variants.get(&clip.video), ctx.source(&clip.video))
+            else {
                 continue;
             };
             let (lo_t, hi_t) = clip_read_range(&shell, clip, out_start, count);
-            let (Some(lo), Some(hi)) = (meta.index_of(lo_t), meta.index_of(hi_t)) else {
+            let grid = source.range();
+            let (Some(lo), Some(hi)) = (grid.index_of(lo_t), grid.index_of(hi_t)) else {
                 continue;
             };
-            let eligible =
-                |f: &VariantFacts| decode_sufficient(f, &meta.params, &shell.out_params, hi);
+            // A variant serves its covered prefix, clamped to its own
+            // length. One covering more frames than the original has is
+            // stale (the source was replaced since the transcode) and
+            // never serves. Reading `[lo, hi]` from a variant yields
+            // byte-identical output when it covers the range and is
+            // either pixel-identical to the original or already
+            // conformed to the plan's output geometry (so the render
+            // path's conform is the identity).
+            let covered = |v: &VariantSource| v.covered_frames.min(v.stream.len() as u64);
+            let mut eligible = variants.iter().filter(|(kind, v)| {
+                let ty = v.stream.params().frame_ty;
+                !kind.is_original()
+                    && v.covered_frames <= source.len() as u64
+                    && covered(v) > hi
+                    && (ty == source.params().frame_ty || ty == shell.out_params.frame_ty)
+            });
             match policy {
                 VariantPolicy::Disabled => {}
                 VariantPolicy::Force(kind) => {
-                    if kind != VariantKind::Original
-                        && facts_list.iter().any(|f| f.kind == kind && eligible(f))
-                    {
+                    if eligible.any(|(&k, _)| k == kind) {
                         clip.variant = kind;
                         retargeted += 1;
                     }
                 }
                 VariantPolicy::Auto => {
-                    let original = original_facts(facts_list, meta);
                     let mut best_kind = VariantKind::Original;
-                    let mut best_cost = variant_cost(&original, lo, hi, model);
-                    for f in facts_list.iter().filter(|f| !f.kind.is_original()) {
-                        if !eligible(f) {
-                            continue;
-                        }
-                        let c = variant_cost(f, lo, hi, model);
+                    let mut best_cost = variant_cost(source, source.len() as u64, lo, hi, model);
+                    for (&kind, v) in eligible {
+                        let c = variant_cost(&v.stream, covered(v), lo, hi, model);
                         if c < best_cost {
                             best_cost = c;
-                            best_kind = f.kind;
+                            best_kind = kind;
                         }
                     }
                     if best_kind != VariantKind::Original {
@@ -263,67 +237,36 @@ pub fn select_variants(
     retargeted
 }
 
-/// Facts for the original bitstream: from the context's variant table
-/// when recorded there, otherwise synthesized from [`SourceMeta`]
-/// (byte size unknown → zero, which only weakens the byte term).
-///
-/// [`SourceMeta`]: crate::meta::SourceMeta
-fn original_facts(facts_list: &[VariantFacts], meta: &crate::meta::SourceMeta) -> VariantFacts {
-    facts_list
-        .iter()
-        .find(|f| f.kind.is_original())
-        .cloned()
-        .unwrap_or_else(|| VariantFacts {
-            kind: VariantKind::Original,
-            params: meta.params,
-            keyframes: meta.keyframes.clone(),
-            byte_size: 0,
-            covered_frames: meta.count,
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::logical::lower_spec;
-    use crate::meta::SourceMeta;
+    use crate::meta::tests::source;
     use crate::optimizer::{optimize, OptimizerConfig};
+    use v2v_codec::CodecParams;
     use v2v_frame::FrameType;
     use v2v_spec::builder::grayscale;
     use v2v_spec::{OutputSettings, SpecBuilder};
-    use v2v_time::{r, Rational};
+    use v2v_time::r;
 
-    fn facts(kind: VariantKind, gop: u64, count: u64, byte_size: u64) -> VariantFacts {
-        facts_ty(kind, gop, count, byte_size, FrameType::yuv420p(64, 64))
+    /// A variant of `count` frames with a keyframe every `gop` frames
+    /// and `payload` bytes per packet, covering all of them.
+    fn variant(gop: u64, count: u64, payload: usize) -> VariantSource {
+        variant_ty(gop, count, payload, FrameType::yuv420p(64, 64))
     }
 
-    fn facts_ty(
-        kind: VariantKind,
-        gop: u64,
-        count: u64,
-        byte_size: u64,
-        ty: FrameType,
-    ) -> VariantFacts {
-        VariantFacts {
-            kind,
-            params: CodecParams::new(ty, gop as u32, 0),
-            keyframes: (0..count).step_by(gop as usize).collect(),
-            byte_size,
+    fn variant_ty(gop: u64, count: u64, payload: usize, ty: FrameType) -> VariantSource {
+        VariantSource {
+            stream: source(CodecParams::new(ty, gop as u32, 0), count, gop, payload),
             covered_frames: count,
         }
     }
 
-    fn ctx(count: u64, gop: u64) -> PlanContext {
-        PlanContext::new().with_source(
-            "src",
-            SourceMeta {
-                params: CodecParams::new(FrameType::yuv420p(64, 64), gop as u32, 0),
-                start: Rational::ZERO,
-                frame_dur: r(1, 30),
-                count,
-                keyframes: (0..count).step_by(gop as usize).collect(),
-            },
-        )
+    /// The original `src`: `count` frames, a keyframe every `gop`,
+    /// `payload` bytes per packet.
+    fn ctx(count: u64, gop: u64, payload: usize) -> PlanContext {
+        let params = CodecParams::new(FrameType::yuv420p(64, 64), gop as u32, 0);
+        PlanContext::new().with_source("src", source(params, count, gop, payload))
     }
 
     /// A forced-render (grayscale) clip of `[from, to)` seconds of
@@ -347,58 +290,44 @@ mod tests {
         optimize(&logical, ctx, &config).unwrap()
     }
 
+    fn all_clips_read(plan: &PhysicalPlan, kind: VariantKind) -> bool {
+        plan.segments.iter().all(|seg| match &seg.plan {
+            SegPlan::Render { inputs, .. } => inputs.iter().all(|c| c.variant == kind),
+            SegPlan::StreamCopy { .. } => true,
+        })
+    }
+
     #[test]
     fn auto_prefers_dense_for_short_midgop_reads() {
         // 10 s @ 30 fps, GOP 300: a 1 s read starting at t=3 s rolls in
         // ~90 frames on the original but ~2 on the dense variant.
-        let ctx = ctx(300, 300).with_variants(
-            "src",
-            vec![
-                facts(VariantKind::Original, 300, 300, 300_000),
-                facts(VariantKind::Dense, 4, 300, 900_000),
-            ],
-        );
+        let ctx =
+            ctx(300, 300, 1000).with_variant("src", VariantKind::Dense, variant(4, 300, 3000));
         let mut plan = render_plan(&ctx, 3, 4);
         let n = select_variants(&mut plan, &ctx, &CostModel::default(), VariantPolicy::Auto);
         assert!(n >= 1, "expected at least one retarget, got {n}");
-        for seg in &plan.segments {
-            if let SegPlan::Render { inputs, .. } = &seg.plan {
-                assert!(inputs.iter().all(|c| c.variant == VariantKind::Dense));
-            }
-        }
+        assert!(all_clips_read(&plan, VariantKind::Dense));
     }
 
     #[test]
     fn auto_prefers_archive_for_full_scans() {
         // Full-range scan from frame 0: roll-in is zero everywhere, so
         // the smaller archival bitstream wins on the byte term.
-        let ctx = ctx(300, 30).with_variants(
-            "src",
-            vec![
-                facts(VariantKind::Original, 30, 300, 600_000),
-                facts(VariantKind::Archive, 300, 300, 200_000),
-            ],
-        );
+        let ctx =
+            ctx(300, 30, 2000).with_variant("src", VariantKind::Archive, variant(300, 300, 667));
         let mut plan = render_plan(&ctx, 0, 10);
         let n = select_variants(&mut plan, &ctx, &CostModel::default(), VariantPolicy::Auto);
         assert!(n >= 1);
-        for seg in &plan.segments {
-            if let SegPlan::Render { inputs, .. } = &seg.plan {
-                assert!(inputs.iter().all(|c| c.variant == VariantKind::Archive));
-            }
-        }
+        assert!(all_clips_read(&plan, VariantKind::Archive));
     }
 
     #[test]
     fn coverage_gates_selection() {
         // Dense variant covers only the first 60 frames; a read past
         // that must stay on the original.
-        let mut dense = facts(VariantKind::Dense, 4, 300, 900_000);
+        let mut dense = variant(4, 300, 3000);
         dense.covered_frames = 60;
-        let ctx = ctx(300, 300).with_variants(
-            "src",
-            vec![facts(VariantKind::Original, 300, 300, 300_000), dense],
-        );
+        let ctx = ctx(300, 300, 1000).with_variant("src", VariantKind::Dense, dense);
         let mut plan = render_plan(&ctx, 3, 4);
         let n = select_variants(&mut plan, &ctx, &CostModel::default(), VariantPolicy::Auto);
         assert_eq!(n, 0);
@@ -412,18 +341,41 @@ mod tests {
     }
 
     #[test]
+    fn a_variant_covering_more_than_the_original_is_never_chosen() {
+        // The source was replaced by a shorter one since the transcode:
+        // the 400-frame dense variant claims frames the 300-frame
+        // original lacks, so it is stale even where its prefix would
+        // cover the read.
+        let policies = [
+            VariantPolicy::Auto,
+            VariantPolicy::Force(VariantKind::Dense),
+        ];
+        let stale =
+            ctx(300, 300, 1000).with_variant("src", VariantKind::Dense, variant(4, 400, 3000));
+        for policy in policies {
+            let mut plan = render_plan(&stale, 3, 4);
+            assert_eq!(
+                select_variants(&mut plan, &stale, &CostModel::default(), policy),
+                0
+            );
+            assert!(all_clips_read(&plan, VariantKind::Original));
+        }
+        // Control: the same variant covering no more than the original
+        // is chosen under both policies.
+        let mut fresh = variant(4, 400, 3000);
+        fresh.covered_frames = 300;
+        let fresh = ctx(300, 300, 1000).with_variant("src", VariantKind::Dense, fresh);
+        for policy in policies {
+            let mut plan = render_plan(&fresh, 3, 4);
+            assert!(select_variants(&mut plan, &fresh, &CostModel::default(), policy) >= 1);
+            assert!(all_clips_read(&plan, VariantKind::Dense));
+        }
+    }
+
+    #[test]
     fn proxy_requires_output_geometry_match() {
-        let proxy = facts_ty(
-            VariantKind::Proxy,
-            4,
-            300,
-            100_000,
-            FrameType::yuv420p(32, 32),
-        );
-        let ctx = ctx(300, 300).with_variants(
-            "src",
-            vec![facts(VariantKind::Original, 300, 300, 300_000), proxy],
-        );
+        let proxy = variant_ty(4, 300, 333, FrameType::yuv420p(32, 32));
+        let ctx = ctx(300, 300, 1000).with_variant("src", VariantKind::Proxy, proxy);
         // Output geometry is the source's 64x64 → proxy ineligible.
         let mut plan = render_plan(&ctx, 3, 4);
         let n = select_variants(
@@ -437,13 +389,8 @@ mod tests {
 
     #[test]
     fn disabled_is_a_noop_and_force_falls_back() {
-        let ctx = ctx(300, 300).with_variants(
-            "src",
-            vec![
-                facts(VariantKind::Original, 300, 300, 300_000),
-                facts(VariantKind::Dense, 4, 300, 900_000),
-            ],
-        );
+        let ctx =
+            ctx(300, 300, 1000).with_variant("src", VariantKind::Dense, variant(4, 300, 3000));
         let mut plan = render_plan(&ctx, 3, 4);
         assert_eq!(
             select_variants(
@@ -482,10 +429,13 @@ mod tests {
 
     #[test]
     fn decode_span_rollin() {
-        let f = facts(VariantKind::Original, 30, 300, 0);
-        assert_eq!(f.decode_span(0), 1);
-        assert_eq!(f.decode_span(29), 30);
-        assert_eq!(f.decode_span(30), 1);
-        assert_eq!(f.decode_span(95), 6);
+        // Frames decoded to reach a frame: the roll-in from its
+        // keyframe, plus the frame itself.
+        let s = variant(30, 300, 0).stream;
+        let span = |idx: u64| rollin(&s, idx) + 1;
+        assert_eq!(span(0), 1);
+        assert_eq!(span(29), 30);
+        assert_eq!(span(30), 1);
+        assert_eq!(span(95), 6);
     }
 }

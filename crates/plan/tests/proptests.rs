@@ -4,11 +4,12 @@
 //! rendering.
 
 use proptest::prelude::*;
-use v2v_codec::CodecParams;
+use std::sync::Arc;
+use v2v_codec::{CodecParams, Packet};
+use v2v_container::VideoStream;
 use v2v_frame::FrameType;
 use v2v_plan::{
     explain_logical, explain_physical, lower_spec, optimize, OptimizerConfig, PlanContext,
-    SourceMeta,
 };
 use v2v_spec::builder::{blur, grid4, zoom};
 use v2v_spec::{OutputSettings, RenderExpr, SpecBuilder};
@@ -25,17 +26,15 @@ fn output() -> OutputSettings {
     }
 }
 
+/// `src`: a keyframe every `gop` frames, empty payloads (the planner
+/// never decodes).
 fn context(gop: u64) -> PlanContext {
-    PlanContext::new().with_source(
-        "src",
-        SourceMeta {
-            params: CodecParams::new(FrameType::yuv420p(64, 64), gop as u32, 2),
-            start: Rational::ZERO,
-            frame_dur: r(1, 30),
-            count: SRC_FRAMES,
-            keyframes: (0..SRC_FRAMES).step_by(gop as usize).collect(),
-        },
-    )
+    let params = CodecParams::new(FrameType::yuv420p(64, 64), gop as u32, 2);
+    let packets = (0..SRC_FRAMES)
+        .map(|k| Packet::new(r(k as i64, 30), k % gop == 0, Default::default()))
+        .collect();
+    let stream = VideoStream::new(params, Rational::ZERO, r(1, 30), packets).unwrap();
+    PlanContext::new().with_source("src", Arc::new(stream))
 }
 
 #[derive(Clone, Debug)]

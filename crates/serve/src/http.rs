@@ -302,13 +302,16 @@ pub mod client {
         }
     }
 
-    fn exchange(
-        mut stream: impl Read + Write,
+    /// Writes one request and reads the response head: a bodiless
+    /// [`Response`], and the connection positioned at the first body
+    /// byte.
+    fn send<S: Read + Write>(
+        mut stream: S,
         addr: SocketAddr,
         method: &str,
         path: &str,
         body: &[u8],
-    ) -> io::Result<Response> {
+    ) -> io::Result<(Response, BufReader<S>)> {
         write!(stream, "{method} {path} HTTP/1.1\r\n")?;
         write!(stream, "host: {addr}\r\n")?;
         write!(stream, "content-length: {}\r\n", body.len())?;
@@ -323,10 +326,26 @@ pub mod client {
             .nth(1)
             .and_then(|s| s.parse::<u16>().ok())
             .ok_or_else(|| bad("malformed status line"))?;
-        let headers = parse_headers(rest)?;
+        let head = Response {
+            status,
+            headers: parse_headers(rest)?,
+            body: Vec::new(),
+        };
+        Ok((head, reader))
+    }
+
+    /// [`send`], then the whole body.
+    fn exchange(
+        stream: impl Read + Write,
+        addr: SocketAddr,
+        method: &str,
+        path: &str,
+        body: &[u8],
+    ) -> io::Result<Response> {
+        let (mut resp, mut reader) = send(stream, addr, method, path, body)?;
         // A response body is as large as the result it carries: the
         // request cap does not apply, only the declared length.
-        let body = match content_length(&headers)? {
+        resp.body = match content_length(&resp.headers)? {
             Some(len) => read_claimed(&mut reader, len as u64, "connection closed mid-body")?,
             None => {
                 let mut buf = Vec::new();
@@ -334,11 +353,7 @@ pub mod client {
                 buf
             }
         };
-        Ok(Response {
-            status,
-            headers,
-            body,
-        })
+        Ok(resp)
     }
 
     /// `POST /query` with a serialized spec; returns the raw response.
@@ -378,25 +393,10 @@ pub mod client {
         path: &str,
         body: &[u8],
     ) -> io::Result<StreamingResponse> {
-        let mut stream = TcpStream::connect(addr)?;
-        write!(stream, "{method} {path} HTTP/1.1\r\n")?;
-        write!(stream, "host: {addr}\r\n")?;
-        write!(stream, "content-length: {}\r\n", body.len())?;
-        write!(stream, "connection: close\r\n\r\n")?;
-        stream.write_all(body)?;
-        stream.flush()?;
-        let mut reader = BufReader::new(stream);
-        let lines = read_head(&mut reader)?;
-        let (first, rest) = lines.split_first().ok_or_else(|| bad("empty response"))?;
-        let status = first
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse::<u16>().ok())
-            .ok_or_else(|| bad("malformed status line"))?;
-        let headers = parse_headers(rest)?;
+        let (head, reader) = send(TcpStream::connect(addr)?, addr, method, path, body)?;
         Ok(StreamingResponse {
-            status,
-            headers,
+            status: head.status,
+            headers: head.headers,
             reader,
         })
     }

@@ -27,7 +27,7 @@
 //!   ([`MemTier`](v2v_exec::MemTier)) on the render cache answers hot
 //!   repeats without touching disk (`mem_hits`);
 //! * **a shared persistent render cache** — all workers share one
-//!   [`RenderCache`], so a repeated query is answered by splicing
+//!   [`RenderCache`](v2v_exec::RenderCache), so a repeated query is answered by splicing
 //!   cached container bytes (zero decode) and an overlapping query
 //!   reuses every segment it shares with earlier ones (see
 //!   `v2v_plan::fingerprint` for key derivation);
@@ -96,7 +96,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use v2v_core::{EngineConfig, ErrorKind, PreparedRun, V2vEngine, V2vError};
 use v2v_data::Database;
-use v2v_exec::{Catalog, Claim, ExecStats, FlightGuard, FragmentFlight, RenderCache};
+use v2v_exec::{Catalog, Claim, ExecStats, FlightGuard, FragmentFlight};
 use v2v_obs::{Counter, Gauge, Histogram, Registry};
 use v2v_spec::Spec;
 use v2v_store::{profile_plan, AccessProfile, SourceStore};
@@ -110,7 +110,7 @@ pub enum ServeRole {
     #[default]
     Frontend,
     /// A worker: the slim role exposing only `POST /render-segment`,
-    /// `GET /fragment/<key>`, `GET /status`, and `GET /metrics`.
+    /// `GET /status`, and `GET /metrics`.
     /// Workers never dispatch further — fan-out is one level deep.
     Worker,
 }
@@ -124,6 +124,10 @@ impl ServeRole {
     }
 }
 
+/// Seconds a 429 asks the client to wait (`retry-after` header and
+/// body), and a saturated subscription's back-off before it retries.
+const RETRY_AFTER_SECS: u64 = 1;
+
 /// Serving configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -132,8 +136,6 @@ pub struct ServeConfig {
     /// Requests allowed to wait for admission beyond the running ones;
     /// requests past the queue are rejected with 429.
     pub queue_depth: usize,
-    /// `retry-after` seconds advertised on 429 responses.
-    pub retry_after_secs: u64,
     /// Coalesce identical in-flight requests and share overlapping
     /// segments between concurrent renders (on by default). Turning
     /// this off makes every request execute independently — the
@@ -185,7 +187,6 @@ impl Default for ServeConfig {
         ServeConfig {
             max_concurrent: 2,
             queue_depth: 16,
-            retry_after_secs: 1,
             work_sharing: true,
             role: ServeRole::Frontend,
             workers: Vec::new(),
@@ -631,7 +632,6 @@ fn route(req: &Request, shared: &Shared) -> Response {
         ("POST", path) if path.strip_prefix("/append-data/").is_some() && !worker => {
             handle_append_data(path, req, shared)
         }
-        ("GET", path) if path.strip_prefix("/fragment/").is_some() => handle_fragment(path, shared),
         ("GET", "/store") if !worker => store_svc::handle_store_ls(shared),
         ("POST", "/store/compact") if !worker => store_svc::handle_store_compact(shared),
         ("POST", path) if path.strip_prefix("/store/").is_some() && !worker => {
@@ -833,34 +833,12 @@ fn handle_render_segment(req: &Request, shared: &Shared) -> Response {
         Ok((frag, stats)) => {
             shared.metrics.segments_rendered.inc();
             record_exec_metrics(&shared.metrics.exec, &stats);
-            fragment_response(key, &frag)
+            match v2v_container::fragment_to_wire(key, &frag) {
+                Ok(bytes) => Response::new(200, "application/octet-stream", bytes),
+                Err(e) => error_response(500, "internal", &format!("fragment encode: {e}")),
+            }
         }
         Err(e) => error_of(&e.into()),
-    }
-}
-
-/// Serves a cached fragment by key, in wire framing. Lets peers fetch
-/// already-rendered segments without re-rendering; a miss is a plain
-/// 404 (the caller renders or dispatches instead).
-fn handle_fragment(path: &str, shared: &Shared) -> Response {
-    let hex = path.strip_prefix("/fragment/").unwrap_or_default();
-    let Ok(key) = u64::from_str_radix(hex, 16) else {
-        return error_response(400, "invalid_request", "fragment key is not a hex u64");
-    };
-    let Some(cache) = shared.config.engine.render_cache.as_ref() else {
-        return error_response(404, "not_found", "no render cache configured");
-    };
-    match cache.load_segment_tiered(key) {
-        Some((frag, _tier)) => fragment_response(key, &frag),
-        None => error_response(404, "not_found", &format!("no fragment {key:016x}")),
-    }
-}
-
-/// A fragment in wire framing, as both fragment routes answer.
-fn fragment_response(key: u64, frag: &v2v_container::Fragment) -> Response {
-    match v2v_container::fragment_to_wire(key, frag) {
-        Ok(bytes) => Response::new(200, "application/octet-stream", bytes),
-        Err(e) => error_response(500, "internal", &format!("fragment encode: {e}")),
     }
 }
 
@@ -957,7 +935,7 @@ fn subscription_loop(
             else {
                 // Saturated: back off, leave last_domain unset so the
                 // next cycle retries the same refresh.
-                std::thread::sleep(Duration::from_secs(shared.config.retry_after_secs.max(1)));
+                std::thread::sleep(Duration::from_secs(RETRY_AFTER_SECS));
                 continue;
             };
             let Ok((report, _trace)) = result else {
@@ -1260,7 +1238,7 @@ fn prepare_query(spec: &Spec, shared: &Shared) -> Result<PreparedQuery, V2vError
     if shared.store.is_some() {
         // Feed the compactor: classify this plan's source reads by
         // access shape (smart-cut / scan / preview).
-        let profiles = profile_plan(run.plan(), &engine.catalog().plan_context());
+        let profiles = profile_plan(run.plan(), engine.catalog().plan_context());
         store_svc::record_profiles(shared, &profiles);
     }
     Ok(PreparedQuery { engine, run })
@@ -1327,13 +1305,13 @@ fn error_response(status: u16, kind: &str, message: &str) -> Response {
 /// The structured body of a 429: the standard error object plus the
 /// live queue picture, so a client can tell a transient spike from a
 /// saturated daemon.
-fn overload_body(queued: usize, queue_limit: usize, retry_after_secs: u64) -> serde_json::Value {
+fn overload_body(queued: usize, queue_limit: usize) -> serde_json::Value {
     serde_json::json!({"error": {
         "kind": "overloaded",
         "message": "admission queue full",
         "queue_depth": queued,
         "queue_limit": queue_limit,
-        "retry_after_secs": retry_after_secs,
+        "retry_after_secs": RETRY_AFTER_SECS,
     }})
 }
 
@@ -1341,24 +1319,8 @@ fn overload_body(queued: usize, queue_limit: usize, retry_after_secs: u64) -> se
 fn overload_response(shared: &Shared) -> Response {
     shared.metrics.jobs_rejected.inc();
     let (_, queued) = shared.gate.snapshot();
-    Response::json(
-        429,
-        &overload_body(
-            queued,
-            shared.config.queue_depth,
-            shared.config.retry_after_secs,
-        ),
-    )
-    .header("retry-after", shared.config.retry_after_secs.to_string())
-}
-
-/// Convenience: open (or create) a persistent render cache for a
-/// serving config.
-pub fn open_cache(
-    dir: impl AsRef<std::path::Path>,
-    budget_bytes: u64,
-) -> std::io::Result<Arc<RenderCache>> {
-    RenderCache::open(dir, budget_bytes).map(Arc::new)
+    Response::json(429, &overload_body(queued, shared.config.queue_depth))
+        .header("retry-after", RETRY_AFTER_SECS.to_string())
 }
 
 #[cfg(test)]
@@ -1519,7 +1481,7 @@ mod tests {
         // one. The lists were recorded from the parent of the PR that
         // deleted the daemon's shadow counters.
         let dir = store_tempdir("keys");
-        let cache = RenderCache::open(&dir, 1 << 20)
+        let cache = v2v_exec::RenderCache::open(&dir, 1 << 20)
             .unwrap()
             .with_mem_tier(1 << 20);
         let mut config = ServeConfig::default();
@@ -1924,14 +1886,14 @@ mod tests {
 
     #[test]
     fn overload_body_reports_queue_state() {
-        let body = overload_body(3, 16, 2);
+        let body = overload_body(3, 16);
         let err = body.get("error").unwrap();
         assert_eq!(err.get("kind").and_then(|k| k.as_str()), Some("overloaded"));
         assert_eq!(err.get("queue_depth").and_then(|x| x.as_u64()), Some(3));
         assert_eq!(err.get("queue_limit").and_then(|x| x.as_u64()), Some(16));
         assert_eq!(
             err.get("retry_after_secs").and_then(|x| x.as_u64()),
-            Some(2)
+            Some(RETRY_AFTER_SECS)
         );
         assert!(err.get("message").is_some());
     }

@@ -41,7 +41,7 @@ use v2v_container::{read_svc, write_svc, ContainerError, StreamWriter, VideoStre
 use v2v_exec::Catalog;
 use v2v_frame::ops::conform;
 use v2v_frame::FrameType;
-use v2v_plan::{VariantFacts, VariantKind};
+use v2v_plan::VariantKind;
 
 /// Errors raised by the variant store.
 #[derive(Debug, thiserror::Error)]
@@ -267,8 +267,8 @@ impl SourceStore {
             params: *variant.params(),
             keyframes: variant
                 .keyframe_indices()
-                .into_iter()
-                .map(|k| k as u64)
+                .iter()
+                .map(|&k| k as u64)
                 .collect(),
             byte_size: variant.byte_size(),
             covered_frames: covered,
@@ -419,28 +419,6 @@ impl SourceStore {
             }
         }
         Ok((attached, skipped))
-    }
-
-    /// Per-variant facts for status and admin views, one row per
-    /// manifest entry.
-    pub fn facts(&self) -> Result<Vec<(String, VariantFacts, bool)>, StoreError> {
-        let mut out = Vec::new();
-        for m in self.manifests()? {
-            for v in &m.variants {
-                out.push((
-                    m.name.clone(),
-                    VariantFacts {
-                        kind: v.kind,
-                        params: v.params,
-                        keyframes: v.keyframes.clone(),
-                        byte_size: v.byte_size,
-                        covered_frames: v.covered_frames,
-                    },
-                    v.pinned,
-                ));
-            }
-        }
-        Ok(out)
     }
 }
 

@@ -52,22 +52,22 @@ pub fn profile_plan(plan: &PhysicalPlan, ctx: &PlanContext) -> BTreeMap<String, 
             continue;
         };
         for clip in inputs {
-            let Some(meta) = ctx.source(&clip.video) else {
+            let Some(source) = ctx.source(&clip.video) else {
                 continue;
             };
             let profile = out.entry(clip.video.clone()).or_default();
-            let src_px =
-                u64::from(meta.params.frame_ty.width) * u64::from(meta.params.frame_ty.height);
+            let params = source.params();
+            let src_px = u64::from(params.frame_ty.width) * u64::from(params.frame_ty.height);
             if out_px < src_px {
                 profile.preview += 1;
             }
-            let gop = u64::from(meta.params.gop_size.max(1));
+            let gop = u64::from(params.gop_size.max(1));
             // A mid-GOP read shorter than one source GOP is the
             // smart-cut head shape; anything longer is a scan.
             if seg.count <= gop {
-                let start_idx = meta.index_of(clip.time.apply(plan.instant_of(seg.out_start)));
+                let start_idx = source.index_of(clip.time.apply(plan.instant_of(seg.out_start)));
                 match start_idx {
-                    Some(i) if !meta.is_keyframe(i) => profile.smart_cut += 1,
+                    Some(i) if source.keyframe_at_or_before(i) != Some(i) => profile.smart_cut += 1,
                     _ => profile.scan += 1,
                 }
             } else {
@@ -81,24 +81,24 @@ pub fn profile_plan(plan: &PhysicalPlan, ctx: &PlanContext) -> BTreeMap<String, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use v2v_codec::CodecParams;
+    use std::sync::Arc;
+    use v2v_codec::{CodecParams, Packet};
+    use v2v_container::VideoStream;
     use v2v_frame::FrameType;
-    use v2v_plan::{lower_spec, optimize, OptimizerConfig, SourceMeta};
+    use v2v_plan::{lower_spec, optimize, OptimizerConfig};
     use v2v_spec::builder::grayscale;
     use v2v_spec::{OutputSettings, SpecBuilder};
     use v2v_time::{r, Rational};
 
+    /// `src`: `count` frames, a keyframe every `gop`, empty payloads
+    /// (profiling reads container facts only).
     fn ctx(count: u64, gop: u64) -> PlanContext {
-        PlanContext::new().with_source(
-            "src",
-            SourceMeta {
-                params: CodecParams::new(FrameType::yuv420p(64, 64), gop as u32, 0),
-                start: Rational::ZERO,
-                frame_dur: r(1, 30),
-                count,
-                keyframes: (0..count).step_by(gop as usize).collect(),
-            },
-        )
+        let params = CodecParams::new(FrameType::yuv420p(64, 64), gop as u32, 0);
+        let packets = (0..count)
+            .map(|k| Packet::new(r(k as i64, 30), k % gop == 0, Default::default()))
+            .collect();
+        let stream = VideoStream::new(params, Rational::ZERO, r(1, 30), packets).unwrap();
+        PlanContext::new().with_source("src", Arc::new(stream))
     }
 
     fn plan(ctx: &PlanContext, from: i64, secs: i64, out_side: u32) -> PhysicalPlan {

@@ -32,7 +32,7 @@ fn catalog() -> Catalog {
 
 fn plan_of(spec: &Spec, catalog: &Catalog, cfg: &OptimizerConfig) -> PhysicalPlan {
     let logical = lower_spec(spec).unwrap();
-    optimize(&logical, &catalog.plan_context(), cfg).unwrap()
+    optimize(&logical, catalog.plan_context(), cfg).unwrap()
 }
 
 /// The adversarial plan shapes, as `(name, plan)`.

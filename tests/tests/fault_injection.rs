@@ -51,7 +51,7 @@ fn plan(catalog: &Catalog) -> PhysicalPlan {
     let logical = lower_spec(&spec).unwrap();
     optimize(
         &logical,
-        &catalog.plan_context(),
+        catalog.plan_context(),
         &OptimizerConfig {
             // One render segment so fault extent is predictable.
             shard_min_frames: u64::MAX,
@@ -394,7 +394,7 @@ fn long_gop_plan() -> (Catalog, PhysicalPlan) {
         .build();
     let plan = optimize(
         &lower_spec(&spec).unwrap(),
-        &catalog.plan_context(),
+        catalog.plan_context(),
         &OptimizerConfig::default(),
     )
     .unwrap();

@@ -46,7 +46,7 @@ fn mixed_spec() -> Spec {
 
 fn fingerprint_with(spec: &Spec, catalog: &Catalog, cfg: &OptimizerConfig) -> u64 {
     let logical = lower_spec(spec).expect("lower");
-    let plan = optimize(&logical, &catalog.plan_context(), cfg).expect("optimize");
+    let plan = optimize(&logical, catalog.plan_context(), cfg).expect("optimize");
     plan_fingerprint(&plan, &digests(catalog))
 }
 
