@@ -129,11 +129,6 @@ impl PreparedRun {
         &self.keys
     }
 
-    /// Segments in the physical plan.
-    pub fn segment_count(&self) -> usize {
-        self.physical.segments.len()
-    }
-
     /// The static-check report for the prepared spec.
     pub fn check(&self) -> &CheckReport {
         &self.check
@@ -224,17 +219,23 @@ impl V2vEngine {
             self.catalog.add_array(name.clone(), array);
         }
         for (name, locator) in &spec.videos {
-            if self.catalog.video(name).is_some() {
-                continue;
+            if self.catalog.video(name).is_none() {
+                self.catalog
+                    .add_video(name.clone(), V2vEngine::read_video(name, locator)?);
             }
-            let stream = v2v_container::read_svc(locator).map_err(|e| EngineError::VideoBind {
-                name: name.clone(),
-                locator: locator.clone(),
-                reason: e.to_string(),
-            })?;
-            self.catalog.add_video(name.clone(), stream);
         }
         Ok(())
+    }
+
+    /// Reads the `.svc` file a video locator names: the one reader behind
+    /// [`bind`](V2vEngine::bind) and the serving daemon's shared catalog,
+    /// so both answer a missing or unreadable file with the same error.
+    pub fn read_video(name: &str, locator: &str) -> Result<VideoStream, EngineError> {
+        v2v_container::read_svc(locator).map_err(|e| EngineError::VideoBind {
+            name: name.to_string(),
+            locator: locator.to_string(),
+            reason: e.to_string(),
+        })
     }
 
     /// Applies the data-dependent rewriter (pass 1 of the two-pass

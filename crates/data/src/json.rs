@@ -23,7 +23,11 @@ use crate::DataError;
 use std::path::Path;
 use v2v_time::Rational;
 
-fn parse_time(v: &serde_json::Value) -> Result<Rational, DataError> {
+/// Reads one JSON instant: an integer or fractional number of seconds
+/// (fractions snapped to the millisecond grid), an exact `[num, den]`,
+/// or a `"num/den"` string. The one reader for annotation files and the
+/// daemon's `/append-data` entries.
+pub fn parse_time(v: &serde_json::Value) -> Result<Rational, DataError> {
     match v {
         serde_json::Value::Number(n) => {
             if let Some(i) = n.as_i64() {

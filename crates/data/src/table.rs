@@ -117,11 +117,6 @@ impl Database {
             name: name.to_string(),
         })
     }
-
-    /// Names of all tables.
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(String::as_str).collect()
-    }
 }
 
 #[cfg(test)]

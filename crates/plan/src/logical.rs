@@ -16,7 +16,7 @@ use crate::program::{FrameProgram, InputClip, ProgArg};
 use crate::PlanError;
 use v2v_codec::CodecParams;
 use v2v_spec::{Arg, OutputSettings, RenderExpr, Spec};
-use v2v_time::{AffineTimeMap, Rational, TimeRange, TimeSet};
+use v2v_time::{AffineTimeMap, Rational, TimeSet};
 
 /// A logical operator tree.
 #[derive(Clone, Debug, PartialEq)]
@@ -307,18 +307,13 @@ pub fn lower_spec(spec: &Spec) -> Result<LogicalPlan, PlanError> {
     })
 }
 
-/// The domain instants of a segment as a range.
-pub fn segment_domain(plan: &LogicalPlan, seg: &LogicalSegment) -> TimeRange {
-    TimeRange::from_parts(plan.instant_of(seg.out_start), plan.frame_dur, seg.count)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use v2v_frame::FrameType;
     use v2v_spec::builder::{blur, grid4, if_then_else};
     use v2v_spec::{DataExpr, SpecBuilder};
-    use v2v_time::r;
+    use v2v_time::{r, TimeRange};
 
     fn output() -> OutputSettings {
         OutputSettings::new(FrameType::yuv420p(64, 64), 30)

@@ -42,7 +42,7 @@
 //! |---|---|---|
 //! | `POST /query` | spec JSON | `.svc` container bytes; `x-v2v-stats` header carries the run's [`ExecStats`] JSON |
 //! | `POST /subscribe` | spec JSON | long-lived stream of delta records (see [`sub`]) |
-//! | `POST /append/<name>` | sealed `.svc` of new GOPs | appends to the named live catalog video |
+//! | `POST /append/<name>` | sealed `.svc` of new GOPs | extends the named catalog video — pre-registered, appended, or bound by locator — or creates it |
 //! | `POST /append-data/<name>` | `[{"t": ..., "value": ...}]` | appends entries to the named data array |
 //! | `GET /status` | — | admission + cache state JSON (plus a `store` block when a variant store is configured) |
 //! | `GET /metrics` | — | metrics snapshot JSON |
@@ -51,6 +51,19 @@
 //! | `POST /store/drop/<name>/<kind>` | — | drop one variant |
 //! | `POST /store/pin/<name>/<kind>` | `{"pinned": bool}` | pin/unpin against compaction |
 //! | `POST /store/compact` | — | run one compaction pass now |
+//!
+//! **Binding.** The shared catalog is the one owner of what a video
+//! name means. Before planning, every `/query`, `/render-segment`,
+//! `/subscribe` and subscription refresh binds each video its spec
+//! names that the catalog lacks: the locator is read once, outside any
+//! lock, and inserted (with the name's stored variants) only if the
+//! name is still absent. A name binds once per daemon, as on one
+//! long-lived [`V2vEngine`] (names already bound win), stays resident,
+//! and from then on grows only through `/append`. A spec naming a
+//! locator-bound video by another locator is refused with 400
+//! `invalid_request`; pre-registered and appended names ignore the
+//! spec's locator. Data arrays stay per request: a `sql:` array is
+//! windowed to the spec.
 //!
 //! **Live sources and subscriptions.** The catalog is mutable at
 //! runtime: `POST /append/<name>` splices freshly-encoded GOPs onto a
@@ -91,7 +104,7 @@ use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use v2v_core::{EngineConfig, ErrorKind, PreparedRun, V2vEngine, V2vError};
@@ -124,6 +137,15 @@ impl ServeRole {
     }
 }
 
+/// Locks `mutex`, recovering the guard if a panicking holder poisoned
+/// it: every value the daemon keeps under a mutex stays consistent
+/// between statements.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Seconds a 429 asks the client to wait (`retry-after` header and
 /// body), and a saturated subscription's back-off before it retries.
 const RETRY_AFTER_SECS: u64 = 1;
@@ -152,8 +174,9 @@ pub struct ServeConfig {
     pub engine: EngineConfig,
     /// Adaptive physical storage: when set, the daemon opens a
     /// [`SourceStore`] at the given root, attaches every valid variant
-    /// to the catalog at startup, profiles each prepared query, and
-    /// compacts variants under the byte budget (see [`store_svc`]).
+    /// to the catalog at startup and to each name as it binds, profiles
+    /// each prepared query, and compacts variants under the byte budget
+    /// (see [`store_svc`]).
     pub store: Option<StoreServeConfig>,
 }
 
@@ -220,7 +243,7 @@ struct Slot<'a>(&'a JobGate);
 impl Drop for Slot<'_> {
     fn drop(&mut self) {
         let gate = self.0;
-        let mut st = gate.lock();
+        let mut st = lock(&gate.state);
         st.active = st.active.saturating_sub(1);
         gate.active_jobs.set(st.active as u64);
         drop(st);
@@ -239,16 +262,10 @@ impl JobGate {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, GateState> {
-        self.state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     /// Blocks until admitted; `None` means the queue was full and the
     /// request must be rejected.
     fn enter(&self) -> Option<Slot<'_>> {
-        let mut st = self.lock();
+        let mut st = lock(&self.state);
         if st.active >= self.max {
             if st.queued >= self.depth {
                 return None;
@@ -268,7 +285,7 @@ impl JobGate {
     }
 
     fn snapshot(&self) -> (usize, usize) {
-        let st = self.lock();
+        let st = lock(&self.state);
         (st.active, st.queued)
     }
 }
@@ -357,10 +374,16 @@ impl Metrics {
 
 /// State shared by the accept loop and every connection thread.
 struct Shared {
-    /// The live source catalog. `POST /append*` routes take the write
-    /// lock for the duration of one splice; queries clone a snapshot
-    /// under the read lock (cheap: streams are `Arc`-backed).
+    /// The live source catalog, the one owner of what a video name
+    /// means: requests bind names it lacks into it (see
+    /// [`bind_videos`]), `POST /append*` routes take the write lock for
+    /// the duration of one splice, and queries clone a snapshot under
+    /// the read lock (cheap: streams are `Arc`-backed).
     catalog: RwLock<Catalog>,
+    /// The locator each locator-bound video was read from. Inserted
+    /// under the catalog write lock together with the stream, so no
+    /// request sees a locator-bound name without its locator.
+    locators: Mutex<BTreeMap<String, String>>,
     /// Bumped on every successful append; subscriptions sleep on
     /// [`Shared::catalog_grew`] until it moves.
     catalog_version: Mutex<u64>,
@@ -393,25 +416,24 @@ struct Shared {
 }
 
 impl Shared {
-    fn catalog_snapshot(&self) -> Catalog {
+    fn catalog_read(&self) -> RwLockReadGuard<'_, Catalog> {
         self.catalog
             .read()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .clone()
     }
 
-    fn version_lock(&self) -> std::sync::MutexGuard<'_, u64> {
-        self.catalog_version
-            .lock()
+    fn catalog_write(&self) -> RwLockWriteGuard<'_, Catalog> {
+        self.catalog
+            .write()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     fn version(&self) -> u64 {
-        *self.version_lock()
+        *lock(&self.catalog_version)
     }
 
     fn bump_version(&self) {
-        *self.version_lock() += 1;
+        *lock(&self.catalog_version) += 1;
         self.catalog_grew.notify_all();
     }
 }
@@ -481,6 +503,7 @@ impl V2vServer {
         };
         let shared = Arc::new(Shared {
             catalog: RwLock::new(catalog),
+            locators: Mutex::new(BTreeMap::new()),
             catalog_version: Mutex::new(0),
             catalog_grew: Condvar::new(),
             stopping: AtomicBool::new(false),
@@ -668,10 +691,7 @@ fn handle_append(path: &str, req: &Request, shared: &Shared) -> Response {
     if new.is_empty() {
         return error_response(400, "invalid_request", "appended container holds no frames");
     }
-    let mut catalog = shared
-        .catalog
-        .write()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let mut catalog = shared.catalog_write();
     let total = match catalog.video(name).cloned() {
         Some(existing) => {
             // `concat` restamps whatever it is given; the continuity
@@ -738,13 +758,13 @@ fn handle_append_data(path: &str, req: &Request, shared: &Shared) -> Response {
     };
     let mut parsed = Vec::with_capacity(entries.len());
     for (i, entry) in entries.iter().enumerate() {
-        let t = entry.get("t").and_then(parse_instant);
-        let Some(t) = t else {
-            return error_response(
-                400,
-                "invalid_request",
-                &format!("entry {i}: 't' must be a number or [num, den]"),
-            );
+        // A missing `t` is read as `null`, which no instant shape takes.
+        let t = entry.get("t").unwrap_or(&serde_json::Value::Null);
+        let t = match v2v_data::json::parse_time(t) {
+            Ok(t) => t,
+            Err(e) => {
+                return error_response(400, "invalid_request", &format!("entry {i}: 't': {e}"))
+            }
         };
         let Some(value) = entry.get("value") else {
             return error_response(
@@ -756,10 +776,7 @@ fn handle_append_data(path: &str, req: &Request, shared: &Shared) -> Response {
         parsed.push((t, v2v_data::Value::from_json(value)));
     }
     let count = parsed.len();
-    let mut catalog = shared
-        .catalog
-        .write()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let mut catalog = shared.catalog_write();
     let array = catalog.arrays_mut().entry(name.to_string()).or_default();
     for (t, v) in parsed {
         array.insert(t, v);
@@ -772,14 +789,6 @@ fn handle_append_data(path: &str, req: &Request, shared: &Shared) -> Response {
         200,
         &serde_json::json!({"array": name, "appended": count, "entries": total}),
     )
-}
-
-/// Reads a JSON instant: a number of seconds or an exact `[num, den]`.
-fn parse_instant(v: &serde_json::Value) -> Option<v2v_time::Rational> {
-    if let Some([n, d]) = v.as_array().map(Vec::as_slice) {
-        return v2v_time::Rational::checked_new(n.as_i64()?, d.as_i64()?).ok();
-    }
-    v.as_i64().map(v2v_time::Rational::from_int)
 }
 
 /// A coordinator's request: render one keyed segment of the embedded
@@ -864,9 +873,13 @@ fn handle_subscribe(
     mut writer: TcpStream,
     shared: &Shared,
 ) {
-    // Bind once up front so an unservable spec (missing file, bad SQL)
-    // is a proper error response, not an empty stream.
-    let spec = match parse_spec(&req.body).and_then(|s| bound_infos(&s, shared).map(|_| s)) {
+    // Bind once up front, through the engine a query gets, so an
+    // unservable spec (missing file, bad SQL) is a proper error
+    // response, not an empty stream.
+    let spec = match parse_spec(&req.body).and_then(|s| {
+        request_engine(&s, shared)?.bind(&s)?;
+        Ok(s)
+    }) {
         Ok(s) => s,
         Err(e) => {
             let _ = write_response(&mut writer, &error_of(&e));
@@ -891,18 +904,6 @@ fn handle_subscribe(
     shared.metrics.sub_active.set(before - 1);
 }
 
-/// Binds `spec`'s sources over a catalog snapshot and returns the
-/// source availability the servable-domain clamp consumes.
-fn bound_infos(
-    spec: &Spec,
-    shared: &Shared,
-) -> Result<std::collections::BTreeMap<String, v2v_spec::SourceInfo>, V2vError> {
-    let mut engine =
-        V2vEngine::new(shared.catalog_snapshot()).with_database(shared.database.clone());
-    engine.bind(spec).map_err(V2vError::from)?;
-    Ok(engine.catalog().source_infos())
-}
-
 /// The watcher/render/push cycle of one subscription.
 fn subscription_loop(
     spec: &Spec,
@@ -918,11 +919,9 @@ fn subscription_loop(
             return;
         }
         let seen = shared.version();
-        let infos = match bound_infos(spec, shared) {
-            Ok(i) => i,
-            Err(_) => return, // a source vanished mid-subscription
-        };
-        let clamped = v2v_spec::servable_domain(spec, &infos);
+        // Every video the spec names was bound up front, and bound
+        // names stay, so the shared catalog answers the clamp.
+        let clamped = v2v_spec::servable_domain(spec, &shared.catalog_read().source_infos());
         let dirty =
             !clamped.is_empty() && last_domain.as_ref().map_or(true, |d| !d.set_eq(&clamped));
         if dirty {
@@ -968,7 +967,7 @@ fn subscription_loop(
         // Sleep until the catalog grows (or the server stops); poll the
         // client socket each interval so an abandoned subscription does
         // not linger forever.
-        let mut v = shared.version_lock();
+        let mut v = lock(&shared.catalog_version);
         while *v == seen {
             if shared.stopping.load(Ordering::SeqCst) {
                 return;
@@ -983,7 +982,7 @@ fn subscription_loop(
                 if client_disconnected(reader) {
                     return;
                 }
-                v = shared.version_lock();
+                v = lock(&shared.catalog_version);
             }
         }
     }
@@ -1205,11 +1204,52 @@ fn parse_spec(body: &[u8]) -> Result<Spec, V2vError> {
         .map_err(|e| V2vError::new(ErrorKind::InvalidRequest, format!("bad spec: {e}")))
 }
 
-/// Plans one spec on a fresh engine over the shared sources (the
-/// catalog clone is cheap: streams are `Arc`-backed). The engine is
-/// wired to the daemon-wide fragment flight so its segments share with
-/// every concurrent render.
-fn prepare_query(spec: &Spec, shared: &Shared) -> Result<PreparedQuery, V2vError> {
+/// Binds every video `spec` names that the shared catalog lacks, once
+/// per daemon, exactly as on one long-lived [`V2vEngine`]: names
+/// already bound win. Each missing locator is read (and its store
+/// variants loaded) outside any lock, then inserted under the write
+/// lock only if the name is still absent. A bind changes no existing
+/// binding, so it does not bump the catalog version.
+fn bind_videos(spec: &Spec, shared: &Shared) -> Result<(), V2vError> {
+    for (name, locator) in &spec.videos {
+        if shared.catalog_read().video(name).is_some() {
+            continue;
+        }
+        let stream = V2vEngine::read_video(name, locator)?;
+        // Variants are advisory: a store failure degrades to the original.
+        let store = shared.store.as_ref();
+        let variants = store.and_then(|s| s.load_variants(name, &stream).ok());
+        let mut catalog = shared.catalog_write();
+        if catalog.video(name).is_none() {
+            catalog.add_video(name.clone(), stream);
+            if let Some((loaded, _)) = variants {
+                v2v_store::attach_variants(&mut catalog, name, loaded);
+            }
+            lock(&shared.locators).insert(name.clone(), locator.clone());
+        }
+    }
+    // A locator-bound name must be named by its own locator (compared as
+    // strings), or the spec would silently get the other file.
+    // Pre-registered and appended names have none: a spec's is ignored.
+    let locators = lock(&shared.locators);
+    for (name, locator) in &spec.videos {
+        if let Some(bound) = locators.get(name).filter(|bound| *bound != locator) {
+            let message = format!("video '{name}' is bound to locator '{bound}', not '{locator}'");
+            return Err(V2vError::new(ErrorKind::InvalidRequest, message));
+        }
+    }
+    Ok(())
+}
+
+/// A fresh engine for one request, over a snapshot of the shared
+/// catalog taken after [`bind_videos`] (the clone is cheap: streams are
+/// `Arc`-backed), so its own `bind` finds every video bound and only
+/// materializes data arrays — those stay per request, since a `sql:`
+/// array is windowed to the spec. The engine is wired to the
+/// daemon-wide fragment flight so its segments share with every
+/// concurrent render.
+fn request_engine(spec: &Spec, shared: &Shared) -> Result<V2vEngine, V2vError> {
+    bind_videos(spec, shared)?;
     let mut config = shared.config.engine.clone();
     if shared.config.work_sharing {
         config.work_share = Some(Arc::clone(&shared.flight));
@@ -1222,18 +1262,14 @@ fn prepare_query(spec: &Spec, shared: &Shared) -> Result<PreparedQuery, V2vError
             config.remote = Some(Arc::new(PoolRemote::new(Arc::clone(pool), value)));
         }
     }
-    let mut engine = V2vEngine::new(shared.catalog_snapshot())
+    Ok(V2vEngine::new(shared.catalog_read().clone())
         .with_database(shared.database.clone())
-        .with_config(config);
-    if let Some(store) = &shared.store {
-        // Sources named by locator bind lazily into this query's
-        // engine catalog, not the shared one — bind now (prepare's own
-        // bind is an idempotent no-op after this) and attach whatever
-        // variants the store holds for them. Attach failures degrade
-        // to the original: variants are advisory, never load-bearing.
-        engine.bind(spec)?;
-        let _ = store.attach(engine.catalog_mut());
-    }
+        .with_config(config))
+}
+
+/// Plans one spec on its [`request_engine`].
+fn prepare_query(spec: &Spec, shared: &Shared) -> Result<PreparedQuery, V2vError> {
+    let mut engine = request_engine(spec, shared)?;
     let run = engine.prepare(spec)?;
     if shared.store.is_some() {
         // Feed the compactor: classify this plan's source reads by
@@ -1353,6 +1389,12 @@ mod tests {
 
     /// A blur over the first `secs` seconds of "a".
     fn blur_spec(secs: i64) -> Spec {
+        blur_spec_of("a", "a.svc", secs)
+    }
+
+    /// A blur over the first `secs` seconds of video `name`, bound to
+    /// `locator`.
+    fn blur_spec_of(name: &str, locator: &str, secs: i64) -> Spec {
         let output = OutputSettings {
             frame_ty: FrameType::gray8(64, 32),
             frame_dur: r(1, 30),
@@ -1360,8 +1402,8 @@ mod tests {
             quantizer: 0,
         };
         SpecBuilder::new(output)
-            .video("a", "a.svc")
-            .append_filtered("a", r(0, 1), r(secs, 1), |e| blur(e, 1.0))
+            .video(name, locator)
+            .append_filtered(name, r(0, 1), r(secs, 1), |e| blur(e, 1.0))
             .build()
     }
 
@@ -1957,7 +1999,7 @@ mod tests {
         let mut live = Catalog::new();
         live.add_video("a", cut(0, 120));
         let live = V2vServer::new(live).start("127.0.0.1:0").unwrap();
-        let source = |h: &ServerHandle| h.shared.catalog_snapshot().video("a").unwrap().clone();
+        let source = |h: &ServerHandle| h.shared.catalog_read().video("a").unwrap().clone();
 
         // The first request pays the source's digest, once for every
         // snapshot the daemon will ever hand a per-request engine.
@@ -1994,5 +2036,312 @@ mod tests {
         assert_eq!(on_live.fingerprint(), on_fresh.fingerprint());
         assert_eq!(on_live.segment_keys(), on_fresh.segment_keys());
         assert_eq!(source(&fresh).digest_index(), new);
+    }
+
+    /// Frames `from..to` of a 150-frame marked source: a head the daemon
+    /// binds, or the installment `/append` continues it with.
+    fn cut_of_150(from: usize, to: usize) -> VideoStream {
+        let whole = marked_stream(150, 30);
+        let at = whole.pts_of(from).unwrap();
+        let packets = whole.copy_packet_range(from, to, at).unwrap();
+        VideoStream::new(*whole.params(), at, whole.frame_dur(), packets).unwrap()
+    }
+
+    /// Writes `stream` to a fresh fixture file and returns its path.
+    fn fixture(dir: &std::path::Path, file: &str, stream: &VideoStream) -> String {
+        std::fs::create_dir_all(dir).unwrap();
+        let path = dir.join(file);
+        v2v_container::write_svc(stream, &path).unwrap();
+        path.to_string_lossy().into_owned()
+    }
+
+    fn query(addr: SocketAddr, spec: &Spec) -> http::Response {
+        client::post_query(addr, spec.to_json().as_bytes()).unwrap()
+    }
+
+    /// The string at `path` under `v`, or `""`.
+    fn str_at<'a>(v: &'a serde_json::Value, path: &[&str]) -> &'a str {
+        let mut at = Some(v);
+        for key in path {
+            at = at.and_then(|x| x.get(key));
+        }
+        at.and_then(|x| x.as_str()).unwrap_or_default()
+    }
+
+    fn error_kind_and_message(resp: &http::Response) -> (String, String) {
+        let v: serde_json::Value = serde_json::from_slice(&resp.body).unwrap();
+        let field = |k: &str| str_at(&v, &["error", k]).to_string();
+        (field("kind"), field("message"))
+    }
+
+    /// The `v2v serve` shape: an empty catalog binds a source by locator
+    /// once, and keeps it — the second request neither re-reads the file
+    /// (deleted by then) nor re-digests the stream.
+    #[test]
+    fn a_locator_bound_source_is_read_once_and_outlives_its_file() {
+        let dir = store_tempdir("read_once");
+        let path = fixture(&dir, "a.svc", &marked_stream(120, 30));
+        let handle = V2vServer::new(Catalog::new()).start("127.0.0.1:0").unwrap();
+        let spec = blur_spec_of("a", &path, 2);
+        let first = query(handle.addr(), &spec);
+        assert_eq!(
+            first.status,
+            200,
+            "{}",
+            String::from_utf8_lossy(&first.body)
+        );
+        let bound = handle.shared.catalog_read().video("a").unwrap().clone();
+        assert!(
+            bound.digests_known(),
+            "the first request digests the shared stream"
+        );
+
+        std::fs::remove_file(&path).unwrap();
+        let second = query(handle.addr(), &spec);
+        assert_eq!(
+            second.status,
+            200,
+            "{}",
+            String::from_utf8_lossy(&second.body)
+        );
+        assert_eq!(second.body, first.body);
+        let still = handle.shared.catalog_read().video("a").unwrap().clone();
+        assert!(
+            Arc::ptr_eq(&bound, &still),
+            "one stream per name, not one per request"
+        );
+        assert_eq!(
+            handle.shared.version(),
+            0,
+            "a bind changes no existing binding"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `/append` grows a locator-bound source instead of replacing it.
+    #[test]
+    fn append_extends_a_locator_bound_source() {
+        let dir = store_tempdir("append_locator");
+        let path = fixture(&dir, "a.svc", &cut_of_150(0, 120));
+        let live = V2vServer::new(Catalog::new()).start("127.0.0.1:0").unwrap();
+        let head = query(live.addr(), &blur_spec_of("a", &path, 4));
+        assert_eq!(head.status, 200, "{}", String::from_utf8_lossy(&head.body));
+
+        let tail = v2v_container::svc_to_bytes(&cut_of_150(120, 150)).unwrap();
+        let ack = client::request(live.addr(), "POST", "/append/a", &tail).unwrap();
+        assert_eq!(ack.status, 200, "{}", String::from_utf8_lossy(&ack.body));
+        let ack: serde_json::Value = serde_json::from_slice(&ack.body).unwrap();
+        assert_eq!(ack.get("frames").and_then(|x| x.as_u64()), Some(150));
+
+        // The old range still answers with the same bytes, and the grown
+        // range matches a cold daemon over the whole source.
+        let again = query(live.addr(), &blur_spec_of("a", &path, 4));
+        assert_eq!(
+            again.status,
+            200,
+            "{}",
+            String::from_utf8_lossy(&again.body)
+        );
+        assert_eq!(again.body, head.body);
+        let grown = query(live.addr(), &blur_spec_of("a", &path, 5));
+        assert_eq!(
+            grown.status,
+            200,
+            "{}",
+            String::from_utf8_lossy(&grown.body)
+        );
+        let mut whole = Catalog::new();
+        whole.add_video("a", marked_stream(150, 30));
+        let cold = V2vServer::new(whole).start("127.0.0.1:0").unwrap();
+        let truth = query(cold.addr(), &blur_spec_of("a", &path, 5));
+        assert_eq!(truth.status, 200);
+        assert_eq!(grown.body, truth.body);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Variants attach when a name binds, not only at startup, so the
+    /// store routes and the compactor see locator-bound sources.
+    #[test]
+    fn a_locator_bind_attaches_stored_variants() {
+        let dir = store_tempdir("bind_attach");
+        let source = marked_stream(120, 30);
+        let path = fixture(&dir, "a.svc", &source);
+        let root = dir.join("store");
+        let dense = v2v_store::TranscodeSpec::for_kind(v2v_plan::VariantKind::Dense);
+        SourceStore::open(&root)
+            .unwrap()
+            .materialize("a", &source, dense)
+            .unwrap();
+        let handle = V2vServer::new(Catalog::new())
+            .with_config(store_config(&root))
+            .start("127.0.0.1:0")
+            .unwrap();
+        let addr = handle.addr();
+        let attached = || {
+            let ls = client::request(addr, "GET", "/store", b"").unwrap();
+            serde_json::from_slice::<serde_json::Value>(&ls.body)
+                .unwrap()
+                .get("attached")
+                .cloned()
+        };
+        assert_eq!(attached(), Some(serde_json::json!({})));
+
+        let resp = query(addr, &blur_spec_of("a", &path, 2));
+        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+        assert_eq!(attached(), Some(serde_json::json!({"a": ["dense"]})));
+        let plain = V2vServer::new(catalog()).start("127.0.0.1:0").unwrap();
+        assert_eq!(resp.body, query(plain.addr(), &blur_spec(2)).body);
+
+        let resp = client::request(addr, "POST", "/store/materialize/a/dense", b"").unwrap();
+        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A name bound from one locator is never served for another.
+    #[test]
+    fn a_bound_name_named_by_another_locator_is_refused() {
+        let dir = store_tempdir("locator_conflict");
+        let first = fixture(&dir, "first.svc", &marked_stream(120, 30));
+        let other = fixture(&dir, "other.svc", &marked_stream(120, 10));
+        let handle = V2vServer::new(Catalog::new()).start("127.0.0.1:0").unwrap();
+        let bound = query(handle.addr(), &blur_spec_of("a", &first, 2));
+        assert_eq!(bound.status, 200);
+
+        let refused = query(handle.addr(), &blur_spec_of("a", &other, 2));
+        assert_eq!(refused.status, 400);
+        let (kind, message) = error_kind_and_message(&refused);
+        assert_eq!(kind, "invalid_request");
+        assert!(
+            message.contains(&first) && message.contains(&other),
+            "{message}"
+        );
+
+        let again = query(handle.addr(), &blur_spec_of("a", &first, 2));
+        assert_eq!(again.status, 200);
+        assert_eq!(again.body, bound.body, "the bound bytes are unchanged");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Pre-registered names keep ignoring the spec's locator.
+    #[test]
+    fn a_pre_registered_name_ignores_the_spec_locator() {
+        let handle = V2vServer::new(catalog()).start("127.0.0.1:0").unwrap();
+        for locator in ["a.svc", "elsewhere.svc"] {
+            let resp = query(handle.addr(), &blur_spec_of("a", locator, 1));
+            assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+        }
+    }
+
+    /// A path-like source name never reaches outside the store root:
+    /// `..` used to drop `<root>/../dense.svc` and rewrite
+    /// `<root>/../manifest.json`.
+    #[test]
+    fn store_routes_refuse_a_path_like_source_name() {
+        let dir = store_tempdir("decoy");
+        let decoy = SourceStore::open(&dir).unwrap();
+        let dense = v2v_store::TranscodeSpec::for_kind(v2v_plan::VariantKind::Dense);
+        decoy
+            .materialize("decoy", &marked_stream(30, 30), dense)
+            .unwrap();
+        let outside = dir.join("decoy");
+        let before = std::fs::read(outside.join("manifest.json")).unwrap();
+        let handle = V2vServer::new(catalog())
+            .with_config(store_config(&outside.join("root")))
+            .start("127.0.0.1:0")
+            .unwrap();
+        for route in [
+            "/store/drop/../dense",
+            "/store/pin/../dense",
+            "/store/drop/./dense",
+        ] {
+            let resp = client::request(handle.addr(), "POST", route, b"").unwrap();
+            assert_eq!(
+                resp.status,
+                400,
+                "{route}: {}",
+                String::from_utf8_lossy(&resp.body)
+            );
+        }
+        assert!(
+            outside.join("dense.svc").is_file(),
+            "the decoy variant survives"
+        );
+        assert_eq!(
+            std::fs::read(outside.join("manifest.json")).unwrap(),
+            before
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A video bound under `..` is served, but the compactor reports its
+    /// materialization as an error and writes nothing outside the root.
+    #[test]
+    fn a_source_named_dotdot_is_never_materialized() {
+        let dir = store_tempdir("dotdot");
+        let path = fixture(&dir.join("fixtures"), "a.svc", &marked_stream(120, 30));
+        let outside = dir.join("outside");
+        let root = outside.join("root");
+        let handle = V2vServer::new(Catalog::new())
+            .with_config(store_config(&root))
+            .start("127.0.0.1:0")
+            .unwrap();
+        let resp = query(handle.addr(), &blur_spec_of("..", &path, 2));
+        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+
+        let resp = client::request(handle.addr(), "POST", "/store/compact", b"").unwrap();
+        assert_eq!(resp.status, 200);
+        let v: serde_json::Value = serde_json::from_slice(&resp.body).unwrap();
+        let actions = v.get("actions").and_then(|a| a.as_array()).unwrap();
+        assert!(!actions.is_empty(), "the query's reads create demand: {v}");
+        for action in actions {
+            assert_eq!(str_at(action, &["source"]), "..", "{v}");
+            assert_eq!(str_at(action, &["op"]), "materialize", "{v}");
+            assert!(action.get("error").is_some(), "{v}");
+        }
+        let written: Vec<_> = std::fs::read_dir(&outside)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(written, ["root"], "nothing lands beside the root");
+        assert_eq!(std::fs::read_dir(&root).unwrap().count(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `/append-data` reads instants through the annotation reader, so
+    /// fractional seconds land on the millisecond grid.
+    #[test]
+    fn append_data_reads_fractional_seconds() {
+        let handle = V2vServer::new(catalog()).start("127.0.0.1:0").unwrap();
+        let body = br#"[{"t": 1.5, "value": 3}, {"t": [1, 30], "value": 4}]"#;
+        let resp = client::request(handle.addr(), "POST", "/append-data/bb", body).unwrap();
+        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+        let catalog = handle.shared.catalog_read();
+        let array = &catalog.arrays()["bb"];
+        assert_eq!(array.get(r(3, 2)), &v2v_data::Value::Int(3));
+        assert_eq!(array.get(r(1, 30)), &v2v_data::Value::Int(4));
+    }
+
+    #[test]
+    fn append_data_rejects_malformed_instants_with_the_entry_index() {
+        let handle = V2vServer::new(catalog()).start("127.0.0.1:0").unwrap();
+        for bad in [
+            r#"{"t": null, "value": 1}"#,
+            r#"{"t": true, "value": 1}"#,
+            r#"{"t": {}, "value": 1}"#,
+            r#"{"t": [1], "value": 1}"#,
+            r#"{"t": [1, 0], "value": 1}"#,
+            r#"{"t": [1.5, 2], "value": 1}"#,
+            r#"{"t": "soon", "value": 1}"#,
+            r#"{"value": 1}"#,
+        ] {
+            let body = format!(r#"[{{"t": 0, "value": 0}}, {bad}]"#);
+            let resp = client::request(handle.addr(), "POST", "/append-data/bb", body.as_bytes());
+            let resp = resp.unwrap();
+            assert_eq!(resp.status, 400, "{bad}");
+            let (kind, message) = error_kind_and_message(&resp);
+            assert_eq!(kind, "invalid_request", "{bad}");
+            assert!(message.starts_with("entry 1:"), "{bad}: {message}");
+        }
+        assert!(!handle.shared.catalog_read().arrays().contains_key("bb"));
     }
 }

@@ -18,24 +18,21 @@
 //! | `POST /store/compact` | run one compaction pass now |
 
 use crate::http::{Request, Response};
-use crate::{error_response, Shared};
+use crate::{error_response, lock, Shared};
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 use v2v_plan::VariantKind;
 use v2v_store::{
-    plan_compaction, AccessProfile, CompactionInput, SourceStore, StoreAction, StoreError, StoreOp,
-    TranscodeSpec,
+    attach_variants, plan_compaction, AccessProfile, CompactionInput, SourceStore, StoreAction,
+    StoreError, StoreOp, TranscodeSpec,
 };
 
 /// Accumulates one prepared plan's access profile into the daemon-wide
 /// table and the `store.reads.*` counters.
 pub(crate) fn record_profiles(shared: &Shared, profiles: &BTreeMap<String, AccessProfile>) {
-    let mut table = shared
-        .profiles
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let mut table = lock(&shared.profiles);
     for (name, p) in profiles {
         table.entry(name.clone()).or_default().add(*p);
         shared.metrics.store_smart_cut.add(p.smart_cut);
@@ -45,11 +42,7 @@ pub(crate) fn record_profiles(shared: &Shared, profiles: &BTreeMap<String, Acces
 }
 
 fn profiles_snapshot(shared: &Shared) -> BTreeMap<String, AccessProfile> {
-    shared
-        .profiles
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .clone()
+    lock(&shared.profiles).clone()
 }
 
 /// The `store` object in `GET /status` (and the `GET /store` body).
@@ -62,9 +55,7 @@ pub(crate) fn status_block(shared: &Shared) -> Option<serde_json::Value> {
         .map(|c| c.budget_bytes)
         .unwrap_or(u64::MAX);
     let attached: BTreeMap<String, Vec<&'static str>> = shared
-        .catalog
-        .read()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+        .catalog_read()
         .variant_kinds()
         .into_iter()
         .map(|(name, kinds)| (name, kinds.into_iter().map(VariantKind::name).collect()))
@@ -123,7 +114,7 @@ fn parse_target(path: &str, op: &str) -> Option<(String, VariantKind)> {
 fn store_status(e: &StoreError) -> u16 {
     match e {
         StoreError::UnknownSource(_) | StoreError::UnknownVariant { .. } => 404,
-        StoreError::OriginalNotManaged => 400,
+        StoreError::OriginalNotManaged | StoreError::InvalidName(_) => 400,
         StoreError::CorruptManifest { .. } | StoreError::DigestMismatch { .. } => 422,
         StoreError::Io { .. } | StoreError::Container(_) => 500,
     }
@@ -199,7 +190,7 @@ fn materialize_and_attach(
     name: &str,
     kind: VariantKind,
 ) -> Result<v2v_store::VariantEntry, Response> {
-    let Some(original) = shared.catalog_snapshot().video(name).cloned() else {
+    let Some(original) = shared.catalog_read().video(name).cloned() else {
         return Err(error_response(
             404,
             "not_found",
@@ -211,24 +202,17 @@ fn materialize_and_attach(
         .map_err(|e| error_response(store_status(&e), "store", &e.to_string()))?;
     // Re-load through the digest check rather than trusting the
     // in-memory transcode: attachment and recovery now share one path.
-    let (stream, entry) = store
+    let loaded = store
         .load_variant(name, kind)
         .map_err(|e| error_response(store_status(&e), "store", &e.to_string()))?;
-    shared
-        .catalog
-        .write()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .add_variant(name, kind, Arc::new(stream), entry.covered_frames);
+    let entry = loaded.1.clone();
+    attach_variants(&mut shared.catalog_write(), name, vec![loaded]);
     shared.metrics.store_materializations.inc();
     Ok(entry)
 }
 
 fn detach(shared: &Shared, name: &str, kind: VariantKind) {
-    shared
-        .catalog
-        .write()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .remove_variant(name, kind);
+    shared.catalog_write().remove_variant(name, kind);
 }
 
 /// One compaction pass: observed profiles + store state + budget →
@@ -244,22 +228,28 @@ pub(crate) fn compaction_pass(shared: &Shared) -> Vec<serde_json::Value> {
         .as_ref()
         .map(|c| c.budget_bytes)
         .unwrap_or(u64::MAX);
-    let catalog = shared.catalog_snapshot();
+    // Collect every input first, releasing the read lock before any
+    // action below takes the write lock.
+    let originals: BTreeMap<String, u64> = shared
+        .catalog_read()
+        .plan_context()
+        .sources
+        .iter()
+        .map(|(name, stream)| (name.clone(), stream.byte_size()))
+        .collect();
     let profiles = profiles_snapshot(shared);
     let manifests = store.manifests().unwrap_or_default();
-    // The union of catalog sources and managed manifests: a daemon
-    // whose queries bind sources lazily by locator never registers
-    // them in the shared catalog, but their variants still occupy the
-    // budget (and their profiles still accumulate), so the compactor
-    // must see them to evict.
-    let mut names: Vec<String> = catalog.source_infos().keys().cloned().collect();
+    // The union of bound sources and managed manifests: a source nobody
+    // has queried since startup is not bound yet, but its variants
+    // still occupy the budget, so the compactor must see them to evict.
+    let mut names: Vec<&String> = originals.keys().collect();
     for m in &manifests {
-        if !names.contains(&m.name) {
-            names.push(m.name.clone());
+        if !originals.contains_key(&m.name) {
+            names.push(&m.name);
         }
     }
     let mut inputs = Vec::new();
-    for name in &names {
+    for name in names {
         let materialized = manifests
             .iter()
             .find(|m| &m.name == name)
@@ -273,7 +263,7 @@ pub(crate) fn compaction_pass(shared: &Shared) -> Vec<serde_json::Value> {
         inputs.push(CompactionInput {
             name: name.clone(),
             profile: profiles.get(name).copied().unwrap_or_default(),
-            original_bytes: catalog.video(name).map(|s| s.byte_size()).unwrap_or(0),
+            original_bytes: originals.get(name).copied().unwrap_or(0),
             materialized,
         });
     }
@@ -283,7 +273,7 @@ pub(crate) fn compaction_pass(shared: &Shared) -> Vec<serde_json::Value> {
         // Transcoding needs the original, which only the catalog
         // holds; skip materializations for manifest-only sources
         // (drops and evictions still apply).
-        if matches!(op, StoreOp::Materialize) && catalog.video(&name).is_none() {
+        if matches!(op, StoreOp::Materialize) && !originals.contains_key(&name) {
             continue;
         }
         let outcome = match op {

@@ -87,6 +87,9 @@ pub enum StoreError {
     /// The original variant cannot be materialized or dropped.
     #[error("the original bitstream is not a store-managed variant")]
     OriginalNotManaged,
+    /// A source name that is not one plain path component.
+    #[error("source name '{0}' is not a plain path component")]
+    InvalidName(String),
 }
 
 fn io_err(path: impl Into<PathBuf>) -> impl FnOnce(std::io::Error) -> StoreError {
@@ -163,23 +166,29 @@ impl SourceStore {
         &self.root
     }
 
-    fn source_dir(&self, name: &str) -> PathBuf {
-        // Source names come from spec bindings (identifiers); reject
-        // anything path-like outright rather than escaping it.
-        self.root.join(name)
+    /// The directory of source `name`. Source names come from spec
+    /// bindings and request paths, so anything but one plain path
+    /// component (empty, `.`, `..`, or holding `/`, `\` or NUL) is
+    /// refused outright rather than escaped: no store call reads or
+    /// writes outside the root.
+    fn source_dir(&self, name: &str) -> Result<PathBuf, StoreError> {
+        if matches!(name, "" | "." | "..") || name.contains(['/', '\\', '\0']) {
+            return Err(StoreError::InvalidName(name.to_string()));
+        }
+        Ok(self.root.join(name))
     }
 
-    fn manifest_path(&self, name: &str) -> PathBuf {
-        self.source_dir(name).join("manifest.json")
+    fn manifest_path(&self, name: &str) -> Result<PathBuf, StoreError> {
+        Ok(self.source_dir(name)?.join("manifest.json"))
     }
 
-    fn variant_path(&self, name: &str, kind: VariantKind) -> PathBuf {
-        self.source_dir(name).join(format!("{}.svc", kind.name()))
+    fn variant_path(&self, name: &str, kind: VariantKind) -> Result<PathBuf, StoreError> {
+        Ok(self.source_dir(name)?.join(format!("{}.svc", kind.name())))
     }
 
     /// Loads the manifest for `name`, if the store knows the source.
     pub fn manifest(&self, name: &str) -> Result<Option<VariantManifest>, StoreError> {
-        let path = self.manifest_path(name);
+        let path = self.manifest_path(name)?;
         let bytes = match fs::read(&path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -204,7 +213,7 @@ impl SourceStore {
         for entry in entries {
             let entry = entry.map_err(io_err(&self.root))?;
             let name = entry.file_name().to_string_lossy().into_owned();
-            if entry.path().join("manifest.json").is_file() {
+            if entry.path().join("manifest.json").is_file() && self.source_dir(&name).is_ok() {
                 out.push(name);
             }
         }
@@ -224,9 +233,9 @@ impl SourceStore {
     }
 
     fn write_manifest(&self, manifest: &VariantManifest) -> Result<(), StoreError> {
-        let dir = self.source_dir(&manifest.name);
+        let dir = self.source_dir(&manifest.name)?;
         fs::create_dir_all(&dir).map_err(io_err(&dir))?;
-        let path = self.manifest_path(&manifest.name);
+        let path = dir.join("manifest.json");
         let mut json =
             serde_json::to_string_pretty(manifest).map_err(|e| StoreError::CorruptManifest {
                 path: path.clone(),
@@ -255,10 +264,10 @@ impl SourceStore {
         if spec.kind == VariantKind::Original {
             return Err(StoreError::OriginalNotManaged);
         }
+        let dir = self.source_dir(name)?;
+        let path = self.variant_path(name, spec.kind)?;
         let variant = transcode(original, spec)?;
         let covered = variant.len() as u64;
-        let path = self.variant_path(name, spec.kind);
-        let dir = self.source_dir(name);
         fs::create_dir_all(&dir).map_err(io_err(&dir))?;
         write_svc(&variant, &path)?;
 
@@ -321,7 +330,7 @@ impl SourceStore {
         };
         manifest.variants.remove(pos);
         self.write_manifest(&manifest)?;
-        let path = self.variant_path(name, kind);
+        let path = self.variant_path(name, kind)?;
         match fs::remove_file(&path) {
             Ok(()) => {}
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
@@ -364,7 +373,7 @@ impl SourceStore {
                 name: name.to_string(),
                 kind,
             })?;
-        let stream = read_svc(self.variant_path(name, kind))?;
+        let stream = read_svc(self.variant_path(name, kind)?)?;
         if stream.content_digest() != entry.content_digest {
             return Err(StoreError::DigestMismatch {
                 name: name.to_string(),
@@ -384,42 +393,66 @@ impl SourceStore {
             .sum())
     }
 
-    /// Attaches every valid variant to its catalog source. A variant
-    /// attaches only when the catalog stream's prefix digest over the
-    /// manifest's covered frames matches — appends keep that true,
-    /// source replacement breaks it (the variant is skipped, never
-    /// served stale). Returns `(attached, skipped)` counts.
-    pub fn attach(&self, catalog: &mut Catalog) -> Result<(u64, u64), StoreError> {
-        let mut attached = 0;
-        let mut skipped = 0;
-        for manifest in self.manifests()? {
-            let Some(original) = catalog.video(&manifest.name).cloned() else {
-                continue;
-            };
-            let covered = manifest.covered_frames as usize;
-            if original.len() < covered || original.prefix_digest(covered) != manifest.prefix_digest
-            {
-                skipped += manifest.variants.len() as u64;
-                continue;
+    /// The one attach step for one source: loads every valid variant of
+    /// `name` for the bound stream `original`, away from any catalog,
+    /// for [`attach_variants`] to attach. A variant is valid only when
+    /// `original`'s prefix digest over the manifest's covered frames
+    /// matches — appends keep that true, source replacement breaks it
+    /// (the variant is skipped, never served stale) — and its own
+    /// bitstream digest verifies. Returns the loaded variants and the
+    /// skipped count.
+    pub fn load_variants(
+        &self,
+        name: &str,
+        original: &VideoStream,
+    ) -> Result<(LoadedVariants, u64), StoreError> {
+        let Some(manifest) = self.manifest(name)? else {
+            return Ok((Vec::new(), 0));
+        };
+        let covered = manifest.covered_frames as usize;
+        if original.len() < covered || original.prefix_digest(covered) != manifest.prefix_digest {
+            return Ok((Vec::new(), manifest.variants.len() as u64));
+        }
+        let (mut loaded, mut skipped) = (Vec::new(), 0);
+        for entry in &manifest.variants {
+            match self.load_variant(name, entry.kind) {
+                Ok(variant) => loaded.push(variant),
+                Err(StoreError::DigestMismatch { .. }) => skipped += 1,
+                Err(e) => return Err(e),
             }
-            for entry in &manifest.variants {
-                match self.load_variant(&manifest.name, entry.kind) {
-                    Ok((stream, entry)) => {
-                        catalog.add_variant(
-                            manifest.name.clone(),
-                            entry.kind,
-                            Arc::new(stream),
-                            entry.covered_frames,
-                        );
-                        attached += 1;
-                    }
-                    Err(StoreError::DigestMismatch { .. }) => skipped += 1,
-                    Err(e) => return Err(e),
-                }
+        }
+        Ok((loaded, skipped))
+    }
+
+    /// Attaches every valid variant to its catalog source: the
+    /// [`load_variants`](SourceStore::load_variants) step, run for each
+    /// stored source the catalog binds. Returns `(attached, skipped)`
+    /// counts.
+    pub fn attach(&self, catalog: &mut Catalog) -> Result<(u64, u64), StoreError> {
+        let (mut attached, mut skipped) = (0, 0);
+        for name in self.sources()? {
+            if let Some(original) = catalog.video(&name).cloned() {
+                let (loaded, missed) = self.load_variants(&name, &original)?;
+                attached += attach_variants(catalog, &name, loaded);
+                skipped += missed;
             }
         }
         Ok((attached, skipped))
     }
+}
+
+/// Verified variant bitstreams of one source, with their manifest
+/// entries, loaded by [`SourceStore::load_variants`].
+pub type LoadedVariants = Vec<(VideoStream, VariantEntry)>;
+
+/// Attaches loaded variants to source `name` in `catalog` (replacing
+/// any attached variant of the same kind); returns how many.
+pub fn attach_variants(catalog: &mut Catalog, name: &str, loaded: LoadedVariants) -> u64 {
+    let count = loaded.len() as u64;
+    for (stream, entry) in loaded {
+        catalog.add_variant(name, entry.kind, Arc::new(stream), entry.covered_frames);
+    }
+    count
 }
 
 /// Re-encodes `original`'s full committed prefix as one variant.
@@ -573,6 +606,67 @@ mod tests {
             .unwrap());
         assert!(store.manifest("src").unwrap().unwrap().variants.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Runs `op` with every path-like name against a store rooted one
+    /// level below a temporary directory, asserting each is refused with
+    /// `InvalidName` and nothing is written anywhere.
+    fn refuses_path_like_names(
+        tag: &str,
+        op: impl Fn(&SourceStore, &str) -> Result<(), StoreError>,
+    ) {
+        let dir = tempdir(tag);
+        let store = SourceStore::open(dir.join("root")).unwrap();
+        for name in ["", ".", "..", "a/b", "../x", "a\\b", "a\0b", "/abs"] {
+            match op(&store, name) {
+                Err(StoreError::InvalidName(n)) => assert_eq!(n, name),
+                other => panic!("{name:?} was not refused: {other:?}"),
+            }
+        }
+        let entries: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(entries, ["root"]);
+        assert_eq!(std::fs::read_dir(dir.join("root")).unwrap().count(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn invalid_name_manifest() {
+        refuses_path_like_names("name-manifest", |s, n| s.manifest(n).map(drop));
+    }
+
+    #[test]
+    fn invalid_name_materialize() {
+        let orig = marked(4, 4);
+        let dense = TranscodeSpec::for_kind(VariantKind::Dense);
+        refuses_path_like_names("name-mat", |s, n| s.materialize(n, &orig, dense).map(drop));
+    }
+
+    #[test]
+    fn invalid_name_drop_variant() {
+        refuses_path_like_names("name-drop", |s, n| {
+            s.drop_variant(n, VariantKind::Dense, true).map(drop)
+        });
+    }
+
+    #[test]
+    fn invalid_name_pin() {
+        refuses_path_like_names("name-pin", |s, n| s.pin(n, VariantKind::Dense, true));
+    }
+
+    #[test]
+    fn invalid_name_load_variant() {
+        refuses_path_like_names("name-load", |s, n| {
+            s.load_variant(n, VariantKind::Dense).map(drop)
+        });
+    }
+
+    #[test]
+    fn invalid_name_load_variants() {
+        let orig = marked(4, 4);
+        refuses_path_like_names("name-loads", |s, n| s.load_variants(n, &orig).map(drop));
     }
 
     fn tempdir(tag: &str) -> PathBuf {

@@ -182,14 +182,6 @@ impl TimeSet {
         }
         (normalize(lo), normalize(hi))
     }
-
-    /// Groups the set into maximal runs of consecutive instants that share a
-    /// uniform step, in ascending order. Used by the data-dependent
-    /// rewriter to turn per-instant decisions back into compact match arms.
-    pub fn contiguous_runs(&self) -> Vec<TimeRange> {
-        // The normalized representation is exactly that, sorted.
-        self.ranges.clone()
-    }
 }
 
 /// Ensures a single range is represented as itself (ranges are internally

@@ -252,6 +252,19 @@ fn daemon_matches_direct_runs_and_serves_repeats_from_cache() {
     assert_eq!(metrics.status, 200);
     let text = String::from_utf8_lossy(&metrics.body);
     assert!(text.contains("exec.cache.result_hits"), "{text}");
+
+    // The daemon read the fixture once, when the first query bound it:
+    // with the file gone, a repeat is still served, byte-identical to
+    // the direct run.
+    std::fs::remove_file(&video).unwrap();
+    let after = client::post_query(addr, spec_repeat(&video).to_json().as_bytes()).unwrap();
+    assert_eq!(
+        after.status,
+        200,
+        "{}",
+        String::from_utf8_lossy(&after.body)
+    );
+    assert_eq!(after.body, *truth[0]);
 }
 
 #[test]
