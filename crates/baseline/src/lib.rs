@@ -117,7 +117,7 @@ pub fn run_script(
             ScriptOp::Copy => rgb,
         };
         // ...and back out for the encoder.
-        let out = ops::conform(&rgb, out_params.frame_ty);
+        let out = ops::conform(rgb, out_params.frame_ty);
         writer.push_frame(&out)?;
         stats.frames_encoded += 1;
         stats.frames += 1;

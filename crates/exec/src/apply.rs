@@ -70,6 +70,36 @@ fn num(op: TransformOp, index: usize, v: &Value) -> Result<f64, ExecError> {
     })
 }
 
+/// Largest Gaussian σ a program may ask for: `2·ceil(3σ)+1` = 385 taps.
+const MAX_BLUR_SIGMA: f32 = 64.0;
+
+/// Largest picture-in-picture inset, as a fraction of the base width.
+const MAX_PIP_SCALE: f32 = 1.0;
+
+/// A number argument that sizes an allocation (a kernel, an output
+/// raster): it must be finite and at most `max` as the `f32` the kernel
+/// receives, so a request cannot abort the process or hold a render
+/// thread with a huge or overflowing value.
+fn bounded(
+    op: TransformOp,
+    index: usize,
+    v: &Value,
+    max: f32,
+    want: &'static str,
+) -> Result<f32, ExecError> {
+    let x = num(op, index, v)? as f32;
+    if x.is_finite() && x <= max {
+        Ok(x)
+    } else {
+        Err(ExecError::BadArgument {
+            op,
+            index,
+            want,
+            got: "out-of-range number",
+        })
+    }
+}
+
 fn string(op: TransformOp, index: usize, v: &Value) -> Result<&str, ExecError> {
     v.as_str().ok_or(ExecError::BadArgument {
         op,
@@ -144,7 +174,7 @@ fn apply_op(
             let ch = (num(op, 4, &data[3])? * h).max(1.0) as u32;
             let cropped = ops::crop(f, x, y, cw, ch);
             // Keep the pipeline frame type uniform.
-            Ok(ops::conform(&cropped, f.ty()))
+            Ok(ops::conform(cropped, f.ty()))
         }
         Op::Overlay => {
             let path = string(op, 1, &data[0])?;
@@ -211,7 +241,7 @@ fn apply_op(
         }
         Op::Grid => Ok(ops::grid(&frames, ops::GridLayout::QUAD, frames[0].ty())),
         Op::Blur => {
-            let sigma = num(op, 1, &data[0])? as f32;
+            let sigma = bounded(op, 1, &data[0], MAX_BLUR_SIGMA, "finite number ≤ 64")?;
             Ok(ops::gaussian_blur(f0(), sigma))
         }
         Op::Sharpen => {
@@ -257,7 +287,7 @@ fn apply_op(
         Op::PictureInPicture => {
             let x = num(op, 2, &data[0])? as f32;
             let y = num(op, 3, &data[1])? as f32;
-            let scale = num(op, 4, &data[2])? as f32;
+            let scale = bounded(op, 4, &data[2], MAX_PIP_SCALE, "finite number ≤ 1")?;
             Ok(ops::picture_in_picture(&frames[0], &frames[1], x, y, scale))
         }
     }
@@ -368,6 +398,58 @@ mod tests {
         );
         let err = apply_program(&p, r(0, 1), &[solid(0)], &BTreeMap::new(), &NoImages);
         assert!(matches!(err, Err(ExecError::BadArgument { .. })));
+    }
+
+    /// Runs `op` over solid inputs with number arguments `args`.
+    fn apply_numbers(op: TransformOp, frames: usize, args: &[f64]) -> Result<Frame, ExecError> {
+        let mut prog_args: Vec<ProgArg> = (0..frames)
+            .map(|i| ProgArg::Frame(FrameProgram::Input(i)))
+            .collect();
+        prog_args.extend(args.iter().map(|&a| ProgArg::Data(DataExpr::constant(a))));
+        let inputs: Vec<Arc<Frame>> = (0..frames).map(|_| solid(90)).collect();
+        apply_program(
+            &prog(op, prog_args),
+            r(0, 1),
+            &inputs,
+            &BTreeMap::new(),
+            &NoImages,
+        )
+    }
+
+    #[test]
+    fn huge_blur_sigma_is_a_bad_argument() {
+        // At 1e9 the kernel alone would be 24 GB: the process aborted.
+        let err = apply_numbers(TransformOp::Blur, 1, &[1e9]);
+        assert!(
+            matches!(err, Err(ExecError::BadArgument { index: 1, .. })),
+            "{err:?}"
+        );
+        assert!(apply_numbers(TransformOp::Blur, 1, &[64.5]).is_err());
+        assert!(apply_numbers(TransformOp::Blur, 1, &[64.0]).is_ok());
+        assert!(apply_numbers(TransformOp::Blur, 1, &[1.2]).is_ok());
+    }
+
+    #[test]
+    fn overflowing_blur_sigma_is_a_bad_argument() {
+        // 1e300 narrows to an infinite f32: the kernel's capacity overflowed.
+        let err = apply_numbers(TransformOp::Blur, 1, &[1e300]);
+        assert!(
+            matches!(err, Err(ExecError::BadArgument { index: 1, .. })),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn oversized_pip_scale_is_a_bad_argument() {
+        let pip = TransformOp::PictureInPicture;
+        let err = apply_numbers(pip, 2, &[0.5, 0.5, 1e6]);
+        assert!(
+            matches!(err, Err(ExecError::BadArgument { index: 4, .. })),
+            "{err:?}"
+        );
+        assert!(apply_numbers(pip, 2, &[0.5, 0.5, 1e300]).is_err());
+        assert!(apply_numbers(pip, 2, &[0.5, 0.5, 1.0]).is_ok());
+        assert!(apply_numbers(pip, 2, &[0.5, 0.5, 0.25]).is_ok());
     }
 
     #[test]

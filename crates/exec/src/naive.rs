@@ -16,7 +16,7 @@ use crate::ExecError;
 use std::time::{Duration, Instant};
 use v2v_codec::CodecParams;
 use v2v_container::{StreamWriter, VideoStream};
-use v2v_frame::ops::conform;
+use v2v_frame::ops::{conform, conform_shared};
 use v2v_plan::{LogicalNode, LogicalPlan, LogicalSegment};
 use v2v_time::Rational;
 
@@ -77,7 +77,7 @@ fn materialize(
                         at: src_t,
                     })? as u64;
                 let frame = cursor.frame_at(idx)?;
-                w.push_frame(&conform(&frame, out_params.frame_ty))?;
+                w.push_frame(&conform_shared(&frame, out_params.frame_ty))?;
                 stats.frames_encoded += 1;
             }
             stats.frames_decoded += cursor.frames_decoded;
@@ -103,7 +103,7 @@ fn materialize(
                     frames.push(c.frame_at(i)?);
                 }
                 let out = apply_program(program, t, &frames, catalog.arrays(), catalog)?;
-                w.push_frame(&conform(&out, out_params.frame_ty))?;
+                w.push_frame(&conform(out, out_params.frame_ty))?;
                 stats.frames_encoded += 1;
             }
             stats.frames_decoded += cursors.iter().map(|c| c.frames_decoded).sum::<u64>();

@@ -686,7 +686,7 @@ fn run_render_sequential(
         let t1 = Instant::now();
         let catalog = ctx.run.catalog;
         let out = apply_program(program, t, &frames, catalog.arrays(), catalog)?;
-        let out = conform(&out, out_ty);
+        let out = conform(out, out_ty);
         let t2 = Instant::now();
         let pts = plan.frame_dur * Rational::from_int(j as i64);
         let pkt = encoder.encode(&out, pts)?;
@@ -795,7 +795,7 @@ fn run_render_pipelined(
                 }
                 let (composed, busy_ns) = par_map(ctx.fanout, &batch, |(_, t, frames)| {
                     apply_program(program, *t, frames, catalog.arrays(), catalog)
-                        .map(|f| conform(&f, out_ty))
+                        .map(|f| conform(f, out_ty))
                 });
                 stage.compose_ns += busy_ns;
                 let composed: Result<Vec<Frame>, _> = composed.into_iter().collect();

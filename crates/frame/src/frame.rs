@@ -135,8 +135,10 @@ impl Plane {
         (&above[(y - 1) * self.width..], &mut below[..self.width])
     }
 
-    /// Bilinear sample at fractional coordinates (in sample units).
-    pub fn sample_bilinear(&self, fx: f32, fy: f32) -> u8 {
+    /// Bilinear sample at fractional coordinates (in sample units): the
+    /// per-pixel oracle for `ops::resize_bilinear`'s table-driven loop.
+    #[cfg(test)]
+    pub(crate) fn sample_bilinear_per_pixel(&self, fx: f32, fy: f32) -> u8 {
         let x0 = fx.floor() as isize;
         let y0 = fy.floor() as isize;
         let dx = fx - x0 as f32;
@@ -481,9 +483,9 @@ mod tests {
     #[test]
     fn bilinear_interpolates() {
         let p = Plane::from_vec(2, 1, vec![0, 100]).unwrap();
-        assert_eq!(p.sample_bilinear(0.0, 0.0), 0);
-        assert_eq!(p.sample_bilinear(1.0, 0.0), 100);
-        assert_eq!(p.sample_bilinear(0.5, 0.0), 50);
+        assert_eq!(p.sample_bilinear_per_pixel(0.0, 0.0), 0);
+        assert_eq!(p.sample_bilinear_per_pixel(1.0, 0.0), 100);
+        assert_eq!(p.sample_bilinear_per_pixel(0.5, 0.0), 50);
     }
 
     #[test]

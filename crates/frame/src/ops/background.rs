@@ -12,7 +12,7 @@ use crate::frame::Frame;
 /// source geometry). `tolerance` is the maximum RGB distance (0–441).
 pub fn replace_background(src: &Frame, background: &Frame, key: Rgb, tolerance: f32) -> Frame {
     let rgb = src.to_rgb24();
-    let bg = conform(background, rgb.ty());
+    let bg = conform(background.clone(), rgb.ty());
     let mut out = rgb.clone();
     let tol_sq = (tolerance * tolerance) as u32;
     let w = rgb.width();
@@ -28,7 +28,7 @@ pub fn replace_background(src: &Frame, background: &Frame, key: Rgb, tolerance: 
             }
         }
     }
-    conform(&out, src.ty())
+    conform(out, src.ty())
 }
 
 #[cfg(test)]

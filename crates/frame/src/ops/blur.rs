@@ -5,6 +5,7 @@
 //! gray, RGB (treating the interleaved row as samples is wrong for
 //! horizontal passes, so RGB is handled channel-aware), and YUV frames.
 
+use super::round_u8;
 use crate::format::PixelFormat;
 use crate::frame::{Frame, Plane};
 
@@ -34,40 +35,61 @@ fn plane_channels(format: PixelFormat, plane_idx: usize, plane: &Plane) -> (usiz
 }
 
 /// Separable convolution of one plane with a 1-D kernel (applied on both
-/// axes), channel-aware.
+/// axes), channel-aware, in row-slice form.
+///
+/// Each source row is edge-clamped into a padded `f32` row once (for
+/// `Rgb24` the pad is per channel, so a tap is a shift of `ch` samples);
+/// then every tap adds one shifted slice times its weight. The vertical
+/// pass does the same with whole rows of the horizontal result. Every
+/// output sample sees the same f32 products, added in the same tap order,
+/// as the per-pixel loop it replaced, so the bytes are identical.
 fn convolve_separable(plane: &Plane, format: PixelFormat, idx: usize, kernel: &[f32]) -> Plane {
+    #[cfg(test)]
+    if super::per_pixel_oracles() {
+        return tests::convolve_separable_per_pixel(plane, format, idx, kernel);
+    }
     let (pw, ch) = plane_channels(format, idx, plane);
-    let h = plane.height();
+    let (width, h) = (plane.width(), plane.height());
+    let mut out = Plane::new(width, h);
+    if pw == 0 || h == 0 {
+        return out;
+    }
     let radius = kernel.len() / 2;
-    let mut tmp = vec![0f32; plane.width() * h];
+    let n = pw * ch;
+    let mut tmp = vec![0f32; n * h];
+    let mut padded = vec![0f32; (pw + 2 * radius) * ch];
     // Horizontal pass.
-    for y in 0..h {
-        let row = plane.row(y);
-        for x in 0..pw {
-            for c in 0..ch {
-                let mut acc = 0f32;
-                for (ki, kv) in kernel.iter().enumerate() {
-                    let sx = (x as isize + ki as isize - radius as isize).clamp(0, pw as isize - 1)
-                        as usize;
-                    acc += f32::from(row[sx * ch + c]) * kv;
-                }
-                tmp[y * plane.width() + x * ch + c] = acc;
+    for (y, acc) in tmp.chunks_exact_mut(n).enumerate() {
+        let row = &plane.row(y)[..n];
+        let (left, rest) = padded.split_at_mut(radius * ch);
+        let (mid, right) = rest.split_at_mut(n);
+        for (d, &s) in mid.iter_mut().zip(row) {
+            *d = f32::from(s);
+        }
+        for (d, &s) in left.iter_mut().zip(row[..ch].iter().cycle()) {
+            *d = f32::from(s);
+        }
+        for (d, &s) in right.iter_mut().zip(row[n - ch..].iter().cycle()) {
+            *d = f32::from(s);
+        }
+        for (k, &kv) in kernel.iter().enumerate() {
+            for (a, &p) in acc.iter_mut().zip(&padded[k * ch..k * ch + n]) {
+                *a += p * kv;
             }
         }
     }
     // Vertical pass.
-    let mut out = Plane::new(plane.width(), h);
+    let mut acc = vec![0f32; n];
     for y in 0..h {
-        for x in 0..pw {
-            for c in 0..ch {
-                let mut acc = 0f32;
-                for (ki, kv) in kernel.iter().enumerate() {
-                    let sy = (y as isize + ki as isize - radius as isize).clamp(0, h as isize - 1)
-                        as usize;
-                    acc += tmp[sy * plane.width() + x * ch + c] * kv;
-                }
-                out.row_mut(y)[x * ch + c] = acc.round().clamp(0.0, 255.0) as u8;
+        acc.fill(0.0);
+        for (k, &kv) in kernel.iter().enumerate() {
+            let sy = (y + k).saturating_sub(radius).min(h - 1);
+            for (a, &p) in acc.iter_mut().zip(&tmp[sy * n..(sy + 1) * n]) {
+                *a += p * kv;
             }
+        }
+        for (o, &a) in out.row_mut(y)[..n].iter_mut().zip(&acc) {
+            *o = round_u8(a);
         }
     }
     out
@@ -104,11 +126,10 @@ pub fn sharpen(src: &Frame, amount: f32) -> Frame {
     let blurred = gaussian_blur(src, 1.0);
     let mut out = src.clone();
     for (pi, plane) in out.planes_mut().iter_mut().enumerate() {
-        let b = blurred.plane(pi);
-        for (i, v) in plane.data_mut().iter_mut().enumerate() {
+        for (v, &b) in plane.data_mut().iter_mut().zip(blurred.plane(pi).data()) {
             let orig = f32::from(*v);
-            let detail = orig - f32::from(b.data()[i]);
-            *v = (orig + amount * detail).round().clamp(0.0, 255.0) as u8;
+            let detail = orig - f32::from(b);
+            *v = round_u8(orig + amount * detail);
         }
     }
     out
@@ -199,6 +220,133 @@ fn apply_per_plane(src: &Frame, f: impl Fn(&Plane, usize) -> Plane) -> Frame {
 mod tests {
     use super::*;
     use crate::format::FrameType;
+    use crate::ops::tests::{frame_type, per_pixel, seeded_frame};
+    use proptest::prelude::*;
+
+    /// The per-pixel separable convolution the row-slice form replaced:
+    /// the bit-identity oracle for [`convolve_separable`].
+    pub(super) fn convolve_separable_per_pixel(
+        plane: &Plane,
+        format: PixelFormat,
+        idx: usize,
+        kernel: &[f32],
+    ) -> Plane {
+        let (pw, ch) = plane_channels(format, idx, plane);
+        let h = plane.height();
+        let radius = kernel.len() / 2;
+        let mut tmp = vec![0f32; plane.width() * h];
+        // Horizontal pass.
+        for y in 0..h {
+            let row = plane.row(y);
+            for x in 0..pw {
+                for c in 0..ch {
+                    let mut acc = 0f32;
+                    for (ki, kv) in kernel.iter().enumerate() {
+                        let sx = (x as isize + ki as isize - radius as isize)
+                            .clamp(0, pw as isize - 1) as usize;
+                        acc += f32::from(row[sx * ch + c]) * kv;
+                    }
+                    tmp[y * plane.width() + x * ch + c] = acc;
+                }
+            }
+        }
+        // Vertical pass.
+        let mut out = Plane::new(plane.width(), h);
+        for y in 0..h {
+            for x in 0..pw {
+                for c in 0..ch {
+                    let mut acc = 0f32;
+                    for (ki, kv) in kernel.iter().enumerate() {
+                        let sy = (y as isize + ki as isize - radius as isize)
+                            .clamp(0, h as isize - 1) as usize;
+                        acc += tmp[sy * plane.width() + x * ch + c] * kv;
+                    }
+                    out.row_mut(y)[x * ch + c] = acc.round().clamp(0.0, 255.0) as u8;
+                }
+            }
+        }
+        out
+    }
+
+    /// The per-pixel unsharp mask (its blur on the per-pixel oracle).
+    fn sharpen_per_pixel(src: &Frame, amount: f32) -> Frame {
+        if amount <= 0.0 {
+            return src.clone();
+        }
+        let blurred = per_pixel(|| gaussian_blur(src, 1.0));
+        let mut out = src.clone();
+        for (pi, plane) in out.planes_mut().iter_mut().enumerate() {
+            let b = blurred.plane(pi);
+            for (i, v) in plane.data_mut().iter_mut().enumerate() {
+                let orig = f32::from(*v);
+                let detail = orig - f32::from(b.data()[i]);
+                *v = (orig + amount * detail).round().clamp(0.0, 255.0) as u8;
+            }
+        }
+        out
+    }
+
+    /// σ drawn from (0, 8] or one of the values queries use.
+    fn sigma_strategy() -> impl Strategy<Value = f32> {
+        prop_oneof![
+            (1u32..=8000).prop_map(|m| m as f32 / 1000.0),
+            (0usize..5).prop_map(|i| [0.5f32, 1.0, 1.2, 2.0, 3.0][i]),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Gaussian and box kernels over planes of every format, half the
+        /// time narrower or shorter than the kernel itself.
+        #[test]
+        fn row_slice_convolution_matches_per_pixel(
+            seed in any::<u64>(),
+            format in 0usize..3,
+            sigma in sigma_strategy(),
+            box_radius in 0usize..=8,
+            dims in (any::<bool>(), 1usize..64, 1usize..64),
+        ) {
+            let kernel = if box_radius == 0 {
+                gaussian_kernel(sigma)
+            } else {
+                vec![1.0 / (2 * box_radius + 1) as f32; 2 * box_radius + 1]
+            };
+            let (short, w, h) = dims;
+            let (w, h) = if short {
+                let span = kernel.len() + 1; // 1..=2·radius+2
+                (1 + w % span, 1 + h % span)
+            } else {
+                (w, h)
+            };
+            let f = seeded_frame(frame_type(format, w as u32, h as u32), seed);
+            let fmt = f.ty().format;
+            for (idx, p) in f.planes().iter().enumerate() {
+                prop_assert_eq!(
+                    convolve_separable(p, fmt, idx, &kernel),
+                    convolve_separable_per_pixel(p, fmt, idx, &kernel),
+                    "plane {} of {:?}, {} taps", idx, f.ty(), kernel.len()
+                );
+            }
+        }
+
+        /// The public blur, box blur and sharpen over whole frames,
+        /// including odd yuv420p sizes whose chroma rounds up.
+        #[test]
+        fn public_blurs_match_per_pixel(
+            seed in any::<u64>(),
+            format in 0usize..3,
+            sigma in sigma_strategy(),
+            box_radius in 1usize..=8,
+            dims in (1u32..48, 1u32..48, 0.05f32..3.0),
+        ) {
+            let (w, h, amount) = dims;
+            let f = seeded_frame(frame_type(format, w, h), seed);
+            prop_assert_eq!(gaussian_blur(&f, sigma), per_pixel(|| gaussian_blur(&f, sigma)));
+            prop_assert_eq!(box_blur(&f, box_radius), per_pixel(|| box_blur(&f, box_radius)));
+            prop_assert_eq!(sharpen(&f, amount), sharpen_per_pixel(&f, amount));
+        }
+    }
 
     fn impulse(size: u32) -> Frame {
         let mut f = Frame::black(FrameType::gray8(size, size));

@@ -22,7 +22,7 @@ pub fn grid(inputs: &[Frame], layout: GridLayout, out_ty: FrameType) -> Frame {
     for (i, input) in inputs.iter().enumerate().take(layout.cells()) {
         let col = (i as u32) % layout.cols;
         let row = (i as u32) / layout.cols;
-        let cell = conform(input, cell_ty);
+        let cell = conform(input.clone(), cell_ty);
         blit(
             &mut out,
             &cell,

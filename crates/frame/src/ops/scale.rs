@@ -1,66 +1,86 @@
 //! Geometry kernels: resize, crop, zoom.
 
+use super::round_u8;
 use crate::format::{FrameType, PixelFormat};
 use crate::frame::{Frame, Plane};
 
 /// Resizes a frame to `out_w × out_h` with bilinear sampling, per plane.
+///
+/// `Rgb24` planes interleave three samples per pixel and resample per
+/// channel; every format runs the same table-driven loop: one column
+/// table `(x0, x1, dx)` in sample units per plane, one `(y0, y1, dy)` per
+/// output row, then `p00·(1−dx)·(1−dy) + p10·dx·(1−dy) + p01·(1−dx)·dy +
+/// p11·dx·dy` per sample.
 pub fn resize_bilinear(src: &Frame, out_w: u32, out_h: u32) -> Frame {
+    #[cfg(test)]
+    if super::per_pixel_oracles() {
+        return tests::resize_bilinear_per_pixel(src, out_w, out_h);
+    }
     if (src.width(), src.height()) == (out_w as usize, out_h as usize) {
         return src.clone();
     }
     let ty = src.ty().with_size(out_w, out_h);
-    let mut planes = Vec::with_capacity(src.planes().len());
-    for (i, p) in src.planes().iter().enumerate() {
-        let (pw, ph) = ty.format.plane_dims(i, out_w as usize, out_h as usize);
-        // RGB planes interleave 3 samples per pixel; resample per channel.
-        if src.ty().format == PixelFormat::Rgb24 {
-            let mut out = Plane::new(pw, ph);
-            let px_w = pw / 3;
-            let sx = src.width() as f32 / px_w as f32;
-            let sy = src.height() as f32 / ph as f32;
-            for y in 0..ph {
-                for x in 0..px_w {
-                    let fx = (x as f32 + 0.5) * sx - 0.5;
-                    let fy = (y as f32 + 0.5) * sy - 0.5;
-                    for c in 0..3 {
-                        let v = sample_rgb_channel(p, src.width(), fx, fy, c);
-                        out.row_mut(y)[x * 3 + c] = v;
-                    }
-                }
-            }
-            planes.push(out);
-        } else {
-            let mut out = Plane::new(pw, ph);
-            let sx = p.width() as f32 / pw as f32;
-            let sy = p.height() as f32 / ph as f32;
-            for y in 0..ph {
-                for x in 0..pw {
-                    let fx = (x as f32 + 0.5) * sx - 0.5;
-                    let fy = (y as f32 + 0.5) * sy - 0.5;
-                    out.put(x, y, p.sample_bilinear(fx, fy));
-                }
-            }
-            planes.push(out);
-        }
-    }
+    let ch = if ty.format == PixelFormat::Rgb24 {
+        3
+    } else {
+        1
+    };
+    let planes = src
+        .planes()
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            let (pw, ph) = ty.format.plane_dims(i, out_w as usize, out_h as usize);
+            resize_plane(p, ch, pw, ph)
+        })
+        .collect();
     Frame::from_planes(ty, planes).expect("resize produced consistent planes")
 }
 
-fn sample_rgb_channel(p: &Plane, px_width: usize, fx: f32, fy: f32, c: usize) -> u8 {
+/// The source position of output pixel `x` along an axis scaled by `s`:
+/// the two clamped neighbours and the fraction towards the second.
+#[inline]
+fn bilinear_taps(x: usize, s: f32, len: usize) -> (usize, usize, f32) {
+    let fx = (x as f32 + 0.5) * s - 0.5;
     let x0 = fx.floor() as isize;
-    let y0 = fy.floor() as isize;
     let dx = fx - x0 as f32;
-    let dy = fy - y0 as f32;
-    let get = |x: isize, y: isize| -> f32 {
-        let x = x.clamp(0, px_width as isize - 1) as usize;
-        let y = y.clamp(0, p.height() as isize - 1) as usize;
-        p.row(y)[x * 3 + c] as f32
-    };
-    let v = get(x0, y0) * (1.0 - dx) * (1.0 - dy)
-        + get(x0 + 1, y0) * dx * (1.0 - dy)
-        + get(x0, y0 + 1) * (1.0 - dx) * dy
-        + get(x0 + 1, y0 + 1) * dx * dy;
-    v.round().clamp(0.0, 255.0) as u8
+    let last = len as isize - 1;
+    (
+        x0.clamp(0, last) as usize,
+        (x0 + 1).clamp(0, last) as usize,
+        dx,
+    )
+}
+
+/// Bilinear resample of one plane holding `ch` interleaved channels to
+/// `pw × ph` samples.
+fn resize_plane(p: &Plane, ch: usize, pw: usize, ph: usize) -> Plane {
+    let mut out = Plane::new(pw, ph);
+    let (in_px, out_px) = (p.width() / ch, pw / ch);
+    let sx = in_px as f32 / out_px as f32;
+    let sy = p.height() as f32 / ph as f32;
+    let cols: Vec<(usize, usize, f32)> = (0..out_px)
+        .flat_map(|x| {
+            let (x0, x1, dx) = bilinear_taps(x, sx, in_px);
+            (0..ch).map(move |c| (x0 * ch + c, x1 * ch + c, dx))
+        })
+        .collect();
+    for y in 0..ph {
+        let (y0, y1, dy) = bilinear_taps(y, sy, p.height());
+        let (r0, r1) = (p.row(y0), p.row(y1));
+        for (o, &(x0, x1, dx)) in out.row_mut(y).iter_mut().zip(&cols) {
+            let p00 = f32::from(r0[x0]);
+            let p10 = f32::from(r0[x1]);
+            let p01 = f32::from(r1[x0]);
+            let p11 = f32::from(r1[x1]);
+            let v = p00 * (1.0 - dx) * (1.0 - dy)
+                + p10 * dx * (1.0 - dy)
+                + p01 * (1.0 - dx) * dy
+                + p11 * dx * dy;
+            *o = round_u8(v);
+        }
+    }
+    out
 }
 
 /// Extracts the rectangle `[x, x+w) × [y, y+h)` as a new frame.
@@ -134,18 +154,26 @@ pub fn zoom_at(src: &Frame, factor: f64, center_x: f32, center_y: f32) -> Frame 
 }
 
 /// Scales a frame to fit a target type, converting format if needed.
-pub fn conform(src: &Frame, target: FrameType) -> Frame {
+///
+/// Takes the frame by value: when it already has the target type it is
+/// returned as is, and a resize or conversion starts from it without a
+/// copy.
+pub fn conform(src: Frame, target: FrameType) -> Frame {
     if src.ty() == target {
-        return src.clone();
+        return src;
     }
-    let mut f = src.clone();
-    if (f.width(), f.height()) != (target.width as usize, target.height as usize) {
-        f = resize_bilinear(&f, target.width, target.height);
-    }
-    match target.format {
-        PixelFormat::Yuv420p => f.to_yuv420p(),
-        PixelFormat::Rgb24 => f.to_rgb24(),
-        PixelFormat::Gray8 => {
+    let f = if (src.width(), src.height()) != (target.width as usize, target.height as usize) {
+        resize_bilinear(&src, target.width, target.height)
+    } else {
+        src
+    };
+    match (target.format, f.ty().format) {
+        (PixelFormat::Yuv420p, PixelFormat::Yuv420p) | (PixelFormat::Rgb24, PixelFormat::Rgb24) => {
+            f
+        }
+        (PixelFormat::Yuv420p, _) => f.to_yuv420p(),
+        (PixelFormat::Rgb24, _) => f.to_rgb24(),
+        (PixelFormat::Gray8, _) => {
             let yuv = f.to_yuv420p();
             Frame::from_planes(target, vec![yuv.plane(0).clone()])
                 .expect("luma plane matches gray type")
@@ -160,7 +188,7 @@ pub fn conform_shared(src: &std::sync::Arc<Frame>, target: FrameType) -> std::sy
     if src.ty() == target {
         src.clone()
     } else {
-        std::sync::Arc::new(conform(src, target))
+        std::sync::Arc::new(conform(src.as_ref().clone(), target))
     }
 }
 
@@ -168,6 +196,91 @@ pub fn conform_shared(src: &std::sync::Arc<Frame>, target: FrameType) -> std::sy
 mod tests {
     use super::*;
     use crate::format::FrameType;
+    use crate::ops::tests::{frame_type, seeded_frame};
+    use proptest::prelude::*;
+
+    /// The per-pixel resize the table-driven loop replaced: the
+    /// bit-identity oracle for [`resize_bilinear`].
+    pub(super) fn resize_bilinear_per_pixel(src: &Frame, out_w: u32, out_h: u32) -> Frame {
+        if (src.width(), src.height()) == (out_w as usize, out_h as usize) {
+            return src.clone();
+        }
+        let ty = src.ty().with_size(out_w, out_h);
+        let mut planes = Vec::with_capacity(src.planes().len());
+        for (i, p) in src.planes().iter().enumerate() {
+            let (pw, ph) = ty.format.plane_dims(i, out_w as usize, out_h as usize);
+            // RGB planes interleave 3 samples per pixel; resample per channel.
+            if src.ty().format == PixelFormat::Rgb24 {
+                let mut out = Plane::new(pw, ph);
+                let px_w = pw / 3;
+                let sx = src.width() as f32 / px_w as f32;
+                let sy = src.height() as f32 / ph as f32;
+                for y in 0..ph {
+                    for x in 0..px_w {
+                        let fx = (x as f32 + 0.5) * sx - 0.5;
+                        let fy = (y as f32 + 0.5) * sy - 0.5;
+                        for c in 0..3 {
+                            let v = rgb_sample_per_pixel(p, src.width(), fx, fy, c);
+                            out.row_mut(y)[x * 3 + c] = v;
+                        }
+                    }
+                }
+                planes.push(out);
+            } else {
+                let mut out = Plane::new(pw, ph);
+                let sx = p.width() as f32 / pw as f32;
+                let sy = p.height() as f32 / ph as f32;
+                for y in 0..ph {
+                    for x in 0..pw {
+                        let fx = (x as f32 + 0.5) * sx - 0.5;
+                        let fy = (y as f32 + 0.5) * sy - 0.5;
+                        out.put(x, y, p.sample_bilinear_per_pixel(fx, fy));
+                    }
+                }
+                planes.push(out);
+            }
+        }
+        Frame::from_planes(ty, planes).expect("resize produced consistent planes")
+    }
+
+    /// One channel of an `Rgb24` plane sampled bilinearly (oracle).
+    fn rgb_sample_per_pixel(p: &Plane, px_width: usize, fx: f32, fy: f32, c: usize) -> u8 {
+        let x0 = fx.floor() as isize;
+        let y0 = fy.floor() as isize;
+        let dx = fx - x0 as f32;
+        let dy = fy - y0 as f32;
+        let get = |x: isize, y: isize| -> f32 {
+            let x = x.clamp(0, px_width as isize - 1) as usize;
+            let y = y.clamp(0, p.height() as isize - 1) as usize;
+            p.row(y)[x * 3 + c] as f32
+        };
+        let v = get(x0, y0) * (1.0 - dx) * (1.0 - dy)
+            + get(x0 + 1, y0) * dx * (1.0 - dy)
+            + get(x0, y0 + 1) * (1.0 - dx) * dy
+            + get(x0 + 1, y0 + 1) * dx * dy;
+        v.round().clamp(0.0, 255.0) as u8
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Every format, 1..64 → 1..96 on both axes, up and down.
+        #[test]
+        fn table_driven_resize_matches_per_pixel(
+            seed in any::<u64>(),
+            format in 0usize..3,
+            src_dims in (1u32..64, 1u32..64),
+            out_dims in (1u32..96, 1u32..96),
+        ) {
+            let f = seeded_frame(frame_type(format, src_dims.0, src_dims.1), seed);
+            let (ow, oh) = out_dims;
+            prop_assert_eq!(
+                resize_bilinear(&f, ow, oh),
+                resize_bilinear_per_pixel(&f, ow, oh),
+                "{:?} → {}x{}", f.ty(), ow, oh
+            );
+        }
+    }
 
     fn gradient(ty: FrameType) -> Frame {
         let mut f = Frame::black(ty);
@@ -277,7 +390,7 @@ mod tests {
     #[test]
     fn conform_converts_size_and_format() {
         let f = gradient(FrameType::gray8(16, 16));
-        let out = conform(&f, FrameType::yuv420p(8, 8));
+        let out = conform(f, FrameType::yuv420p(8, 8));
         assert_eq!(out.ty(), FrameType::yuv420p(8, 8));
     }
 }

@@ -1641,6 +1641,29 @@ mod tests {
         }
     }
 
+    /// A blur σ whose kernel would take 24 GB answers 400 before anything
+    /// is allocated (the daemon process used to abort), and the daemon
+    /// answers the next query.
+    #[test]
+    fn oversized_blur_sigma_answers_400_and_daemon_serves_on() {
+        let handle = V2vServer::new(catalog()).start("127.0.0.1:0").unwrap();
+        let huge = SpecBuilder::new(blur_spec(1).output)
+            .video("a", "a.svc")
+            .append_filtered("a", r(0, 1), r(1, 1), |e| blur(e, 1e9))
+            .build();
+        let resp = client::post_query(handle.addr(), huge.to_json().as_bytes()).unwrap();
+        assert_eq!(resp.status, 400, "{}", String::from_utf8_lossy(&resp.body));
+        let v: serde_json::Value = serde_json::from_slice(&resp.body).unwrap();
+        let kind = v.get("error").and_then(|e| e.get("kind"));
+        assert_eq!(
+            kind.and_then(|k| k.as_str()),
+            Some("invalid_request"),
+            "{v}"
+        );
+        let ok = client::post_query(handle.addr(), spec_json().as_bytes()).unwrap();
+        assert_eq!(ok.status, 200, "{}", String::from_utf8_lossy(&ok.body));
+    }
+
     #[test]
     fn missing_video_maps_to_404() {
         let handle = V2vServer::new(Catalog::new()).start("127.0.0.1:0").unwrap();

@@ -470,12 +470,8 @@ pub fn transcode(original: &VideoStream, spec: TranscodeSpec) -> Result<VideoStr
     let params = v2v_codec::CodecParams::new(ty, gop, 0);
     let mut w = StreamWriter::new(params, original.start(), original.frame_dur());
     let (frames, _) = original.decode_range(0, original.len())?;
-    for frame in &frames {
-        if ty == src_params.frame_ty {
-            w.push_frame(frame)?;
-        } else {
-            w.push_frame(&conform(frame, ty))?;
-        }
+    for frame in frames {
+        w.push_frame(&conform(frame, ty))?;
     }
     Ok(w.finish()?)
 }
