@@ -236,6 +236,40 @@ mod tests {
     }
 
     #[test]
+    fn a_residual_past_any_sample_difference_is_corrupt() {
+        // One gray 16×16 plane whose first residual is 2^30: at
+        // quantizer 2 reconstructing it would overflow `2^30 * 3` (a
+        // panic in debug builds), at quantizer 0 it would decode to a
+        // garbage frame. Intra payloads are bare pairs; inter ones lead
+        // with the one-block coded bitmap.
+        use crate::bitstream::{put_varint, zigzag};
+        let ty = FrameType::gray8(16, 16);
+        for quantizer in [2, 0] {
+            let params = CodecParams::new(ty, 4, quantizer);
+            for inter in [false, true] {
+                let mut payload = if inter { vec![0x01] } else { Vec::new() };
+                put_varint(&mut payload, 0);
+                put_varint(&mut payload, zigzag(1 << 30));
+                let mut data = vec![if inter { 0x50 } else { 0x49 }];
+                put_varint(&mut data, payload.len() as u64);
+                data.extend(payload);
+                let mut dec = Decoder::new(params);
+                if inter {
+                    let key = Encoder::new(params)
+                        .encode(&moving_frame(ty, 0), r(0, 30))
+                        .unwrap();
+                    dec.decode(&key).unwrap();
+                }
+                let pkt = Packet::new(r(1, 30), !inter, bytes::Bytes::from(data));
+                assert!(
+                    matches!(dec.decode(&pkt), Err(CodecError::Corrupt(_))),
+                    "quantizer {quantizer}, inter {inter}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn flag_bitstream_disagreement_rejected() {
         let ty = FrameType::gray8(32, 32);
         let params = CodecParams::new(ty, 4, 0);

@@ -181,7 +181,7 @@ pub fn decode_plane_into(
     debug_assert_eq!((w, h), (recon.width(), recon.height()));
     let (bx_n, by_n) = block_grid(w, h);
     let n_blocks = bx_n * by_n;
-    let bitmap = reader.bytes(n_blocks.div_ceil(8))?.to_vec();
+    let bitmap = reader.bytes(n_blocks.div_ceil(8))?;
     let coded = |i: usize| -> bool { bitmap[i / 8] & (1 << (i % 8)) != 0 };
 
     // Count coded samples for the run decoder.

@@ -10,8 +10,10 @@
 //! autovectorizable, with entropy coding as a separate pass over a
 //! scratch row. Left-predicted rows carry a loop dependence (each pixel
 //! predicts from the one just reconstructed) and stay serial, but still
-//! run over row slices instead of per-pixel accessors. The original
-//! per-pixel implementation survives as the `tests` oracle.
+//! run over row slices instead of per-pixel accessors. On decode every
+//! row, whatever its predictor, reads its residuals into a scratch row
+//! with one `RunDecoder::next_residuals` call before reconstructing. The
+//! original per-pixel implementation survives as the `tests` oracle.
 
 // Panic-audit exemption: every index in these kernels derives from plane
 // geometry (`w`, `h`, row slices) — never from a bitstream-controlled
@@ -196,7 +198,7 @@ pub fn decode_plane_into(
     let height = recon.height();
     let mut modes = vec![RowMode::Left; height];
     if preset == Preset::Medium {
-        let bitmap = reader.bytes(height.div_ceil(8))?.to_vec();
+        let bitmap = reader.bytes(height.div_ceil(8))?;
         for (y, m) in modes.iter_mut().enumerate() {
             if bitmap[y / 8] & (1 << (y % 8)) != 0 {
                 *m = RowMode::Top;
@@ -206,8 +208,8 @@ pub fn decode_plane_into(
     let mut dec = RunDecoder::new(reader, (width * height) as u64);
     let mut qrow = vec![0i32; width];
     for (y, &mode) in modes.iter().enumerate() {
+        dec.next_residuals(&mut qrow)?;
         if mode == RowMode::Top && y > 0 {
-            dec.next_residuals(&mut qrow)?;
             let (prev, rec) = recon.row_pair_mut(y);
             for x in 0..width {
                 rec[x] = (i32::from(prev[x]) + qrow[x] * qstep).clamp(0, 255) as u8;
@@ -219,8 +221,7 @@ pub fn decode_plane_into(
             } else {
                 (128, recon.row_mut(y))
             };
-            for r in rec.iter_mut().take(width) {
-                let q = dec.next_residual()?;
+            for (r, &q) in rec.iter_mut().zip(&qrow) {
                 let v = (pred + q * qstep).clamp(0, 255) as u8;
                 *r = v;
                 pred = i32::from(v);

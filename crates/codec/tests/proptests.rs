@@ -2,7 +2,8 @@
 //! bounded error otherwise, over random content and stream shapes.
 
 use proptest::prelude::*;
-use v2v_codec::{CodecParams, Decoder, Encoder, Preset};
+use v2v_codec::bitstream::{put_varint, zigzag};
+use v2v_codec::{CodecError, CodecParams, Decoder, Encoder, Packet, Preset};
 use v2v_frame::{Frame, FrameType, PixelFormat};
 use v2v_time::Rational;
 
@@ -162,6 +163,129 @@ proptest! {
         );
         // Any outcome but a panic is acceptable.
         let _ = dec.decode(&pkt);
+    }
+}
+
+/// Cases for [`hostile_packets_fail_closed`]: `PROPTEST_CASES` when set
+/// (the stand-in proptest does not read it itself), else 256.
+fn hostile_cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(256)
+}
+
+/// Writes one `(run, value)` pair of a hostile plane payload: one-byte
+/// pairs, multi-byte varints, ten-byte varints, overlong encodings, and
+/// values far past any residual an encoder writes. A `tame` payload
+/// leaves out the two kinds meant to be out of range, so more packets
+/// decode through to reconstruction.
+fn hostile_pair((kind, a, b): (u8, u64, u64), tame: bool, out: &mut Vec<u8>) {
+    match kind {
+        4 | 6 if tame => out.extend([(a % 4) as u8, (b % 0x80) as u8]),
+        0..=2 => out.extend([(a % 4) as u8, (b % 0x80) as u8]),
+        // Codes past 510 are out of range.
+        3 => {
+            put_varint(out, a % 300);
+            put_varint(out, b % 600);
+        }
+        // Ten bytes: a code with its top bits set.
+        4 => {
+            put_varint(out, a % 8);
+            put_varint(out, b | 1 << 63);
+        }
+        // Overlong: a one-byte run and code padded with zero groups.
+        5 => {
+            out.extend([0x80 | (a % 4) as u8, 0x80, 0x00]);
+            out.extend([0x80 | (b % 0x80) as u8, 0x80, 0x80, 0x00]);
+        }
+        // Magnitudes from 2^30 (times a quantizer step of 3, past
+        // `i32::MAX`) down to 128.
+        _ => {
+            put_varint(out, a % 4);
+            put_varint(out, zigzag((1 << 30) >> (b % 24)) + (b >> 32) % 2);
+        }
+    }
+}
+
+/// A packet that is well formed down to its plane payloads — kind byte,
+/// per-plane varint length, a valid-sized inter bitmap or intra row-mode
+/// bitmap — whose residual pairs are hostile.
+fn hostile_packet(
+    ty: FrameType,
+    inter: bool,
+    medium: bool,
+    lie_about_kind: bool,
+    tame: bool,
+    bitmap: &[u8],
+    planes: &[Vec<(u8, u64, u64)>],
+) -> Packet {
+    let mut data = vec![if inter { 0x50 } else { 0x49 }];
+    for (pi, pairs) in planes.iter().enumerate().take(ty.format.plane_count()) {
+        let (w, h) = ty
+            .format
+            .plane_dims(pi, ty.width as usize, ty.height as usize);
+        let flags = if inter {
+            (w.div_ceil(16) * h.div_ceil(16)).div_ceil(8)
+        } else if medium {
+            h.div_ceil(8)
+        } else {
+            0
+        };
+        let mut payload: Vec<u8> = bitmap.iter().copied().cycle().take(flags).collect();
+        for &pair in pairs {
+            hostile_pair(pair, tame, &mut payload);
+        }
+        put_varint(&mut data, payload.len() as u64);
+        data.extend(payload);
+    }
+    let keyframe = if lie_about_kind { inter } else { !inter };
+    Packet::new(Rational::ZERO, keyframe, bytes::Bytes::from(data))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(hostile_cases()))]
+
+    /// Packets well formed down to their residual pairs, with those
+    /// pairs drawn from every varint shape, at quantizers 0, 2 and 255
+    /// under both presets: decoding returns a frame, `Corrupt` or
+    /// `MissingReference` — never a panic, and no overflow in debug
+    /// builds.
+    #[test]
+    fn hostile_packets_fail_closed(
+        ty in frame_ty_strategy(),
+        quantizer in prop_oneof![Just(0u8), Just(2), Just(255)],
+        preset in preset_strategy(),
+        inter in any::<bool>(),
+        with_reference in prop_oneof![Just(true), Just(true), Just(false)],
+        lie_about_kind in prop_oneof![Just(false), Just(false), Just(false), Just(true)],
+        tame in any::<bool>(),
+        bitmap in prop::collection::vec(any::<u8>(), 1..8),
+        planes in prop::collection::vec(
+            prop::collection::vec((0u8..7, any::<u64>(), any::<u64>()), 0..48),
+            3,
+        ),
+    ) {
+        let mut params = CodecParams::new(ty, 4, quantizer);
+        params.preset = preset;
+        let mut dec = Decoder::new(params);
+        if with_reference {
+            let key = Encoder::new(params)
+                .encode(&build_frame(ty, 1, &[7, 3, 250]), Rational::ZERO)
+                .unwrap();
+            dec.decode(&key).unwrap();
+        }
+        let medium = preset == Preset::Medium;
+        let pkt = hostile_packet(ty, inter, medium, lie_about_kind, tame, &bitmap, &planes);
+        let res = dec.decode(&pkt);
+        prop_assert!(
+            matches!(
+                res,
+                Ok(_) | Err(CodecError::Corrupt(_)) | Err(CodecError::MissingReference)
+            ),
+            "{:?}",
+            res
+        );
     }
 }
 

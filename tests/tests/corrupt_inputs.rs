@@ -362,7 +362,7 @@ fn seed_panic_huge_byte_run_request_returns_corrupt() {
 /// Seed panic 2 — `RunDecoder::next_residuals` trusted the stream's run
 /// length and could overrun the output fill: a (run, value) pair
 /// claiming more zeroes than residuals remain must be `Corrupt`, through
-/// both the bulk fill and the scalar path.
+/// both a whole-count fill and a one-residual read.
 #[test]
 fn seed_panic_lying_run_length_returns_corrupt() {
     let mut payload = Vec::new();
@@ -379,7 +379,10 @@ fn seed_panic_lying_run_length_returns_corrupt() {
 
     let mut r = Reader::new(&payload);
     let mut dec = RunDecoder::new(&mut r, 8);
-    assert!(matches!(dec.next_residual(), Err(CodecError::Corrupt(_))));
+    assert!(matches!(
+        dec.next_residuals(&mut out[..1]),
+        Err(CodecError::Corrupt(_))
+    ));
 }
 
 /// Seed panic 3 — `stream.rs` decode paths used
