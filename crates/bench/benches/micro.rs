@@ -167,9 +167,10 @@ fn bench_gop_cache(c: &mut Criterion) {
     use v2v_exec::{GopCache, SourceCursor};
 
     // Sequential scan of a 2 s stream: the cold path decodes every
-    // packet; the warm path serves whole GOPs as refcount bumps out of a
-    // pre-populated shared cache (the steady state of grid queries where
-    // several cells read the same source).
+    // packet; the warm path serves every frame as a refcount bump out of
+    // GOP prefixes a first scan grew to their ends in the shared cache
+    // (the steady state of grid queries where several cells read the
+    // same source).
     let stream = v2v_datasets::generate(&kabr_sim(Scale::Bench, 2));
     let n = stream.len() as u64;
 

@@ -107,6 +107,37 @@ impl<K: Hash + Eq + Clone, V: Clone> BudgetLru<K, V> {
         if let Some(old) = old {
             self.total.fetch_sub(old.weight, Ordering::Relaxed);
         }
+        self.evict_sparing(&key)
+    }
+
+    /// Looks `key` up like [`get`](Self::get); when it is absent, inserts
+    /// `make()` at `weight` under the same shard lock, so concurrent
+    /// callers agree on one value, then evicts like
+    /// [`insert`](Self::insert). Returns the value and whether it was
+    /// already there.
+    pub fn get_or_insert_with(&self, key: K, weight: u64, make: impl FnOnce() -> V) -> (V, bool) {
+        let stamp = self.stamp();
+        let mut shard = self.lock(shard_of(&key));
+        if let Some(entry) = shard.get_mut(&key) {
+            entry.stamp = stamp;
+            return (entry.value.clone(), true);
+        }
+        let value = make();
+        let entry = Entry {
+            value: value.clone(),
+            weight,
+            stamp,
+        };
+        shard.insert(key.clone(), entry);
+        drop(shard);
+        self.total.fetch_add(weight, Ordering::Relaxed);
+        self.evict_sparing(&key);
+        (value, false)
+    }
+
+    /// Evicts globally least-recently-stamped entries other than `key`
+    /// until the total fits the budget, oldest first.
+    fn evict_sparing(&self, key: &K) -> Vec<(K, V)> {
         let mut evicted = Vec::new();
         while self.total() > self.budget {
             // Shards are locked one at a time; an entry retouched
@@ -114,7 +145,7 @@ impl<K: Hash + Eq + Clone, V: Clone> BudgetLru<K, V> {
             let mut victim: Option<(usize, K, u64)> = None;
             for i in 0..SHARD_COUNT {
                 for (k, e) in self.lock(i).iter() {
-                    if *k != key && victim.as_ref().map_or(true, |v| e.stamp < v.2) {
+                    if k != key && victim.as_ref().map_or(true, |v| e.stamp < v.2) {
                         victim = Some((i, k.clone(), e.stamp));
                     }
                 }

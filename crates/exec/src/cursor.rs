@@ -5,43 +5,43 @@
 //! (backward jumps or gaps) re-enter at the preceding keyframe — the
 //! same access pattern an FFmpeg-based engine gets from its demuxer.
 //!
-//! When attached to a [`GopCache`], the cursor decodes GOP *prefixes*
-//! and shares them through the cache, so concurrent segments reading
-//! the same source ranges (grid cells, splice neighbours) decode each
-//! GOP once. A miss decodes from the keyframe to the run's read reach
-//! for that GOP — the last frame any segment of the run reads from it —
-//! or to the GOP end when no reach is known. Frames come out behind
-//! [`Arc`] either way: the decoder's zero-copy path means a served frame
-//! is never deep-copied.
+//! When attached to a [`GopCache`], the cursor reads through the GOP's
+//! shared [`GopPrefix`] instead: a read decodes from where the prefix
+//! stops up to the frame it asks for, and no further, so concurrent
+//! segments and decode lanes reading the same source ranges (grid
+//! cells, splice neighbours) decode each frame once and decoding stops
+//! at the last frame anyone reads. Frames come out behind [`Arc`]
+//! either way: the decoder's zero-copy path means a served frame is
+//! never deep-copied.
 
 use crate::fault::{FaultInjector, FaultKind};
-use crate::gop_cache::{GopCache, GopFrames};
+use crate::gop_cache::{GopCache, GopPrefix};
 use crate::ExecError;
-use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 use v2v_codec::{Decoder, Packet};
 use v2v_container::{ContainerError, VideoStream};
 use v2v_frame::Frame;
-
-/// The read reach of one stream identity over a run: keyframe index →
-/// the last frame of that GOP the run reads.
-pub(crate) type GopReach = HashMap<u64, u64>;
 
 /// A stateful forward reader over one stream.
 pub struct SourceCursor<'a> {
     stream: &'a VideoStream,
     /// Catalog name of the stream, for error reporting and cache keys.
     video: String,
+    /// The private decoder of the uncached path.
     decoder: Decoder,
     cache: Option<&'a GopCache>,
-    /// Where a cache miss may stop decoding; GOPs absent here (or every
-    /// GOP, when `None`) are decoded to their end.
-    reach: Option<&'a GopReach>,
     /// Fault-injection hook consulted before every packet decode.
     fault: Option<&'a FaultInjector>,
-    /// The GOP prefix currently borrowed from the cache: (keyframe
-    /// index, frames).
-    gop: Option<(u64, GopFrames)>,
+    /// The render's stop flag, shared by every cursor of one pipelined
+    /// render attempt ([`with_halt`](Self::with_halt)).
+    halt: Option<&'a AtomicBool>,
+    /// Set when a decode was refused because the flag was up.
+    halted: bool,
+    /// The GOP prefix currently read from the cache: (keyframe index,
+    /// prefix).
+    gop: Option<(u64, Arc<GopPrefix>)>,
     /// Index the decoder state corresponds to (last decoded), if any.
     at: Option<u64>,
     /// Last decoded frame (served for repeated reads of the same index).
@@ -51,15 +51,26 @@ pub struct SourceCursor<'a> {
     /// Compressed bytes fed to the decoder through this cursor.
     pub bytes_decoded: u64,
     /// Keyframe entries: every decoder reset (initial positioning,
-    /// backward jumps, forward jumps across a keyframe, GOP decodes).
+    /// backward jumps, forward jumps across a keyframe, GOP prefixes
+    /// this cursor created).
     pub seeks: u64,
-    /// GOP requests this cursor served from the shared cache (including
-    /// waits on a decode another cursor was already running).
+    /// GOP lookups this cursor served from a prefix already in the
+    /// shared cache.
     pub gop_cache_hits: u64,
-    /// GOP requests this cursor had to decode itself. Hits and misses
-    /// are attributed to exactly one cursor per request, so per-segment
-    /// roll-ups are deterministic regardless of worker interleaving.
+    /// GOP lookups that created a prefix. Each lookup is booked on
+    /// exactly one cursor, so run totals are deterministic regardless
+    /// of worker interleaving.
     pub gop_cache_misses: u64,
+    /// Time spent inside the decoder, in nanoseconds: waits on a shared
+    /// prefix are not counted.
+    pub(crate) decode_ns: u64,
+}
+
+/// One decoded packet, as booked by the cursor.
+struct Decoded {
+    frame: Arc<Frame>,
+    bytes: u64,
+    ns: u64,
 }
 
 impl<'a> SourceCursor<'a> {
@@ -71,8 +82,9 @@ impl<'a> SourceCursor<'a> {
             video: video.into(),
             decoder: Decoder::new(*stream.params()),
             cache: None,
-            reach: None,
             fault: None,
+            halt: None,
+            halted: false,
             gop: None,
             at: None,
             current: None,
@@ -81,6 +93,7 @@ impl<'a> SourceCursor<'a> {
             seeks: 0,
             gop_cache_hits: 0,
             gop_cache_misses: 0,
+            decode_ns: 0,
         }
     }
 
@@ -92,22 +105,27 @@ impl<'a> SourceCursor<'a> {
         self
     }
 
-    /// Bounds the cache-miss decodes of this cursor by the run's read
-    /// reach for its stream identity. Every cursor sharing the cache
-    /// must carry the same reach, and no read may pass it: a read past
-    /// a cached prefix trips a debug assertion (release builds roll the
-    /// missing frames privately instead).
-    pub(crate) fn with_reach(mut self, reach: Option<&'a GopReach>) -> SourceCursor<'a> {
-        self.reach = reach;
-        self
-    }
-
     /// Attaches a fault injector (ignored when it has no rules).
     pub fn with_fault(mut self, fault: &'a FaultInjector) -> SourceCursor<'a> {
         if !fault.is_empty() {
             self.fault = Some(fault);
         }
         self
+    }
+
+    /// Ties the cursor to a render's stop flag: no packet is decoded
+    /// once it is up, and a failed decode raises it before the shared
+    /// prefix is released, so no other cursor under the same flag
+    /// touches the packet that failed.
+    pub(crate) fn with_halt(mut self, halt: &'a AtomicBool) -> SourceCursor<'a> {
+        self.halt = Some(halt);
+        self
+    }
+
+    /// Whether a read failed because the stop flag was already up, not
+    /// because of its own packet.
+    pub(crate) fn halted(&self) -> bool {
+        self.halted
     }
 
     /// The underlying stream.
@@ -165,7 +183,15 @@ impl<'a> SourceCursor<'a> {
         };
         let mut frame = None;
         for i in from..=idx {
-            frame = Some(self.decode_packet(i)?);
+            let decoded = decode_packet(
+                self.stream,
+                &self.video,
+                self.fault,
+                self.halt,
+                &mut self.decoder,
+                i,
+            );
+            frame = Some(self.book(decoded, i)?);
         }
         // `from <= idx` always holds (a keyframe at or before `idx` was
         // found above), so the loop ran at least once.
@@ -175,120 +201,146 @@ impl<'a> SourceCursor<'a> {
         Ok(frame)
     }
 
-    /// Decodes source packet `i`, consulting the fault injector first.
-    /// On an injected corruption/truncation the mangled bytes really go
-    /// through the decoder (exercising the hardened parse path), and the
-    /// result is a deterministic error either way.
-    fn decode_packet(&mut self, i: u64) -> Result<Arc<Frame>, ExecError> {
-        let pkt = self
-            .stream
-            .packets()
-            .get(i as usize)
-            .ok_or(ContainerError::NoKeyframe)?;
-        if let Some(kind) = self.fault.and_then(|f| f.check(&self.video, i)) {
-            return Err(self.injected_failure(pkt, i, kind));
-        }
-        let frame = self.decoder.decode_shared(pkt)?;
-        self.frames_decoded += 1;
-        self.bytes_decoded += pkt.size() as u64;
-        Ok(frame)
-    }
-
-    /// Materializes one injected fault as the error a real failure of
-    /// that kind would produce.
-    fn injected_failure(&mut self, pkt: &Packet, i: u64, kind: FaultKind) -> ExecError {
-        let mangled = match kind {
-            FaultKind::Io => {
-                return ExecError::SourceIo {
+    /// Books one decode attempt of source packet `i` on this cursor.
+    /// A real failure raises the stop flag; a refusal (`Err(None)`)
+    /// marks the cursor [`halted`](Self::halted).
+    fn book(
+        &mut self,
+        decoded: Result<Decoded, Option<ExecError>>,
+        i: u64,
+    ) -> Result<Arc<Frame>, ExecError> {
+        match decoded {
+            Ok(d) => {
+                self.frames_decoded += 1;
+                self.bytes_decoded += d.bytes;
+                self.decode_ns += d.ns;
+                Ok(d.frame)
+            }
+            Err(Some(e)) => {
+                if let Some(halt) = self.halt {
+                    halt.store(true, Ordering::SeqCst);
+                }
+                Err(e)
+            }
+            Err(None) => {
+                self.halted = true;
+                Err(ExecError::SourceIo {
                     video: self.video.clone(),
                     frame: i,
-                    message: "injected i/o failure".into(),
-                };
+                    message: "render halted".into(),
+                })
             }
-            FaultKind::CorruptPacket => {
-                // Clobber the packet-kind byte: the decoder must reject
-                // it without touching decoder state.
-                let mut data = pkt.data.to_vec();
-                if let Some(b) = data.first_mut() {
-                    *b = 0xFF;
-                }
-                Packet::new(pkt.pts, pkt.keyframe, data.into())
-            }
-            FaultKind::TruncatedRead => {
-                let cut = pkt.data.len() / 2;
-                let half: &[u8] = pkt.data.get(..cut).unwrap_or_default();
-                Packet::new(pkt.pts, pkt.keyframe, half.into())
-            }
-        };
-        match self.decoder.decode_shared(&mangled) {
-            Err(e) => ExecError::Codec(e),
-            // The hardened decoder rejects every mangling above; keep the
-            // fault deterministic even if a future codec tolerates one.
-            Ok(_) => ExecError::Codec(v2v_codec::CodecError::Corrupt(
-                "injected corrupt packet".into(),
-            )),
         }
     }
 
     /// Serves `idx` through the shared GOP cache: the containing GOP's
-    /// prefix is decoded on a miss and memoized for other cursors. The
-    /// cache's in-flight gating guarantees each GOP is decoded at most
-    /// once per cache, and the hit/miss is booked on this cursor.
+    /// prefix is looked up (created on a miss, booked on this cursor)
+    /// and grown to `idx` if no reader has got that far.
     fn frame_from_cache(&mut self, cache: &GopCache, idx: u64) -> Result<Arc<Frame>, ExecError> {
         let kf = self
             .stream
             .keyframe_at_or_before(idx as usize)
             .ok_or(ContainerError::NoKeyframe)? as u64;
-        if self.gop.as_ref().map(|(k, _)| *k) != Some(kf) {
-            let video = self.video.clone();
-            let (frames, was_hit) = cache.get_or_insert_with(&video, kf, || self.decode_gop(kf))?;
-            if was_hit {
-                self.gop_cache_hits += 1;
-            } else {
-                self.gop_cache_misses += 1;
+        let prefix = match &self.gop {
+            Some((k, prefix)) if *k == kf => Arc::clone(prefix),
+            _ => {
+                let gop_end = self
+                    .stream
+                    .next_keyframe_at_or_after(kf as usize + 1)
+                    .unwrap_or(self.stream.len()) as u64;
+                let params = *self.stream.params();
+                let (prefix, was_hit) =
+                    cache.prefix(&self.video, kf, gop_end - kf, || Decoder::new(params));
+                if was_hit {
+                    self.gop_cache_hits += 1;
+                } else {
+                    self.gop_cache_misses += 1;
+                    self.seeks += 1;
+                }
+                self.gop = Some((kf, Arc::clone(&prefix)));
+                prefix
             }
-            self.gop = Some((kf, frames));
-        }
-        let cached = self
-            .gop
-            .as_ref()
-            .and_then(|(_, frames)| frames.get((idx - kf) as usize).cloned());
-        // The run's reach covers every read by construction; output
-        // bytes never depend on it, so a miss here rolls privately.
-        debug_assert!(
-            cached.is_some(),
-            "frame {idx} of {} read past the cached prefix of GOP {kf}",
-            self.video
-        );
-        match cached {
-            Some(frame) => Ok(frame),
-            None => self.roll_to(idx),
-        }
-    }
-
-    /// Decodes the GOP whose keyframe is at `kf` up to its read reach
-    /// (its end when the reach is unknown).
-    fn decode_gop(&mut self, kf: u64) -> Result<GopFrames, ExecError> {
-        let gop_end = self
-            .stream
-            .next_keyframe_at_or_after(kf as usize + 1)
-            .unwrap_or(self.stream.len()) as u64;
-        let end = match self.reach.and_then(|r| r.get(&kf)) {
-            Some(&last) => gop_end.min(last.max(kf) + 1),
-            None => gop_end,
         };
-        let mut frames = Vec::with_capacity((end - kf) as usize);
-        self.decoder.reset();
-        self.seeks += 1;
-        self.at = None;
-        for i in kf..end {
-            frames.push(self.decode_packet(i)?);
+        prefix.frame((idx - kf) as usize, |decoder, k| {
+            let i = kf + k;
+            let decoded =
+                decode_packet(self.stream, &self.video, self.fault, self.halt, decoder, i);
+            self.book(decoded, i)
+        })
+    }
+}
+
+/// Decodes source packet `i` of `stream` with `decoder`, consulting the
+/// fault injector first. On an injected corruption/truncation the
+/// mangled bytes really go through the decoder (exercising the hardened
+/// parse path), and the result is a deterministic error either way.
+/// `Err(None)`: the stop flag was up, and the packet was not touched.
+fn decode_packet(
+    stream: &VideoStream,
+    video: &str,
+    fault: Option<&FaultInjector>,
+    halt: Option<&AtomicBool>,
+    decoder: &mut Decoder,
+    i: u64,
+) -> Result<Decoded, Option<ExecError>> {
+    if halt.is_some_and(|h| h.load(Ordering::SeqCst)) {
+        return Err(None);
+    }
+    let pkt = stream
+        .packets()
+        .get(i as usize)
+        .ok_or(ExecError::Container(ContainerError::NoKeyframe))?;
+    if let Some(kind) = fault.and_then(|f| f.check(video, i)) {
+        return Err(Some(injected_failure(video, decoder, pkt, i, kind)));
+    }
+    let started = Instant::now();
+    let frame = decoder.decode_shared(pkt).map_err(ExecError::from)?;
+    Ok(Decoded {
+        frame,
+        bytes: pkt.size() as u64,
+        ns: started.elapsed().as_nanos() as u64,
+    })
+}
+
+/// Materializes one injected fault as the error a real failure of that
+/// kind would produce.
+fn injected_failure(
+    video: &str,
+    decoder: &mut Decoder,
+    pkt: &Packet,
+    i: u64,
+    kind: FaultKind,
+) -> ExecError {
+    let mangled = match kind {
+        FaultKind::Io => {
+            return ExecError::SourceIo {
+                video: video.to_owned(),
+                frame: i,
+                message: "injected i/o failure".into(),
+            };
         }
-        // The decoder now sits on the prefix's last frame, where a
-        // private roll past the prefix continues.
-        self.at = Some(end - 1);
-        self.current = frames.last().cloned();
-        Ok(Arc::new(frames))
+        FaultKind::CorruptPacket => {
+            // Clobber the packet-kind byte: the decoder must reject it
+            // without touching decoder state.
+            let mut data = pkt.data.to_vec();
+            if let Some(b) = data.first_mut() {
+                *b = 0xFF;
+            }
+            Packet::new(pkt.pts, pkt.keyframe, data.into())
+        }
+        FaultKind::TruncatedRead => {
+            let cut = pkt.data.len() / 2;
+            let half: &[u8] = pkt.data.get(..cut).unwrap_or_default();
+            Packet::new(pkt.pts, pkt.keyframe, half.into())
+        }
+    };
+    match decoder.decode_shared(&mangled) {
+        Err(e) => ExecError::Codec(e),
+        // The hardened decoder rejects every mangling above; keep the
+        // fault deterministic even if a future codec tolerates one.
+        Ok(_) => ExecError::Codec(v2v_codec::CodecError::Corrupt(
+            "injected corrupt packet".into(),
+        )),
     }
 }
 
@@ -419,41 +471,31 @@ mod tests {
         assert_eq!(c.frames_decoded, 4, "falls back to sequential rolling");
     }
 
-    fn reach(pairs: &[(u64, u64)]) -> GopReach {
-        pairs.iter().copied().collect()
-    }
-
     #[test]
-    fn cached_miss_decodes_keyframe_to_reach() {
+    fn cached_miss_decodes_only_up_to_the_frame_it_reads() {
         let s = stream(24, 12);
         let cache = GopCache::new(64);
-        let r = reach(&[(12, 17)]);
-        let mut c = SourceCursor::new(&s, "s")
-            .with_cache(&cache)
-            .with_reach(Some(&r));
-        for i in 14..=17 {
-            c.frame_at(i).unwrap();
-        }
+        let mut c = SourceCursor::new(&s, "s").with_cache(&cache);
+        c.frame_at(14).unwrap();
         assert_eq!(
             c.frames_decoded,
-            17 - 12 + 1,
-            "keyframe → reach, not GOP end"
+            14 - 12 + 1,
+            "keyframe → read, not GOP end"
         );
-        assert_eq!(cache.frames_held(), 6);
+        for i in 15..=17 {
+            c.frame_at(i).unwrap();
+        }
+        assert_eq!(c.frames_decoded, 17 - 12 + 1, "one packet per forward read");
+        assert_eq!((c.gop_cache_misses, c.gop_cache_hits, c.seeks), (1, 0, 1));
+        assert_eq!(cache.frames_held(), 12, "charged its whole GOP");
     }
 
     #[test]
     fn different_spans_share_one_prefix_covering_the_longer() {
         let s = stream(24, 12);
         let cache = GopCache::new(64);
-        // The run's reach for GOP 0 is the longer span's last read.
-        let r = reach(&[(0, 8)]);
-        let mut short = SourceCursor::new(&s, "s")
-            .with_cache(&cache)
-            .with_reach(Some(&r));
-        let mut long = SourceCursor::new(&s, "s")
-            .with_cache(&cache)
-            .with_reach(Some(&r));
+        let mut short = SourceCursor::new(&s, "s").with_cache(&cache);
+        let mut long = SourceCursor::new(&s, "s").with_cache(&cache);
         let mut plain = SourceCursor::new(&s, "s");
         for i in 1..=3 {
             assert_eq!(*short.frame_at(i).unwrap(), *plain.frame_at(i).unwrap());
@@ -462,41 +504,52 @@ mod tests {
             assert_eq!(*long.frame_at(i).unwrap(), *plain.frame_at(i).unwrap());
         }
         assert_eq!((cache.misses(), cache.hits()), (1, 1));
-        assert_eq!((short.frames_decoded, long.frames_decoded), (9, 0));
+        // `short` decoded 0..=3; `long` grew the same prefix by 4..=8.
+        assert_eq!((short.frames_decoded, long.frames_decoded), (4, 5));
+        // Going back into the shared range decodes nothing.
+        assert_eq!(*short.frame_at(7).unwrap(), *plain.frame_at(7).unwrap());
+        assert_eq!(short.frames_decoded, 4);
     }
 
-    /// A cursor whose cached prefix stops at frame 3 of a 12-frame GOP.
-    fn short_prefix(s: &VideoStream, cache: &GopCache) {
-        let r = reach(&[(0, 3)]);
-        SourceCursor::new(s, "s")
-            .with_cache(cache)
-            .with_reach(Some(&r))
-            .frame_at(2)
-            .unwrap();
-    }
-
-    #[cfg(not(debug_assertions))]
     #[test]
-    fn read_past_the_prefix_matches_an_uncached_cursor() {
+    fn a_raised_halt_stops_decoding_but_not_serving() {
         let s = stream(24, 12);
         let cache = GopCache::new(64);
-        short_prefix(&s, &cache);
-        // No reach: this cursor expects whole GOPs, finds the prefix and
-        // rolls the rest privately.
-        let mut past = SourceCursor::new(&s, "s").with_cache(&cache);
-        let mut plain = SourceCursor::new(&s, "s");
-        for i in [2u64, 5, 11, 4, 12, 20] {
-            assert_eq!(*past.frame_at(i).unwrap(), *plain.frame_at(i).unwrap());
-        }
+        let halt = AtomicBool::new(false);
+        let mut c = SourceCursor::new(&s, "s")
+            .with_cache(&cache)
+            .with_halt(&halt);
+        c.frame_at(3).unwrap();
+        halt.store(true, Ordering::SeqCst);
+        c.frame_at(2).unwrap();
+        assert!(!c.halted(), "a decoded frame is still served");
+        assert!(c.frame_at(4).is_err());
+        assert!(c.halted());
+        assert_eq!(c.frames_decoded, 4);
     }
 
-    #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "past the cached prefix")]
-    fn read_past_the_prefix_trips_the_debug_assert() {
+    fn a_failed_decode_raises_the_halt_for_every_cursor() {
         let s = stream(24, 12);
         let cache = GopCache::new(64);
-        short_prefix(&s, &cache);
-        let _ = SourceCursor::new(&s, "s").with_cache(&cache).frame_at(5);
+        let halt = AtomicBool::new(false);
+        let fault = FaultInjector::new().fail("s", 5, FaultKind::Io);
+        let cursor = || {
+            SourceCursor::new(&s, "s")
+                .with_cache(&cache)
+                .with_fault(&fault)
+                .with_halt(&halt)
+        };
+        let (mut a, mut b) = (cursor(), cursor());
+        assert!(a.frame_at(6).is_err());
+        assert!(!a.halted(), "its own packet failed");
+        assert!(halt.load(Ordering::SeqCst));
+        assert!(b.frame_at(6).is_err());
+        assert!(b.halted(), "refused without touching the packet");
+        assert_eq!(fault.injections(), 1);
+        assert_eq!(
+            *b.frame_at(4).unwrap(),
+            *SourceCursor::new(&s, "s").frame_at(4).unwrap()
+        );
     }
 }

@@ -7,8 +7,8 @@
 //! parallel as an additional optimization at runtime" (§IV-A). The
 //! parallelism itself lives in [`crate::scheduler`]: segments are
 //! dispatched longest-first by estimated cost, and with more than one
-//! worker each render segment internally pipelines decode-ahead,
-//! parallel compose, and per-GOP encoding.
+//! worker each render segment internally overlaps decode (one lane per
+//! input), parallel compose, and in-order per-GOP encoding.
 
 use crate::catalog::Catalog;
 use crate::fault::{ErrorPolicy, FaultInjector};
@@ -33,20 +33,24 @@ pub struct ExecOptions {
     /// because the repo benchmark's reference arm
     /// (`benchmark/src/oracle.rs`) sets it.
     pub parallel: bool,
-    /// Capacity of the shared decoded-GOP cache, in frames. Segments
-    /// reading the same source ranges (grid cells, splice neighbours)
-    /// decode each GOP prefix once — keyframe to the run's last read of
-    /// that GOP — and share it. `0` disables the cache.
+    /// Capacity of the shared decoded-GOP cache, in frames. Segments and
+    /// decode lanes reading the same source ranges (grid cells, splice
+    /// neighbours) share one prefix per GOP, grown on demand from the
+    /// keyframe to the last frame any of them reads, so each frame is
+    /// decoded once. `0` disables the cache.
     ///
-    /// The capacity must hold the prefixes a run's concurrent inputs
-    /// have in flight, or LRU eviction defeats reuse; a prefix is at
-    /// most one whole GOP (240 frames for a 10 s GOP at 24 fps).
+    /// Each prefix is charged its whole GOP (240 frames for a 10 s GOP
+    /// at 24 fps) when it is created, so the capacity is a bound. It
+    /// must hold the prefixes a run's concurrent inputs have in flight,
+    /// or LRU eviction defeats reuse.
     pub gop_cache_frames: usize,
     /// Worker threads for the scheduler. `0` means auto: the
     /// `V2V_NUM_THREADS` environment variable if set, else the machine's
     /// available parallelism. The count alone picks the render loop: one
     /// worker runs the sequential reference loop, more run the
-    /// decode-ahead pipeline (two output GOPs in flight). Each run
+    /// pipeline, which overlaps decode with compose and encode (one
+    /// decode lane per input, a pool of workers composing and encoding
+    /// frames as they arrive, two output GOPs in flight). Each run
     /// spawns its own scoped threads, so two engines in one process
     /// never fight over a global pool.
     pub num_threads: usize,

@@ -7,9 +7,10 @@
 //! [`SingleFlight`] closes that window: the first caller to
 //! [`claim`](SingleFlight::claim) a key becomes its **owner**; everyone
 //! arriving while the owner works blocks and receives the value the
-//! owner published. Three layers share this one implementation —
-//! decoded GOPs ([`GopCache`](crate::GopCache)), rendered fragments
-//! ([`FragmentFlight`]) and, in `v2v-serve`, whole query responses.
+//! owner published. Two layers share this one implementation —
+//! rendered fragments ([`FragmentFlight`]) and, in `v2v-serve`, whole
+//! query responses. (Decoded GOPs need no flight: a
+//! [`GopPrefix`](crate::GopPrefix) grows under its own lock.)
 //!
 //! Ordering invariant (the reason duplicates are *provably* impossible
 //! rather than merely unlikely): callers claim **before** consulting

@@ -1,48 +1,107 @@
-//! A shared cache of decoded GOP prefixes.
+//! A shared cache of decoded GOP prefixes, grown on demand.
 //!
 //! Grid and splice plans read the *same* source ranges from several
-//! render segments: a 2×2 grid decodes each input once per cell, and
-//! parallel segments of one clip re-roll the boundary GOPs. The cache
-//! memoizes decoded GOP prefixes behind [`Arc`], keyed by
-//! `(video, keyframe index)`, so concurrent [`SourceCursor`]s decode each
-//! GOP once and share the frames without copying. How far a prefix
-//! reaches is the decoder's business: the executor's cursors stop at the
-//! last frame their run reads from the GOP, a cursor without a read
-//! reach at the GOP end. The cache only stores what it is given.
+//! render segments and decode lanes: a 2×2 grid reads its source once
+//! per cell, and parallel segments of one clip re-roll the boundary
+//! GOPs. The cache keeps one [`GopPrefix`] per `(video, keyframe index)`:
+//! a decoder and the frames it has decoded so far, from the keyframe on,
+//! each behind [`Arc`]. A read of frame *k* decodes up to *k* only when
+//! no reader has got that far yet, so every frame is decoded at most
+//! once per cache whichever [`SourceCursor`] asks first, and decoding
+//! stops at the last frame anyone reads.
 //!
 //! [`SourceCursor`]: crate::SourceCursor
 
 use crate::budget_lru::BudgetLru;
-use crate::flight::{Claim, SingleFlight};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use v2v_codec::Decoder;
 use v2v_frame::Frame;
-
-/// One decoded GOP prefix: frames in presentation order starting at the
-/// keyframe, each shared. It may stop before the next keyframe.
-pub type GopFrames = Arc<Vec<Arc<Frame>>>;
 
 type GopKey = (String, u64);
 
-/// A thread-safe LRU cache of decoded GOP prefixes, bounded by total
-/// frame count.
+/// One GOP's decoded prefix: frames in presentation order starting at
+/// the keyframe, and the decoder positioned on the last of them.
+pub struct GopPrefix {
+    state: Mutex<PrefixState>,
+}
+
+struct PrefixState {
+    decoder: Decoder,
+    frames: Vec<Arc<Frame>>,
+}
+
+impl std::fmt::Debug for GopPrefix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GopPrefix")
+            .field("frames", &self.len())
+            .finish()
+    }
+}
+
+impl GopPrefix {
+    /// An empty prefix whose first decode is the GOP's keyframe.
+    fn new(decoder: Decoder) -> GopPrefix {
+        GopPrefix {
+            state: Mutex::new(PrefixState {
+                decoder,
+                frames: Vec::new(),
+            }),
+        }
+    }
+
+    /// A frame is pushed only after its decode succeeded, and a failed
+    /// decode leaves the decoder's reference untouched, so the state is
+    /// valid between any two steps: a reader whose decode panicked leaves
+    /// a prefix others can keep growing.
+    fn lock(&self) -> MutexGuard<'_, PrefixState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Frames decoded so far.
+    fn len(&self) -> usize {
+        self.lock().frames.len()
+    }
+
+    /// Frame `k` of the GOP (`0` is the keyframe). Missing frames up to
+    /// `k` are decoded first, one `decode(decoder, i)` call per frame
+    /// offset `i`, each under the prefix lock and in order; the lock is
+    /// released between frames, so a reader of an earlier frame is
+    /// served as soon as that frame exists. An error leaves the prefix
+    /// as it was before the failing frame.
+    pub fn frame<E>(
+        &self,
+        k: usize,
+        mut decode: impl FnMut(&mut Decoder, u64) -> Result<Arc<Frame>, E>,
+    ) -> Result<Arc<Frame>, E> {
+        loop {
+            let mut guard = self.lock();
+            let state = &mut *guard;
+            if let Some(frame) = state.frames.get(k) {
+                return Ok(frame.clone());
+            }
+            let frame = decode(&mut state.decoder, state.frames.len() as u64)?;
+            state.frames.push(frame);
+        }
+    }
+}
+
+/// A thread-safe LRU cache of decoded GOP prefixes, bounded by frame
+/// count.
 ///
 /// A capacity of `0` disables the cache (cursors fall back to private
 /// sequential decoding).
 ///
-/// [`get_or_insert_with`](GopCache::get_or_insert_with) gives exactly-once
-/// decode semantics under concurrency: the first requester of a GOP
-/// decodes it (a miss), every concurrent or later requester waits for /
-/// reuses that result (a hit). This is what makes per-cursor hit/miss
-/// accounting deterministic.
+/// [`prefix`](GopCache::prefix) hands every requester of a GOP the same
+/// entry: the first requester creates it (a miss), everyone after shares
+/// it (a hit). Each cursor books its own lookups, so run totals are
+/// deterministic; which cursor decodes a shared frame is not.
 pub struct GopCache {
-    /// Weight = frames. Every decoded prefix is admitted, even one larger
-    /// than the whole capacity: the cursor that decoded it needs it, and
-    /// the next insert evicts it.
-    lru: BudgetLru<GopKey, GopFrames>,
-    /// GOPs being decoded right now; other requesters of the same GOP
-    /// wait here instead of decoding a duplicate.
-    flight: SingleFlight<GopKey, GopFrames>,
+    /// Weight = the entry's whole GOP length, charged when it is created:
+    /// an upper bound on what the prefix can grow to, so the budget stays
+    /// a bound. Every entry is admitted, even one larger than the whole
+    /// capacity: its reader needs it, and the next insert evicts it.
+    lru: BudgetLru<GopKey, Arc<GopPrefix>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -58,11 +117,10 @@ impl std::fmt::Debug for GopCache {
 }
 
 impl GopCache {
-    /// A cache holding at most `capacity_frames` decoded frames.
+    /// A cache charged at most `capacity_frames` frames.
     pub fn new(capacity_frames: usize) -> GopCache {
         GopCache {
             lru: BudgetLru::new(capacity_frames as u64),
-            flight: SingleFlight::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -73,84 +131,39 @@ impl GopCache {
         self.lru.budget() > 0
     }
 
-    /// Looks up the GOP starting at keyframe index `gop` of `video`,
-    /// refreshing its LRU stamp. Counts a hit or miss.
-    pub fn get(&self, video: &str, gop: u64) -> Option<GopFrames> {
-        let found = self.lru.get(&(video.to_owned(), gop));
-        let counter = if found.is_some() {
-            &self.hits
-        } else {
-            &self.misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        found
-    }
-
-    /// Inserts a decoded GOP, evicting least-recently-used entries while
-    /// the total frame count exceeds capacity (the new entry itself is
-    /// never evicted by its own insertion).
-    pub fn insert(&self, video: &str, gop: u64, frames: GopFrames) {
-        let weight = frames.len() as u64;
-        self.lru.insert((video.to_owned(), gop), frames, weight);
-    }
-
-    /// Serves the GOP at keyframe `gop` of `video`, decoding it at most
-    /// once process-wide: the first requester runs `decode` (counted as a
-    /// miss), concurrent requesters of the same key block until that
-    /// decode lands and then share it (counted as hits).
-    ///
-    /// Returns the frames plus `was_hit` so callers can attribute the
-    /// hit/miss to themselves deterministically — the caller that paid
-    /// for the decode sees `false`, everyone else `true`. A failed
-    /// decode releases the key so a later requester can retry.
-    pub fn get_or_insert_with<E>(
+    /// The prefix of the `gop_len`-frame GOP starting at keyframe index
+    /// `gop` of `video`, refreshing its LRU stamp. On a miss an empty
+    /// prefix over `decoder()` is created and charged `gop_len` frames.
+    /// Returns the prefix and whether it already existed; counts a hit
+    /// or a miss.
+    pub fn prefix(
         &self,
         video: &str,
         gop: u64,
-        decode: impl FnOnce() -> Result<GopFrames, E>,
-    ) -> Result<(GopFrames, bool), E> {
-        let key = (video.to_owned(), gop);
-        let hit = |frames| {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            Ok((frames, true))
-        };
-        // The hit path is the lookup alone: one shard lock.
-        let guard = loop {
-            if let Some(frames) = self.lru.get(&key) {
-                return hit(frames);
-            }
-            match self.flight.claim(key.clone()) {
-                Claim::Owner(guard) => break guard,
-                Claim::Shared(Some(frames)) => return hit(frames),
-                // The decoder failed: contend to retry.
-                Claim::Shared(None) => {}
-            }
-        };
-        // Claim → lookup → decode → insert → publish: a decoder that
-        // finished between the lookup above and the claim has already
-        // inserted, so it is found here, never decoded twice.
-        if let Some(frames) = self.lru.get(&key) {
-            guard.publish(frames.clone());
-            return hit(frames);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let frames = decode()?;
-        self.lru.insert(key, frames.clone(), frames.len() as u64);
-        guard.publish(frames.clone());
-        Ok((frames, false))
+        gop_len: u64,
+        decoder: impl FnOnce() -> Decoder,
+    ) -> (Arc<GopPrefix>, bool) {
+        let (prefix, was_hit) =
+            self.lru
+                .get_or_insert_with((video.to_owned(), gop), gop_len, || {
+                    Arc::new(GopPrefix::new(decoder()))
+                });
+        let counter = if was_hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        (prefix, was_hit)
     }
 
-    /// GOP lookups served from the cache.
+    /// GOP lookups served by an existing prefix.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// GOP lookups that required a decode.
+    /// GOP lookups that created a prefix.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Decoded frames currently held.
+    /// Frames charged by the prefixes currently held.
     pub fn frames_held(&self) -> usize {
         self.lru.total() as usize
     }
@@ -159,114 +172,152 @@ impl GopCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
+    use v2v_codec::{CodecError, CodecParams};
     use v2v_frame::FrameType;
 
-    fn gop(n: usize) -> GopFrames {
-        Arc::new(
-            (0..n)
-                .map(|_| Arc::new(Frame::black(FrameType::gray8(8, 8))))
-                .collect(),
-        )
+    fn decoder() -> Decoder {
+        Decoder::new(CodecParams::new(FrameType::gray8(8, 8), 4, 0))
+    }
+
+    fn frame() -> Arc<Frame> {
+        Arc::new(Frame::black(FrameType::gray8(8, 8)))
+    }
+
+    /// A decode that counts its calls and never fails.
+    fn counting(n: &AtomicU64) -> impl FnMut(&mut Decoder, u64) -> Result<Arc<Frame>, ()> + '_ {
+        move |_, _| {
+            n.fetch_add(1, Ordering::SeqCst);
+            Ok(frame())
+        }
     }
 
     #[test]
     fn hit_and_miss_counting() {
         let c = GopCache::new(100);
-        assert!(c.get("a", 0).is_none());
-        c.insert("a", 0, gop(4));
-        assert!(c.get("a", 0).is_some());
-        assert!(c.get("a", 4).is_none());
-        assert!(c.get("b", 0).is_none());
+        let (_, hit) = c.prefix("a", 0, 4, decoder);
+        assert!(!hit);
+        assert!(c.prefix("a", 0, 4, decoder).1);
+        assert!(!c.prefix("a", 4, 4, decoder).1);
+        assert!(!c.prefix("b", 0, 4, decoder).1);
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 3);
     }
 
     #[test]
+    fn entries_are_charged_their_whole_gop_up_front() {
+        let c = GopCache::new(100);
+        let (p, _) = c.prefix("v", 0, 12, decoder);
+        assert_eq!((p.len(), c.frames_held()), (0, 12));
+        let n = AtomicU64::new(0);
+        p.frame(2, counting(&n)).unwrap();
+        assert_eq!((p.len(), c.frames_held()), (3, 12));
+    }
+
+    #[test]
     fn lru_eviction_bounded_by_frames() {
         let c = GopCache::new(10);
-        c.insert("v", 0, gop(4));
-        c.insert("v", 4, gop(4));
-        c.insert("v", 8, gop(4)); // 12 frames > 10 → evict LRU ("v", 0)
+        c.prefix("v", 0, 4, decoder);
+        c.prefix("v", 4, 4, decoder);
+        c.prefix("v", 8, 4, decoder); // 12 frames > 10 → evict LRU ("v", 0)
         assert!(c.frames_held() <= 10);
-        assert!(c.get("v", 0).is_none(), "oldest GOP must be evicted");
-        assert!(c.get("v", 8).is_some());
+        assert!(c.prefix("v", 8, 4, decoder).1);
+        assert!(!c.prefix("v", 0, 4, decoder).1, "oldest GOP was evicted");
     }
 
     #[test]
     fn touch_refreshes_lru_order() {
         let c = GopCache::new(10);
-        c.insert("v", 0, gop(4));
-        c.insert("v", 4, gop(4));
-        assert!(c.get("v", 0).is_some()); // refresh GOP 0
-        c.insert("v", 8, gop(4)); // now GOP 4 is the LRU victim
-        assert!(c.get("v", 0).is_some());
-        assert!(c.get("v", 4).is_none());
+        c.prefix("v", 0, 4, decoder);
+        c.prefix("v", 4, 4, decoder);
+        assert!(c.prefix("v", 0, 4, decoder).1); // refresh GOP 0
+        c.prefix("v", 8, 4, decoder); // now GOP 4 is the LRU victim
+        assert!(c.prefix("v", 0, 4, decoder).1);
+        assert!(!c.prefix("v", 4, 4, decoder).1);
     }
 
     #[test]
     fn oversized_gop_still_usable() {
-        // A single GOP larger than capacity is kept (the cursor needs it)
+        // A single GOP larger than capacity is kept (its reader needs it)
         // but evicted as soon as a second entry lands.
         let c = GopCache::new(2);
-        c.insert("v", 0, gop(5));
-        assert!(c.get("v", 0).is_some());
-        c.insert("v", 5, gop(5));
-        assert!(c.get("v", 0).is_none());
+        c.prefix("v", 0, 5, decoder);
+        assert!(c.prefix("v", 0, 5, decoder).1);
+        c.prefix("v", 5, 5, decoder);
+        assert!(!c.prefix("v", 0, 5, decoder).1);
     }
 
     #[test]
-    fn get_or_insert_decodes_exactly_once_under_contention() {
-        use std::sync::atomic::{AtomicU64, Ordering};
+    fn a_read_decodes_only_what_is_missing() {
+        let p = GopPrefix::new(decoder());
+        let n = AtomicU64::new(0);
+        p.frame(3, counting(&n)).unwrap();
+        assert_eq!((n.load(Ordering::SeqCst), p.len()), (4, 4));
+        p.frame(1, counting(&n)).unwrap();
+        assert_eq!(n.load(Ordering::SeqCst), 4, "an earlier frame is served");
+        p.frame(5, counting(&n)).unwrap();
+        assert_eq!((n.load(Ordering::SeqCst), p.len()), (6, 6));
+    }
+
+    #[test]
+    fn frames_decode_in_order_exactly_once_under_contention() {
         let c = GopCache::new(1000);
-        let decodes = AtomicU64::new(0);
+        let offsets = Mutex::new(Vec::new());
+        let barrier = Barrier::new(8);
         std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    let (frames, _) = c
-                        .get_or_insert_with("v", 0, || {
-                            decodes.fetch_add(1, Ordering::SeqCst);
-                            // Widen the race window so waiters really queue.
-                            std::thread::sleep(std::time::Duration::from_millis(20));
-                            Ok::<_, ()>(gop(4))
+            for t in 0..8usize {
+                let (c, offsets, barrier) = (&c, &offsets, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    let (p, _) = c.prefix("v", 0, 16, decoder);
+                    for k in [t, 15 - t, t / 2] {
+                        p.frame(k, |_, i| {
+                            offsets.lock().unwrap().push(i);
+                            Ok::<_, ()>(frame())
                         })
                         .unwrap();
-                    assert_eq!(frames.len(), 4);
+                    }
                 });
             }
         });
-        assert_eq!(
-            decodes.load(Ordering::SeqCst),
-            1,
-            "one decode for 8 readers"
-        );
-        assert_eq!(c.misses(), 1);
-        assert_eq!(c.hits(), 7);
-    }
-
-    #[test]
-    fn failed_decode_releases_the_key() {
-        let c = GopCache::new(100);
-        let err: Result<_, &str> = c.get_or_insert_with("v", 0, || Err("decoder broke"));
-        assert!(err.is_err());
-        // The key must not stay marked in-flight: a retry decodes anew.
-        let (frames, was_hit) = c
-            .get_or_insert_with("v", 0, || Ok::<_, &str>(gop(2)))
-            .unwrap();
-        assert_eq!(frames.len(), 2);
-        assert!(!was_hit);
+        let decoded = offsets.into_inner().unwrap();
+        assert_eq!(decoded, (0..16).collect::<Vec<u64>>());
+        assert_eq!((c.misses(), c.hits()), (1, 7));
     }
 
     #[test]
     fn was_hit_attributes_the_decode() {
         let c = GopCache::new(100);
-        let (_, first) = c
-            .get_or_insert_with("v", 0, || Ok::<_, ()>(gop(3)))
+        let n = AtomicU64::new(0);
+        let (first, first_hit) = c.prefix("v", 0, 3, decoder);
+        first.frame(2, counting(&n)).unwrap();
+        let (second, second_hit) = c.prefix("v", 0, 3, || panic!("a hit builds no decoder"));
+        second
+            .frame(2, |_, _| -> Result<_, ()> { panic!("must not re-decode") })
             .unwrap();
-        let (_, second) = c
-            .get_or_insert_with("v", 0, || -> Result<_, ()> { panic!("must not re-decode") })
-            .unwrap();
-        assert!(!first, "first requester pays for the decode");
-        assert!(second, "second requester hits");
+        assert!(!first_hit, "first requester creates the prefix");
+        assert!(second_hit, "second requester hits");
+        assert_eq!(n.load(Ordering::SeqCst), 3);
+    }
+
+    /// A failure is not sticky: the frames before it stay, and a later
+    /// read decodes on from the failing frame.
+    #[test]
+    fn failed_decode_releases_the_key() {
+        let p = GopPrefix::new(decoder());
+        let n = AtomicU64::new(0);
+        p.frame(1, counting(&n)).unwrap();
+        let err = p.frame(4, |_, i| {
+            if i == 3 {
+                Err(CodecError::Corrupt("broke".into()))
+            } else {
+                Ok(frame())
+            }
+        });
+        assert!(err.is_err());
+        assert_eq!(p.len(), 3, "frames before the failure stay");
+        p.frame(4, counting(&n)).unwrap();
+        assert_eq!((n.load(Ordering::SeqCst), p.len()), (4, 5));
     }
 
     #[test]

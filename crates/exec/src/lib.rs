@@ -41,7 +41,7 @@ pub use cursor::SourceCursor;
 pub use executor::{execute, execute_traced, ExecOptions, ExecStats};
 pub use fault::{error_kind, ErrorPolicy, FaultAction, FaultInjector, FaultKind, SegmentFault};
 pub use flight::{Claim, FlightGuard, FragmentFlight, SingleFlight};
-pub use gop_cache::{GopCache, GopFrames};
+pub use gop_cache::{GopCache, GopPrefix};
 pub use mem_tier::MemTier;
 pub use naive::execute_naive;
 pub use remote::RemoteRenderer;

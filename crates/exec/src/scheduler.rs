@@ -15,17 +15,19 @@
 //!    heuristic: expensive renders start first so they never become the
 //!    lonely tail of the run.
 //! 2. **Intra-segment pipelining.** With more than one worker, a render
-//!    segment runs a decode-ahead prefetch thread that pulls source
-//!    frames through [`SourceCursor`] / the shared GOP cache into a
-//!    bounded channel two output GOPs deep; each two-GOP batch is
-//!    composed in parallel, and its independent output GOPs are encoded
-//!    concurrently, their packet runs spliced in order (output GOPs are
-//!    independent under the codec: a fresh [`Encoder`] at a GOP
-//!    boundary reproduces identical bytes). The fan-out width is
-//!    `SegmentCtx::fanout`: a lone running render composes and encodes
-//!    with every worker's share. One worker runs the sequential
-//!    decode → compose → encode loop, the reference arm of every
-//!    identity test.
+//!    segment overlaps its stages. Each input decodes on its own lane
+//!    through a [`SourceCursor`] and the shared GOP cache's on-demand
+//!    prefixes (one lane for a single input; for several, one thread
+//!    per input plus one that meets their frames in input order), into
+//!    bounded channels two output GOPs deep. A pool of workers takes
+//!    the decoded frames as they arrive and composes them; the worker
+//!    that makes an output GOP's next frame ready encodes it, in order,
+//!    with that GOP's fresh [`Encoder`] (output GOPs are independent
+//!    under the codec: a fresh encoder at a GOP boundary reproduces
+//!    identical bytes). The pool's width is `SegmentCtx::fanout`: a
+//!    lone running render composes and encodes with every worker's
+//!    share. One worker runs the sequential decode → compose → encode
+//!    loop, the reference arm of every identity test.
 //!
 //! Segments are emitted to a `deliver` callback **in presentation
 //! order** (a reorder buffer holds early finishers), so the executor's
@@ -36,7 +38,7 @@
 
 use crate::apply::apply_program;
 use crate::catalog::Catalog;
-use crate::cursor::{GopReach, SourceCursor};
+use crate::cursor::SourceCursor;
 use crate::executor::{ExecOptions, ExecStats};
 use crate::fault::{error_kind, ErrorPolicy, FaultAction, FaultInjector, SegmentFault};
 use crate::flight::Claim;
@@ -44,22 +46,21 @@ use crate::gop_cache::GopCache;
 use crate::render_cache::{CacheStats, EntryKey, Origin, SegmentCacheCtx};
 use crate::trace::StageTimes;
 use crate::ExecError;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use v2v_codec::{Encoder, Packet};
 use v2v_container::{Fragment, VideoStream};
 use v2v_frame::ops::{conform, conform_shared};
 use v2v_frame::{Frame, FrameType};
-use v2v_plan::{
-    clip_read_range, CostModel, FrameProgram, InputClip, PhysicalPlan, PlanContext, SegPlan,
-    Segment,
-};
+use v2v_plan::{CostModel, FrameProgram, InputClip, PhysicalPlan, PlanContext, SegPlan, Segment};
 use v2v_time::Rational;
 
-/// Output GOPs the decode-ahead pipeline keeps in flight: the prefetch
-/// channel's depth and the size of each compose + encode batch.
+/// Output GOPs the pipelined render keeps in flight: the depth of each
+/// decode channel, and the cap on frames taken for compose but not yet
+/// encoded.
 const PIPELINE_GOPS: u64 = 2;
 
 /// The output packets of one segment, as produced by a worker.
@@ -121,18 +122,12 @@ fn lock(sched: &Mutex<SchedState>) -> MutexGuard<'_, SchedState> {
     sched.lock().expect("scheduler state poisoned")
 }
 
-/// The last source frame a run reads from each GOP, per cursor identity
-/// (the GOP cache's key, `(identity, keyframe)`, split in two).
-type ReadReach = HashMap<String, GopReach>;
-
 /// The facts of one run, derived once in [`execute_scheduled`].
 #[derive(Clone, Copy)]
 struct RunCtx<'a> {
     plan: &'a PhysicalPlan,
     catalog: &'a Catalog,
     cache: &'a GopCache,
-    /// Where a GOP-cache miss stops decoding ([`read_reach`]).
-    reach: &'a ReadReach,
     opts: &'a ExecOptions,
     /// The fault injector, when one is configured and non-empty.
     fault: Option<&'a FaultInjector>,
@@ -187,12 +182,10 @@ pub(crate) fn execute_scheduled(
 ) -> Result<(), ExecError> {
     let workers = opts.effective_threads();
     let fault = opts.fault.as_deref().filter(|f| !f.is_empty());
-    let reach = read_reach(plan, catalog);
     let run = RunCtx {
         plan,
         catalog,
         cache,
-        reach: &reach,
         opts,
         fault,
         seg_cache: opts.segment_cache.as_deref().filter(|_| fault.is_none()),
@@ -569,64 +562,44 @@ fn resolve_input<'a>(
     }
 }
 
-/// The run's read reach: for every GOP a render input touches, keyed by
-/// the input's cache identity and the GOP's keyframe, the last frame any
-/// segment reads from it. Each input's read range is the planner's own
-/// ([`clip_read_range`]) mapped onto the stream [`resolve_input`] picks;
-/// a GOP the range passes through reaches its end. An end that does not
-/// map onto the stream widens the range to the stream's edge, so a
-/// reach may overshoot a read but never fall short of one.
-fn read_reach(plan: &PhysicalPlan, catalog: &Catalog) -> ReadReach {
-    let mut reach = ReadReach::new();
-    for seg in &plan.segments {
-        let SegPlan::Render { inputs, .. } = &seg.plan else {
-            continue;
-        };
-        for clip in inputs {
-            // An unresolvable input fails its segment before any read.
-            let Ok((stream, ident)) = resolve_input(catalog, clip) else {
-                continue;
-            };
-            let (lo_t, hi_t) = clip_read_range(plan, clip, seg.out_start, seg.count);
-            let lo = stream.index_of(lo_t).unwrap_or(0);
-            let hi = stream
-                .index_of(hi_t)
-                .unwrap_or(stream.len().saturating_sub(1));
-            let gops = reach.entry(ident).or_default();
-            let mut kf = stream.keyframe_at_or_before(lo);
-            while let Some(k) = kf.filter(|&k| k <= hi) {
-                let next = stream.next_keyframe_at_or_after(k + 1);
-                let last = next.map_or(hi, |n| hi.min(n - 1)) as u64;
-                let slot = gops.entry(k as u64).or_insert(last);
-                *slot = (*slot).max(last);
-                kf = next;
-            }
-        }
+/// A forward cursor over `clip`'s stream ([`resolve_input`]), carrying
+/// the stream's cache identity, the shared GOP cache and the run's fault
+/// injector.
+fn open_cursor<'a>(ctx: &SegmentCtx<'a>, clip: &InputClip) -> Result<SourceCursor<'a>, ExecError> {
+    let (stream, ident) = resolve_input(ctx.run.catalog, clip)?;
+    let mut cursor = SourceCursor::new(stream, ident).with_cache(ctx.run.cache);
+    if let Some(fault) = ctx.run.fault {
+        cursor = cursor.with_fault(fault);
     }
-    reach
+    Ok(cursor)
 }
 
-/// One forward cursor per input slot ([`resolve_input`]), each carrying
-/// its stream's cache identity, the shared GOP cache and the run's read
-/// reach for that identity.
+/// One cursor per input slot.
 fn build_cursors<'a>(
     ctx: &SegmentCtx<'a>,
     inputs: &'a [InputClip],
 ) -> Result<Vec<(SourceCursor<'a>, &'a InputClip)>, ExecError> {
     inputs
         .iter()
-        .map(|clip| {
-            let (stream, ident) = resolve_input(ctx.run.catalog, clip)?;
-            let reach = ctx.run.reach.get(&ident);
-            let mut cursor = SourceCursor::new(stream, ident)
-                .with_cache(ctx.run.cache)
-                .with_reach(reach);
-            if let Some(fault) = ctx.run.fault {
-                cursor = cursor.with_fault(fault);
-            }
-            Ok((cursor, clip))
-        })
+        .map(|clip| Ok((open_cursor(ctx, clip)?, clip)))
         .collect()
+}
+
+/// Reads `clip`'s source frame for output instant `t`.
+fn read_input(
+    cursor: &mut SourceCursor<'_>,
+    clip: &InputClip,
+    t: Rational,
+) -> Result<Arc<Frame>, ExecError> {
+    let src_t = clip.time.apply(t);
+    let idx = cursor
+        .stream()
+        .index_of(src_t)
+        .ok_or_else(|| ExecError::MissingFrame {
+            video: clip.video.clone(),
+            at: src_t,
+        })?;
+    cursor.frame_at(idx as u64)
 }
 
 /// Reads each input's frame for output instant `t`, conformed to the
@@ -636,30 +609,18 @@ fn gather_inputs(
     t: Rational,
     out_ty: FrameType,
 ) -> Result<Vec<Arc<Frame>>, ExecError> {
-    let mut frames = Vec::with_capacity(cursors.len());
-    for (cursor, clip) in cursors {
-        let src_t = clip.time.apply(t);
-        let idx = cursor
-            .stream()
-            .index_of(src_t)
-            .ok_or_else(|| ExecError::MissingFrame {
-                video: clip.video.clone(),
-                at: src_t,
-            })?;
-        let frame = cursor.frame_at(idx as u64)?;
-        frames.push(conform_shared(&frame, out_ty));
-    }
-    Ok(frames)
+    cursors
+        .iter_mut()
+        .map(|(cursor, clip)| Ok(conform_shared(&read_input(cursor, clip, t)?, out_ty)))
+        .collect()
 }
 
-fn collect_cursor_stats(cursors: &[(SourceCursor<'_>, &InputClip)], stats: &mut ExecStats) {
-    for (c, _) in cursors {
-        stats.frames_decoded += c.frames_decoded;
-        stats.bytes_decoded += c.bytes_decoded;
-        stats.seeks += c.seeks;
-        stats.gop_cache_hits += c.gop_cache_hits;
-        stats.gop_cache_misses += c.gop_cache_misses;
-    }
+fn collect_cursor_stats(cursor: &SourceCursor<'_>, stats: &mut ExecStats) {
+    stats.frames_decoded += cursor.frames_decoded;
+    stats.bytes_decoded += cursor.bytes_decoded;
+    stats.seeks += cursor.seeks;
+    stats.gop_cache_hits += cursor.gop_cache_hits;
+    stats.gop_cache_misses += cursor.gop_cache_misses;
 }
 
 fn elapsed_ns(since: Instant) -> u64 {
@@ -697,7 +658,9 @@ fn run_render_sequential(
         stats.bytes_encoded += pkt.size() as u64;
         packets.push(pkt);
     }
-    collect_cursor_stats(&cursors, &mut stats);
+    for (cursor, _) in &cursors {
+        collect_cursor_stats(cursor, &mut stats);
+    }
     stats.segments = 1;
     Ok(SegmentOutput {
         stage,
@@ -705,140 +668,352 @@ fn run_render_sequential(
     })
 }
 
-/// Maps `f` over `items` on up to `width` threads, in order, and sums
-/// the time spent in `f` — busy time, whatever the width. Chunks are
-/// `len.div_ceil(width)` items; the first runs on the calling thread,
-/// each other on a scoped thread of its own.
-fn par_map<T: Sync, R: Send>(
-    width: usize,
-    items: &[T],
-    f: impl Fn(&T) -> R + Sync,
-) -> (Vec<R>, u64) {
-    let run = &|chunk: &[T]| {
-        let started = Instant::now();
-        let out: Vec<R> = chunk.iter().map(&f).collect();
-        (out, elapsed_ns(started))
-    };
-    let mut chunks = items.chunks(items.len().div_ceil(width.max(1)).max(1));
-    let first = chunks.next().unwrap_or_default();
-    std::thread::scope(|scope| {
-        let rest: Vec<_> = chunks
-            .map(|chunk| {
-                #[cfg(test)]
-                tests::count_spawn();
-                scope.spawn(move || run(chunk))
-            })
-            .collect();
-        let (mut out, mut busy_ns) = run(first);
-        for handle in rest {
-            let (chunk_out, ns) = handle.join().expect("par_map worker panicked");
-            out.extend(chunk_out);
-            busy_ns += ns;
-        }
-        (out, busy_ns)
-    })
+/// One decoded output instant: segment-relative frame index, instant,
+/// and each input's frame in input order.
+type DecodedFrame = (u64, Rational, Vec<Arc<Frame>>);
+
+/// The stop and error state of one pipelined render attempt, shared by
+/// its decode lanes and its workers.
+struct Flow {
+    /// Raised with the first error. Every stage polls it, and the
+    /// cursors refuse to decode once it is up.
+    stop: AtomicBool,
+    first: Mutex<Option<ExecError>>,
+    /// Frames workers have taken and not yet encoded.
+    taken: Mutex<u64>,
+    room: Condvar,
 }
 
-/// The pipelined render: a prefetch thread decodes ahead through the
-/// cursors into a channel [`PIPELINE_GOPS`] output GOPs deep while this
-/// thread composes each batch of that many GOPs in parallel and encodes
-/// its output GOPs concurrently. Compose and encode times are summed over
-/// [`par_map`]'s threads, so they are busy time at any fan-out.
+/// The pipeline's shared locks guard an error slot, a counter and the
+/// work channel, each valid after every step, and its wake-ups run while
+/// threads unwind; a poisoned lock is recovered rather than turned into
+/// a second panic.
+fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Flow {
+    fn new() -> Flow {
+        Flow {
+            stop: AtomicBool::new(false),
+            first: Mutex::new(None),
+            taken: Mutex::new(0),
+            room: Condvar::new(),
+        }
+    }
+
+    fn stopped(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+
+    /// Records `err` unless an earlier error was recorded, and stops
+    /// every stage.
+    fn fail(&self, err: ExecError) {
+        relock(&self.first).get_or_insert(err);
+        self.raise();
+    }
+
+    fn raise(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        // Notified under the lock, so a worker between its check of the
+        // flag and its wait cannot miss the wake-up.
+        let _taken = relock(&self.taken);
+        self.room.notify_all();
+    }
+
+    /// Waits until fewer than `cap` frames are taken and takes one;
+    /// `false` once stopped.
+    fn take(&self, cap: u64) -> bool {
+        let mut taken = relock(&self.taken);
+        while *taken >= cap && !self.stopped() {
+            taken = self
+                .room
+                .wait(taken)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        if self.stopped() {
+            return false;
+        }
+        *taken += 1;
+        true
+    }
+
+    fn give_back(&self) {
+        *relock(&self.taken) -= 1;
+        self.room.notify_one();
+    }
+}
+
+/// Raises the flow's stop flag when its thread unwinds, so no stage
+/// waits on a thread that died.
+struct StopOnPanic<'a>(&'a Flow);
+
+impl Drop for StopOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.raise();
+        }
+    }
+}
+
+/// One output GOP's encode state. Composed frames wait here until every
+/// earlier frame of the GOP is encoded.
+struct GopSlot {
+    /// Segment-relative index of the next frame to encode.
+    next: u64,
+    /// One past the GOP's last frame.
+    end: u64,
+    ready: BTreeMap<u64, Frame>,
+    /// The GOP's fresh encoder: taken out by the worker encoding the
+    /// ready frames, and dropped after the GOP's last frame.
+    encoder: Option<Encoder>,
+    packets: Vec<Packet>,
+}
+
+fn slot_lock(slot: &Mutex<GopSlot>) -> MutexGuard<'_, GopSlot> {
+    slot.lock().expect("output GOP slot poisoned")
+}
+
+/// Decodes one input for every output instant of the segment and hands
+/// each frame, conformed to the output type, to `send` (`false` once its
+/// receiver is gone). Returns the lane's cursor counters and its decode
+/// busy time: decoder calls and conforms, never waits on a prefix
+/// another lane is growing.
+fn run_lane(
+    ctx: &SegmentCtx<'_>,
+    clip: &InputClip,
+    flow: &Flow,
+    mut send: impl FnMut(u64, Rational, Arc<Frame>) -> bool,
+) -> (ExecStats, u64) {
+    let _guard = StopOnPanic(flow);
+    let (plan, out_ty) = (ctx.run.plan, ctx.run.plan.out_params.frame_ty);
+    let mut cursor = match open_cursor(ctx, clip) {
+        Ok(cursor) => cursor.with_halt(&flow.stop),
+        Err(e) => {
+            flow.fail(e);
+            return Default::default();
+        }
+    };
+    let mut conform_ns = 0;
+    for j in 0..ctx.seg.count {
+        if flow.stopped() {
+            break;
+        }
+        let t = plan.instant_of(ctx.seg.out_start + j);
+        let frame = match read_input(&mut cursor, clip, t) {
+            Ok(frame) => frame,
+            Err(e) => {
+                // A refusal is not an error of its own: whoever raised
+                // the flag records theirs.
+                if !cursor.halted() {
+                    flow.fail(e);
+                }
+                break;
+            }
+        };
+        let started = Instant::now();
+        let frame = conform_shared(&frame, out_ty);
+        conform_ns += elapsed_ns(started);
+        if !send(j, t, frame) {
+            break;
+        }
+    }
+    let mut stats = ExecStats::default();
+    collect_cursor_stats(&cursor, &mut stats);
+    (stats, cursor.decode_ns + conform_ns)
+}
+
+/// One pool worker: takes decoded frames as they arrive, composes each,
+/// and encodes whatever its frame made ready. Returns its compose and
+/// encode busy time.
+fn run_worker(
+    ctx: &SegmentCtx<'_>,
+    program: &FrameProgram,
+    flow: &Flow,
+    rx: &Mutex<Option<mpsc::Receiver<DecodedFrame>>>,
+    gops: &[Mutex<GopSlot>],
+) -> StageTimes {
+    let _guard = StopOnPanic(flow);
+    let (plan, catalog) = (ctx.run.plan, ctx.run.catalog);
+    let gop = u64::from(plan.out_params.gop_size.max(1));
+    let mut stage = StageTimes::default();
+    while flow.take(PIPELINE_GOPS * gop) {
+        let item = relock(rx).as_ref().and_then(|rx| rx.recv().ok());
+        let Some((j, t, frames)) = item else {
+            flow.give_back();
+            break;
+        };
+        let started = Instant::now();
+        let composed = apply_program(program, t, &frames, catalog.arrays(), catalog)
+            .map(|f| conform(f, plan.out_params.frame_ty));
+        stage.compose_ns += elapsed_ns(started);
+        drop(frames);
+        let slot = &gops[(j / gop) as usize];
+        if let Err(e) = composed.and_then(|f| encode_ready(ctx, flow, slot, j, f, &mut stage)) {
+            flow.fail(e);
+            break;
+        }
+    }
+    if flow.stopped() {
+        // Nobody drains the channel any more: drop it, so a producer
+        // blocked on a full channel wakes and stops too.
+        relock(rx).take();
+    }
+    stage
+}
+
+/// Files composed frame `j` in its output GOP's slot. Unless another
+/// worker is already draining the slot, encodes every frame that is now
+/// next in line, with the GOP's own encoder, outside the slot lock.
+fn encode_ready(
+    ctx: &SegmentCtx<'_>,
+    flow: &Flow,
+    slot: &Mutex<GopSlot>,
+    j: u64,
+    frame: Frame,
+    stage: &mut StageTimes,
+) -> Result<(), ExecError> {
+    let plan = ctx.run.plan;
+    let mut s = slot_lock(slot);
+    s.ready.insert(j, frame);
+    // No encoder: another worker is encoding this GOP and will find `j`.
+    let Some(mut encoder) = s.encoder.take() else {
+        return Ok(());
+    };
+    loop {
+        let next = s.next;
+        let Some(frame) = s.ready.remove(&next) else {
+            break;
+        };
+        drop(s);
+        let started = Instant::now();
+        let pkt = encoder.encode(&frame, plan.frame_dur * Rational::from_int(next as i64));
+        stage.encode_ns += elapsed_ns(started);
+        flow.give_back();
+        let pkt = pkt?;
+        s = slot_lock(slot);
+        s.next += 1;
+        s.packets.push(pkt);
+    }
+    if s.next < s.end {
+        s.encoder = Some(encoder);
+    }
+    Ok(())
+}
+
+/// The pipelined render. Decode lanes ([`run_lane`]) feed a channel
+/// [`PIPELINE_GOPS`] output GOPs deep; `fanout` workers ([`run_worker`]:
+/// this thread plus `fanout − 1` spawned ones) compose the frames as
+/// they arrive and encode each output GOP in order with a fresh encoder.
+/// A single input decodes on one lane thread. Several decode on one
+/// thread each, into channels of their own, and a further thread meets
+/// their frames in input order. The first error of any stage stops
+/// every stage and is returned. Stage times are summed over threads, so
+/// they are busy time at any width.
 fn run_render_pipelined(
     ctx: &SegmentCtx<'_>,
     program: &FrameProgram,
     inputs: &[InputClip],
 ) -> Result<SegmentOutput, ExecError> {
-    let (plan, catalog) = (ctx.run.plan, ctx.run.catalog);
+    let plan = ctx.run.plan;
     let gop = u64::from(plan.out_params.gop_size.max(1));
-    let window = PIPELINE_GOPS * gop;
-    let out_ty = plan.out_params.frame_ty;
+    let window = (PIPELINE_GOPS * gop) as usize;
     let end = ctx.seg.count;
-    let (tx, rx) = mpsc::sync_channel::<(u64, Rational, Vec<Arc<Frame>>)>(window as usize);
+    let flow = &Flow::new();
+    let gops: Vec<Mutex<GopSlot>> = (0..end.div_ceil(gop))
+        .map(|g| {
+            Mutex::new(GopSlot {
+                next: g * gop,
+                end: end.min((g + 1) * gop),
+                ready: BTreeMap::new(),
+                encoder: Some(Encoder::new(plan.out_params)),
+                packets: Vec::new(),
+            })
+        })
+        .collect();
+    let (work_tx, work_rx) = mpsc::sync_channel::<DecodedFrame>(window);
+    let work_rx = &Mutex::new(Some(work_rx));
 
-    std::thread::scope(|scope| {
+    let (lanes, stage) = std::thread::scope(|scope| {
+        let mut lanes = Vec::with_capacity(inputs.len());
         #[cfg(test)]
         tests::count_spawn();
-        let prefetch = scope.spawn(move || -> Result<(ExecStats, u64), ExecError> {
-            let mut cursors = build_cursors(ctx, inputs)?;
-            let mut decode_ns = 0u64;
-            for j in 0..end {
-                let t0 = Instant::now();
-                let t = plan.instant_of(ctx.seg.out_start + j);
-                let frames = gather_inputs(&mut cursors, t, out_ty)?;
-                decode_ns += elapsed_ns(t0);
-                if tx.send((j, t, frames)).is_err() {
-                    break; // consumer bailed on an error
-                }
-            }
-            let mut stats = ExecStats::default();
-            collect_cursor_stats(&cursors, &mut stats);
-            Ok((stats, decode_ns))
-        });
-
-        // Consume: batches of up to `window` frames, composed in
-        // parallel, then encoded one GOP per lane. `Err(None)` marks a
-        // starved channel (the prefetcher died; its join has the cause).
-        let consumed = (|| -> Result<_, Option<ExecError>> {
-            let mut packets = Vec::with_capacity(end as usize);
-            let mut stats = ExecStats::default();
-            let mut stage = StageTimes::default();
-            let mut j = 0;
-            while j < end {
-                let batch_end = end.min(j + window);
-                let mut batch: Vec<(u64, Rational, Vec<Arc<Frame>>)> =
-                    Vec::with_capacity((batch_end - j) as usize);
-                while j + (batch.len() as u64) < batch_end {
-                    let item = rx.recv().map_err(|_| None)?;
-                    debug_assert_eq!(item.0, j + batch.len() as u64, "frames arrive in order");
-                    batch.push(item);
-                }
-                let (composed, busy_ns) = par_map(ctx.fanout, &batch, |(_, t, frames)| {
-                    apply_program(program, *t, frames, catalog.arrays(), catalog)
-                        .map(|f| conform(f, out_ty))
-                });
-                stage.compose_ns += busy_ns;
-                let composed: Result<Vec<Frame>, _> = composed.into_iter().collect();
-                let composed = composed.map_err(Some)?;
-                // Output GOPs are codec-independent: encode them in
-                // parallel with fresh encoders, splice runs in order.
-                let windows: Vec<(u64, &[Frame])> = composed
-                    .chunks(gop as usize)
-                    .enumerate()
-                    .map(|(w, frames)| (j + (w as u64) * gop, frames))
-                    .collect();
-                let (runs, busy_ns) = par_map(ctx.fanout, &windows, |(wj, frames)| {
-                    encode_window(ctx, *wj, frames)
-                });
-                stage.encode_ns += busy_ns;
-                for run in runs {
-                    let (run, bytes) = run.map_err(Some)?;
-                    stats.frames_encoded += run.len() as u64;
-                    stats.bytes_encoded += bytes;
-                    packets.extend(run);
-                }
-                j = batch_end;
-            }
-            Ok((packets, stats, stage))
-        })();
-        drop(rx); // unblock a prefetcher stuck on a full channel
-        let prefetched = prefetch.join().expect("prefetch thread panicked");
-
-        match (consumed, prefetched) {
-            (Ok((packets, mut stats, mut stage)), Ok((dec_stats, decode_ns))) => {
-                stats = stats.merge(dec_stats);
-                stats.segments = 1;
-                stage.decode_ns += decode_ns;
-                Ok(SegmentOutput {
-                    stage,
-                    ..SegmentOutput::new(ctx, packets, stats)
+        if let [clip] = inputs {
+            lanes.push(scope.spawn(move || {
+                run_lane(ctx, clip, flow, |j, t, frame| {
+                    work_tx.send((j, t, vec![frame])).is_ok()
                 })
+            }));
+        } else {
+            let mut lane_rxs = Vec::with_capacity(inputs.len());
+            for clip in inputs {
+                let (tx, rx) = mpsc::sync_channel(window);
+                lane_rxs.push(rx);
+                #[cfg(test)]
+                tests::count_spawn();
+                lanes.push(scope.spawn(move || {
+                    run_lane(ctx, clip, flow, |_, _, frame| tx.send(frame).is_ok())
+                }));
             }
-            (_, Err(e)) => Err(e),
-            (Err(Some(e)), Ok(_)) => Err(e),
-            (Err(None), Ok(_)) => unreachable!("prefetch finished but the pipeline starved"),
+            scope.spawn(move || {
+                let _guard = StopOnPanic(flow);
+                for j in 0..end {
+                    let frames = lane_rxs.iter().map(mpsc::Receiver::recv).collect();
+                    let Ok(frames) = frames else { break };
+                    let t = plan.instant_of(ctx.seg.out_start + j);
+                    if flow.stopped() || work_tx.send((j, t, frames)).is_err() {
+                        break;
+                    }
+                }
+            });
         }
+        let workers: Vec<_> = (1..ctx.fanout.max(1))
+            .map(|_| {
+                #[cfg(test)]
+                tests::count_spawn();
+                scope.spawn(|| run_worker(ctx, program, flow, work_rx, &gops))
+            })
+            .collect();
+        let mut stage = run_worker(ctx, program, flow, work_rx, &gops);
+        for worker in workers {
+            stage = stage.merge(join(worker));
+        }
+        (lanes.into_iter().map(join).collect::<Vec<_>>(), stage)
+    });
+
+    if let Some(err) = relock(&flow.first).take() {
+        return Err(err);
+    }
+    let mut stats = ExecStats::default();
+    let mut stage = stage;
+    for (lane_stats, decode_ns) in lanes {
+        stats = stats.merge(lane_stats);
+        stage.decode_ns += decode_ns;
+    }
+    let mut packets = Vec::with_capacity(end as usize);
+    for slot in gops {
+        let slot = slot.into_inner().expect("output GOP slot poisoned");
+        packets.extend(slot.packets);
+    }
+    assert_eq!(
+        packets.len() as u64,
+        end,
+        "a clean render encodes every frame"
+    );
+    stats.frames_encoded = end;
+    stats.bytes_encoded = packets.iter().map(|p| p.size() as u64).sum();
+    stats.segments = 1;
+    Ok(SegmentOutput {
+        stage,
+        ..SegmentOutput::new(ctx, packets, stats)
     })
+}
+
+/// Joins a render thread, re-raising its panic.
+fn join<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    handle
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
 /// Encodes one output GOP with a fresh encoder. `wj` is the window's
@@ -879,8 +1054,8 @@ mod tests {
     const KEY: u64 = 0x5e6;
 
     thread_local! {
-        /// Render-path threads this thread has spawned: the prefetch
-        /// thread and every `par_map` chunk past the first.
+        /// Render-path threads this thread has spawned: decode lanes,
+        /// the thread that meets several lanes' frames, and pool workers.
         static SPAWNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     }
 
@@ -899,6 +1074,11 @@ mod tests {
     /// One unsharded `secs`-second render segment (30-frame output GOPs)
     /// over a marked 60-frame source.
     fn setup(secs: i64) -> (Catalog, PhysicalPlan) {
+        setup_with(|b| b.append_filtered("src", r(0, 1), r(secs, 1), |e| blur(e, 1.0)))
+    }
+
+    /// The unsharded plan of the spec `body` appends over that source.
+    fn setup_with(body: impl FnOnce(SpecBuilder) -> SpecBuilder) -> (Catalog, PhysicalPlan) {
         let ty = FrameType::gray8(64, 32);
         let mut w = StreamWriter::new(CodecParams::new(ty, 30, 0), Rational::ZERO, r(1, 30));
         for i in 0..60 {
@@ -914,10 +1094,7 @@ mod tests {
             gop_size: 30,
             quantizer: 0,
         };
-        let spec = SpecBuilder::new(output)
-            .video("src", "src.svc")
-            .append_filtered("src", r(0, 1), r(secs, 1), |e| blur(e, 1.0))
-            .build();
+        let spec = body(SpecBuilder::new(output).video("src", "src.svc")).build();
         let config = OptimizerConfig {
             shard_min_frames: u64::MAX,
             ..Default::default()
@@ -1055,68 +1232,57 @@ mod tests {
         }
     }
 
+    /// The render threads of one segment, by worker count: none at one
+    /// worker (the sequential loop runs on the caller); at `fanout`
+    /// workers the decode lane plus `fanout − 1` pool workers for one
+    /// input, and one more lane per input for a 4-input grid. Every arm
+    /// writes the sequential loop's bytes.
     #[test]
-    fn par_map_preserves_item_order() {
-        let items: Vec<u64> = (0..1000).collect();
-        for width in [1, 2, 3, 7, 1000, 5000] {
-            let (out, _) = par_map(width, &items, |x| x * 2);
-            assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<_>>(), "{width}");
+    fn render_threads_are_one_lane_per_input_plus_the_pool() {
+        let (catalog, single) = setup(2);
+        // Four cells over the source's two GOPs, two of them a frame
+        // apart: the lanes share prefixes.
+        let (_, grid) = setup_with(|b| {
+            use v2v_spec::builder::grid4;
+            use v2v_spec::RenderExpr;
+            b.append_with(r(1, 1), |_| {
+                grid4(
+                    RenderExpr::video("src"),
+                    RenderExpr::video_shifted("src", r(1, 30)),
+                    RenderExpr::video_shifted("src", r(1, 2)),
+                    RenderExpr::video_shifted("src", r(1, 1)),
+                )
+            })
+        });
+        for (plan, lanes) in [(&single, 0), (&grid, 4)] {
+            let serial = ExecOptions {
+                num_threads: 1,
+                ..Default::default()
+            };
+            let ((reference, _, _), spawns) =
+                spawns_during(|| execute(plan, &catalog, &serial).unwrap());
+            assert_eq!(spawns, 0, "one worker renders on the caller");
+            // What `worker_loop` hands the only running segment.
+            for fanout in [2, 3] {
+                let opts = ExecOptions {
+                    num_threads: fanout,
+                    ..Default::default()
+                };
+                let cache = GopCache::new(opts.gop_cache_frames);
+                let run = RunCtx {
+                    plan,
+                    catalog: &catalog,
+                    cache: &cache,
+                    opts: &opts,
+                    fault: None,
+                    seg_cache: None,
+                    workers: fanout,
+                };
+                let (out, spawns) = spawns_during(|| run_segment(&run.segment(0, fanout)).unwrap());
+                assert_eq!(spawns, 1 + (fanout - 1) + lanes, "{lanes} lanes, {fanout}");
+                assert_eq!(out.packets, reference.packets(), "{lanes} lanes, {fanout}");
+                assert_eq!(out.stats.frames_encoded, plan.segments[0].count);
+            }
         }
-    }
-
-    #[test]
-    fn par_map_runs_one_chunk_on_the_caller() {
-        let caller = std::thread::current().id();
-        let on_caller = |_: &u8| std::thread::current().id() == caller;
-        for (width, items) in [(1, vec![0u8; 5]), (4, vec![0]), (4, vec![])] {
-            let ((out, _), spawns) = spawns_during(|| par_map(width, &items, on_caller));
-            assert!(out.iter().all(|&here| here), "{width}/{}", items.len());
-            assert_eq!(spawns, 0, "{width}/{}", items.len());
-        }
-        // Wider than the item count: one item per chunk, the first here.
-        let ((out, _), spawns) = spawns_during(|| par_map(8, &[0u8; 5], on_caller));
-        assert_eq!(out, [true, false, false, false, false]);
-        assert_eq!(spawns, 4);
-        // Chunks of `len.div_ceil(width)`: 5 items at width 2 are 3 + 2.
-        let ((out, _), spawns) = spawns_during(|| par_map(2, &[0u8; 5], on_caller));
-        assert_eq!(out, [true, true, true, false, false]);
-        assert_eq!(spawns, 1);
-    }
-
-    /// A lone two-GOP render at two workers spawns the prefetch thread
-    /// plus one compose chunk and one encode chunk; one worker spawns
-    /// nothing, and both write the same bytes.
-    #[test]
-    fn a_lone_two_gop_render_spawns_three_render_threads() {
-        let (catalog, plan) = setup(2);
-        let serial = ExecOptions {
-            num_threads: 1,
-            ..Default::default()
-        };
-        let ((reference, _, _), spawns) =
-            spawns_during(|| execute(&plan, &catalog, &serial).unwrap());
-        assert_eq!(spawns, 0, "one worker renders on the caller");
-
-        // What `worker_loop` hands the only running segment at 2 workers.
-        let opts = ExecOptions {
-            num_threads: 2,
-            ..Default::default()
-        };
-        let cache = GopCache::new(opts.gop_cache_frames);
-        let reach = read_reach(&plan, &catalog);
-        let run = RunCtx {
-            plan: &plan,
-            catalog: &catalog,
-            cache: &cache,
-            reach: &reach,
-            opts: &opts,
-            fault: None,
-            seg_cache: None,
-            workers: 2,
-        };
-        let (out, spawns) = spawns_during(|| run_segment(&run.segment(0, 2)).unwrap());
-        assert_eq!(spawns, 3, "prefetch + 1 compose chunk + 1 encode chunk");
-        assert_eq!(out.packets, reference.packets());
-        assert_eq!(out.stats.frames_encoded, 60);
     }
 }

@@ -24,7 +24,10 @@ use serde::{Deserialize, Serialize};
 /// the three can exceed the segment's `wall_ns`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StageTimes {
-    /// Source decoding and input-frame gathering (the prefetch stage).
+    /// Source decoding: time inside decoder calls plus conforming the
+    /// inputs to the output type, summed over decode lanes (waits on a
+    /// GOP prefix another lane is growing are not busy time). The
+    /// sequential loop books its whole input gathering here.
     pub decode_ns: u64,
     /// Frame composition (`apply_program` + conform to the output type).
     pub compose_ns: u64,
@@ -54,8 +57,10 @@ pub struct SegmentTrace {
     /// Output frames the segment produces.
     pub frames: u64,
     /// The segment's own cost counters, including the GOP-cache lookups
-    /// its cursors performed (hits/misses are attributed to exactly one
-    /// cursor per request, so the roll-up is deterministic).
+    /// its cursors performed. Each lookup and each decoded frame is
+    /// booked on exactly one cursor, so run totals are deterministic;
+    /// a segment's own counts are too when no other segment reads its
+    /// GOPs.
     pub stats: ExecStats,
     /// Segment wall time in nanoseconds. Unstable; excluded from golden
     /// comparisons.

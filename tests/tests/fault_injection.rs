@@ -15,13 +15,19 @@
 //! * under `SkipSegment` the run completes minus the faulted frames,
 //!   with a structured error report naming the hole;
 //! * under `SubstituteBlack` the run completes at full length with
-//!   black frames in the hole.
+//!   black frames in the hole;
+//! * a fault on a frame two decode lanes share fires once per attempt,
+//!   exactly as on one worker, and a compose error mid-segment is
+//!   returned at any width — under a watchdog, so a hang fails.
 //!
 //! The unit of recovery is the segment: a persistent fault degrades
 //! exactly the faulted segment's frames, whatever the worker count.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
+use v2v_codec::Packet;
 use v2v_container::VideoStream;
+use v2v_data::Value;
 use v2v_exec::{
     execute, execute_streaming_with, execute_traced, Catalog, ErrorPolicy, ExecOptions,
     FaultInjector, FaultKind, SegmentFault,
@@ -29,9 +35,9 @@ use v2v_exec::{
 use v2v_frame::{marker, Frame, FrameType};
 use v2v_integration_tests::{marked_output, marked_stream};
 use v2v_plan::{lower_spec, optimize, OptimizerConfig, PhysicalPlan};
-use v2v_spec::builder::blur;
-use v2v_spec::SpecBuilder;
-use v2v_time::r;
+use v2v_spec::builder::{blur, grid4};
+use v2v_spec::{Arg, ArgKind, RenderExpr, SpecBuilder, TransformOp};
+use v2v_time::{r, Rational};
 
 fn catalog() -> Catalog {
     let mut c = Catalog::new();
@@ -436,5 +442,181 @@ fn faults_fire_only_on_frames_the_query_reads() {
         assert_eq!(trace.totals.faults_injected, 1, "threads={threads}");
         let actions: Vec<&str> = trace.errors.iter().map(|f| f.action.name()).collect();
         assert_eq!(actions, ["recovered"], "threads={threads}");
+    }
+}
+
+/// A `secs`-second 2×2 grid over one 300-frame source whose cells share
+/// GOPs: from `base` seconds on, cells 0 and 1 read a frame apart (from
+/// 4 s, both touch frame 130), cells 2 and 3 one and two seconds later.
+/// One unsharded segment, so on more than one worker each cell decodes
+/// on its own lane and the lanes grow the same GOP prefixes.
+fn shared_gop_grid(
+    catalog: &Catalog,
+    base: i64,
+    secs: i64,
+    top: impl Fn(RenderExpr) -> RenderExpr,
+) -> PhysicalPlan {
+    let spec = SpecBuilder::new(marked_output())
+        .video("src", "src.svc")
+        .append_with(r(secs, 1), |_| {
+            top(grid4(
+                RenderExpr::video_shifted("src", r(base, 1)),
+                RenderExpr::video_shifted("src", r(base * 30 + 1, 30)),
+                RenderExpr::video_shifted("src", r(base + 1, 1)),
+                RenderExpr::video_shifted("src", r(base + 2, 1)),
+            ))
+        })
+        .build();
+    let config = OptimizerConfig {
+        shard_min_frames: u64::MAX,
+        ..Default::default()
+    };
+    let plan = optimize(&lower_spec(&spec).unwrap(), catalog.plan_context(), &config).unwrap();
+    assert_eq!(plan.segments.len(), 1, "test premise: one render segment");
+    plan
+}
+
+/// Runs `f` on a thread of its own and fails the test unless it returns
+/// within two minutes: a hung render fails here instead of stalling CI.
+fn watchdog<T: Send + 'static>(label: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(Duration::from_secs(120))
+        .unwrap_or_else(|e| panic!("{label}: the run hung or panicked ({e})"))
+}
+
+/// What a run shows of a fault: the output bytes or the error, the
+/// error report, and the faults the injector fired.
+type FaultOutcome = (Result<Vec<Packet>, String>, Vec<SegmentFault>, u64);
+
+#[test]
+fn a_fault_on_a_frame_two_lanes_read_fires_as_on_one_worker() {
+    let catalog = Arc::new(catalog());
+    let plan = Arc::new(shared_gop_grid(&catalog, 4, 2, |e| e));
+    type Rule = fn() -> FaultInjector;
+    let rules: [(&str, Rule); 2] = [
+        ("fail", || {
+            FaultInjector::new().fail("src", FAULTED_SOURCE_FRAME, FaultKind::Io)
+        }),
+        ("fail_times_1", || {
+            FaultInjector::new().fail_times("src", FAULTED_SOURCE_FRAME, FaultKind::Io, 1)
+        }),
+    ];
+    for (rule_name, rule) in rules {
+        for policy in [
+            ErrorPolicy::Abort,
+            ErrorPolicy::SkipSegment,
+            ErrorPolicy::SubstituteBlack,
+        ] {
+            let run = |threads: usize| -> FaultOutcome {
+                let label = format!("{rule_name}/{policy:?}/threads={threads}");
+                let (catalog, plan) = (Arc::clone(&catalog), Arc::clone(&plan));
+                watchdog(&label, move || {
+                    let injector = Arc::new(rule());
+                    let opts = ExecOptions {
+                        fault: Some(Arc::clone(&injector)),
+                        on_error: policy,
+                        max_retries: 2,
+                        num_threads: threads,
+                        ..Default::default()
+                    };
+                    match execute_traced(&plan, &catalog, &opts) {
+                        Ok((out, trace, _)) => {
+                            assert_eq!(trace.totals.faults_injected, injector.injections());
+                            (
+                                Ok(out.packets().to_vec()),
+                                trace.errors,
+                                injector.injections(),
+                            )
+                        }
+                        Err(e) => (Err(e.to_string()), Vec::new(), injector.injections()),
+                    }
+                })
+            };
+            let reference = run(1);
+            let fired = if rule_name == "fail" { 3 } else { 1 };
+            assert_eq!(
+                reference.2, fired,
+                "{rule_name}/{policy:?}: one touch per attempt"
+            );
+            for threads in [2, 8] {
+                let label = format!("{rule_name}/{policy:?}/threads={threads}");
+                let got = run(threads);
+                assert_eq!(got.0, reference.0, "{label}: bytes or error");
+                assert_eq!(got.1, reference.1, "{label}: error report");
+                assert_eq!(got.2, reference.2, "{label}: faults injected");
+            }
+        }
+    }
+}
+
+const FAILING_UDF: u16 = 77;
+
+/// Passes its frame through for the first output second, then fails.
+fn fails_after_one_second(t: Rational, frames: &[Frame], _: &[Value]) -> Result<Frame, String> {
+    if t < r(1, 1) {
+        Ok(frames[0].clone())
+    } else {
+        Err("kernel gave up".into())
+    }
+}
+
+/// Six seconds, so the decode side runs far enough ahead to fill its
+/// channels once the workers stop: a producer left blocked on a full
+/// channel would hang the run.
+#[test]
+fn a_compose_error_mid_segment_is_returned_at_any_thread_count() {
+    let mut catalog = catalog();
+    catalog.register_udf(
+        FAILING_UDF,
+        "fails_after_one_second",
+        vec![ArgKind::Frame],
+        Arc::new(fails_after_one_second),
+    );
+    let udf = |e| RenderExpr::transform(TransformOp::Udf(FAILING_UDF), vec![Arg::Frame(e)]);
+    let single = {
+        let spec = SpecBuilder::new(marked_output())
+            .video("src", "src.svc")
+            .append_filtered("src", r(0, 1), r(6, 1), udf)
+            .build();
+        let config = OptimizerConfig {
+            shard_min_frames: u64::MAX,
+            ..Default::default()
+        };
+        optimize(&lower_spec(&spec).unwrap(), catalog.plan_context(), &config).unwrap()
+    };
+    let plans = [
+        ("grid", Arc::new(shared_gop_grid(&catalog, 0, 6, udf))),
+        ("single", Arc::new(single)),
+    ];
+    let catalog = Arc::new(catalog);
+    for ((shape, plan), threads) in plans.iter().flat_map(|p| [1usize, 2, 8].map(|t| (p, t))) {
+        for policy in [ErrorPolicy::Abort, ErrorPolicy::SubstituteBlack] {
+            let label = format!("{shape}/{policy:?}/threads={threads}");
+            let (catalog, plan) = (Arc::clone(&catalog), Arc::clone(plan));
+            let result = watchdog(&label, move || {
+                let opts = ExecOptions {
+                    on_error: policy,
+                    num_threads: threads,
+                    ..Default::default()
+                };
+                execute_traced(&plan, &catalog, &opts)
+                    .map(|(out, trace, _)| (out.len(), trace.errors))
+            });
+            match policy {
+                ErrorPolicy::Abort => {
+                    let err = result.expect_err(&label).to_string();
+                    assert!(err.contains("kernel gave up"), "{label}: {err}");
+                }
+                _ => {
+                    let (len, errors) = result.unwrap_or_else(|e| panic!("{label}: {e}"));
+                    assert_eq!(len, 180, "{label}: hole filled");
+                    assert_eq!(errors.len(), 1, "{label}: {errors:?}");
+                    assert!(errors[0].error.contains("kernel gave up"), "{label}");
+                }
+            }
+        }
     }
 }

@@ -1,93 +1,114 @@
-//! Stress test for [`GopCache`]'s exactly-once decode guarantee: many
-//! threads racing over overlapping GOP ranges must trigger exactly one
-//! decode per unique GOP, share the decoded frames, and never deadlock.
+//! Stress test for [`GopCache`]'s exactly-once decode under growing
+//! prefixes: many threads reading overlapping GOPs through their own
+//! cursors, in different random orders, must decode every frame of a
+//! GOP at most once between them, stop each GOP at the last frame
+//! anyone reads, serve exactly the frames an uncached cursor decodes,
+//! and never deadlock.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
-use v2v_exec::{GopCache, GopFrames};
-use v2v_frame::{marker, Frame, FrameType};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Barrier, Mutex};
+use v2v_container::VideoStream;
+use v2v_exec::{GopCache, SourceCursor};
+use v2v_frame::Frame;
+use v2v_integration_tests::marked_stream;
 
 const THREADS: usize = 16;
-const GOPS: u64 = 24;
+const READS_PER_THREAD: usize = 60;
+/// 10 GOPs of 24 frames per video.
+const FRAMES: usize = 240;
+const GOP: u32 = 24;
 const VIDEOS: [&str; 2] = ["a", "b"];
-const FRAMES_PER_GOP: usize = 4;
 
-/// A fake decode: frames whose markers encode (video, gop) so sharing
-/// across threads can be verified against the key that was asked for.
-fn decode(video_idx: usize, gop: u64) -> GopFrames {
-    let ty = FrameType::gray8(64, 32);
-    let frames = (0..FRAMES_PER_GOP)
-        .map(|k| {
-            let mut f = Frame::black(ty);
-            marker::embed(
-                &mut f,
-                (video_idx as u32) << 16 | (gop as u32) << 4 | k as u32,
-            );
-            Arc::new(f)
-        })
-        .collect::<Vec<_>>();
-    Arc::new(frames)
+/// A per-thread xorshift: the read orders differ by thread and repeat
+/// across runs.
+fn xorshift(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
+
+/// Every frame of `stream`, decoded by an uncached cursor.
+fn reference(stream: &VideoStream) -> Vec<Arc<Frame>> {
+    let mut plain = SourceCursor::new(stream, "plain");
+    (0..stream.len() as u64)
+        .map(|i| plain.frame_at(i).unwrap())
+        .collect()
 }
 
 #[test]
 fn sixteen_threads_decode_each_gop_exactly_once() {
+    let streams: Vec<VideoStream> = (0..VIDEOS.len())
+        .map(|_| marked_stream(FRAMES, GOP))
+        .collect();
+    let references: Vec<Vec<Arc<Frame>>> = streams.iter().map(reference).collect();
     // Capacity far above the working set: an eviction would force a
     // legitimate second decode and invalidate the exactly-once count.
-    let cache = Arc::new(GopCache::new(1_000_000));
-    let decodes = Arc::new(AtomicU64::new(0));
-    let barrier = Arc::new(Barrier::new(THREADS));
+    let cache = GopCache::new(1_000_000);
+    let barrier = Barrier::new(THREADS);
+    // (video, keyframe) → the last frame any thread read from that GOP.
+    let last_read: Mutex<BTreeMap<(usize, u64), u64>> = Mutex::new(BTreeMap::new());
 
-    let handles: Vec<_> = (0..THREADS)
-        .map(|t| {
-            let cache = Arc::clone(&cache);
-            let decodes = Arc::clone(&decodes);
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                barrier.wait();
-                let mut served = 0u64;
-                // Each thread walks every (video, gop) pair, but starts
-                // at a different offset and strides differently, so at
-                // any instant many threads contend on the same key
-                // while others race ahead.
-                let total = VIDEOS.len() as u64 * GOPS;
-                let stride = (t as u64 % 5) + 1;
-                for i in 0..total {
-                    let j = (t as u64 + i * stride) % total;
-                    let (vi, gop) = ((j / GOPS) as usize, j % GOPS);
-                    let (frames, _was_hit) = cache
-                        .get_or_insert_with::<std::convert::Infallible>(VIDEOS[vi], gop, || {
-                            decodes.fetch_add(1, Ordering::Relaxed);
-                            // Widen the race window so concurrent
-                            // requesters of this key pile up on the
-                            // condvar rather than winning by luck.
-                            std::thread::sleep(std::time::Duration::from_micros(200));
-                            Ok(decode(vi, gop))
-                        })
-                        .expect("decode is infallible");
-                    assert_eq!(frames.len(), FRAMES_PER_GOP);
-                    // The shared frames must be the ones for the key we
-                    // asked for, not some other racer's GOP.
-                    let m = marker::read(&frames[0]).expect("marker frame");
-                    assert_eq!(m, (vi as u32) << 16 | (gop as u32) << 4);
-                    served += 1;
-                }
-                served
+    let per_thread: Vec<(u64, u64, u64)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (streams, references) = (&streams, &references);
+                let (cache, barrier, last_read) = (&cache, &barrier, &last_read);
+                s.spawn(move || {
+                    let mut cursors: Vec<SourceCursor<'_>> = streams
+                        .iter()
+                        .zip(VIDEOS)
+                        .map(|(stream, name)| SourceCursor::new(stream, name).with_cache(cache))
+                        .collect();
+                    let mut rng = 0x9E37_79B9_7F4A_7C15 ^ (t as u64 + 1);
+                    barrier.wait();
+                    for _ in 0..READS_PER_THREAD {
+                        let vi = (xorshift(&mut rng) % VIDEOS.len() as u64) as usize;
+                        // Skewed toward GOP starts, so some GOPs are read
+                        // only partway and their prefixes stop short.
+                        let gop = xorshift(&mut rng) % (FRAMES as u64 / u64::from(GOP));
+                        let offset = xorshift(&mut rng) % u64::from(GOP);
+                        let offset = offset * offset / u64::from(GOP);
+                        let idx = gop * u64::from(GOP) + offset;
+                        let frame = cursors[vi].frame_at(idx).unwrap();
+                        assert_eq!(
+                            *frame, *references[vi][idx as usize],
+                            "thread {t}: {}[{idx}] differs from an uncached cursor's",
+                            VIDEOS[vi]
+                        );
+                        let kf = gop * u64::from(GOP);
+                        let mut last = last_read.lock().unwrap();
+                        let slot = last.entry((vi, kf)).or_insert(idx);
+                        *slot = (*slot).max(idx);
+                    }
+                    let sum = |f: fn(&SourceCursor<'_>) -> u64| cursors.iter().map(f).sum::<u64>();
+                    (
+                        sum(|c| c.frames_decoded),
+                        sum(|c| c.gop_cache_hits),
+                        sum(|c| c.gop_cache_misses),
+                    )
+                })
             })
-        })
-        .collect();
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("no panics, no deadlock"))
+            .collect()
+    });
 
-    let mut total_served = 0u64;
-    for h in handles {
-        total_served += h.join().expect("no panics, no deadlock");
-    }
-
-    let unique = VIDEOS.len() as u64 * GOPS;
-    assert_eq!(total_served, THREADS as u64 * unique);
+    let last_read = last_read.into_inner().unwrap();
+    let want_decoded: u64 = last_read
+        .iter()
+        .map(|(&(_, kf), &last)| last - kf + 1)
+        .sum();
+    let decoded: u64 = per_thread.iter().map(|p| p.0).sum();
     assert_eq!(
-        decodes.load(Ordering::Relaxed),
-        unique,
-        "every GOP must decode exactly once process-wide"
+        decoded, want_decoded,
+        "every frame up to each GOP's last read decodes exactly once, and nothing past it"
     );
-    assert_eq!(cache.misses(), unique);
-    assert_eq!(cache.hits(), THREADS as u64 * unique - unique);
+    let (hits, misses) = per_thread
+        .iter()
+        .fold((0, 0), |(h, m), p| (h + p.1, m + p.2));
+    assert_eq!(misses, last_read.len() as u64, "one prefix per GOP read");
+    assert_eq!((cache.hits(), cache.misses()), (hits, misses));
 }
