@@ -602,9 +602,10 @@ impl V2vEngine {
     }
 
     /// Full pipeline with on-demand streaming delivery: packets reach
-    /// `sink` in presentation order as segments complete, so playback
-    /// can begin long before synthesis finishes (paper §I: "begin
-    /// playback within seconds"). Delivery is the only difference from
+    /// `sink` in presentation order, one output GOP at a time as each is
+    /// encoded (whole segments on one worker or under a degraded-mode
+    /// error policy), so playback can begin long before synthesis
+    /// finishes (paper §I: "begin playback within seconds"). Delivery is the only difference from
     /// [`run`](V2vEngine::run): a streaming run reads and warms the
     /// same reuse tiers, and a repeated query streams from the cache.
     pub fn run_streaming(

@@ -9,11 +9,21 @@
 //! dispatched longest-first by estimated cost, and with more than one
 //! worker each render segment internally overlaps decode (one lane per
 //! input), parallel compose, and in-order per-GOP encoding.
+//!
+//! Streaming is a delivery choice, not a second executor. The paper's
+//! interactivity story (§I): "Through database-style optimizations
+//! described in this paper and on-demand streaming, V2V enables a VDBMS
+//! to execute such a query and to begin playback within seconds."
+//! [`execute_streaming_with`] is the one driver with a packet sink
+//! attached: packets reach the sink in presentation order as soon as
+//! they are ready, one output GOP at a time, while the rest of the
+//! output is still rendering. The measured `time_to_first_packet` in
+//! [`StreamingStats`] is how the claim is quantified in the benches.
 
 use crate::catalog::Catalog;
-use crate::fault::{ErrorPolicy, FaultInjector};
+use crate::fault::{ErrorPolicy, FaultInjector, SegmentFault};
 use crate::gop_cache::GopCache;
-use crate::scheduler::{execute_scheduled, SegmentOutput};
+use crate::scheduler::{execute_scheduled, Delivery};
 use crate::trace::{ExecTrace, SegmentTrace};
 use crate::ExecError;
 use std::sync::Arc;
@@ -50,9 +60,11 @@ pub struct ExecOptions {
     /// worker runs the sequential reference loop, more run the
     /// pipeline, which overlaps decode with compose and encode (one
     /// decode lane per input, a pool of workers composing and encoding
-    /// frames as they arrive, two output GOPs in flight). Each run
-    /// spawns its own scoped threads, so two engines in one process
-    /// never fight over a global pool.
+    /// frames as they arrive, two output GOPs in flight). A streaming run
+    /// on the pipeline hands each output GOP to its sink once encoded
+    /// (under [`ErrorPolicy::Abort`]); one worker delivers whole
+    /// segments. Each run spawns its own scoped threads, so two engines
+    /// in one process never fight over a global pool.
     pub num_threads: usize,
     /// Deterministic fault injection hook: every cursor consults the
     /// injector before decoding a source packet. `None` (the default)
@@ -224,35 +236,147 @@ pub fn execute_traced(
     Ok((out, trace, wall))
 }
 
-/// The one executor driver behind [`execute_traced`] and
-/// [`execute_streaming_with`](crate::execute_streaming_with): builds the
-/// run's decoded-GOP cache and output writer, splices every segment the
-/// scheduler delivers (in presentation order) into the writer and the
-/// trace, and books the run-level totals.
+/// Latency profile of a streaming run.
+#[derive(Clone, Debug, Default)]
+pub struct StreamingStats {
+    /// Plan-independent preparation time (cache and writer construction)
+    /// spent before the executor started dispatching work. Kept separate
+    /// so `time_to_first_packet` isolates the paper's interactivity
+    /// claim.
+    pub setup: Duration,
+    /// Wall time from executor start until the first packet reached the
+    /// sink (excludes `setup`).
+    pub time_to_first_packet: Duration,
+    /// Wall time from executor start until the last packet reached the
+    /// sink (excludes `setup`).
+    pub total: Duration,
+    /// Aggregated execution costs.
+    pub exec: ExecStats,
+    /// Structured error report: one entry per segment that failed and was
+    /// recovered, skipped, or substituted under the run's error policy.
+    pub errors: Vec<SegmentFault>,
+    /// The per-segment trace `exec` and `errors` are taken from — the
+    /// same artifact a batch run returns.
+    pub trace: ExecTrace,
+}
+
+/// Executes a plan, delivering packets to `sink` in presentation order,
+/// one output GOP at a time: each as soon as it is encoded and every
+/// earlier frame has been delivered. Returns the assembled stream
+/// (identical to the batch executor's output) plus latency stats.
 ///
-/// With a `sink`, each packet is also handed to it re-stamped onto the
-/// output presentation grid, before its segment is spliced; without one no
-/// packet is re-stamped. Returns the stream, the trace (`wall_ns` left
-/// to the caller's clock), the instant dispatch began, and the instant
-/// the first packet reached the sink.
+/// This is the batch executor's driver with a sink attached, so a
+/// streaming run honors the same [`ExecOptions`] and reports the same
+/// [`ExecStats`] as a batch run of the same plan. Worker parallelism
+/// uses the scheduler's scoped threads; ordered delivery runs on the
+/// calling thread, so `sink` needs no synchronization. Packets reach
+/// `sink` already re-stamped onto the output presentation grid, so the
+/// sink-visible bytes are identical however the scheduler ordered the
+/// work. A render's GOPs go out before the render ends only on more
+/// than one worker and under [`ErrorPolicy::Abort`]: under the other
+/// policies a later failure replaces the whole segment, so its packets
+/// wait for the segment to finish. An aborted run leaves whatever was
+/// already sunk.
+pub fn execute_streaming_with(
+    plan: &PhysicalPlan,
+    catalog: &Catalog,
+    opts: &ExecOptions,
+    mut sink: impl FnMut(&Packet),
+) -> Result<(VideoStream, StreamingStats), ExecError> {
+    let started = Instant::now();
+    let (out, mut trace, exec_started, first_packet) = drive(plan, catalog, opts, Some(&mut sink))?;
+    let total = exec_started.elapsed();
+    trace.wall_ns = total.as_nanos() as u64;
+    let stats = StreamingStats {
+        setup: exec_started - started,
+        time_to_first_packet: first_packet.map_or(Duration::ZERO, |at| at - exec_started),
+        total,
+        exec: trace.totals,
+        errors: trace.errors.clone(),
+        trace,
+    };
+    Ok((out, stats))
+}
+
+/// The driver's sink bookkeeping: every output frame before `at` has
+/// been handed to the sink, in order, exactly once.
+#[derive(Debug, Default)]
+struct Playhead {
+    at: u64,
+}
+
+impl Playhead {
+    /// An output GOP starting at output frame `start`, encoded while its
+    /// segment still renders: sunk if the playhead is at its first
+    /// frame. Any other GOP is behind the playhead (a retry re-sending
+    /// GOP 0) or ahead of it, and goes out with its segment.
+    fn gop(&mut self, start: u64, packets: &[Packet], emit: &mut impl FnMut(u64, &Packet)) {
+        if start == self.at {
+            self.segment(start, packets, emit);
+        }
+    }
+
+    /// Packets for output frames `start..`: sinks those past the playhead
+    /// and moves it to their end unless it is already further. It never
+    /// moves back, or a later segment's GOPs, sunk before this segment
+    /// completed, would be sunk twice. Segments complete in output order,
+    /// so the playhead has reached `start`.
+    fn segment(&mut self, start: u64, packets: &[Packet], emit: &mut impl FnMut(u64, &Packet)) {
+        debug_assert!(start <= self.at, "nothing is sunk past a gap");
+        for (at, p) in (start..).zip(packets) {
+            if at >= self.at {
+                emit(at, p);
+            }
+        }
+        self.at = self.at.max(start + packets.len() as u64);
+    }
+}
+
+/// The one executor driver behind [`execute_traced`] and
+/// [`execute_streaming_with`]: builds the run's decoded-GOP cache and
+/// output writer, splices every segment the scheduler delivers (in
+/// presentation order) into the writer and the trace, and books the
+/// run-level totals.
+///
+/// With a `sink`, every packet is also handed to it once, in order,
+/// re-stamped onto the output presentation grid: an output GOP the
+/// scheduler delivers early as soon as the [`Playhead`] is at it, the
+/// rest of a segment before the segment is spliced. Without one no
+/// packet is re-stamped and the scheduler sends no GOPs. Returns the
+/// stream, the trace (`wall_ns` left to the caller's clock), the instant
+/// dispatch began, and the instant the first packet reached the sink.
 pub(crate) fn drive(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     opts: &ExecOptions,
-    mut sink: Option<&mut dyn FnMut(&Packet)>,
+    sink: Option<&mut dyn FnMut(&Packet)>,
 ) -> Result<(VideoStream, ExecTrace, Instant, Option<Instant>), ExecError> {
     let cache = GopCache::new(opts.gop_cache_frames);
     let mut writer = StreamWriter::new(plan.out_params, Rational::ZERO, plan.frame_dur);
     let mut trace = ExecTrace::default();
     let exec_started = Instant::now();
     let mut first_packet = None;
-    let mut deliver = |out: SegmentOutput| -> Result<(), ExecError> {
-        if let Some(sink) = sink.as_mut() {
-            let base = writer.len() as i64;
-            for (k, p) in out.packets.iter().enumerate() {
-                first_packet.get_or_insert_with(Instant::now);
-                sink(&p.retimed(plan.frame_dur * Rational::from_int(base + k as i64)));
+    let streaming = sink.is_some();
+    let mut emit = sink.map(|sink| {
+        let first_packet = &mut first_packet;
+        move |at: u64, p: &Packet| {
+            first_packet.get_or_insert_with(Instant::now);
+            sink(&p.retimed(plan.frame_dur * Rational::from_int(at as i64)));
+        }
+    });
+    let mut playhead = Playhead::default();
+    let mut deliver = |delivery: Delivery| -> Result<(), ExecError> {
+        let out = match delivery {
+            Delivery::Gop { start, packets } => {
+                if let Some(emit) = emit.as_mut() {
+                    playhead.gop(start, &packets, emit);
+                }
+                return Ok(());
             }
+            Delivery::Segment(out) => *out,
+        };
+        if let Some(emit) = emit.as_mut() {
+            playhead.segment(writer.len() as u64, &out.packets, emit);
         }
         writer.push_copied(&out.packets)?;
         if let Some(fault) = &out.fault {
@@ -276,7 +400,7 @@ pub(crate) fn drive(
         .as_deref()
         .and_then(|sc| sc.cache.as_deref());
     let evictions_before = shared_cache.map_or(0, |c| c.evictions());
-    execute_scheduled(plan, catalog, opts, &cache, &mut deliver)?;
+    execute_scheduled(plan, catalog, opts, &cache, streaming, &mut deliver)?;
     for seg in &trace.segments {
         trace.totals = trace.totals.merge(seg.stats);
     }
@@ -305,7 +429,10 @@ mod tests {
 
     /// A lossless test stream whose frames carry index markers.
     fn marked_stream(n: usize, gop: u32) -> VideoStream {
-        let ty = FrameType::gray8(64, 32);
+        marked_stream_of(FrameType::gray8(64, 32), n, gop)
+    }
+
+    fn marked_stream_of(ty: FrameType, n: usize, gop: u32) -> VideoStream {
         let params = CodecParams::new(ty, gop, 0);
         let mut w = StreamWriter::new(params, Rational::ZERO, r(1, 30));
         for i in 0..n {
@@ -314,6 +441,28 @@ mod tests {
             w.push_frame(&f).unwrap();
         }
         w.finish().unwrap()
+    }
+
+    /// copy(1 s..3 s) + blur(4 s..8 s) over a marked 300-frame source.
+    fn setup() -> (Catalog, v2v_spec::Spec) {
+        setup_of(FrameType::gray8(64, 32))
+    }
+
+    fn setup_of(ty: FrameType) -> (Catalog, v2v_spec::Spec) {
+        let mut catalog = Catalog::new();
+        catalog.add_video("src", marked_stream_of(ty, 300, 30));
+        let output = OutputSettings {
+            frame_ty: ty,
+            frame_dur: r(1, 30),
+            gop_size: 30,
+            quantizer: 0,
+        };
+        let spec = SpecBuilder::new(output)
+            .video("src", "src.svc")
+            .append_clip("src", r(1, 1), Rational::from_int(2))
+            .append_filtered("src", r(4, 1), Rational::from_int(4), |e| blur(e, 1.0))
+            .build();
+        (catalog, spec)
     }
 
     fn output() -> OutputSettings {
@@ -620,5 +769,260 @@ mod tests {
         let (fa, _) = par.decode_range(0, par.len()).unwrap();
         let (fb, _) = ser.decode_range(0, ser.len()).unwrap();
         assert_eq!(fa, fb);
+    }
+
+    /// One event the scheduler can hand the driver, as (first output
+    /// frame, frames): an output GOP encoded early, or a finished segment.
+    enum Event {
+        Gop(u64, u64),
+        Done(u64, u64),
+    }
+
+    /// Two 60-frame segments of two 30-frame output GOPs each: every
+    /// script must sink each output frame exactly once and in order, and
+    /// the sink must have reached the given frame after each event.
+    #[test]
+    fn playhead_sinks_every_frame_once_in_order() {
+        use Event::{Done, Gop};
+        let scripts: [(&str, Vec<(Event, usize)>); 6] = [
+            (
+                "whole segments only",
+                vec![(Done(0, 60), 60), (Done(60, 60), 120)],
+            ),
+            (
+                "a segment completes after one of its GOPs went out",
+                vec![(Gop(0, 30), 30), (Done(0, 60), 60), (Done(60, 60), 120)],
+            ),
+            (
+                // A playhead moved back to segment 0's end here would
+                // sink frames 60..90 twice.
+                "segment 1's GOP before segment 0 completes",
+                vec![
+                    (Gop(0, 30), 30),
+                    (Gop(30, 30), 60),
+                    (Gop(60, 30), 90),
+                    (Done(0, 60), 90),
+                    (Gop(90, 30), 120),
+                    (Done(60, 60), 120),
+                ],
+            ),
+            (
+                "segment 1's GOP after segment 0 completes",
+                vec![
+                    (Gop(0, 30), 30),
+                    (Done(0, 60), 60),
+                    (Gop(60, 30), 90),
+                    (Done(60, 60), 120),
+                ],
+            ),
+            (
+                "a retry re-sends GOP 0",
+                vec![
+                    (Gop(0, 30), 30),
+                    (Gop(0, 30), 30),
+                    (Gop(30, 30), 60),
+                    (Gop(0, 30), 60),
+                    (Done(0, 60), 60),
+                    (Done(60, 60), 120),
+                ],
+            ),
+            (
+                "GOPs not yet at the playhead go out with their segment",
+                vec![
+                    (Gop(30, 30), 0),
+                    (Gop(90, 30), 0),
+                    (Gop(0, 30), 30),
+                    (Done(0, 60), 60),
+                    (Gop(60, 30), 90),
+                    (Done(60, 60), 120),
+                ],
+            ),
+        ];
+        // Each scripted packet carries its own output frame as its pts.
+        let packets = |start: u64, n: u64| -> Vec<Packet> {
+            (start..start + n)
+                .map(|f| Packet::new(Rational::from_int(f as i64), false, Vec::new().into()))
+                .collect()
+        };
+        for (name, events) in scripts {
+            let mut seen = Vec::new();
+            let mut playhead = Playhead::default();
+            for (k, (event, reached)) in events.iter().enumerate() {
+                let mut emit = |at: u64, p: &Packet| {
+                    assert_eq!(
+                        p.pts,
+                        Rational::from_int(at as i64),
+                        "{name}: sunk at its frame"
+                    );
+                    seen.push(at);
+                };
+                match *event {
+                    Gop(start, n) => playhead.gop(start, &packets(start, n), &mut emit),
+                    Done(start, n) => playhead.segment(start, &packets(start, n), &mut emit),
+                }
+                assert_eq!(seen.len(), *reached, "{name}: event {k}");
+            }
+            assert_eq!(seen, (0..120).collect::<Vec<_>>(), "{name}");
+        }
+    }
+
+    #[test]
+    fn streaming_output_matches_batch() {
+        let (catalog, spec) = setup();
+        let logical = lower_spec(&spec).unwrap();
+        let plan = optimize(
+            &logical,
+            catalog.plan_context(),
+            &OptimizerConfig::default(),
+        )
+        .unwrap();
+        let mut sink_count = 0usize;
+        let (streamed, stats) =
+            execute_streaming_with(&plan, &catalog, &ExecOptions::default(), |_| {
+                sink_count += 1
+            })
+            .unwrap();
+        let (batch, _, _) = execute(&plan, &catalog, &ExecOptions::default()).unwrap();
+        assert_eq!(sink_count, streamed.len());
+        assert_eq!(streamed.len(), batch.len());
+        let (fa, _) = streamed.decode_range(0, streamed.len()).unwrap();
+        let (fb, _) = batch.decode_range(0, batch.len()).unwrap();
+        assert_eq!(fa, fb);
+        assert!(stats.time_to_first_packet <= stats.total);
+    }
+
+    #[test]
+    fn sink_receives_packets_in_presentation_order() {
+        let (catalog, spec) = setup();
+        let logical = lower_spec(&spec).unwrap();
+        let plan = optimize(
+            &logical,
+            catalog.plan_context(),
+            &OptimizerConfig::default(),
+        )
+        .unwrap();
+        let mut keyframes_seen = 0;
+        let mut count = 0usize;
+        execute_streaming_with(&plan, &catalog, &ExecOptions::default(), |p| {
+            if count == 0 {
+                assert!(p.keyframe, "stream must open with a keyframe");
+            }
+            if p.keyframe {
+                keyframes_seen += 1;
+            }
+            count += 1;
+        })
+        .unwrap();
+        assert_eq!(count, 180);
+        assert!(keyframes_seen >= plan.segments.len());
+    }
+
+    #[test]
+    fn copy_first_plans_start_fast() {
+        // A plan whose first segment is a copy should deliver its first
+        // packet long before the blur-heavy tail finishes. Frames big
+        // enough that the tail takes tens of milliseconds: the margin
+        // must dwarf one scheduler timeslice lost to a sibling test.
+        let (catalog, spec) = setup_of(FrameType::gray8(256, 128));
+        let logical = lower_spec(&spec).unwrap();
+        let plan = optimize(
+            &logical,
+            catalog.plan_context(),
+            &OptimizerConfig::default(),
+        )
+        .unwrap();
+        assert!(plan.segments[0].plan.is_copy(), "test premise");
+        // Pinned worker counts, not the host's: copies are dispatched
+        // ahead of every render at any pool width.
+        for num_threads in [1, 2, 4, 8] {
+            let opts = ExecOptions {
+                num_threads,
+                ..Default::default()
+            };
+            let (_, stats) = execute_streaming_with(&plan, &catalog, &opts, |_| {}).unwrap();
+            assert!(
+                stats.time_to_first_packet < stats.total / 2,
+                "{num_threads} threads: ttfp {:?} vs total {:?}",
+                stats.time_to_first_packet,
+                stats.total
+            );
+        }
+    }
+
+    #[test]
+    fn streaming_and_batch_report_identical_gop_cache_counts() {
+        // Regression: streaming used to build a default-size cache no
+        // matter what the caller configured, so batch and streaming runs
+        // of the same plan under the same options reported different
+        // hit/miss counts. A single-segment render keeps cursor order
+        // deterministic so the counts are exactly comparable.
+        use v2v_spec::builder::grid4;
+        use v2v_spec::RenderExpr;
+        let mut catalog = Catalog::new();
+        catalog.add_video("src", marked_stream(120, 30));
+        let output = OutputSettings {
+            frame_ty: FrameType::gray8(64, 32),
+            frame_dur: r(1, 30),
+            gop_size: 30,
+            quantizer: 0,
+        };
+        let spec = SpecBuilder::new(output)
+            .video("src", "src.svc")
+            .append_with(r(1, 1), |_| {
+                grid4(
+                    RenderExpr::video("src"),
+                    RenderExpr::video_shifted("src", r(1, 30)),
+                    RenderExpr::video_shifted("src", r(2, 30)),
+                    RenderExpr::video_shifted("src", r(3, 30)),
+                )
+            })
+            .build();
+        let logical = lower_spec(&spec).unwrap();
+        let plan = optimize(
+            &logical,
+            catalog.plan_context(),
+            &OptimizerConfig {
+                shard_min_frames: u64::MAX, // one render segment
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(plan.segments.len(), 1, "test premise: single segment");
+        for cache_frames in [0usize, 512, 4096] {
+            let opts = ExecOptions {
+                gop_cache_frames: cache_frames,
+                parallel: false,
+                ..Default::default()
+            };
+            let (_, batch_stats, _) = execute(&plan, &catalog, &opts).unwrap();
+            let (_, streaming_stats) =
+                execute_streaming_with(&plan, &catalog, &opts, |_| {}).unwrap();
+            assert_eq!(
+                batch_stats.gop_cache_hits, streaming_stats.exec.gop_cache_hits,
+                "hits diverge at cache_frames={cache_frames}"
+            );
+            assert_eq!(
+                batch_stats.gop_cache_misses, streaming_stats.exec.gop_cache_misses,
+                "misses diverge at cache_frames={cache_frames}"
+            );
+            assert_eq!(batch_stats, streaming_stats.exec, "full stats diverge");
+        }
+    }
+
+    #[test]
+    fn worker_errors_propagate() {
+        let (catalog, spec) = setup();
+        let logical = lower_spec(&spec).unwrap();
+        let mut plan = optimize(
+            &logical,
+            catalog.plan_context(),
+            &OptimizerConfig::default(),
+        )
+        .unwrap();
+        // Corrupt a segment to reference a missing video.
+        if let v2v_plan::SegPlan::StreamCopy { video, .. } = &mut plan.segments[0].plan {
+            *video = "ghost".into();
+        }
+        assert!(execute_streaming_with(&plan, &catalog, &ExecOptions::default(), |_| {}).is_err());
     }
 }

@@ -32,13 +32,14 @@ pub mod naive;
 pub mod remote;
 pub mod render_cache;
 pub mod scheduler;
-pub mod streaming;
 pub mod trace;
 
 pub use apply::{apply_program, UdfKernel};
 pub use catalog::Catalog;
 pub use cursor::SourceCursor;
-pub use executor::{execute, execute_traced, ExecOptions, ExecStats};
+pub use executor::{
+    execute, execute_streaming_with, execute_traced, ExecOptions, ExecStats, StreamingStats,
+};
 pub use fault::{error_kind, ErrorPolicy, FaultAction, FaultInjector, FaultKind, SegmentFault};
 pub use flight::{Claim, FlightGuard, FragmentFlight, SingleFlight};
 pub use gop_cache::{GopCache, GopPrefix};
@@ -47,7 +48,6 @@ pub use naive::execute_naive;
 pub use remote::RemoteRenderer;
 pub use render_cache::{CacheStats, EntryKey, Origin, RenderCache, SegmentCacheCtx};
 pub use scheduler::segment_cost;
-pub use streaming::{execute_streaming_with, StreamingStats};
 pub use trace::{ExecTrace, SegmentTrace, StageTimes};
 
 /// Errors raised during execution.

@@ -31,8 +31,10 @@
 //!
 //! Segments are emitted to a `deliver` callback **in presentation
 //! order** (a reorder buffer holds early finishers), so the executor's
-//! driver can splice directly into a [`StreamWriter`] and sink packets
-//! as soon as the head of the output is ready.
+//! driver can splice directly into a [`StreamWriter`]. When the run has
+//! a sink and aborts on error, the pipelined render also hands each
+//! output GOP to `deliver` the moment its last frame is encoded, ahead
+//! of its segment, so the driver can sink it at once.
 //!
 //! [`StreamWriter`]: v2v_container::StreamWriter
 
@@ -80,6 +82,22 @@ pub(crate) struct SegmentOutput {
     /// substituted under the run's [`ErrorPolicy`].
     pub fault: Option<SegmentFault>,
 }
+
+/// What the scheduler hands the executor's driver.
+#[derive(Debug)]
+pub(crate) enum Delivery {
+    /// One output GOP of a segment still rendering, in any order: its
+    /// first absolute output frame and its packets, with segment-relative
+    /// timestamps like a finished segment's. Its segment is delivered
+    /// whole later all the same.
+    Gop { start: u64, packets: Vec<Packet> },
+    /// A finished segment, in presentation order.
+    Segment(Box<SegmentOutput>),
+}
+
+/// The channel the workers report on: output GOPs, finished segments,
+/// and the error that ends the run.
+type Events = mpsc::Sender<Result<Delivery, ExecError>>;
 
 impl SegmentOutput {
     /// The clean output of `ctx`'s segment: no stage times, no fault.
@@ -138,6 +156,11 @@ struct RunCtx<'a> {
     /// The run's worker count: one runs every render through the
     /// sequential loop, more through the decode-ahead pipeline.
     workers: usize,
+    /// Whether output GOPs are delivered as they are encoded: only when
+    /// the run has a sink and aborts on error. Under the other policies a
+    /// later failure replaces the whole segment, so no sink may have
+    /// seen any of it.
+    early_gops: bool,
 }
 
 /// Everything a worker needs to execute one segment.
@@ -147,6 +170,9 @@ struct SegmentCtx<'a> {
     seg_index: usize,
     /// Threads this segment's compose and encode stages may use.
     fanout: usize,
+    /// Where the pipelined render sends each output GOP once encoded
+    /// (`None`: the segment is delivered whole only).
+    gops: Option<&'a Events>,
 }
 
 impl<'a> RunCtx<'a> {
@@ -156,6 +182,7 @@ impl<'a> RunCtx<'a> {
             seg: &self.plan.segments[seg_index],
             seg_index,
             fanout,
+            gops: None,
         }
     }
 }
@@ -172,13 +199,16 @@ pub fn segment_cost(plan: &PhysicalPlan, seg: &Segment) -> f64 {
 /// Executes every segment of `plan`, invoking `deliver` with each one
 /// in presentation order. With one effective worker this is a plain
 /// in-order loop over the sequential render; otherwise a cost-ordered
-/// worker pool with intra-segment pipelining.
+/// worker pool with intra-segment pipelining, which with `sink` set (the
+/// caller streams) and [`ErrorPolicy::Abort`] also delivers each output
+/// GOP as soon as it is encoded.
 pub(crate) fn execute_scheduled(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     opts: &ExecOptions,
     cache: &GopCache,
-    deliver: &mut dyn FnMut(SegmentOutput) -> Result<(), ExecError>,
+    sink: bool,
+    deliver: &mut dyn FnMut(Delivery) -> Result<(), ExecError>,
 ) -> Result<(), ExecError> {
     let workers = opts.effective_threads();
     let fault = opts.fault.as_deref().filter(|f| !f.is_empty());
@@ -190,10 +220,12 @@ pub(crate) fn execute_scheduled(
         fault,
         seg_cache: opts.segment_cache.as_deref().filter(|_| fault.is_none()),
         workers,
+        early_gops: sink && opts.on_error == ErrorPolicy::Abort,
     };
     if workers <= 1 {
         for i in 0..plan.segments.len() {
-            deliver(run_segment_recovering(&run.segment(i, 1))?)?;
+            let out = run_segment_recovering(&run.segment(i, 1))?;
+            deliver(Delivery::Segment(Box::new(out)))?;
         }
         return Ok(());
     }
@@ -231,7 +263,7 @@ pub(crate) fn execute_scheduled(
         running: 0,
         shutdown: false,
     });
-    let (tx, rx) = mpsc::channel::<Result<SegmentOutput, ExecError>>();
+    let (tx, rx) = mpsc::channel();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();
@@ -243,26 +275,34 @@ pub(crate) fn execute_scheduled(
     })
 }
 
-/// The ordered-delivery driver: buffers early-finishing segments and
-/// releases them to `deliver` strictly by absolute output position.
+/// The ordered-delivery driver: passes output GOPs straight on, buffers
+/// early-finishing segments and releases them to `deliver` strictly by
+/// absolute output position.
 fn drive(
-    rx: &mpsc::Receiver<Result<SegmentOutput, ExecError>>,
-    deliver: &mut dyn FnMut(SegmentOutput) -> Result<(), ExecError>,
+    rx: &mpsc::Receiver<Result<Delivery, ExecError>>,
+    deliver: &mut dyn FnMut(Delivery) -> Result<(), ExecError>,
     plan: &PhysicalPlan,
     sched: &Mutex<SchedState>,
 ) -> Result<(), ExecError> {
     let total: u64 = plan.segments.iter().map(|s| s.count).sum();
-    let mut buffered: BTreeMap<u64, SegmentOutput> = BTreeMap::new();
+    let mut buffered: BTreeMap<u64, Box<SegmentOutput>> = BTreeMap::new();
     let mut next_abs = 0u64;
     let result = (|| {
         while next_abs < total {
-            let out = rx
+            let out = match rx
                 .recv()
-                .expect("scheduler workers deliver every segment or an error")?;
+                .expect("scheduler workers deliver every segment or an error")?
+            {
+                Delivery::Segment(out) => out,
+                gop => {
+                    deliver(gop)?;
+                    continue;
+                }
+            };
             buffered.insert(plan.segments[out.seg_index].out_start, out);
             while let Some(ready) = buffered.remove(&next_abs) {
                 next_abs += plan.segments[ready.seg_index].count;
-                deliver(ready)?;
+                deliver(Delivery::Segment(ready))?;
             }
         }
         Ok(())
@@ -272,11 +312,7 @@ fn drive(
     result
 }
 
-fn worker_loop(
-    run: RunCtx<'_>,
-    sched: &Mutex<SchedState>,
-    tx: &mpsc::Sender<Result<SegmentOutput, ExecError>>,
-) {
+fn worker_loop(run: RunCtx<'_>, sched: &Mutex<SchedState>, tx: &Events) {
     let flight = run
         .seg_cache
         .and_then(|sc| sc.flight.as_deref().map(|f| (sc, f)));
@@ -314,7 +350,10 @@ fn worker_loop(
         };
         // A lone running segment composes with the whole pool's width;
         // with many in flight each keeps roughly its fair share.
-        let ctx = run.segment(task.seg_index, (run.workers / running_now.max(1)).max(1));
+        let ctx = SegmentCtx {
+            gops: run.early_gops.then_some(tx),
+            ..run.segment(task.seg_index, (run.workers / running_now.max(1)).max(1))
+        };
         let res = run_segment_recovering(&ctx);
         let failed = res.is_err();
         {
@@ -323,7 +362,7 @@ fn worker_loop(
             st.shutdown |= failed;
         }
         // A send failure only means the driver already bailed.
-        let _ = tx.send(res);
+        let _ = tx.send(res.map(|out| Delivery::Segment(Box::new(out))));
         if failed {
             return;
         }
@@ -520,19 +559,19 @@ fn recover_segment(ctx: &SegmentCtx<'_>, err: ExecError) -> Result<SegmentOutput
 /// Encodes the segment as black frames on the output grid, one fresh
 /// encoder per output GOP so the keyframe cadence matches a clean run.
 fn encode_black(ctx: &SegmentCtx<'_>) -> Result<Vec<Packet>, ExecError> {
-    let gop = u64::from(ctx.run.plan.out_params.gop_size.max(1));
-    let black = Frame::black(ctx.run.plan.out_params.frame_ty);
-    let to = ctx.seg.count;
-    let mut packets = Vec::with_capacity(to as usize);
-    let mut wj = 0;
-    while wj < to {
-        let n = gop.min(to - wj) as usize;
-        let frames: Vec<Frame> = (0..n).map(|_| black.clone()).collect();
-        let (run, _) = encode_window(ctx, wj, &frames)?;
-        packets.extend(run);
-        wj += n as u64;
-    }
-    Ok(packets)
+    let plan = ctx.run.plan;
+    let gop = u64::from(plan.out_params.gop_size.max(1));
+    let black = Frame::black(plan.out_params.frame_ty);
+    let mut encoder = Encoder::new(plan.out_params);
+    (0..ctx.seg.count)
+        .map(|j| {
+            if j > 0 && j % gop == 0 {
+                encoder = Encoder::new(plan.out_params);
+            }
+            let pts = plan.frame_dur * Rational::from_int(j as i64);
+            Ok(encoder.encode(&black, pts)?)
+        })
+        .collect()
 }
 
 /// The stream a render input decodes from, and its cache identity.
@@ -864,7 +903,9 @@ fn run_worker(
 
 /// Files composed frame `j` in its output GOP's slot. Unless another
 /// worker is already draining the slot, encodes every frame that is now
-/// next in line, with the GOP's own encoder, outside the slot lock.
+/// next in line, with the GOP's own encoder, outside the slot lock. The
+/// worker that encodes a GOP's last frame sends the GOP on to the driver
+/// when the segment streams its GOPs.
 fn encode_ready(
     ctx: &SegmentCtx<'_>,
     flow: &Flow,
@@ -897,6 +938,12 @@ fn encode_ready(
     }
     if s.next < s.end {
         s.encoder = Some(encoder);
+    } else if let Some(gops) = ctx.gops {
+        let start = ctx.seg.out_start + s.end - s.packets.len() as u64;
+        let packets = s.packets.clone();
+        drop(s);
+        // A send failure only means the driver already bailed.
+        let _ = gops.send(Ok(Delivery::Gop { start, packets }));
     }
     Ok(())
 }
@@ -1014,26 +1061,6 @@ fn join<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
     handle
         .join()
         .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-}
-
-/// Encodes one output GOP with a fresh encoder. `wj` is the window's
-/// segment-relative first frame (a GOP multiple, so the fresh encoder's
-/// keyframe cadence matches the sequential loop exactly).
-fn encode_window(
-    ctx: &SegmentCtx<'_>,
-    wj: u64,
-    frames: &[Frame],
-) -> Result<(Vec<Packet>, u64), ExecError> {
-    let mut encoder = Encoder::new(ctx.run.plan.out_params);
-    let mut packets = Vec::with_capacity(frames.len());
-    let mut bytes = 0u64;
-    for (k, frame) in frames.iter().enumerate() {
-        let pts = ctx.run.plan.frame_dur * Rational::from_int((wj + k as u64) as i64);
-        let pkt = encoder.encode(frame, pts)?;
-        bytes += pkt.size() as u64;
-        packets.push(pkt);
-    }
-    Ok((packets, bytes))
 }
 
 #[cfg(test)]
@@ -1277,6 +1304,7 @@ mod tests {
                     fault: None,
                     seg_cache: None,
                     workers: fanout,
+                    early_gops: false,
                 };
                 let (out, spawns) = spawns_during(|| run_segment(&run.segment(0, fanout)).unwrap());
                 assert_eq!(spawns, 1 + (fanout - 1) + lanes, "{lanes} lanes, {fanout}");

@@ -18,12 +18,15 @@
 //!   black frames in the hole;
 //! * a fault on a frame two decode lanes share fires once per attempt,
 //!   exactly as on one worker, and a compose error mid-segment is
-//!   returned at any width — under a watchdog, so a hang fails.
+//!   returned at any width — under a watchdog, so a hang fails;
+//! * a streaming render hands its first output GOP to the sink before
+//!   the segment ends, sinks it once across a retry under `Abort`, and
+//!   sinks nothing early under the policies that replace a segment.
 //!
 //! The unit of recovery is the segment: a persistent fault degrades
 //! exactly the faulted segment's frames, whatever the worker count.
 
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 use v2v_codec::Packet;
 use v2v_container::VideoStream;
@@ -617,6 +620,226 @@ fn a_compose_error_mid_segment_is_returned_at_any_thread_count() {
                     assert!(errors[0].error.contains("kernel gave up"), "{label}");
                 }
             }
+        }
+    }
+}
+
+/// A 2 s blur of the source from 4 s: one segment of two 30-frame output
+/// GOPs. Output GOP 0 reads source frames 120..150 and GOP 1 150..180,
+/// each its own source GOP.
+fn two_gop_plan(catalog: &Catalog) -> PhysicalPlan {
+    let spec = SpecBuilder::new(marked_output())
+        .video("src", "src.svc")
+        .append_filtered("src", r(4, 1), r(2, 1), |e| blur(e, 1.0))
+        .build();
+    let config = OptimizerConfig {
+        shard_min_frames: u64::MAX,
+        ..Default::default()
+    };
+    let plan = optimize(&lower_spec(&spec).unwrap(), catalog.plan_context(), &config).unwrap();
+    assert_eq!(plan.segments.len(), 1, "test premise: one render segment");
+    plan
+}
+
+/// A source frame only output GOP 1 of [`two_gop_plan`] reads.
+const GOP_1_SOURCE_FRAME: u64 = 160;
+
+#[test]
+fn an_early_gop_is_sunk_once_and_only_where_the_segment_cannot_be_replaced() {
+    let catalog = catalog();
+    let plan = two_gop_plan(&catalog);
+    let clean = baseline(&plan, &catalog);
+    for threads in [2usize, 8] {
+        let run = |injector: FaultInjector, policy: ErrorPolicy| {
+            let opts = ExecOptions {
+                fault: Some(Arc::new(injector)),
+                on_error: policy,
+                num_threads: threads,
+                ..Default::default()
+            };
+            let mut sunk = Vec::new();
+            let (out, stats) =
+                execute_streaming_with(&plan, &catalog, &opts, |p| sunk.push(p.clone())).unwrap();
+            (out, stats, sunk)
+        };
+        // A transient fault in GOP 1: the retry re-sends GOP 0, which the
+        // sink must not see twice.
+        let transient =
+            FaultInjector::new().fail_times("src", GOP_1_SOURCE_FRAME, FaultKind::Io, 1);
+        let (out, stats, sunk) = run(transient, ErrorPolicy::Abort);
+        assert_eq!(stats.exec.retries, 1, "threads={threads}");
+        assert_eq!(clean.packets(), out.packets(), "threads={threads}");
+        assert_eq!(clean.packets(), &sunk[..], "threads={threads}: sink");
+
+        // A persistent fault in GOP 1: the whole segment is replaced, so
+        // an early GOP 0 would have leaked into the sink.
+        for policy in [ErrorPolicy::SkipSegment, ErrorPolicy::SubstituteBlack] {
+            let label = format!("{policy:?}/threads={threads}");
+            let persistent = FaultInjector::new().fail("src", GOP_1_SOURCE_FRAME, FaultKind::Io);
+            let (out, stats, sunk) = run(persistent, policy);
+            assert_eq!(stats.errors.len(), 1, "{label}");
+            assert_eq!(out.packets(), &sunk[..], "{label}: sink");
+        }
+    }
+}
+
+const GATE_UDF: u16 = 78;
+
+/// Raised by the sink on its first packet; waited on by [`GATE_UDF`].
+#[derive(Default)]
+struct Gate {
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Gate {
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+
+    /// Waits up to `limit` for the gate to open; `false` if it did not.
+    fn wait(&self, limit: Duration) -> bool {
+        let open = self.open.lock().unwrap();
+        let (open, _) = self
+            .opened
+            .wait_timeout_while(open, limit, |open| !*open)
+            .unwrap();
+        *open
+    }
+}
+
+/// A 2 s pass-through of the source through [`GATE_UDF`]: one segment of
+/// two 30-frame output GOPs. Each frame of output GOP 1 waits up to
+/// `limit` for `gate`, then fails if `fail()` says so, and otherwise
+/// fails unless the gate opened.
+fn gated_two_gop_render(
+    gate: &Arc<Gate>,
+    limit: Duration,
+    fail: impl Fn() -> bool + Send + Sync + 'static,
+) -> (Catalog, PhysicalPlan) {
+    let mut catalog = catalog();
+    let gate = Arc::clone(gate);
+    catalog.register_udf(
+        GATE_UDF,
+        "gate_after_first_gop",
+        vec![ArgKind::Frame],
+        Arc::new(move |t: Rational, frames: &[Frame], _: &[Value]| {
+            if t >= r(1, 1) {
+                let opened = gate.wait(limit);
+                if fail() {
+                    return Err("GOP 1 failed".to_string());
+                }
+                if !opened {
+                    return Err("GOP 0 never reached the sink".to_string());
+                }
+            }
+            Ok(frames[0].clone())
+        }),
+    );
+    let spec = SpecBuilder::new(marked_output())
+        .video("src", "src.svc")
+        .append_filtered("src", r(0, 1), r(2, 1), |e| {
+            RenderExpr::transform(TransformOp::Udf(GATE_UDF), vec![Arg::Frame(e)])
+        })
+        .build();
+    let config = OptimizerConfig {
+        shard_min_frames: u64::MAX,
+        ..Default::default()
+    };
+    let plan = optimize(&lower_spec(&spec).unwrap(), catalog.plan_context(), &config).unwrap();
+    assert_eq!(plan.segments.len(), 1, "test premise: one render segment");
+    (catalog, plan)
+}
+
+/// Streams `plan`, opening `gate` on the first packet; returns the
+/// output's packets and the sink's, or the error.
+fn stream_gated(
+    catalog: &Catalog,
+    plan: &PhysicalPlan,
+    opts: &ExecOptions,
+    gate: &Gate,
+) -> Result<(Vec<Packet>, Vec<Packet>), String> {
+    let mut sunk = Vec::new();
+    execute_streaming_with(plan, catalog, opts, |p| {
+        gate.open();
+        sunk.push(p.clone());
+    })
+    .map(|(out, _)| (out.packets().to_vec(), sunk))
+    .map_err(|e| e.to_string())
+}
+
+/// A two-GOP render whose frames from output GOP 1 on cannot be composed
+/// until the sink has a packet: it completes only if GOP 0 reaches the
+/// sink while its segment is still rendering. Pinned worker counts: one
+/// worker delivers whole segments.
+#[test]
+fn gop_zero_reaches_the_sink_before_its_segment_ends() {
+    for threads in [2usize, 4, 8] {
+        let label = format!("threads={threads}");
+        let result = watchdog(&label, move || {
+            let gate = Arc::new(Gate::default());
+            let (catalog, plan) = gated_two_gop_render(&gate, Duration::from_secs(10), || false);
+            let opts = ExecOptions {
+                num_threads: threads,
+                max_retries: 0,
+                ..Default::default()
+            };
+            stream_gated(&catalog, &plan, &opts, &gate)
+        });
+        let (out, sunk) = result.unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(out.len(), 60, "{label}");
+        assert_eq!(out, sunk, "{label}: sink");
+    }
+}
+
+/// GOP 1 fails only once GOP 0 has reached the sink (or, where no GOP
+/// goes out early, after a second), so an early GOP 0 is certain: under
+/// `Abort` the retry re-sends it and the sink must not see it twice;
+/// under the policies that replace the segment it must never have gone
+/// out.
+#[test]
+fn a_failure_after_gop_zero_was_sunk_neither_repeats_nor_leaks_it() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let clean = {
+        let gate = Arc::new(Gate::default());
+        gate.open();
+        let (catalog, plan) = gated_two_gop_render(&gate, Duration::ZERO, || false);
+        baseline(&plan, &catalog)
+    };
+    for threads in [2usize, 8] {
+        for policy in [
+            ErrorPolicy::Abort,
+            ErrorPolicy::SkipSegment,
+            ErrorPolicy::SubstituteBlack,
+        ] {
+            let label = format!("{policy:?}/threads={threads}");
+            let (run_label, clean) = (label.clone(), clean.packets().to_vec());
+            watchdog(&label, move || {
+                let label = run_label;
+                let gate = Arc::new(Gate::default());
+                let (catalog, plan) = if policy == ErrorPolicy::Abort {
+                    // Fails once, after GOP 0 went out; the retry recovers.
+                    let failed = AtomicBool::new(false);
+                    gated_two_gop_render(&gate, Duration::from_secs(10), move || {
+                        !failed.swap(true, Ordering::SeqCst)
+                    })
+                } else {
+                    gated_two_gop_render(&gate, Duration::from_secs(1), || true)
+                };
+                let opts = ExecOptions {
+                    on_error: policy,
+                    num_threads: threads,
+                    max_retries: u32::from(policy == ErrorPolicy::Abort),
+                    ..Default::default()
+                };
+                let (out, sunk) = stream_gated(&catalog, &plan, &opts, &gate)
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                if policy == ErrorPolicy::Abort {
+                    assert_eq!(out, clean, "{label}");
+                }
+                assert_eq!(out, sunk, "{label}: sink");
+            });
         }
     }
 }
