@@ -98,7 +98,7 @@
 //! patterns.
 //!
 //! `--cache-dir DIR` (on both `run` and `serve`) enables the persistent
-//! render cache: whole results and per-segment fragments are stored
+//! render cache: rendered segment fragments are stored
 //! content-addressed under DIR (budgeted by `--cache-budget`, default
 //! 1 GiB), so repeated queries splice cached bytes instead of decoding.
 //! `--mem-cache-budget BYTES` (requires `--cache-dir`) adds a
@@ -447,8 +447,8 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     if render_cache_enabled {
         let c = report.stats.cache;
         println!(
-            "render cache: {} result hit(s), {} segment hit(s), {} bytes reused, {} eviction(s)",
-            c.result_hits, c.segment_hits, c.bytes_reused, c.evictions
+            "render cache: {} segment hit(s), {} bytes reused, {} eviction(s)",
+            c.segment_hits, c.bytes_reused, c.evictions
         );
     }
     for w in &report.check.warnings {

@@ -4,14 +4,13 @@ use crate::observe::{AnalyzeReport, ExplainReport, RunTrace};
 use crate::EngineError;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use v2v_codec::Packet;
 use v2v_container::{Fnv64, Fragment, VideoStream};
 use v2v_data::{Database, Query};
 use v2v_exec::{
-    execute_naive, execute_streaming_with, execute_traced, CacheStats, Catalog, EntryKey,
-    ExecOptions, ExecStats, ExecTrace, FragmentFlight, RenderCache, SegmentCacheCtx, StageTimes,
-    StreamingStats,
+    execute_naive, execute_streaming_with, execute_traced, Catalog, ExecOptions, ExecStats,
+    FragmentFlight, RenderCache, SegmentCacheCtx, StageTimes, StreamingStats,
 };
 use v2v_obs::{SpanRecord, SpanSink};
 use v2v_plan::{
@@ -33,7 +32,7 @@ pub struct EngineConfig {
     pub data_rewrites: bool,
     /// Persistent render cache shared across runs (and across engines —
     /// the serving layer hands every worker the same `Arc`). `None`
-    /// disables result and segment reuse. Ignored while a fault
+    /// disables segment reuse. Ignored while a fault
     /// injector is configured: degraded output must never be persisted.
     pub render_cache: Option<Arc<RenderCache>>,
     /// In-flight work-sharing registry shared across *concurrent*
@@ -451,9 +450,10 @@ impl V2vEngine {
         opts
     }
 
-    /// Executes a [`PreparedRun`]: whole-result cache lookup (memory
-    /// tier first), shared-segment execution, result store, span and
-    /// trace assembly.
+    /// Executes a [`PreparedRun`]: execution under the plan's segment
+    /// keys (every keyed segment looked up in the reuse tiers first),
+    /// span and trace assembly. A repeated query is an all-segment-hit
+    /// run: zero frames decoded, zero encoded.
     pub fn run_prepared(
         &mut self,
         prepared: PreparedRun,
@@ -464,61 +464,26 @@ impl V2vEngine {
 
     /// [`run_prepared`](V2vEngine::run_prepared) with an optional
     /// packet sink: the one back half. With a sink, packets reach it in
-    /// presentation order as parts complete (a whole-result hit feeds
-    /// it the cached packets); the third value is the time from
-    /// execution start to the first packet delivered (zero without a
-    /// sink).
+    /// presentation order as output GOPs and segments complete; the
+    /// third value is the time from execution start to the first packet
+    /// delivered (zero without a sink).
     fn run_prepared_with(
         &mut self,
         prepared: PreparedRun,
-        mut sink: Option<&mut dyn FnMut(&Packet)>,
+        sink: Option<&mut dyn FnMut(&Packet)>,
     ) -> Result<(RunReport, RunTrace, Duration), EngineError> {
         let (physical, spans) = (&prepared.physical, &prepared.spans);
-        let result_cache = prepared.fingerprint.zip(self.config.render_cache.clone());
         let timer = spans.start("execute");
         let exec_start_ns = spans.now_ns();
-        let hit_start = Instant::now();
-        let result_hit = result_cache.as_ref().and_then(|(fp, cache)| {
-            let (output, origin) = cache.load_result_tiered(*fp)?;
-            let stats = CacheStats::for_hit(EntryKey::Result(*fp), origin, output.byte_size());
-            Some((output, stats))
-        });
-        let mut first_packet = Duration::ZERO;
-        let (output, exec_trace, wall) = match result_hit {
-            Some((output, stats)) => {
-                // Whole-result hit: splice the cached container bytes
-                // straight through — no planning cost was wasted (the
-                // fingerprint needs the optimized plan), but no decode,
-                // render, or encode happens at all.
-                if let Some(sink) = sink.as_mut() {
-                    first_packet = hit_start.elapsed();
-                    output.packets().iter().for_each(sink);
-                }
-                let mut trace = ExecTrace::default();
-                trace.totals.cache = stats;
-                let wall = hit_start.elapsed();
-                trace.wall_ns = wall.as_nanos() as u64;
-                (output, trace, wall)
+        let opts = self.exec_options(prepared.keys, true);
+        let (output, exec_trace, wall, first_packet) = match sink {
+            Some(sink) => {
+                let (output, s) = execute_streaming_with(physical, &self.catalog, &opts, sink)?;
+                (output, s.trace, s.total, s.time_to_first_packet)
             }
             None => {
-                let opts = self.exec_options(prepared.keys, true);
-                let (output, exec_trace, wall) = match sink {
-                    Some(sink) => {
-                        let (output, streaming) =
-                            execute_streaming_with(physical, &self.catalog, &opts, sink)?;
-                        first_packet = streaming.time_to_first_packet;
-                        (output, streaming.trace, streaming.total)
-                    }
-                    None => execute_traced(physical, &self.catalog, &opts)?,
-                };
-                if let Some((fp, cache)) = &result_cache {
-                    if exec_trace.errors.is_empty() {
-                        // Failed stores only cost the next run a
-                        // re-render; never fail the query for one.
-                        let _ = cache.store_result(*fp, &output);
-                    }
-                }
-                (output, exec_trace, wall)
+                let (output, trace, wall) = execute_traced(physical, &self.catalog, &opts)?;
+                (output, trace, wall, Duration::ZERO)
             }
         };
         timer
@@ -1001,16 +966,19 @@ mod tests {
             assert_eq!(sunk, report.output.packets(), "every packet, in order");
             runs.push(report.stats);
         }
-        assert_eq!(runs[0].cache.result_hits, 0);
+        assert_eq!(runs[0].cache.segment_hits, 0);
         assert_eq!(runs[0].frames_encoded, 60);
-        assert_eq!(runs[1].cache.result_hits, 1);
+        // The repeat is an all-segment hit: both blurred seconds come
+        // out of the cache, nothing is decoded or encoded.
+        assert_eq!(runs[1].cache.segment_hits, 2);
+        assert_eq!(runs[1].frames_decoded, 0);
         assert_eq!(runs[1].frames_encoded, 0);
-        // A different query sharing the first second: a result miss
-        // whose shared segment comes out of the warmed cache.
+        // A different query sharing the first second: its shared
+        // segment comes out of the warmed cache, the other renders.
         let overlap = blur_spec(&[0, 3]);
         let (report, _) = engine.run_streaming(&overlap, |_| {}).unwrap();
-        assert_eq!(report.stats.cache.result_hits, 0);
-        assert!(report.stats.cache.segment_hits > 0, "{:?}", report.stats);
+        assert_eq!(report.stats.cache.segment_hits, 1, "{:?}", report.stats);
+        assert_eq!(report.stats.frames_encoded, 30);
         let cold = engine_with_video().run(&overlap).unwrap();
         assert_eq!(report.output.content_digest(), cold.output.content_digest());
         let _ = std::fs::remove_dir_all(dir);

@@ -159,9 +159,6 @@ impl RunTrace {
             .counter("exec.faults.frames_substituted")
             .add(t.frames_substituted);
         registry
-            .counter("exec.cache.result_hits")
-            .add(t.cache.result_hits);
-        registry
             .counter("exec.cache.segment_hits")
             .add(t.cache.segment_hits);
         registry

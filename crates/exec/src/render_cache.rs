@@ -3,18 +3,16 @@
 //! VSS-style cross-query reuse: rendered bytes are the expensive thing
 //! V2V produces, and most production query streams repeat themselves —
 //! the same highlight reel requested twice, two dashboards asking for
-//! overlapping windows of one camera. The cache persists two kinds of
-//! entries under one directory, both in the checksummed [`Fragment`]
-//! format:
-//!
-//! * **whole results** (`res-<fingerprint>.svf`) — keyed by the
-//!   canonical plan fingerprint
-//!   ([`v2v_plan::fingerprint::plan_fingerprint`]); a repeat query is
-//!   answered by reading packets back, zero decode, zero encode;
-//! * **per-segment fragments** (`seg-<key>.svf`) — keyed by
-//!   [`v2v_plan::fingerprint::segment_keys`]; an *overlapping* query
-//!   whose plan shares segments with an earlier one splices the shared
-//!   fragments by stream copy and renders only the novel remainder.
+//! overlapping windows of one camera. The cache persists rendered
+//! segment fragments (`seg-<key>.svf`, in the checksummed [`Fragment`]
+//! format) under one directory, keyed by
+//! [`v2v_plan::fingerprint::segment_keys`]: a repeated query splices
+//! every render segment from the cache (zero decode, zero encode), and
+//! an *overlapping* one splices the shared fragments and renders only
+//! the novel remainder. A whole result is only its segments plus
+//! stream-copied source packets, so no whole result is stored; the
+//! `res-` key space ([`store_result`](RenderCache::store_result)) is
+//! kept for the benchmark probe alone.
 //!
 //! Three properties the serving layer depends on:
 //!
@@ -44,7 +42,9 @@ use v2v_container::{fragment_to_bytes, read_fragment, Fragment, VideoStream};
 /// [`ExecStats`](crate::ExecStats) and the trace.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
-    /// Whole results served straight from the cache.
+    /// Whole results served straight from the cache. Always 0: the
+    /// engine stores no whole results; kept on the wire until the
+    /// benchmark probe retires it (ROADMAP direction 5).
     #[serde(default)]
     pub result_hits: u64,
     /// Segments spliced from cached fragments instead of rendered.
@@ -64,9 +64,9 @@ pub struct CacheStats {
     /// of rendered here ([`FragmentFlight`] subscription).
     #[serde(default)]
     pub shared_segment_hits: u64,
-    /// Cache hits (result or segment) served by the in-memory tier
-    /// without touching disk. Also counted in `result_hits` /
-    /// `segment_hits`; this field attributes the tier.
+    /// Segment hits served by the in-memory tier without touching
+    /// disk. Also counted in `segment_hits`; this field attributes the
+    /// tier.
     #[serde(default)]
     pub mem_hits: u64,
     /// Segments whose fragments were produced by a remote worker
@@ -89,19 +89,18 @@ impl CacheStats {
         self
     }
 
-    /// The attribution of one reused entry: `bytes` compressed bytes of
-    /// `key` that came from `origin` instead of being rendered here.
-    pub fn for_hit(key: EntryKey, origin: Origin, bytes: u64) -> CacheStats {
+    /// The attribution of one reused segment: `bytes` compressed bytes
+    /// that came from `origin` instead of being rendered here.
+    pub fn for_hit(origin: Origin, bytes: u64) -> CacheStats {
         let mut stats = CacheStats {
             bytes_reused: bytes,
             mem_hits: u64::from(origin == Origin::Memory),
             ..Default::default()
         };
-        match (origin, key) {
-            (Origin::Flight, _) => stats.shared_segment_hits = 1,
-            (Origin::Remote, _) => stats.remote_segments = 1,
-            (_, EntryKey::Result(_)) => stats.result_hits = 1,
-            (_, EntryKey::Segment(_)) => stats.segment_hits = 1,
+        match origin {
+            Origin::Flight => stats.shared_segment_hits = 1,
+            Origin::Remote => stats.remote_segments = 1,
+            Origin::Memory | Origin::Disk => stats.segment_hits = 1,
         }
         stats
     }
@@ -123,7 +122,10 @@ pub enum Origin {
 /// The address of one cache entry, shared by the memory and disk tiers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EntryKey {
-    /// A whole result, by canonical plan fingerprint.
+    /// A whole result, by canonical plan fingerprint. No engine caller;
+    /// the benchmark probe retires it (ROADMAP direction 5). A `res-`
+    /// file an older build wrote is still indexed at open and, never
+    /// touched again, is the first LRU victim.
     Result(u64),
     /// One rendered segment, by segment key.
     Segment(u64),
@@ -149,8 +151,8 @@ impl EntryKey {
 }
 
 /// A persistent, byte-budgeted, content-addressed cache of rendered
-/// fragments and whole results. Thread-safe: the serving daemon shares
-/// one instance across concurrent jobs.
+/// segment fragments. Thread-safe: the serving daemon shares one
+/// instance across concurrent jobs.
 pub struct RenderCache {
     dir: PathBuf,
     /// `0` means unbounded.
@@ -256,17 +258,13 @@ impl RenderCache {
         self.index.len()
     }
 
-    /// Looks up a cached whole result by plan fingerprint.
+    /// Looks up a cached whole result by plan fingerprint. No engine
+    /// caller; the benchmark probe retires it (ROADMAP direction 5).
     pub fn load_result(&self, fingerprint: u64) -> Option<VideoStream> {
-        self.load_result_tiered(fingerprint).map(|(s, _)| s)
-    }
-
-    /// Looks up a cached whole result, reporting which tier served it.
-    pub fn load_result_tiered(&self, fingerprint: u64) -> Option<(VideoStream, Origin)> {
         let key = EntryKey::Result(fingerprint);
-        let (frag, origin) = self.load(key)?;
+        let (frag, _) = self.load(key)?;
         match (*frag).clone().into_stream() {
-            Ok(stream) => Some((stream, origin)),
+            Ok(stream) => Some(stream),
             Err(_) => {
                 // Checksum-clean but not a stream: drop it from both
                 // tiers so the caller re-renders and re-stores.
@@ -291,8 +289,8 @@ impl RenderCache {
         self.load(EntryKey::Segment(key))
     }
 
-    /// Stores a whole result under the plan fingerprint. Best-effort:
-    /// an I/O failure leaves the cache without the entry, nothing more.
+    /// Stores a whole result under the plan fingerprint. No engine
+    /// caller; the benchmark probe retires it (ROADMAP direction 5).
     pub fn store_result(&self, fingerprint: u64, stream: &VideoStream) -> std::io::Result<()> {
         let frag = Fragment::from_stream(stream);
         self.store(EntryKey::Result(fingerprint), &frag)
@@ -580,18 +578,21 @@ mod tests {
     }
 
     #[test]
-    fn result_entries_promote_to_mem_tier() {
-        let dir = temp_dir("mem_result");
+    fn segment_entries_promote_to_mem_tier() {
+        let dir = temp_dir("mem_segment");
         let cache = RenderCache::open(&dir, 1 << 20)
             .unwrap()
             .with_mem_tier(1 << 20);
-        let stream = sample_fragment(5, 8).into_stream().unwrap();
-        cache.store_result(0x77, &stream).unwrap();
-        assert_eq!(cache.load_result_tiered(0x77).unwrap().1, Origin::Disk);
-        assert_eq!(cache.load_result_tiered(0x77).unwrap().1, Origin::Disk);
-        let (back, tier) = cache.load_result_tiered(0x77).unwrap();
+        let frag = sample_fragment(5, 8);
+        cache.store_segment(0x77, &frag).unwrap();
+        assert_eq!(cache.load_segment_tiered(0x77).unwrap().1, Origin::Disk);
+        assert_eq!(cache.load_segment_tiered(0x77).unwrap().1, Origin::Disk);
+        let (back, tier) = cache.load_segment_tiered(0x77).unwrap();
         assert_eq!(tier, Origin::Memory);
-        assert_eq!(back.content_digest(), stream.content_digest());
+        assert_eq!(
+            (*back).clone().into_stream().unwrap().content_digest(),
+            frag.into_stream().unwrap().content_digest()
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -45,7 +45,7 @@ use crate::executor::{ExecOptions, ExecStats};
 use crate::fault::{error_kind, ErrorPolicy, FaultAction, FaultInjector, SegmentFault};
 use crate::flight::Claim;
 use crate::gop_cache::GopCache;
-use crate::render_cache::{CacheStats, EntryKey, Origin, SegmentCacheCtx};
+use crate::render_cache::{CacheStats, Origin, SegmentCacheCtx};
 use crate::trace::StageTimes;
 use crate::ExecError;
 use std::collections::BTreeMap;
@@ -412,7 +412,7 @@ fn render_segment(
     let reused = |frag: &Fragment, origin: Origin| {
         let stats = ExecStats {
             segments: 1,
-            cache: CacheStats::for_hit(EntryKey::Segment(key), origin, frag.byte_size()),
+            cache: CacheStats::for_hit(origin, frag.byte_size()),
             ..Default::default()
         };
         SegmentOutput::new(ctx, frag.packets().to_vec(), stats)

@@ -27,8 +27,8 @@
 //!   ([`MemTier`](v2v_exec::MemTier)) on the render cache answers hot
 //!   repeats without touching disk (`mem_hits`);
 //! * **a shared persistent render cache** — all workers share one
-//!   [`RenderCache`](v2v_exec::RenderCache), so a repeated query is answered by splicing
-//!   cached container bytes (zero decode) and an overlapping query
+//!   [`RenderCache`](v2v_exec::RenderCache), so a repeated query splices all its
+//!   cached segments (zero decode) and an overlapping query
 //!   reuses every segment it shares with earlier ones (see
 //!   `v2v_plan::fingerprint` for key derivation);
 //! * **observability** — `GET /metrics` serves a
@@ -323,7 +323,6 @@ struct ExecMetrics {
     frames_encoded: Arc<Counter>,
     bytes_decoded: Arc<Counter>,
     packets_copied: Arc<Counter>,
-    result_hits: Arc<Counter>,
     segment_hits: Arc<Counter>,
     evictions: Arc<Counter>,
     bytes_reused: Arc<Counter>,
@@ -359,7 +358,6 @@ impl Metrics {
                 frames_encoded: registry.counter("exec.frames_encoded"),
                 bytes_decoded: registry.counter("exec.bytes_decoded"),
                 packets_copied: registry.counter("exec.packets_copied"),
-                result_hits: registry.counter("exec.cache.result_hits"),
                 segment_hits: registry.counter("exec.cache.segment_hits"),
                 evictions: registry.counter("exec.cache.evictions"),
                 bytes_reused: registry.counter("exec.cache.bytes_reused"),
@@ -1305,7 +1303,6 @@ fn record_exec_metrics(exec: &ExecMetrics, stats: &ExecStats) {
     exec.frames_encoded.add(stats.frames_encoded);
     exec.bytes_decoded.add(stats.bytes_decoded);
     exec.packets_copied.add(stats.packets_copied);
-    exec.result_hits.add(stats.cache.result_hits);
     exec.segment_hits.add(stats.cache.segment_hits);
     exec.evictions.add(stats.cache.evictions);
     exec.bytes_reused.add(stats.cache.bytes_reused);
@@ -1567,7 +1564,6 @@ mod tests {
         metrics.exec.cache.evictions metrics.exec.cache.evictions.Counter \
         metrics.exec.cache.inflight_hits metrics.exec.cache.inflight_hits.Counter \
         metrics.exec.cache.mem_hits metrics.exec.cache.mem_hits.Counter \
-        metrics.exec.cache.result_hits metrics.exec.cache.result_hits.Counter \
         metrics.exec.cache.segment_hits metrics.exec.cache.segment_hits.Counter \
         metrics.exec.cache.shared_segment_hits \
         metrics.exec.cache.shared_segment_hits.Counter metrics.exec.frames_decoded \

@@ -1,11 +1,12 @@
 //! Engine-level acceptance tests for the persistent render cache: a
-//! repeated query is a zero-decode whole-result hit, an overlapping
+//! repeated query is a zero-decode all-segment hit, an overlapping
 //! query splices shared segments, corrupt entries are evicted and
-//! transparently re-rendered, and the byte budget is enforced with
-//! run-visible evictions.
+//! transparently re-rendered, a directory holding whole-result entries
+//! from an older build still answers, and the byte budget is enforced
+//! with run-visible evictions.
 
 use std::sync::Arc;
-use v2v_container::svc_to_bytes;
+use v2v_container::{svc_to_bytes, Fragment};
 use v2v_core::{EngineConfig, V2vEngine};
 use v2v_exec::{Catalog, RenderCache};
 use v2v_integration_tests::{marked_output, marked_stream, temp_dir};
@@ -48,19 +49,49 @@ fn overlapping_spec() -> Spec {
         .build()
 }
 
+/// The number of keyed render segments in `spec`'s plan: what a
+/// repeat must splice from the cache.
+fn keyed_segments(engine: &mut V2vEngine, spec: &Spec) -> u64 {
+    let prepared = engine.prepare(spec).expect("prepare");
+    prepared.segment_keys().iter().flatten().count() as u64
+}
+
+/// The cache's entry files whose names start with `prefix`.
+fn entry_files(dir: &std::path::Path, prefix: &str) -> Vec<std::path::PathBuf> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with(prefix))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
 #[test]
-fn repeat_query_is_a_zero_decode_result_hit() {
+fn repeat_query_is_an_all_segment_hit() {
     let dir = temp_dir("repeat");
     let cache = Arc::new(RenderCache::open(&dir, 1 << 30).unwrap());
     let mut engine = engine_with_cache(&cache);
     let spec = filtered_spec();
+    let keyed = keyed_segments(&mut engine, &spec);
+    assert!(keyed > 1, "the blur shards into several keyed segments");
 
     let cold = engine.run(&spec).expect("cold run");
-    assert_eq!(cold.stats.cache.result_hits, 0);
+    assert_eq!(cold.stats.cache.segment_hits, 0);
     assert!(cold.stats.bytes_decoded > 0, "cold run must decode");
+    assert!(
+        entry_files(&dir, "res-").is_empty(),
+        "no whole result stored"
+    );
 
     let warm = engine.run(&spec).expect("warm run");
-    assert_eq!(warm.stats.cache.result_hits, 1);
+    assert_eq!(warm.stats.cache.segment_hits, keyed);
+    assert_eq!(warm.stats.frames_decoded, 0, "repeat must not decode");
     assert_eq!(warm.stats.bytes_decoded, 0, "repeat must not decode");
     assert_eq!(warm.stats.frames_encoded, 0, "repeat must not encode");
     assert!(warm.stats.cache.bytes_reused > 0);
@@ -70,18 +101,64 @@ fn repeat_query_is_a_zero_decode_result_hit() {
         "cached result must be byte-identical"
     );
 
-    // The entry survives a reopen (simulated process restart).
+    // The entries survive a reopen (simulated process restart).
     drop(engine);
     drop(cache);
     let cache = Arc::new(RenderCache::open(&dir, 1 << 30).unwrap());
     let mut engine = engine_with_cache(&cache);
     let reopened = engine.run(&spec).expect("run after reopen");
-    assert_eq!(reopened.stats.cache.result_hits, 1);
+    assert_eq!(reopened.stats.cache.segment_hits, keyed);
+    assert_eq!(reopened.stats.frames_decoded, 0);
     assert_eq!(reopened.stats.bytes_decoded, 0);
+    assert_eq!(reopened.stats.frames_encoded, 0);
     assert_eq!(
         svc_to_bytes(&reopened.output).unwrap(),
         svc_to_bytes(&cold.output).unwrap()
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A directory an older build wrote holds a whole-result (`res-`) entry
+/// beside the query's segment entries. It still answers the query from
+/// its segments, and the never-touched `res-` entry is the first LRU
+/// victim once the budget forces an eviction.
+#[test]
+fn a_directory_with_a_whole_result_entry_still_answers() {
+    let dir = temp_dir("old_dir");
+    let spec = filtered_spec();
+    let truth = svc_to_bytes(&V2vEngine::new(catalog()).run(&spec).unwrap().output).unwrap();
+    let held = {
+        let cache = Arc::new(RenderCache::open(&dir, 1 << 30).unwrap());
+        let mut engine = engine_with_cache(&cache);
+        let cold = engine.run(&spec).expect("cold run stores the segments");
+        let fingerprint = engine.prepare(&spec).unwrap().fingerprint().unwrap();
+        cache.store_result(fingerprint, &cold.output).unwrap();
+        cache.bytes_held()
+    };
+    let res = entry_files(&dir, "res-");
+    let segs = entry_files(&dir, "seg-");
+    assert_eq!(res.len(), 1);
+    assert!(!segs.is_empty());
+
+    // Everything fits exactly: open indexes the `res-` entry too.
+    let cache = Arc::new(RenderCache::open(&dir, held).unwrap());
+    assert_eq!(cache.entries(), segs.len() + 1);
+    let mut engine = engine_with_cache(&cache);
+    let keyed = keyed_segments(&mut engine, &spec);
+    let run = engine.run(&spec).expect("run over the old directory");
+    assert_eq!(run.stats.cache.segment_hits, keyed);
+    assert_eq!(run.stats.cache.result_hits, 0);
+    assert_eq!(run.stats.frames_decoded, 0);
+    assert_eq!(run.stats.frames_encoded, 0);
+    assert_eq!(svc_to_bytes(&run.output).unwrap(), truth);
+
+    // One new entry smaller than the whole result forces exactly one
+    // eviction: the `res-` entry, which nothing touched since open.
+    let extra = Fragment::from_stream(&marked_stream(30, 30));
+    cache.store_segment(0x5eed, &extra).unwrap();
+    assert_eq!(cache.evictions(), 1);
+    assert!(!res[0].exists(), "the whole-result entry goes first");
+    assert!(segs.iter().all(|p| p.exists()), "every segment stays");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -125,36 +202,36 @@ fn overlapping_query_splices_shared_segments() {
 }
 
 #[test]
-fn corrupt_result_entry_is_evicted_and_rerendered() {
+fn corrupt_segment_entry_is_evicted_and_rerendered() {
     let dir = temp_dir("corrupt");
     let cache = Arc::new(RenderCache::open(&dir, 1 << 30).unwrap());
     let mut engine = engine_with_cache(&cache);
     let spec = filtered_spec();
+    let keyed = keyed_segments(&mut engine, &spec);
 
     let cold = engine.run(&spec).expect("cold run");
     let baseline = svc_to_bytes(&cold.output).unwrap();
 
-    // Flip a byte in the stored whole-result entry's packet table.
-    let result_file = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .find(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("res-"))
-        })
-        .expect("whole-result entry on disk");
-    let mut bytes = std::fs::read(&result_file).unwrap();
+    // Flip a byte in one stored segment entry's packet table.
+    let segment_file = entry_files(&dir, "seg-")
+        .into_iter()
+        .next()
+        .expect("segment entry on disk");
+    let mut bytes = std::fs::read(&segment_file).unwrap();
     let last = bytes.len() - 1;
     bytes[last] ^= 0xff;
-    std::fs::write(&result_file, &bytes).unwrap();
+    std::fs::write(&segment_file, &bytes).unwrap();
 
-    // The corrupt entry must be evicted and the query transparently
+    // The corrupt entry must be evicted and its segment transparently
     // re-rendered, byte-identical to the original.
     let evictions_before = cache.evictions();
     let rerun = engine.run(&spec).expect("run over corrupt entry");
-    assert_eq!(rerun.stats.cache.result_hits, 0, "corrupt entry must miss");
+    assert_eq!(
+        rerun.stats.cache.segment_hits,
+        keyed - 1,
+        "corrupt entry must miss"
+    );
+    assert!(rerun.stats.frames_encoded > 0, "the missed segment renders");
     assert!(
         cache.evictions() > evictions_before,
         "corrupt entry evicted"
@@ -163,14 +240,16 @@ fn corrupt_result_entry_is_evicted_and_rerendered() {
     // The re-render re-stored the slot: the file on disk is no longer
     // the corrupted bytes.
     assert_ne!(
-        std::fs::read(&result_file).unwrap(),
+        std::fs::read(&segment_file).unwrap(),
         bytes,
         "entry replaced"
     );
 
-    // The re-render repopulated the slot: the next run hits again.
+    // The re-render repopulated the slot: the next run hits every
+    // segment again.
     let warm = engine.run(&spec).expect("run after repair");
-    assert_eq!(warm.stats.cache.result_hits, 1);
+    assert_eq!(warm.stats.cache.segment_hits, keyed);
+    assert_eq!(warm.stats.frames_encoded, 0);
     assert_eq!(svc_to_bytes(&warm.output).unwrap(), baseline);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -184,8 +184,8 @@ fn daemon_matches_direct_runs_and_serves_repeats_from_cache() {
 
     let (_daemon, addr) = start_daemon(&bin, &cache_dir);
 
-    // Warm-up: one cold render of the repeat query populates the
-    // result entry and its segment fragments.
+    // Warm-up: one cold render of the repeat query populates its
+    // segment fragments.
     let warmup = client::post_query(addr, spec_repeat(&video).to_json().as_bytes()).unwrap();
     assert_eq!(
         warmup.status,
@@ -194,7 +194,7 @@ fn daemon_matches_direct_runs_and_serves_repeats_from_cache() {
         String::from_utf8_lossy(&warmup.body)
     );
     assert_eq!(warmup.body, *truth[0]);
-    assert_eq!(stats_field(&warmup, &["cache", "result_hits"]), 0);
+    assert_eq!(stats_field(&warmup, &["cache", "segment_hits"]), 0);
 
     // Concurrent client matrix: two repeats, one overlapping, one
     // distinct, all in flight together against max_concurrent=2.
@@ -230,11 +230,12 @@ fn daemon_matches_direct_runs_and_serves_repeats_from_cache() {
         "overlapping query must reuse cached segments"
     );
 
-    // A repeat of the warmed query is a zero-decode result hit.
+    // A repeat of the warmed query is a zero-decode all-segment hit.
     let repeat = client::post_query(addr, spec_repeat(&video).to_json().as_bytes()).unwrap();
     assert_eq!(repeat.status, 200);
     assert_eq!(repeat.body, *truth[0]);
-    assert!(stats_field(&repeat, &["cache", "result_hits"]) >= 1);
+    assert!(stats_field(&repeat, &["cache", "segment_hits"]) >= 1);
+    assert_eq!(stats_field(&repeat, &["frames_decoded"]), 0);
     assert_eq!(stats_field(&repeat, &["bytes_decoded"]), 0);
     assert_eq!(stats_field(&repeat, &["frames_encoded"]), 0);
 
@@ -251,7 +252,7 @@ fn daemon_matches_direct_runs_and_serves_repeats_from_cache() {
     let metrics = client::request(addr, "GET", "/metrics", b"").unwrap();
     assert_eq!(metrics.status, 200);
     let text = String::from_utf8_lossy(&metrics.body);
-    assert!(text.contains("exec.cache.result_hits"), "{text}");
+    assert!(text.contains("exec.cache.segment_hits"), "{text}");
 
     // The daemon read the fixture once, when the first query bound it:
     // with the file gone, a repeat is still served, byte-identical to

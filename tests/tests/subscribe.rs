@@ -301,3 +301,97 @@ fn subscribe_rejects_unbindable_specs_up_front() {
     assert_eq!(resp.status, 400);
     handle.stop();
 }
+
+/// The cache's entry files whose names start with `prefix`, with their
+/// sizes.
+fn entry_sizes(dir: &std::path::Path, prefix: &str) -> std::collections::BTreeMap<String, u64> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .filter_map(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            let len = e.metadata().ok()?.len();
+            name.starts_with(prefix).then_some((name, len))
+        })
+        .collect()
+}
+
+/// A subscription refresh stores the fragments of the segments it
+/// renders and nothing else: after each of three appends the cache
+/// holds no whole-result (`res-`) entry, and `cache.bytes_held` grows
+/// by no more than the newly stored `seg-` fragments.
+#[test]
+fn subscription_refreshes_store_no_whole_result() {
+    const HISTORY: usize = 210;
+    const STEP: usize = 30;
+    let history = marked_stream(HISTORY, 30);
+    let cut = |from: usize, to: usize| {
+        let at = history.start() + history.frame_dur() * v2v_time::Rational::from_int(from as i64);
+        let packets = history.copy_packet_range(from, to, at).unwrap();
+        v2v_container::VideoStream::new(*history.params(), at, history.frame_dur(), packets)
+            .unwrap()
+    };
+    let dir = temp_dir("no_result");
+    let mut config = ServeConfig::default();
+    config.engine.render_cache = Some(std::sync::Arc::new(
+        RenderCache::open(&dir, 1 << 30).unwrap(),
+    ));
+    let mut catalog = Catalog::new();
+    catalog.add_video("src", cut(0, INITIAL_FRAMES));
+    let mut handle = V2vServer::new(catalog)
+        .with_config(config)
+        .start("127.0.0.1:0")
+        .unwrap();
+    let addr = handle.addr();
+
+    let mut resp = client::open_stream(
+        addr,
+        "POST",
+        "/subscribe",
+        growth_spec().to_json().as_bytes(),
+    )
+    .expect("subscribe");
+    assert_eq!(resp.status, 200);
+    resp.reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    read_delta(&mut resp.reader).unwrap().expect("first delta");
+    wait_for(addr, "subscription active", |v| {
+        status_u64(v, &["subscriptions", "active"]) == 1
+    });
+
+    for from in (INITIAL_FRAMES..HISTORY).step_by(STEP) {
+        let segments_before = entry_sizes(&dir, "seg-");
+        let held_before = status_u64(&status(addr), &["cache", "bytes_held"]);
+        let tail = svc_to_bytes(&cut(from, from + STEP)).unwrap();
+        let append = client::request(addr, "POST", "/append/src", &tail).unwrap();
+        assert_eq!(
+            append.status,
+            200,
+            "{}",
+            String::from_utf8_lossy(&append.body)
+        );
+        // The refresh stored everything it stores before it wrote the
+        // delta.
+        let (header, _) = read_delta(&mut resp.reader).unwrap().expect("growth delta");
+        assert_eq!(header.from_frame as usize, from);
+
+        assert_eq!(entry_sizes(&dir, "res-").len(), 0, "no whole result stored");
+        let new_fragments: u64 = entry_sizes(&dir, "seg-")
+            .into_iter()
+            .filter(|(name, _)| !segments_before.contains_key(name))
+            .map(|(_, len)| len)
+            .sum();
+        assert!(new_fragments > 0, "the appended range renders");
+        let grown = status_u64(&status(addr), &["cache", "bytes_held"]) - held_before;
+        assert!(
+            grown <= new_fragments,
+            "after the append at frame {from} the cache grew {grown} bytes, \
+             the new segment fragments are {new_fragments}"
+        );
+    }
+    drop(resp);
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
