@@ -12,8 +12,8 @@
 //!   against an initially empty render cache: each one pays the full
 //!   render. The per-client latency growth from 1 → 8 clients is the
 //!   admission-control queueing the paper's serving section predicts.
-//! * **warm** — every request repeats one pre-rendered query: each is a
-//!   whole-result cache hit (zero decode, zero encode), so the ratio
+//! * **warm** — every request repeats one pre-rendered query: each is
+//!   an all-segment cache hit (zero decode, zero encode), so the ratio
 //!   cold/warm mean latency is the cache's synthesis-skipping payoff.
 //! * **dup** — duplicate-heavy: every round, all N clients post the
 //!   *same* fresh query simultaneously (barrier-released), so nothing
@@ -27,8 +27,7 @@
 //! Every warm response is asserted byte-identical to the warm-up
 //! render, and every `share`-arm response byte-identical to its
 //! `noshare` counterpart — sharing must be invisible in the bytes.
-//! `--quick` (CI smoke) shrinks the workload and skips rewriting the
-//! committed `BENCH_serve.json`.
+//! `--quick` (CI smoke) shrinks the workload.
 
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -281,8 +280,6 @@ fn status_counter(addr: std::net::SocketAddr, path: &[&str]) -> u64 {
 }
 
 struct SubscribeStep {
-    frames_total: usize,
-    delta_frames: usize,
     delta_bytes: usize,
     full_bytes: usize,
     delta_latency: Duration,
@@ -291,14 +288,11 @@ struct SubscribeStep {
 
 struct SubscribeResult {
     steps: usize,
-    initial_frames: usize,
-    rows: Vec<SubscribeStep>,
     mean_delta_latency: Duration,
     mean_cold_latency: Duration,
     latency_speedup: f64,
     delta_bytes: u64,
     full_bytes: u64,
-    counters: serde_json::Value,
 }
 
 /// One subscription against a growing live source: delta 0 plus one
@@ -424,8 +418,6 @@ fn run_subscribe_phase(quick: bool) -> SubscribeResult {
             "cumulative after installment {s} must equal a cold run at {b} frames"
         );
         rows.push(SubscribeStep {
-            frames_total: b,
-            delta_frames: h.frames as usize,
             delta_bytes: svc.len(),
             full_bytes: cold_bytes.len(),
             delta_latency,
@@ -433,12 +425,6 @@ fn run_subscribe_phase(quick: bool) -> SubscribeResult {
         });
     }
 
-    let counters = serde_json::json!({
-        "deltas": status_counter(addr, &["subscriptions", "deltas"]),
-        "renders": status_counter(addr, &["subscriptions", "renders"]),
-        "appends": status_counter(addr, &["subscriptions", "appends"]),
-        "frames_pushed": status_counter(addr, &["subscriptions", "frames_pushed"]),
-    });
     drop(resp);
     handle.stop();
     let _ = std::fs::remove_dir_all(&cache_dir);
@@ -447,15 +433,12 @@ fn run_subscribe_phase(quick: bool) -> SubscribeResult {
     let mean_cold_latency = mean(&rows.iter().map(|r| r.cold_latency).collect::<Vec<_>>());
     SubscribeResult {
         steps,
-        initial_frames: initial,
         mean_delta_latency,
         mean_cold_latency,
         latency_speedup: mean_cold_latency.as_secs_f64()
             / mean_delta_latency.as_secs_f64().max(1e-9),
         delta_bytes: rows.iter().map(|r| r.delta_bytes as u64).sum(),
         full_bytes: rows.iter().map(|r| r.full_bytes as u64).sum(),
-        rows,
-        counters,
     }
 }
 
@@ -498,7 +481,6 @@ struct StoreArm {
     wall: Duration,
     frames_decoded: u64,
     bytes_decoded: u64,
-    managed_bytes: u64,
 }
 
 /// Variant-store arms: the same smart-cut-heavy workload against the
@@ -559,7 +541,6 @@ fn run_store_phase(quick: bool) -> Vec<StoreArm> {
         assert_eq!(failed, 0, "no request may fail");
         let frames_decoded = metrics_counter(addr, "exec.frames_decoded");
         let bytes_decoded = metrics_counter(addr, "exec.bytes_decoded");
-        let managed_bytes = status_counter(addr, &["store", "managed_bytes"]);
         handle.stop();
         let _ = std::fs::remove_dir_all(&store_root);
         arms.push(StoreArm {
@@ -570,7 +551,6 @@ fn run_store_phase(quick: bool) -> Vec<StoreArm> {
             wall: result.wall,
             frames_decoded,
             bytes_decoded,
-            managed_bytes,
         });
     }
     assert!(
@@ -718,7 +698,6 @@ fn main() {
     // noshare arm runs first and its bodies are ground truth for the
     // share arm's byte-identity.
     let rounds = per_client;
-    let mut share_counters = serde_json::json!(null);
     let half = SHARE_CLIPS as usize / 2;
     for (workload, clip_stride) in [("dup", 0usize), ("overlap", half)] {
         for clients in SHARE_CLIENT_COUNTS {
@@ -751,14 +730,6 @@ fn main() {
                 }
                 let (_, failed, _) = handle.job_counts();
                 assert_eq!(failed, 0, "no request may fail");
-                if sharing && workload == "dup" && clients == 8 {
-                    share_counters = serde_json::json!({
-                        "inflight_hits": status_counter(addr, &["sharing", "inflight_hits"]),
-                        "segments_published": status_counter(addr, &["sharing", "segments_published"]),
-                        "segment_hits": status_counter(addr, &["sharing", "segment_hits"]),
-                        "mem_hits": status_counter(addr, &["cache", "mem", "hits"]),
-                    });
-                }
                 handle.stop();
                 let _ = std::fs::remove_dir_all(&dir);
                 let row = Row {
@@ -782,7 +753,7 @@ fn main() {
     // each keyed segment is dispatched over the ring. On a single-vCPU
     // host the workers share one core with the coordinator, so the
     // honest scaling signal is the dispatch distribution, not
-    // wall-clock speedup — both are recorded.
+    // wall-clock speedup — both are printed.
     const CLUSTER_CLIENTS: usize = 4;
     let mut cluster_rows: Vec<(usize, u64, u64)> = Vec::new();
     let mut cluster_baseline: Option<Vec<Vec<Vec<u8>>>> = None;
@@ -909,134 +880,4 @@ fn main() {
     println!("single-client cache-hit speedup (cold mean / warm mean): {hit_speedup:.1}x");
     println!("duplicate-heavy sharing speedup at 8 clients (req/s): {dup_speedup:.1}x");
     println!("overlap-heavy sharing speedup at 8 clients (req/s): {overlap_speedup:.1}x");
-
-    if quick {
-        println!(
-            "(--quick: skipping BENCH_serve.json / BENCH_cluster.json / BENCH_subscribe.json / BENCH_store.json rewrite)"
-        );
-        return;
-    }
-    let json = serde_json::json!({
-        "bench": "serve",
-        "cores_detected": cores,
-        "max_concurrent": 4,
-        "per_client_requests": per_client,
-        "rows": rows.iter().map(|r| serde_json::json!({
-            "phase": r.phase,
-            "arm": r.arm,
-            "clients": r.clients,
-            "requests": r.requests,
-            "mean_latency_s": r.mean.as_secs_f64(),
-            "max_latency_s": r.max.as_secs_f64(),
-            "throughput_rps": r.requests as f64 / r.wall.as_secs_f64().max(1e-9),
-        })).collect::<Vec<_>>(),
-        "single_client_hit_speedup": hit_speedup,
-        "dup_speedup_8_clients": dup_speedup,
-        "overlap_speedup_8_clients": overlap_speedup,
-        "share_counters_dup_8_clients": share_counters,
-        "warm_byte_identical": true,
-        "share_byte_identical": true,
-    });
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    std::fs::write(
-        path,
-        format!("{}\n", serde_json::to_string_pretty(&json).unwrap()),
-    )
-    .expect("write baseline");
-    println!("wrote {path}");
-
-    let cluster_json = serde_json::json!({
-        "bench": "cluster",
-        "cores_detected": cores,
-        "clients": CLUSTER_CLIENTS,
-        "rounds": rounds,
-        "caveat": format!(
-            "measured on a {cores}-core host where coordinator and workers share \
-             the same CPUs; wall-clock scaling is bounded by the shared core(s), \
-             so the scaling evidence is the dispatch distribution below"
-        ),
-        "rows": rows.iter().filter(|r| r.phase == "cluster").map(|r| serde_json::json!({
-            "arm": r.arm,
-            "clients": r.clients,
-            "requests": r.requests,
-            "mean_latency_s": r.mean.as_secs_f64(),
-            "max_latency_s": r.max.as_secs_f64(),
-            "throughput_rps": r.requests as f64 / r.wall.as_secs_f64().max(1e-9),
-        })).collect::<Vec<_>>(),
-        "dispatches": cluster_rows.iter().map(|(w, d, rd)| serde_json::json!({
-            "workers": w,
-            "dispatched": d,
-            "re_dispatched": rd,
-        })).collect::<Vec<_>>(),
-        "byte_identical_across_worker_counts": true,
-    });
-    let cluster_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_cluster.json");
-    std::fs::write(
-        cluster_path,
-        format!("{}\n", serde_json::to_string_pretty(&cluster_json).unwrap()),
-    )
-    .expect("write cluster baseline");
-    println!("wrote {cluster_path}");
-
-    let subscribe_json = serde_json::json!({
-        "bench": "subscribe",
-        "cores_detected": cores,
-        "initial_frames": sub.initial_frames,
-        "installments": sub.steps,
-        "rows": sub.rows.iter().map(|s| serde_json::json!({
-            "frames_total": s.frames_total,
-            "delta_frames": s.delta_frames,
-            "delta_bytes": s.delta_bytes,
-            "full_bytes": s.full_bytes,
-            "delta_latency_s": s.delta_latency.as_secs_f64(),
-            "cold_rerun_latency_s": s.cold_latency.as_secs_f64(),
-        })).collect::<Vec<_>>(),
-        "mean_delta_latency_s": sub.mean_delta_latency.as_secs_f64(),
-        "mean_cold_rerun_latency_s": sub.mean_cold_latency.as_secs_f64(),
-        "latency_speedup": sub.latency_speedup,
-        "delta_bytes_total": sub.delta_bytes,
-        "full_bytes_total": sub.full_bytes,
-        "wire_fraction_of_reship": sub.delta_bytes as f64 / sub.full_bytes.max(1) as f64,
-        "subscription_counters": sub.counters,
-        "cumulative_byte_identical": true,
-    });
-    let subscribe_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_subscribe.json");
-    std::fs::write(
-        subscribe_path,
-        format!(
-            "{}\n",
-            serde_json::to_string_pretty(&subscribe_json).unwrap()
-        ),
-    )
-    .expect("write subscribe baseline");
-    println!("wrote {subscribe_path}");
-
-    let store_json = serde_json::json!({
-        "bench": "store",
-        "cores_detected": cores,
-        "source": { "frames": 900, "gop": 300 },
-        "workload": "smart-cut-heavy: distinct one-second mid-GOP filtered windows, 4 closed-loop clients",
-        "arms": store_arms.iter().map(|a| serde_json::json!({
-            "arm": a.arm,
-            "requests": a.requests,
-            "mean_latency_s": a.mean.as_secs_f64(),
-            "max_latency_s": a.max.as_secs_f64(),
-            "throughput_rps": a.requests as f64 / a.wall.as_secs_f64().max(1e-9),
-            "frames_decoded": a.frames_decoded,
-            "bytes_decoded": a.bytes_decoded,
-            "store_managed_bytes": a.managed_bytes,
-        })).collect::<Vec<_>>(),
-        "dense_bytes_decoded_fraction": store_arms[1].bytes_decoded as f64
-            / store_arms[0].bytes_decoded.max(1) as f64,
-        "dense_frames_decoded_fraction": store_arms[1].frames_decoded as f64
-            / store_arms[0].frames_decoded.max(1) as f64,
-        "byte_identical_across_arms": true,
-    });
-    let store_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_store.json");
-    std::fs::write(
-        store_path,
-        format!("{}\n", serde_json::to_string_pretty(&store_json).unwrap()),
-    )
-    .expect("write store baseline");
-    println!("wrote {store_path}");
 }

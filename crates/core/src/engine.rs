@@ -582,7 +582,6 @@ impl V2vEngine {
         let (report, trace, time_to_first_packet) =
             self.run_prepared_with(prepared, Some(&mut sink))?;
         let streaming = StreamingStats {
-            setup: Duration::ZERO,
             time_to_first_packet,
             total: report.wall,
             exec: report.stats,

@@ -18,7 +18,8 @@
 //! attached: packets reach the sink in presentation order as soon as
 //! they are ready, one output GOP at a time, while the rest of the
 //! output is still rendering. The measured `time_to_first_packet` in
-//! [`StreamingStats`] is how the claim is quantified in the benches.
+//! [`StreamingStats`] is how the claim is quantified (the repo
+//! benchmark's `exec.ttfp_share`).
 
 use crate::catalog::Catalog;
 use crate::fault::{ErrorPolicy, FaultInjector, SegmentFault};
@@ -239,16 +240,11 @@ pub fn execute_traced(
 /// Latency profile of a streaming run.
 #[derive(Clone, Debug, Default)]
 pub struct StreamingStats {
-    /// Plan-independent preparation time (cache and writer construction)
-    /// spent before the executor started dispatching work. Kept separate
-    /// so `time_to_first_packet` isolates the paper's interactivity
-    /// claim.
-    pub setup: Duration,
     /// Wall time from executor start until the first packet reached the
-    /// sink (excludes `setup`).
+    /// sink.
     pub time_to_first_packet: Duration,
     /// Wall time from executor start until the last packet reached the
-    /// sink (excludes `setup`).
+    /// sink.
     pub total: Duration,
     /// Aggregated execution costs.
     pub exec: ExecStats,
@@ -283,12 +279,10 @@ pub fn execute_streaming_with(
     opts: &ExecOptions,
     mut sink: impl FnMut(&Packet),
 ) -> Result<(VideoStream, StreamingStats), ExecError> {
-    let started = Instant::now();
     let (out, mut trace, exec_started, first_packet) = drive(plan, catalog, opts, Some(&mut sink))?;
     let total = exec_started.elapsed();
     trace.wall_ns = total.as_nanos() as u64;
     let stats = StreamingStats {
-        setup: exec_started - started,
         time_to_first_packet: first_packet.map_or(Duration::ZERO, |at| at - exec_started),
         total,
         exec: trace.totals,

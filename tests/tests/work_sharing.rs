@@ -311,8 +311,8 @@ fn identical_engine_runs_share_exactly_one_render() {
         total_encoded += report.stats.frames_encoded;
     }
     // 2 unique clips × 30 frames, rendered once across all 8 runs; the
-    // other seven runs were fed by the flight, the disk tier, or the
-    // whole-result cache.
+    // other seven runs were fed by the flight or by segment hits in the
+    // disk tier.
     assert_eq!(total_encoded, 60, "work done exactly once across engines");
     assert_eq!(flight.inflight(), 0, "flights drained");
     let _ = std::fs::remove_dir_all(&dir);
