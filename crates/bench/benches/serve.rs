@@ -18,7 +18,8 @@
 //! * **dup** — duplicate-heavy: every round, all N clients post the
 //!   *same* fresh query simultaneously (barrier-released), so nothing
 //!   is cached yet when the burst lands. With sharing (`share` arm)
-//!   one render serves the round; the `noshare` arm renders N times.
+//!   each request still runs, but the round's segments render once via
+//!   the daemon-wide fragment flight; the `noshare` arm renders N times.
 //! * **overlap** — overlap-heavy: every round, client c posts a
 //!   two-clip query shifted one clip from client c−1, so adjacent
 //!   clients share 50% of their segments. The `share` arm renders each

@@ -104,9 +104,9 @@
 //! `--mem-cache-budget BYTES` (requires `--cache-dir`) adds a
 //! byte-budgeted in-memory hot tier above the disk cache: fragments
 //! accessed repeatedly are promoted and served without touching disk.
-//! The daemon also coalesces identical in-flight queries and shares
-//! overlapping segments between concurrent renders; `--no-share` turns
-//! that off (every request then executes independently).
+//! The daemon also shares the segments of identical or overlapping
+//! concurrent renders; `--no-share` turns that off (every request then
+//! executes independently).
 
 use std::process::ExitCode;
 use v2v_core::{EngineConfig, ErrorKind, V2vEngine, V2vError};

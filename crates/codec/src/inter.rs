@@ -43,23 +43,9 @@ fn block_grid(w: usize, h: usize) -> (usize, usize) {
     (w.div_ceil(BLOCK), h.div_ceil(BLOCK))
 }
 
-/// Encodes one plane as an inter payload against `reference`; returns the
-/// reconstruction.
-pub fn encode_plane(
-    cur: &Plane,
-    reference: &Plane,
-    qstep: i32,
-    preset: Preset,
-    out: &mut Vec<u8>,
-) -> Plane {
-    let mut recon = Plane::new(cur.width(), cur.height());
-    encode_plane_into(cur, reference, qstep, preset, out, &mut recon);
-    recon
-}
-
-/// [`encode_plane`] writing the reconstruction into an existing plane
-/// (every sample is overwritten), so pooled buffers avoid a fresh
-/// allocation per frame.
+/// Encodes one plane as an inter payload against `reference`, writing
+/// the reconstruction into `recon` (every sample is overwritten), so
+/// pooled buffers avoid a fresh allocation per frame.
 pub fn encode_plane_into(
     cur: &Plane,
     reference: &Plane,
@@ -157,19 +143,8 @@ pub fn encode_plane_into(
     coder.finish(out);
 }
 
-/// Decodes an inter payload against `reference`.
-pub fn decode_plane(
-    reader: &mut Reader<'_>,
-    reference: &Plane,
-    qstep: i32,
-) -> Result<Plane, CodecError> {
-    let mut recon = Plane::new(reference.width(), reference.height());
-    decode_plane_into(reader, reference, qstep, &mut recon)?;
-    Ok(recon)
-}
-
-/// [`decode_plane`] writing into an existing plane of the reference's
-/// dimensions (every sample is overwritten).
+/// Decodes an inter payload against `reference` into a plane of the
+/// reference's dimensions (every sample is overwritten).
 pub fn decode_plane_into(
     reader: &mut Reader<'_>,
     reference: &Plane,
@@ -226,6 +201,28 @@ pub fn decode_plane_into(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn encode_plane(
+        cur: &Plane,
+        reference: &Plane,
+        qstep: i32,
+        preset: Preset,
+        out: &mut Vec<u8>,
+    ) -> Plane {
+        let mut recon = Plane::new(cur.width(), cur.height());
+        encode_plane_into(cur, reference, qstep, preset, out, &mut recon);
+        recon
+    }
+
+    fn decode_plane(
+        reader: &mut Reader<'_>,
+        reference: &Plane,
+        qstep: i32,
+    ) -> Result<Plane, CodecError> {
+        let mut recon = Plane::new(reference.width(), reference.height());
+        decode_plane_into(reader, reference, qstep, &mut recon)?;
+        Ok(recon)
+    }
 
     /// The original per-pixel implementation, kept verbatim as the
     /// bit-exactness oracle for the row-segment kernels above.

@@ -106,17 +106,9 @@ fn pick_modes(plane: &Plane, preset: Preset, out: &mut Vec<u8>) -> Vec<RowMode> 
     modes
 }
 
-/// Encodes one plane as an intra payload; returns the reconstruction the
-/// decoder will produce.
-pub fn encode_plane(plane: &Plane, qstep: i32, preset: Preset, out: &mut Vec<u8>) -> Plane {
-    let mut recon = Plane::new(plane.width(), plane.height());
-    encode_plane_into(plane, qstep, preset, out, &mut recon);
-    recon
-}
-
-/// [`encode_plane`] writing the reconstruction into an existing plane
-/// (every sample is overwritten), so pooled buffers avoid a fresh
-/// allocation per frame.
+/// Encodes one plane as an intra payload, writing the reconstruction the
+/// decoder will produce into `recon` (every sample is overwritten), so
+/// pooled buffers avoid a fresh allocation per frame.
 pub fn encode_plane_into(
     plane: &Plane,
     qstep: i32,
@@ -173,21 +165,8 @@ pub fn encode_plane_into(
     coder.finish(out);
 }
 
-/// Decodes an intra payload into a plane.
-pub fn decode_plane(
-    reader: &mut Reader<'_>,
-    width: usize,
-    height: usize,
-    qstep: i32,
-    preset: Preset,
-) -> Result<Plane, CodecError> {
-    let mut recon = Plane::new(width, height);
-    decode_plane_into(reader, qstep, preset, &mut recon)?;
-    Ok(recon)
-}
-
-/// [`decode_plane`] writing into an existing plane of the target
-/// dimensions (every sample is overwritten).
+/// Decodes an intra payload into a plane of the target dimensions
+/// (every sample is overwritten).
 pub fn decode_plane_into(
     reader: &mut Reader<'_>,
     qstep: i32,
@@ -235,6 +214,24 @@ pub fn decode_plane_into(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn encode_plane(plane: &Plane, qstep: i32, preset: Preset, out: &mut Vec<u8>) -> Plane {
+        let mut recon = Plane::new(plane.width(), plane.height());
+        encode_plane_into(plane, qstep, preset, out, &mut recon);
+        recon
+    }
+
+    fn decode_plane(
+        reader: &mut Reader<'_>,
+        width: usize,
+        height: usize,
+        qstep: i32,
+        preset: Preset,
+    ) -> Result<Plane, CodecError> {
+        let mut recon = Plane::new(width, height);
+        decode_plane_into(reader, qstep, preset, &mut recon)?;
+        Ok(recon)
+    }
 
     /// The original per-pixel implementation, kept verbatim as the
     /// bit-exactness oracle for the row-sliced kernels above.

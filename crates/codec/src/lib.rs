@@ -31,8 +31,8 @@
 pub mod bitstream;
 pub mod decoder;
 pub mod encoder;
-pub mod inter;
-pub mod intra;
+mod inter;
+mod intra;
 pub mod packet;
 pub mod params;
 

@@ -96,34 +96,25 @@ pub struct RunReport {
 }
 
 /// A spec carried through bind → specialize → check → plan, ready to
-/// execute. Produced by [`V2vEngine::prepare`]; holds the canonical
-/// cache identity (plan fingerprint, per-segment keys) so callers like
-/// the serving daemon can coalesce identical in-flight requests
-/// *before* paying for execution.
+/// execute. Produced by [`V2vEngine::prepare`]; holds the plan's
+/// per-segment keys, so a worker can check a dispatched segment's key
+/// against its own plan before rendering it.
 pub struct PreparedRun {
     physical: PhysicalPlan,
     check: CheckReport,
     plan_trace: PlanTrace,
     dde_rewrites: usize,
-    /// Canonical plan fingerprint; `None` when the plan is not
-    /// content-addressable (UDF programs) or a fault injector is active.
-    fingerprint: Option<u64>,
-    /// Per-segment fragment keys, aligned with `physical.segments`
-    /// (empty when `fingerprint` is `None`).
+    /// Per-segment fragment keys, aligned with `physical.segments`;
+    /// empty when the plan is not content-addressable (UDF programs) or
+    /// a fault injector is active.
     keys: Vec<Option<u64>>,
     spans: SpanSink,
 }
 
 impl PreparedRun {
-    /// The canonical plan fingerprint, when the plan is cacheable.
-    /// Two prepared runs with equal fingerprints produce byte-identical
-    /// output from identical sources.
-    pub fn fingerprint(&self) -> Option<u64> {
-        self.fingerprint
-    }
-
     /// Per-segment fragment keys (aligned with the physical plan's
-    /// segments; `None` marks an unkeyable segment).
+    /// segments; `None` marks an unkeyable segment; empty when the plan
+    /// has no cache identity).
     pub fn segment_keys(&self) -> &[Option<u64>] {
         &self.keys
     }
@@ -275,8 +266,8 @@ impl V2vEngine {
         let ctx = self.catalog.plan_context();
         let (mut physical, trace) = optimize_traced(&logical, ctx, &self.config.optimizer)?;
         // Storage-variant selection runs after all plan rewrites: it
-        // only retargets render reads, so the plan's shape, fingerprint,
-        // and cache keys are already final.
+        // only retargets render reads, so the plan's shape and cache
+        // keys are already final.
         select_variants(
             &mut physical,
             ctx,
@@ -286,14 +277,13 @@ impl V2vEngine {
         Ok((physical, check, trace))
     }
 
-    /// Computes the plan's canonical cache identity: the whole-plan
-    /// fingerprint and per-segment fragment keys. `None` when a fault
-    /// injector is active (degraded output must never be shared or
-    /// persisted) or the plan is not cacheable (UDF programs have no
-    /// content-addressable identity). Independent of whether a disk
-    /// cache is configured — the in-flight sharing tiers need the
-    /// identity even without one.
-    fn plan_identity(&self, plan: &PhysicalPlan) -> Option<(u64, Vec<Option<u64>>)> {
+    /// Computes the plan's canonical cache identity: its per-segment
+    /// fragment keys. Empty when a fault injector is active (degraded
+    /// output must never be shared or persisted) or the plan is not
+    /// cacheable (UDF programs have no content-addressable identity).
+    /// Independent of whether a disk cache is configured — the fragment
+    /// flight and a worker's key check need the keys even without one.
+    fn plan_identity(&self, plan: &PhysicalPlan) -> Vec<Option<u64>> {
         let fault_active = self
             .config
             .exec
@@ -301,15 +291,13 @@ impl V2vEngine {
             .as_deref()
             .is_some_and(|f| !f.is_empty());
         if fault_active {
-            return None;
+            return Vec::new();
         }
         let digests = self.source_digests(plan);
         if !v2v_plan::cacheable(plan, &digests) {
-            return None;
+            return Vec::new();
         }
-        let fingerprint = v2v_plan::plan_fingerprint(plan, &digests);
-        let keys = v2v_plan::segment_keys(plan, &digests);
-        Some((fingerprint, keys))
+        v2v_plan::segment_keys(plan, &digests)
     }
 
     /// Content digests of every source the plan reads: per-video stream
@@ -378,11 +366,10 @@ impl V2vEngine {
     }
 
     /// The front half of [`run_traced`](V2vEngine::run_traced): bind →
-    /// specialize → check → plan, always with the plan's canonical
-    /// cache identity. The daemon prepares a request *before* admission
-    /// so an identical in-flight render can be joined without executing
-    /// at all; [`run_prepared`](V2vEngine::run_prepared) finishes the
-    /// job.
+    /// specialize → check → plan, always with the plan's segment keys,
+    /// because a worker's `/render-segment` checks the dispatched key
+    /// against them whether or not it has a reuse tier of its own.
+    /// [`run_prepared`](V2vEngine::run_prepared) finishes the job.
     pub fn prepare(&mut self, spec: &Spec) -> Result<PreparedRun, EngineError> {
         self.front_half(spec, true)
     }
@@ -409,23 +396,23 @@ impl V2vEngine {
             .attr("segments", physical.segments.len())
             .attr("rewrites", plan_trace.events.len())
             .finish();
-        let (fingerprint, keys) = match identity.then(|| self.plan_identity(&physical)) {
-            Some(Some((fp, keys))) => (Some(fp), keys),
-            _ => (None, Vec::new()),
+        let keys = if identity {
+            self.plan_identity(&physical)
+        } else {
+            Vec::new()
         };
         Ok(PreparedRun {
             physical,
             check,
             plan_trace,
             dde_rewrites,
-            fingerprint,
             keys,
             spans,
         })
     }
 
-    /// True when some reuse tier (render cache, in-flight sharing,
-    /// remote dispatch) is configured, i.e. something reads a plan's
+    /// True when some reuse tier (render cache, fragment flight, remote
+    /// dispatch) is configured, i.e. something reads a plan's
     /// cache identity.
     fn reuse_configured(&self) -> bool {
         let c = &self.config;
@@ -541,7 +528,7 @@ impl V2vEngine {
     /// programs at absolute domain instants with a fresh encoder per
     /// output GOP, so the fragment's packets are byte-identical to what
     /// a full local run would encode for that segment. The engine's own
-    /// cache tiers and in-flight registry are consulted and warmed
+    /// cache tiers and fragment flight are consulted and warmed
     /// through the normal segment-cache path, so a worker that renders
     /// the same key twice serves the repeat from its cache.
     pub fn render_segment_fragment(
@@ -988,7 +975,6 @@ mod tests {
         let spec = blur_spec(&[0]);
         let mut plain = engine_with_video();
         let streaming = plain.front_half(&spec, plain.reuse_configured()).unwrap();
-        assert_eq!(streaming.fingerprint(), None);
         assert!(streaming.segment_keys().is_empty());
         // Nor does a one-shot `run`: with no reuse tier, the source is
         // never digested — not even once.
@@ -997,15 +983,15 @@ mod tests {
         plain.run_streaming(&spec, |_| {}).unwrap();
         assert!(!source.digests_known());
         let prepared = plain.prepare(&spec).unwrap();
-        assert!(prepared.fingerprint().is_some());
+        assert!(!prepared.segment_keys().is_empty());
         assert!(source.digests_known());
 
         let (mut cached, dir) = cached_engine("identity");
         let streaming = cached.front_half(&spec, cached.reuse_configured()).unwrap();
-        assert_eq!(streaming.fingerprint(), prepared.fingerprint());
+        assert_eq!(streaming.segment_keys(), prepared.segment_keys());
         assert_eq!(
-            cached.prepare(&spec).unwrap().fingerprint(),
-            prepared.fingerprint()
+            cached.prepare(&spec).unwrap().segment_keys(),
+            prepared.segment_keys()
         );
         let _ = std::fs::remove_dir_all(dir);
     }

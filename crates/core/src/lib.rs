@@ -30,7 +30,6 @@ pub mod error;
 pub mod facade;
 pub mod observe;
 
-pub use dde::rewrite_spec;
 pub use engine::{EngineConfig, PreparedRun, RunReport, V2vEngine};
 pub use error::{ErrorKind, V2vError};
 pub use facade::{montage_spec, MontageOptions, MontageSegment};

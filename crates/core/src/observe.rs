@@ -168,9 +168,6 @@ impl RunTrace {
             .counter("exec.cache.bytes_reused")
             .add(t.cache.bytes_reused);
         registry
-            .counter("exec.cache.inflight_hits")
-            .add(t.cache.inflight_hits);
-        registry
             .counter("exec.cache.shared_segment_hits")
             .add(t.cache.shared_segment_hits);
         registry

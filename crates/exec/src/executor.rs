@@ -384,7 +384,6 @@ pub(crate) fn drive(
             frames: seg.count,
             stats: out.stats,
             wall_ns: out.wall_ns,
-            parts: 1,
             stage: out.stage,
         });
         Ok(())

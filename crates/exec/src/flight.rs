@@ -7,10 +7,10 @@
 //! [`SingleFlight`] closes that window: the first caller to
 //! [`claim`](SingleFlight::claim) a key becomes its **owner**; everyone
 //! arriving while the owner works blocks and receives the value the
-//! owner published. Two layers share this one implementation —
-//! rendered fragments ([`FragmentFlight`]) and, in `v2v-serve`, whole
-//! query responses. (Decoded GOPs need no flight: a
-//! [`GopPrefix`](crate::GopPrefix) grows under its own lock.)
+//! owner published. The engine keys it by segment: rendered fragments
+//! ([`FragmentFlight`]), the one flight a daemon shares across every
+//! concurrent run, identical queries included. (Decoded GOPs need no
+//! flight: a [`GopPrefix`](crate::GopPrefix) grows under its own lock.)
 //!
 //! Ordering invariant (the reason duplicates are *provably* impossible
 //! rather than merely unlikely): callers claim **before** consulting

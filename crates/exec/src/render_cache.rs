@@ -56,10 +56,6 @@ pub struct CacheStats {
     /// Compressed bytes reused from the cache instead of re-produced.
     #[serde(default)]
     pub bytes_reused: u64,
-    /// Whole responses coalesced into an identical in-flight render
-    /// (daemon single-flight by plan fingerprint).
-    #[serde(default)]
-    pub inflight_hits: u64,
     /// Segments received from another run's concurrent render instead
     /// of rendered here ([`FragmentFlight`] subscription).
     #[serde(default)]
@@ -82,7 +78,6 @@ impl CacheStats {
         self.segment_hits += other.segment_hits;
         self.evictions += other.evictions;
         self.bytes_reused += other.bytes_reused;
-        self.inflight_hits += other.inflight_hits;
         self.shared_segment_hits += other.shared_segment_hits;
         self.mem_hits += other.mem_hits;
         self.remote_segments += other.remote_segments;

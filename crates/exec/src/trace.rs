@@ -65,9 +65,6 @@ pub struct SegmentTrace {
     /// Segment wall time in nanoseconds. Unstable; excluded from golden
     /// comparisons.
     pub wall_ns: u64,
-    /// Always 1 (a segment executes whole); kept for trace schema 5.
-    #[serde(default)]
-    pub parts: u64,
     /// Per-stage busy times. Unstable; excluded from golden comparisons.
     #[serde(default)]
     pub stage: StageTimes,
@@ -167,7 +164,6 @@ mod tests {
                     ..Default::default()
                 },
                 wall_ns: 1_000,
-                parts: 1,
                 stage: StageTimes::default(),
             }],
             totals: ExecStats {

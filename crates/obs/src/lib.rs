@@ -46,7 +46,11 @@ pub use span::{SpanRecord, SpanSink, SpanTimer};
 /// * 4 — persistent render cache: the `cache` stats block on
 ///   `ExecStats` (`result_hits` / `segment_hits` / `evictions` /
 ///   `bytes_reused`) and `exec.cache.*` counters.
-/// * 5 — multi-query work sharing: `inflight_hits` /
-///   `shared_segment_hits` / `mem_hits` on the `cache` stats block and
-///   the matching `exec.cache.*` counters.
-pub const TRACE_SCHEMA_VERSION: u32 = 5;
+/// * 5 — multi-query work sharing: the whole-response in-flight hit
+///   count, `shared_segment_hits` and `mem_hits` on the `cache` stats
+///   block and the matching `exec.cache.*` counters.
+/// * 6 — one single-flight: the whole-response in-flight hit count
+///   leaves the `cache` stats block (and `exec.cache.*`) with the
+///   daemon's whole-response registry, and the per-segment `parts`
+///   field (always 1) is gone.
+pub const TRACE_SCHEMA_VERSION: u32 = 6;

@@ -15,17 +15,13 @@
 //!   the time a request spends waiting for admission is reported as
 //!   `queue_wait_ns` in its `x-v2v-stats` header, separate from render
 //!   time;
-//! * **multi-query work sharing** — three tiers above per-request
-//!   execution (see [`share`]): a request whose canonical plan
-//!   fingerprint matches a render already in flight coalesces into it
-//!   via the [`InflightRegistry`] and receives
-//!   the same bytes (`inflight_hits` in its stats); concurrent
-//!   *overlapping* queries share a daemon-wide
-//!   [`FragmentFlight`], so each common
-//!   segment renders exactly once (`shared_segment_hits`); and a
-//!   byte-budgeted in-memory fragment tier
+//! * **multi-query work sharing** — concurrent queries, identical or
+//!   *overlapping*, share a daemon-wide [`FragmentFlight`], so each
+//!   common keyed segment renders exactly once (`shared_segment_hits`),
+//!   and a byte-budgeted in-memory fragment tier
 //!   ([`MemTier`](v2v_exec::MemTier)) on the render cache answers hot
-//!   repeats without touching disk (`mem_hits`);
+//!   repeats without touching disk (`mem_hits`). A result is its
+//!   segments: each run splices its own stream copies around them;
 //! * **a shared persistent render cache** — all workers share one
 //!   [`RenderCache`](v2v_exec::RenderCache), so a repeated query splices all its
 //!   cached segments (zero decode) and an overlapping query
@@ -92,13 +88,11 @@
 
 pub mod cluster;
 pub mod http;
-pub mod share;
 pub mod store_svc;
 pub mod sub;
 
 use cluster::{PoolRemote, WorkerPool};
 use http::{read_request, write_response, Request, Response};
-use share::{follower_outcome, InflightRegistry, QueryOutcome, SharedError};
 use std::collections::BTreeMap;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -109,7 +103,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use v2v_core::{EngineConfig, ErrorKind, PreparedRun, V2vEngine, V2vError};
 use v2v_data::Database;
-use v2v_exec::{Catalog, Claim, ExecStats, FlightGuard, FragmentFlight};
+use v2v_exec::{Catalog, ExecStats, FragmentFlight};
 use v2v_obs::{Counter, Gauge, Histogram, Registry};
 use v2v_spec::Spec;
 use v2v_store::{profile_plan, AccessProfile, SourceStore};
@@ -158,10 +152,11 @@ pub struct ServeConfig {
     /// Requests allowed to wait for admission beyond the running ones;
     /// requests past the queue are rejected with 429.
     pub queue_depth: usize,
-    /// Coalesce identical in-flight requests and share overlapping
-    /// segments between concurrent renders (on by default). Turning
-    /// this off makes every request execute independently — the
-    /// baseline arm benchmarks compare against.
+    /// Share keyed segments between concurrent renders through one
+    /// daemon-wide fragment flight (on by default), so a segment that
+    /// identical or overlapping queries have in common renders once.
+    /// Turning this off makes every request execute independently —
+    /// the baseline arm benchmarks compare against.
     pub work_sharing: bool,
     /// Coordinator or worker (see [`ServeRole`]).
     pub role: ServeRole,
@@ -300,7 +295,6 @@ struct Metrics {
     jobs_done: Arc<Counter>,
     jobs_failed: Arc<Counter>,
     jobs_rejected: Arc<Counter>,
-    inflight_hits: Arc<Counter>,
     segments_rendered: Arc<Counter>,
     job_wall_ns: Arc<Histogram>,
     queue_wait_ns: Arc<Histogram>,
@@ -326,7 +320,6 @@ struct ExecMetrics {
     segment_hits: Arc<Counter>,
     evictions: Arc<Counter>,
     bytes_reused: Arc<Counter>,
-    inflight_hits: Arc<Counter>,
     shared_segment_hits: Arc<Counter>,
     mem_hits: Arc<Counter>,
     remote_segments: Arc<Counter>,
@@ -339,7 +332,6 @@ impl Metrics {
             jobs_done: registry.counter("serve.jobs_done"),
             jobs_failed: registry.counter("serve.jobs_failed"),
             jobs_rejected: registry.counter("serve.jobs_rejected"),
-            inflight_hits: registry.counter("serve.inflight_hits"),
             segments_rendered: registry.counter("serve.segments_rendered"),
             job_wall_ns: registry.histogram("serve.job_wall_ns"),
             queue_wait_ns: registry.histogram("serve.queue_wait_ns"),
@@ -361,7 +353,6 @@ impl Metrics {
                 segment_hits: registry.counter("exec.cache.segment_hits"),
                 evictions: registry.counter("exec.cache.evictions"),
                 bytes_reused: registry.counter("exec.cache.bytes_reused"),
-                inflight_hits: registry.counter("exec.cache.inflight_hits"),
                 shared_segment_hits: registry.counter("exec.cache.shared_segment_hits"),
                 mem_hits: registry.counter("exec.cache.mem_hits"),
                 remote_segments: registry.counter("exec.remote.segments"),
@@ -393,8 +384,6 @@ struct Shared {
     gate: JobGate,
     registry: Registry,
     metrics: Metrics,
-    /// Whole-response single-flight by plan fingerprint.
-    inflight: InflightRegistry,
     /// Segment-level publish/subscribe shared by every engine this
     /// daemon builds, so overlapping renders produce each common
     /// segment exactly once.
@@ -510,7 +499,6 @@ impl V2vServer {
             gate,
             registry,
             metrics,
-            inflight: InflightRegistry::new(),
             flight: Arc::new(FragmentFlight::new()),
             pool,
             subs_active: AtomicU64::new(0),
@@ -1048,9 +1036,6 @@ fn handle_status(shared: &Shared) -> Response {
             },
             "sharing": {
                 "enabled": shared.config.work_sharing,
-                "inflight": shared.inflight.inflight(),
-                "waiting": shared.inflight.waiting(),
-                "inflight_hits": shared.inflight.shared(),
                 "segments_published": shared.flight.published(),
                 "segment_hits": shared.flight.shared(),
             },
@@ -1078,9 +1063,7 @@ struct PreparedQuery {
 }
 
 fn handle_query(req: &Request, shared: &Shared) -> Response {
-    // Parse and plan before admission: planning is cheap next to
-    // rendering, and the plan fingerprint is what lets an identical
-    // in-flight render absorb this request without a slot.
+    // Parse and plan before admission, so a bad spec never takes a slot.
     let prepared = match parse_spec(&req.body).and_then(|spec| prepare_query(&spec, shared)) {
         Ok(p) => p,
         Err(e) => {
@@ -1088,15 +1071,21 @@ fn handle_query(req: &Request, shared: &Shared) -> Response {
             return error_of(&e);
         }
     };
-    if shared.config.work_sharing {
-        if let Some(fp) = prepared.run.fingerprint() {
-            return match shared.inflight.claim(fp) {
-                Claim::Owner(guard) => run_admitted(shared, prepared, Some(guard)),
-                Claim::Shared(outcome) => respond_follower(shared, &follower_outcome(outcome)),
-            };
+    let Some((result, queue_wait_ns)) = admitted(shared, || execute_prepared(prepared)) else {
+        return overload_response(shared);
+    };
+    match result {
+        Ok((bytes, stats)) => {
+            shared.metrics.jobs_done.inc();
+            record_exec_metrics(&shared.metrics.exec, &stats);
+            Response::new(200, "application/octet-stream", bytes)
+                .header("x-v2v-stats", stats_header(&stats, queue_wait_ns))
+        }
+        Err(e) => {
+            shared.metrics.jobs_failed.inc();
+            error_of(&e)
         }
     }
-    run_admitted(shared, prepared, None)
 }
 
 /// The one admitted-render sequence, shared by `/query`,
@@ -1119,79 +1108,6 @@ fn admitted<T>(shared: &Shared, job: impl FnOnce() -> T) -> Option<(T, u64)> {
         .job_wall_ns
         .record(started.elapsed().as_nanos() as u64);
     Some((out, queue_wait_ns))
-}
-
-/// Executes an admitted `/query` and (when leading a flight) publishes
-/// the outcome — success, failure, or the 429 itself — to every
-/// coalesced follower.
-fn run_admitted(
-    shared: &Shared,
-    prepared: PreparedQuery,
-    guard: Option<FlightGuard<'_, u64, QueryOutcome>>,
-) -> Response {
-    let Some((result, queue_wait_ns)) = admitted(shared, || execute_prepared(prepared)) else {
-        if let Some(guard) = guard {
-            guard.publish(Err(SharedError {
-                status: 429,
-                kind: "overloaded".into(),
-                message: "admission queue full".into(),
-            }));
-        }
-        return overload_response(shared);
-    };
-    match result {
-        Ok((bytes, stats)) => {
-            shared.metrics.jobs_done.inc();
-            record_exec_metrics(&shared.metrics.exec, &stats);
-            // The body is copied only for followers that still hold the
-            // published one; a render nobody joined moves it.
-            let body = match guard {
-                Some(guard) => {
-                    let bytes = Arc::new(bytes);
-                    guard.publish(Ok((Arc::clone(&bytes), stats)));
-                    Arc::try_unwrap(bytes).unwrap_or_else(|held| (*held).clone())
-                }
-                None => bytes,
-            };
-            Response::new(200, "application/octet-stream", body)
-                .header("x-v2v-stats", stats_header(&stats, queue_wait_ns))
-        }
-        Err(e) => {
-            shared.metrics.jobs_failed.inc();
-            if let Some(guard) = guard {
-                guard.publish(Err(SharedError {
-                    status: status_for(e.kind()),
-                    kind: e.kind().name().into(),
-                    message: e.to_string(),
-                }));
-            }
-            error_of(&e)
-        }
-    }
-}
-
-/// Answers a request from the outcome of the identical in-flight
-/// render it coalesced into. The body is byte-for-byte the leader's;
-/// the stats carry only the sharing markers (this request did no
-/// work).
-fn respond_follower(shared: &Shared, outcome: &QueryOutcome) -> Response {
-    shared.metrics.inflight_hits.inc();
-    match outcome {
-        Ok((bytes, _)) => {
-            shared.metrics.jobs_done.inc();
-            let mut stats = ExecStats::default();
-            stats.cache.inflight_hits = 1;
-            stats.cache.bytes_reused = bytes.len() as u64;
-            record_exec_metrics(&shared.metrics.exec, &stats);
-            Response::new(200, "application/octet-stream", bytes.as_ref().clone())
-                .header("x-v2v-stats", stats_header(&stats, 0))
-        }
-        Err(e) if e.status == 429 => overload_response(shared),
-        Err(e) => {
-            shared.metrics.jobs_failed.inc();
-            error_response(e.status, &e.kind, &e.message)
-        }
-    }
 }
 
 /// Parses a request body as spec JSON.
@@ -1306,7 +1222,6 @@ fn record_exec_metrics(exec: &ExecMetrics, stats: &ExecStats) {
     exec.segment_hits.add(stats.cache.segment_hits);
     exec.evictions.add(stats.cache.evictions);
     exec.bytes_reused.add(stats.cache.bytes_reused);
-    exec.inflight_hits.add(stats.cache.inflight_hits);
     exec.shared_segment_hits
         .add(stats.cache.shared_segment_hits);
     exec.mem_hits.add(stats.cache.mem_hits);
@@ -1442,7 +1357,11 @@ mod tests {
         assert_eq!(wait.get("count").and_then(|x| x.as_u64()), Some(1));
         let sharing = v.get("sharing").expect("sharing block");
         assert_eq!(sharing.get("enabled").and_then(|x| x.as_bool()), Some(true));
-        assert_eq!(sharing.get("inflight").and_then(|x| x.as_u64()), Some(0));
+        assert_eq!(
+            sharing.get("segments_published").and_then(|x| x.as_u64()),
+            Some(1),
+            "the one render published its segment to the flight"
+        );
 
         let metrics = client::request(addr, "GET", "/metrics", b"").unwrap();
         let snap: v2v_obs::MetricsSnapshot = serde_json::from_slice(&metrics.body).unwrap();
@@ -1554,15 +1473,14 @@ mod tests {
         cache.mem.evictions cache.mem.hits cache.mem.promotions jobs_done jobs_failed \
         jobs_rejected max_concurrent pool queue_depth queue_wait queue_wait.count \
         queue_wait.max_ns queue_wait.total_ns queued role sharing sharing.enabled \
-        sharing.inflight sharing.inflight_hits sharing.segment_hits \
-        sharing.segments_published sharing.waiting store subscriptions subscriptions.active \
+        sharing.segment_hits sharing.segments_published store subscriptions \
+        subscriptions.active \
         subscriptions.appends subscriptions.catalog_version subscriptions.deltas \
         subscriptions.frames_pushed subscriptions.renders";
     const METRICS_KEYS: &str = "\
         metrics metrics.exec.bytes_decoded metrics.exec.bytes_decoded.Counter \
         metrics.exec.cache.bytes_reused metrics.exec.cache.bytes_reused.Counter \
         metrics.exec.cache.evictions metrics.exec.cache.evictions.Counter \
-        metrics.exec.cache.inflight_hits metrics.exec.cache.inflight_hits.Counter \
         metrics.exec.cache.mem_hits metrics.exec.cache.mem_hits.Counter \
         metrics.exec.cache.segment_hits metrics.exec.cache.segment_hits.Counter \
         metrics.exec.cache.shared_segment_hits \
@@ -1571,8 +1489,7 @@ mod tests {
         metrics.exec.frames_encoded.Counter metrics.exec.packets_copied \
         metrics.exec.packets_copied.Counter metrics.exec.remote.segments \
         metrics.exec.remote.segments.Counter metrics.serve.active_jobs \
-        metrics.serve.active_jobs.Gauge metrics.serve.inflight_hits \
-        metrics.serve.inflight_hits.Counter metrics.serve.job_wall_ns \
+        metrics.serve.active_jobs.Gauge metrics.serve.job_wall_ns \
         metrics.serve.job_wall_ns.Histogram metrics.serve.job_wall_ns.Histogram.buckets \
         metrics.serve.job_wall_ns.Histogram.count metrics.serve.job_wall_ns.Histogram.max \
         metrics.serve.job_wall_ns.Histogram.sum metrics.serve.jobs_done \
@@ -1594,7 +1511,7 @@ mod tests {
         metrics.sub.frames_pushed.Counter metrics.sub.renders metrics.sub.renders.Counter";
     const STATS_KEYS: &str = "\
         bytes_copied bytes_decoded bytes_encoded cache cache.bytes_reused cache.evictions \
-        cache.inflight_hits cache.mem_hits cache.remote_segments cache.result_hits \
+        cache.mem_hits cache.remote_segments cache.result_hits \
         cache.segment_hits cache.shared_segment_hits faults_injected frames_decoded \
         frames_encoded frames_substituted gop_cache_hits gop_cache_misses packets_copied \
         parts_skipped parts_substituted queue_wait_ns retries seeks segments splits steals";
@@ -1875,8 +1792,7 @@ mod tests {
         let config = ServeConfig {
             max_concurrent: 1,
             queue_depth: 0,
-            // Identical specs would coalesce instead of contending;
-            // this test is about the admission gate, so share nothing.
+            // This test is about the admission gate, so share nothing.
             work_sharing: false,
             ..Default::default()
         };
@@ -1961,9 +1877,8 @@ mod tests {
 
     #[test]
     fn identical_concurrent_requests_return_identical_bytes() {
-        // Whether a request leads, coalesces, or lands after the flight
-        // drained, every response must carry the same container bytes
-        // and count as a completed job.
+        // However the runs interleave, every response must carry the
+        // same container bytes and count as a completed job.
         let config = ServeConfig {
             max_concurrent: 1,
             ..Default::default()
@@ -1980,32 +1895,14 @@ mod tests {
             })
             .collect();
         let mut bodies = Vec::new();
-        let mut coalesced = 0u64;
         for h in handles {
             let resp = h.join().unwrap();
             assert_eq!(resp.status, 200);
-            let header: serde_json::Value =
-                serde_json::from_str(resp.header_value("x-v2v-stats").unwrap()).unwrap();
-            coalesced += header
-                .get("cache")
-                .and_then(|c| c.get("inflight_hits"))
-                .and_then(|x| x.as_u64())
-                .unwrap_or(0);
             bodies.push(resp.body);
         }
         assert!(bodies.windows(2).all(|w| w[0] == w[1]));
         let (done, failed, rejected) = handle.job_counts();
         assert_eq!((done, failed, rejected), (4, 0, 0));
-        // Coalesced responses (if the race produced any) are mirrored
-        // in the status sharing block.
-        let status = client::request(addr, "GET", "/status", b"").unwrap();
-        let v: serde_json::Value = serde_json::from_slice(&status.body).unwrap();
-        assert_eq!(
-            v.get("sharing")
-                .and_then(|s| s.get("inflight_hits"))
-                .and_then(|x| x.as_u64()),
-            Some(coalesced)
-        );
     }
     #[test]
     fn append_extends_the_source_identity_instead_of_recomputing_it() {
@@ -2036,10 +1933,9 @@ mod tests {
             "the append digests nothing under the catalog write lock"
         );
 
-        // Every segment of the old query is clean: same keys, same
-        // fingerprint, and the grown index extends the old one.
+        // Every segment of the old query is clean: same keys, and the
+        // grown index extends the old one.
         let after = prepare_query(&blur_spec(4), &live.shared).unwrap().run;
-        assert_eq!(after.fingerprint(), before.fingerprint());
         assert_eq!(after.segment_keys(), before.segment_keys());
         let (old, new) = (head.digest_index(), grown.digest_index());
         assert_eq!(new[..old.len()], old[..]);
@@ -2051,8 +1947,7 @@ mod tests {
         let fresh = V2vServer::new(fresh).start("127.0.0.1:0").unwrap();
         let on_live = prepare_query(&blur_spec(5), &live.shared).unwrap().run;
         let on_fresh = prepare_query(&blur_spec(5), &fresh.shared).unwrap().run;
-        assert!(on_live.fingerprint().is_some());
-        assert_eq!(on_live.fingerprint(), on_fresh.fingerprint());
+        assert!(!on_live.segment_keys().is_empty());
         assert_eq!(on_live.segment_keys(), on_fresh.segment_keys());
         assert_eq!(source(&fresh).digest_index(), new);
     }

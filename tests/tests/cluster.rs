@@ -358,3 +358,39 @@ fn worker_role_rejects_top_level_queries() {
     let v = status(worker.addr());
     assert_eq!(v.get("role").and_then(|x| x.as_str()), Some("worker"));
 }
+
+/// A worker with no reuse tier at all (`work_sharing: false`, no render
+/// cache) still serves a dispatched segment: its `prepare` computes the
+/// plan's segment keys regardless, and `/render-segment` checks the
+/// dispatched key against them before rendering.
+#[test]
+fn worker_without_reuse_tiers_serves_dispatched_segments() {
+    let config = ServeConfig {
+        role: ServeRole::Worker,
+        work_sharing: false,
+        ..ServeConfig::default()
+    };
+    assert!(config.engine.render_cache.is_none());
+    let worker = V2vServer::new(catalog())
+        .with_config(config)
+        .start("127.0.0.1:0")
+        .expect("worker start");
+    let coord = start_coordinator(vec![worker.addr().to_string()]);
+    let spec = clip_query(&[0, 2]);
+    let resp = client::post_query(coord.addr(), spec.to_json().as_bytes()).unwrap();
+    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+    assert_eq!(resp.body, direct_bytes(&spec));
+    let stats: serde_json::Value =
+        serde_json::from_str(resp.header_value("x-v2v-stats").unwrap()).unwrap();
+    let remote = stats
+        .get("cache")
+        .and_then(|c| c.get("remote_segments"))
+        .and_then(|x| x.as_u64());
+    assert_eq!(
+        remote,
+        Some(2),
+        "both keyed segments rendered on the worker"
+    );
+    let v = status(coord.addr());
+    assert_eq!(pool_u64(&v, "alive"), 1, "the worker never failed: {v}");
+}

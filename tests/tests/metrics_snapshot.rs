@@ -155,7 +155,6 @@ fn stable_subset(trace: &serde_json::Value) -> serde_json::Value {
             "cache": {
                 "result_hits": g(cache, "result_hits"),
                 "segment_hits": g(cache, "segment_hits"),
-                "inflight_hits": g(cache, "inflight_hits"),
                 "shared_segment_hits": g(cache, "shared_segment_hits"),
                 "mem_hits": g(cache, "mem_hits"),
                 "evictions": g(cache, "evictions"),

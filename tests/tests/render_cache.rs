@@ -56,6 +56,21 @@ fn keyed_segments(engine: &mut V2vEngine, spec: &Spec) -> u64 {
     prepared.segment_keys().iter().flatten().count() as u64
 }
 
+/// The canonical plan fingerprint of `spec` over [`catalog`]: the key
+/// an older build stored a whole result under.
+fn fingerprint(spec: &Spec) -> u64 {
+    let catalog = catalog();
+    let logical = v2v_plan::lower_spec(spec).expect("lower");
+    let cfg = v2v_plan::OptimizerConfig::default();
+    let plan = v2v_plan::optimize(&logical, catalog.plan_context(), &cfg).expect("optimize");
+    let mut digests = v2v_plan::SourceDigests::default();
+    let src = catalog.video("src").expect("bound");
+    digests
+        .videos
+        .insert("src".into(), v2v_plan::VideoDigest::of(src));
+    v2v_plan::plan_fingerprint(&plan, &digests)
+}
+
 /// The cache's entry files whose names start with `prefix`.
 fn entry_files(dir: &std::path::Path, prefix: &str) -> Vec<std::path::PathBuf> {
     let mut files: Vec<_> = std::fs::read_dir(dir)
@@ -131,8 +146,9 @@ fn a_directory_with_a_whole_result_entry_still_answers() {
         let cache = Arc::new(RenderCache::open(&dir, 1 << 30).unwrap());
         let mut engine = engine_with_cache(&cache);
         let cold = engine.run(&spec).expect("cold run stores the segments");
-        let fingerprint = engine.prepare(&spec).unwrap().fingerprint().unwrap();
-        cache.store_result(fingerprint, &cold.output).unwrap();
+        cache
+            .store_result(fingerprint(&spec), &cold.output)
+            .unwrap();
         cache.bytes_held()
     };
     let res = entry_files(&dir, "res-");

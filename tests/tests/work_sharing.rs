@@ -1,11 +1,10 @@
-//! Acceptance tests for multi-query work sharing: daemon-level
-//! single-flight coalescing of identical requests, engine-level
-//! exactly-once rendering of overlapping segments across concurrent
-//! queries, and byte-identity of every shared response against
-//! unshared direct runs.
+//! Acceptance tests for multi-query work sharing: identical daemon
+//! requests served by their segments (one render per cohort, whatever
+//! the interleaving), engine-level exactly-once rendering of
+//! overlapping segments across concurrent queries, and byte-identity of
+//! every shared response against unshared direct runs.
 
 use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
 use v2v_container::svc_to_bytes;
 use v2v_core::{EngineConfig, V2vEngine};
 use v2v_exec::{Catalog, FragmentFlight, RenderCache};
@@ -13,49 +12,14 @@ use v2v_integration_tests::{marked_output, marked_stream, temp_dir};
 use v2v_serve::http::client;
 use v2v_serve::{ServeConfig, V2vServer};
 use v2v_spec::builder::blur;
-use v2v_spec::{OutputSettings, Spec, SpecBuilder};
+use v2v_spec::{Spec, SpecBuilder};
 use v2v_time::{r, Rational};
 
-/// A big-frame stream: renders over it are slow enough (hundreds of
-/// milliseconds) to hold the daemon's single admission slot while the
-/// test orchestrates the coalescing cohort behind it.
-fn big_stream(frames: usize) -> v2v_container::VideoStream {
-    let ty = v2v_frame::FrameType::gray8(128, 128);
-    let params = v2v_codec::CodecParams::new(ty, 30, 0);
-    let mut w = v2v_container::StreamWriter::new(params, Rational::ZERO, r(1, 30));
-    for i in 0..frames {
-        let mut f = v2v_frame::Frame::black(ty);
-        v2v_frame::marker::embed(&mut f, i as u32);
-        w.push_frame(&f).unwrap();
-    }
-    w.finish().unwrap()
-}
+/// Cohort size: identical requests posted at once.
+const COHORT: usize = 4;
 
-fn big_output() -> OutputSettings {
-    OutputSettings {
-        frame_ty: v2v_frame::FrameType::gray8(128, 128),
-        frame_dur: r(1, 30),
-        gop_size: 30,
-        quantizer: 0,
-    }
-}
-
-fn daemon_catalog() -> Catalog {
-    let mut c = Catalog::new();
-    c.add_video("src", marked_stream(300, 30));
-    c.add_video("big", big_stream(600));
-    c
-}
-
-/// The slow blocker: a 20 s blur over the big source.
-fn blocker_spec() -> Spec {
-    SpecBuilder::new(big_output())
-        .video("big", "big.svc")
-        .append_filtered("big", r(0, 1), Rational::from_int(20), |e| blur(e, 1.0))
-        .build()
-}
-
-/// The coalescing target: a quick 1 s blur over the small source.
+/// The cohort's query: a quick 1 s blur over the small source (one
+/// keyed 30-frame render segment).
 fn target_spec() -> Spec {
     SpecBuilder::new(marked_output())
         .video("src", "src.svc")
@@ -63,124 +27,59 @@ fn target_spec() -> Spec {
         .build()
 }
 
-fn status(addr: std::net::SocketAddr) -> serde_json::Value {
-    let resp = client::request(addr, "GET", "/status", b"").expect("status");
-    serde_json::from_slice(&resp.body).expect("status json")
-}
-
-fn status_u64(v: &serde_json::Value, path: &[&str]) -> u64 {
-    path.iter()
-        .try_fold(v, |node, key| node.get(key))
-        .and_then(|x| x.as_u64())
-        .unwrap_or_else(|| panic!("status missing {path:?}: {v:?}"))
-}
-
-/// Polls `/status` until `pred` holds (10 s timeout).
-fn wait_for(
-    addr: std::net::SocketAddr,
-    what: &str,
-    pred: impl Fn(&serde_json::Value) -> bool,
-) -> serde_json::Value {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let v = status(addr);
-        if pred(&v) {
-            return v;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "timed out waiting for {what}; last status: {v}"
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
-
-/// K identical requests against a busy single-slot daemon: exactly one
-/// of them renders; the rest coalesce into the in-flight render and
-/// receive byte-identical responses marked with `inflight_hits`.
-#[test]
-fn identical_inflight_requests_render_exactly_once() {
-    const FOLLOWERS: usize = 3;
-    let config = ServeConfig {
-        max_concurrent: 1,
-        queue_depth: 16,
-        ..Default::default()
-    };
-    let mut handle = V2vServer::new(daemon_catalog())
-        .with_config(config)
-        .start("127.0.0.1:0")
-        .unwrap();
-    let addr = handle.addr();
-
-    // Ground truth: an unshared direct run of the target query.
-    let mut direct = V2vEngine::new(daemon_catalog());
-    let expect = svc_to_bytes(&direct.run(&target_spec()).expect("direct run").output).unwrap();
-
-    // Occupy the only admission slot with the slow blocker, then post
-    // the identical cohort. The cohort's leader registers its plan
-    // fingerprint *before* queueing at the gate, so every duplicate
-    // coalesces while the blocker still renders — none of this is
-    // timing-sensitive as long as the blocker outlives the (ms-scale)
-    // cohort setup, and the explicit waits below pin each step.
-    let blocker = {
-        let spec = blocker_spec().to_json();
-        std::thread::spawn(move || client::post_query(addr, spec.as_bytes()).unwrap())
-    };
-    wait_for(addr, "blocker admitted", |v| {
-        status_u64(v, &["active"]) == 1
-    });
-
-    let cohort: Vec<_> = (0..=FOLLOWERS)
+/// Posts `COHORT` copies of `spec` at once (released together by a
+/// barrier) and returns every response.
+fn post_cohort(addr: std::net::SocketAddr, spec: &Spec) -> Vec<v2v_serve::http::Response> {
+    let barrier = Arc::new(Barrier::new(COHORT));
+    let handles: Vec<_> = (0..COHORT)
         .map(|_| {
-            let spec = target_spec().to_json();
-            std::thread::spawn(move || client::post_query(addr, spec.as_bytes()).unwrap())
+            let (spec, barrier) = (spec.to_json(), Arc::clone(&barrier));
+            std::thread::spawn(move || {
+                barrier.wait();
+                client::post_query(addr, spec.as_bytes()).unwrap()
+            })
         })
         .collect();
-    // All duplicates parked on the leader's flight: the coalescing is
-    // now a fact, not a race.
-    wait_for(addr, "cohort coalesced", |v| {
-        status_u64(v, &["sharing", "waiting"]) == FOLLOWERS as u64
-    });
+    handles.into_iter().map(|h| h.join().unwrap()).collect()
+}
 
-    let mut leaders = 0;
-    let mut followers = 0;
-    for h in cohort {
-        let resp = h.join().unwrap();
-        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
-        assert_eq!(resp.body, expect, "shared response must match direct run");
-        let stats: serde_json::Value =
-            serde_json::from_str(resp.header_value("x-v2v-stats").unwrap()).unwrap();
-        let inflight_hits = status_u64(&stats, &["cache", "inflight_hits"]);
-        let encoded = status_u64(&stats, &["frames_encoded"]);
-        if inflight_hits == 0 {
-            leaders += 1;
-            assert_eq!(encoded, 30, "the one leader renders the full result");
-        } else {
-            followers += 1;
-            assert_eq!(inflight_hits, 1);
-            assert_eq!(encoded, 0, "followers must not render");
+/// K identical requests against a daemon with a render cache, at one
+/// and two admission slots: each request is its own run, and its keyed
+/// segment meets the others' in the daemon-wide fragment flight or the
+/// cache, so across the cohort the segment renders exactly once under
+/// any interleaving, and every body is byte-identical to a direct run.
+#[test]
+fn identical_inflight_requests_render_exactly_once() {
+    let expect = direct_bytes(&target_spec());
+    for max_concurrent in [1usize, 2] {
+        let dir = temp_dir(&format!("cohort_{max_concurrent}"));
+        let mut config = ServeConfig {
+            max_concurrent,
+            queue_depth: 16,
+            ..Default::default()
+        };
+        config.engine.render_cache = Some(Arc::new(RenderCache::open(&dir, 1 << 30).unwrap()));
+        let mut handle = V2vServer::new(source_catalog())
+            .with_config(config)
+            .start("127.0.0.1:0")
+            .unwrap();
+
+        let mut encoded = 0;
+        for resp in post_cohort(handle.addr(), &target_spec()) {
+            assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+            assert_eq!(resp.body, expect, "every body must match the direct run");
+            let stats: v2v_exec::ExecStats =
+                serde_json::from_str(resp.header_value("x-v2v-stats").unwrap()).unwrap();
+            encoded += stats.frames_encoded;
         }
+        assert_eq!(
+            encoded, 30,
+            "max_concurrent={max_concurrent}: one render per cohort"
+        );
+        assert_eq!(handle.job_counts(), (COHORT as u64, 0, 0));
+        handle.stop();
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    assert_eq!((leaders, followers), (1, FOLLOWERS));
-    assert_eq!(blocker.join().unwrap().status, 200);
-
-    let v = status(addr);
-    assert_eq!(
-        status_u64(&v, &["sharing", "inflight_hits"]),
-        FOLLOWERS as u64
-    );
-    assert_eq!(
-        status_u64(&v, &["sharing", "inflight"]),
-        0,
-        "flights drained"
-    );
-    let (done, failed, rejected) = handle.job_counts();
-    assert_eq!(
-        (done, failed, rejected),
-        (2 + FOLLOWERS as u64, 0, 0),
-        "every coalesced request counts as completed"
-    );
-    handle.stop();
 }
 
 /// Clip `i` (one second, GOP-aligned) of the small source, blurred.
@@ -203,15 +102,19 @@ fn shared_engine(
         ..EngineConfig::default()
     };
     config.exec.num_threads = threads;
+    V2vEngine::new(source_catalog()).with_config(config)
+}
+
+fn source_catalog() -> Catalog {
     let mut c = Catalog::new();
     c.add_video("src", marked_stream(300, 30));
-    V2vEngine::new(c).with_config(config)
+    c
 }
 
 fn direct_bytes(spec: &Spec) -> Vec<u8> {
-    let mut c = Catalog::new();
-    c.add_video("src", marked_stream(300, 30));
-    let report = V2vEngine::new(c).run(spec).expect("direct run");
+    let report = V2vEngine::new(source_catalog())
+        .run(spec)
+        .expect("direct run");
     svc_to_bytes(&report.output).unwrap()
 }
 
@@ -318,25 +221,14 @@ fn identical_engine_runs_share_exactly_one_render() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The single-flight *error* fan-out audit: a leader that fails after
-/// followers attach must hand every follower the taxonomy-mapped
-/// status — here a mid-render corrupt packet becomes 422
-/// `corrupt_data` for the whole cohort, never a generic 500.
+/// A cohort whose render fails: packet 10 of "src" carries an invalid
+/// packet-kind byte, so planning succeeds (it only hashes bytes) and
+/// each run's decode of frame 10 fails with `CorruptData` after
+/// admission. A failed owner leaves nothing in the flight or the cache,
+/// so every member renders, fails and gets the taxonomy-mapped 422
+/// `corrupt_data`, never a generic 500.
 #[test]
-fn leader_render_error_fans_out_with_its_taxonomy_status() {
-    const FOLLOWERS: usize = 4;
-    let config = ServeConfig {
-        max_concurrent: 1,
-        queue_depth: 16,
-        ..Default::default()
-    };
-    // Packet 10 of "src" carries an invalid packet-kind byte: planning
-    // and fingerprinting succeed (they only hash bytes), so the cohort
-    // coalesces normally — but the leader's decode of frame 10 fails
-    // with CorruptData only after it is admitted, i.e. after the
-    // followers are already parked on its flight. (A FaultInjector
-    // cannot stage this: arming one deliberately disables plan
-    // fingerprints, and with them the single-flight tier under test.)
+fn corrupt_packet_cohort_each_gets_its_taxonomy_status() {
     let catalog = {
         let mut c = Catalog::new();
         let s = marked_stream(300, 30);
@@ -349,37 +241,19 @@ fn leader_render_error_fans_out_with_its_taxonomy_status() {
             v2v_container::VideoStream::new(*s.params(), s.start(), s.frame_dur(), packets)
                 .unwrap(),
         );
-        c.add_video("big", big_stream(600));
         c
+    };
+    let config = ServeConfig {
+        max_concurrent: 1,
+        queue_depth: 16,
+        ..Default::default()
     };
     let mut handle = V2vServer::new(catalog)
         .with_config(config)
         .start("127.0.0.1:0")
         .unwrap();
-    let addr = handle.addr();
 
-    // Occupy the only admission slot (the blocker reads "big", which
-    // the injector ignores), then post the doomed identical cohort.
-    let blocker = {
-        let spec = blocker_spec().to_json();
-        std::thread::spawn(move || client::post_query(addr, spec.as_bytes()).unwrap())
-    };
-    wait_for(addr, "blocker admitted", |v| {
-        status_u64(v, &["active"]) == 1
-    });
-
-    let cohort: Vec<_> = (0..=FOLLOWERS)
-        .map(|_| {
-            let spec = target_spec().to_json();
-            std::thread::spawn(move || client::post_query(addr, spec.as_bytes()).unwrap())
-        })
-        .collect();
-    wait_for(addr, "cohort coalesced", |v| {
-        status_u64(v, &["sharing", "waiting"]) == FOLLOWERS as u64
-    });
-
-    for h in cohort {
-        let resp = h.join().unwrap();
+    for resp in post_cohort(handle.addr(), &target_spec()) {
         assert_eq!(
             resp.status,
             422,
@@ -392,20 +266,9 @@ fn leader_render_error_fans_out_with_its_taxonomy_status() {
                 .and_then(|e| e.get("kind"))
                 .and_then(|k| k.as_str()),
             Some("corrupt_data"),
-            "kind must survive the fan-out: {body}"
+            "kind must survive: {body}"
         );
     }
-    assert_eq!(blocker.join().unwrap().status, 200, "blocker unaffected");
-
-    let v = status(addr);
-    assert_eq!(
-        status_u64(&v, &["sharing", "inflight_hits"]),
-        FOLLOWERS as u64,
-        "the error was shared, not re-rendered: {v}"
-    );
-    assert_eq!(status_u64(&v, &["sharing", "inflight"]), 0, "drained: {v}");
-    let (done, failed, _) = handle.job_counts();
-    assert_eq!(done, 1, "only the blocker succeeded");
-    assert_eq!(failed, 1 + FOLLOWERS as u64, "whole cohort counted failed");
+    assert_eq!(handle.job_counts(), (0, COHORT as u64, 0));
     handle.stop();
 }
