@@ -710,7 +710,7 @@ mod tests {
         .unwrap();
         let mut input_counts = Vec::new();
         for seg in &plan.segments {
-            let cost = crate::segment_cost(&plan, seg);
+            let cost = crate::segment_cost(&plan, seg, &v2v_plan::PlanContext::new());
             assert_eq!(cost.to_bits(), old(&plan, seg).to_bits());
             input_counts.push(match &seg.plan {
                 SegPlan::StreamCopy { .. } => 0,
@@ -724,6 +724,40 @@ mod tests {
             [0, 1, 4],
             "a copy, a 1-input and a 4-input render"
         );
+    }
+
+    /// Over the catalog's context the dispatch cost prices decode
+    /// roll-in: a render entering its source mid-GOP costs exactly its
+    /// roll-in frames' decode more than with no source facts, and one
+    /// entering at a keyframe costs the same.
+    #[test]
+    fn segment_cost_prices_roll_in_over_the_catalog() {
+        let mut catalog = Catalog::new();
+        catalog.add_video("a", marked_stream(120, 30));
+        let cost_at = |from: i64| {
+            let spec = SpecBuilder::new(output())
+                .video("a", "a.svc")
+                .append_filtered("a", r(from, 30), r(1, 1), |e| blur(e, 1.0))
+                .build();
+            let ctx = catalog.plan_context();
+            let plan = optimize(
+                &lower_spec(&spec).unwrap(),
+                ctx,
+                &OptimizerConfig::default(),
+            )
+            .unwrap();
+            assert_eq!(plan.segments.len(), 1);
+            let seg = &plan.segments[0];
+            let bare = crate::segment_cost(&plan, seg, &v2v_plan::PlanContext::new());
+            crate::segment_cost(&plan, seg, ctx) - bare
+        };
+        let decode_per_frame = 64.0 * 32.0 * v2v_plan::CostModel::default().decode_per_pixel;
+        assert_eq!(
+            cost_at(40),
+            10.0 * decode_per_frame,
+            "roll-in from keyframe 30"
+        );
+        assert_eq!(cost_at(30), 0.0);
     }
 
     #[test]
@@ -975,7 +1009,7 @@ mod tests {
             &logical,
             catalog.plan_context(),
             &OptimizerConfig {
-                shard_min_frames: u64::MAX, // one render segment
+                shard: false, // one render segment
                 ..Default::default()
             },
         )

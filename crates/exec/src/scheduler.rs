@@ -188,12 +188,11 @@ impl<'a> RunCtx<'a> {
 }
 
 /// Estimates a segment's execution cost in [`CostModel`] units: the
-/// planner's per-segment estimate with no source metadata (every input
-/// priced at the output geometry, no roll-in).
-pub fn segment_cost(plan: &PhysicalPlan, seg: &Segment) -> f64 {
-    CostModel::default()
-        .segment(plan, seg, &PlanContext::new())
-        .total()
+/// planner's per-segment estimate over the sources `ctx` knows (each
+/// priced at its own geometry, with its decode roll-in); an input `ctx`
+/// does not know is priced at the output geometry with no roll-in.
+pub fn segment_cost(plan: &PhysicalPlan, seg: &Segment, ctx: &PlanContext) -> f64 {
+    CostModel::default().segment(plan, seg, ctx).total()
 }
 
 /// Executes every segment of `plan`, invoking `deliver` with each one
@@ -237,7 +236,7 @@ pub(crate) fn execute_scheduled(
         .filter(|(_, seg)| seg.count > 0)
         .map(|(i, seg)| Task {
             seg_index: i,
-            cost: segment_cost(plan, seg),
+            cost: segment_cost(plan, seg, catalog.plan_context()),
             deferred: false,
         })
         .collect();
@@ -432,7 +431,7 @@ fn render_segment(
     // The transport verifies the digest; `fits` shape-checks the
     // fragment against the plan. Any failure falls back to rendering.
     let remote = || {
-        let cost = segment_cost(ctx.run.plan, ctx.seg);
+        let cost = segment_cost(ctx.run.plan, ctx.seg, ctx.run.catalog.plan_context());
         let frag = sc
             .remote
             .as_deref()?
@@ -1123,7 +1122,7 @@ mod tests {
         };
         let spec = body(SpecBuilder::new(output).video("src", "src.svc")).build();
         let config = OptimizerConfig {
-            shard_min_frames: u64::MAX,
+            shard: false,
             ..Default::default()
         };
         let plan = optimize(&lower_spec(&spec).unwrap(), catalog.plan_context(), &config).unwrap();

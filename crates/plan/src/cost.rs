@@ -75,7 +75,7 @@ impl CostEstimate {
 impl CostModel {
     /// Estimates the cost of one segment of `plan`. An input whose
     /// source `ctx` does not know is priced at the output geometry with
-    /// no roll-in — with an empty context this is the scheduler's
+    /// no roll-in. Over the catalog's context this is the scheduler's
     /// dispatch cost (`v2v_exec::segment_cost`).
     pub fn segment(&self, plan: &PhysicalPlan, seg: &Segment, ctx: &PlanContext) -> CostEstimate {
         let n = seg.count as f64;

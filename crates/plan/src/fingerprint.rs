@@ -7,14 +7,13 @@
 //!
 //! 1. **Canonical over the plan, not the rewrite history.** Temporal
 //!    sharding splits one render segment into several that carry
-//!    *identical* [`SegPlan`]s, and the sharding factor is a tuning
-//!    knob — the same query planned with `shard_gops = 1` or `= 8`
-//!    must fingerprint identically, because the output bytes are
-//!    identical (shards split at output-GOP boundaries, so the encoder
-//!    emits the same keyframe cadence either way). The fingerprint
-//!    therefore hashes a *canonical* segment list in which GOP-aligned
-//!    runs of equal render plans (and contiguous stream copies of one
-//!    source) are merged back together.
+//!    *identical* [`SegPlan`]s, and a plan carved at output-GOP
+//!    boundaries — sharded or not, cut every GOP or every eight — must
+//!    fingerprint identically, because the output bytes are identical
+//!    (the encoder emits the same keyframe cadence either way). The
+//!    fingerprint therefore hashes a *canonical* segment list in which
+//!    GOP-aligned runs of equal render plans (and contiguous stream
+//!    copies of one source) are merged back together.
 //!
 //! 2. **Content-addressed over the sources.** A plan names videos, but
 //!    a name does not pin bytes: re-encoding a source in place must
@@ -376,7 +375,7 @@ fn canonical_segments(plan: &PhysicalPlan) -> Vec<Segment> {
 /// The canonical, content-addressed fingerprint of a whole plan: the
 /// render cache's key for complete results.
 ///
-/// Invariant under the optimizer's sharding factor and rule application
+/// Invariant under output-GOP-aligned shard cuts and rule application
 /// order (for a fixed rule *outcome*); changes whenever the output
 /// bytes would — different programs, clip ranges, output parameters, or
 /// source contents.

@@ -27,13 +27,14 @@ pub struct OptimizerConfig {
     /// FFmpeg-based engines must re-encode both ends; SVC has no
     /// B-frames, so tail copies are legal and this defaults off.
     pub conservative_tail: bool,
-    /// Split long render segments at output-GOP boundaries for parallel
-    /// execution.
+    /// Split long render segments into shards for parallel execution and
+    /// per-shard reuse: one shard per source GOP of the first input, or
+    /// one per two output GOPs when that input has no source grid to cut
+    /// on.
     pub shard: bool,
-    /// Minimum render-segment length (frames) worth sharding.
+    /// Minimum render-segment length (frames) worth sharding; the
+    /// effective floor is at least two output GOPs.
     pub shard_min_frames: u64,
-    /// Target shard length in output GOPs.
-    pub shard_gops: u64,
 }
 
 impl Default for OptimizerConfig {
@@ -44,7 +45,6 @@ impl Default for OptimizerConfig {
             conservative_tail: false,
             shard: true,
             shard_min_frames: 64,
-            shard_gops: 2,
         }
     }
 }
@@ -495,8 +495,12 @@ fn physicalize(
     }
 }
 
-/// Splits long render segments at output-GOP multiples so the engine can
-/// encode them in parallel and splice the results.
+/// Shard length, in output GOPs, for renders whose first input gives no
+/// source keyframes to cut on.
+const FALLBACK_SHARD_GOPS: u64 = 2;
+
+/// Splits long render segments into shards the engine can encode in
+/// parallel, cache and reuse one by one, and splices the results.
 #[allow(clippy::too_many_arguments)]
 fn shard(
     segments: Vec<Segment>,
@@ -507,34 +511,23 @@ fn shard(
     stats: &mut PlanStats,
     trace: &mut PlanTrace,
 ) -> Vec<Segment> {
-    let chunk = (gop * config.shard_gops.max(1)).max(1);
+    let gop = gop.max(1);
+    let chunk = gop * FALLBACK_SHARD_GOPS;
     let mut out = Vec::with_capacity(segments.len());
     for seg in segments {
         match &seg.plan {
             SegPlan::StreamCopy { .. } => out.push(seg),
             SegPlan::Render { program, inputs } => {
-                if seg.count < config.shard_min_frames.max(2 * chunk) {
+                if seg.count < config.shard_min_frames.max(2 * gop) {
                     out.push(seg);
                     continue;
                 }
-                // Cut points: aligned to the first input's *source*
-                // keyframes so each shard's decoder enters at a keyframe
-                // instead of rolling from a distant one (with sparse
-                // keyframes, naive chunking makes total decode quadratic).
-                // Non-shift or grid-mismatched inputs fall back to
-                // uniform chunking (seek cost is then inherent).
-                let cuts = keyframe_cuts(&seg, inputs, plan, ctx)
-                    .map(|candidates| {
-                        let mut picked = Vec::new();
-                        let mut last = 0u64;
-                        for c in candidates {
-                            if c >= last + chunk && seg.count - c >= chunk / 2 {
-                                picked.push(c);
-                                last = c;
-                            }
-                        }
-                        picked
-                    })
+                // Cut at the first input's source keyframes, so each
+                // shard's decoder enters at a keyframe and two windows
+                // over the same source GOPs carve the same shards (same
+                // segment keys) wherever each window starts. Non-shift or
+                // grid-mismatched inputs fall back to uniform chunking.
+                let cuts = keyframe_cuts(&seg, inputs, plan, ctx, gop)
                     .unwrap_or_else(|| (1..seg.count / chunk).map(|k| k * chunk).collect());
                 if cuts.is_empty() {
                     out.push(seg);
@@ -572,14 +565,20 @@ fn shard(
     out
 }
 
-/// Source-keyframe positions of the segment's first input, expressed as
-/// output-frame offsets within the segment. `None` when the input's grid
-/// does not line up with the output (fall back to uniform chunking).
+/// Shard starts inside the segment, as output-frame offsets: the first
+/// input's source keyframes, each at least `gop` output frames past the
+/// previous one picked. Picking runs from the source's first keyframe, so
+/// the set is a property of the source alone; with source GOPs of at
+/// least an output GOP every interior keyframe is a cut, and shorter
+/// source GOPs are grouped instead of becoming sub-GOP shards. `None`
+/// when the input's grid does not line up with the output (fall back to
+/// uniform chunking).
 fn keyframe_cuts(
     seg: &Segment,
     inputs: &[InputClip],
     plan: &LogicalPlan,
     ctx: &PlanContext,
+    gop: u64,
 ) -> Option<Vec<u64>> {
     let clip = inputs.first()?;
     if !clip.time.is_shift() {
@@ -590,17 +589,22 @@ fn keyframe_cuts(
         return None;
     }
     let t0 = plan.instant_of(seg.out_start);
-    let src_from = source.index_of(clip.time.apply(t0))?;
-    let src_to = src_from + seg.count as usize;
-    let keyframes = source.keyframe_indices();
-    let interior = keyframes.partition_point(|&k| k <= src_from);
-    Some(
-        keyframes[interior..]
-            .iter()
-            .take_while(|&&k| k < src_to)
-            .map(|&k| (k - src_from) as u64)
-            .collect(),
-    )
+    let src_from = source.index_of(clip.time.apply(t0))? as u64;
+    let src_to = src_from + seg.count;
+    let mut cuts = Vec::new();
+    let mut last: Option<u64> = None;
+    for k in source.keyframe_indices().iter().map(|&k| k as u64) {
+        if k >= src_to {
+            break;
+        }
+        if last.map_or(true, |l| k - l >= gop) {
+            last = Some(k);
+            if k > src_from {
+                cuts.push(k - src_from);
+            }
+        }
+    }
+    Some(cuts)
 }
 
 #[cfg(test)]
@@ -611,7 +615,7 @@ mod tests {
     use v2v_frame::FrameType;
     use v2v_spec::builder::{blur, grid4, zoom};
     use v2v_spec::{OutputSettings, RenderExpr, SpecBuilder};
-    use v2v_time::r;
+    use v2v_time::{r, AffineTimeMap, Rational};
 
     fn output() -> OutputSettings {
         OutputSettings {
@@ -824,6 +828,89 @@ mod tests {
         // All shards share the program.
         let counts: u64 = phys.segments.iter().map(|s| s.count).sum();
         assert_eq!(counts, 240);
+    }
+
+    /// Render-segment keys of a `secs`-second blur of `a` from `start`.
+    fn blur_window_keys(ctx: &PlanContext, start: Rational, secs: i64) -> Vec<(u64, u64)> {
+        let spec = SpecBuilder::new(output())
+            .video("a", "a.svc")
+            .append_filtered("a", start, r(secs, 1), |e| blur(e, 1.0))
+            .build();
+        let plan = lower_spec(&spec).unwrap();
+        let phys = optimize(&plan, ctx, &OptimizerConfig::default()).unwrap();
+        let mut digests = crate::SourceDigests::default();
+        digests
+            .videos
+            .insert("a".into(), crate::VideoDigest::of(ctx.source("a").unwrap()));
+        let keys = crate::segment_keys(&phys, &digests);
+        phys.segments
+            .iter()
+            .zip(keys)
+            .map(|(s, k)| (s.count, k.expect("blur segments are keyed")))
+            .collect()
+    }
+
+    #[test]
+    fn sliding_windows_share_their_full_gop_shards() {
+        // 1 s source GOPs; the 90-frame window is above the 64-frame
+        // floor, so every source GOP inside it is a shard of its own.
+        let c = ctx(300, 30);
+        let a = blur_window_keys(&c, r(1, 1), 3);
+        let b = blur_window_keys(&c, r(2, 1), 3);
+        assert_eq!(a.iter().map(|s| s.0).collect::<Vec<_>>(), [30, 30, 30]);
+        assert_eq!(a[1..], b[..2], "one GOP later, two shards are shared");
+        assert_ne!(a[0].1, b[2].1);
+
+        // Offset by 5 frames: partial head and tail GOPs, and the two
+        // full GOPs between them keep their keys.
+        let c5 = blur_window_keys(&c, r(35, 30), 3);
+        let d5 = blur_window_keys(&c, r(40, 30), 3);
+        assert_eq!(c5.iter().map(|s| s.0).collect::<Vec<_>>(), [25, 30, 30, 5]);
+        assert_eq!(d5.iter().map(|s| s.0).collect::<Vec<_>>(), [20, 30, 30, 10]);
+        assert_eq!(c5[1..3], d5[1..3]);
+        assert_eq!(
+            c5[1..3],
+            a[1..],
+            "full-GOP shards match the aligned window's"
+        );
+    }
+
+    #[test]
+    fn short_source_gops_group_into_output_gop_shards() {
+        // 10-frame source GOPs under 30-frame output GOPs: shards start
+        // at the source keyframes picked every 30 frames from the
+        // source's start, not at every keyframe.
+        let c = ctx(300, 10);
+        let shards = blur_window_keys(&c, r(1, 2), 4);
+        assert_eq!(
+            shards.iter().map(|s| s.0).collect::<Vec<_>>(),
+            [15, 30, 30, 30, 15]
+        );
+    }
+
+    #[test]
+    fn uniform_fallback_chunks_two_output_gops() {
+        // A retimed input has no source keyframes to cut on: renders
+        // below four output GOPs stay whole, longer ones cut every 60.
+        let retimed = |secs: i64| {
+            let spec = SpecBuilder::new(output())
+                .video("a", "a.svc")
+                .append_with(r(secs, 1), |out_start| {
+                    blur(
+                        RenderExpr::FrameRef {
+                            video: "a".into(),
+                            time: AffineTimeMap::new(r(2, 1), -out_start * r(2, 1)),
+                        },
+                        1.0,
+                    )
+                })
+                .build();
+            let plan = lower_spec(&spec).unwrap();
+            let phys = optimize(&plan, &ctx(600, 30), &OptimizerConfig::default()).unwrap();
+            phys.segments.iter().map(|s| s.count).collect::<Vec<_>>()
+        };
+        assert_eq!(retimed(3), [90]);
+        assert_eq!(retimed(5), [60, 90]);
     }
 
     #[test]

@@ -73,7 +73,7 @@ fn adversarial_plans(catalog: &Catalog) -> Vec<(&'static str, PhysicalPlan)> {
                 &giant,
                 catalog,
                 &OptimizerConfig {
-                    shard_min_frames: u64::MAX,
+                    shard: false,
                     ..Default::default()
                 },
             ),

@@ -63,7 +63,7 @@ fn plan(catalog: &Catalog) -> PhysicalPlan {
         catalog.plan_context(),
         &OptimizerConfig {
             // One render segment so fault extent is predictable.
-            shard_min_frames: u64::MAX,
+            shard: false,
             ..Default::default()
         },
     )
@@ -471,7 +471,7 @@ fn shared_gop_grid(
         })
         .build();
     let config = OptimizerConfig {
-        shard_min_frames: u64::MAX,
+        shard: false,
         ..Default::default()
     };
     let plan = optimize(&lower_spec(&spec).unwrap(), catalog.plan_context(), &config).unwrap();
@@ -585,7 +585,7 @@ fn a_compose_error_mid_segment_is_returned_at_any_thread_count() {
             .append_filtered("src", r(0, 1), r(6, 1), udf)
             .build();
         let config = OptimizerConfig {
-            shard_min_frames: u64::MAX,
+            shard: false,
             ..Default::default()
         };
         optimize(&lower_spec(&spec).unwrap(), catalog.plan_context(), &config).unwrap()
@@ -633,7 +633,7 @@ fn two_gop_plan(catalog: &Catalog) -> PhysicalPlan {
         .append_filtered("src", r(4, 1), r(2, 1), |e| blur(e, 1.0))
         .build();
     let config = OptimizerConfig {
-        shard_min_frames: u64::MAX,
+        shard: false,
         ..Default::default()
     };
     let plan = optimize(&lower_spec(&spec).unwrap(), catalog.plan_context(), &config).unwrap();
@@ -744,7 +744,7 @@ fn gated_two_gop_render(
         })
         .build();
     let config = OptimizerConfig {
-        shard_min_frames: u64::MAX,
+        shard: false,
         ..Default::default()
     };
     let plan = optimize(&lower_spec(&spec).unwrap(), catalog.plan_context(), &config).unwrap();

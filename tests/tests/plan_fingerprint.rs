@@ -1,7 +1,8 @@
 //! Properties of the canonical plan fingerprint (`v2v_plan::fingerprint`):
 //!
 //! * **invariant** under how the optimizer happened to carve the plan —
-//!   sharding on/off, any sharding factor, rule application order (the
+//!   sharding on/off, render segments re-cut at any output-GOP multiple,
+//!   rule application order (the
 //!   smart-cut head split vs. whole-clip copy decisions permute segment
 //!   boundaries, not semantics);
 //! * **sensitive** to anything that changes the output bytes — clip
@@ -12,7 +13,8 @@ use proptest::prelude::*;
 use v2v_exec::Catalog;
 use v2v_integration_tests::{marked_output, marked_stream};
 use v2v_plan::{
-    lower_spec, optimize, plan_fingerprint, OptimizerConfig, SourceDigests, VideoDigest,
+    lower_spec, optimize, plan_fingerprint, OptimizerConfig, PhysicalPlan, SegPlan, Segment,
+    SourceDigests, VideoDigest,
 };
 use v2v_spec::builder::blur;
 use v2v_spec::{Spec, SpecBuilder};
@@ -44,22 +46,56 @@ fn mixed_spec() -> Spec {
         .build()
 }
 
-fn fingerprint_with(spec: &Spec, catalog: &Catalog, cfg: &OptimizerConfig) -> u64 {
+fn plan_with(spec: &Spec, catalog: &Catalog, cfg: &OptimizerConfig) -> PhysicalPlan {
     let logical = lower_spec(spec).expect("lower");
-    let plan = optimize(&logical, catalog.plan_context(), cfg).expect("optimize");
-    plan_fingerprint(&plan, &digests(catalog))
+    optimize(&logical, catalog.plan_context(), cfg).expect("optimize")
+}
+
+fn fingerprint_with(spec: &Spec, catalog: &Catalog, cfg: &OptimizerConfig) -> u64 {
+    plan_fingerprint(&plan_with(spec, catalog, cfg), &digests(catalog))
+}
+
+/// Re-cuts every render segment of `plan` every `k` output GOPs from its
+/// start: a carving the optimizer is free to choose, since each piece
+/// restarts the encoder on an output-GOP boundary.
+fn recut(mut plan: PhysicalPlan, k: u64) -> PhysicalPlan {
+    let step = k * u64::from(plan.out_params.gop_size);
+    plan.segments = plan
+        .segments
+        .into_iter()
+        .flat_map(|seg| match seg.plan {
+            SegPlan::StreamCopy { .. } => vec![seg],
+            SegPlan::Render { .. } => (0..seg.count)
+                .step_by(step as usize)
+                .map(|off| Segment {
+                    out_start: seg.out_start + off,
+                    count: step.min(seg.count - off),
+                    plan: seg.plan.clone(),
+                })
+                .collect(),
+        })
+        .collect();
+    assert_eq!(plan.validate(), Ok(()));
+    plan
+}
+
+/// The fingerprint of `spec` planned under `cfg`, re-cut every `k`
+/// output GOPs.
+fn recut_fingerprint(spec: &Spec, catalog: &Catalog, cfg: &OptimizerConfig, k: u64) -> u64 {
+    plan_fingerprint(&recut(plan_with(spec, catalog, cfg), k), &digests(catalog))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// However the optimizer shards (or refuses to shard) render
-    /// segments, the canonical fingerprint is the one the default
+    /// segments, and however they are then re-cut at output-GOP
+    /// multiples, the canonical fingerprint is the one the default
     /// configuration produces.
     #[test]
     fn fingerprint_invariant_under_rewrite_carving(
         shard in any::<bool>(),
-        shard_gops in 1u64..8,
+        recut_gops in 1u64..8,
         shard_min_frames in 1u64..256,
         conservative_tail in any::<bool>(),
     ) {
@@ -68,23 +104,22 @@ proptest! {
         let baseline = fingerprint_with(&spec, &catalog, &OptimizerConfig::default());
         let cfg = OptimizerConfig {
             shard,
-            shard_gops,
             shard_min_frames,
             conservative_tail,
             ..OptimizerConfig::default()
         };
-        prop_assert_eq!(fingerprint_with(&spec, &catalog, &cfg), baseline);
+        prop_assert_eq!(recut_fingerprint(&spec, &catalog, &cfg, recut_gops), baseline);
     }
 
     /// Clip-range changes (different output semantics) always move the
-    /// fingerprint, whatever the sharding configuration.
+    /// fingerprint, however the render segments are carved.
     #[test]
     fn fingerprint_tracks_spec_semantics(
-        shard_gops in 1u64..8,
+        recut_gops in 1u64..8,
         start_frames in 0i64..60,
     ) {
         let catalog = catalog();
-        let cfg = OptimizerConfig { shard_gops, ..OptimizerConfig::default() };
+        let cfg = OptimizerConfig::default();
         let base = mixed_spec();
         let shifted = SpecBuilder::new(marked_output())
             .video("src", "src.svc")
@@ -98,8 +133,8 @@ proptest! {
             .append_clip("src", r(5, 1), Rational::from_int(1))
             .build();
         prop_assert_ne!(
-            fingerprint_with(&base, &catalog, &cfg),
-            fingerprint_with(&shifted, &catalog, &cfg)
+            recut_fingerprint(&base, &catalog, &cfg, recut_gops),
+            recut_fingerprint(&shifted, &catalog, &cfg, recut_gops)
         );
     }
 }

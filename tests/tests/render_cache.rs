@@ -6,7 +6,7 @@
 //! with run-visible evictions.
 
 use std::sync::Arc;
-use v2v_container::{svc_to_bytes, Fragment};
+use v2v_container::{svc_to_bytes, Fragment, VideoStream};
 use v2v_core::{EngineConfig, V2vEngine};
 use v2v_exec::{Catalog, RenderCache};
 use v2v_integration_tests::{marked_output, marked_stream, temp_dir};
@@ -301,5 +301,58 @@ fn byte_budget_forces_run_visible_evictions() {
         report.stats.cache
     );
     assert!(cache.bytes_held() <= budget, "budget invariant holds");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sliding tail window over a live source: once the source grows by
+/// one whole GOP, the window's shards are the source's GOPs, so the two
+/// it shares with the previous tail query come from the cache and only
+/// the newest GOP is encoded.
+#[test]
+fn sliding_tail_window_reuses_its_full_gop_shards() {
+    let history = marked_stream(300, 30);
+    let span = |from: usize, to: usize| {
+        let at = history.start() + history.frame_dur() * Rational::from_int(from as i64);
+        let packets = history.copy_packet_range(from, to, at).unwrap();
+        VideoStream::new(*history.params(), at, history.frame_dur(), packets).unwrap()
+    };
+    // Blur over the last 3 s of a source `frames` long.
+    let tail_spec = |frames: usize| {
+        SpecBuilder::new(marked_output())
+            .video("src", "src.svc")
+            .append_filtered("src", r(frames as i64 - 90, 30), r(3, 1), |e| blur(e, 1.0))
+            .build()
+    };
+    let with_source = |stream: VideoStream| {
+        let mut c = Catalog::new();
+        c.add_video("src", stream);
+        c
+    };
+
+    let dir = temp_dir("sliding-tail");
+    let config = EngineConfig {
+        render_cache: Some(Arc::new(RenderCache::open(&dir, 1 << 30).unwrap())),
+        ..EngineConfig::default()
+    };
+    let mut engine = V2vEngine::new(with_source(span(0, 240))).with_config(config);
+    let first = engine.run(&tail_spec(240)).expect("first tail query");
+    assert_eq!(first.stats.cache.segment_hits, 0);
+    assert_eq!(first.stats.frames_encoded, 90);
+
+    // Append one GOP the way `/append` splices it onto the bound stream.
+    let old = Arc::clone(engine.catalog().video("src").expect("bound"));
+    let grown = VideoStream::concat(&[old.as_ref(), &span(240, 270)]).unwrap();
+    engine.catalog_mut().add_video("src", grown);
+    let second = engine.run(&tail_spec(270)).expect("second tail query");
+    assert_eq!(second.stats.cache.segment_hits, 2);
+    assert_eq!(second.stats.frames_encoded, 30);
+
+    let cold = V2vEngine::new(with_source(span(0, 270)))
+        .run(&tail_spec(270))
+        .expect("cache-less run");
+    assert_eq!(
+        svc_to_bytes(&second.output).unwrap(),
+        svc_to_bytes(&cold.output).unwrap()
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
