@@ -1,7 +1,4 @@
 //! End-to-end CLI tests: drive the `v2v` binary over on-disk artifacts.
-//!
-//! Skips silently when the binary has not been built (e.g. `cargo test
-//! -p v2v-integration-tests` without a prior workspace build).
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -9,16 +6,9 @@ use v2v_integration_tests::{marked_output, marked_stream};
 use v2v_spec::SpecBuilder;
 use v2v_time::{r, Rational};
 
-fn v2v_binary() -> Option<PathBuf> {
-    // target/{debug,release}/v2v next to this test binary's directory.
-    let mut dir = std::env::current_exe().ok()?;
-    dir.pop(); // test binary name
-    if dir.ends_with("deps") {
-        dir.pop();
-    }
-    let candidate = dir.join("v2v");
-    candidate.exists().then_some(candidate)
-}
+/// The `v2v` binary of this tree: Cargo builds it before running these
+/// tests.
+const V2V: &str = env!("CARGO_BIN_EXE_v2v");
 
 fn workdir() -> PathBuf {
     let dir = std::env::temp_dir().join("v2v_cli_tests");
@@ -43,13 +33,9 @@ fn fixture(tag: &str) -> (PathBuf, usize) {
 
 #[test]
 fn cli_run_and_info() {
-    let Some(bin) = v2v_binary() else {
-        eprintln!("skipping: v2v binary not built");
-        return;
-    };
     let (spec_path, frames) = fixture("run");
     let out_path = workdir().join("run_out.svc");
-    let output = Command::new(&bin)
+    let output = Command::new(V2V)
         .args([
             "run",
             spec_path.to_str().unwrap(),
@@ -69,7 +55,7 @@ fn cli_run_and_info() {
     let result = v2v_container::read_svc(&out_path).unwrap();
     assert_eq!(result.len(), frames);
 
-    let info = Command::new(&bin)
+    let info = Command::new(V2V)
         .args(["info", out_path.to_str().unwrap()])
         .output()
         .expect("spawn v2v info");
@@ -80,12 +66,8 @@ fn cli_run_and_info() {
 
 #[test]
 fn cli_explain_and_check() {
-    let Some(bin) = v2v_binary() else {
-        eprintln!("skipping: v2v binary not built");
-        return;
-    };
     let (spec_path, _) = fixture("explain");
-    let explain = Command::new(&bin)
+    let explain = Command::new(V2V)
         .args(["explain", spec_path.to_str().unwrap()])
         .output()
         .expect("spawn v2v explain");
@@ -97,7 +79,7 @@ fn cli_explain_and_check() {
         "{text}"
     );
 
-    let check = Command::new(&bin)
+    let check = Command::new(V2V)
         .args(["check", spec_path.to_str().unwrap()])
         .output()
         .expect("spawn v2v check");
@@ -107,17 +89,13 @@ fn cli_explain_and_check() {
 
 #[test]
 fn cli_rejects_bad_input() {
-    let Some(bin) = v2v_binary() else {
-        eprintln!("skipping: v2v binary not built");
-        return;
-    };
-    let bad = Command::new(&bin)
+    let bad = Command::new(V2V)
         .args(["run", "/nonexistent/spec.json"])
         .output()
         .expect("spawn v2v run");
     assert!(!bad.status.success());
 
-    let nonsense = Command::new(&bin)
+    let nonsense = Command::new(V2V)
         .args(["frobnicate"])
         .output()
         .expect("spawn v2v");
@@ -126,10 +104,6 @@ fn cli_rejects_bad_input() {
 
 #[test]
 fn cli_run_with_sql_database() {
-    let Some(bin) = v2v_binary() else {
-        eprintln!("skipping: v2v binary not built");
-        return;
-    };
     let dir = workdir();
     let video_path = dir.join("db_src.svc");
     v2v_container::write_svc(&marked_stream(120, 30), &video_path).unwrap();
@@ -169,7 +143,7 @@ fn cli_run_with_sql_database() {
     std::fs::write(&spec_path, spec.to_json()).unwrap();
 
     let out_path = dir.join("db_out.svc");
-    let output = Command::new(&bin)
+    let output = Command::new(V2V)
         .args([
             "run",
             spec_path.to_str().unwrap(),
@@ -191,7 +165,7 @@ fn cli_run_with_sql_database() {
     assert_eq!(result.len(), 60);
 
     // Without --db, the sql: locator cannot bind.
-    let no_db = Command::new(&bin)
+    let no_db = Command::new(V2V)
         .args(["run", spec_path.to_str().unwrap()])
         .output()
         .expect("spawn v2v run");
@@ -200,14 +174,10 @@ fn cli_run_with_sql_database() {
 
 #[test]
 fn cli_inspect_reports_gop_layout() {
-    let Some(bin) = v2v_binary() else {
-        eprintln!("skipping: v2v binary not built");
-        return;
-    };
     let dir = workdir();
     let video_path = dir.join("inspect_src.svc");
     v2v_container::write_svc(&marked_stream(120, 30), &video_path).unwrap();
-    let output = Command::new(&bin)
+    let output = Command::new(V2V)
         .args(["inspect", video_path.to_str().unwrap()])
         .output()
         .expect("spawn v2v inspect");
@@ -228,10 +198,6 @@ fn cli_inspect_reports_gop_layout() {
 /// run of the same spec.
 #[test]
 fn cli_store_materialize_ls_drop_and_run_with_variants() {
-    let Some(bin) = v2v_binary() else {
-        eprintln!("skipping: v2v binary not built");
-        return;
-    };
     let dir = workdir();
     let store_dir = dir.join("cli_store");
     let _ = std::fs::remove_dir_all(&store_dir);
@@ -239,7 +205,7 @@ fn cli_store_materialize_ls_drop_and_run_with_variants() {
     // Long-GOP source: the shape dense variants exist for.
     v2v_container::write_svc(&marked_stream(300, 300), &video_path).unwrap();
 
-    let mat = Command::new(&bin)
+    let mat = Command::new(V2V)
         .args([
             "store",
             "materialize",
@@ -258,7 +224,7 @@ fn cli_store_materialize_ls_drop_and_run_with_variants() {
     );
     assert!(String::from_utf8_lossy(&mat.stdout).contains("materialized src@dense"));
 
-    let ls = Command::new(&bin)
+    let ls = Command::new(V2V)
         .args(["store", "ls", "--store", store_dir.to_str().unwrap()])
         .output()
         .expect("spawn v2v store ls");
@@ -276,7 +242,7 @@ fn cli_store_materialize_ls_drop_and_run_with_variants() {
     std::fs::write(&spec_path, spec.to_json()).unwrap();
 
     let plain_out = dir.join("store_plain.svc");
-    let plain = Command::new(&bin)
+    let plain = Command::new(V2V)
         .args([
             "run",
             spec_path.to_str().unwrap(),
@@ -288,7 +254,7 @@ fn cli_store_materialize_ls_drop_and_run_with_variants() {
     assert!(plain.status.success());
 
     let variant_out = dir.join("store_variant.svc");
-    let with_store = Command::new(&bin)
+    let with_store = Command::new(V2V)
         .args([
             "run",
             spec_path.to_str().unwrap(),
@@ -317,7 +283,7 @@ fn cli_store_materialize_ls_drop_and_run_with_variants() {
         "variant-served run must be byte-identical"
     );
 
-    let drop = Command::new(&bin)
+    let drop = Command::new(V2V)
         .args([
             "store",
             "drop",
@@ -335,15 +301,11 @@ fn cli_store_materialize_ls_drop_and_run_with_variants() {
 
 #[test]
 fn cli_frame_export() {
-    let Some(bin) = v2v_binary() else {
-        eprintln!("skipping: v2v binary not built");
-        return;
-    };
     let dir = workdir();
     let video_path = dir.join("frame_src.svc");
     v2v_container::write_svc(&marked_stream(60, 30), &video_path).unwrap();
     let still = dir.join("still.ppm");
-    let output = Command::new(&bin)
+    let output = Command::new(V2V)
         .args([
             "frame",
             video_path.to_str().unwrap(),
@@ -363,7 +325,7 @@ fn cli_frame_export() {
     // The exported still shows source frame 7.
     assert_eq!(v2v_frame::marker::read(&img.to_yuv420p()), Some(7));
     // Off-grid timestamps error.
-    let bad = Command::new(&bin)
+    let bad = Command::new(V2V)
         .args(["frame", video_path.to_str().unwrap(), "1/7"])
         .output()
         .expect("spawn v2v frame");

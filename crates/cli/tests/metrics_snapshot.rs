@@ -5,7 +5,7 @@
 //! `--trace`, reduces each trace artifact to its *stable* subset —
 //! schema version, rewrites fired, per-operator frames
 //! decoded/copied/encoded, per-segment GOP-cache hits/misses — and
-//! diffs it against committed goldens under `tests/golden/`. Wall
+//! diffs it against committed goldens under `crates/cli/tests/golden/`. Wall
 //! times, spans, part counts, and byte counts are excluded: they are
 //! machine- or codec-tuning-dependent.
 //!
@@ -18,14 +18,11 @@
 //! Regenerate goldens after an intentional optimizer/executor change:
 //!
 //! ```text
-//! cargo build --release -p v2v-cli
-//! V2V_UPDATE_GOLDENS=1 cargo test --release -p v2v-integration-tests --test metrics_snapshot
+//! V2V_UPDATE_GOLDENS=1 cargo test --release -p v2v-cli --test metrics_snapshot
 //! ```
 //!
 //! When `V2V_TRACE_OUT_DIR` is set, full trace artifacts are copied
 //! there (CI uploads them as workflow artifacts).
-//!
-//! Skips silently when the `v2v` binary has not been built.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -34,15 +31,9 @@ use v2v_spec::builder::blur;
 use v2v_spec::{Spec, SpecBuilder};
 use v2v_time::{r, Rational};
 
-fn v2v_binary() -> Option<PathBuf> {
-    let mut dir = std::env::current_exe().ok()?;
-    dir.pop();
-    if dir.ends_with("deps") {
-        dir.pop();
-    }
-    let candidate = dir.join("v2v");
-    candidate.exists().then_some(candidate)
-}
+/// The `v2v` binary of this tree: Cargo builds it before running these
+/// tests.
+const V2V: &str = env!("CARGO_BIN_EXE_v2v");
 
 fn workdir() -> PathBuf {
     let dir = std::env::temp_dir().join("v2v_metrics_snapshot");
@@ -51,7 +42,7 @@ fn workdir() -> PathBuf {
 }
 
 fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden")
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
 /// The example queries: `(name, spec)` against one 300-frame gop-30
@@ -165,10 +156,6 @@ fn stable_subset(trace: &serde_json::Value) -> serde_json::Value {
 
 #[test]
 fn traces_match_committed_goldens() {
-    let Some(bin) = v2v_binary() else {
-        eprintln!("skipping: v2v binary not built");
-        return;
-    };
     let update = std::env::var("V2V_UPDATE_GOLDENS").is_ok();
     let artifact_dir = std::env::var("V2V_TRACE_OUT_DIR").ok().map(PathBuf::from);
     if let Some(dir) = &artifact_dir {
@@ -185,7 +172,7 @@ fn traces_match_committed_goldens() {
         std::fs::write(&spec_path, spec.to_json()).unwrap();
         let out_path = dir.join(format!("{name}.svc"));
         let trace_path = dir.join(format!("{name}.trace.json"));
-        let output = Command::new(&bin)
+        let output = Command::new(V2V)
             .args([
                 "run",
                 spec_path.to_str().unwrap(),

@@ -3,8 +3,6 @@
 //! overlapping / distinct queries), and check that every response is
 //! byte-identical to a direct `v2v run` of the same spec and that the
 //! persistent render cache serves repeats without decoding.
-//!
-//! Skips silently when the `v2v` binary has not been built.
 
 use std::io::BufRead;
 use std::net::SocketAddr;
@@ -17,15 +15,9 @@ use v2v_spec::builder::blur;
 use v2v_spec::{Spec, SpecBuilder};
 use v2v_time::{r, Rational};
 
-fn v2v_binary() -> Option<PathBuf> {
-    let mut dir = std::env::current_exe().ok()?;
-    dir.pop();
-    if dir.ends_with("deps") {
-        dir.pop();
-    }
-    let candidate = dir.join("v2v");
-    candidate.exists().then_some(candidate)
-}
+/// The `v2v` binary of this tree: Cargo builds it before running these
+/// tests.
+const V2V: &str = env!("CARGO_BIN_EXE_v2v");
 
 fn workdir() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("v2v_serve_tests_{}", std::process::id()));
@@ -50,8 +42,8 @@ impl Drop for Daemon {
 
 /// Starts `v2v serve` on an ephemeral port and parses the bound address
 /// from its first stdout line.
-fn start_daemon(bin: &PathBuf, cache_dir: &std::path::Path) -> (Daemon, SocketAddr) {
-    let mut child = Command::new(bin)
+fn start_daemon(cache_dir: &std::path::Path) -> (Daemon, SocketAddr) {
+    let mut child = Command::new(V2V)
         .args([
             "serve",
             "--addr",
@@ -128,11 +120,11 @@ fn spec_distinct(video: &std::path::Path) -> Spec {
 }
 
 /// `v2v run` the spec directly and return the output `.svc` bytes.
-fn direct_run(bin: &PathBuf, dir: &std::path::Path, tag: &str, spec: &Spec) -> Vec<u8> {
+fn direct_run(dir: &std::path::Path, tag: &str, spec: &Spec) -> Vec<u8> {
     let spec_path = dir.join(format!("direct_{tag}.json"));
     std::fs::write(&spec_path, spec.to_json()).unwrap();
     let out_path = dir.join(format!("direct_{tag}.svc"));
-    let output = Command::new(bin)
+    let output = Command::new(V2V)
         .args([
             "run",
             spec_path.to_str().unwrap(),
@@ -162,10 +154,6 @@ fn stats_field(resp: &v2v_serve::http::Response, path: &[&str]) -> u64 {
 
 #[test]
 fn daemon_matches_direct_runs_and_serves_repeats_from_cache() {
-    let Some(bin) = v2v_binary() else {
-        eprintln!("skipping: v2v binary not built");
-        return;
-    };
     let dir = workdir();
     let video = write_fixture(&dir, "matrix");
     let cache_dir = dir.join("cache");
@@ -179,10 +167,10 @@ fn daemon_matches_direct_runs_and_serves_repeats_from_cache() {
     ];
     let truth: Vec<Arc<Vec<u8>>> = specs
         .iter()
-        .map(|(tag, spec)| Arc::new(direct_run(&bin, &dir, tag, spec)))
+        .map(|(tag, spec)| Arc::new(direct_run(&dir, tag, spec)))
         .collect();
 
-    let (_daemon, addr) = start_daemon(&bin, &cache_dir);
+    let (_daemon, addr) = start_daemon(&cache_dir);
 
     // Warm-up: one cold render of the repeat query populates its
     // segment fragments.
@@ -270,14 +258,10 @@ fn daemon_matches_direct_runs_and_serves_repeats_from_cache() {
 
 #[test]
 fn daemon_reports_errors_without_dying() {
-    let Some(bin) = v2v_binary() else {
-        eprintln!("skipping: v2v binary not built");
-        return;
-    };
     let dir = workdir();
     let video = write_fixture(&dir, "errors");
     let cache_dir = dir.join("cache_err");
-    let (_daemon, addr) = start_daemon(&bin, &cache_dir);
+    let (_daemon, addr) = start_daemon(&cache_dir);
 
     // Malformed spec: 400 with a structured error body.
     let bad = client::post_query(addr, b"{not json").unwrap();

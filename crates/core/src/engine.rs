@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 use v2v_codec::Packet;
-use v2v_container::{Fnv64, Fragment, VideoStream};
+use v2v_container::{Fragment, VideoStream};
 use v2v_data::{Database, Query};
 use v2v_exec::{
     execute_naive, execute_streaming_with, execute_traced, Catalog, ExecOptions, ExecStats,
@@ -283,7 +283,9 @@ impl V2vEngine {
     /// cacheable (UDF programs have no content-addressable identity).
     /// Independent of whether a disk cache is configured — the fragment
     /// flight and a worker's key check need the keys even without one.
-    fn plan_identity(&self, plan: &PhysicalPlan) -> Vec<Option<u64>> {
+    /// Recorded as the `identity` span, with the number of arrays read
+    /// and of array entries hashed on this call.
+    fn plan_identity(&self, plan: &PhysicalPlan, spans: &SpanSink) -> Vec<Option<u64>> {
         let fault_active = self
             .config
             .exec
@@ -293,19 +295,28 @@ impl V2vEngine {
         if fault_active {
             return Vec::new();
         }
-        let digests = self.source_digests(plan);
-        if !v2v_plan::cacheable(plan, &digests) {
-            return Vec::new();
-        }
-        v2v_plan::segment_keys(plan, &digests)
+        let timer = spans.start("identity");
+        let (digests, entries_hashed) = self.source_digests(plan);
+        let keys = if v2v_plan::cacheable(plan, &digests) {
+            v2v_plan::segment_keys(plan, &digests)
+        } else {
+            Vec::new()
+        };
+        timer
+            .attr("arrays", digests.array_entries.len())
+            .attr("entries_hashed", entries_hashed)
+            .finish();
+        keys
     }
 
-    /// Content digests of every source the plan reads: per-video stream
-    /// digests with their committed-GOP prefix index (looked up on the
-    /// stream, which memoizes them), per-array entry
-    /// digests (so segment keys fold only the entries their windows can
-    /// reach), plus one coarse digest over all bound arrays.
-    fn source_digests(&self, plan: &PhysicalPlan) -> SourceDigests {
+    /// Content digests of every source the plan reads, with the number
+    /// of array entries hashed to get them: per-video stream digests
+    /// with their committed-GOP prefix index, and per-entry digests of
+    /// the arrays the plan's programs look up (so segment keys fold only
+    /// the entries their windows can reach). Both are memoised on the
+    /// source and shared by its clones, so only a source's first use
+    /// hashes it, and arrays no program reads are never hashed.
+    fn source_digests(&self, plan: &PhysicalPlan) -> (SourceDigests, usize) {
         let mut referenced: BTreeSet<&str> = BTreeSet::new();
         for seg in &plan.segments {
             match &seg.plan {
@@ -327,27 +338,16 @@ impl V2vEngine {
                     .insert(name.to_string(), v2v_plan::VideoDigest::of(stream));
             }
         }
-        let mut h = Fnv64::new();
-        for (name, array) in self.catalog.arrays() {
-            h.write_str(name);
-            h.write_u64(array.len() as u64);
-            let mut entries = Vec::with_capacity(array.len());
-            for (t, v) in array.iter() {
-                h.write_str(&t.to_string());
-                let json = serde_json::to_string(v).unwrap_or_default();
-                h.write_str(&json);
-                let mut eh = Fnv64::new();
-                eh.write_str(&t.to_string());
-                eh.write_str(&json);
-                entries.push((t, eh.finish()));
+        let mut entries_hashed = 0;
+        for name in v2v_plan::referenced_arrays(plan) {
+            if let Some(array) = self.catalog.arrays().get(&name) {
+                if !array.digests_known() {
+                    entries_hashed += array.len();
+                }
+                digests.array_entries.insert(name, array.entry_digests());
             }
-            // DataArray iteration is time-ordered; keep the invariant
-            // explicit for the windowed partition point.
-            entries.sort_by_key(|e| e.0);
-            digests.array_entries.insert(name.clone(), entries);
         }
-        digests.arrays = h.finish();
-        digests
+        (digests, entries_hashed)
     }
 
     /// Full pipeline: bind → specialize → check → plan → execute.
@@ -397,7 +397,7 @@ impl V2vEngine {
             .attr("rewrites", plan_trace.events.len())
             .finish();
         let keys = if identity {
-            self.plan_identity(&physical)
+            self.plan_identity(&physical, &spans)
         } else {
             Vec::new()
         };
@@ -976,6 +976,7 @@ mod tests {
         let mut plain = engine_with_video();
         let streaming = plain.front_half(&spec, plain.reuse_configured()).unwrap();
         assert!(streaming.segment_keys().is_empty());
+        assert_eq!(identity_attrs(&streaming), None);
         // Nor does a one-shot `run`: with no reuse tier, the source is
         // never digested — not even once.
         let source = plain.catalog().video("a").expect("bound").clone();
@@ -985,6 +986,7 @@ mod tests {
         let prepared = plain.prepare(&spec).unwrap();
         assert!(!prepared.segment_keys().is_empty());
         assert!(source.digests_known());
+        assert_eq!(identity_attrs(&prepared), Some((0, 0)));
 
         let (mut cached, dir) = cached_engine("identity");
         let streaming = cached.front_half(&spec, cached.reuse_configured()).unwrap();
@@ -994,6 +996,70 @@ mod tests {
             prepared.segment_keys()
         );
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// The `identity` span's `(arrays, entries_hashed)`, if the run
+    /// computed its identity.
+    fn identity_attrs(run: &PreparedRun) -> Option<(usize, usize)> {
+        let span = run
+            .spans
+            .take()
+            .into_iter()
+            .find(|s| s.name == "identity")?;
+        let attr = |key: &str| {
+            let (_, v) = span.attrs.iter().find(|(k, _)| k == key).expect("attr");
+            v.parse().expect("a count")
+        };
+        Some((attr("arrays"), attr("entries_hashed")))
+    }
+
+    /// `a`'s catalog with a box on each of its 120 frames in `bb`, and a
+    /// spec drawing them over its first second.
+    fn boxed_catalog_and_spec() -> (Catalog, Spec) {
+        let mut catalog = engine_with_video().catalog().clone();
+        let boxes = Value::Boxes(vec![BoxCoord::new(0.2, 0.2, 0.3, 0.3, "z")]);
+        catalog.add_array("bb", (0..120).map(|i| (r(i, 30), boxes.clone())).collect());
+        let spec = SpecBuilder::new(output())
+            .video("a", "a.svc")
+            .data_array("bb", "catalog")
+            .append_filtered("a", r(0, 1), r(1, 1), |e| bounding_box(e, "bb"))
+            .build();
+        (catalog, spec)
+    }
+
+    /// Engines over clones of one catalog (the daemon's per-request
+    /// snapshots) share each array's entry digests: the first `prepare`
+    /// hashes them into the memo every clone sees, the second hashes
+    /// nothing and reads the same allocation.
+    #[test]
+    fn engines_cloned_from_one_catalog_share_array_digests() {
+        let (catalog, spec) = boxed_catalog_and_spec();
+        let mut first = V2vEngine::new(catalog.clone());
+        let mut second = V2vEngine::new(catalog.clone());
+        let cold = first.prepare(&spec).unwrap();
+        assert_eq!(identity_attrs(&cold), Some((1, 120)));
+        assert!(catalog.arrays()["bb"].digests_known());
+        let warm = second.prepare(&spec).unwrap();
+        assert_eq!(identity_attrs(&warm), Some((1, 0)));
+        assert_eq!(warm.segment_keys(), cold.segment_keys());
+        let digests = |c: &Catalog| c.arrays()["bb"].entry_digests();
+        assert!(Arc::ptr_eq(
+            &digests(first.catalog()),
+            &digests(second.catalog())
+        ));
+        assert!(Arc::ptr_eq(&digests(first.catalog()), &digests(&catalog)));
+    }
+
+    /// A plan whose programs look nothing up digests no array, however
+    /// many the catalog binds.
+    #[test]
+    fn a_plan_reading_no_array_digests_none() {
+        let (catalog, _) = boxed_catalog_and_spec();
+        let mut engine = V2vEngine::new(catalog);
+        let prepared = engine.prepare(&blur_spec(&[0])).unwrap();
+        assert!(!prepared.segment_keys().is_empty());
+        assert_eq!(identity_attrs(&prepared), Some((0, 0)));
+        assert!(!engine.catalog().arrays()["bb"].digests_known());
     }
 
     #[test]

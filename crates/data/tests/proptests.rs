@@ -24,6 +24,39 @@ fn array_strategy() -> impl Strategy<Value = DataArray> {
         .prop_map(DataArray::from_pairs)
 }
 
+/// One step on a family of arrays cloned from each other; indices wrap
+/// around the family's size.
+#[derive(Clone, Debug)]
+enum Op {
+    /// Insert `frames / 30` s past the array's last instant.
+    Append(usize, i64, Value),
+    /// Insert anywhere: an overwrite, a mid insert or an append.
+    Insert(usize, Rational, Value),
+    /// Merge the second array into the first.
+    Merge(usize, usize),
+    /// Add a clone of the array to the family.
+    Fork(usize),
+    /// Read the array's entry digests, filling its memo.
+    Digest(usize),
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0usize..4, 1i64..40, value_strategy()).prop_map(|(i, n, v)| Op::Append(i, n, v)),
+        (0usize..4, instant_strategy(), value_strategy()).prop_map(|(i, t, v)| Op::Insert(i, t, v)),
+        (0usize..4, 0usize..4).prop_map(|(i, j)| Op::Merge(i, j)),
+        (0usize..4).prop_map(Op::Fork),
+        (0usize..4).prop_map(Op::Digest),
+    ]
+}
+
+/// Entry digests computed from nothing but the entries.
+fn digests_from_scratch(arr: &DataArray) -> Vec<(Rational, u64)> {
+    let fresh = DataArray::from_pairs(arr.iter().map(|(t, v)| (t, v.clone())));
+    assert!(!fresh.digests_known());
+    fresh.entry_digests().to_vec()
+}
+
 proptest! {
     #[test]
     fn compare_is_antisymmetric(a in value_strategy(), b in value_strategy()) {
@@ -104,6 +137,61 @@ proptest! {
             if !b.contains(t) {
                 prop_assert_eq!(merged.get(t), v);
             }
+        }
+    }
+
+    /// The entry-digest memo is never stale: through any mix of appends,
+    /// overwrites, mid inserts and merges on an array and its clones,
+    /// every array's memoised digests equal digests recomputed from its
+    /// entries, and no array sees another's mutation.
+    #[test]
+    fn memoised_entry_digests_equal_digests_from_scratch(
+        first in array_strategy(),
+        ops in prop::collection::vec(op_strategy(), 0..40),
+    ) {
+        let mut family = vec![first];
+        let mut model: Vec<Vec<(Rational, Value)>> =
+            vec![family[0].iter().map(|(t, v)| (t, v.clone())).collect()];
+        let upsert = |entries: &mut Vec<(Rational, Value)>, t: Rational, v: Value| {
+            match entries.binary_search_by_key(&t, |e| e.0) {
+                Ok(at) => entries[at].1 = v,
+                Err(at) => entries.insert(at, (t, v)),
+            }
+        };
+        for op in ops {
+            let n = family.len();
+            match op {
+                Op::Append(i, frames, v) => {
+                    let last = family[i % n].instants().last().unwrap_or(Rational::ZERO);
+                    let t = last + Rational::new(frames, 30);
+                    family[i % n].insert(t, v.clone());
+                    upsert(&mut model[i % n], t, v);
+                }
+                Op::Insert(i, t, v) => {
+                    family[i % n].insert(t, v.clone());
+                    upsert(&mut model[i % n], t, v);
+                }
+                Op::Merge(i, j) => {
+                    let other = family[j % n].clone();
+                    family[i % n].merge(&other);
+                    for (t, v) in other.iter() {
+                        upsert(&mut model[i % n], t, v.clone());
+                    }
+                }
+                Op::Fork(i) => {
+                    family.push(family[i % n].clone());
+                    model.push(model[i % n].clone());
+                }
+                Op::Digest(i) => {
+                    let memo = family[i % n].entry_digests();
+                    prop_assert_eq!(&*memo, &digests_from_scratch(&family[i % n]));
+                }
+            }
+        }
+        for (arr, entries) in family.iter().zip(&model) {
+            let found: Vec<(Rational, Value)> = arr.iter().map(|(t, v)| (t, v.clone())).collect();
+            prop_assert_eq!(&found, entries);
+            prop_assert_eq!(&*arr.entry_digests(), &digests_from_scratch(arr));
         }
     }
 

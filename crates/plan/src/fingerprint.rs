@@ -19,9 +19,9 @@
 //!    a name does not pin bytes: re-encoding a source in place must
 //!    change every key derived from it. Callers supply
 //!    [`SourceDigests`] — per-video content digests (from
-//!    [`VideoStream::content_digest`]) plus one digest over the data
-//!    arrays — and both the whole-plan fingerprint and the per-segment
-//!    keys fold them in.
+//!    [`VideoStream::content_digest`]) plus per-entry digests of the
+//!    data arrays the plan reads ([`referenced_arrays`]) — and both the
+//!    whole-plan fingerprint and the per-segment keys fold them in.
 //!
 //! Rewrites that change the *output bytes* (stream copy vs. render,
 //! smart cuts, conservative tails) legitimately change the
@@ -37,7 +37,7 @@
 
 use crate::physical::{PhysicalPlan, SegPlan, Segment};
 use crate::program::{FrameProgram, ProgArg};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use v2v_container::{Fnv64, VideoStream};
 use v2v_spec::TransformOp;
@@ -117,15 +117,14 @@ impl VideoDigest {
 pub struct SourceDigests {
     /// Per-video content digests with prefix structure.
     pub videos: BTreeMap<String, VideoDigest>,
-    /// One digest over all data arrays (names, instants, values) — the
-    /// coarse whole-catalog witness kept for diagnostics and as the
-    /// conservative key input when `array_entries` is unavailable.
-    pub arrays: u64,
-    /// Per-array `(instant, entry digest)` pairs, ascending by instant.
+    /// Per-array `(instant, entry digest)` pairs, ascending by instant
+    /// ([`DataArray::entry_digests`](v2v_data::DataArray::entry_digests),
+    /// shared with the array's memo), for the arrays the plan reads.
     /// Segment keys fold only the entries a segment's data expressions
     /// can actually look up, so appending later detections leaves
-    /// earlier segments' keys unchanged.
-    pub array_entries: BTreeMap<String, Vec<(Rational, u64)>>,
+    /// earlier segments' keys unchanged. A segment reading an array
+    /// missing here has no key.
+    pub array_entries: BTreeMap<String, Arc<Vec<(Rational, u64)>>>,
 }
 
 /// Is the expression's value a function of the evaluation instant or
@@ -207,10 +206,22 @@ fn program_array_refs(p: &FrameProgram, out: &mut Vec<(String, AffineTimeMap)>) 
     }
 }
 
+/// The data arrays the plan's render programs look up: the only arrays
+/// whose entry digests its keys fold.
+pub fn referenced_arrays(plan: &PhysicalPlan) -> BTreeSet<String> {
+    let mut refs = Vec::new();
+    for seg in &plan.segments {
+        if let SegPlan::Render { program, .. } = &seg.plan {
+            program_array_refs(program, &mut refs);
+        }
+    }
+    refs.into_iter().map(|(array, _)| array).collect()
+}
+
 /// Hashes one render plan's semantic content for the segment starting
 /// at output frame `out_start` with `count` frames. Returns `false`
 /// (key unusable) when the program contains a UDF or references a
-/// video absent from `sources`.
+/// video or array absent from `sources`.
 fn hash_render(
     h: &mut Fnv64,
     plan: &PhysicalPlan,
@@ -268,17 +279,13 @@ fn hash_render(
         for (array, map) in &refs {
             h.write_str(array);
             let hi = map.apply(seg_start).max(map.apply(seg_last));
-            match sources.array_entries.get(array) {
-                Some(entries) => {
-                    let visible = entries.partition_point(|&(t, _)| t <= hi);
-                    h.write_u64(visible as u64);
-                    for &(_, d) in &entries[..visible] {
-                        h.write_u64(d);
-                    }
-                }
-                // No entry structure known for this array: fall back to
-                // the coarse whole-catalog digest.
-                None => h.write_u64(sources.arrays),
+            let Some(entries) = sources.array_entries.get(array) else {
+                return false;
+            };
+            let visible = entries.partition_point(|&(t, _)| t <= hi);
+            h.write_u64(visible as u64);
+            for &(_, d) in &entries[..visible] {
+                h.write_u64(d);
             }
         }
     }
@@ -439,7 +446,8 @@ pub fn cacheable(plan: &PhysicalPlan, sources: &SourceDigests) -> bool {
 ///
 /// `None` for segments that must not be cached: stream copies (already
 /// zero-decode — caching them would only duplicate source bytes) and
-/// render programs containing UDFs or videos without digests.
+/// render programs containing UDFs or reading videos or arrays without
+/// digests.
 ///
 /// The key hashes everything that determines the segment's output
 /// bytes — program, input contents and alignment, output parameters,
@@ -485,7 +493,6 @@ mod tests {
                 .enumerate()
                 .map(|(i, n)| (n.to_string(), VideoDigest::opaque(0x1000 + i as u64)))
                 .collect(),
-            arrays: 7,
             array_entries: BTreeMap::new(),
         }
     }
@@ -644,8 +651,10 @@ mod tests {
         // `t`-only programs read no arrays, so array changes leave their
         // keys alone (the windowed scheme keys only actual lookups).
         let mut d2 = d.clone();
-        d2.arrays = 99;
+        let entries = Arc::new(vec![(Rational::ZERO, 99)]);
+        d2.array_entries.insert("bb".into(), entries);
         assert_eq!(segment_keys(&a, &d)[0], segment_keys(&a, &d2)[0]);
+        assert!(referenced_arrays(&a).is_empty());
     }
 
     /// A segment reading `bb[t]` keys on exactly the entries its window
@@ -667,8 +676,8 @@ mod tests {
             s
         };
         let plan = base_plan(vec![array_seg(0), array_seg(8)], 16);
-        let entries = |n: i64| -> Vec<(Rational, u64)> {
-            (0..n).map(|i| (r(i, 30), 0x40 + i as u64)).collect()
+        let entries = |n: i64| -> Arc<Vec<(Rational, u64)>> {
+            Arc::new((0..n).map(|i| (r(i, 30), 0x40 + i as u64)).collect())
         };
         let mut d = digests(&["a"]);
         d.array_entries.insert("bb".into(), entries(8));
@@ -678,13 +687,10 @@ mod tests {
         let k_new = segment_keys(&plan, &grown);
         assert_eq!(k_old[0], k_new[0], "early segment ignores appended entries");
         assert_ne!(k_old[1], k_new[1], "the segment whose window grew re-keys");
-        // Without entry structure the coarse digest is load-bearing.
-        let mut coarse = digests(&["a"]);
-        coarse.arrays = 99;
-        assert_ne!(
-            segment_keys(&plan, &digests(&["a"]))[0],
-            segment_keys(&plan, &coarse)[0]
-        );
+        // An array read without entry digests leaves its segments
+        // unkeyed, as an undigested video does.
+        assert_eq!(referenced_arrays(&plan), BTreeSet::from(["bb".into()]));
+        assert_eq!(segment_keys(&plan, &digests(&["a"])), vec![None, None]);
     }
 
     /// Segment keys pin the smallest committed prefix covering their

@@ -39,7 +39,9 @@ pub mod variant;
 
 pub use cost::{estimate, CostEstimate, CostModel};
 pub use explain::{explain_logical, explain_physical};
-pub use fingerprint::{cacheable, plan_fingerprint, segment_keys, SourceDigests, VideoDigest};
+pub use fingerprint::{
+    cacheable, plan_fingerprint, referenced_arrays, segment_keys, SourceDigests, VideoDigest,
+};
 pub use logical::{lower_spec, LogicalNode, LogicalPlan, LogicalSegment};
 pub use meta::PlanContext;
 pub use optimizer::{optimize, optimize_traced, OptimizerConfig};

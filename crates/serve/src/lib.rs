@@ -77,7 +77,9 @@
 //! whichever request first asks, and the stream an append swaps in
 //! resumes from the old one's digest state
 //! ([`VideoStream::concat`](v2v_container::VideoStream::concat)), so
-//! the next request hashes the appended GOPs only.
+//! the next request hashes the appended GOPs only. A data array's entry
+//! digests are shared the same way, and `/append-data` past its last
+//! instant hashes the appended entries only.
 //!
 //! Query errors map the [`ErrorKind`] taxonomy onto status codes:
 //! `invalid_request`/`plan` → 400, `not_found` → 404, `corrupt_data` →
@@ -86,6 +88,7 @@
 //! carry the live queue picture (`queue_depth`, `queue_limit`,
 //! `retry_after_secs`) in the error body.
 
+mod append;
 pub mod cluster;
 pub mod http;
 pub mod store_svc;
@@ -367,7 +370,7 @@ struct Shared {
     /// means: requests bind names it lacks into it (see
     /// [`bind_videos`]), `POST /append*` routes take the write lock for
     /// the duration of one splice, and queries clone a snapshot under
-    /// the read lock (cheap: streams are `Arc`-backed).
+    /// the read lock (cheap: streams and data arrays are `Arc`-backed).
     catalog: RwLock<Catalog>,
     /// The locator each locator-bound video was read from. Inserted
     /// under the catalog write lock together with the stream, so no
@@ -636,10 +639,10 @@ fn route(req: &Request, shared: &Shared) -> Response {
         ("POST", "/query") if !worker => handle_query(req, shared),
         ("POST", "/render-segment") => handle_render_segment(req, shared),
         ("POST", path) if path.strip_prefix("/append/").is_some() && !worker => {
-            handle_append(path, req, shared)
+            append::handle_append(path, req, shared)
         }
         ("POST", path) if path.strip_prefix("/append-data/").is_some() && !worker => {
-            handle_append_data(path, req, shared)
+            append::handle_append_data(path, req, shared)
         }
         ("GET", "/store") if !worker => store_svc::handle_store_ls(shared),
         ("POST", "/store/compact") if !worker => store_svc::handle_store_compact(shared),
@@ -653,128 +656,6 @@ fn route(req: &Request, shared: &Shared) -> Response {
         }
         (m, _) => error_response(405, "invalid_request", &format!("method {m} not allowed")),
     }
-}
-
-/// `POST /append/<name>`: splices a sealed `.svc` of freshly-encoded
-/// GOPs onto the named catalog video (or binds it fresh), then wakes
-/// every subscription. The appended stream must continue the existing
-/// grid — same codec parameters, first instant exactly one frame after
-/// the current last — and must start at a keyframe, the same invariants
-/// [`v2v_container::LiveWriter`] enforces on disk.
-fn handle_append(path: &str, req: &Request, shared: &Shared) -> Response {
-    let name = path.strip_prefix("/append/").unwrap_or_default();
-    if name.is_empty() {
-        return error_response(
-            400,
-            "invalid_request",
-            "missing video name in /append/<name>",
-        );
-    }
-    let new = match v2v_container::svc_from_bytes(&req.body) {
-        Ok(s) => s,
-        Err(e) => return error_response(422, "corrupt_data", &format!("append container: {e}")),
-    };
-    if new.is_empty() {
-        return error_response(400, "invalid_request", "appended container holds no frames");
-    }
-    let mut catalog = shared.catalog_write();
-    let total = match catalog.video(name).cloned() {
-        Some(existing) => {
-            // `concat` restamps whatever it is given; the continuity
-            // check is ours. An append stamped anywhere but one frame
-            // past the current end is a client bug (replay, reorder),
-            // not a growth event.
-            let expected = existing.start()
-                + existing.frame_dur() * v2v_time::Rational::from_int(existing.len() as i64);
-            if new.start() != expected {
-                return error_response(
-                    422,
-                    "corrupt_data",
-                    &format!(
-                        "append starts at {} but '{name}' continues at {expected}",
-                        new.start()
-                    ),
-                );
-            }
-            let joined = match v2v_container::VideoStream::concat(&[existing.as_ref(), &new]) {
-                Ok(j) => j,
-                Err(e) => {
-                    return error_response(
-                        422,
-                        "corrupt_data",
-                        &format!("append does not continue '{name}': {e}"),
-                    )
-                }
-            };
-            let n = joined.len();
-            catalog.add_video(name, joined);
-            n
-        }
-        None => {
-            let n = new.len();
-            catalog.add_video(name, new);
-            n
-        }
-    };
-    drop(catalog);
-    shared.metrics.sub_appends.inc();
-    shared.bump_version();
-    Response::json(
-        200,
-        &serde_json::json!({"video": name, "frames": total, "version": shared.version()}),
-    )
-}
-
-/// `POST /append-data/<name>`: appends `[{"t": <sec|[n,d]>, "value":
-/// ...}]` entries to the named detection array and wakes
-/// subscriptions. Values use the annotation conventions
-/// ([`v2v_data::Value::from_json`]).
-fn handle_append_data(path: &str, req: &Request, shared: &Shared) -> Response {
-    let name = path.strip_prefix("/append-data/").unwrap_or_default();
-    if name.is_empty() {
-        return error_response(
-            400,
-            "invalid_request",
-            "missing array name in /append-data/<name>",
-        );
-    }
-    let entries: Vec<serde_json::Value> = match serde_json::from_slice(&req.body) {
-        Ok(e) => e,
-        Err(e) => return error_response(400, "invalid_request", &format!("append-data body: {e}")),
-    };
-    let mut parsed = Vec::with_capacity(entries.len());
-    for (i, entry) in entries.iter().enumerate() {
-        // A missing `t` is read as `null`, which no instant shape takes.
-        let t = entry.get("t").unwrap_or(&serde_json::Value::Null);
-        let t = match v2v_data::json::parse_time(t) {
-            Ok(t) => t,
-            Err(e) => {
-                return error_response(400, "invalid_request", &format!("entry {i}: 't': {e}"))
-            }
-        };
-        let Some(value) = entry.get("value") else {
-            return error_response(
-                400,
-                "invalid_request",
-                &format!("entry {i}: missing 'value'"),
-            );
-        };
-        parsed.push((t, v2v_data::Value::from_json(value)));
-    }
-    let count = parsed.len();
-    let mut catalog = shared.catalog_write();
-    let array = catalog.arrays_mut().entry(name.to_string()).or_default();
-    for (t, v) in parsed {
-        array.insert(t, v);
-    }
-    let total = array.len();
-    drop(catalog);
-    shared.metrics.sub_appends.inc();
-    shared.bump_version();
-    Response::json(
-        200,
-        &serde_json::json!({"array": name, "appended": count, "entries": total}),
-    )
 }
 
 /// A coordinator's request: render one keyed segment of the embedded
@@ -1156,10 +1037,11 @@ fn bind_videos(spec: &Spec, shared: &Shared) -> Result<(), V2vError> {
 }
 
 /// A fresh engine for one request, over a snapshot of the shared
-/// catalog taken after [`bind_videos`] (the clone is cheap: streams are
-/// `Arc`-backed), so its own `bind` finds every video bound and only
-/// materializes data arrays — those stay per request, since a `sql:`
-/// array is windowed to the spec. The engine is wired to the
+/// catalog taken after [`bind_videos`] (the clone is cheap: streams and
+/// data arrays are `Arc`-backed, and share their digest memos with the
+/// snapshot), so its own `bind` finds every video bound and only
+/// materializes the data arrays the catalog lacks — those stay per
+/// request, since a `sql:` array is windowed to the spec. The engine is wired to the
 /// daemon-wide fragment flight so its segments share with every
 /// concurrent render.
 fn request_engine(spec: &Spec, shared: &Shared) -> Result<V2vEngine, V2vError> {
@@ -2257,5 +2139,146 @@ mod tests {
             assert!(message.starts_with("entry 1:"), "{bad}: {message}");
         }
         assert!(!handle.shared.catalog_read().arrays().contains_key("bb"));
+    }
+
+    /// One box per frame, drifting down with the frame index.
+    fn box_at(frame: i64, x: f32) -> v2v_data::Value {
+        let mut b = v2v_frame::BoxCoord::new(x, frame as f32 / 128.0, 0.25, 0.25, "z");
+        b.confidence = 0.5;
+        v2v_data::Value::Boxes(vec![b])
+    }
+
+    /// Two marked sources, `da` holding a box on frames `0..45` of `a`
+    /// and `db` one on frames `0..60` of `b`.
+    fn keyed_catalog() -> Catalog {
+        let mut c = Catalog::new();
+        c.add_video("a", marked_stream(120, 30));
+        c.add_video("b", marked_stream(90, 30));
+        c.add_array("da", (0..45).map(|i| (r(i, 30), box_at(i, 0.25))).collect());
+        c.add_array("db", (0..60).map(|i| (r(i, 30), box_at(i, 0.5))).collect());
+        c
+    }
+
+    /// Two seconds each of: a blur reading no array, boxes from `da`
+    /// over `a`, and a grid joining `a` boxed from `da` with `b` boxed
+    /// from `db`.
+    fn keyed_specs() -> [Spec; 3] {
+        let builder = || {
+            SpecBuilder::new(OutputSettings {
+                frame_ty: FrameType::gray8(64, 32),
+                frame_dur: r(1, 30),
+                gop_size: 30,
+                quantizer: 0,
+            })
+            .video("a", "a.svc")
+            .video("b", "b.svc")
+        };
+        let at = |video: &str| v2v_spec::RenderExpr::FrameRef {
+            video: video.into(),
+            time: v2v_time::AffineTimeMap::IDENTITY,
+        };
+        let boxed = v2v_spec::builder::bounding_box;
+        [
+            builder().append_with(r(2, 1), |_| blur(at("a"), 1.0)),
+            builder()
+                .data_array("da", "da.json")
+                .append_with(r(2, 1), |_| boxed(at("a"), "da")),
+            builder()
+                .data_array("da", "da.json")
+                .data_array("db", "db.json")
+                .append_with(r(2, 1), |_| {
+                    v2v_spec::builder::grid4(
+                        boxed(at("a"), "da"),
+                        boxed(at("b"), "db"),
+                        at("a"),
+                        at("b"),
+                    )
+                }),
+        ]
+        .map(SpecBuilder::build)
+    }
+
+    /// A run's segment keys as hex, `-` for an unkeyed segment.
+    fn hex_keys(run: &PreparedRun) -> Vec<String> {
+        let hex = |k: &Option<u64>| k.map_or("-".into(), |k| format!("{k:016x}"));
+        run.segment_keys().iter().map(hex).collect()
+    }
+
+    /// `da`'s boxes on `frames`, as `/append-data` takes them.
+    fn da_entries(frames: std::ops::Range<i64>) -> (Vec<(Rational, v2v_data::Value)>, String) {
+        let entries: Vec<_> = frames.map(|i| (r(i, 30), box_at(i, 0.25))).collect();
+        let body = entries
+            .iter()
+            .map(|(t, v)| {
+                let v2v_data::Value::Boxes(boxes) = v else {
+                    unreachable!()
+                };
+                serde_json::json!({"t": [t.num(), t.den()], "value": boxes})
+            })
+            .collect::<Vec<_>>();
+        (entries, serde_json::Value::from(body).to_string())
+    }
+
+    const BLUR_KEYS: &[&str] = &["4e52524eef653628"];
+    const BOXES_KEYS: &[&str] = &["aadaa3c8b65beded", "dddd1834e4402165"];
+    const JOIN_KEYS: &[&str] = &["56234a1122a5d8fb", "4bf33e80818713ea"];
+    const BOXES_REKEYED: &[&str] = &["616663a9ba287b76"];
+
+    /// Segment keys of specs with no array, one array and two arrays,
+    /// before and after detections are appended past the boxes window
+    /// (keys kept) and inside it (re-keyed), through a long-lived engine
+    /// and through the daemon's per-request snapshots. The constants were
+    /// computed by the digest-per-request implementation this memo
+    /// replaced: identity may get cheaper, never different.
+    #[test]
+    fn segment_keys_are_pinned_across_array_appends() {
+        let [blur, boxes, join] = keyed_specs();
+        let mut engine = V2vEngine::new(keyed_catalog());
+        let mut keys = |s: &Spec| hex_keys(&engine.prepare(s).unwrap());
+        let found = [keys(&blur), keys(&boxes), keys(&join)];
+        assert_eq!(found, [BLUR_KEYS, BOXES_KEYS, JOIN_KEYS]);
+        let (past, past_body) = da_entries(60..66);
+        let (inside, inside_body) = da_entries(45..50);
+        for (t, v) in past {
+            engine
+                .catalog_mut()
+                .arrays_mut()
+                .get_mut("da")
+                .unwrap()
+                .insert(t, v);
+        }
+        assert_eq!(hex_keys(&engine.prepare(&boxes).unwrap()), BOXES_KEYS);
+        for (t, v) in inside {
+            engine
+                .catalog_mut()
+                .arrays_mut()
+                .get_mut("da")
+                .unwrap()
+                .insert(t, v);
+        }
+        let rekeyed = hex_keys(&engine.prepare(&boxes).unwrap());
+        assert_eq!(rekeyed, BOXES_REKEYED);
+
+        let handle = V2vServer::new(keyed_catalog())
+            .start("127.0.0.1:0")
+            .unwrap();
+        let daemon = |s: &Spec| hex_keys(&prepare_query(s, &handle.shared).unwrap().run);
+        assert_eq!(
+            [daemon(&blur), daemon(&boxes), daemon(&join)],
+            [BLUR_KEYS, BOXES_KEYS, JOIN_KEYS]
+        );
+        let known = |name: &str| handle.shared.catalog_read().arrays()[name].digests_known();
+        assert!(
+            known("da") && known("db"),
+            "per-request snapshots fill the shared memos"
+        );
+        for (body, expect) in [(past_body, BOXES_KEYS), (inside_body, BOXES_REKEYED)] {
+            let resp = client::request(handle.addr(), "POST", "/append-data/da", body.as_bytes());
+            assert_eq!(resp.unwrap().status, 200);
+            // An append extends the memo; an insert before the last
+            // entry drops it.
+            assert_eq!(known("da"), expect == BOXES_KEYS);
+            assert_eq!(daemon(&boxes), expect);
+        }
     }
 }
