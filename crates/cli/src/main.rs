@@ -102,8 +102,9 @@
 //! content-addressed under DIR (budgeted by `--cache-budget`, default
 //! 1 GiB), so repeated queries splice cached bytes instead of decoding.
 //! `--mem-cache-budget BYTES` (requires `--cache-dir`) adds a
-//! byte-budgeted in-memory hot tier above the disk cache: fragments
-//! accessed repeatedly are promoted and served without touching disk.
+//! byte-budgeted in-memory LRU above the disk cache: a fragment read
+//! from disk stays resident, and its repeats are served without
+//! touching disk.
 //! The daemon also shares the segments of identical or overlapping
 //! concurrent renders; `--no-share` turns that off (every request then
 //! executes independently).

@@ -6,7 +6,7 @@ use crate::packet::{Packet, PacketKind};
 use crate::params::CodecParams;
 use crate::{inter, intra, CodecError};
 use std::sync::Arc;
-use v2v_frame::{Frame, FramePool};
+use v2v_frame::Frame;
 
 /// Stateful decoder for one SVC stream.
 ///
@@ -15,32 +15,25 @@ use v2v_frame::{Frame, FramePool};
 /// to the preceding keyframe and decode forward — the cost the V2V smart
 /// cut avoids for all but the first and last GOP of a clip.
 ///
-/// Decoded frames come out behind [`Arc`] (see [`Decoder::decode_shared`])
-/// and their buffers are drawn from a [`FramePool`]: the decoder holds its
-/// reference as another `Arc` clone of the emitted frame, so the steady
-/// state does zero raster copies per frame, and a frame whose consumers
-/// have all dropped it is reclaimed into the pool when the reference
-/// rolls forward.
+/// Decoded frames come out behind [`Arc`] (see [`Decoder::decode_shared`]):
+/// the decoder holds its reference as another `Arc` clone of the emitted
+/// frame, so the steady state does zero raster copies per frame. When
+/// the reference rolls forward and the decoder was its last owner, its
+/// buffer is kept as the one spare the next frame is decoded into.
 pub struct Decoder {
     params: CodecParams,
     reference: Option<Arc<Frame>>,
-    pool: FramePool,
+    spare: Option<Frame>,
     frames_out: u64,
 }
 
 impl Decoder {
-    /// Creates a decoder for the given stream parameters with its own
-    /// private frame pool.
+    /// Creates a decoder for the given stream parameters.
     pub fn new(params: CodecParams) -> Decoder {
-        Decoder::with_pool(params, FramePool::new())
-    }
-
-    /// Creates a decoder drawing frame buffers from a shared pool.
-    pub fn with_pool(params: CodecParams, pool: FramePool) -> Decoder {
         Decoder {
             params,
             reference: None,
-            pool,
+            spare: None,
             frames_out: 0,
         }
     }
@@ -50,11 +43,6 @@ impl Decoder {
         &self.params
     }
 
-    /// The pool frame buffers are drawn from.
-    pub fn pool(&self) -> &FramePool {
-        &self.pool
-    }
-
     /// Frames decoded so far.
     pub fn frames_out(&self) -> u64 {
         self.frames_out
@@ -62,8 +50,15 @@ impl Decoder {
 
     /// Drops the reference (e.g. before seeking to another keyframe).
     pub fn reset(&mut self) {
-        if let Some(old) = self.reference.take() {
-            self.pool.release_shared(old);
+        self.retire_reference(None);
+    }
+
+    /// Replaces the reference with `next`, keeping the old one's buffer
+    /// as the spare when no consumer still holds it.
+    fn retire_reference(&mut self, next: Option<Arc<Frame>>) {
+        let old = std::mem::replace(&mut self.reference, next);
+        if let Some(frame) = old.and_then(Arc::into_inner) {
+            self.spare = Some(frame);
         }
     }
 
@@ -73,18 +68,17 @@ impl Decoder {
     /// allocation the decoder keeps as its prediction reference, so no
     /// raster data is duplicated per frame.
     pub fn decode_shared(&mut self, packet: &Packet) -> Result<Arc<Frame>, CodecError> {
-        let mut frame = self.pool.acquire(self.params.frame_ty);
+        let ty = self.params.frame_ty;
+        let mut frame = self.spare.take().unwrap_or_else(|| Frame::black(ty));
         match self.decode_into(packet, &mut frame) {
             Ok(()) => {
                 let frame = Arc::new(frame);
-                if let Some(old) = self.reference.replace(frame.clone()) {
-                    self.pool.release_shared(old);
-                }
+                self.retire_reference(Some(Arc::clone(&frame)));
                 self.frames_out += 1;
                 Ok(frame)
             }
             Err(e) => {
-                self.pool.release(frame);
+                self.spare = Some(frame);
                 Err(e)
             }
         }
@@ -300,44 +294,81 @@ mod tests {
         assert!(p.keyframe); // fresh encoder starts with a keyframe
     }
 
-    #[test]
-    fn pooled_decode_matches_unpooled() {
-        // A decoder recycling buffers through a shared pool must produce
-        // byte-identical frames to a fresh one.
-        let ty = FrameType::yuv420p(48, 32);
+    /// Ten lossy packets (two GOPs plus two frames) of moving content.
+    fn lossy_packets(ty: FrameType) -> (CodecParams, Vec<Packet>) {
         let params = CodecParams::new(ty, 4, 3);
         let mut enc = Encoder::new(params);
-        let packets: Vec<_> = (0..10)
+        let packets = (0..10)
             .map(|i| enc.encode(&moving_frame(ty, i), r(i as i64, 30)).unwrap())
             .collect();
+        (params, packets)
+    }
 
-        let pool = FramePool::new();
-        let mut pooled = Decoder::with_pool(params, pool.clone());
-        let mut plain = Decoder::new(params);
-        for p in &packets {
-            let a = pooled.decode_shared(p).unwrap();
-            let b = plain.decode(p).unwrap();
-            assert_eq!(*a, b);
-            // Dropping `a` here leaves the pooled decoder's reference as
-            // the only owner, so the next roll recycles the buffer.
-        }
-        assert!(
-            pool.pooled() > 0,
-            "dropped frames must return to the pool as the reference rolls"
-        );
+    fn luma_ptr(frame: &Frame) -> *const u8 {
+        frame.plane(0).data().as_ptr()
     }
 
     #[test]
-    fn reset_releases_reference_to_pool() {
-        let ty = FrameType::gray8(32, 32);
-        let params = CodecParams::new(ty, 4, 0);
-        let mut enc = Encoder::new(params);
-        let p = enc.encode(&moving_frame(ty, 0), r(0, 30)).unwrap();
-        let pool = FramePool::new();
-        let mut dec = Decoder::with_pool(params, pool.clone());
-        drop(dec.decode_shared(&p).unwrap());
-        assert_eq!(pool.pooled(), 0, "reference still pins the buffer");
+    fn a_dropped_frame_is_decoded_into_again() {
+        // A caller that drops each frame leaves the decoder the sole owner
+        // of its reference, so the roll after next writes into the same
+        // buffer — and the bytes equal a decoder that never reuses one.
+        let ty = FrameType::yuv420p(48, 32);
+        let (params, packets) = lossy_packets(ty);
+        let mut held = Decoder::new(params);
+        let want: Vec<_> = packets
+            .iter()
+            .map(|p| held.decode_shared(p).unwrap())
+            .collect();
+        let mut dec = Decoder::new(params);
+        let mut ptrs = Vec::new();
+        for (p, want) in packets.iter().zip(&want) {
+            let got = dec.decode_shared(p).unwrap();
+            assert_eq!(got, *want);
+            ptrs.push(luma_ptr(&got));
+        }
+        for i in 2..ptrs.len() {
+            assert_eq!(
+                ptrs[i],
+                ptrs[i - 2],
+                "frame {i} reuses frame {}'s buffer",
+                i - 2
+            );
+        }
+        // `reset` retires the sole-owned reference into the spare too.
         dec.reset();
-        assert_eq!(pool.pooled(), 1, "reset must reclaim the sole owner");
+        let again = dec.decode_shared(&packets[0]).unwrap();
+        assert_eq!(luma_ptr(&again), ptrs[9]);
+        assert_eq!(again, want[0]);
+    }
+
+    #[test]
+    fn held_frames_are_never_reused_and_decode_identically() {
+        // The GOP-prefix pattern: every frame stays held, so each decode
+        // needs a buffer of its own and no earlier frame is overwritten.
+        let ty = FrameType::yuv420p(48, 32);
+        let (params, packets) = lossy_packets(ty);
+        let mut dropping = Decoder::new(params);
+        let want: Vec<Frame> = packets
+            .iter()
+            .map(|p| dropping.decode(p).unwrap())
+            .collect();
+        let mut dec = Decoder::new(params);
+        let held: Vec<_> = packets
+            .iter()
+            .map(|p| dec.decode_shared(p).unwrap())
+            .collect();
+        for (i, frame) in held.iter().enumerate() {
+            assert_eq!(**frame, want[i], "frame {i}");
+            assert!(!held[..i].iter().any(|f| luma_ptr(f) == luma_ptr(frame)));
+        }
+        // A failed decode keeps its buffer as the spare for the next one.
+        let bad = Packet::new(r(10, 30), true, bytes::Bytes::from(vec![0xFFu8, 0, 0]));
+        assert!(dec.decode_shared(&bad).is_err());
+        dec.reset();
+        let failed_into = dec.spare.as_ref().map(luma_ptr);
+        let next = dec.decode_shared(&packets[8]).unwrap();
+        assert_eq!(Some(luma_ptr(&next)), failed_into);
+        assert_eq!(*next, want[8]);
     }
 }

@@ -10,7 +10,7 @@ use crate::packet::{Packet, PacketKind};
 use crate::params::CodecParams;
 use crate::{inter, intra, CodecError};
 use bytes::Bytes;
-use v2v_frame::{Frame, FramePool};
+use v2v_frame::Frame;
 use v2v_time::Rational;
 
 /// Bitstream magic for intra packets.
@@ -27,28 +27,23 @@ pub struct Encoder {
     frame_index: u64,
     force_key: bool,
     reference: Option<Frame>,
-    pool: FramePool,
+    /// The previous reference's buffer, reused for the next
+    /// reconstruction.
+    spare: Option<Frame>,
     scratch: Vec<u8>,
     bytes_out: u64,
     frames_in: u64,
 }
 
 impl Encoder {
-    /// Creates an encoder for the given stream parameters with its own
-    /// private frame pool.
+    /// Creates an encoder for the given stream parameters.
     pub fn new(params: CodecParams) -> Encoder {
-        Encoder::with_pool(params, FramePool::new())
-    }
-
-    /// Creates an encoder drawing reconstruction buffers from a shared
-    /// pool.
-    pub fn with_pool(params: CodecParams, pool: FramePool) -> Encoder {
         Encoder {
             params,
             frame_index: 0,
             force_key: true,
             reference: None,
-            pool,
+            spare: None,
             scratch: Vec::new(),
             bytes_out: 0,
             frames_in: 0,
@@ -101,10 +96,13 @@ impl Encoder {
             PacketKind::Intra => MAGIC_INTRA,
             PacketKind::Inter => MAGIC_INTER,
         });
-        // The reconstruction lands in a pooled frame; the per-plane
+        // The reconstruction lands in the spare frame; the per-plane
         // bitstream goes through a persistent scratch buffer, so the
         // steady state allocates nothing per frame.
-        let mut recon = self.pool.acquire(frame.ty());
+        let mut recon = self
+            .spare
+            .take()
+            .unwrap_or_else(|| Frame::black(frame.ty()));
         for (pi, plane) in frame.planes().iter().enumerate() {
             self.scratch.clear();
             match kind {
@@ -133,9 +131,7 @@ impl Encoder {
             put_varint(&mut payload, self.scratch.len() as u64);
             payload.extend_from_slice(&self.scratch);
         }
-        if let Some(old) = self.reference.replace(recon) {
-            self.pool.release(old);
-        }
+        self.spare = self.reference.replace(recon);
         self.frame_index += 1;
         self.frames_in += 1;
         self.bytes_out += payload.len() as u64;
@@ -147,7 +143,7 @@ impl Encoder {
         self.frame_index = 0;
         self.force_key = true;
         if let Some(old) = self.reference.take() {
-            self.pool.release(old);
+            self.spare = Some(old);
         }
     }
 }

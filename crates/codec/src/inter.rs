@@ -45,7 +45,7 @@ fn block_grid(w: usize, h: usize) -> (usize, usize) {
 
 /// Encodes one plane as an inter payload against `reference`, writing
 /// the reconstruction into `recon` (every sample is overwritten), so
-/// pooled buffers avoid a fresh allocation per frame.
+/// a reused spare buffer avoids a fresh allocation per frame.
 pub fn encode_plane_into(
     cur: &Plane,
     reference: &Plane,

@@ -108,7 +108,7 @@ fn pick_modes(plane: &Plane, preset: Preset, out: &mut Vec<u8>) -> Vec<RowMode> 
 
 /// Encodes one plane as an intra payload, writing the reconstruction the
 /// decoder will produce into `recon` (every sample is overwritten), so
-/// pooled buffers avoid a fresh allocation per frame.
+/// a reused spare buffer avoids a fresh allocation per frame.
 pub fn encode_plane_into(
     plane: &Plane,
     qstep: i32,

@@ -22,27 +22,15 @@
 //! publishes on drop) releases the key with no value, and every waiter
 //! falls back to doing the work itself.
 //!
-//! Concurrency: the slot map is split into `SHARD_COUNT` lock shards
-//! (each with its own condvar), so claims on distinct keys rarely touch
-//! the same lock and a publish only wakes the waiters of its own shard.
+//! Concurrency: one lock over the slot map and one condvar. A claim or
+//! a publish holds the lock for a map operation; a publish wakes every
+//! waiter, and each re-checks its own key.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use v2v_container::Fragment;
-
-/// Number of lock shards of every sharded reuse structure. A small
-/// power of two: enough that a handful of serving threads rarely
-/// collide, small enough that a cross-shard scan stays trivial.
-pub(crate) const SHARD_COUNT: usize = 8;
-
-/// The shard a key lives in.
-pub(crate) fn shard_of<K: Hash>(key: &K) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    h.finish() as usize % SHARD_COUNT
-}
 
 struct Slot<V> {
     /// `None` while the owner works; the released outcome afterwards
@@ -54,20 +42,10 @@ struct Slot<V> {
     waiters: usize,
 }
 
-struct Shard<K, V> {
-    slots: Mutex<HashMap<K, Slot<V>>>,
-    done: Condvar,
-}
-
-impl<K, V> Shard<K, V> {
-    fn lock(&self) -> MutexGuard<'_, HashMap<K, Slot<V>>> {
-        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
 /// Exactly-once publish/subscribe on keys of type `K`.
 pub struct SingleFlight<K, V> {
-    shards: Vec<Shard<K, V>>,
+    slots: Mutex<HashMap<K, Slot<V>>>,
+    done: Condvar,
     published: AtomicU64,
     shared: AtomicU64,
 }
@@ -80,12 +58,8 @@ pub type FragmentFlight = SingleFlight<u64, Arc<Fragment>>;
 impl<K, V> Default for SingleFlight<K, V> {
     fn default() -> Self {
         SingleFlight {
-            shards: (0..SHARD_COUNT)
-                .map(|_| Shard {
-                    slots: Mutex::new(HashMap::new()),
-                    done: Condvar::new(),
-                })
-                .collect(),
+            slots: Mutex::new(HashMap::new()),
+            done: Condvar::new(),
             published: AtomicU64::new(0),
             shared: AtomicU64::new(0),
         }
@@ -147,6 +121,10 @@ impl<K, V> SingleFlight<K, V> {
         Self::default()
     }
 
+    fn lock(&self) -> MutexGuard<'_, HashMap<K, Slot<V>>> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Values published by owners so far.
     pub fn published(&self) -> u64 {
         self.published.load(Ordering::Relaxed)
@@ -159,14 +137,12 @@ impl<K, V> SingleFlight<K, V> {
 
     /// Keys an owner is working on right now.
     pub fn inflight(&self) -> usize {
-        let working = |s: &Shard<K, V>| s.lock().values().filter(|x| x.done.is_none()).count();
-        self.shards.iter().map(working).sum()
+        self.lock().values().filter(|x| x.done.is_none()).count()
     }
 
     /// Claimants currently blocked on an owner.
     pub fn waiting(&self) -> usize {
-        let blocked = |s: &Shard<K, V>| s.lock().values().map(|x| x.waiters).sum::<usize>();
-        self.shards.iter().map(blocked).sum()
+        self.lock().values().map(|x| x.waiters).sum()
     }
 }
 
@@ -174,15 +150,13 @@ impl<K: Hash + Eq + Clone, V: Clone> SingleFlight<K, V> {
     /// True while another caller owns `key` — used by the scheduler to
     /// defer a task that would only block, and by tests to synchronize.
     pub fn is_inflight(&self, key: &K) -> bool {
-        let slots = self.shards[shard_of(key)].lock();
-        slots.get(key).is_some_and(|s| s.done.is_none())
+        self.lock().get(key).is_some_and(|s| s.done.is_none())
     }
 
     /// Claims `key`: the first caller becomes the owner; concurrent
     /// callers block until the owner publishes and receive its value.
     pub fn claim(&self, key: K) -> Claim<'_, K, V> {
-        let shard = &self.shards[shard_of(&key)];
-        let mut slots = shard.lock();
+        let mut slots = self.lock();
         let Some(slot) = slots.get_mut(&key) else {
             let fresh = Slot {
                 done: None,
@@ -208,7 +182,7 @@ impl<K: Hash + Eq + Clone, V: Clone> SingleFlight<K, V> {
                 }
                 break outcome;
             }
-            slots = shard
+            slots = self
                 .done
                 .wait(slots)
                 .unwrap_or_else(PoisonError::into_inner);
@@ -223,8 +197,7 @@ impl<K: Hash + Eq + Clone, V: Clone> SingleFlight<K, V> {
     /// Marks `key` done and wakes every waiter. With no waiters the
     /// slot is removed immediately (latecomers go to the tier below).
     fn release(&self, key: &K, outcome: Option<V>) {
-        let shard = &self.shards[shard_of(key)];
-        let mut slots = shard.lock();
+        let mut slots = self.lock();
         if let Some(slot) = slots.get_mut(key) {
             if slot.waiters == 0 {
                 slots.remove(key);
@@ -233,7 +206,7 @@ impl<K: Hash + Eq + Clone, V: Clone> SingleFlight<K, V> {
             }
         }
         drop(slots);
-        shard.done.notify_all();
+        self.done.notify_all();
     }
 }
 
@@ -299,19 +272,34 @@ mod tests {
     }
 
     #[test]
-    fn distinct_and_same_shard_keys_are_independent() {
+    fn distinct_keys_are_independent() {
         let flight = Flight::new();
-        let twin = (2u64..).find(|k| shard_of(k) == shard_of(&1u64)).unwrap();
-        let other = (2u64..).find(|k| shard_of(k) != shard_of(&1u64)).unwrap();
-        let (a, b, c) = (own(&flight, 1), own(&flight, twin), own(&flight, other));
+        let (a, b, c) = (own(&flight, 1), own(&flight, 2), own(&flight, 3));
         assert_eq!(flight.inflight(), 3);
-        a.publish(Arc::new(vec![1]));
-        assert!(!flight.is_inflight(&1));
-        assert!(flight.is_inflight(&twin) && flight.is_inflight(&other));
-        b.publish(Arc::new(vec![2]));
-        c.publish(Arc::new(vec![3]));
-        assert_eq!(flight.inflight(), 0);
-        assert_eq!(flight.shared(), 0);
+        // A waiter on 3 is woken by every publish but takes only its own
+        // key's value.
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| match flight.claim(3) {
+                Claim::Shared(value) => value.expect("owner published"),
+                Claim::Owner(_) => panic!("3 is claimed"),
+            });
+            while flight.waiting() == 0 {
+                std::thread::yield_now();
+            }
+            a.publish(Arc::new(vec![1]));
+            assert!(!flight.is_inflight(&1));
+            assert!(flight.is_inflight(&2) && flight.is_inflight(&3));
+            b.publish(Arc::new(vec![2]));
+            assert_eq!(
+                flight.waiting(),
+                1,
+                "other keys' publishes leave it waiting"
+            );
+            c.publish(Arc::new(vec![3]));
+            assert_eq!(*waiter.join().unwrap(), vec![3]);
+        });
+        assert_eq!((flight.inflight(), flight.waiting()), (0, 0));
+        assert_eq!(flight.shared(), 1);
     }
 
     #[test]

@@ -32,6 +32,7 @@ pub mod naive;
 pub mod remote;
 pub mod render_cache;
 pub mod scheduler;
+mod tiers;
 pub mod trace;
 
 pub use apply::{apply_program, UdfKernel};

@@ -2,20 +2,16 @@
 //!
 //! Under heavy serving traffic the same few fragments are read over and
 //! over; a disk round-trip (plus checksum verification) per hit is pure
-//! overhead once an entry is hot. This tier keeps *frequently accessed*
-//! fragments resident as parsed [`Fragment`]s behind `Arc`, so a hot
-//! hit is a hash lookup and a refcount bump.
+//! overhead once an entry is hot. This tier keeps fragments read from
+//! disk resident as parsed [`Fragment`]s behind `Arc`, so a repeat hit
+//! is a hash lookup and a refcount bump.
 //!
 //! Policy:
 //!
-//! * **Byte-budgeted LRU.** Entries are charged their serialized byte
-//!   size in the shared `BudgetLru`; the least-recently-touched entry
-//!   is evicted when the total exceeds the budget. An entry larger than
-//!   the whole budget is never admitted.
-//! * **Frequency-gated promotion.** An entry becomes resident only
-//!   after `PROMOTE_AFTER` (2) accesses (ghost counters track
-//!   non-resident keys), so a one-off scan cannot flush the hot set —
-//!   the clock-like "second chance" half of LRU/clock.
+//! * **Byte-budgeted LRU.** Every fragment read from disk is admitted,
+//!   charged its serialized byte size in the shared `BudgetLru`; the
+//!   least-recently-touched entry is evicted when the total exceeds the
+//!   budget. An entry larger than the whole budget is never admitted.
 //! * **No authority.** The tier holds copies of data whose truth lives
 //!   on disk (or is re-renderable); it can be dropped at any time
 //!   without correctness impact, and a poisoned lock is recovered, not
@@ -23,31 +19,18 @@
 
 use crate::budget_lru::BudgetLru;
 use crate::render_cache::EntryKey;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use v2v_container::Fragment;
 
-/// Accesses required before a key becomes resident.
-const PROMOTE_AFTER: u32 = 2;
-
-/// Ghost (non-resident) frequency counters are bounded so an endless
-/// stream of distinct keys cannot grow the map without limit; when the
-/// cap is hit the counters reset, which only delays promotions.
-const MAX_GHOSTS: usize = 65_536;
-
-/// A byte-budgeted, frequency-promoted, in-memory fragment cache.
+/// A byte-budgeted, in-memory LRU of fragments.
 ///
 /// Owned by a [`RenderCache`](crate::RenderCache) and keyed by the same
 /// [`EntryKey`]s, so the two tiers address one namespace.
 pub struct MemTier {
     resident: BudgetLru<EntryKey, Arc<Fragment>>,
-    /// Access counts for keys not (yet) resident. Only the miss path —
-    /// which goes on to read the disk — takes this lock.
-    ghosts: Mutex<HashMap<EntryKey, u32>>,
     hits: AtomicU64,
     evictions: AtomicU64,
-    promotions: AtomicU64,
 }
 
 impl std::fmt::Debug for MemTier {
@@ -56,7 +39,6 @@ impl std::fmt::Debug for MemTier {
             .field("budget_bytes", &self.budget_bytes())
             .field("bytes_held", &self.bytes_held())
             .field("hits", &self.hits())
-            .field("promotions", &self.promotions())
             .finish()
     }
 }
@@ -66,25 +48,14 @@ impl MemTier {
     pub fn new(budget_bytes: u64) -> MemTier {
         MemTier {
             resident: BudgetLru::new(budget_bytes),
-            ghosts: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            promotions: AtomicU64::new(0),
         }
-    }
-
-    fn ghosts(&self) -> MutexGuard<'_, HashMap<EntryKey, u32>> {
-        self.ghosts.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The configured byte budget.
     pub fn budget_bytes(&self) -> u64 {
         self.resident.budget()
-    }
-
-    /// Accesses promoted past the gate so far.
-    pub fn promotions(&self) -> u64 {
-        self.promotions.load(Ordering::Relaxed)
     }
 
     /// Lookups served from memory.
@@ -107,38 +78,19 @@ impl MemTier {
         self.resident.len()
     }
 
-    /// Looks up `key`, refreshing its LRU stamp on a hit. A miss also
-    /// counts one ghost access so a later [`admit`](MemTier::admit) can
-    /// decide on promotion.
+    /// Looks up `key`, refreshing its LRU stamp on a hit.
     pub(crate) fn get(&self, key: EntryKey) -> Option<Arc<Fragment>> {
-        if let Some(frag) = self.resident.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(frag);
-        }
-        let mut ghosts = self.ghosts();
-        if ghosts.len() >= MAX_GHOSTS && !ghosts.contains_key(&key) {
-            ghosts.clear();
-        }
-        *ghosts.entry(key).or_insert(0) += 1;
-        None
+        let frag = self.resident.get(&key)?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(frag)
     }
 
-    /// Offers a fragment just read from the slower tier. It becomes
-    /// resident if its access count (including the [`get`](MemTier::get)
-    /// miss that preceded this call) has reached the promotion gate and
-    /// it fits the budget.
+    /// Makes a fragment just read from the slower tier resident, unless
+    /// it is larger than the whole budget.
     pub(crate) fn admit(&self, key: EntryKey, frag: &Arc<Fragment>, bytes: u64) {
         if bytes > self.budget_bytes() {
             return;
         }
-        {
-            let mut ghosts = self.ghosts();
-            if ghosts.get(&key).copied().unwrap_or(0) < PROMOTE_AFTER {
-                return;
-            }
-            ghosts.remove(&key);
-        }
-        self.promotions.fetch_add(1, Ordering::Relaxed);
         let evicted = self.resident.insert(key, Arc::clone(frag), bytes);
         self.evictions
             .fetch_add(evicted.len() as u64, Ordering::Relaxed);
@@ -148,7 +100,6 @@ impl MemTier {
     /// out unusable, so the next lookup falls through to disk.
     pub(crate) fn invalidate(&self, key: EntryKey) {
         self.resident.remove(&key);
-        self.ghosts().remove(&key);
     }
 }
 
@@ -180,33 +131,30 @@ mod tests {
         EntryKey::Segment(k)
     }
 
-    /// Two miss-then-admit rounds: the promotion gate's worth of
-    /// accesses.
-    fn promote(tier: &MemTier, key: EntryKey, f: &Arc<Fragment>, bytes: u64) {
-        for _ in 0..PROMOTE_AFTER {
-            assert!(tier.get(key).is_none());
-            tier.admit(key, f, bytes);
-        }
+    /// A miss, then the admission of the fragment read from disk.
+    fn miss_then_admit(tier: &MemTier, key: EntryKey, f: &Arc<Fragment>, bytes: u64) {
+        assert!(tier.get(key).is_none());
+        tier.admit(key, f, bytes);
     }
 
     #[test]
-    fn promotion_requires_repeat_access() {
-        let tier = MemTier::new(1 << 20);
+    fn the_first_admit_is_resident_unless_over_budget() {
         let (f, b) = frag(4, 1);
-        // First access: miss, admitted but below the gate → not resident.
-        assert!(tier.get(seg(1)).is_none());
-        tier.admit(seg(1), &f, b);
-        assert_eq!(tier.entries(), 0, "one access must not promote");
-        // Second access: miss again, now past the gate → resident.
-        assert!(tier.get(seg(1)).is_none());
-        tier.admit(seg(1), &f, b);
-        assert_eq!(tier.entries(), 1);
-        assert_eq!(tier.promotions(), 1);
-        // Third access is a memory hit.
+        let tier = MemTier::new(b);
+        // One miss and one admit: resident, and the next access hits.
+        miss_then_admit(&tier, seg(1), &f, b);
+        assert_eq!((tier.entries(), tier.bytes_held()), (1, b));
         assert!(tier.get(seg(1)).is_some());
         assert_eq!(tier.hits(), 1);
         // A result with the same number is a different entry.
         assert!(tier.get(EntryKey::Result(1)).is_none());
+        // One byte over the budget is never resident, however often it
+        // is admitted, and it displaces nothing.
+        for _ in 0..3 {
+            miss_then_admit(&tier, seg(2), &f, b + 1);
+        }
+        assert_eq!((tier.entries(), tier.evictions()), (1, 0));
+        assert!(tier.get(seg(1)).is_some());
     }
 
     #[test]
@@ -214,13 +162,13 @@ mod tests {
         let (f, one) = frag(8, 3);
         // Room for two entries, not three.
         let tier = MemTier::new(one * 2 + one / 2);
-        promote(&tier, seg(1), &f, one);
-        promote(&tier, seg(2), &f, one);
+        miss_then_admit(&tier, seg(1), &f, one);
+        miss_then_admit(&tier, seg(2), &f, one);
         assert_eq!(tier.entries(), 2);
         assert_eq!(tier.evictions(), 0);
         // Touch 1 so 2 is the LRU victim.
         assert!(tier.get(seg(1)).is_some());
-        promote(&tier, seg(3), &f, one);
+        miss_then_admit(&tier, seg(3), &f, one);
         assert_eq!(tier.evictions(), 1);
         assert!(tier.bytes_held() <= tier.budget_bytes());
         assert!(tier.get(seg(2)).is_none(), "LRU victim gone");
@@ -234,7 +182,7 @@ mod tests {
         // A zero budget disables the tier outright.
         for budget in [0, b / 2] {
             let tier = MemTier::new(budget);
-            promote(&tier, seg(9), &f, b);
+            miss_then_admit(&tier, seg(9), &f, b);
             assert_eq!(tier.entries(), 0);
         }
     }
@@ -243,7 +191,7 @@ mod tests {
     fn invalidate_drops_resident_entry() {
         let tier = MemTier::new(1 << 20);
         let (f, b) = frag(4, 5);
-        promote(&tier, seg(1), &f, b);
+        miss_then_admit(&tier, seg(1), &f, b);
         assert!(tier.get(seg(1)).is_some());
         tier.invalidate(seg(1));
         assert_eq!((tier.entries(), tier.bytes_held()), (0, 0));
@@ -255,7 +203,7 @@ mod tests {
         let tier = MemTier::new(1 << 24);
         let (f, b) = frag(4, 7);
         for k in 0..16 {
-            promote(&tier, seg(k), &f, b);
+            miss_then_admit(&tier, seg(k), &f, b);
         }
         std::thread::scope(|scope| {
             for k in 0..16 {

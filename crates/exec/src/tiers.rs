@@ -1,0 +1,252 @@
+//! The reuse tiers of one keyed render segment, in the one order that
+//! makes exactly-once provable: claim the flight, look up memory →
+//! disk → remote, render, store, publish (DESIGN.md §13).
+
+use crate::executor::ExecStats;
+use crate::flight::Claim;
+use crate::render_cache::{CacheStats, Origin};
+use crate::scheduler::{
+    run_render_pipelined, run_render_sequential, segment_cost, SegmentCtx, SegmentOutput,
+};
+use crate::ExecError;
+use std::sync::Arc;
+use v2v_container::Fragment;
+use v2v_plan::{FrameProgram, InputClip};
+
+/// True when a fragment can stand in for this whole segment: identical
+/// frame count, grid, and codec parameters. Content-addressed keys make
+/// a mismatch nearly impossible; the check keeps a hash collision or a
+/// foreign cache directory from corrupting output.
+fn fragment_matches(ctx: &SegmentCtx<'_>, frag: &Fragment) -> bool {
+    frag.len() as u64 == ctx.seg.count
+        && frag.frame_dur() == ctx.run.plan.frame_dur
+        && frag.params().compatible_with(&ctx.run.plan.out_params)
+}
+
+/// Renders one segment, reusing a fragment when the segment is keyed.
+/// This is the one place the reuse order is spelled: **in-flight →
+/// memory → disk → remote → render**, then **store → publish**.
+///
+/// The flight is claimed *before* the tiers are consulted and an owner
+/// stores *before* it publishes, so a concurrent duplicate either joins
+/// the flight or finds the entry on disk — a segment is never rendered
+/// twice, under any interleaving. A run without a flight (one-shot
+/// `v2v run`) is simply an owner nobody waits on.
+pub(crate) fn render_segment(
+    ctx: &SegmentCtx<'_>,
+    program: &FrameProgram,
+    inputs: &[InputClip],
+) -> Result<SegmentOutput, ExecError> {
+    // A fresh render: pipelined, or the sequential loop on one worker.
+    let fresh = || {
+        if ctx.run.workers > 1 {
+            run_render_pipelined(ctx, program, inputs)
+        } else {
+            run_render_sequential(ctx, program, inputs)
+        }
+    };
+    let keyed = ctx
+        .run
+        .seg_cache
+        .and_then(|sc| Some((sc, sc.key(ctx.seg_index)?)));
+    let Some((sc, key)) = keyed else {
+        return fresh();
+    };
+    // The segment's output when its packets come from a reused fragment.
+    let reused = |frag: &Fragment, origin: Origin| {
+        let stats = ExecStats {
+            segments: 1,
+            cache: CacheStats::for_hit(origin, frag.byte_size()),
+            ..Default::default()
+        };
+        SegmentOutput::new(ctx, frag.packets().to_vec(), stats)
+    };
+    let guard = match sc.flight.as_deref().map(|flight| flight.claim(key)) {
+        Some(Claim::Shared(Some(frag))) if fragment_matches(ctx, &frag) => {
+            return Ok(reused(&frag, Origin::Flight));
+        }
+        // Owner failed, or (vanishingly unlikely) published a fragment
+        // that does not fit this plan: render locally.
+        Some(Claim::Shared(_)) => return fresh(),
+        Some(Claim::Owner(guard)) => Some(guard),
+        None => None,
+    };
+    let fits = |found: &(Arc<Fragment>, Origin)| fragment_matches(ctx, &found.0);
+    let tiers = || sc.cache.as_deref()?.load_segment_tiered(key);
+    // The transport verifies the digest; `fits` shape-checks the
+    // fragment against the plan. Any failure falls back to rendering.
+    let remote = || {
+        let cost = segment_cost(ctx.run.plan, ctx.seg, ctx.run.catalog.plan_context());
+        let frag = sc
+            .remote
+            .as_deref()?
+            .render_remote(ctx.seg_index, key, cost)?;
+        Some((Arc::new(frag), Origin::Remote))
+    };
+    let (out, frag, store) = match tiers().filter(fits).or_else(|| remote().filter(fits)) {
+        // A remote fragment is persisted so the coordinator's own tiers
+        // warm up for the next query.
+        Some((frag, origin)) => (reused(&frag, origin), Some(frag), origin == Origin::Remote),
+        None => {
+            let out = fresh()?;
+            let (params, dur) = (ctx.run.plan.out_params, ctx.run.plan.frame_dur);
+            let frag = Fragment::new(params, dur, out.packets.clone()).ok();
+            (out, frag.map(Arc::new), true)
+        }
+    };
+    // A `None` here is an unfragmentable render (shouldn't happen for a
+    // clean one): the guard drops and waiters fall back.
+    if let Some(frag) = frag {
+        if let Some(cache) = sc.cache.as_deref().filter(|_| store) {
+            // A failed store (disk full, permissions) only costs the
+            // next run a re-render; never fail the query for it.
+            let _ = cache.store_segment(key, &frag);
+        }
+        if let Some(guard) = guard {
+            guard.publish(frag);
+        }
+    }
+    Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::executor::{execute, ExecOptions};
+    use crate::flight::FragmentFlight;
+    use crate::remote::RemoteRenderer;
+    use crate::render_cache::{RenderCache, SegmentCacheCtx};
+    use crate::scheduler::tests::setup;
+    use crate::Catalog;
+    use v2v_container::VideoStream;
+    use v2v_plan::PhysicalPlan;
+
+    const KEY: u64 = 0x5e6;
+
+    #[derive(Debug)]
+    struct Canned(Fragment);
+
+    impl RemoteRenderer for Canned {
+        fn render_remote(&self, _seg: usize, key: u64, _cost: f64) -> Option<Fragment> {
+            (key == KEY).then(|| self.0.clone())
+        }
+    }
+
+    fn temp_cache(tag: &str) -> Arc<RenderCache> {
+        let dir = std::env::temp_dir().join(format!("v2v_sched_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        Arc::new(RenderCache::open(dir, 0).unwrap().with_mem_tier(1 << 20))
+    }
+
+    fn run(
+        catalog: &Catalog,
+        plan: &PhysicalPlan,
+        sc: SegmentCacheCtx,
+    ) -> (VideoStream, CacheStats) {
+        let opts = ExecOptions {
+            segment_cache: Some(Arc::new(sc)),
+            ..Default::default()
+        };
+        let (out, stats, _) = execute(plan, catalog, &opts).unwrap();
+        (out, stats.cache)
+    }
+
+    /// Drives the one lookup chain through every origin and checks the
+    /// attribution each has always reported.
+    #[test]
+    fn every_origin_attributes_as_before_and_yields_the_same_bytes() {
+        let (catalog, plan) = setup(1);
+        let ctx = |cache: Option<&Arc<RenderCache>>| SegmentCacheCtx {
+            cache: cache.cloned(),
+            keys: vec![Some(KEY)],
+            ..Default::default()
+        };
+        let cache = temp_cache("tiers");
+
+        // Fresh, one-shot (no flight): nothing reused, and the segment
+        // is stored exactly once, by `render_segment` — an owner nobody
+        // waits on. The disk run below reads that entry back.
+        let (fresh, stats) = run(&catalog, &plan, ctx(Some(&cache)));
+        assert_eq!(stats, CacheStats::default());
+        assert_eq!(cache.entries(), 1);
+        let bytes = fresh.byte_size();
+        let same = |out: &VideoStream| assert_eq!(out.content_digest(), fresh.content_digest());
+
+        // Disk (the read admits the fragment to memory), then memory.
+        let disk = CacheStats {
+            segment_hits: 1,
+            bytes_reused: bytes,
+            ..Default::default()
+        };
+        for want in [
+            disk,
+            CacheStats {
+                mem_hits: 1,
+                ..disk
+            },
+        ] {
+            let (out, stats) = run(&catalog, &plan, ctx(Some(&cache)));
+            assert_eq!(stats, want);
+            same(&out);
+        }
+
+        // Flight: another run owns the key and publishes while we wait.
+        let flight = Arc::new(FragmentFlight::new());
+        let frag = Arc::new(cache.load_segment(KEY).unwrap());
+        let (out, stats) = std::thread::scope(|scope| {
+            let Claim::Owner(guard) = flight.claim(KEY) else {
+                panic!("unclaimed key");
+            };
+            let sc = SegmentCacheCtx {
+                flight: Some(Arc::clone(&flight)),
+                ..ctx(None)
+            };
+            let waiter = scope.spawn(|| run(&catalog, &plan, sc));
+            while flight.waiting() == 0 {
+                std::thread::yield_now();
+            }
+            guard.publish(Arc::clone(&frag));
+            waiter.join().unwrap()
+        });
+        let shared = CacheStats {
+            shared_segment_hits: 1,
+            bytes_reused: bytes,
+            ..Default::default()
+        };
+        assert_eq!(stats, shared);
+        same(&out);
+
+        // Remote: every local tier misses, the hook answers, and the
+        // fragment is stored before it is published.
+        let cold = temp_cache("remote");
+        let sc = SegmentCacheCtx {
+            flight: Some(Arc::clone(&flight)),
+            remote: Some(Arc::new(Canned((*frag).clone()))),
+            ..ctx(Some(&cold))
+        };
+        let (out, stats) = run(&catalog, &plan, sc);
+        let remote = CacheStats {
+            remote_segments: 1,
+            bytes_reused: bytes,
+            ..Default::default()
+        };
+        assert_eq!(stats, remote);
+        same(&out);
+        assert_eq!((cold.entries(), flight.published()), (1, 2));
+
+        // Fresh again, this time as a flight owner: stored, published.
+        let cold = temp_cache("owner");
+        let sc = SegmentCacheCtx {
+            flight: Some(Arc::clone(&flight)),
+            ..ctx(Some(&cold))
+        };
+        let (out, stats) = run(&catalog, &plan, sc);
+        assert_eq!(stats, CacheStats::default());
+        same(&out);
+        assert_eq!((cold.entries(), flight.published()), (1, 3));
+        assert_eq!((flight.inflight(), flight.shared()), (0, 1));
+        for c in [cache, cold] {
+            let _ = std::fs::remove_dir_all(c.dir());
+        }
+    }
+}

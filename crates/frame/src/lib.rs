@@ -26,10 +26,8 @@ pub mod format;
 pub mod frame;
 pub mod marker;
 pub mod ops;
-pub mod pool;
 pub mod ppm;
 
 pub use format::{ColorSpace, FrameType, PixelFormat};
 pub use frame::{Frame, FrameError, Plane};
 pub use ops::{BoxCoord, GridLayout, Rgb};
-pub use pool::FramePool;

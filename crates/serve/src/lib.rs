@@ -887,7 +887,6 @@ fn handle_status(shared: &Shared) -> Response {
                 "bytes_held": m.bytes_held(),
                 "budget_bytes": m.budget_bytes(),
                 "hits": m.hits(),
-                "promotions": m.promotions(),
                 "evictions": m.evictions(),
             })
         });
@@ -1352,7 +1351,7 @@ mod tests {
     const STATUS_KEYS: &str = "\
         active cache cache.budget_bytes cache.bytes_held cache.entries cache.evictions \
         cache.mem cache.mem.budget_bytes cache.mem.bytes_held cache.mem.entries \
-        cache.mem.evictions cache.mem.hits cache.mem.promotions jobs_done jobs_failed \
+        cache.mem.evictions cache.mem.hits jobs_done jobs_failed \
         jobs_rejected max_concurrent pool queue_depth queue_wait queue_wait.count \
         queue_wait.max_ns queue_wait.total_ns queued role sharing sharing.enabled \
         sharing.segment_hits sharing.segments_published store subscriptions \
