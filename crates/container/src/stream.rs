@@ -21,6 +21,9 @@ pub struct VideoStream {
     /// Ascending indices of the keyframe packets, built once by
     /// [`new`](Self::new): every keyframe query is a search here.
     keyframes: Vec<usize>,
+    /// Total packet payload bytes, summed once by [`new`](Self::new):
+    /// the plan's price reads it per render input.
+    bytes: u64,
     /// The stream's identity, folded on first use. The stream is
     /// immutable, so the memo is never invalidated: a different stream
     /// is a different memo, and `Clone` carries a filled one along.
@@ -65,6 +68,7 @@ impl VideoStream {
             }
         }
         let mut keyframes = Vec::new();
+        let mut bytes = 0u64;
         for (k, p) in packets.iter().enumerate() {
             let expect = start + frame_dur * Rational::from_int(k as i64);
             if p.pts != expect {
@@ -73,6 +77,7 @@ impl VideoStream {
             if p.keyframe {
                 keyframes.push(k);
             }
+            bytes += p.size() as u64;
         }
         Ok(VideoStream {
             params,
@@ -80,6 +85,7 @@ impl VideoStream {
             frame_dur,
             packets,
             keyframes,
+            bytes,
             digests: OnceLock::new(),
             resume: None,
         })
@@ -122,7 +128,7 @@ impl VideoStream {
 
     /// Total compressed size in bytes.
     pub fn byte_size(&self) -> u64 {
-        self.packets.iter().map(|p| p.size() as u64).sum()
+        self.bytes
     }
 
     /// A stable content digest of the stream: codec parameters, grid,
@@ -727,6 +733,7 @@ mod tests {
             params: *s.params(),
             start: s.start(),
             frame_dur: s.frame_dur(),
+            bytes: s.byte_size(),
             packets,
             keyframes: Vec::new(),
             digests: OnceLock::new(),

@@ -14,7 +14,7 @@ use v2v_exec::{
 };
 use v2v_obs::{SpanRecord, SpanSink};
 use v2v_plan::{
-    explain_logical, explain_physical, lower_spec, optimize_traced, select_variants, CostModel,
+    explain_logical, explain_physical, lower_spec, optimize_traced, select_variants,
     OptimizerConfig, PhysicalPlan, PlanStats, PlanTrace, SegPlan, SourceDigests, VariantPolicy,
 };
 use v2v_spec::{check_spec_with_udfs, CheckReport, Spec};
@@ -268,12 +268,7 @@ impl V2vEngine {
         // Storage-variant selection runs after all plan rewrites: it
         // only retargets render reads, so the plan's shape and cache
         // keys are already final.
-        select_variants(
-            &mut physical,
-            ctx,
-            &CostModel::default(),
-            self.config.variants,
-        );
+        select_variants(&mut physical, ctx, self.config.variants);
         Ok((physical, check, trace))
     }
 

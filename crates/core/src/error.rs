@@ -28,57 +28,16 @@
 //! [`ExecError`]: v2v_exec::ExecError
 
 use crate::EngineError;
-use serde::{Deserialize, Serialize};
 use std::error::Error as StdError;
 use std::panic::Location;
 use v2v_codec::CodecError;
 use v2v_container::ContainerError;
-use v2v_exec::ExecError;
+use v2v_exec::{codec_kind, container_kind, exec_kind, ExecError};
 
 /// Stable machine-readable error classes, the cross-layer vocabulary of
-/// [`V2vError::kind`]. Serialized in snake case (`corrupt_data`, …) in
-/// error reports.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum ErrorKind {
-    /// Malformed or hostile input bytes: corrupt packets, truncated
-    /// files, lying headers.
-    CorruptData,
-    /// An I/O failure (real or injected) reading or writing data.
-    Io,
-    /// A referenced resource (video, image, UDF, table) does not exist.
-    NotFound,
-    /// The spec or plan asked for something invalid (bad argument,
-    /// frame off the grid, incompatible streams).
-    InvalidRequest,
-    /// Static checking or planning rejected the query.
-    Plan,
-    /// A user-supplied kernel (UDF) failed.
-    Udf,
-    /// Anything else: internal invariants, unclassified wrappers.
-    Internal,
-}
-
-impl ErrorKind {
-    /// Stable lowercase name, the same token the serde encoding uses.
-    pub fn name(self) -> &'static str {
-        match self {
-            ErrorKind::CorruptData => "corrupt_data",
-            ErrorKind::Io => "io",
-            ErrorKind::NotFound => "not_found",
-            ErrorKind::InvalidRequest => "invalid_request",
-            ErrorKind::Plan => "plan",
-            ErrorKind::Udf => "udf",
-            ErrorKind::Internal => "internal",
-        }
-    }
-}
-
-impl std::fmt::Display for ErrorKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
+/// [`V2vError::kind`] (owned by `v2v-exec`, whose fault reports speak it
+/// too).
+pub use v2v_exec::ErrorKind;
 
 /// The unified error: a classified, located, contextualized wrapper
 /// around any layer's error.
@@ -157,44 +116,6 @@ impl StdError for V2vError {
         self.source
             .as_deref()
             .map(|s| s as &(dyn StdError + 'static))
-    }
-}
-
-fn codec_kind(e: &CodecError) -> ErrorKind {
-    match e {
-        // Malformed bytes, or delta packets fed without their reference
-        // (which is what decoding a damaged stream looks like).
-        CodecError::Corrupt(_) | CodecError::MissingReference => ErrorKind::CorruptData,
-        CodecError::FrameTypeMismatch { .. } | CodecError::IncompatibleStream => {
-            ErrorKind::InvalidRequest
-        }
-    }
-}
-
-fn container_kind(e: &ContainerError) -> ErrorKind {
-    match e {
-        ContainerError::Io(_) => ErrorKind::Io,
-        ContainerError::Codec(_) | ContainerError::BadFile(_) | ContainerError::NoKeyframe => {
-            ErrorKind::CorruptData
-        }
-        ContainerError::NotOnGrid(_)
-        | ContainerError::Incompatible
-        | ContainerError::SpliceNotKeyframe
-        | ContainerError::OutOfOrder => ErrorKind::InvalidRequest,
-    }
-}
-
-fn exec_kind(e: &ExecError) -> ErrorKind {
-    match e {
-        ExecError::UnknownVideo(_) | ExecError::UnknownImage(_) | ExecError::UnknownUdf(_) => {
-            ErrorKind::NotFound
-        }
-        ExecError::UdfFailed { .. } => ErrorKind::Udf,
-        ExecError::MissingFrame { .. } | ExecError::BadArgument { .. } => ErrorKind::InvalidRequest,
-        ExecError::SourceIo { .. } => ErrorKind::Io,
-        ExecError::Codec(c) => codec_kind(c),
-        ExecError::Container(c) => container_kind(c),
-        ExecError::Plan(_) => ErrorKind::Plan,
     }
 }
 

@@ -666,24 +666,23 @@ mod tests {
         assert!(outputs.windows(2).all(|w| w[0].packets() == w[1].packets()));
     }
 
-    /// `segment_cost` is the planner's per-segment estimate now; this
-    /// pins it, bit for bit, to the formula the scheduler used to carry.
+    /// With no source facts, `segment_cost` is, bit for bit, the
+    /// formula the scheduler used to carry.
     #[test]
     fn segment_cost_equals_the_formula_it_replaced() {
         use v2v_spec::builder::grid4;
         use v2v_spec::RenderExpr;
         let old = |plan: &PhysicalPlan, seg: &Segment| {
-            let model = v2v_plan::CostModel::default();
             let ty = plan.out_params.frame_ty;
             let px = f64::from(ty.width) * f64::from(ty.height);
             match &seg.plan {
-                SegPlan::StreamCopy { .. } => seg.count as f64 * model.copy_per_packet,
+                SegPlan::StreamCopy { .. } => seg.count as f64 * 50.0,
                 SegPlan::Render { program, inputs } => {
                     seg.count as f64
                         * (px
-                            * (inputs.len() as f64 * model.decode_per_pixel
-                                + program.op_count().max(1) as f64 * model.op_per_pixel
-                                + model.encode_per_pixel))
+                            * (inputs.len() as f64 * 1.0
+                                + program.op_count().max(1) as f64 * 2.0
+                                + 1.5))
                 }
             }
         };
@@ -710,7 +709,7 @@ mod tests {
         .unwrap();
         let mut input_counts = Vec::new();
         for seg in &plan.segments {
-            let cost = crate::segment_cost(&plan, seg, &v2v_plan::PlanContext::new());
+            let cost = v2v_plan::segment_cost(&plan, seg, &v2v_plan::PlanContext::new());
             assert_eq!(cost.to_bits(), old(&plan, seg).to_bits());
             input_counts.push(match &seg.plan {
                 SegPlan::StreamCopy { .. } => 0,
@@ -727,19 +726,19 @@ mod tests {
     }
 
     /// Over the catalog's context the dispatch cost prices decode
-    /// roll-in: a render entering its source mid-GOP costs exactly its
-    /// roll-in frames' decode more than with no source facts, and one
-    /// entering at a keyframe costs the same.
+    /// roll-in: a render entering its source mid-GOP costs its roll-in
+    /// frames' decode, pixels and bytes, more than one entering at the
+    /// keyframe.
     #[test]
     fn segment_cost_prices_roll_in_over_the_catalog() {
         let mut catalog = Catalog::new();
         catalog.add_video("a", marked_stream(120, 30));
+        let ctx = catalog.plan_context();
         let cost_at = |from: i64| {
             let spec = SpecBuilder::new(output())
                 .video("a", "a.svc")
                 .append_filtered("a", r(from, 30), r(1, 1), |e| blur(e, 1.0))
                 .build();
-            let ctx = catalog.plan_context();
             let plan = optimize(
                 &lower_spec(&spec).unwrap(),
                 ctx,
@@ -747,17 +746,17 @@ mod tests {
             )
             .unwrap();
             assert_eq!(plan.segments.len(), 1);
-            let seg = &plan.segments[0];
-            let bare = crate::segment_cost(&plan, seg, &v2v_plan::PlanContext::new());
-            crate::segment_cost(&plan, seg, ctx) - bare
+            v2v_plan::segment_cost(&plan, &plan.segments[0], ctx)
         };
-        let decode_per_frame = 64.0 * 32.0 * v2v_plan::CostModel::default().decode_per_pixel;
-        assert_eq!(
-            cost_at(40),
-            10.0 * decode_per_frame,
-            "roll-in from keyframe 30"
+        let a = ctx.source("a").unwrap();
+        let bytes_per_frame = a.byte_size() as f64 / a.len() as f64;
+        let expected = 10.0 * (64.0 * 32.0 + bytes_per_frame * 0.1);
+        // Equal up to the rounding of the two sums.
+        let diff = cost_at(40) - cost_at(30);
+        assert!(
+            (diff - expected).abs() <= expected * 1e-12,
+            "roll-in from keyframe 30: {diff} vs {expected}"
         );
-        assert_eq!(cost_at(30), 0.0);
     }
 
     #[test]

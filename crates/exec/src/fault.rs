@@ -21,7 +21,6 @@
 //! [`ExecOptions::fault`]: crate::ExecOptions::fault
 //! [`ExecTrace::errors`]: crate::ExecTrace::errors
 
-use crate::ExecError;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -243,27 +242,9 @@ pub struct SegmentFault {
     pub retries: u64,
     /// The original error, rendered.
     pub error: String,
-    /// Machine-readable error class (see [`error_kind`]).
+    /// Machine-readable error class: the [`ErrorKind`](crate::ErrorKind)
+    /// name of the error ([`exec_kind`](crate::exec_kind)).
     pub kind: String,
-}
-
-/// Classifies an [`ExecError`] into a small stable vocabulary for
-/// counters and reports.
-pub fn error_kind(e: &ExecError) -> &'static str {
-    use v2v_container::ContainerError;
-    match e {
-        ExecError::UnknownVideo(_) | ExecError::UnknownImage(_) | ExecError::UnknownUdf(_) => {
-            "not_found"
-        }
-        ExecError::UdfFailed { .. } => "udf",
-        ExecError::MissingFrame { .. } => "missing_frame",
-        ExecError::BadArgument { .. } => "invalid_argument",
-        ExecError::SourceIo { .. } => "io",
-        ExecError::Codec(_) => "corrupt_data",
-        ExecError::Container(ContainerError::Io(_)) => "io",
-        ExecError::Container(_) => "corrupt_data",
-        ExecError::Plan(_) => "plan",
-    }
 }
 
 #[cfg(test)]

@@ -147,12 +147,6 @@ impl<K, V> SingleFlight<K, V> {
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> SingleFlight<K, V> {
-    /// True while another caller owns `key` — used by the scheduler to
-    /// defer a task that would only block, and by tests to synchronize.
-    pub fn is_inflight(&self, key: &K) -> bool {
-        self.lock().get(key).is_some_and(|s| s.done.is_none())
-    }
-
     /// Claims `key`: the first caller becomes the owner; concurrent
     /// callers block until the owner publishes and receive its value.
     pub fn claim(&self, key: K) -> Claim<'_, K, V> {
@@ -287,9 +281,9 @@ mod tests {
                 std::thread::yield_now();
             }
             a.publish(Arc::new(vec![1]));
-            assert!(!flight.is_inflight(&1));
-            assert!(flight.is_inflight(&2) && flight.is_inflight(&3));
+            assert_eq!(flight.inflight(), 2, "2 and 3 are still owned");
             b.publish(Arc::new(vec![2]));
+            assert_eq!(flight.inflight(), 1, "3 is still owned");
             assert_eq!(
                 flight.waiting(),
                 1,
@@ -300,15 +294,5 @@ mod tests {
         });
         assert_eq!((flight.inflight(), flight.waiting()), (0, 0));
         assert_eq!(flight.shared(), 1);
-    }
-
-    #[test]
-    fn is_inflight_tracks_ownership_window() {
-        let flight = Flight::new();
-        assert!(!flight.is_inflight(&3));
-        let guard = own(&flight, 3);
-        assert!(flight.is_inflight(&3));
-        guard.publish(Arc::new(vec![3]));
-        assert!(!flight.is_inflight(&3));
     }
 }

@@ -27,6 +27,7 @@ pub mod executor;
 pub mod fault;
 pub mod flight;
 pub mod gop_cache;
+mod kind;
 pub mod mem_tier;
 pub mod naive;
 pub mod remote;
@@ -41,14 +42,14 @@ pub use cursor::SourceCursor;
 pub use executor::{
     execute, execute_streaming_with, execute_traced, ExecOptions, ExecStats, StreamingStats,
 };
-pub use fault::{error_kind, ErrorPolicy, FaultAction, FaultInjector, FaultKind, SegmentFault};
+pub use fault::{ErrorPolicy, FaultAction, FaultInjector, FaultKind, SegmentFault};
 pub use flight::{Claim, FlightGuard, FragmentFlight, SingleFlight};
 pub use gop_cache::{GopCache, GopPrefix};
+pub use kind::{codec_kind, container_kind, exec_kind, ErrorKind};
 pub use mem_tier::MemTier;
 pub use naive::execute_naive;
 pub use remote::RemoteRenderer;
 pub use render_cache::{CacheStats, EntryKey, Origin, RenderCache, SegmentCacheCtx};
-pub use scheduler::segment_cost;
 pub use trace::{ExecTrace, SegmentTrace, StageTimes};
 
 /// Errors raised during execution.

@@ -21,8 +21,8 @@ use v2v_container::Fragment;
 /// as a graceful fallback, never an error.
 pub trait RemoteRenderer: Send + Sync + std::fmt::Debug {
     /// Attempts to obtain the fragment for plan segment `seg_index`
-    /// with content key `key`. `cost` is the scheduler's abstract cost
-    /// estimate for the segment ([`crate::segment_cost`]), which
+    /// with content key `key`. `cost` is the segment's price
+    /// ([`v2v_plan::segment_cost`] over the catalog's sources), which
     /// implementations may use to derive dispatch deadlines.
     fn render_remote(&self, seg_index: usize, key: u64, cost: f64) -> Option<Fragment>;
 }

@@ -8,12 +8,12 @@
 //! render into parallel pieces. On top of plain segment-at-a-time
 //! fan-out the scheduler adds:
 //!
-//! 1. **Cost-ordered dispatch.** Each segment's cost is the planner's
-//!    own per-segment estimate ([`v2v_plan::CostModel::segment`]: copy ≈
-//!    packets, render ≈ frames × program width) and work is
-//!    handed out longest-processing-time-first, the classic makespan
-//!    heuristic: expensive renders start first so they never become the
-//!    lonely tail of the run.
+//! 1. **Cost-ordered dispatch.** Each segment's cost is the plan's one
+//!    price ([`v2v_plan::segment_cost`]: copy ≈ packets, render ≈
+//!    frames decoded + frames × program width) and work is handed out
+//!    longest-processing-time-first, the classic makespan heuristic:
+//!    expensive renders start first so they never become the lonely
+//!    tail of the run.
 //! 2. **Intra-segment pipelining.** With more than one worker, a render
 //!    segment overlaps its stages. Each input decodes on its own lane
 //!    through a [`SourceCursor`] and the shared GOP cache's on-demand
@@ -42,13 +42,14 @@ use crate::apply::apply_program;
 use crate::catalog::Catalog;
 use crate::cursor::SourceCursor;
 use crate::executor::{ExecOptions, ExecStats};
-use crate::fault::{error_kind, ErrorPolicy, FaultAction, FaultInjector, SegmentFault};
+use crate::fault::{ErrorPolicy, FaultAction, FaultInjector, SegmentFault};
 use crate::gop_cache::GopCache;
+use crate::kind::exec_kind;
 use crate::render_cache::SegmentCacheCtx;
 use crate::tiers::render_segment;
 use crate::trace::StageTimes;
 use crate::ExecError;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -57,7 +58,9 @@ use v2v_codec::{Encoder, Packet};
 use v2v_container::VideoStream;
 use v2v_frame::ops::{conform, conform_shared};
 use v2v_frame::{Frame, FrameType};
-use v2v_plan::{CostModel, FrameProgram, InputClip, PhysicalPlan, PlanContext, SegPlan, Segment};
+use v2v_plan::{
+    segment_cost, FrameProgram, InputClip, PhysicalPlan, PlanContext, SegPlan, Segment,
+};
 use v2v_time::Rational;
 
 /// Output GOPs the pipelined render keeps in flight: the depth of each
@@ -117,23 +120,11 @@ impl SegmentOutput {
     }
 }
 
-/// A schedulable unit: one segment of the plan.
-struct Task {
-    seg_index: usize,
-    /// Estimated cost in [`CostModel`] units.
-    cost: f64,
-    /// `true` once the task has been pushed back because its fragment
-    /// key was in flight on another run — deferred at most once so the
-    /// queue always drains.
-    deferred: bool,
-}
-
 /// Dispatch state shared by the workers and the driver.
 struct SchedState {
-    /// Pending tasks sorted by ascending cost (pop from the back = LPT).
-    /// Nothing is added mid-run; the one-time deferral re-inserts a
-    /// popped task at the front.
-    queue: Vec<Task>,
+    /// Pending segment indices in [`dispatch_order`]. Nothing is added
+    /// mid-run.
+    queue: VecDeque<usize>,
     running: usize,
     /// Set by the driver when it stops listening and by a worker whose
     /// segment failed: nobody pops another task.
@@ -191,14 +182,6 @@ impl<'a> RunCtx<'a> {
     }
 }
 
-/// Estimates a segment's execution cost in [`CostModel`] units: the
-/// planner's per-segment estimate over the sources `ctx` knows (each
-/// priced at its own geometry, with its decode roll-in); an input `ctx`
-/// does not know is priced at the output geometry with no roll-in.
-pub fn segment_cost(plan: &PhysicalPlan, seg: &Segment, ctx: &PlanContext) -> f64 {
-    CostModel::default().segment(plan, seg, ctx).total()
-}
-
 /// Executes every segment of `plan`, invoking `deliver` with each one
 /// in presentation order. With one effective worker this is a plain
 /// in-order loop over the sequential render; otherwise a cost-ordered
@@ -233,36 +216,8 @@ pub(crate) fn execute_scheduled(
         return Ok(());
     }
 
-    let mut tasks: Vec<Task> = plan
-        .segments
-        .iter()
-        .enumerate()
-        .filter(|(_, seg)| seg.count > 0)
-        .map(|(i, seg)| Task {
-            seg_index: i,
-            cost: segment_cost(plan, seg, catalog.plan_context()),
-            deferred: false,
-        })
-        .collect();
-    // Ascending cost, ties broken so the back of the queue (popped
-    // first) is the earliest segment — better for streaming delivery.
-    // Stream copies sort behind every render: they cost microseconds, so
-    // popping them first moves no makespan, and a copy at the head of
-    // the output is delivered at once instead of after the longest
-    // render.
-    let rank = |t: &Task| {
-        let copy = plan.segments[t.seg_index].plan.is_copy();
-        (copy, if copy { 0.0 } else { t.cost })
-    };
-    tasks.sort_by(|a, b| {
-        let ((copy_a, cost_a), (copy_b, cost_b)) = (rank(a), rank(b));
-        copy_a
-            .cmp(&copy_b)
-            .then(cost_a.total_cmp(&cost_b))
-            .then(b.seg_index.cmp(&a.seg_index))
-    });
     let sched = Mutex::new(SchedState {
-        queue: tasks,
+        queue: dispatch_order(plan, catalog.plan_context()).into(),
         running: 0,
         shutdown: false,
     });
@@ -276,6 +231,32 @@ pub(crate) fn execute_scheduled(
         drop(tx);
         drive(&rx, deliver, plan, &sched)
     })
+}
+
+/// The order segments are handed to workers: longest-processing-time
+/// first by [`segment_cost`], ties to the earliest segment (better for
+/// streaming delivery). Stream copies go before every render: they cost
+/// microseconds, so taking them first moves no makespan, and a copy at
+/// the head of the output is delivered at once instead of after the
+/// longest render. Empty segments are left out.
+fn dispatch_order(plan: &PhysicalPlan, ctx: &PlanContext) -> Vec<usize> {
+    let mut ranked: Vec<(bool, f64, usize)> = plan
+        .segments
+        .iter()
+        .enumerate()
+        .filter(|(_, seg)| seg.count > 0)
+        .map(|(i, seg)| {
+            let render = !seg.plan.is_copy();
+            let cost = if render {
+                segment_cost(plan, seg, ctx)
+            } else {
+                0.0
+            };
+            (render, cost, i)
+        })
+        .collect();
+    ranked.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.total_cmp(&a.1)).then(a.2.cmp(&b.2)));
+    ranked.into_iter().map(|(_, _, i)| i).collect()
 }
 
 /// The ordered-delivery driver: passes output GOPs straight on, buffers
@@ -316,46 +297,25 @@ fn drive(
 }
 
 fn worker_loop(run: RunCtx<'_>, sched: &Mutex<SchedState>, tx: &Events) {
-    let flight = run
-        .seg_cache
-        .and_then(|sc| sc.flight.as_deref().map(|f| (sc, f)));
     loop {
-        let (task, running_now) = {
+        let (seg_index, running_now) = {
             let mut st = lock(sched);
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                // The queue only shrinks: an empty one means this
-                // worker is done.
-                let Some(t) = st.queue.pop() else { return };
-                // Overlap-aware dispatch: a segment whose key is being
-                // rendered by another run right now would only block on
-                // its flight — push it behind the other pending work
-                // (once) and take something that makes progress. By the
-                // time it is re-popped the other run has usually
-                // published.
-                if let Some((sc, flight)) = flight {
-                    if !t.deferred && !st.queue.is_empty() {
-                        if let Some(key) = sc.key(t.seg_index) {
-                            if flight.is_inflight(&key) {
-                                let mut t = t;
-                                t.deferred = true;
-                                st.queue.insert(0, t);
-                                continue;
-                            }
-                        }
-                    }
-                }
-                st.running += 1;
-                break (t, st.running);
+            if st.shutdown {
+                return;
             }
+            // The queue only shrinks: an empty one means this worker is
+            // done.
+            let Some(i) = st.queue.pop_front() else {
+                return;
+            };
+            st.running += 1;
+            (i, st.running)
         };
         // A lone running segment composes with the whole pool's width;
         // with many in flight each keeps roughly its fair share.
         let ctx = SegmentCtx {
             gops: run.early_gops.then_some(tx),
-            ..run.segment(task.seg_index, (run.workers / running_now.max(1)).max(1))
+            ..run.segment(seg_index, (run.workers / running_now.max(1)).max(1))
         };
         let res = run_segment_recovering(&ctx);
         let failed = res.is_err();
@@ -422,7 +382,7 @@ fn recover_segment(ctx: &SegmentCtx<'_>, err: ExecError) -> Result<SegmentOutput
         action,
         retries,
         error: err.to_string(),
-        kind: error_kind(err).to_string(),
+        kind: exec_kind(err).name().to_string(),
     };
     let mut retries = 0u64;
     let mut last_err = err;
@@ -1008,6 +968,14 @@ pub(crate) mod tests {
 
     /// The unsharded plan of the spec `body` appends over that source.
     fn setup_with(body: impl FnOnce(SpecBuilder) -> SpecBuilder) -> (Catalog, PhysicalPlan) {
+        let (catalog, plan) = plan_with(body);
+        assert_eq!(plan.segments.len(), 1, "test premise: single segment");
+        (catalog, plan)
+    }
+
+    /// The unsharded plan of `body` over a marked 60-frame source with
+    /// 30-frame GOPs.
+    fn plan_with(body: impl FnOnce(SpecBuilder) -> SpecBuilder) -> (Catalog, PhysicalPlan) {
         let ty = FrameType::gray8(64, 32);
         let mut w = StreamWriter::new(CodecParams::new(ty, 30, 0), Rational::ZERO, r(1, 30));
         for i in 0..60 {
@@ -1029,8 +997,32 @@ pub(crate) mod tests {
             ..Default::default()
         };
         let plan = optimize(&lower_spec(&spec).unwrap(), catalog.plan_context(), &config).unwrap();
-        assert_eq!(plan.segments.len(), 1, "test premise: single segment");
         (catalog, plan)
+    }
+
+    /// Copies go first in segment order, then renders longest first,
+    /// equal prices in segment order.
+    #[test]
+    fn dispatch_order_is_copies_then_longest_render_first() {
+        use v2v_spec::builder::grid4;
+        use v2v_spec::RenderExpr;
+        let (catalog, plan) = plan_with(|b| {
+            b.append_filtered("src", r(0, 1), r(1, 1), |e| blur(e, 1.0))
+                .append_clip("src", r(0, 1), r(1, 1))
+                .append_with(r(1, 1), |start| {
+                    let at = |k: i64| RenderExpr::video_shifted("src", r(k, 30) - start);
+                    grid4(at(0), at(1), at(2), at(3))
+                })
+                .append_filtered("src", r(1, 1), r(1, 1), |e| blur(e, 1.0))
+                .append_clip("src", r(1, 1), r(1, 1))
+        });
+        let ctx = catalog.plan_context();
+        let copies: Vec<bool> = plan.segments.iter().map(|s| s.plan.is_copy()).collect();
+        assert_eq!(copies, [false, true, false, false, true], "test premise");
+        let price = |i: usize| segment_cost(&plan, &plan.segments[i], ctx);
+        assert!(price(2) > price(0), "test premise: the grid costs most");
+        assert_eq!(price(0), price(3), "test premise: the blurs tie");
+        assert_eq!(dispatch_order(&plan, ctx), [1, 4, 2, 0, 3]);
     }
 
     /// The render threads of one segment, by worker count: none at one

@@ -5,13 +5,11 @@
 use crate::executor::ExecStats;
 use crate::flight::Claim;
 use crate::render_cache::{CacheStats, Origin};
-use crate::scheduler::{
-    run_render_pipelined, run_render_sequential, segment_cost, SegmentCtx, SegmentOutput,
-};
+use crate::scheduler::{run_render_pipelined, run_render_sequential, SegmentCtx, SegmentOutput};
 use crate::ExecError;
 use std::sync::Arc;
 use v2v_container::Fragment;
-use v2v_plan::{FrameProgram, InputClip};
+use v2v_plan::{segment_cost, FrameProgram, InputClip};
 
 /// True when a fragment can stand in for this whole segment: identical
 /// frame count, grid, and codec parameters. Content-addressed keys make

@@ -24,7 +24,7 @@
 //!    whole-plan fingerprint and the per-segment keys fold them in.
 //!
 //! Rewrites that change the *output bytes* (stream copy vs. render,
-//! smart cuts, conservative tails) legitimately change the
+//! smart cuts) legitimately change the
 //! fingerprint: cached bytes are only reusable when they are the very
 //! bytes the plan would produce.
 //!

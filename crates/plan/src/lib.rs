@@ -37,7 +37,7 @@ pub mod program;
 pub mod trace;
 pub mod variant;
 
-pub use cost::{estimate, CostEstimate, CostModel};
+pub use cost::segment_cost;
 pub use explain::{explain_logical, explain_physical};
 pub use fingerprint::{
     cacheable, plan_fingerprint, referenced_arrays, segment_keys, SourceDigests, VideoDigest,

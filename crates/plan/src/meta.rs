@@ -78,7 +78,7 @@ pub(crate) mod tests {
         assert_eq!(s.next_keyframe_at_or_after(1), Some(4));
         assert_eq!(s.next_keyframe_at_or_after(5), Some(8));
         assert_eq!(s.next_keyframe_at_or_after(17), None);
-        // Past the end: the last keyframe (the conservative-tail query).
+        // Past the end: the last keyframe.
         assert_eq!(s.keyframe_at_or_before(20), Some(16));
     }
 

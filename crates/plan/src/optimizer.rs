@@ -20,21 +20,15 @@ pub struct OptimizerConfig {
     /// Allow keyframe-aligned pure clips to become stream copies.
     pub stream_copy: bool,
     /// Allow unaligned pure clips to be smart-cut (head re-encode +
-    /// copied remainder).
+    /// copied remainder). The paper's smart cut also re-encodes the
+    /// final partial GOP, because H.264 B-frames can reference future
+    /// frames; SVC has no B-frames, so the tail is copied.
     pub smart_cut: bool,
-    /// Also re-encode the clip's *final* partial GOP (the paper's exact
-    /// smart-cut shape). H.264 B-frames can reference future frames, so
-    /// FFmpeg-based engines must re-encode both ends; SVC has no
-    /// B-frames, so tail copies are legal and this defaults off.
-    pub conservative_tail: bool,
     /// Split long render segments into shards for parallel execution and
     /// per-shard reuse: one shard per source GOP of the first input, or
     /// one per two output GOPs when that input has no source grid to cut
     /// on.
     pub shard: bool,
-    /// Minimum render-segment length (frames) worth sharding; the
-    /// effective floor is at least two output GOPs.
-    pub shard_min_frames: u64,
 }
 
 impl Default for OptimizerConfig {
@@ -42,9 +36,7 @@ impl Default for OptimizerConfig {
         OptimizerConfig {
             stream_copy: true,
             smart_cut: true,
-            conservative_tail: false,
             shard: true,
-            shard_min_frames: 64,
         }
     }
 }
@@ -56,7 +48,6 @@ impl OptimizerConfig {
             stream_copy: false,
             smart_cut: false,
             shard: false,
-            ..Default::default()
         }
     }
 }
@@ -123,7 +114,6 @@ pub fn optimize_traced(
             plan,
             ctx,
             out_params.gop_size as u64,
-            config,
             &mut stats,
             &mut trace,
         );
@@ -438,53 +428,26 @@ fn physicalize(
                     .filter(|&kf| kf < src_to);
                 if let Some(kf) = interior {
                     let head = kf - src_from;
-                    // Conservative tail: stop the copy at the last
-                    // keyframe ≤ src_to and re-encode the remainder, as an
-                    // engine over a B-frame codec must.
-                    let copy_to = if config.conservative_tail {
-                        source
-                            .keyframe_at_or_before(src_to as usize)
-                            .map_or(kf, |k| k as u64)
-                            .max(kf)
-                    } else {
-                        src_to
-                    };
-                    if copy_to <= kf {
-                        out.push(render(seg.out_start, seg.count));
-                        return Ok(());
-                    }
                     out.push(render(seg.out_start, head));
                     out.push(Segment {
                         out_start: seg.out_start + head,
-                        count: copy_to - kf,
+                        count: src_to - kf,
                         plan: SegPlan::StreamCopy {
                             video: video.clone(),
                             src_from: kf,
-                            src_to: copy_to,
+                            src_to,
                         },
                     });
-                    let tail = src_to - copy_to;
-                    if copy_to < src_to {
-                        out.push(render(
-                            seg.out_start + head + (copy_to - kf),
-                            src_to - copy_to,
-                        ));
-                    }
                     stats.smart_cuts += 1;
                     trace.record(
                         "smart_cut",
                         seg.out_start,
                         format!(
                             "{video} #{src_from}..#{src_to}: re-encode {head}-frame head, \
-                             copy #{kf}..#{copy_to}{}",
-                            if tail > 0 {
-                                format!(", re-encode {tail}-frame tail")
-                            } else {
-                                String::new()
-                            }
+                             copy #{kf}..#{src_to}"
                         ),
                         1,
-                        if tail > 0 { 3 } else { 2 },
+                        2,
                     );
                     return Ok(());
                 }
@@ -495,19 +458,21 @@ fn physicalize(
     }
 }
 
+/// Minimum render-segment length (frames) worth sharding; the
+/// effective floor is at least two output GOPs.
+const SHARD_MIN_FRAMES: u64 = 64;
+
 /// Shard length, in output GOPs, for renders whose first input gives no
 /// source keyframes to cut on.
 const FALLBACK_SHARD_GOPS: u64 = 2;
 
 /// Splits long render segments into shards the engine can encode in
 /// parallel, cache and reuse one by one, and splices the results.
-#[allow(clippy::too_many_arguments)]
 fn shard(
     segments: Vec<Segment>,
     plan: &LogicalPlan,
     ctx: &PlanContext,
     gop: u64,
-    config: &OptimizerConfig,
     stats: &mut PlanStats,
     trace: &mut PlanTrace,
 ) -> Vec<Segment> {
@@ -518,7 +483,7 @@ fn shard(
         match &seg.plan {
             SegPlan::StreamCopy { .. } => out.push(seg),
             SegPlan::Render { program, inputs } => {
-                if seg.count < config.shard_min_frames.max(2 * gop) {
+                if seg.count < SHARD_MIN_FRAMES.max(2 * gop) {
                     out.push(seg);
                     continue;
                 }
@@ -937,50 +902,5 @@ mod tests {
             optimize(&plan, &ctx(300, 30), &OptimizerConfig::default()),
             Err(PlanError::MissingFrame { .. })
         ));
-    }
-
-    #[test]
-    fn conservative_tail_reencodes_both_partial_gops() {
-        // Clip [15, 75) with keyframes every 30: head [15,30) re-encodes,
-        // copy [30,60), tail [60,75) re-encodes in conservative mode
-        // (B-frame semantics) but copies in default mode.
-        let spec = SpecBuilder::new(output())
-            .video("a", "a.svc")
-            .append_clip("a", r(1, 2), r(2, 1))
-            .build();
-        let plan = lower_spec(&spec).unwrap();
-        let cfg = OptimizerConfig {
-            conservative_tail: true,
-            shard: false,
-            ..Default::default()
-        };
-        let phys = optimize(&plan, &ctx(300, 30), &cfg).unwrap();
-        assert_eq!(phys.stats.smart_cuts, 1);
-        assert_eq!(phys.segments.len(), 3);
-        assert!(matches!(phys.segments[0].plan, SegPlan::Render { .. }));
-        assert!(matches!(
-            phys.segments[1].plan,
-            SegPlan::StreamCopy {
-                src_from: 30,
-                src_to: 60,
-                ..
-            }
-        ));
-        assert!(matches!(phys.segments[2].plan, SegPlan::Render { .. }));
-        assert_eq!(phys.segments[2].count, 15);
-        assert_eq!(phys.validate(), Ok(()));
-
-        // Default mode copies the tail too.
-        let default = optimize(
-            &plan,
-            &ctx(300, 30),
-            &OptimizerConfig {
-                shard: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(default.segments.len(), 2);
-        assert!(default.stats.frames_copied > phys.stats.frames_copied);
     }
 }

@@ -11,12 +11,12 @@
 //! cache keys never observe the variant choice.
 //!
 //! A [`VariantSource`] is an attached variant's own stream plus the
-//! original prefix it covers; the costing reads the stream's keyframe
-//! index and byte size directly. [`select_variants`] is the
+//! original prefix it covers; each candidate is priced from its own
+//! stream by the plan's one decode price ([`crate::cost`]). [`select_variants`] is the
 //! post-optimization pass that retargets each render input clip at the
 //! cheapest decode-sufficient variant.
 
-use crate::cost::{rollin, CostModel};
+use crate::cost::decode_cost;
 use crate::meta::PlanContext;
 use crate::physical::{PhysicalPlan, SegPlan};
 use crate::program::InputClip;
@@ -143,28 +143,11 @@ pub fn clip_read_range(
     }
 }
 
-/// Estimated decode cost of serving `[lo, hi]` from `stream`, whose
-/// first `covered` frames are the ones it serves: frames decoded
-/// (roll-in to the keyframe before `lo`, then the span) times per-frame
-/// pixel and byte terms.
-fn variant_cost(stream: &VideoStream, covered: u64, lo: u64, hi: u64, model: &CostModel) -> f64 {
-    let frames = (hi - lo + 1 + rollin(stream, lo)) as f64;
-    let ty = stream.params().frame_ty;
-    let px = f64::from(ty.width) * f64::from(ty.height);
-    let bytes_per_frame = stream.byte_size() as f64 / covered.max(1) as f64;
-    frames * (px * model.decode_per_pixel + bytes_per_frame * model.decode_per_byte)
-}
-
 /// Retargets render input clips at the cheapest decode-sufficient
 /// variant per segment. Runs after optimization; stream-copy segments
 /// are never touched (they splice original packets). Returns the number
 /// of clips retargeted away from the original.
-pub fn select_variants(
-    plan: &mut PhysicalPlan,
-    ctx: &PlanContext,
-    model: &CostModel,
-    policy: VariantPolicy,
-) -> u64 {
+pub fn select_variants(plan: &mut PhysicalPlan, ctx: &PlanContext, policy: VariantPolicy) -> u64 {
     if matches!(policy, VariantPolicy::Disabled) || ctx.variants.is_empty() {
         return 0;
     }
@@ -218,9 +201,9 @@ pub fn select_variants(
                 }
                 VariantPolicy::Auto => {
                     let mut best_kind = VariantKind::Original;
-                    let mut best_cost = variant_cost(source, source.len() as u64, lo, hi, model);
+                    let mut best_cost = decode_cost(source, source.len() as u64, lo, hi);
                     for (&kind, v) in eligible {
-                        let c = variant_cost(&v.stream, covered(v), lo, hi, model);
+                        let c = decode_cost(&v.stream, covered(v), lo, hi);
                         if c < best_cost {
                             best_cost = c;
                             best_kind = kind;
@@ -240,6 +223,7 @@ pub fn select_variants(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::rollin;
     use crate::logical::lower_spec;
     use crate::meta::tests::source;
     use crate::optimizer::{optimize, OptimizerConfig};
@@ -304,7 +288,7 @@ mod tests {
         let ctx =
             ctx(300, 300, 1000).with_variant("src", VariantKind::Dense, variant(4, 300, 3000));
         let mut plan = render_plan(&ctx, 3, 4);
-        let n = select_variants(&mut plan, &ctx, &CostModel::default(), VariantPolicy::Auto);
+        let n = select_variants(&mut plan, &ctx, VariantPolicy::Auto);
         assert!(n >= 1, "expected at least one retarget, got {n}");
         assert!(all_clips_read(&plan, VariantKind::Dense));
     }
@@ -316,7 +300,7 @@ mod tests {
         let ctx =
             ctx(300, 30, 2000).with_variant("src", VariantKind::Archive, variant(300, 300, 667));
         let mut plan = render_plan(&ctx, 0, 10);
-        let n = select_variants(&mut plan, &ctx, &CostModel::default(), VariantPolicy::Auto);
+        let n = select_variants(&mut plan, &ctx, VariantPolicy::Auto);
         assert!(n >= 1);
         assert!(all_clips_read(&plan, VariantKind::Archive));
     }
@@ -329,14 +313,9 @@ mod tests {
         dense.covered_frames = 60;
         let ctx = ctx(300, 300, 1000).with_variant("src", VariantKind::Dense, dense);
         let mut plan = render_plan(&ctx, 3, 4);
-        let n = select_variants(&mut plan, &ctx, &CostModel::default(), VariantPolicy::Auto);
+        let n = select_variants(&mut plan, &ctx, VariantPolicy::Auto);
         assert_eq!(n, 0);
-        let n = select_variants(
-            &mut plan,
-            &ctx,
-            &CostModel::default(),
-            VariantPolicy::Force(VariantKind::Dense),
-        );
+        let n = select_variants(&mut plan, &ctx, VariantPolicy::Force(VariantKind::Dense));
         assert_eq!(n, 0);
     }
 
@@ -354,10 +333,7 @@ mod tests {
             ctx(300, 300, 1000).with_variant("src", VariantKind::Dense, variant(4, 400, 3000));
         for policy in policies {
             let mut plan = render_plan(&stale, 3, 4);
-            assert_eq!(
-                select_variants(&mut plan, &stale, &CostModel::default(), policy),
-                0
-            );
+            assert_eq!(select_variants(&mut plan, &stale, policy), 0);
             assert!(all_clips_read(&plan, VariantKind::Original));
         }
         // Control: the same variant covering no more than the original
@@ -367,7 +343,7 @@ mod tests {
         let fresh = ctx(300, 300, 1000).with_variant("src", VariantKind::Dense, fresh);
         for policy in policies {
             let mut plan = render_plan(&fresh, 3, 4);
-            assert!(select_variants(&mut plan, &fresh, &CostModel::default(), policy) >= 1);
+            assert!(select_variants(&mut plan, &fresh, policy) >= 1);
             assert!(all_clips_read(&plan, VariantKind::Dense));
         }
     }
@@ -378,12 +354,7 @@ mod tests {
         let ctx = ctx(300, 300, 1000).with_variant("src", VariantKind::Proxy, proxy);
         // Output geometry is the source's 64x64 → proxy ineligible.
         let mut plan = render_plan(&ctx, 3, 4);
-        let n = select_variants(
-            &mut plan,
-            &ctx,
-            &CostModel::default(),
-            VariantPolicy::Force(VariantKind::Proxy),
-        );
+        let n = select_variants(&mut plan, &ctx, VariantPolicy::Force(VariantKind::Proxy));
         assert_eq!(n, 0);
     }
 
@@ -392,23 +363,10 @@ mod tests {
         let ctx =
             ctx(300, 300, 1000).with_variant("src", VariantKind::Dense, variant(4, 300, 3000));
         let mut plan = render_plan(&ctx, 3, 4);
-        assert_eq!(
-            select_variants(
-                &mut plan,
-                &ctx,
-                &CostModel::default(),
-                VariantPolicy::Disabled
-            ),
-            0
-        );
+        assert_eq!(select_variants(&mut plan, &ctx, VariantPolicy::Disabled), 0);
         // Forcing a kind that was never materialized keeps the original.
         assert_eq!(
-            select_variants(
-                &mut plan,
-                &ctx,
-                &CostModel::default(),
-                VariantPolicy::Force(VariantKind::Archive),
-            ),
+            select_variants(&mut plan, &ctx, VariantPolicy::Force(VariantKind::Archive),),
             0
         );
     }

@@ -119,7 +119,6 @@ proptest! {
             stream_copy,
             smart_cut,
             shard,
-            ..Default::default()
         };
         let phys = optimize(&plan, &ctx, &config).unwrap();
         prop_assert_eq!(phys.validate(), Ok(()));

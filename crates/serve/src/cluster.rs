@@ -13,7 +13,7 @@
 //! * [`PoolRemote`] — the [`RemoteRenderer`] the coordinator installs
 //!   into its engines: for each keyed segment it walks the ring order,
 //!   POSTs `/render-segment` with a per-dispatch deadline derived from
-//!   the optimizer's [`segment_cost`](v2v_exec::segment_cost), verifies
+//!   the plan's price ([`segment_cost`](v2v_plan::segment_cost)), verifies
 //!   the returned fragment's wire framing + checksum against the
 //!   expected key, and re-dispatches to the next worker on the ring
 //!   when a worker dies mid-render or returns corrupt bytes.
@@ -263,8 +263,8 @@ impl PoolRemote {
         PoolRemote { pool, spec }
     }
 
-    /// The per-dispatch deadline: proportional to the optimizer's cost
-    /// estimate, clamped to a sane interactive range.
+    /// The per-dispatch deadline: proportional to the segment's price,
+    /// clamped to a sane interactive range.
     fn deadline(cost: f64) -> Duration {
         let ms = (cost / 1000.0).clamp(1_000.0, 30_000.0);
         Duration::from_millis(ms as u64)

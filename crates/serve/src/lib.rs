@@ -1863,7 +1863,7 @@ mod tests {
         at.and_then(|x| x.as_str()).unwrap_or_default()
     }
 
-    fn error_kind_and_message(resp: &http::Response) -> (String, String) {
+    fn response_kind_and_message(resp: &http::Response) -> (String, String) {
         let v: serde_json::Value = serde_json::from_slice(&resp.body).unwrap();
         let field = |k: &str| str_at(&v, &["error", k]).to_string();
         (field("kind"), field("message"))
@@ -2004,7 +2004,7 @@ mod tests {
 
         let refused = query(handle.addr(), &blur_spec_of("a", &other, 2));
         assert_eq!(refused.status, 400);
-        let (kind, message) = error_kind_and_message(&refused);
+        let (kind, message) = response_kind_and_message(&refused);
         assert_eq!(kind, "invalid_request");
         assert!(
             message.contains(&first) && message.contains(&other),
@@ -2133,7 +2133,7 @@ mod tests {
             let resp = client::request(handle.addr(), "POST", "/append-data/bb", body.as_bytes());
             let resp = resp.unwrap();
             assert_eq!(resp.status, 400, "{bad}");
-            let (kind, message) = error_kind_and_message(&resp);
+            let (kind, message) = response_kind_and_message(&resp);
             assert_eq!(kind, "invalid_request", "{bad}");
             assert!(message.starts_with("entry 1:"), "{bad}: {message}");
         }

@@ -204,36 +204,6 @@ fn retimed_clip_double_speed() {
 }
 
 #[test]
-fn conservative_tail_smart_cut_stays_exact() {
-    // B-frame-style smart cut (both partial GOPs re-encoded) must still
-    // be frame-exact and equal to the default cut.
-    let mut e = engine();
-    let spec = SpecBuilder::new(marked_output())
-        .video("src", "src.svc")
-        .append_clip("src", r(1, 2), Rational::from_int(2))
-        .build();
-    let default = e.run(&spec).unwrap();
-    let mut config = EngineConfig::default();
-    config.optimizer.conservative_tail = true;
-    let mut e2 = V2vEngine::new(e.catalog().clone()).with_config(config);
-    let conservative = e2.run(&spec).unwrap();
-    assert!(conservative.stats.frames_encoded > default.stats.frames_encoded);
-    assert_eq!(
-        markers_of(&default.output),
-        markers_of(&conservative.output)
-    );
-    let (fa, _) = default
-        .output
-        .decode_range(0, default.output.len())
-        .unwrap();
-    let (fb, _) = conservative
-        .output
-        .decode_range(0, conservative.output.len())
-        .unwrap();
-    assert_eq!(fa, fb);
-}
-
-#[test]
 fn reverse_playback() {
     // vid[-t + c]: reversed playback through a negative-scale time map.
     let mut e = engine();

@@ -391,6 +391,49 @@ fn fault_report_round_trips_through_the_engine() {
     assert_eq!(back, trace);
 }
 
+/// A degraded segment's `kind` is the name the unified error taxonomy
+/// gives the same failure: a bounding box over an array holding a
+/// number fails with `BadArgument`, an `invalid_request`.
+#[test]
+fn a_skipped_segment_reports_the_unified_error_kind() {
+    let mut catalog = catalog();
+    let mut boxes = v2v_data::DataArray::new();
+    for i in 0..60 {
+        boxes.insert(r(i, 30), Value::Int(7));
+    }
+    catalog.add_array("bb", boxes);
+    let spec = SpecBuilder::new(marked_output())
+        .video("src", "src.svc")
+        .data_array("bb", "catalog")
+        .append_filtered("src", r(4, 1), r(2, 1), |e| {
+            v2v_spec::builder::bounding_box(e, "bb")
+        })
+        .build();
+    let plan = optimize(
+        &lower_spec(&spec).unwrap(),
+        catalog.plan_context(),
+        &OptimizerConfig::default(),
+    )
+    .unwrap();
+    for (arm, base) in arms() {
+        let err = execute(&plan, &catalog, &base).expect_err(arm);
+        assert!(
+            matches!(err, v2v_exec::ExecError::BadArgument { .. }),
+            "{arm}: {err}"
+        );
+        let unified = v2v_core::V2vError::from(err).kind().name();
+        let opts = ExecOptions {
+            on_error: ErrorPolicy::SkipSegment,
+            ..base
+        };
+        let (_, trace, _) = execute_traced(&plan, &catalog, &opts).unwrap();
+        assert!(!trace.errors.is_empty(), "{arm}: no error report");
+        for f in &trace.errors {
+            assert_eq!(f.kind, unified, "{arm}: {f:?}");
+        }
+    }
+}
+
 /// A 4 s → 6 s blur of a 10 s source whose first GOP is 240 frames: the
 /// run reads source frames 120..=179, so frame 179 is the read reach of
 /// GOP 0 and frames 180..=239 are never decoded.

@@ -96,16 +96,12 @@ proptest! {
     fn fingerprint_invariant_under_rewrite_carving(
         shard in any::<bool>(),
         recut_gops in 1u64..8,
-        shard_min_frames in 1u64..256,
-        conservative_tail in any::<bool>(),
     ) {
         let catalog = catalog();
         let spec = mixed_spec();
         let baseline = fingerprint_with(&spec, &catalog, &OptimizerConfig::default());
         let cfg = OptimizerConfig {
             shard,
-            shard_min_frames,
-            conservative_tail,
             ..OptimizerConfig::default()
         };
         prop_assert_eq!(recut_fingerprint(&spec, &catalog, &cfg, recut_gops), baseline);
