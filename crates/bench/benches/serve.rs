@@ -1,6 +1,6 @@
 //! Serving bench: closed-loop latency and throughput of the `v2v-serve`
 //! daemon at 1 / 4 / 8 concurrent clients, cold cache vs warm cache,
-//! plus the multi-query work-sharing arms.
+//! plus the scale-out, subscribe and variant-store arms.
 //!
 //! The in-process server (real sockets, real HTTP, real admission
 //! control — only the process boundary is elided) is driven by
@@ -15,19 +15,9 @@
 //! * **warm** — every request repeats one pre-rendered query: each is
 //!   an all-segment cache hit (zero decode, zero encode), so the ratio
 //!   cold/warm mean latency is the cache's synthesis-skipping payoff.
-//! * **dup** — duplicate-heavy: every round, all N clients post the
-//!   *same* fresh query simultaneously (barrier-released), so nothing
-//!   is cached yet when the burst lands. With sharing (`share` arm)
-//!   each request still runs, but the round's segments render once via
-//!   the daemon-wide fragment flight; the `noshare` arm renders N times.
-//! * **overlap** — overlap-heavy: every round, client c posts a
-//!   two-clip query shifted one clip from client c−1, so adjacent
-//!   clients share 50% of their segments. The `share` arm renders each
-//!   common clip once via the daemon-wide fragment flight.
 //!
 //! Every warm response is asserted byte-identical to the warm-up
-//! render, and every `share`-arm response byte-identical to its
-//! `noshare` counterpart — sharing must be invisible in the bytes.
+//! render.
 //! `--quick` (CI smoke) shrinks the workload.
 
 use std::sync::{Arc, Barrier};
@@ -41,7 +31,6 @@ use v2v_spec::{OutputSettings, Spec, SpecBuilder};
 use v2v_time::{r, Rational};
 
 const CLIENT_COUNTS: [usize; 3] = [1, 4, 8];
-const SHARE_CLIENT_COUNTS: [usize; 2] = [4, 8];
 
 fn marked_output() -> OutputSettings {
     OutputSettings {
@@ -78,13 +67,13 @@ fn distinct_spec(seq: usize, dur_frames: i64) -> Spec {
         .build()
 }
 
-/// How many one-second clips each shared-workload query concatenates.
-const SHARE_CLIPS: i64 = 2;
+/// How many one-second clips each scale-out query concatenates.
+const CLUSTER_CLIPS: i64 = 2;
 
-/// The shared workloads render a larger frame (16× the pixels of the
+/// The scale-out arms render a larger frame (16× the pixels of the
 /// cold/warm source), so per-request planning and HTTP overhead —
-/// which sharing cannot remove — stays small next to the render work
-/// it does remove.
+/// which dispatch cannot spread — stays small next to the render work
+/// it does spread.
 fn big_output() -> OutputSettings {
     OutputSettings {
         frame_ty: v2v_frame::FrameType::gray8(128, 128),
@@ -107,13 +96,11 @@ fn big_source_stream(frames: usize) -> v2v_container::VideoStream {
 }
 
 /// A query on a global one-second clip grid over the big source:
-/// `SHARE_CLIPS` consecutive clips starting at `first_clip`, each
-/// blurred. Two queries whose `first_clip` values differ by
-/// `SHARE_CLIPS / 2` share half their clips — the 50% segment overlap
-/// the `overlap` workload measures.
-fn overlap_spec(first_clip: i64) -> Spec {
+/// `CLUSTER_CLIPS` consecutive clips starting at `first_clip`, each
+/// blurred.
+fn clip_spec(first_clip: i64) -> Spec {
     let mut b = SpecBuilder::new(big_output()).video("big", "big.svc");
-    for clip in first_clip..first_clip + SHARE_CLIPS {
+    for clip in first_clip..first_clip + CLUSTER_CLIPS {
         b = b.append_filtered("big", r(clip, 1), r(1, 1), |e| blur(e, 1.0));
     }
     b.build()
@@ -242,33 +229,6 @@ fn print_row(row: &Row) {
         secs(row.max),
         rps
     );
-}
-
-/// One sharing-arm server: fresh cache dir, fresh daemon.
-fn start_arm(
-    catalog: &Catalog,
-    work_sharing: bool,
-    tag: &str,
-) -> (v2v_serve::ServerHandle, std::path::PathBuf) {
-    let cache_dir =
-        std::env::temp_dir().join(format!("v2v_bench_serve_{}_{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    let mut config = ServeConfig {
-        max_concurrent: 4,
-        queue_depth: 64,
-        work_sharing,
-        ..Default::default()
-    };
-    config.engine.render_cache = Some(Arc::new(
-        RenderCache::open(&cache_dir, 1 << 30)
-            .expect("cache dir")
-            .with_mem_tier(64 << 20),
-    ));
-    let handle = V2vServer::new(catalog.clone())
-        .with_config(config)
-        .start("127.0.0.1:0")
-        .expect("bind");
-    (handle, cache_dir)
 }
 
 fn status_counter(addr: std::net::SocketAddr, path: &[&str]) -> u64 {
@@ -579,7 +539,7 @@ fn main() {
 
     print_header(
         "Serving",
-        "closed-loop latency/throughput: cold vs warm cache, shared vs unshared work",
+        "closed-loop latency/throughput: cold vs warm cache, scale-out, subscribe, store",
     );
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!();
@@ -660,7 +620,7 @@ fn main() {
         ] {
             let row = Row {
                 phase,
-                arm: "share",
+                arm: "cache",
                 clients,
                 requests: clients * per_client,
                 mean: mean(&result.latencies),
@@ -679,83 +639,21 @@ fn main() {
             .mean
             .as_secs_f64()
     };
-    let rps_of = |rows: &[Row], phase: &str, arm: &str, clients: usize| {
-        let row = rows
-            .iter()
-            .find(|r| r.phase == phase && r.arm == arm && r.clients == clients)
-            .expect("row measured");
-        row.requests as f64 / row.wall.as_secs_f64().max(1e-9)
-    };
-
     let (done, failed, rejected) = handle.job_counts();
     println!("daemon counters: {done} done, {failed} failed, {rejected} rejected");
     assert_eq!(failed, 0, "no request may fail");
     handle.stop();
     let _ = std::fs::remove_dir_all(&cache_dir);
 
-    // --- work-sharing arms -------------------------------------------
-    // Each (workload × arm × client count) runs against its own fresh
-    // daemon and cache dir, so every burst is genuinely cold. The
-    // noshare arm runs first and its bodies are ground truth for the
-    // share arm's byte-identity.
-    let rounds = per_client;
-    let half = SHARE_CLIPS as usize / 2;
-    for (workload, clip_stride) in [("dup", 0usize), ("overlap", half)] {
-        for clients in SHARE_CLIENT_COUNTS {
-            let mut baseline_bodies: Option<Vec<Vec<Vec<u8>>>> = None;
-            for (arm, sharing) in [("noshare", false), ("share", true)] {
-                let tag = format!("{workload}_{arm}_{clients}");
-                let (mut handle, dir) = start_arm(&catalog, sharing, &tag);
-                let addr = handle.addr();
-                // Each round uses fresh clips: stride past every clip
-                // any client of this round touches.
-                let round_stride = clients * clip_stride.max(1) + SHARE_CLIPS as usize + 1;
-                let spec_for = move |c: usize, round: usize| {
-                    let first = (round * round_stride + c * clip_stride) as i64;
-                    Arc::new(overlap_spec(first).to_json().into_bytes())
-                };
-                let (result, bodies) = drive_rounds(addr, clients, rounds, spec_for);
-                if workload == "dup" {
-                    // Every client of a round posted the same spec:
-                    // the responses must agree.
-                    for c in 1..clients {
-                        assert_eq!(bodies[0], bodies[c], "duplicate responses diverged");
-                    }
-                }
-                match &baseline_bodies {
-                    None => baseline_bodies = Some(bodies),
-                    Some(expect) => assert_eq!(
-                        expect, &bodies,
-                        "shared responses must be byte-identical to unshared runs"
-                    ),
-                }
-                let (_, failed, _) = handle.job_counts();
-                assert_eq!(failed, 0, "no request may fail");
-                handle.stop();
-                let _ = std::fs::remove_dir_all(&dir);
-                let row = Row {
-                    phase: workload,
-                    arm,
-                    clients,
-                    requests: clients * rounds,
-                    mean: mean(&result.latencies),
-                    max: max(&result.latencies),
-                    wall: result.wall,
-                };
-                print_row(&row);
-                rows.push(row);
-            }
-        }
-    }
-
     // --- scale-out arms ----------------------------------------------
-    // Cold overlap-heavy bursts against a coordinator with 0/1/2/4
+    // Cold bursts against a coordinator with 0/1/2/4
     // workers. Every request is distinct (nothing cached anywhere), so
     // each keyed segment is dispatched over the ring. On a single-vCPU
     // host the workers share one core with the coordinator, so the
     // honest scaling signal is the dispatch distribution, not
     // wall-clock speedup — both are printed.
     const CLUSTER_CLIENTS: usize = 4;
+    let rounds = per_client;
     let mut cluster_rows: Vec<(usize, u64, u64)> = Vec::new();
     let mut cluster_baseline: Option<Vec<Vec<Vec<u8>>>> = None;
     for (arm, n_workers) in [("w0", 0usize), ("w1", 1), ("w2", 2), ("w4", 4)] {
@@ -786,8 +684,8 @@ fn main() {
             .expect("coordinator bind");
         let addr = handle.addr();
         let spec_for = move |c: usize, round: usize| {
-            let first = ((round * CLUSTER_CLIENTS + c) * SHARE_CLIPS as usize) as i64;
-            Arc::new(overlap_spec(first).to_json().into_bytes())
+            let first = ((round * CLUSTER_CLIENTS + c) * CLUSTER_CLIPS as usize) as i64;
+            Arc::new(clip_spec(first).to_json().into_bytes())
         };
         let (result, bodies) = drive_rounds(addr, CLUSTER_CLIENTS, rounds, spec_for);
         match &cluster_baseline {
@@ -872,13 +770,7 @@ fn main() {
     );
 
     let hit_speedup =
-        mean_of(&rows, "cold", "share", 1) / mean_of(&rows, "warm", "share", 1).max(1e-9);
-    let dup_speedup =
-        rps_of(&rows, "dup", "share", 8) / rps_of(&rows, "dup", "noshare", 8).max(1e-9);
-    let overlap_speedup =
-        rps_of(&rows, "overlap", "share", 8) / rps_of(&rows, "overlap", "noshare", 8).max(1e-9);
+        mean_of(&rows, "cold", "cache", 1) / mean_of(&rows, "warm", "cache", 1).max(1e-9);
     println!();
     println!("single-client cache-hit speedup (cold mean / warm mean): {hit_speedup:.1}x");
-    println!("duplicate-heavy sharing speedup at 8 clients (req/s): {dup_speedup:.1}x");
-    println!("overlap-heavy sharing speedup at 8 clients (req/s): {overlap_speedup:.1}x");
 }

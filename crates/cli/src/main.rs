@@ -10,7 +10,7 @@
 //!         [--error-report errors.json]
 //! v2v serve [--addr HOST:PORT] [--workers HOST:PORT,...]
 //!           [--cache-dir DIR] [--cache-budget BYTES]
-//!           [--mem-cache-budget BYTES] [--no-share]
+//!           [--mem-cache-budget BYTES]
 //!           [--max-concurrent N] [--queue-depth N]
 //!                                     HTTP query service (see v2v-serve)
 //! v2v worker [--addr HOST:PORT] [--cache-dir DIR] ...
@@ -104,10 +104,8 @@
 //! `--mem-cache-budget BYTES` (requires `--cache-dir`) adds a
 //! byte-budgeted in-memory LRU above the disk cache: a fragment read
 //! from disk stays resident, and its repeats are served without
-//! touching disk.
-//! The daemon also shares the segments of identical or overlapping
-//! concurrent renders; `--no-share` turns that off (every request then
-//! executes independently).
+//! touching disk. In the daemon the cache is shared by every request,
+//! so identical or overlapping queries splice each other's segments.
 
 use std::process::ExitCode;
 use v2v_core::{EngineConfig, ErrorKind, V2vEngine, V2vError};
@@ -117,7 +115,7 @@ use v2v_spec::Spec;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  v2v run <spec.json> [-o out.svc] [--db tables.json] [--no-optimize] [--no-dde] [--threads N] [--no-cache] [--cache-dir DIR] [--cache-budget BYTES] [--mem-cache-budget BYTES] [--store DIR] [--variant auto|off|dense|archive|proxy] [--trace trace.json] [--on-error abort|skip|black] [--max-retries N] [--error-report errors.json] [--json]\n  v2v serve [--addr HOST:PORT] [--workers HOST:PORT,...] [--cache-dir DIR] [--cache-budget BYTES] [--mem-cache-budget BYTES] [--store-dir DIR] [--store-budget BYTES] [--compact-secs SECS] [--no-share] [--max-concurrent N] [--queue-depth N] [--db tables.json] [--threads N]\n  v2v worker [--addr HOST:PORT] [--cache-dir DIR] [--cache-budget BYTES] [--mem-cache-budget BYTES] [--max-concurrent N] [--queue-depth N] [--db tables.json] [--threads N]\n  v2v explain <spec.json> [--db tables.json] [--analyze] [--json]\n  v2v check <spec.json>\n  v2v info <video.svc>\n  v2v inspect <video.svc>\n  v2v store ls [--store DIR]\n  v2v store materialize <name> <video.svc> <dense|archive|proxy> [--store DIR]\n  v2v store drop <name> <dense|archive|proxy> [--store DIR]\n  v2v frame <video.svc> <t> [-o still.ppm]\n  v2v append [--to HOST:PORT] <live.svc|name> <more.svc> [--json]\n  v2v subscribe <spec.json> [--to HOST:PORT] [-o out.svc] [--max-deltas N] [--json]"
+        "usage:\n  v2v run <spec.json> [-o out.svc] [--db tables.json] [--no-optimize] [--no-dde] [--threads N] [--no-cache] [--cache-dir DIR] [--cache-budget BYTES] [--mem-cache-budget BYTES] [--store DIR] [--variant auto|off|dense|archive|proxy] [--trace trace.json] [--on-error abort|skip|black] [--max-retries N] [--error-report errors.json] [--json]\n  v2v serve [--addr HOST:PORT] [--workers HOST:PORT,...] [--cache-dir DIR] [--cache-budget BYTES] [--mem-cache-budget BYTES] [--store-dir DIR] [--store-budget BYTES] [--compact-secs SECS] [--max-concurrent N] [--queue-depth N] [--db tables.json] [--threads N]\n  v2v worker [--addr HOST:PORT] [--cache-dir DIR] [--cache-budget BYTES] [--mem-cache-budget BYTES] [--max-concurrent N] [--queue-depth N] [--db tables.json] [--threads N]\n  v2v explain <spec.json> [--db tables.json] [--analyze] [--json]\n  v2v check <spec.json>\n  v2v info <video.svc>\n  v2v inspect <video.svc>\n  v2v store ls [--store DIR]\n  v2v store materialize <name> <video.svc> <dense|archive|proxy> [--store DIR]\n  v2v store drop <name> <dense|archive|proxy> [--store DIR]\n  v2v frame <video.svc> <t> [-o still.ppm]\n  v2v append [--to HOST:PORT] <live.svc|name> <more.svc> [--json]\n  v2v subscribe <spec.json> [--to HOST:PORT] [-o out.svc] [--max-deltas N] [--json]"
     );
     ExitCode::from(2)
 }
@@ -533,7 +531,6 @@ fn cmd_serve(args: &[String], role: ServeRole) -> Result<(), CliError> {
             }
             "--store-budget" => store_budget = args.parsed(arg)?,
             "--compact-secs" => compact_secs = args.parsed(arg)?,
-            "--no-share" => config.work_sharing = false,
             "--max-concurrent" => config.max_concurrent = args.parsed(arg)?,
             "--queue-depth" => config.queue_depth = args.parsed(arg)?,
             "--threads" => config.engine.exec.num_threads = args.parsed(arg)?,
@@ -558,7 +555,6 @@ fn cmd_serve(args: &[String], role: ServeRole) -> Result<(), CliError> {
             compact_interval: std::time::Duration::from_secs(compact_secs),
         });
     }
-    let work_sharing = config.work_sharing;
     let workers = config.workers.clone();
     let mut server = V2vServer::new(Catalog::new()).with_config(config);
     if let Some(db_path) = db_path {
@@ -588,9 +584,6 @@ fn cmd_serve(args: &[String], role: ServeRole) -> Result<(), CliError> {
             "on demand (POST /store/compact)".to_string()
         };
         println!("variant store: {dir} (budget {budget}, compaction {cadence})");
-    }
-    if !work_sharing {
-        println!("work sharing: disabled (--no-share)");
     }
     match role {
         ServeRole::Worker => println!("role: worker (renders segments for a coordinator)"),

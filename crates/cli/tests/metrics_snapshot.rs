@@ -140,9 +140,9 @@ fn stable_subset(trace: &serde_json::Value) -> serde_json::Value {
             "segments": g(totals, "segments"),
             "gop_cache_hits": g(totals, "gop_cache_hits"),
             "gop_cache_misses": g(totals, "gop_cache_misses"),
-            // The render-cache / work-sharing counter block: these
-            // runs are uncached and unshared, so the goldens pin the
-            // fields (schema) at zero rather than measured reuse.
+            // The render-cache counter block: these runs are uncached,
+            // so the goldens pin the fields (schema) at zero rather
+            // than measured reuse.
             "cache": {
                 "result_hits": g(cache, "result_hits"),
                 "segment_hits": g(cache, "segment_hits"),

@@ -10,7 +10,7 @@ use v2v_container::{Fragment, VideoStream};
 use v2v_data::{Database, Query};
 use v2v_exec::{
     execute_naive, execute_streaming_with, execute_traced, Catalog, ExecOptions, ExecStats,
-    FragmentFlight, RenderCache, SegmentCacheCtx, StageTimes, StreamingStats,
+    RenderCache, SegmentCacheCtx, StageTimes, StreamingStats,
 };
 use v2v_obs::{SpanRecord, SpanSink};
 use v2v_plan::{
@@ -35,14 +35,6 @@ pub struct EngineConfig {
     /// disables segment reuse. Ignored while a fault
     /// injector is configured: degraded output must never be persisted.
     pub render_cache: Option<Arc<RenderCache>>,
-    /// In-flight work-sharing registry shared across *concurrent*
-    /// engines (one per daemon): segments with the same fragment key
-    /// render exactly once across every run attached to the same
-    /// registry, whether or not a disk cache is configured. `None`
-    /// (the default, and the right choice for one-shot runs) disables
-    /// concurrent sharing. Ignored while a fault injector is
-    /// configured, like the render cache.
-    pub work_share: Option<Arc<FragmentFlight>>,
     /// Remote segment dispatch hook (the serving coordinator installs
     /// its worker pool here): keyed whole segments that miss every
     /// local tier are offered to the hook before rendering in-process.
@@ -65,7 +57,6 @@ impl Default for EngineConfig {
             exec: ExecOptions::default(),
             data_rewrites: true,
             render_cache: None,
-            work_share: None,
             remote: None,
             variants: VariantPolicy::Auto,
         }
@@ -276,8 +267,8 @@ impl V2vEngine {
     /// fragment keys. Empty when a fault injector is active (degraded
     /// output must never be shared or persisted) or the plan is not
     /// cacheable (UDF programs have no content-addressable identity).
-    /// Independent of whether a disk cache is configured — the fragment
-    /// flight and a worker's key check need the keys even without one.
+    /// Independent of whether a disk cache is configured — a worker's
+    /// key check needs the keys even without one.
     /// Recorded as the `identity` span, with the number of arrays read
     /// and of array entries hashed on this call.
     fn plan_identity(&self, plan: &PhysicalPlan, spans: &SpanSink) -> Vec<Option<u64>> {
@@ -406,12 +397,11 @@ impl V2vEngine {
         })
     }
 
-    /// True when some reuse tier (render cache, fragment flight, remote
-    /// dispatch) is configured, i.e. something reads a plan's
-    /// cache identity.
+    /// True when some reuse tier (render cache, remote dispatch) is
+    /// configured, i.e. something reads a plan's cache identity.
     fn reuse_configured(&self) -> bool {
         let c = &self.config;
-        c.render_cache.is_some() || c.work_share.is_some() || c.remote.is_some()
+        c.render_cache.is_some() || c.remote.is_some()
     }
 
     /// The options a plan with these segment keys executes under: the
@@ -424,7 +414,6 @@ impl V2vEngine {
         opts.segment_cache = (self.reuse_configured() && !keys.is_empty()).then(|| {
             Arc::new(SegmentCacheCtx {
                 cache: c.render_cache.clone(),
-                flight: c.work_share.clone(),
                 keys,
                 remote: c.remote.clone().filter(|_| remote),
             })
@@ -523,9 +512,9 @@ impl V2vEngine {
     /// programs at absolute domain instants with a fresh encoder per
     /// output GOP, so the fragment's packets are byte-identical to what
     /// a full local run would encode for that segment. The engine's own
-    /// cache tiers and fragment flight are consulted and warmed
-    /// through the normal segment-cache path, so a worker that renders
-    /// the same key twice serves the repeat from its cache.
+    /// cache tiers are consulted and warmed through the normal
+    /// segment-cache path, so a worker that renders the same key twice
+    /// serves the repeat from its cache.
     pub fn render_segment_fragment(
         &mut self,
         prepared: &PreparedRun,

@@ -124,55 +124,9 @@ impl RunTrace {
         spans: Vec<SpanRecord>,
     ) -> RunTrace {
         let registry = Registry::new();
-        let t = exec.totals;
-        registry
-            .counter("exec.frames_decoded")
-            .add(t.frames_decoded);
-        registry
-            .counter("exec.frames_encoded")
-            .add(t.frames_encoded);
-        registry
-            .counter("exec.packets_copied")
-            .add(t.packets_copied);
-        registry.counter("exec.bytes_copied").add(t.bytes_copied);
-        registry.counter("exec.bytes_decoded").add(t.bytes_decoded);
-        registry.counter("exec.bytes_encoded").add(t.bytes_encoded);
-        registry.counter("exec.seeks").add(t.seeks);
-        registry.counter("exec.segments").add(t.segments);
-        registry
-            .counter("exec.gop_cache_hits")
-            .add(t.gop_cache_hits);
-        registry
-            .counter("exec.gop_cache_misses")
-            .add(t.gop_cache_misses);
-        registry
-            .counter("exec.faults.injected")
-            .add(t.faults_injected);
-        registry.counter("exec.faults.retries").add(t.retries);
-        registry
-            .counter("exec.faults.parts_skipped")
-            .add(t.parts_skipped);
-        registry
-            .counter("exec.faults.parts_substituted")
-            .add(t.parts_substituted);
-        registry
-            .counter("exec.faults.frames_substituted")
-            .add(t.frames_substituted);
-        registry
-            .counter("exec.cache.segment_hits")
-            .add(t.cache.segment_hits);
-        registry
-            .counter("exec.cache.evictions")
-            .add(t.cache.evictions);
-        registry
-            .counter("exec.cache.bytes_reused")
-            .add(t.cache.bytes_reused);
-        registry
-            .counter("exec.cache.shared_segment_hits")
-            .add(t.cache.shared_segment_hits);
-        registry
-            .counter("exec.cache.mem_hits")
-            .add(t.cache.mem_hits);
+        for (name, value) in exec.totals.counters() {
+            registry.counter(name).add(value);
+        }
         registry
             .counter("plan.rewrite_events")
             .add(rewrites.events.len() as u64);
@@ -226,6 +180,9 @@ mod tests {
         assert_eq!(trace.metrics.counter("exec.frames_decoded"), 12);
         assert_eq!(trace.metrics.counter("exec.packets_copied"), 60);
         assert_eq!(trace.metrics.counter("plan.rewrite_events"), 1);
+        for (name, value) in trace.exec.totals.counters() {
+            assert_eq!(trace.metrics.counter(name), value, "{name}");
+        }
         let back = RunTrace::from_json(&trace.to_json()).unwrap();
         assert_eq!(back, trace);
     }

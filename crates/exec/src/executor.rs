@@ -205,6 +205,36 @@ impl ExecStats {
         self.cache = self.cache.merge(other.cache);
         self
     }
+
+    /// Every counter with its `exec.*` metric name, in one fixed order:
+    /// the one list a run trace's metrics and the daemon's `/metrics`
+    /// are built from. The always-zero fields (`splits`, `steals`,
+    /// `cache.result_hits`, `cache.shared_segment_hits`) have no metric.
+    pub fn counters(&self) -> [(&'static str, u64); 20] {
+        let c = &self.cache;
+        [
+            ("exec.frames_decoded", self.frames_decoded),
+            ("exec.frames_encoded", self.frames_encoded),
+            ("exec.packets_copied", self.packets_copied),
+            ("exec.bytes_copied", self.bytes_copied),
+            ("exec.bytes_decoded", self.bytes_decoded),
+            ("exec.bytes_encoded", self.bytes_encoded),
+            ("exec.seeks", self.seeks),
+            ("exec.segments", self.segments),
+            ("exec.gop_cache_hits", self.gop_cache_hits),
+            ("exec.gop_cache_misses", self.gop_cache_misses),
+            ("exec.faults.injected", self.faults_injected),
+            ("exec.faults.retries", self.retries),
+            ("exec.faults.parts_skipped", self.parts_skipped),
+            ("exec.faults.parts_substituted", self.parts_substituted),
+            ("exec.faults.frames_substituted", self.frames_substituted),
+            ("exec.cache.segment_hits", c.segment_hits),
+            ("exec.cache.evictions", c.evictions),
+            ("exec.cache.bytes_reused", c.bytes_reused),
+            ("exec.cache.mem_hits", c.mem_hits),
+            ("exec.remote.segments", c.remote_segments),
+        ]
+    }
 }
 
 /// Executes a physical plan against a catalog.

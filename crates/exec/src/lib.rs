@@ -25,7 +25,6 @@ pub mod catalog;
 pub mod cursor;
 pub mod executor;
 pub mod fault;
-pub mod flight;
 pub mod gop_cache;
 mod kind;
 pub mod mem_tier;
@@ -43,7 +42,6 @@ pub use executor::{
     execute, execute_streaming_with, execute_traced, ExecOptions, ExecStats, StreamingStats,
 };
 pub use fault::{ErrorPolicy, FaultAction, FaultInjector, FaultKind, SegmentFault};
-pub use flight::{Claim, FlightGuard, FragmentFlight, SingleFlight};
 pub use gop_cache::{GopCache, GopPrefix};
 pub use kind::{codec_kind, container_kind, exec_kind, ErrorKind};
 pub use mem_tier::MemTier;

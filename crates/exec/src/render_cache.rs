@@ -30,7 +30,6 @@
 //! [`ErrorKind::CorruptData`]: v2v_container::ContainerError::BadFile
 
 use crate::budget_lru::BudgetLru;
-use crate::flight::FragmentFlight;
 use crate::mem_tier::MemTier;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -56,8 +55,8 @@ pub struct CacheStats {
     /// Compressed bytes reused from the cache instead of re-produced.
     #[serde(default)]
     pub bytes_reused: u64,
-    /// Segments received from another run's concurrent render instead
-    /// of rendered here ([`FragmentFlight`] subscription).
+    /// No effect / always 0; kept only because the repo benchmark reads
+    /// it; remove with ROADMAP direction 3 step 0.
     #[serde(default)]
     pub shared_segment_hits: u64,
     /// Segment hits served by the in-memory tier without touching
@@ -78,7 +77,6 @@ impl CacheStats {
         self.segment_hits += other.segment_hits;
         self.evictions += other.evictions;
         self.bytes_reused += other.bytes_reused;
-        self.shared_segment_hits += other.shared_segment_hits;
         self.mem_hits += other.mem_hits;
         self.remote_segments += other.remote_segments;
         self
@@ -93,7 +91,6 @@ impl CacheStats {
             ..Default::default()
         };
         match origin {
-            Origin::Flight => stats.shared_segment_hits = 1,
             Origin::Remote => stats.remote_segments = 1,
             Origin::Memory | Origin::Disk => stats.segment_hits = 1,
         }
@@ -108,8 +105,6 @@ pub enum Origin {
     Memory,
     /// Read (and checksum-verified) from the persistent directory.
     Disk,
-    /// Another run's concurrent render ([`FragmentFlight`]).
-    Flight,
     /// A remote worker (coordinator dispatch).
     Remote,
 }
@@ -364,15 +359,13 @@ impl RenderCache {
 /// Per-run segment-cache context threaded through
 /// [`ExecOptions`](crate::ExecOptions): the shared tiers plus this
 /// plan's per-segment keys (aligned with `plan.segments`; `None` marks
-/// an uncacheable segment). Either tier may be absent — a daemon with
-/// no `--cache-dir` still shares in-flight renders, and a one-shot
-/// `v2v run` uses the disk cache without a flight.
+/// an uncacheable segment). Either tier may be absent: a coordinator
+/// with no `--cache-dir` still dispatches keyed segments to its
+/// workers.
 #[derive(Debug, Default)]
 pub struct SegmentCacheCtx {
     /// The shared persistent cache (with optional memory tier).
     pub cache: Option<Arc<RenderCache>>,
-    /// The in-flight single-flight registry for concurrent sharing.
-    pub flight: Option<Arc<FragmentFlight>>,
     /// Per-segment keys from [`v2v_plan::fingerprint::segment_keys`].
     pub keys: Vec<Option<u64>>,
     /// Optional remote dispatch hook (coordinator role): consulted for

@@ -1,9 +1,7 @@
-//! The reuse tiers of one keyed render segment, in the one order that
-//! makes exactly-once provable: claim the flight, look up memory →
-//! disk → remote, render, store, publish (DESIGN.md §13).
+//! The reuse tiers of one keyed render segment, in their one order:
+//! look up memory → disk → remote, render, store (DESIGN.md §13).
 
 use crate::executor::ExecStats;
-use crate::flight::Claim;
 use crate::render_cache::{CacheStats, Origin};
 use crate::scheduler::{run_render_pipelined, run_render_sequential, SegmentCtx, SegmentOutput};
 use crate::ExecError;
@@ -22,14 +20,13 @@ fn fragment_matches(ctx: &SegmentCtx<'_>, frag: &Fragment) -> bool {
 }
 
 /// Renders one segment, reusing a fragment when the segment is keyed.
-/// This is the one place the reuse order is spelled: **in-flight →
-/// memory → disk → remote → render**, then **store → publish**.
+/// This is the one place the reuse order is spelled: **memory → disk →
+/// remote → render → store**.
 ///
-/// The flight is claimed *before* the tiers are consulted and an owner
-/// stores *before* it publishes, so a concurrent duplicate either joins
-/// the flight or finds the entry on disk — a segment is never rendered
-/// twice, under any interleaving. A run without a flight (one-shot
-/// `v2v run`) is simply an owner nobody waits on.
+/// A render is stored before this returns, so before the run that
+/// rendered it completes: a run that starts afterwards finds the entry.
+/// Concurrent runs that miss the same key each render it, with
+/// identical bytes.
 pub(crate) fn render_segment(
     ctx: &SegmentCtx<'_>,
     program: &FrameProgram,
@@ -59,16 +56,6 @@ pub(crate) fn render_segment(
         };
         SegmentOutput::new(ctx, frag.packets().to_vec(), stats)
     };
-    let guard = match sc.flight.as_deref().map(|flight| flight.claim(key)) {
-        Some(Claim::Shared(Some(frag))) if fragment_matches(ctx, &frag) => {
-            return Ok(reused(&frag, Origin::Flight));
-        }
-        // Owner failed, or (vanishingly unlikely) published a fragment
-        // that does not fit this plan: render locally.
-        Some(Claim::Shared(_)) => return fresh(),
-        Some(Claim::Owner(guard)) => Some(guard),
-        None => None,
-    };
     let fits = |found: &(Arc<Fragment>, Origin)| fragment_matches(ctx, &found.0);
     let tiers = || sc.cache.as_deref()?.load_segment_tiered(key);
     // The transport verifies the digest; `fits` shape-checks the
@@ -81,27 +68,28 @@ pub(crate) fn render_segment(
             .render_remote(ctx.seg_index, key, cost)?;
         Some((Arc::new(frag), Origin::Remote))
     };
-    let (out, frag, store) = match tiers().filter(fits).or_else(|| remote().filter(fits)) {
-        // A remote fragment is persisted so the coordinator's own tiers
-        // warm up for the next query.
-        Some((frag, origin)) => (reused(&frag, origin), Some(frag), origin == Origin::Remote),
-        None => {
-            let out = fresh()?;
-            let (params, dur) = (ctx.run.plan.out_params, ctx.run.plan.frame_dur);
-            let frag = Fragment::new(params, dur, out.packets.clone()).ok();
-            (out, frag.map(Arc::new), true)
+    // A failed store (disk full, permissions) only costs the next run a
+    // re-render; never fail the query for it.
+    let store = |frag: &Fragment| {
+        if let Some(cache) = sc.cache.as_deref() {
+            let _ = cache.store_segment(key, frag);
         }
     };
-    // A `None` here is an unfragmentable render (shouldn't happen for a
-    // clean one): the guard drops and waiters fall back.
-    if let Some(frag) = frag {
-        if let Some(cache) = sc.cache.as_deref().filter(|_| store) {
-            // A failed store (disk full, permissions) only costs the
-            // next run a re-render; never fail the query for it.
-            let _ = cache.store_segment(key, &frag);
+    if let Some((frag, origin)) = tiers().filter(fits).or_else(|| remote().filter(fits)) {
+        // A remote fragment is persisted so the coordinator's own tiers
+        // warm up for the next query.
+        if origin == Origin::Remote {
+            store(&frag);
         }
-        if let Some(guard) = guard {
-            guard.publish(frag);
+        return Ok(reused(&frag, origin));
+    }
+    let out = fresh()?;
+    if sc.cache.is_some() {
+        let (params, dur) = (ctx.run.plan.out_params, ctx.run.plan.frame_dur);
+        // An unfragmentable render (shouldn't happen for a clean one) is
+        // not stored.
+        if let Ok(frag) = Fragment::new(params, dur, out.packets.clone()) {
+            store(&frag);
         }
     }
     Ok(out)
@@ -111,7 +99,6 @@ pub(crate) fn render_segment(
 mod tests {
     use super::*;
     use crate::executor::{execute, ExecOptions};
-    use crate::flight::FragmentFlight;
     use crate::remote::RemoteRenderer;
     use crate::render_cache::{RenderCache, SegmentCacheCtx};
     use crate::scheduler::tests::setup;
@@ -161,9 +148,8 @@ mod tests {
         };
         let cache = temp_cache("tiers");
 
-        // Fresh, one-shot (no flight): nothing reused, and the segment
-        // is stored exactly once, by `render_segment` — an owner nobody
-        // waits on. The disk run below reads that entry back.
+        // Fresh: nothing reused, and the segment is stored exactly once,
+        // by `render_segment`. The disk run below reads that entry back.
         let (fresh, stats) = run(&catalog, &plan, ctx(Some(&cache)));
         assert_eq!(stats, CacheStats::default());
         assert_eq!(cache.entries(), 1);
@@ -188,38 +174,12 @@ mod tests {
             same(&out);
         }
 
-        // Flight: another run owns the key and publishes while we wait.
-        let flight = Arc::new(FragmentFlight::new());
-        let frag = Arc::new(cache.load_segment(KEY).unwrap());
-        let (out, stats) = std::thread::scope(|scope| {
-            let Claim::Owner(guard) = flight.claim(KEY) else {
-                panic!("unclaimed key");
-            };
-            let sc = SegmentCacheCtx {
-                flight: Some(Arc::clone(&flight)),
-                ..ctx(None)
-            };
-            let waiter = scope.spawn(|| run(&catalog, &plan, sc));
-            while flight.waiting() == 0 {
-                std::thread::yield_now();
-            }
-            guard.publish(Arc::clone(&frag));
-            waiter.join().unwrap()
-        });
-        let shared = CacheStats {
-            shared_segment_hits: 1,
-            bytes_reused: bytes,
-            ..Default::default()
-        };
-        assert_eq!(stats, shared);
-        same(&out);
-
         // Remote: every local tier misses, the hook answers, and the
-        // fragment is stored before it is published.
+        // fragment is stored.
+        let frag = cache.load_segment(KEY).unwrap();
         let cold = temp_cache("remote");
         let sc = SegmentCacheCtx {
-            flight: Some(Arc::clone(&flight)),
-            remote: Some(Arc::new(Canned((*frag).clone()))),
+            remote: Some(Arc::new(Canned(frag))),
             ..ctx(Some(&cold))
         };
         let (out, stats) = run(&catalog, &plan, sc);
@@ -230,19 +190,7 @@ mod tests {
         };
         assert_eq!(stats, remote);
         same(&out);
-        assert_eq!((cold.entries(), flight.published()), (1, 2));
-
-        // Fresh again, this time as a flight owner: stored, published.
-        let cold = temp_cache("owner");
-        let sc = SegmentCacheCtx {
-            flight: Some(Arc::clone(&flight)),
-            ..ctx(Some(&cold))
-        };
-        let (out, stats) = run(&catalog, &plan, sc);
-        assert_eq!(stats, CacheStats::default());
-        same(&out);
-        assert_eq!((cold.entries(), flight.published()), (1, 3));
-        assert_eq!((flight.inflight(), flight.shared()), (0, 1));
+        assert_eq!(cold.entries(), 1);
         for c in [cache, cold] {
             let _ = std::fs::remove_dir_all(c.dir());
         }

@@ -8,6 +8,7 @@
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::time::Instant;
 
 /// Largest accepted header block (request line + headers).
 pub const MAX_HEAD: usize = 64 * 1024;
@@ -87,6 +88,7 @@ fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         413 => "Payload Too Large",
         422 => "Unprocessable Entity",
         429 => "Too Many Requests",
@@ -208,12 +210,64 @@ pub fn write_response(stream: &mut impl Write, resp: &Response) -> io::Result<()
     stream.flush()
 }
 
+/// A [`TcpStream`] whose every read and write is budgeted against one
+/// absolute deadline. Once the deadline passes, all operations fail
+/// with [`io::ErrorKind::TimedOut`] immediately. The server reads each
+/// request through one; [`client::request_timeout`] runs a whole
+/// exchange through one.
+pub struct DeadlineStream {
+    inner: TcpStream,
+    deadline: Instant,
+}
+
+impl DeadlineStream {
+    /// Wraps `inner`, budgeting every operation against `deadline`.
+    pub fn new(inner: TcpStream, deadline: Instant) -> DeadlineStream {
+        DeadlineStream { inner, deadline }
+    }
+
+    /// Arms the socket timeout with the remaining budget, or fails if
+    /// the deadline has already passed.
+    fn arm(&self, read: bool) -> io::Result<()> {
+        let remaining = self.deadline.saturating_duration_since(Instant::now());
+        if remaining.is_zero() {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "request deadline exceeded",
+            ));
+        }
+        if read {
+            self.inner.set_read_timeout(Some(remaining))
+        } else {
+            self.inner.set_write_timeout(Some(remaining))
+        }
+    }
+}
+
+impl Read for DeadlineStream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.arm(true)?;
+        self.inner.read(buf)
+    }
+}
+
+impl Write for DeadlineStream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.arm(false)?;
+        self.inner.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
 /// A blocking one-request client for the same HTTP subset the server
 /// speaks. Used by the integration tests, the serving benchmark, and
 /// anyone driving a `v2v serve` daemon from Rust.
 pub mod client {
     use super::*;
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     /// Sends one request and reads the full response.
     pub fn request(
@@ -246,60 +300,12 @@ pub mod client {
         let deadline = Instant::now() + timeout;
         let stream = TcpStream::connect_timeout(&addr, timeout)?;
         exchange(
-            DeadlineStream {
-                inner: stream,
-                deadline,
-            },
+            DeadlineStream::new(stream, deadline),
             addr,
             method,
             path,
             body,
         )
-    }
-
-    /// A [`TcpStream`] whose every read and write is budgeted against
-    /// one absolute deadline. Once the deadline passes, all operations
-    /// fail with [`io::ErrorKind::TimedOut`] immediately.
-    pub struct DeadlineStream {
-        inner: TcpStream,
-        deadline: Instant,
-    }
-
-    impl DeadlineStream {
-        /// Arms the socket timeout with the remaining budget, or fails
-        /// if the deadline has already passed.
-        fn arm(&self, read: bool) -> io::Result<()> {
-            let remaining = self.deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "request deadline exceeded",
-                ));
-            }
-            if read {
-                self.inner.set_read_timeout(Some(remaining))
-            } else {
-                self.inner.set_write_timeout(Some(remaining))
-            }
-        }
-    }
-
-    impl Read for DeadlineStream {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            self.arm(true)?;
-            self.inner.read(buf)
-        }
-    }
-
-    impl Write for DeadlineStream {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.arm(false)?;
-            self.inner.write(buf)
-        }
-
-        fn flush(&mut self) -> io::Result<()> {
-            self.inner.flush()
-        }
     }
 
     /// Writes one request and reads the response head: a bodiless

@@ -15,13 +15,15 @@
 //!   the time a request spends waiting for admission is reported as
 //!   `queue_wait_ns` in its `x-v2v-stats` header, separate from render
 //!   time;
-//! * **multi-query work sharing** — concurrent queries, identical or
-//!   *overlapping*, share a daemon-wide [`FragmentFlight`], so each
-//!   common keyed segment renders exactly once (`shared_segment_hits`),
-//!   and a byte-budgeted in-memory fragment tier
-//!   ([`MemTier`](v2v_exec::MemTier)) on the render cache answers hot
-//!   repeats without touching disk (`mem_hits`). A result is its
-//!   segments: each run splices its own stream copies around them;
+//! * **segment reuse across queries** — identical or *overlapping*
+//!   queries share their keyed segments through the render cache: a
+//!   render is stored before its run gives its admission slot back, so
+//!   a query admitted later splices it, and a byte-budgeted in-memory
+//!   fragment tier ([`MemTier`](v2v_exec::MemTier)) answers hot repeats
+//!   without touching disk (`mem_hits`). Concurrent misses of one key
+//!   each render it, with identical bytes, at most `max_concurrent` at
+//!   once. A result is its segments: each run splices its own stream
+//!   copies around them;
 //! * **a shared persistent render cache** — all workers share one
 //!   [`RenderCache`](v2v_exec::RenderCache), so a repeated query splices all its
 //!   cached segments (zero decode) and an overlapping query
@@ -29,8 +31,8 @@
 //!   `v2v_plan::fingerprint` for key derivation);
 //! * **observability** — `GET /metrics` serves a
 //!   [`MetricsSnapshot`](v2v_obs::MetricsSnapshot) aggregated across
-//!   requests, `GET /status` the live admission, sharing, and cache
-//!   picture.
+//!   requests, `GET /status` the live admission, subscription and
+//!   cache picture.
 //!
 //! Routes:
 //!
@@ -95,7 +97,7 @@ pub mod store_svc;
 pub mod sub;
 
 use cluster::{PoolRemote, WorkerPool};
-use http::{read_request, write_response, Request, Response};
+use http::{read_request, write_response, DeadlineStream, Request, Response};
 use std::collections::BTreeMap;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -106,7 +108,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use v2v_core::{EngineConfig, ErrorKind, PreparedRun, V2vEngine, V2vError};
 use v2v_data::Database;
-use v2v_exec::{Catalog, ExecStats, FragmentFlight};
+use v2v_exec::{Catalog, ExecStats};
 use v2v_obs::{Counter, Gauge, Histogram, Registry};
 use v2v_spec::Spec;
 use v2v_store::{profile_plan, AccessProfile, SourceStore};
@@ -147,6 +149,11 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// body), and a saturated subscription's back-off before it retries.
 const RETRY_AFTER_SECS: u64 = 1;
 
+/// Wall-clock budget for reading one request's head and body. A client
+/// that has not sent its whole request by then gets a 408 and is
+/// closed, so a stalled peer cannot hold a handler thread for ever.
+const REQUEST_READ_DEADLINE: Duration = Duration::from_secs(10);
+
 /// Serving configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -155,11 +162,8 @@ pub struct ServeConfig {
     /// Requests allowed to wait for admission beyond the running ones;
     /// requests past the queue are rejected with 429.
     pub queue_depth: usize,
-    /// Share keyed segments between concurrent renders through one
-    /// daemon-wide fragment flight (on by default), so a segment that
-    /// identical or overlapping queries have in common renders once.
-    /// Turning this off makes every request execute independently —
-    /// the baseline arm benchmarks compare against.
+    /// No effect (nothing in the daemon reads it); kept only because the
+    /// repo benchmark reads it; remove with ROADMAP direction 3 step 0.
     pub work_sharing: bool,
     /// Coordinator or worker (see [`ServeRole`]).
     pub role: ServeRole,
@@ -311,21 +315,9 @@ struct Metrics {
     store_preview: Arc<Counter>,
     store_materializations: Arc<Counter>,
     store_drops: Arc<Counter>,
-    exec: ExecMetrics,
-}
-
-/// Pre-resolved `exec.*` counters mirrored from each run's stats.
-struct ExecMetrics {
-    frames_decoded: Arc<Counter>,
-    frames_encoded: Arc<Counter>,
-    bytes_decoded: Arc<Counter>,
-    packets_copied: Arc<Counter>,
-    segment_hits: Arc<Counter>,
-    evictions: Arc<Counter>,
-    bytes_reused: Arc<Counter>,
-    shared_segment_hits: Arc<Counter>,
-    mem_hits: Arc<Counter>,
-    remote_segments: Arc<Counter>,
+    /// The `exec.*` counters mirrored from each run's stats, in
+    /// [`ExecStats::counters`] order.
+    exec: Vec<Arc<Counter>>,
 }
 
 impl Metrics {
@@ -348,18 +340,11 @@ impl Metrics {
             store_preview: registry.counter("store.reads.preview"),
             store_materializations: registry.counter("store.materializations"),
             store_drops: registry.counter("store.drops"),
-            exec: ExecMetrics {
-                frames_decoded: registry.counter("exec.frames_decoded"),
-                frames_encoded: registry.counter("exec.frames_encoded"),
-                bytes_decoded: registry.counter("exec.bytes_decoded"),
-                packets_copied: registry.counter("exec.packets_copied"),
-                segment_hits: registry.counter("exec.cache.segment_hits"),
-                evictions: registry.counter("exec.cache.evictions"),
-                bytes_reused: registry.counter("exec.cache.bytes_reused"),
-                shared_segment_hits: registry.counter("exec.cache.shared_segment_hits"),
-                mem_hits: registry.counter("exec.cache.mem_hits"),
-                remote_segments: registry.counter("exec.remote.segments"),
-            },
+            exec: ExecStats::default()
+                .counters()
+                .iter()
+                .map(|&(name, _)| registry.counter(name))
+                .collect(),
         }
     }
 }
@@ -387,10 +372,8 @@ struct Shared {
     gate: JobGate,
     registry: Registry,
     metrics: Metrics,
-    /// Segment-level publish/subscribe shared by every engine this
-    /// daemon builds, so overlapping renders produce each common
-    /// segment exactly once.
-    flight: Arc<FragmentFlight>,
+    /// [`REQUEST_READ_DEADLINE`], unless a test shortened it.
+    read_deadline: Duration,
     /// The worker pool, present on a frontend with configured workers.
     pool: Option<Arc<WorkerPool>>,
     /// Live subscriptions; the `sub.active` gauge is set from this (a
@@ -434,6 +417,7 @@ pub struct V2vServer {
     catalog: Catalog,
     database: Database,
     config: ServeConfig,
+    read_deadline: Duration,
 }
 
 impl V2vServer {
@@ -443,6 +427,7 @@ impl V2vServer {
             catalog,
             database: Database::new(),
             config: ServeConfig::default(),
+            read_deadline: REQUEST_READ_DEADLINE,
         }
     }
 
@@ -457,6 +442,14 @@ impl V2vServer {
     #[must_use]
     pub fn with_config(mut self, config: ServeConfig) -> V2vServer {
         self.config = config;
+        self
+    }
+
+    /// Shortens the request read deadline, so a test need not wait
+    /// [`REQUEST_READ_DEADLINE`] out.
+    #[cfg(test)]
+    pub(crate) fn with_read_deadline(mut self, deadline: Duration) -> V2vServer {
+        self.read_deadline = deadline;
         self
     }
 
@@ -502,7 +495,7 @@ impl V2vServer {
             gate,
             registry,
             metrics,
-            flight: Arc::new(FragmentFlight::new()),
+            read_deadline: self.read_deadline,
             pool,
             subs_active: AtomicU64::new(0),
             store,
@@ -606,10 +599,12 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, stop: &Arc<AtomicBo
 }
 
 fn handle_connection(stream: TcpStream, shared: &Shared) {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
+    let Ok(read_half) = stream.try_clone() else {
+        return;
+    };
+    // The head and the body are read under one wall-clock deadline.
+    let deadline = Instant::now() + shared.read_deadline;
+    let mut reader = BufReader::new(DeadlineStream::new(read_half, deadline));
     let mut writer = stream;
     let resp = match read_request(&mut reader) {
         Ok(req) => {
@@ -620,10 +615,22 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 && shared.config.role != ServeRole::Worker
             {
                 shared.metrics.requests.inc();
-                handle_subscribe(&req, reader, writer, shared);
+                handle_subscribe(&req, writer, shared);
                 return;
             }
             route(&req, shared)
+        }
+        Err(e)
+            if matches!(
+                e.kind(),
+                std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
+            ) =>
+        {
+            let message = format!(
+                "request not received within {} ms",
+                shared.read_deadline.as_millis()
+            );
+            error_response(408, "invalid_request", &message)
         }
         Err(e) => error_response(400, "invalid_request", &format!("bad request: {e}")),
     };
@@ -734,12 +741,7 @@ fn handle_render_segment(req: &Request, shared: &Shared) -> Response {
 /// the output keyframe at-or-before the divergence. The cumulative
 /// client-side stream after record `n` is byte-identical to a cold
 /// `POST /query` of the same spec at the same source length.
-fn handle_subscribe(
-    req: &Request,
-    mut reader: BufReader<TcpStream>,
-    mut writer: TcpStream,
-    shared: &Shared,
-) {
+fn handle_subscribe(req: &Request, mut writer: TcpStream, shared: &Shared) {
     // Bind once up front, through the engine a query gets, so an
     // unservable spec (missing file, bad SQL) is a proper error
     // response, not an empty stream.
@@ -766,18 +768,13 @@ fn handle_subscribe(
     }
     let before = shared.subs_active.fetch_add(1, Ordering::Relaxed);
     shared.metrics.sub_active.set(before + 1);
-    subscription_loop(&spec, &mut reader, &mut writer, shared);
+    subscription_loop(&spec, &mut writer, shared);
     let before = shared.subs_active.fetch_sub(1, Ordering::Relaxed);
     shared.metrics.sub_active.set(before - 1);
 }
 
 /// The watcher/render/push cycle of one subscription.
-fn subscription_loop(
-    spec: &Spec,
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-    shared: &Shared,
-) {
+fn subscription_loop(spec: &Spec, writer: &mut TcpStream, shared: &Shared) {
     let mut cumulative: Option<v2v_container::VideoStream> = None;
     let mut last_domain: Option<v2v_time::TimeSet> = None;
     let mut seq = 0u64;
@@ -846,7 +843,7 @@ fn subscription_loop(
             v = guard;
             if timed_out.timed_out() {
                 drop(v);
-                if client_disconnected(reader) {
+                if client_disconnected(writer) {
                     return;
                 }
                 v = lock(&shared.catalog_version);
@@ -858,8 +855,7 @@ fn subscription_loop(
 /// `true` when the subscription's client has closed its end. Clients
 /// send nothing after the request, so any `read` returning 0 is a
 /// disconnect; a timeout means the peer is simply quiet.
-fn client_disconnected(reader: &mut BufReader<TcpStream>) -> bool {
-    let stream = reader.get_ref();
+fn client_disconnected(mut stream: &TcpStream) -> bool {
     if stream
         .set_read_timeout(Some(Duration::from_millis(1)))
         .is_err()
@@ -867,7 +863,7 @@ fn client_disconnected(reader: &mut BufReader<TcpStream>) -> bool {
         return true;
     }
     let mut probe = [0u8; 1];
-    match reader.get_mut().read(&mut probe) {
+    match stream.read(&mut probe) {
         Ok(0) => true,
         Ok(_) => false, // stray bytes: tolerate
         Err(e) => !matches!(
@@ -914,11 +910,6 @@ fn handle_status(shared: &Shared) -> Response {
                 "total_ns": m.queue_wait_ns.sum(),
                 "max_ns": m.queue_wait_ns.max(),
             },
-            "sharing": {
-                "enabled": shared.config.work_sharing,
-                "segments_published": shared.flight.published(),
-                "segment_hits": shared.flight.shared(),
-            },
             "subscriptions": {
                 "active": shared.subs_active.load(Ordering::Relaxed),
                 "deltas": m.sub_deltas.get(),
@@ -935,8 +926,8 @@ fn handle_status(shared: &Shared) -> Response {
 }
 
 /// A parsed, planned query waiting to execute: the engine it was
-/// prepared on (carrying the daemon's shared cache and fragment
-/// flight) plus the prepared plan.
+/// prepared on (carrying the daemon's shared cache) plus the prepared
+/// plan.
 struct PreparedQuery {
     engine: V2vEngine,
     run: PreparedRun,
@@ -1040,15 +1031,10 @@ fn bind_videos(spec: &Spec, shared: &Shared) -> Result<(), V2vError> {
 /// data arrays are `Arc`-backed, and share their digest memos with the
 /// snapshot), so its own `bind` finds every video bound and only
 /// materializes the data arrays the catalog lacks — those stay per
-/// request, since a `sql:` array is windowed to the spec. The engine is wired to the
-/// daemon-wide fragment flight so its segments share with every
-/// concurrent render.
+/// request, since a `sql:` array is windowed to the spec.
 fn request_engine(spec: &Spec, shared: &Shared) -> Result<V2vEngine, V2vError> {
     bind_videos(spec, shared)?;
     let mut config = shared.config.engine.clone();
-    if shared.config.work_sharing {
-        config.work_share = Some(Arc::clone(&shared.flight));
-    }
     if let Some(pool) = &shared.pool {
         // Coordinator: keyed segments of this query may render on
         // workers. The spec rides along so each dispatch is
@@ -1095,18 +1081,10 @@ fn stats_header(stats: &ExecStats, queue_wait_ns: u64) -> String {
 
 /// Mirrors one run's [`ExecStats`] into the server-lifetime registry
 /// through the pre-resolved handles (no per-counter map lookups).
-fn record_exec_metrics(exec: &ExecMetrics, stats: &ExecStats) {
-    exec.frames_decoded.add(stats.frames_decoded);
-    exec.frames_encoded.add(stats.frames_encoded);
-    exec.bytes_decoded.add(stats.bytes_decoded);
-    exec.packets_copied.add(stats.packets_copied);
-    exec.segment_hits.add(stats.cache.segment_hits);
-    exec.evictions.add(stats.cache.evictions);
-    exec.bytes_reused.add(stats.cache.bytes_reused);
-    exec.shared_segment_hits
-        .add(stats.cache.shared_segment_hits);
-    exec.mem_hits.add(stats.cache.mem_hits);
-    exec.remote_segments.add(stats.cache.remote_segments);
+fn record_exec_metrics(exec: &[Arc<Counter>], stats: &ExecStats) {
+    for (counter, (_, value)) in exec.iter().zip(stats.counters()) {
+        counter.add(value);
+    }
 }
 
 /// Maps the error taxonomy onto HTTP status codes.
@@ -1236,13 +1214,6 @@ mod tests {
         assert_eq!(v.get("jobs_done").and_then(|x| x.as_u64()), Some(1));
         let wait = v.get("queue_wait").expect("queue_wait block");
         assert_eq!(wait.get("count").and_then(|x| x.as_u64()), Some(1));
-        let sharing = v.get("sharing").expect("sharing block");
-        assert_eq!(sharing.get("enabled").and_then(|x| x.as_bool()), Some(true));
-        assert_eq!(
-            sharing.get("segments_published").and_then(|x| x.as_u64()),
-            Some(1),
-            "the one render published its segment to the flight"
-        );
 
         let metrics = client::request(addr, "GET", "/metrics", b"").unwrap();
         let snap: v2v_obs::MetricsSnapshot = serde_json::from_slice(&metrics.body).unwrap();
@@ -1317,8 +1288,8 @@ mod tests {
     fn observability_key_sets_are_pinned() {
         // Dashboards, the benchmark and the golden traces read these
         // names; a refactor of the counters behind them must not move
-        // one. The lists were recorded from the parent of the PR that
-        // deleted the daemon's shadow counters.
+        // one. The `exec.*` names of `/metrics` are
+        // `ExecStats::counters`, the list run traces are built from.
         let dir = store_tempdir("keys");
         let cache = v2v_exec::RenderCache::open(&dir, 1 << 20)
             .unwrap()
@@ -1353,23 +1324,31 @@ mod tests {
         cache.mem cache.mem.budget_bytes cache.mem.bytes_held cache.mem.entries \
         cache.mem.evictions cache.mem.hits jobs_done jobs_failed \
         jobs_rejected max_concurrent pool queue_depth queue_wait queue_wait.count \
-        queue_wait.max_ns queue_wait.total_ns queued role sharing sharing.enabled \
-        sharing.segment_hits sharing.segments_published store subscriptions \
+        queue_wait.max_ns queue_wait.total_ns queued role store subscriptions \
         subscriptions.active \
         subscriptions.appends subscriptions.catalog_version subscriptions.deltas \
         subscriptions.frames_pushed subscriptions.renders";
     const METRICS_KEYS: &str = "\
-        metrics metrics.exec.bytes_decoded metrics.exec.bytes_decoded.Counter \
+        metrics metrics.exec.bytes_copied metrics.exec.bytes_copied.Counter \
+        metrics.exec.bytes_decoded metrics.exec.bytes_decoded.Counter \
+        metrics.exec.bytes_encoded metrics.exec.bytes_encoded.Counter \
         metrics.exec.cache.bytes_reused metrics.exec.cache.bytes_reused.Counter \
         metrics.exec.cache.evictions metrics.exec.cache.evictions.Counter \
         metrics.exec.cache.mem_hits metrics.exec.cache.mem_hits.Counter \
         metrics.exec.cache.segment_hits metrics.exec.cache.segment_hits.Counter \
-        metrics.exec.cache.shared_segment_hits \
-        metrics.exec.cache.shared_segment_hits.Counter metrics.exec.frames_decoded \
+        metrics.exec.faults.frames_substituted \
+        metrics.exec.faults.frames_substituted.Counter metrics.exec.faults.injected \
+        metrics.exec.faults.injected.Counter metrics.exec.faults.parts_skipped \
+        metrics.exec.faults.parts_skipped.Counter metrics.exec.faults.parts_substituted \
+        metrics.exec.faults.parts_substituted.Counter metrics.exec.faults.retries \
+        metrics.exec.faults.retries.Counter metrics.exec.frames_decoded \
         metrics.exec.frames_decoded.Counter metrics.exec.frames_encoded \
-        metrics.exec.frames_encoded.Counter metrics.exec.packets_copied \
+        metrics.exec.frames_encoded.Counter metrics.exec.gop_cache_hits \
+        metrics.exec.gop_cache_hits.Counter metrics.exec.gop_cache_misses \
+        metrics.exec.gop_cache_misses.Counter metrics.exec.packets_copied \
         metrics.exec.packets_copied.Counter metrics.exec.remote.segments \
-        metrics.exec.remote.segments.Counter metrics.serve.active_jobs \
+        metrics.exec.remote.segments.Counter metrics.exec.seeks metrics.exec.seeks.Counter \
+        metrics.exec.segments metrics.exec.segments.Counter metrics.serve.active_jobs \
         metrics.serve.active_jobs.Gauge metrics.serve.job_wall_ns \
         metrics.serve.job_wall_ns.Histogram metrics.serve.job_wall_ns.Histogram.buckets \
         metrics.serve.job_wall_ns.Histogram.count metrics.serve.job_wall_ns.Histogram.max \
@@ -1377,12 +1356,14 @@ mod tests {
         metrics.serve.jobs_done.Counter metrics.serve.jobs_failed \
         metrics.serve.jobs_failed.Counter metrics.serve.jobs_rejected \
         metrics.serve.jobs_rejected.Counter metrics.serve.queue_wait_ns \
-        metrics.serve.queue_wait_ns.Histogram metrics.serve.queue_wait_ns.Histogram.buckets \
+        metrics.serve.queue_wait_ns.Histogram \
+        metrics.serve.queue_wait_ns.Histogram.buckets \
         metrics.serve.queue_wait_ns.Histogram.count \
-        metrics.serve.queue_wait_ns.Histogram.max metrics.serve.queue_wait_ns.Histogram.sum \
-        metrics.serve.requests metrics.serve.requests.Counter \
-        metrics.serve.segments_rendered metrics.serve.segments_rendered.Counter \
-        metrics.store.drops metrics.store.drops.Counter metrics.store.materializations \
+        metrics.serve.queue_wait_ns.Histogram.max \
+        metrics.serve.queue_wait_ns.Histogram.sum metrics.serve.requests \
+        metrics.serve.requests.Counter metrics.serve.segments_rendered \
+        metrics.serve.segments_rendered.Counter metrics.store.drops \
+        metrics.store.drops.Counter metrics.store.materializations \
         metrics.store.materializations.Counter metrics.store.reads.preview \
         metrics.store.reads.preview.Counter metrics.store.reads.scan \
         metrics.store.reads.scan.Counter metrics.store.reads.smart_cut \
@@ -1396,6 +1377,44 @@ mod tests {
         cache.segment_hits cache.shared_segment_hits faults_injected frames_decoded \
         frames_encoded frames_substituted gop_cache_hits gop_cache_misses packets_copied \
         parts_skipped parts_substituted queue_wait_ns retries seeks segments splits steals";
+
+    /// Regression: a client that sent part of a request and then went
+    /// quiet held its handler thread for ever. The read deadline now
+    /// answers it 408 and closes it, while other connections are served.
+    #[test]
+    fn a_half_sent_request_gets_408_and_is_closed_after_the_read_deadline() {
+        let handle = V2vServer::new(catalog())
+            .with_read_deadline(Duration::from_millis(300))
+            .start("127.0.0.1:0")
+            .unwrap();
+        let mut stalled = TcpStream::connect(handle.addr()).unwrap();
+        stalled.write_all(b"GET /status HTTP/1.1\r\n").unwrap();
+        let ok = client::request(handle.addr(), "GET", "/status", b"").unwrap();
+        assert_eq!(ok.status, 200, "a second connection is served meanwhile");
+
+        let started = Instant::now();
+        stalled
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut answer = Vec::new();
+        stalled
+            .read_to_end(&mut answer)
+            .expect("the daemon closes the stalled connection");
+        assert!(started.elapsed() < Duration::from_secs(5));
+        let text = String::from_utf8_lossy(&answer);
+        assert!(
+            text.starts_with("HTTP/1.1 408 Request Timeout\r\n"),
+            "{text}"
+        );
+        let (_, body) = text.split_once("\r\n\r\n").expect("a whole response");
+        let v: serde_json::Value = serde_json::from_str(body).unwrap();
+        let kind = v.get("error").and_then(|e| e.get("kind"));
+        assert_eq!(
+            kind.and_then(|k| k.as_str()),
+            Some("invalid_request"),
+            "{v}"
+        );
+    }
 
     #[test]
     fn bad_spec_maps_to_400_and_unknown_route_to_404() {
@@ -1673,8 +1692,6 @@ mod tests {
         let config = ServeConfig {
             max_concurrent: 1,
             queue_depth: 0,
-            // This test is about the admission gate, so share nothing.
-            work_sharing: false,
             ..Default::default()
         };
         let handle = V2vServer::new(catalog())

@@ -359,15 +359,14 @@ fn worker_role_rejects_top_level_queries() {
     assert_eq!(v.get("role").and_then(|x| x.as_str()), Some("worker"));
 }
 
-/// A worker with no reuse tier at all (`work_sharing: false`, no render
-/// cache) still serves a dispatched segment: its `prepare` computes the
-/// plan's segment keys regardless, and `/render-segment` checks the
-/// dispatched key against them before rendering.
+/// A worker with no reuse tier at all (no render cache) still serves a
+/// dispatched segment: its `prepare` computes the plan's segment keys
+/// regardless, and `/render-segment` checks the dispatched key against
+/// them before rendering.
 #[test]
 fn worker_without_reuse_tiers_serves_dispatched_segments() {
     let config = ServeConfig {
         role: ServeRole::Worker,
-        work_sharing: false,
         ..ServeConfig::default()
     };
     assert!(config.engine.render_cache.is_none());

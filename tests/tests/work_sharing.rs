@@ -1,13 +1,14 @@
-//! Acceptance tests for multi-query work sharing: identical daemon
-//! requests served by their segments (one render per cohort, whatever
-//! the interleaving), engine-level exactly-once rendering of
-//! overlapping segments across concurrent queries, and byte-identity of
-//! every shared response against unshared direct runs.
+//! Acceptance tests for segment reuse across concurrent queries, which
+//! goes through the shared render cache alone: concurrent identical or
+//! overlapping queries return the bytes of direct runs, a query started
+//! after a key was stored hits it, and a cold burst renders a key at
+//! most `max_concurrent` times (a render is stored before its run gives
+//! its admission slot back).
 
 use std::sync::{Arc, Barrier};
 use v2v_container::svc_to_bytes;
 use v2v_core::{EngineConfig, V2vEngine};
-use v2v_exec::{Catalog, FragmentFlight, RenderCache};
+use v2v_exec::{Catalog, RenderCache};
 use v2v_integration_tests::{marked_output, marked_stream, temp_dir};
 use v2v_serve::http::client;
 use v2v_serve::{ServeConfig, V2vServer};
@@ -44,12 +45,12 @@ fn post_cohort(addr: std::net::SocketAddr, spec: &Spec) -> Vec<v2v_serve::http::
 }
 
 /// K identical requests against a daemon with a render cache, at one
-/// and two admission slots: each request is its own run, and its keyed
-/// segment meets the others' in the daemon-wide fragment flight or the
-/// cache, so across the cohort the segment renders exactly once under
-/// any interleaving, and every body is byte-identical to a direct run.
+/// and two admission slots: each request is its own run, and a run
+/// stores its render before it leaves the gate, so across the cohort
+/// the keyed segment renders once per admission slot at most (exactly
+/// once at one slot), and every body is byte-identical to a direct run.
 #[test]
-fn identical_inflight_requests_render_exactly_once() {
+fn identical_requests_render_at_most_once_per_admission_slot() {
     let expect = direct_bytes(&target_spec());
     for max_concurrent in [1usize, 2] {
         let dir = temp_dir(&format!("cohort_{max_concurrent}"));
@@ -72,10 +73,15 @@ fn identical_inflight_requests_render_exactly_once() {
                 serde_json::from_str(resp.header_value("x-v2v-stats").unwrap()).unwrap();
             encoded += stats.frames_encoded;
         }
-        assert_eq!(
-            encoded, 30,
-            "max_concurrent={max_concurrent}: one render per cohort"
-        );
+        let renders = encoded / 30;
+        assert_eq!(renders * 30, encoded, "whole renders of the one segment");
+        match max_concurrent {
+            1 => assert_eq!(renders, 1, "one slot: the cohort renders once"),
+            n => assert!(
+                (1..=n as u64).contains(&renders),
+                "max_concurrent={n}: {renders} renders"
+            ),
+        }
         assert_eq!(handle.job_counts(), (COHORT as u64, 0, 0));
         handle.stop();
         let _ = std::fs::remove_dir_all(&dir);
@@ -91,14 +97,9 @@ fn clip_query(clips: &[i64]) -> Spec {
     b.build()
 }
 
-fn shared_engine(
-    cache: &Arc<RenderCache>,
-    flight: &Arc<FragmentFlight>,
-    threads: usize,
-) -> V2vEngine {
+fn shared_engine(cache: &Arc<RenderCache>, threads: usize) -> V2vEngine {
     let mut config = EngineConfig {
         render_cache: Some(Arc::clone(cache)),
-        work_share: Some(Arc::clone(flight)),
         ..EngineConfig::default()
     };
     config.exec.num_threads = threads;
@@ -118,32 +119,32 @@ fn direct_bytes(spec: &Spec) -> Vec<u8> {
     svc_to_bytes(&report.output).unwrap()
 }
 
-/// Two overlapping queries run concurrently against a shared cache and
-/// fragment flight, across executor thread counts: each unique segment
-/// is rendered exactly once (summed `frames_encoded` equals the unique
-/// frame count), and both outputs are byte-identical to unshared
-/// direct runs.
+/// Two overlapping queries run concurrently against a shared cache,
+/// across executor thread counts: both outputs are byte-identical to
+/// direct runs, and the clip they share renders at most once per run.
+/// A run started after both is all-hit: every clip comes from the
+/// cache, and nothing is encoded.
 #[test]
-fn overlapping_queries_render_shared_segments_once() {
+fn overlapping_concurrent_runs_match_direct_runs_and_a_later_run_hits() {
     // A covers clips {0,1}, B covers {1,2}: 3 unique one-second clips.
     let spec_a = clip_query(&[0, 1]);
     let spec_b = clip_query(&[1, 2]);
+    let spec_later = clip_query(&[0, 1, 2]);
     let expect_a = direct_bytes(&spec_a);
     let expect_b = direct_bytes(&spec_b);
+    let expect_later = direct_bytes(&spec_later);
 
     for threads in [1usize, 2, 8] {
         let dir = temp_dir(&format!("overlap_{threads}"));
         let cache = Arc::new(RenderCache::open(&dir, 1 << 30).unwrap());
-        let flight = Arc::new(FragmentFlight::new());
         let barrier = Arc::new(Barrier::new(2));
         let run = |spec: Spec| {
             let cache = Arc::clone(&cache);
-            let flight = Arc::clone(&flight);
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
-                let mut engine = shared_engine(&cache, &flight, threads);
+                let mut engine = shared_engine(&cache, threads);
                 barrier.wait();
-                engine.run(&spec).expect("shared run")
+                engine.run(&spec).expect("concurrent run")
             })
         };
         let (ha, hb) = (run(spec_a.clone()), run(spec_b.clone()));
@@ -159,74 +160,64 @@ fn overlapping_queries_render_shared_segments_once() {
             expect_b,
             "threads={threads}: B must match its direct run"
         );
-        // 3 unique clips × 30 frames: any duplicated render would push
-        // the combined encode count past 90.
-        assert_eq!(
-            ra.stats.frames_encoded + rb.stats.frames_encoded,
-            90,
-            "threads={threads}: each shared segment renders exactly once"
-        );
-        let reuse = ra.stats.cache.shared_segment_hits
-            + rb.stats.cache.shared_segment_hits
-            + ra.stats.cache.segment_hits
-            + rb.stats.cache.segment_hits;
+        // 3 unique clips × 30 frames; the shared clip renders in one run
+        // or in both.
+        let encoded = ra.stats.frames_encoded + rb.stats.frames_encoded;
         assert!(
-            reuse >= 1,
-            "threads={threads}: the common clip must be reused via some tier"
+            encoded == 90 || encoded == 120,
+            "threads={threads}: {encoded} frames encoded"
         );
-        assert_eq!(flight.inflight(), 0, "threads={threads}: flights drained");
+
+        let later = shared_engine(&cache, threads)
+            .run(&spec_later)
+            .expect("later run");
+        assert_eq!(svc_to_bytes(&later.output).unwrap(), expect_later);
+        assert_eq!(
+            (later.stats.frames_encoded, later.stats.cache.segment_hits),
+            (0, 3),
+            "threads={threads}: a run after both is all-hit"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
-/// Eight engines race the *same* two-segment query over a shared cache
-/// and flight: across all eight runs each segment is rendered exactly
-/// once, whichever engine happens to own it, and every output is
-/// byte-identical.
+/// Eight engines race the *same* two-segment query over a shared cache:
+/// every output is byte-identical to the direct run, whichever engines
+/// render and whichever hit.
 #[test]
-fn identical_engine_runs_share_exactly_one_render() {
+fn identical_engine_runs_race_to_identical_bytes() {
     const ENGINES: usize = 8;
     let spec = clip_query(&[4, 5]);
     let expect = direct_bytes(&spec);
 
     let dir = temp_dir("contend");
     let cache = Arc::new(RenderCache::open(&dir, 1 << 30).unwrap());
-    let flight = Arc::new(FragmentFlight::new());
     let barrier = Arc::new(Barrier::new(ENGINES));
     let handles: Vec<_> = (0..ENGINES)
         .map(|_| {
             let cache = Arc::clone(&cache);
-            let flight = Arc::clone(&flight);
             let barrier = Arc::clone(&barrier);
             let spec = spec.clone();
             std::thread::spawn(move || {
-                let mut engine = shared_engine(&cache, &flight, 2);
+                let mut engine = shared_engine(&cache, 2);
                 barrier.wait();
                 engine.run(&spec).expect("contended run")
             })
         })
         .collect();
-
-    let mut total_encoded = 0;
     for h in handles {
         let report = h.join().unwrap();
         assert_eq!(svc_to_bytes(&report.output).unwrap(), expect);
-        total_encoded += report.stats.frames_encoded;
     }
-    // 2 unique clips × 30 frames, rendered once across all 8 runs; the
-    // other seven runs were fed by the flight or by segment hits in the
-    // disk tier.
-    assert_eq!(total_encoded, 60, "work done exactly once across engines");
-    assert_eq!(flight.inflight(), 0, "flights drained");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A cohort whose render fails: packet 10 of "src" carries an invalid
 /// packet-kind byte, so planning succeeds (it only hashes bytes) and
 /// each run's decode of frame 10 fails with `CorruptData` after
-/// admission. A failed owner leaves nothing in the flight or the cache,
-/// so every member renders, fails and gets the taxonomy-mapped 422
-/// `corrupt_data`, never a generic 500.
+/// admission. A failed render stores nothing, so every member renders,
+/// fails and gets the taxonomy-mapped 422 `corrupt_data`, never a
+/// generic 500.
 #[test]
 fn corrupt_packet_cohort_each_gets_its_taxonomy_status() {
     let catalog = {
