@@ -109,12 +109,7 @@ impl Decoder {
             let mut plane_reader = Reader::new(payload);
             match kind {
                 PacketKind::Intra => {
-                    intra::decode_plane_into(
-                        &mut plane_reader,
-                        qstep,
-                        self.params.preset,
-                        frame.plane_mut(pi),
-                    )?;
+                    intra::decode_plane_into(&mut plane_reader, qstep, frame.plane_mut(pi))?;
                 }
                 PacketKind::Inter => {
                     let reference = self

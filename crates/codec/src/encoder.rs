@@ -89,7 +89,6 @@ impl Encoder {
             PacketKind::Inter
         };
         let qstep = self.params.qstep();
-        let preset = self.params.preset;
 
         let mut payload = Vec::with_capacity(frame.ty().frame_bytes() / 4);
         payload.push(match kind {
@@ -106,13 +105,9 @@ impl Encoder {
         for (pi, plane) in frame.planes().iter().enumerate() {
             self.scratch.clear();
             match kind {
-                PacketKind::Intra => intra::encode_plane_into(
-                    plane,
-                    qstep,
-                    preset,
-                    &mut self.scratch,
-                    recon.plane_mut(pi),
-                ),
+                PacketKind::Intra => {
+                    intra::encode_plane_into(plane, qstep, &mut self.scratch, recon.plane_mut(pi))
+                }
                 PacketKind::Inter => {
                     let reference = self
                         .reference
@@ -122,7 +117,6 @@ impl Encoder {
                         plane,
                         reference.plane(pi),
                         qstep,
-                        preset,
                         &mut self.scratch,
                         recon.plane_mut(pi),
                     );

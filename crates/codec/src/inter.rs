@@ -23,7 +23,6 @@
 
 use crate::bitstream::{Reader, RunCoder, RunDecoder};
 use crate::intra::quantize_bf;
-use crate::params::Preset;
 use crate::CodecError;
 use v2v_frame::Plane;
 
@@ -32,11 +31,8 @@ pub const BLOCK: usize = 16;
 
 /// Skip threshold: maximum per-sample deviation tolerated when reusing
 /// the reference block. Zero at `qstep == 1` keeps lossless mode exact.
-fn skip_threshold(qstep: i32, preset: Preset) -> i32 {
-    match preset {
-        Preset::Ultrafast => qstep - 1,
-        Preset::Medium => (qstep - 1) / 2,
-    }
+fn skip_threshold(qstep: i32) -> i32 {
+    qstep - 1
 }
 
 fn block_grid(w: usize, h: usize) -> (usize, usize) {
@@ -50,7 +46,6 @@ pub fn encode_plane_into(
     cur: &Plane,
     reference: &Plane,
     qstep: i32,
-    preset: Preset,
     out: &mut Vec<u8>,
     recon: &mut Plane,
 ) {
@@ -63,7 +58,7 @@ pub fn encode_plane_into(
     let h = cur.height();
     let (bx_n, by_n) = block_grid(w, h);
     let n_blocks = bx_n * by_n;
-    let thr = skip_threshold(qstep, preset);
+    let thr = skip_threshold(qstep);
 
     // Pass 1: decide skip per block. Each block row reduces to a
     // branch-free max of absolute differences; the scan stops at the
@@ -202,15 +197,9 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn encode_plane(
-        cur: &Plane,
-        reference: &Plane,
-        qstep: i32,
-        preset: Preset,
-        out: &mut Vec<u8>,
-    ) -> Plane {
+    fn encode_plane(cur: &Plane, reference: &Plane, qstep: i32, out: &mut Vec<u8>) -> Plane {
         let mut recon = Plane::new(cur.width(), cur.height());
-        encode_plane_into(cur, reference, qstep, preset, out, &mut recon);
+        encode_plane_into(cur, reference, qstep, out, &mut recon);
         recon
     }
 
@@ -234,14 +223,13 @@ mod tests {
             cur: &Plane,
             reference: &Plane,
             qstep: i32,
-            preset: Preset,
             out: &mut Vec<u8>,
         ) -> Plane {
             let w = cur.width();
             let h = cur.height();
             let (bx_n, by_n) = block_grid(w, h);
             let n_blocks = bx_n * by_n;
-            let thr = skip_threshold(qstep, preset);
+            let thr = skip_threshold(qstep);
             let mut coded = vec![false; n_blocks];
             for by in 0..by_n {
                 for bx in 0..bx_n {
@@ -352,9 +340,9 @@ mod tests {
         p
     }
 
-    fn round_trip(cur: &Plane, reference: &Plane, qstep: i32, preset: Preset) -> (Plane, usize) {
+    fn round_trip(cur: &Plane, reference: &Plane, qstep: i32) -> (Plane, usize) {
         let mut buf = Vec::new();
-        let recon = encode_plane(cur, reference, qstep, preset, &mut buf);
+        let recon = encode_plane(cur, reference, qstep, &mut buf);
         let size = buf.len();
         let mut r = Reader::new(&buf);
         let dec = decode_plane(&mut r, reference, qstep).unwrap();
@@ -365,7 +353,7 @@ mod tests {
     #[test]
     fn identical_frame_costs_only_bitmap() {
         let p = noisy_plane(64, 48, 0);
-        let (dec, size) = round_trip(&p, &p, 1, Preset::Ultrafast);
+        let (dec, size) = round_trip(&p, &p, 1);
         assert_eq!(dec, p);
         let n_blocks: usize = 4 * 3;
         assert_eq!(size, n_blocks.div_ceil(8));
@@ -381,7 +369,7 @@ mod tests {
                 b.put(x, y, 255 - b.get(x, y));
             }
         }
-        let (dec, _) = round_trip(&b, &a, 1, Preset::Ultrafast);
+        let (dec, _) = round_trip(&b, &a, 1);
         assert_eq!(dec, b);
     }
 
@@ -391,7 +379,7 @@ mod tests {
         let mut b = a.clone();
         b.put(0, 0, b.get(0, 0).wrapping_add(100));
         let mut buf = Vec::new();
-        encode_plane(&b, &a, 1, Preset::Ultrafast, &mut buf);
+        encode_plane(&b, &a, 1, &mut buf);
         // 16 blocks → 2 bitmap bytes; only block 0 coded → small payload.
         assert!(buf.len() < 2 + 3 * 256, "payload too big: {}", buf.len());
         assert_eq!(buf[0] & 1, 1, "block 0 must be coded");
@@ -403,7 +391,7 @@ mod tests {
         let a = noisy_plane(32, 32, 3);
         let b = noisy_plane(32, 32, 4);
         for qstep in [2, 4, 8] {
-            let (dec, _) = round_trip(&b, &a, qstep, Preset::Ultrafast);
+            let (dec, _) = round_trip(&b, &a, qstep);
             for (x, y) in dec.data().iter().zip(b.data()) {
                 assert!(u8::abs_diff(*x, *y) as i32 <= qstep);
             }
@@ -411,17 +399,16 @@ mod tests {
     }
 
     #[test]
-    fn skip_threshold_scales_with_preset() {
-        assert_eq!(skip_threshold(1, Preset::Ultrafast), 0);
-        assert_eq!(skip_threshold(5, Preset::Ultrafast), 4);
-        assert_eq!(skip_threshold(5, Preset::Medium), 2);
+    fn skip_threshold_scales_with_qstep() {
+        assert_eq!(skip_threshold(1), 0);
+        assert_eq!(skip_threshold(5), 4);
     }
 
     #[test]
     fn non_multiple_of_block_dims() {
         let a = noisy_plane(37, 23, 5);
         let b = noisy_plane(37, 23, 6);
-        let (dec, _) = round_trip(&b, &a, 1, Preset::Ultrafast);
+        let (dec, _) = round_trip(&b, &a, 1);
         assert_eq!(dec, b);
     }
 
@@ -471,13 +458,11 @@ mod tests {
         fn vectorized_inter_matches_scalar(
             (reference, cur) in arb_plane_pair(),
             qstep in prop_oneof![Just(1i32), Just(2), Just(3), Just(5), Just(8)],
-            medium in any::<bool>(),
         ) {
-            let preset = if medium { Preset::Medium } else { Preset::Ultrafast };
             let mut fast_buf = Vec::new();
-            let fast_recon = encode_plane(&cur, &reference, qstep, preset, &mut fast_buf);
+            let fast_recon = encode_plane(&cur, &reference, qstep, &mut fast_buf);
             let mut ref_buf = Vec::new();
-            let ref_recon = scalar::encode_plane(&cur, &reference, qstep, preset, &mut ref_buf);
+            let ref_recon = scalar::encode_plane(&cur, &reference, qstep, &mut ref_buf);
             prop_assert_eq!(&fast_buf, &ref_buf);
             prop_assert_eq!(fast_recon, ref_recon);
 

@@ -1,19 +1,17 @@
 //! Intra (keyframe) plane coding: spatial DPCM + quantization + run coding.
 //!
-//! Prediction is closed-loop (from *reconstructed* neighbours), so encoder
-//! and decoder stay bit-identical at any quantizer and there is no spatial
-//! drift.
+//! Every sample predicts from its reconstructed left neighbour; the first
+//! sample of a row from the one above it, and the first of the plane
+//! from 128. Prediction is closed-loop (from *reconstructed* neighbours),
+//! so encoder and decoder stay bit-identical at any quantizer and there
+//! is no spatial drift.
 //!
-//! The kernels iterate over row slices: top-predicted rows are
-//! data-parallel (every prediction reads the previous reconstructed
-//! row), so their quantize + reconstruct sweep is branch-free and
-//! autovectorizable, with entropy coding as a separate pass over a
-//! scratch row. Left-predicted rows carry a loop dependence (each pixel
-//! predicts from the one just reconstructed) and stay serial, but still
-//! run over row slices instead of per-pixel accessors. On decode every
-//! row, whatever its predictor, reads its residuals into a scratch row
-//! with one `RunDecoder::next_residuals` call before reconstructing. The
-//! original per-pixel implementation survives as the `tests` oracle.
+//! The DPCM chain carries a loop dependence (each pixel predicts from
+//! the one just reconstructed), so the kernels stay serial, but run over
+//! row slices instead of per-pixel accessors. On decode each row reads
+//! its residuals into a scratch row with one
+//! `RunDecoder::next_residuals` call before reconstructing. The original
+//! per-pixel implementation survives as the `tests` oracle.
 
 // Panic-audit exemption: every index in these kernels derives from plane
 // geometry (`w`, `h`, row slices) — never from a bitstream-controlled
@@ -23,7 +21,6 @@
 #![allow(clippy::indexing_slicing)]
 
 use crate::bitstream::{Reader, RunCoder, RunDecoder};
-use crate::params::Preset;
 use crate::CodecError;
 use v2v_frame::Plane;
 
@@ -49,117 +46,31 @@ pub(crate) fn quantize_bf(r: i32, qstep: i32, half: i32) -> i32 {
     (q ^ s) - s
 }
 
-/// Per-row spatial predictor.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum RowMode {
-    /// Predict from the reconstructed left neighbour.
-    Left,
-    /// Predict from the reconstructed top neighbour.
-    Top,
-}
-
-/// Chooses a predictor for row `y` by comparing SADs on the *source*
-/// pixels (a deterministic heuristic; the choice is carried in the
-/// bitstream so the decoder never repeats it).
-fn choose_mode(plane: &Plane, y: usize) -> RowMode {
-    let row = plane.row(y);
-    let w = row.len();
-    if w == 0 {
-        return RowMode::Left;
-    }
-    let mut sad_left = u64::from(row[0].abs_diff(128));
-    for x in 1..w {
-        sad_left += u64::from(row[x].abs_diff(row[x - 1]));
-    }
-    let sad_top: u64 = if y > 0 {
-        let prev = plane.row(y - 1);
-        row.iter()
-            .zip(prev)
-            .map(|(a, b)| u64::from(a.abs_diff(*b)))
-            .sum()
-    } else {
-        row.iter().map(|&v| u64::from(v.abs_diff(128))).sum()
-    };
-    if sad_top < sad_left {
-        RowMode::Top
-    } else {
-        RowMode::Left
-    }
-}
-
-fn pick_modes(plane: &Plane, preset: Preset, out: &mut Vec<u8>) -> Vec<RowMode> {
-    let h = plane.height();
-    let mut modes = vec![RowMode::Left; h];
-    if preset == Preset::Medium {
-        for (y, m) in modes.iter_mut().enumerate() {
-            *m = choose_mode(plane, y);
-        }
-        // Row-mode bitmap: bit set = Top.
-        let mut bitmap = vec![0u8; h.div_ceil(8)];
-        for (y, m) in modes.iter().enumerate() {
-            if *m == RowMode::Top {
-                bitmap[y / 8] |= 1 << (y % 8);
-            }
-        }
-        out.extend_from_slice(&bitmap);
-    }
-    modes
-}
-
 /// Encodes one plane as an intra payload, writing the reconstruction the
 /// decoder will produce into `recon` (every sample is overwritten), so
 /// a reused spare buffer avoids a fresh allocation per frame.
-pub fn encode_plane_into(
-    plane: &Plane,
-    qstep: i32,
-    preset: Preset,
-    out: &mut Vec<u8>,
-    recon: &mut Plane,
-) {
+pub fn encode_plane_into(plane: &Plane, qstep: i32, out: &mut Vec<u8>, recon: &mut Plane) {
     let w = plane.width();
     let h = plane.height();
     debug_assert_eq!((recon.width(), recon.height()), (w, h));
-    let modes = pick_modes(plane, preset, out);
-    let half = qstep / 2;
     let mut coder = RunCoder::new();
-    let mut qrow = vec![0i32; w];
-    for (y, &mode) in modes.iter().enumerate() {
+    for y in 0..h {
         let src = plane.row(y);
-        if mode == RowMode::Top && y > 0 {
+        // Serial DPCM chain: pixel x predicts from the value just
+        // reconstructed at x-1; the first pixel of a row from the one
+        // above it.
+        let (mut pred, rec) = if y > 0 {
             let (prev, rec) = recon.row_pair_mut(y);
-            if qstep == 1 {
-                for x in 0..w {
-                    qrow[x] = i32::from(src[x]) - i32::from(prev[x]);
-                    rec[x] = src[x];
-                }
-            } else {
-                for x in 0..w {
-                    let pred = i32::from(prev[x]);
-                    let q = quantize_bf(i32::from(src[x]) - pred, qstep, half);
-                    qrow[x] = q;
-                    rec[x] = (pred + q * qstep).clamp(0, 255) as u8;
-                }
-            }
-            for &q in &qrow {
-                coder.push(out, q);
-            }
+            (i32::from(prev[0]), rec)
         } else {
-            // Serial DPCM chain: pixel x predicts from the value just
-            // reconstructed at x-1 (row 0 of either mode, and every
-            // left-predicted row).
-            let (mut pred, rec) = if y > 0 {
-                let (prev, rec) = recon.row_pair_mut(y);
-                (i32::from(prev[0]), rec)
-            } else {
-                (128, recon.row_mut(0))
-            };
-            for x in 0..w {
-                let q = quantize(i32::from(src[x]) - pred, qstep);
-                coder.push(out, q);
-                let v = (pred + q * qstep).clamp(0, 255) as u8;
-                rec[x] = v;
-                pred = i32::from(v);
-            }
+            (128, recon.row_mut(0))
+        };
+        for x in 0..w {
+            let q = quantize(i32::from(src[x]) - pred, qstep);
+            coder.push(out, q);
+            let v = (pred + q * qstep).clamp(0, 255) as u8;
+            rec[x] = v;
+            pred = i32::from(v);
         }
     }
     coder.finish(out);
@@ -170,41 +81,24 @@ pub fn encode_plane_into(
 pub fn decode_plane_into(
     reader: &mut Reader<'_>,
     qstep: i32,
-    preset: Preset,
     recon: &mut Plane,
 ) -> Result<(), CodecError> {
     let width = recon.width();
     let height = recon.height();
-    let mut modes = vec![RowMode::Left; height];
-    if preset == Preset::Medium {
-        let bitmap = reader.bytes(height.div_ceil(8))?;
-        for (y, m) in modes.iter_mut().enumerate() {
-            if bitmap[y / 8] & (1 << (y % 8)) != 0 {
-                *m = RowMode::Top;
-            }
-        }
-    }
     let mut dec = RunDecoder::new(reader, (width * height) as u64);
     let mut qrow = vec![0i32; width];
-    for (y, &mode) in modes.iter().enumerate() {
+    for y in 0..height {
         dec.next_residuals(&mut qrow)?;
-        if mode == RowMode::Top && y > 0 {
+        let (mut pred, rec) = if y > 0 {
             let (prev, rec) = recon.row_pair_mut(y);
-            for x in 0..width {
-                rec[x] = (i32::from(prev[x]) + qrow[x] * qstep).clamp(0, 255) as u8;
-            }
+            (i32::from(prev[0]), rec)
         } else {
-            let (mut pred, rec) = if y > 0 {
-                let (prev, rec) = recon.row_pair_mut(y);
-                (i32::from(prev[0]), rec)
-            } else {
-                (128, recon.row_mut(y))
-            };
-            for (r, &q) in rec.iter_mut().zip(&qrow) {
-                let v = (pred + q * qstep).clamp(0, 255) as u8;
-                *r = v;
-                pred = i32::from(v);
-            }
+            (128, recon.row_mut(y))
+        };
+        for (r, &q) in rec.iter_mut().zip(&qrow) {
+            let v = (pred + q * qstep).clamp(0, 255) as u8;
+            *r = v;
+            pred = i32::from(v);
         }
     }
     Ok(())
@@ -215,9 +109,9 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn encode_plane(plane: &Plane, qstep: i32, preset: Preset, out: &mut Vec<u8>) -> Plane {
+    fn encode_plane(plane: &Plane, qstep: i32, out: &mut Vec<u8>) -> Plane {
         let mut recon = Plane::new(plane.width(), plane.height());
-        encode_plane_into(plane, qstep, preset, out, &mut recon);
+        encode_plane_into(plane, qstep, out, &mut recon);
         recon
     }
 
@@ -226,10 +120,9 @@ mod tests {
         width: usize,
         height: usize,
         qstep: i32,
-        preset: Preset,
     ) -> Result<Plane, CodecError> {
         let mut recon = Plane::new(width, height);
-        decode_plane_into(reader, qstep, preset, &mut recon)?;
+        decode_plane_into(reader, qstep, &mut recon)?;
         Ok(recon)
     }
 
@@ -239,76 +132,24 @@ mod tests {
         use super::super::*;
 
         #[inline]
-        fn predict(recon: &Plane, x: usize, y: usize, mode: RowMode) -> i32 {
-            match mode {
-                RowMode::Left => {
-                    if x > 0 {
-                        i32::from(recon.get(x - 1, y))
-                    } else if y > 0 {
-                        i32::from(recon.get(x, y - 1))
-                    } else {
-                        128
-                    }
-                }
-                RowMode::Top => {
-                    if y > 0 {
-                        i32::from(recon.get(x, y - 1))
-                    } else if x > 0 {
-                        i32::from(recon.get(x - 1, y))
-                    } else {
-                        128
-                    }
-                }
-            }
-        }
-
-        fn choose_mode(plane: &Plane, y: usize) -> RowMode {
-            let w = plane.width();
-            let mut sad_left = 0u64;
-            let mut sad_top = 0u64;
-            for x in 0..w {
-                let v = i32::from(plane.get(x, y));
-                let left = if x > 0 {
-                    i32::from(plane.get(x - 1, y))
-                } else {
-                    128
-                };
-                let top = if y > 0 {
-                    i32::from(plane.get(x, y - 1))
-                } else {
-                    128
-                };
-                sad_left += v.abs_diff(left) as u64;
-                sad_top += v.abs_diff(top) as u64;
-            }
-            if sad_top < sad_left {
-                RowMode::Top
+        fn predict(recon: &Plane, x: usize, y: usize) -> i32 {
+            if x > 0 {
+                i32::from(recon.get(x - 1, y))
+            } else if y > 0 {
+                i32::from(recon.get(x, y - 1))
             } else {
-                RowMode::Left
+                128
             }
         }
 
-        pub fn encode_plane(plane: &Plane, qstep: i32, preset: Preset, out: &mut Vec<u8>) -> Plane {
+        pub fn encode_plane(plane: &Plane, qstep: i32, out: &mut Vec<u8>) -> Plane {
             let w = plane.width();
             let h = plane.height();
-            let mut modes = vec![RowMode::Left; h];
-            if preset == Preset::Medium {
-                for (y, m) in modes.iter_mut().enumerate() {
-                    *m = choose_mode(plane, y);
-                }
-                let mut bitmap = vec![0u8; h.div_ceil(8)];
-                for (y, m) in modes.iter().enumerate() {
-                    if *m == RowMode::Top {
-                        bitmap[y / 8] |= 1 << (y % 8);
-                    }
-                }
-                out.extend_from_slice(&bitmap);
-            }
             let mut recon = Plane::new(w, h);
             let mut coder = RunCoder::new();
-            for (y, &mode) in modes.iter().enumerate() {
+            for y in 0..h {
                 for x in 0..w {
-                    let pred = predict(&recon, x, y, mode);
+                    let pred = predict(&recon, x, y);
                     let residual = i32::from(plane.get(x, y)) - pred;
                     let q = quantize(residual, qstep);
                     coder.push(out, q);
@@ -325,22 +166,12 @@ mod tests {
             width: usize,
             height: usize,
             qstep: i32,
-            preset: Preset,
         ) -> Result<Plane, CodecError> {
-            let mut modes = vec![RowMode::Left; height];
-            if preset == Preset::Medium {
-                let bitmap = reader.bytes(height.div_ceil(8))?.to_vec();
-                for (y, m) in modes.iter_mut().enumerate() {
-                    if bitmap[y / 8] & (1 << (y % 8)) != 0 {
-                        *m = RowMode::Top;
-                    }
-                }
-            }
             let mut recon = Plane::new(width, height);
             let mut dec = RunDecoder::new(reader, (width * height) as u64);
-            for (y, &mode) in modes.iter().enumerate() {
+            for y in 0..height {
                 for x in 0..width {
-                    let pred = predict(&recon, x, y, mode);
+                    let pred = predict(&recon, x, y);
                     let q = dec.next_residual()?;
                     let value = (pred + q * qstep).clamp(0, 255) as u8;
                     recon.put(x, y, value);
@@ -360,12 +191,12 @@ mod tests {
         p
     }
 
-    fn round_trip(p: &Plane, qstep: i32, preset: Preset) -> (Plane, usize) {
+    fn round_trip(p: &Plane, qstep: i32) -> (Plane, usize) {
         let mut buf = Vec::new();
-        let recon = encode_plane(p, qstep, preset, &mut buf);
+        let recon = encode_plane(p, qstep, &mut buf);
         let size = buf.len();
         let mut r = Reader::new(&buf);
-        let dec = decode_plane(&mut r, p.width(), p.height(), qstep, preset).unwrap();
+        let dec = decode_plane(&mut r, p.width(), p.height(), qstep).unwrap();
         assert_eq!(recon, dec, "encoder recon must equal decoder output");
         (dec, size)
     }
@@ -373,17 +204,15 @@ mod tests {
     #[test]
     fn lossless_at_qstep_one() {
         let p = gradient_plane(33, 17);
-        for preset in [Preset::Ultrafast, Preset::Medium] {
-            let (dec, _) = round_trip(&p, 1, preset);
-            assert_eq!(dec, p);
-        }
+        let (dec, _) = round_trip(&p, 1);
+        assert_eq!(dec, p);
     }
 
     #[test]
     fn quantized_error_is_bounded() {
         let p = gradient_plane(32, 32);
         for qstep in [2, 3, 5, 9] {
-            let (dec, _) = round_trip(&p, qstep, Preset::Ultrafast);
+            let (dec, _) = round_trip(&p, qstep);
             for (a, b) in p.data().iter().zip(dec.data()) {
                 assert!(
                     i32::from(*a).abs_diff(i32::from(*b)) as i32 <= qstep,
@@ -403,7 +232,7 @@ mod tests {
                 p.put(x, y, (y * 4) as u8);
             }
         }
-        let (_, size) = round_trip(&p, 1, Preset::Ultrafast);
+        let (_, size) = round_trip(&p, 1);
         assert!(size < 64 * 64 / 4, "flat rows should compress well: {size}");
         // A gradient still beats raw size even with per-pixel residuals.
         let mut g = Plane::new(64, 64);
@@ -414,33 +243,15 @@ mod tests {
         }
         // Dense nonzero residuals cost (run, value) pairs — bounded by
         // 2 bytes per sample, and quantization recovers the win.
-        let (_, gsize) = round_trip(&g, 1, Preset::Ultrafast);
+        let (_, gsize) = round_trip(&g, 1);
         assert!(
             gsize <= 2 * 64 * 64 + 16,
             "gradient blew the bound: {gsize}"
         );
-        let (_, gq) = round_trip(&g, 5, Preset::Ultrafast);
+        let (_, gq) = round_trip(&g, 5);
         assert!(
             gq < gsize,
             "quantized gradient must shrink: {gq} vs {gsize}"
-        );
-    }
-
-    #[test]
-    fn medium_beats_ultrafast_on_vertical_structure() {
-        // Vertical stripes: the left predictor misses on every pixel, the
-        // top predictor is perfect from row 1 on. Medium should pick Top.
-        let mut p = Plane::new(64, 64);
-        for y in 0..64 {
-            for x in 0..64 {
-                p.put(x, y, ((x * 16) % 256) as u8);
-            }
-        }
-        let (_, fast) = round_trip(&p, 1, Preset::Ultrafast);
-        let (_, medium) = round_trip(&p, 1, Preset::Medium);
-        assert!(
-            medium < fast,
-            "medium {medium} should beat ultrafast {fast}"
         );
     }
 
@@ -467,13 +278,13 @@ mod tests {
     fn truncated_payload_errors() {
         let p = gradient_plane(16, 16);
         let mut buf = Vec::new();
-        encode_plane(&p, 1, Preset::Ultrafast, &mut buf);
+        encode_plane(&p, 1, &mut buf);
         // Chop a byte in the middle of the stream: decoding may hit a
         // malformed varint; it must not panic.
         if buf.len() > 4 {
             let cut = &buf[..buf.len() / 2];
             let mut r = Reader::new(cut);
-            let _ = decode_plane(&mut r, 16, 16, 1, Preset::Ultrafast);
+            let _ = decode_plane(&mut r, 16, 16, 1);
         }
     }
 
@@ -489,28 +300,25 @@ mod tests {
     }
 
     proptest! {
-        /// The vectorized encoder emits the exact bytes and
-        /// reconstruction of the per-pixel oracle, for every plane,
-        /// quantizer, and preset.
+        /// The row-sliced encoder emits the exact bytes and
+        /// reconstruction of the per-pixel oracle, for every plane and
+        /// quantizer.
         #[test]
         fn vectorized_encode_matches_scalar(
             p in arb_plane(),
             qstep in prop_oneof![Just(1i32), Just(2), Just(3), Just(5), Just(8), Just(13)],
-            medium in any::<bool>(),
         ) {
-            let preset = if medium { Preset::Medium } else { Preset::Ultrafast };
             let mut fast_buf = Vec::new();
-            let fast_recon = encode_plane(&p, qstep, preset, &mut fast_buf);
+            let fast_recon = encode_plane(&p, qstep, &mut fast_buf);
             let mut ref_buf = Vec::new();
-            let ref_recon = scalar::encode_plane(&p, qstep, preset, &mut ref_buf);
+            let ref_recon = scalar::encode_plane(&p, qstep, &mut ref_buf);
             prop_assert_eq!(&fast_buf, &ref_buf);
             prop_assert_eq!(fast_recon, ref_recon);
 
             let mut r = Reader::new(&fast_buf);
-            let fast_dec = decode_plane(&mut r, p.width(), p.height(), qstep, preset).unwrap();
+            let fast_dec = decode_plane(&mut r, p.width(), p.height(), qstep).unwrap();
             let mut r = Reader::new(&ref_buf);
-            let ref_dec =
-                scalar::decode_plane(&mut r, p.width(), p.height(), qstep, preset).unwrap();
+            let ref_dec = scalar::decode_plane(&mut r, p.width(), p.height(), qstep).unwrap();
             prop_assert_eq!(fast_dec, ref_dec);
         }
     }

@@ -13,17 +13,16 @@
 //! The paper uses FFmpeg/H.264 for this substrate. This crate implements
 //! SVC, a from-scratch codec with exactly that cost structure:
 //!
-//! * **I-frames** — per-plane DPCM spatial prediction (left/top
-//!   predictors), uniform residual quantization, and run-length + varint
+//! * **I-frames** — per-plane DPCM spatial prediction from the left
+//!   neighbour, uniform residual quantization, and run-length + varint
 //!   entropy coding;
 //! * **P-frames** — 16×16 block skip detection against the reconstructed
 //!   reference plus DPCM-coded temporal residuals for changed blocks;
 //! * **closed-loop quantization** — the encoder tracks the decoder's
 //!   reconstruction, so there is no drift, and `quantizer = 0` is exactly
 //!   lossless (which the test suite exploits for frame-exactness proofs);
-//! * **presets** — [`Preset::Ultrafast`] (single predictor, matching the
-//!   paper's benchmark encoder setting) vs [`Preset::Medium`] (per-row
-//!   predictor search: slower, smaller output).
+//! * **one preset** — [`Preset::Ultrafast`], the paper's benchmark
+//!   encoder setting.
 //!
 //! The bitstream is versioned and self-describing per packet; see
 //! [`bitstream`] for the wire primitives.

@@ -1,4 +1,4 @@
-//! Codec configuration: stream parameters and encoder presets.
+//! Codec configuration: stream parameters and the encoder preset.
 
 use serde::{Deserialize, Serialize};
 use v2v_frame::FrameType;
@@ -6,17 +6,14 @@ use v2v_frame::FrameType;
 /// Encoder effort preset.
 ///
 /// Mirrors the paper's benchmark environment ("the ultrafast encoding
-/// preset"): `Ultrafast` uses a fixed left predictor; `Medium` searches
-/// per row between the left and top predictors, spending more compute for
-/// a smaller bitstream.
+/// preset"). It has one value: every container header and segment key
+/// records it, so a header naming any other preset fails to parse.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum Preset {
-    /// Fastest: fixed spatial predictor, coarse skip detection.
+    /// Left-predicted intra rows, skip detection at the quantizer step.
     #[default]
     Ultrafast,
-    /// Slower: per-row predictor selection, tighter skip detection.
-    Medium,
 }
 
 /// Immutable parameters of an SVC stream.
@@ -34,7 +31,7 @@ pub struct CodecParams {
     /// Residual quantizer: `0` is lossless; larger values coarsen
     /// residuals (step `quantizer + 1`) and shrink the bitstream.
     pub quantizer: u8,
-    /// Encoder effort.
+    /// Encoder effort (always [`Preset::Ultrafast`]).
     #[serde(default)]
     pub preset: Preset,
 }
@@ -61,9 +58,7 @@ impl CodecParams {
     /// property of the bitstream (the decoder reacts to per-packet
     /// keyframe flags), so it does not participate in compatibility.
     pub fn compatible_with(&self, other: &CodecParams) -> bool {
-        self.frame_ty == other.frame_ty
-            && self.quantizer == other.quantizer
-            && self.preset == other.preset
+        self.frame_ty == other.frame_ty && self.quantizer == other.quantizer
     }
 
     /// `true` if frame `index` (0-based) is a keyframe position.

@@ -4,20 +4,19 @@
 //! packets (keyframe flag, length, payload) into one FNV-64 digest and the
 //! decoded frames into another. The sequence is built to reach every
 //! branch of the residual coder: a static third (skipped blocks, long
-//! zero runs, and rows for both intra predictors), a slowly panning
+//! zero runs, and rows flat or striped along the row), a slowly panning
 //! textured third (dense one-byte pairs), a third of sparse noise over a
 //! still background (short zero runs), constant rows (zero runs past 128
 //! inside one intra row, so multi-byte runs), and a scene cut on a
 //! P-frame that inverts everything (residuals above 63, so multi-byte
-//! codes). The cases cover every pixel format at quantizers 0 and 2
-//! under both presets.
+//! codes). The cases cover every pixel format at quantizers 0 and 2.
 //!
 //! The constants below were recorded before the run decoder's one-byte
 //! fast path existed; any change to the bitstream or to reconstruction
 //! shows here as a digest mismatch. The test never re-blesses itself: a
 //! mismatch prints every computed digest and fails.
 
-use v2v_codec::{CodecParams, Decoder, Encoder, Packet, Preset};
+use v2v_codec::{CodecParams, Decoder, Encoder, Packet};
 use v2v_frame::{Frame, FrameType, PixelFormat};
 use v2v_time::Rational;
 
@@ -59,9 +58,8 @@ fn test_frame(format: PixelFormat, i: u64) -> Frame {
                     40 + y as i64
                 } else if x < pw / 3 {
                     // Static: the same every frame of a scene. Bands of
-                    // vertical stripes (the Medium preset predicts those
-                    // rows from the top) alternate with bands that are
-                    // flat along the row (predicted from the left).
+                    // vertical stripes (a residual at every sample)
+                    // alternate with bands that are flat along the row.
                     if (y / 8) % 2 == 0 {
                         ((x * 37) % 200) as i64 + (h % 8) as i64 - 4
                     } else {
@@ -129,18 +127,10 @@ fn format_name(format: PixelFormat) -> &'static str {
     }
 }
 
-fn preset_name(preset: Preset) -> &'static str {
-    match preset {
-        Preset::Ultrafast => "ultrafast",
-        Preset::Medium => "medium",
-    }
-}
-
 /// `(packets digest, decoded frames digest)` of one case.
-fn digests(format: PixelFormat, quantizer: u8, preset: Preset) -> (u64, u64) {
+fn digests(format: PixelFormat, quantizer: u8) -> (u64, u64) {
     let ty = FrameType::yuv420p(W, H).with_format(format);
-    let mut params = CodecParams::new(ty, GOP, quantizer);
-    params.preset = preset;
+    let params = CodecParams::new(ty, GOP, quantizer);
     let mut enc = Encoder::new(params);
     let mut dec = Decoder::new(params);
     let (mut packets, mut frames) = (Fnv::new(), Fnv::new());
@@ -166,23 +156,9 @@ const PINNED: &[(&str, u8, &str, u64, u64)] = &[
     ),
     (
         "yuv420p",
-        0,
-        "medium",
-        0xc12cc57cf92501c1,
-        0xc4f79b250ea1cc58,
-    ),
-    (
-        "yuv420p",
         2,
         "ultrafast",
         0x2349ab7226290aa6,
-        0xf65e03399bc54574,
-    ),
-    (
-        "yuv420p",
-        2,
-        "medium",
-        0x897b03e5270cfb73,
         0xf65e03399bc54574,
     ),
     (
@@ -192,7 +168,6 @@ const PINNED: &[(&str, u8, &str, u64, u64)] = &[
         0xb6ae70eb75368332,
         0x81589483a6ea60e9,
     ),
-    ("rgb24", 0, "medium", 0xb8f8ba218696bde2, 0x81589483a6ea60e9),
     (
         "rgb24",
         2,
@@ -200,7 +175,6 @@ const PINNED: &[(&str, u8, &str, u64, u64)] = &[
         0xe0d48f905508b8d6,
         0x1ea117fc12bc831e,
     ),
-    ("rgb24", 2, "medium", 0x8efd59d61899a8fc, 0x1ea117fc12bc831e),
     (
         "gray8",
         0,
@@ -208,7 +182,6 @@ const PINNED: &[(&str, u8, &str, u64, u64)] = &[
         0x611f5dfc5d778029,
         0xee103a60e9106681,
     ),
-    ("gray8", 0, "medium", 0x0641a6bcff56beb3, 0xee103a60e9106681),
     (
         "gray8",
         2,
@@ -216,7 +189,6 @@ const PINNED: &[(&str, u8, &str, u64, u64)] = &[
         0xf901d249258e0f82,
         0x252a83ed2dffecd4,
     ),
-    ("gray8", 2, "medium", 0x2414bad9e74ddecb, 0x252a83ed2dffecd4),
 ];
 
 #[test]
@@ -224,10 +196,8 @@ fn codec_bytes_match_pinned_digests() {
     let mut got = Vec::new();
     for format in [PixelFormat::Yuv420p, PixelFormat::Rgb24, PixelFormat::Gray8] {
         for quantizer in [0u8, 2] {
-            for preset in [Preset::Ultrafast, Preset::Medium] {
-                let (p, f) = digests(format, quantizer, preset);
-                got.push((format_name(format), quantizer, preset_name(preset), p, f));
-            }
+            let (p, f) = digests(format, quantizer);
+            got.push((format_name(format), quantizer, "ultrafast", p, f));
         }
     }
     let table: Vec<String> = got

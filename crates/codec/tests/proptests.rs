@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use v2v_codec::bitstream::{put_varint, zigzag};
-use v2v_codec::{CodecError, CodecParams, Decoder, Encoder, Packet, Preset};
+use v2v_codec::{CodecError, CodecParams, Decoder, Encoder, Packet};
 use v2v_frame::{Frame, FrameType, PixelFormat};
 use v2v_time::Rational;
 
@@ -37,10 +37,6 @@ fn frame_ty_strategy() -> impl Strategy<Value = FrameType> {
     })
 }
 
-fn preset_strategy() -> impl Strategy<Value = Preset> {
-    prop_oneof![Just(Preset::Ultrafast), Just(Preset::Medium)]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -48,12 +44,10 @@ proptest! {
     fn lossless_round_trip(
         ty in frame_ty_strategy(),
         gop in 1u32..6,
-        preset in preset_strategy(),
         noise in prop::collection::vec(any::<u8>(), 16..64),
         n_frames in 1usize..8,
     ) {
-        let mut params = CodecParams::new(ty, gop, 0);
-        params.preset = preset;
+        let params = CodecParams::new(ty, gop, 0);
         let mut enc = Encoder::new(params);
         let mut dec = Decoder::new(params);
         for i in 0..n_frames {
@@ -70,12 +64,10 @@ proptest! {
         ty in frame_ty_strategy(),
         gop in 1u32..6,
         q in 1u8..8,
-        preset in preset_strategy(),
         noise in prop::collection::vec(any::<u8>(), 16..64),
         n_frames in 1usize..6,
     ) {
-        let mut params = CodecParams::new(ty, gop, q);
-        params.preset = preset;
+        let params = CodecParams::new(ty, gop, q);
         let bound = params.qstep();
         let mut enc = Encoder::new(params);
         let mut dec = Decoder::new(params);
@@ -121,13 +113,11 @@ proptest! {
         ty in frame_ty_strategy(),
         gop in 1u32..6,
         q in 0u8..8,
-        preset in preset_strategy(),
         noise in prop::collection::vec(any::<u8>(), 16..64),
         gops in 1usize..4,
         tail in 0u32..6,
     ) {
-        let mut params = CodecParams::new(ty, gop, q);
-        params.preset = preset;
+        let params = CodecParams::new(ty, gop, q);
         // Up to three GOPs, the last possibly partial.
         let n = (gops - 1) * gop as usize + (tail % gop) as usize + 1;
         let frames: Vec<Frame> = (0..n).map(|i| build_frame(ty, i as u64, &noise)).collect();
@@ -209,12 +199,11 @@ fn hostile_pair((kind, a, b): (u8, u64, u64), tame: bool, out: &mut Vec<u8>) {
 }
 
 /// A packet that is well formed down to its plane payloads — kind byte,
-/// per-plane varint length, a valid-sized inter bitmap or intra row-mode
-/// bitmap — whose residual pairs are hostile.
+/// per-plane varint length, a valid-sized inter bitmap — whose residual
+/// pairs are hostile.
 fn hostile_packet(
     ty: FrameType,
     inter: bool,
-    medium: bool,
     lie_about_kind: bool,
     tame: bool,
     bitmap: &[u8],
@@ -227,8 +216,6 @@ fn hostile_packet(
             .plane_dims(pi, ty.width as usize, ty.height as usize);
         let flags = if inter {
             (w.div_ceil(16) * h.div_ceil(16)).div_ceil(8)
-        } else if medium {
-            h.div_ceil(8)
         } else {
             0
         };
@@ -247,15 +234,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(hostile_cases()))]
 
     /// Packets well formed down to their residual pairs, with those
-    /// pairs drawn from every varint shape, at quantizers 0, 2 and 255
-    /// under both presets: decoding returns a frame, `Corrupt` or
-    /// `MissingReference` — never a panic, and no overflow in debug
-    /// builds.
+    /// pairs drawn from every varint shape, at quantizers 0, 2 and 255:
+    /// decoding returns a frame, `Corrupt` or `MissingReference` —
+    /// never a panic, and no overflow in debug builds.
     #[test]
     fn hostile_packets_fail_closed(
         ty in frame_ty_strategy(),
         quantizer in prop_oneof![Just(0u8), Just(2), Just(255)],
-        preset in preset_strategy(),
         inter in any::<bool>(),
         with_reference in prop_oneof![Just(true), Just(true), Just(false)],
         lie_about_kind in prop_oneof![Just(false), Just(false), Just(false), Just(true)],
@@ -266,8 +251,7 @@ proptest! {
             3,
         ),
     ) {
-        let mut params = CodecParams::new(ty, 4, quantizer);
-        params.preset = preset;
+        let params = CodecParams::new(ty, 4, quantizer);
         let mut dec = Decoder::new(params);
         if with_reference {
             let key = Encoder::new(params)
@@ -275,8 +259,7 @@ proptest! {
                 .unwrap();
             dec.decode(&key).unwrap();
         }
-        let medium = preset == Preset::Medium;
-        let pkt = hostile_packet(ty, inter, medium, lie_about_kind, tame, &bitmap, &planes);
+        let pkt = hostile_packet(ty, inter, lie_about_kind, tame, &bitmap, &planes);
         let res = dec.decode(&pkt);
         prop_assert!(
             matches!(

@@ -164,14 +164,19 @@ mod tests {
     /// Writes a hand-built `.svc` with the given header and raw packet
     /// body, returning its path.
     fn hostile_file(header: &Header, body: &[u8], name: &str) -> std::path::PathBuf {
+        raw_header_file(&serde_json::to_vec(header).unwrap(), body, name)
+    }
+
+    /// [`hostile_file`] with the header's JSON given as bytes, so it can
+    /// say what the typed `Header` cannot.
+    fn raw_header_file(hdr: &[u8], body: &[u8], name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("v2v_container_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(name);
-        let hdr = serde_json::to_vec(header).unwrap();
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC);
         bytes.extend_from_slice(&(hdr.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&hdr);
+        bytes.extend_from_slice(hdr);
         bytes.extend_from_slice(body);
         std::fs::write(&path, bytes).unwrap();
         path
@@ -219,8 +224,19 @@ mod tests {
         frozen.frame_dur = Rational::ZERO;
         let mut backwards = gray_header(0);
         backwards.frame_dur = r(-1, 30);
-        for (i, h) in [zero_gop, giant, frozen, backwards].iter().enumerate() {
-            let path = hostile_file(h, &[], &format!("hostile_params_{i}.svc"));
+        let json = |h: &Header| serde_json::to_string(h).unwrap();
+        // The codec has one preset: a header naming another must fail
+        // closed.
+        let medium = json(&gray_header(0)).replace("\"ultrafast\"", "\"medium\"");
+        let headers = [
+            json(&zero_gop),
+            json(&giant),
+            json(&frozen),
+            json(&backwards),
+            medium,
+        ];
+        for (i, h) in headers.iter().enumerate() {
+            let path = raw_header_file(h.as_bytes(), &[], &format!("hostile_params_{i}.svc"));
             assert!(
                 matches!(read_svc(&path), Err(ContainerError::BadFile(_))),
                 "hostile header {i} must be rejected"

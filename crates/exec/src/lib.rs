@@ -29,6 +29,7 @@ pub mod gop_cache;
 mod kind;
 pub mod mem_tier;
 pub mod naive;
+mod pipeline;
 pub mod remote;
 pub mod render_cache;
 pub mod scheduler;

@@ -2,8 +2,9 @@
 //! look up memory → disk → remote, render, store (DESIGN.md §13).
 
 use crate::executor::ExecStats;
+use crate::pipeline::run_render_pipelined;
 use crate::render_cache::{CacheStats, Origin};
-use crate::scheduler::{run_render_pipelined, run_render_sequential, SegmentCtx, SegmentOutput};
+use crate::scheduler::{run_render_sequential, SegmentCtx, SegmentOutput};
 use crate::ExecError;
 use std::sync::Arc;
 use v2v_container::Fragment;

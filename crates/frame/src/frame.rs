@@ -358,7 +358,7 @@ fn coeffs(cs: ColorSpace) -> (i32, i32, i32) {
     }
 }
 
-fn rgb_to_yuv_px(r: u8, g: u8, b: u8, cs: ColorSpace) -> (u8, u8, u8) {
+pub(crate) fn rgb_to_yuv_px(r: u8, g: u8, b: u8, cs: ColorSpace) -> (u8, u8, u8) {
     let (kr, kg, kb) = coeffs(cs);
     let r = i32::from(r);
     let g = i32::from(g);

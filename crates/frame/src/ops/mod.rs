@@ -89,21 +89,7 @@ impl Rgb {
 
     /// Converts to a YUV triple under the given colour space.
     pub fn to_yuv(self, cs: ColorSpace) -> (u8, u8, u8) {
-        let (kr, kg, kb) = match cs {
-            ColorSpace::Bt709 => (218i32, 732, 74),
-            ColorSpace::Bt601 => (306, 601, 117),
-        };
-        let r = i32::from(self.r);
-        let g = i32::from(self.g);
-        let b = i32::from(self.b);
-        let y = (kr * r + kg * g + kb * b + 512) >> 10;
-        let u = ((b - y) * 512 / (1024 - kb)) + 128;
-        let v = ((r - y) * 512 / (1024 - kr)) + 128;
-        (
-            y.clamp(0, 255) as u8,
-            u.clamp(0, 255) as u8,
-            v.clamp(0, 255) as u8,
-        )
+        crate::frame::rgb_to_yuv_px(self.r, self.g, self.b, cs)
     }
 
     /// Squared distance to another colour in RGB space.

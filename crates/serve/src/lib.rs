@@ -592,7 +592,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, stop: &Arc<AtomicBo
         }
         let Ok((stream, _)) = conn else { continue };
         let shared = Arc::clone(shared);
-        std::thread::spawn(move || {
+        // A thread the OS refuses costs this one connection (dropped
+        // with the closure), never the accept loop.
+        let _ = std::thread::Builder::new().spawn(move || {
             handle_connection(stream, &shared);
         });
     }
