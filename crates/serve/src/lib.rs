@@ -95,11 +95,12 @@ pub mod cluster;
 pub mod http;
 pub mod store_svc;
 pub mod sub;
+mod subscribe;
 
 use cluster::{PoolRemote, WorkerPool};
 use http::{read_request, write_response, DeadlineStream, Request, Response};
 use std::collections::BTreeMap;
-use std::io::{BufReader, Read, Write};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -617,7 +618,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 && shared.config.role != ServeRole::Worker
             {
                 shared.metrics.requests.inc();
-                handle_subscribe(&req, writer, shared);
+                subscribe::handle_subscribe(&req, writer, shared);
                 return;
             }
             route(&req, shared)
@@ -724,154 +725,6 @@ fn handle_render_segment(req: &Request, shared: &Shared) -> Response {
             }
         }
         Err(e) => error_of(&e.into()),
-    }
-}
-
-/// `POST /subscribe`: registers a spec and pushes incremental results
-/// over the long-lived connection.
-///
-/// Protocol: the body is spec JSON exactly as `POST /query` takes it.
-/// On acceptance the response head carries
-/// `content-type: application/x-v2v-delta` and **no** content-length;
-/// the body is then a sequence of delta records (see [`sub`]) until
-/// the client disconnects, the server stops, or a render fails.
-///
-/// Each refresh clamps the spec's time domain to the servable prefix
-/// ([`v2v_spec::servable_domain`]) of a catalog snapshot, renders it
-/// through the normal admission/sharing/cluster path (so unchanged
-/// segments come out of the render cache), and pushes the suffix from
-/// the output keyframe at-or-before the divergence. The cumulative
-/// client-side stream after record `n` is byte-identical to a cold
-/// `POST /query` of the same spec at the same source length.
-fn handle_subscribe(req: &Request, mut writer: TcpStream, shared: &Shared) {
-    // Bind once up front, through the engine a query gets, so an
-    // unservable spec (missing file, bad SQL) is a proper error
-    // response, not an empty stream.
-    let spec = match parse_spec(&req.body).and_then(|s| {
-        request_engine(&s, shared)?.bind(&s)?;
-        Ok(s)
-    }) {
-        Ok(s) => s,
-        Err(e) => {
-            let _ = write_response(&mut writer, &error_of(&e));
-            return;
-        }
-    };
-    // Accepted: switch to the open-ended delta stream.
-    if write!(
-        writer,
-        "HTTP/1.1 200 OK\r\ncontent-type: {}\r\nconnection: close\r\n\r\n",
-        sub::DELTA_CONTENT_TYPE
-    )
-    .and_then(|()| writer.flush())
-    .is_err()
-    {
-        return;
-    }
-    let before = shared.subs_active.fetch_add(1, Ordering::Relaxed);
-    shared.metrics.sub_active.set(before + 1);
-    subscription_loop(&spec, &mut writer, shared);
-    let before = shared.subs_active.fetch_sub(1, Ordering::Relaxed);
-    shared.metrics.sub_active.set(before - 1);
-}
-
-/// The watcher/render/push cycle of one subscription.
-fn subscription_loop(spec: &Spec, writer: &mut TcpStream, shared: &Shared) {
-    let mut cumulative: Option<v2v_container::VideoStream> = None;
-    let mut last_domain: Option<v2v_time::TimeSet> = None;
-    let mut seq = 0u64;
-    loop {
-        if shared.stopping.load(Ordering::SeqCst) {
-            return;
-        }
-        let seen = shared.version();
-        // Every video the spec names was bound up front, and bound
-        // names stay, so the shared catalog answers the clamp.
-        let clamped = v2v_spec::servable_domain(spec, &shared.catalog_read().source_infos());
-        let dirty =
-            !clamped.is_empty() && last_domain.as_ref().map_or(true, |d| !d.set_eq(&clamped));
-        if dirty {
-            let mut clamped_spec = spec.clone();
-            clamped_spec.time_domain = clamped.clone();
-            let Ok(mut prepared) = prepare_query(&clamped_spec, shared) else {
-                return;
-            };
-            let Some((result, _)) = admitted(shared, || prepared.engine.run_prepared(prepared.run))
-            else {
-                // Saturated: back off, leave last_domain unset so the
-                // next cycle retries the same refresh.
-                std::thread::sleep(Duration::from_secs(RETRY_AFTER_SECS));
-                continue;
-            };
-            let Ok((report, _trace)) = result else {
-                return; // render failure terminates the stream
-            };
-            shared.metrics.sub_renders.inc();
-            record_exec_metrics(&shared.metrics.exec, &report.stats);
-            if let Some((from, delta)) = sub::delta_between(cumulative.as_ref(), &report.output) {
-                let svc = match v2v_container::svc_to_bytes(&delta) {
-                    Ok(b) => b,
-                    Err(_) => return,
-                };
-                let header = sub::DeltaHeader {
-                    seq,
-                    from_frame: from as u64,
-                    frames: delta.len() as u64,
-                    svc_len: svc.len() as u64,
-                    version: seen,
-                };
-                if sub::write_delta(writer, &header, &svc).is_err() {
-                    return; // client gone
-                }
-                seq += 1;
-                shared.metrics.sub_deltas.inc();
-                shared.metrics.sub_frames_pushed.add(delta.len() as u64);
-            }
-            cumulative = Some(report.output);
-            last_domain = Some(clamped);
-        }
-        // Sleep until the catalog grows (or the server stops); poll the
-        // client socket each interval so an abandoned subscription does
-        // not linger forever.
-        let mut v = lock(&shared.catalog_version);
-        while *v == seen {
-            if shared.stopping.load(Ordering::SeqCst) {
-                return;
-            }
-            let (guard, timed_out) = shared
-                .catalog_grew
-                .wait_timeout(v, Duration::from_millis(250))
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            v = guard;
-            if timed_out.timed_out() {
-                drop(v);
-                if client_disconnected(writer) {
-                    return;
-                }
-                v = lock(&shared.catalog_version);
-            }
-        }
-    }
-}
-
-/// `true` when the subscription's client has closed its end. Clients
-/// send nothing after the request, so any `read` returning 0 is a
-/// disconnect; a timeout means the peer is simply quiet.
-fn client_disconnected(mut stream: &TcpStream) -> bool {
-    if stream
-        .set_read_timeout(Some(Duration::from_millis(1)))
-        .is_err()
-    {
-        return true;
-    }
-    let mut probe = [0u8; 1];
-    match stream.read(&mut probe) {
-        Ok(0) => true,
-        Ok(_) => false, // stray bytes: tolerate
-        Err(e) => !matches!(
-            e.kind(),
-            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-        ),
     }
 }
 
@@ -1136,6 +989,7 @@ fn overload_response(shared: &Shared) -> Response {
 mod tests {
     use super::*;
     use http::client;
+    use std::io::{Read, Write};
     use v2v_codec::CodecParams;
     use v2v_container::{StreamWriter, VideoStream};
     use v2v_frame::{marker, Frame, FrameType};
