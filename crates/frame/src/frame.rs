@@ -358,12 +358,18 @@ fn coeffs(cs: ColorSpace) -> (i32, i32, i32) {
     }
 }
 
-pub(crate) fn rgb_to_yuv_px(r: u8, g: u8, b: u8, cs: ColorSpace) -> (u8, u8, u8) {
+/// Full-range luma `Kr·R + Kg·G + Kb·B`, rounded. The weights sum to
+/// 1024, so the result is at most 255.
+pub(crate) fn luma_px(r: u8, g: u8, b: u8, cs: ColorSpace) -> i32 {
     let (kr, kg, kb) = coeffs(cs);
+    (kr * i32::from(r) + kg * i32::from(g) + kb * i32::from(b) + 512) >> 10
+}
+
+pub(crate) fn rgb_to_yuv_px(r: u8, g: u8, b: u8, cs: ColorSpace) -> (u8, u8, u8) {
+    let (kr, _, kb) = coeffs(cs);
+    let y = luma_px(r, g, b, cs);
     let r = i32::from(r);
-    let g = i32::from(g);
     let b = i32::from(b);
-    let y = (kr * r + kg * g + kb * b + 512) >> 10;
     // Full-range U/V scaled so that extremes map to [0,255] around 128.
     let kru = 1024 - kb; // 1 - Kb
     let krv = 1024 - kr; // 1 - Kr

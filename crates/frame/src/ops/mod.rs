@@ -82,9 +82,7 @@ impl Rgb {
 
     /// Perceptual luma (BT.709 weights).
     pub fn luma(self) -> u8 {
-        let v = (218 * u32::from(self.r) + 732 * u32::from(self.g) + 74 * u32::from(self.b) + 512)
-            >> 10;
-        v.min(255) as u8
+        crate::frame::luma_px(self.r, self.g, self.b, ColorSpace::Bt709) as u8
     }
 
     /// Converts to a YUV triple under the given colour space.

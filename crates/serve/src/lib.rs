@@ -311,6 +311,13 @@ struct Metrics {
     sub_frames_pushed: Arc<Counter>,
     sub_renders: Arc<Counter>,
     sub_appends: Arc<Counter>,
+    /// One subscription refresh, layer by layer: `prepare_query`,
+    /// `run_prepared`, `delta_between`, and `svc_to_bytes` plus the
+    /// record write.
+    sub_prepare_ns: Arc<Histogram>,
+    sub_run_ns: Arc<Histogram>,
+    sub_diff_ns: Arc<Histogram>,
+    sub_write_ns: Arc<Histogram>,
     store_smart_cut: Arc<Counter>,
     store_scan: Arc<Counter>,
     store_preview: Arc<Counter>,
@@ -336,6 +343,10 @@ impl Metrics {
             sub_frames_pushed: registry.counter("sub.frames_pushed"),
             sub_renders: registry.counter("sub.renders"),
             sub_appends: registry.counter("sub.appends"),
+            sub_prepare_ns: registry.histogram("sub.refresh.prepare_ns"),
+            sub_run_ns: registry.histogram("sub.refresh.run_ns"),
+            sub_diff_ns: registry.histogram("sub.refresh.diff_ns"),
+            sub_write_ns: registry.histogram("sub.refresh.write_ns"),
             store_smart_cut: registry.counter("store.reads.smart_cut"),
             store_scan: registry.counter("store.reads.scan"),
             store_preview: registry.counter("store.reads.preview"),
@@ -1125,6 +1136,37 @@ mod tests {
         assert_eq!((*active, *high_water), (0, 1));
     }
 
+    #[test]
+    fn a_subscription_refresh_records_each_of_its_layers() {
+        use v2v_obs::MetricValue;
+        let mut handle = V2vServer::new(catalog()).start("127.0.0.1:0").unwrap();
+        let addr = handle.addr();
+        let mut stream =
+            client::open_stream(addr, "POST", "/subscribe", spec_json().as_bytes()).unwrap();
+        assert!(sub::read_delta(&mut stream.reader).unwrap().is_some());
+        let counts = || {
+            let metrics = client::request(addr, "GET", "/metrics", b"").unwrap();
+            let snap: v2v_obs::MetricsSnapshot = serde_json::from_slice(&metrics.body).unwrap();
+            ["prepare", "run", "diff", "write"].map(|layer| {
+                match snap.metrics.get(&format!("sub.refresh.{layer}_ns")) {
+                    Some(MetricValue::Histogram(h)) => h.count,
+                    other => panic!("{layer}: {other:?}"),
+                }
+            })
+        };
+        // The write is recorded once the record is on the wire, so the
+        // client may read the delta first.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut seen = counts();
+        while seen[3] == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+            seen = counts();
+        }
+        assert_eq!(seen, [1, 1, 1, 1]);
+        drop(stream);
+        handle.stop();
+    }
+
     /// Every object key under `v`, as sorted dotted paths.
     fn key_paths(v: &serde_json::Value) -> Vec<String> {
         fn walk(v: &serde_json::Value, prefix: &str, out: &mut Vec<String>) {
@@ -1226,7 +1268,21 @@ mod tests {
         metrics.store.reads.smart_cut.Counter metrics.sub.active metrics.sub.active.Gauge \
         metrics.sub.appends metrics.sub.appends.Counter metrics.sub.deltas \
         metrics.sub.deltas.Counter metrics.sub.frames_pushed \
-        metrics.sub.frames_pushed.Counter metrics.sub.renders metrics.sub.renders.Counter";
+        metrics.sub.frames_pushed.Counter metrics.sub.refresh.diff_ns \
+        metrics.sub.refresh.diff_ns.Histogram metrics.sub.refresh.diff_ns.Histogram.buckets \
+        metrics.sub.refresh.diff_ns.Histogram.count metrics.sub.refresh.diff_ns.Histogram.max \
+        metrics.sub.refresh.diff_ns.Histogram.sum metrics.sub.refresh.prepare_ns \
+        metrics.sub.refresh.prepare_ns.Histogram \
+        metrics.sub.refresh.prepare_ns.Histogram.buckets \
+        metrics.sub.refresh.prepare_ns.Histogram.count \
+        metrics.sub.refresh.prepare_ns.Histogram.max \
+        metrics.sub.refresh.prepare_ns.Histogram.sum metrics.sub.refresh.run_ns \
+        metrics.sub.refresh.run_ns.Histogram metrics.sub.refresh.run_ns.Histogram.buckets \
+        metrics.sub.refresh.run_ns.Histogram.count metrics.sub.refresh.run_ns.Histogram.max \
+        metrics.sub.refresh.run_ns.Histogram.sum metrics.sub.refresh.write_ns \
+        metrics.sub.refresh.write_ns.Histogram metrics.sub.refresh.write_ns.Histogram.buckets \
+        metrics.sub.refresh.write_ns.Histogram.count metrics.sub.refresh.write_ns.Histogram.max \
+        metrics.sub.refresh.write_ns.Histogram.sum metrics.sub.renders metrics.sub.renders.Counter";
     const STATS_KEYS: &str = "\
         bytes_copied bytes_decoded bytes_encoded cache cache.bytes_reused cache.evictions \
         cache.mem_hits cache.remote_segments cache.result_hits \

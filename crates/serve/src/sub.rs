@@ -103,7 +103,7 @@ pub fn delta_between(
                 .packets()
                 .iter()
                 .zip(next.packets())
-                .take_while(|(a, b)| a.keyframe == b.keyframe && a.data == b.data)
+                .take_while(|(a, b)| a.keyframe == b.keyframe && same_payload(&a.data, &b.data))
                 .count();
             if k == next.len() && k == p.len() {
                 return None; // identical outputs
@@ -122,6 +122,36 @@ pub fn delta_between(
     let packets = next.copy_packet_range(from, next.len(), new_start).ok()?;
     let delta = VideoStream::new(*next.params(), new_start, next.frame_dur(), packets).ok()?;
     Some((from, delta))
+}
+
+/// Whether two packet payloads hold the same bytes, by identity first.
+///
+/// Payloads over the same buffer (equal `as_ptr()` and `len()`) are
+/// equal without reading a byte; only pairs on different buffers are
+/// byte-compared. The identity answer is exact:
+///
+/// - a payload is a `Bytes`, an immutable `Arc<[u8]>`, so a buffer's
+///   bytes never change once built;
+/// - both outputs are borrowed for the whole walk (the subscription's
+///   `cumulative` keeps every old buffer alive while the new output is
+///   compared with it), so no buffer is freed mid-walk and its address
+///   reused by different bytes. Two live non-empty buffers never share
+///   an address, and two empty ones are equal anyway.
+///
+/// Most refreshes compare pairs that share a buffer: copy segments
+/// clone the catalog's packets, `/append` grows the catalog stream by
+/// cloning them, and memory-tier hits hand back the stored buffers.
+/// Disk-tier hits and fresh renders build new buffers and take the
+/// byte compare.
+fn same_payload(a: &[u8], b: &[u8]) -> bool {
+    if a.as_ptr() == b.as_ptr() && a.len() == b.len() {
+        return true;
+    }
+    #[cfg(test)]
+    if a.len() == b.len() {
+        tests::BYTES_COMPARED.with(|c| c.set(c.get() + a.len()));
+    }
+    a == b
 }
 
 /// Client-side reassembly: applies delta records in order and maintains
@@ -187,10 +217,156 @@ impl DeltaApplier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use v2v_codec::CodecParams;
+    use v2v_codec::{CodecParams, Packet};
     use v2v_container::StreamWriter;
     use v2v_frame::{marker, Frame, FrameType};
     use v2v_time::{r, Rational};
+
+    thread_local! {
+        /// Payload bytes [`same_payload`] handed to the byte compare on
+        /// this thread (each test runs on its own): how the tests see
+        /// which pairs the identity check settled.
+        pub(super) static BYTES_COMPARED: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
+    }
+
+    fn bytes_compared() -> usize {
+        BYTES_COMPARED.with(std::cell::Cell::get)
+    }
+
+    /// The byte-compare diff `delta_between` replaced: every packet
+    /// pair's payload is compared byte by byte. The oracle for the
+    /// identity rule.
+    fn delta_between_by_bytes(
+        prev: Option<&VideoStream>,
+        next: &VideoStream,
+    ) -> Option<(usize, VideoStream)> {
+        let common = match prev {
+            None => 0,
+            Some(p) => {
+                let k = p
+                    .packets()
+                    .iter()
+                    .zip(next.packets())
+                    .take_while(|(a, b)| a.keyframe == b.keyframe && a.data == b.data)
+                    .count();
+                if k == next.len() && k == p.len() {
+                    return None;
+                }
+                k
+            }
+        };
+        let from = if next.is_empty() {
+            0
+        } else {
+            next.keyframe_at_or_before(common.min(next.len() - 1))
+                .unwrap_or(0)
+        };
+        let new_start = next.start() + next.frame_dur() * Rational::from_int(from as i64);
+        let packets = next.copy_packet_range(from, next.len(), new_start).ok()?;
+        let delta = VideoStream::new(*next.params(), new_start, next.frame_dur(), packets).ok()?;
+        Some((from, delta))
+    }
+
+    fn on_grid(like: &VideoStream, packets: Vec<Packet>) -> VideoStream {
+        VideoStream::new(*like.params(), like.start(), like.frame_dur(), packets).unwrap()
+    }
+
+    /// `next` built from `prev` one position at a time, by `ops`: share
+    /// the packet, copy its payload into a fresh buffer, change its
+    /// payload, alias its neighbour's buffer, or flip its keyframe flag.
+    /// Positions past `prev`'s end get fresh packets, so `ops` longer
+    /// than `prev` grows the tail and shorter truncates it.
+    fn derive(prev: &VideoStream, ops: &[(u8, u8, u8, usize)]) -> VideoStream {
+        let old = prev.packets();
+        let packets = ops
+            .iter()
+            .enumerate()
+            .map(|(i, &(op, mark, byte, len))| {
+                let pts = prev.start() + prev.frame_dur() * Rational::from_int(i as i64);
+                let Some(p) = old.get(i) else {
+                    return Packet::new(pts, i == 0 || mark == 0, vec![byte; len].into());
+                };
+                let mut q = p.clone();
+                match op {
+                    0 | 1 => {}
+                    2 => q.data = p.data.to_vec().into(),
+                    3 => {
+                        let mut data = p.data.to_vec();
+                        match data.first_mut() {
+                            Some(b) => *b ^= byte | 1,
+                            None => data.push(byte),
+                        }
+                        q.data = data.into();
+                    }
+                    4 => q.data = old[(i + 1) % old.len()].data.clone(),
+                    _ => q.keyframe = i == 0 || !p.keyframe,
+                }
+                q
+            })
+            .collect();
+        on_grid(prev, packets)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_identity_rule_diffs_like_the_byte_compare(
+            head in proptest::collection::vec((0u8..4, 0u8..=255, 0usize..6), 0..32),
+            ops in proptest::collection::vec((0u8..6, 0u8..4, 0u8..=255, 0usize..6), 0..40),
+        ) {
+            let params = CodecParams::new(FrameType::gray8(8, 8), 4, 0);
+            let packets = head
+                .iter()
+                .enumerate()
+                .map(|(i, &(mark, byte, len))| {
+                    Packet::new(r(i as i64, 30), i == 0 || mark == 0, vec![byte; len].into())
+                })
+                .collect();
+            let prev = VideoStream::new(params, Rational::ZERO, r(1, 30), packets).unwrap();
+            let next = derive(&prev, &ops);
+            let got = delta_between(Some(&prev), &next);
+            let want = delta_between_by_bytes(Some(&prev), &next);
+            proptest::prop_assert_eq!(
+                got.as_ref().map(|(from, d)| (*from, d.start(), d.packets())),
+                want.as_ref().map(|(from, d)| (*from, d.start(), d.packets()))
+            );
+            let first = delta_between(None, &next).map(|(from, d)| (from, d.packets().to_vec()));
+            let first_want =
+                delta_between_by_bytes(None, &next).map(|(from, d)| (from, d.packets().to_vec()));
+            proptest::prop_assert_eq!(first, first_want);
+        }
+    }
+
+    #[test]
+    fn outputs_sharing_every_buffer_compare_no_bytes() {
+        // The append pattern: `next` clones `prev`'s packets and grows.
+        let full = marked(16, 4, 0);
+        let prev = on_grid(&full, full.packets()[..12].to_vec());
+        let before = bytes_compared();
+        let (from, delta) = delta_between(Some(&prev), &full).expect("growth delta");
+        assert_eq!((from, delta.len()), (12, 4));
+        assert_eq!(bytes_compared() - before, 0);
+        assert!(delta_between(Some(&full), &full).is_none());
+        assert_eq!(bytes_compared() - before, 0);
+    }
+
+    #[test]
+    fn fresh_equal_buffers_compare_exactly_their_bytes() {
+        // The disk-tier pattern: equal bytes in new buffers.
+        let full = marked(16, 4, 0);
+        let copied: Vec<Packet> = full
+            .packets()
+            .iter()
+            .map(|p| Packet::new(p.pts, p.keyframe, p.data.to_vec().into()))
+            .collect();
+        let fresh = on_grid(&full, copied);
+        let before = bytes_compared();
+        assert!(delta_between(Some(&full), &fresh).is_none());
+        let payload: usize = full.packets().iter().map(|p| p.data.len()).sum();
+        assert_eq!(bytes_compared() - before, payload);
+    }
 
     fn marked(n: usize, gop: u32, seed: u32) -> VideoStream {
         let ty = FrameType::gray8(64, 32);

@@ -10,7 +10,8 @@ use crate::{
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+use v2v_obs::Histogram;
 use v2v_spec::Spec;
 
 /// `POST /subscribe`: registers a spec and pushes incremental results
@@ -79,11 +80,14 @@ fn subscription_loop(spec: &Spec, writer: &mut TcpStream, shared: &Shared) {
         if dirty {
             let mut clamped_spec = spec.clone();
             clamped_spec.time_domain = clamped.clone();
-            let Ok(mut prepared) = prepare_query(&clamped_spec, shared) else {
+            let m = &shared.metrics;
+            let prepared = timed(&m.sub_prepare_ns, || prepare_query(&clamped_spec, shared));
+            let Ok(mut prepared) = prepared else {
                 return;
             };
-            let Some((result, _)) = admitted(shared, || prepared.engine.run_prepared(prepared.run))
-            else {
+            let Some((result, _)) = admitted(shared, || {
+                timed(&m.sub_run_ns, || prepared.engine.run_prepared(prepared.run))
+            }) else {
                 // Saturated: back off, leave last_domain unset so the
                 // next cycle retries the same refresh.
                 std::thread::sleep(Duration::from_secs(RETRY_AFTER_SECS));
@@ -92,26 +96,29 @@ fn subscription_loop(spec: &Spec, writer: &mut TcpStream, shared: &Shared) {
             let Ok((report, _trace)) = result else {
                 return; // render failure terminates the stream
             };
-            shared.metrics.sub_renders.inc();
-            record_exec_metrics(&shared.metrics.exec, &report.stats);
-            if let Some((from, delta)) = sub::delta_between(cumulative.as_ref(), &report.output) {
-                let svc = match v2v_container::svc_to_bytes(&delta) {
-                    Ok(b) => b,
-                    Err(_) => return,
-                };
-                let header = sub::DeltaHeader {
-                    seq,
-                    from_frame: from as u64,
-                    frames: delta.len() as u64,
-                    svc_len: svc.len() as u64,
-                    version: seen,
-                };
-                if sub::write_delta(writer, &header, &svc).is_err() {
-                    return; // client gone
+            m.sub_renders.inc();
+            record_exec_metrics(&m.exec, &report.stats);
+            let delta = timed(&m.sub_diff_ns, || {
+                sub::delta_between(cumulative.as_ref(), &report.output)
+            });
+            if let Some((from, delta)) = delta {
+                let written = timed(&m.sub_write_ns, || {
+                    let svc = v2v_container::svc_to_bytes(&delta).ok()?;
+                    let header = sub::DeltaHeader {
+                        seq,
+                        from_frame: from as u64,
+                        frames: delta.len() as u64,
+                        svc_len: svc.len() as u64,
+                        version: seen,
+                    };
+                    sub::write_delta(writer, &header, &svc).ok()
+                });
+                if written.is_none() {
+                    return; // unencodable delta, or the client is gone
                 }
                 seq += 1;
-                shared.metrics.sub_deltas.inc();
-                shared.metrics.sub_frames_pushed.add(delta.len() as u64);
+                m.sub_deltas.inc();
+                m.sub_frames_pushed.add(delta.len() as u64);
             }
             cumulative = Some(report.output);
             last_domain = Some(clamped);
@@ -138,6 +145,14 @@ fn subscription_loop(spec: &Spec, writer: &mut TcpStream, shared: &Shared) {
             }
         }
     }
+}
+
+/// Runs `f`, recording its wall time in `hist`.
+fn timed<T>(hist: &Histogram, f: impl FnOnce() -> T) -> T {
+    let started = Instant::now();
+    let out = f();
+    hist.record(started.elapsed().as_nanos() as u64);
+    out
 }
 
 /// `true` when the subscription's client has closed its end. Clients
