@@ -1,4 +1,6 @@
-//! `/subscribe` incremental results: delta framing and reassembly.
+//! `/subscribe` incremental results: delta framing, the diff between
+//! consecutive outputs, and reassembly. The route itself (watch,
+//! re-render, push) is in `subscribe.rs`.
 //!
 //! A subscription is a long-lived `POST /subscribe` response carrying a
 //! sequence of **delta records**. Each record re-sends the suffix of the
@@ -24,6 +26,14 @@
 //! render cache (their keys survive appends — see
 //! `v2v_plan::fingerprint`), and the wire carries only the changed
 //! suffix.
+//!
+//! **The diff reads only what changed.** [`delta_between`] walks the
+//! two outputs packet by packet, but a pair whose payloads are the same
+//! buffer is equal without a byte read (see `same_payload`). Copy
+//! segments, `/append` growth and memory-tier hits all share buffers
+//! with the previous output, so on the append-only pattern the byte
+//! compare touches only packets rendered or loaded from the disk tier
+//! afresh.
 
 use std::io::{self, Read, Write};
 use v2v_container::VideoStream;
@@ -137,12 +147,6 @@ pub fn delta_between(
 ///   compared with it), so no buffer is freed mid-walk and its address
 ///   reused by different bytes. Two live non-empty buffers never share
 ///   an address, and two empty ones are equal anyway.
-///
-/// Most refreshes compare pairs that share a buffer: copy segments
-/// clone the catalog's packets, `/append` grows the catalog stream by
-/// cloning them, and memory-tier hits hand back the stored buffers.
-/// Disk-tier hits and fresh renders build new buffers and take the
-/// byte compare.
 fn same_payload(a: &[u8], b: &[u8]) -> bool {
     if a.as_ptr() == b.as_ptr() && a.len() == b.len() {
         return true;
