@@ -3,10 +3,8 @@
 //! framing and the diff are in [`crate::sub`]).
 
 use crate::http::{write_response, Request};
-use crate::{
-    admitted, error_of, lock, parse_spec, prepare_query, record_exec_metrics, request_engine, sub,
-    Shared, RETRY_AFTER_SECS,
-};
+use crate::query::{parse_spec, prepare_query, request_engine};
+use crate::{admitted, error_of, lock, record_exec_metrics, sub, Shared, RETRY_AFTER_SECS};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
