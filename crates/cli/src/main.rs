@@ -82,10 +82,12 @@
 //! den]` pairs are *not* auto-promoted to rationals except in columns
 //! named `timestamp`, and arrays of `{x, y, w, h}` objects become boxes.
 //!
-//! Failures carry the unified error taxonomy: the exit code encodes the
-//! [`ErrorKind`] (3 corrupt_data, 4 io, 5 not_found, 6 invalid_request,
-//! 7 plan, 8 udf, 9 internal; 1 unclassified, 2 usage), and `--json`
-//! switches stderr to one structured
+//! Every failure is a [`V2vError`] classified in the unified taxonomy:
+//! the exit code encodes its [`ErrorKind`] (3 corrupt_data, 4 io,
+//! 5 not_found, 6 invalid_request, 7 plan, 8 udf, 9 internal; 2 is the
+//! usage text). A bad argument or flag value is `invalid_request`; a
+//! daemon's refusal (`append --to`, `subscribe`) carries the kind its
+//! error body names. `--json` switches stderr to one structured
 //! `{"error": {kind, message, exit_code}}` object.
 //!
 //! Adaptive physical storage: `v2v store` manages per-source variant
@@ -120,42 +122,13 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// A classified CLI failure: the message plus (when the failing layer
-/// spoke the unified taxonomy) the [`ErrorKind`] that picks the exit
-/// code and the machine-readable `--json` report.
-struct CliError {
-    message: String,
-    kind: Option<ErrorKind>,
+/// A malformed argument, flag value or input document.
+#[track_caller]
+fn invalid(message: impl Into<String>) -> V2vError {
+    V2vError::new(ErrorKind::InvalidRequest, message)
 }
 
-impl From<String> for CliError {
-    fn from(message: String) -> CliError {
-        CliError {
-            message,
-            kind: None,
-        }
-    }
-}
-
-impl From<&str> for CliError {
-    fn from(message: &str) -> CliError {
-        CliError {
-            message: message.to_string(),
-            kind: None,
-        }
-    }
-}
-
-impl From<V2vError> for CliError {
-    fn from(e: V2vError) -> CliError {
-        CliError {
-            message: e.to_string(),
-            kind: Some(e.kind()),
-        }
-    }
-}
-
-/// Stable per-kind exit codes (1 = unclassified failure, 2 = usage).
+/// Stable per-kind exit codes (2 is the usage text).
 fn exit_code_for(kind: ErrorKind) -> u8 {
     match kind {
         ErrorKind::CorruptData => 3,
@@ -169,24 +142,26 @@ fn exit_code_for(kind: ErrorKind) -> u8 {
 }
 
 /// Loads a relational database from a JSON fixture (see module docs).
-fn load_database(path: &str) -> Result<v2v_data::Database, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let root: serde_json::Value =
-        serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
+fn load_database(path: &str) -> Result<v2v_data::Database, V2vError> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| V2vError::with_source(ErrorKind::Io, format!("reading {path}"), e))?;
+    let root: serde_json::Value = serde_json::from_str(&text).map_err(|e| {
+        V2vError::with_source(ErrorKind::InvalidRequest, format!("parsing {path}"), e)
+    })?;
     let tables = root
         .get("tables")
         .and_then(|t| t.as_array())
-        .ok_or_else(|| format!("{path}: expected {{\"tables\": [...]}}"))?;
+        .ok_or_else(|| invalid(format!("{path}: expected {{\"tables\": [...]}}")))?;
     let mut db = v2v_data::Database::new();
     for t in tables {
         let name = t
             .get("name")
             .and_then(|n| n.as_str())
-            .ok_or_else(|| format!("{path}: table missing 'name'"))?;
+            .ok_or_else(|| invalid(format!("{path}: table missing 'name'")))?;
         let columns: Vec<String> = t
             .get("columns")
             .and_then(|c| c.as_array())
-            .ok_or_else(|| format!("{path}: table '{name}' missing 'columns'"))?
+            .ok_or_else(|| invalid(format!("{path}: table '{name}' missing 'columns'")))?
             .iter()
             .map(|c| c.as_str().unwrap_or_default().to_string())
             .collect();
@@ -194,17 +169,17 @@ fn load_database(path: &str) -> Result<v2v_data::Database, String> {
         for row in t
             .get("rows")
             .and_then(|r| r.as_array())
-            .ok_or_else(|| format!("{path}: table '{name}' missing 'rows'"))?
+            .ok_or_else(|| invalid(format!("{path}: table '{name}' missing 'rows'")))?
         {
             let cells = row
                 .as_array()
-                .ok_or_else(|| format!("{path}: row in '{name}' is not an array"))?;
+                .ok_or_else(|| invalid(format!("{path}: row in '{name}' is not an array")))?;
             if cells.len() != columns.len() {
-                return Err(format!(
+                return Err(invalid(format!(
                     "{path}: row arity {} != {} columns in '{name}'",
                     cells.len(),
                     columns.len()
-                ));
+                )));
             }
             let values = cells
                 .iter()
@@ -235,15 +210,11 @@ fn load_database(path: &str) -> Result<v2v_data::Database, String> {
     Ok(db)
 }
 
-fn load_spec(path: &str) -> Result<Spec, CliError> {
-    let text = std::fs::read_to_string(path).map_err(|e| CliError {
-        message: format!("reading {path}: {e}"),
-        kind: Some(ErrorKind::Io),
-    })?;
-    Spec::from_json(&text).map_err(|e| CliError {
-        message: format!("parsing {path}: {e}"),
-        kind: Some(ErrorKind::InvalidRequest),
-    })
+fn load_spec(path: &str) -> Result<Spec, V2vError> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| V2vError::with_source(ErrorKind::Io, format!("reading {path}"), e))?;
+    Spec::from_json(&text)
+        .map_err(|e| V2vError::with_source(ErrorKind::InvalidRequest, format!("parsing {path}"), e))
 }
 
 /// Opens the persistent render cache for `--cache-dir`, with an
@@ -252,13 +223,10 @@ fn open_render_cache(
     dir: &str,
     budget: u64,
     mem_budget: u64,
-) -> Result<std::sync::Arc<v2v_exec::RenderCache>, CliError> {
+) -> Result<std::sync::Arc<v2v_exec::RenderCache>, V2vError> {
     v2v_exec::RenderCache::open(dir, budget)
         .map(|c| std::sync::Arc::new(c.with_mem_tier(mem_budget)))
-        .map_err(|e| CliError {
-            message: format!("opening cache dir {dir}: {e}"),
-            kind: Some(ErrorKind::Io),
-        })
+        .map_err(|e| V2vError::with_source(ErrorKind::Io, format!("opening cache dir {dir}"), e))
 }
 
 /// A cursor over one subcommand's arguments: hands out each argument
@@ -271,19 +239,19 @@ impl<'a> Args<'a> {
     }
 
     /// The value following `flag`.
-    fn value(&mut self, flag: &str) -> Result<&'a str, CliError> {
+    fn value(&mut self, flag: &str) -> Result<&'a str, V2vError> {
         self.next()
-            .ok_or_else(|| format!("missing value after {flag}").into())
+            .ok_or_else(|| invalid(format!("missing value after {flag}")))
     }
 
     /// The value following `flag`, parsed.
-    fn parsed<T: std::str::FromStr>(&mut self, flag: &str) -> Result<T, CliError>
+    fn parsed<T: std::str::FromStr>(&mut self, flag: &str) -> Result<T, V2vError>
     where
         T::Err: std::fmt::Display,
     {
         self.value(flag)?
             .parse()
-            .map_err(|e| format!("bad {flag} value: {e}").into())
+            .map_err(|e| invalid(format!("bad {flag} value: {e}")))
     }
 }
 
@@ -316,25 +284,25 @@ fn main() -> ExitCode {
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            let code = e.kind.map(exit_code_for).unwrap_or(1);
+            let code = exit_code_for(e.kind());
             if json_errors {
                 let obj = serde_json::json!({
                     "error": {
-                        "kind": e.kind.map(ErrorKind::name).unwrap_or("error"),
-                        "message": e.message,
+                        "kind": e.kind().name(),
+                        "message": e.to_string(),
                         "exit_code": code,
                     }
                 });
                 eprintln!("{obj}");
             } else {
-                eprintln!("v2v: {}", e.message);
+                eprintln!("v2v: {e}");
             }
             ExitCode::from(code)
         }
     }
 }
 
-fn cmd_run(args: &[String]) -> Result<(), CliError> {
+fn cmd_run(args: &[String]) -> Result<(), V2vError> {
     let mut spec_path = None;
     let mut out_path = "out.svc".to_string();
     let mut db_path = None;
@@ -363,7 +331,9 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             "--variant" => {
                 let v = args.value(arg)?;
                 config.variants = v2v_plan::VariantPolicy::parse(v).ok_or_else(|| {
-                    format!("bad --variant value '{v}' (auto|off|dense|archive|proxy)")
+                    invalid(format!(
+                        "bad --variant value '{v}' (auto|off|dense|archive|proxy)"
+                    ))
                 })?;
             }
             "--json" => {}
@@ -371,18 +341,20 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             "--max-retries" => config.exec.max_retries = args.parsed(arg)?,
             "--error-report" => error_report_path = Some(args.value(arg)?.to_string()),
             other if spec_path.is_none() => spec_path = Some(other.to_string()),
-            other => return Err(format!("unexpected argument '{other}'").into()),
+            other => return Err(invalid(format!("unexpected argument '{other}'"))),
         }
     }
-    let spec_path = spec_path.ok_or("missing spec path")?;
+    let spec_path = spec_path.ok_or_else(|| invalid("missing spec path"))?;
     if trace_path.is_some() && !optimize {
-        return Err("--trace requires the optimized pipeline (drop --no-optimize)".into());
+        return Err(invalid(
+            "--trace requires the optimized pipeline (drop --no-optimize)",
+        ));
     }
     let spec = load_spec(&spec_path)?;
     let cache_enabled = config.exec.gop_cache_frames > 0;
     let render_cache_enabled = cache_dir.is_some();
     if mem_cache_budget > 0 && !render_cache_enabled {
-        return Err("--mem-cache-budget requires --cache-dir".into());
+        return Err(invalid("--mem-cache-budget requires --cache-dir"));
     }
     if let Some(dir) = cache_dir {
         config.render_cache = Some(open_render_cache(&dir, cache_budget, mem_cache_budget)?);
@@ -394,30 +366,20 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     if let Some(dir) = &store_dir {
         // Bind the spec's sources first so the variants have originals
         // to attach to; the run below reuses the bound catalog.
-        engine
-            .bind(&spec)
-            .map_err(|e| CliError::from(V2vError::from(e)))?;
+        engine.bind(&spec)?;
         let store = open_store(dir)?;
         let (attached, skipped) = store
             .attach(engine.catalog_mut())
-            .map_err(store_cli_error)?;
+            .map_err(|e| V2vError::wrap(e.kind(), e))?;
         println!("store: attached {attached} variant(s) from {dir} ({skipped} skipped)");
     }
     let (report, trace) = if optimize {
-        let (report, trace) = engine
-            .run_traced(&spec)
-            .map_err(|e| CliError::from(V2vError::from(e)))?;
+        let (report, trace) = engine.run_traced(&spec)?;
         (report, Some(trace))
     } else {
-        (
-            engine
-                .run_unoptimized(&spec)
-                .map_err(|e| CliError::from(V2vError::from(e)))?,
-            None,
-        )
+        (engine.run_unoptimized(&spec)?, None)
     };
-    v2v_container::write_svc(&report.output, &out_path)
-        .map_err(|e| CliError::from(V2vError::from(e)))?;
+    v2v_container::write_svc(&report.output, &out_path)?;
     println!(
         "wrote {out_path}: {} frames, {} bytes in {:.3}s",
         report.output.len(),
@@ -467,9 +429,11 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         );
     }
     if let Some(path) = error_report_path {
-        let json = serde_json::to_string_pretty(&report.errors)
-            .map_err(|e| format!("serializing error report: {e}"))?;
-        std::fs::write(&path, json).map_err(|e| format!("writing {path}: {e}"))?;
+        let json = serde_json::to_string_pretty(&report.errors).map_err(|e| {
+            V2vError::with_source(ErrorKind::Internal, "serializing error report", e)
+        })?;
+        std::fs::write(&path, json)
+            .map_err(|e| V2vError::with_source(ErrorKind::Io, format!("writing {path}"), e))?;
         println!(
             "error report: wrote {path} ({} fault(s))",
             report.errors.len()
@@ -477,7 +441,8 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     }
     if let Some(path) = trace_path {
         let trace = trace.expect("traced run when --trace is set");
-        std::fs::write(&path, trace.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
+        std::fs::write(&path, trace.to_json())
+            .map_err(|e| V2vError::with_source(ErrorKind::Io, format!("writing {path}"), e))?;
         println!(
             "trace: wrote {path} ({} rewrite event(s), {} segment(s))",
             trace.rewrites.events.len(),
@@ -490,7 +455,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
 /// `v2v serve` / `v2v worker`: bind the address, then serve until
 /// killed. The worker role is the slim daemon a `--workers`
 /// coordinator dispatches segments to.
-fn cmd_serve(args: &[String], role: ServeRole) -> Result<(), CliError> {
+fn cmd_serve(args: &[String], role: ServeRole) -> Result<(), V2vError> {
     let mut addr = "127.0.0.1:7878".to_string();
     let mut cache_dir: Option<String> = None;
     let mut cache_budget = DEFAULT_CACHE_BUDGET;
@@ -508,9 +473,9 @@ fn cmd_serve(args: &[String], role: ServeRole) -> Result<(), CliError> {
         match arg {
             "--workers" => {
                 if role == ServeRole::Worker {
-                    return Err(
-                        "--workers only applies to 'v2v serve' (workers do not fan out)".into(),
-                    );
+                    return Err(invalid(
+                        "--workers only applies to 'v2v serve' (workers do not fan out)",
+                    ));
                 }
                 config.workers = args
                     .value(arg)?
@@ -525,7 +490,7 @@ fn cmd_serve(args: &[String], role: ServeRole) -> Result<(), CliError> {
             "--mem-cache-budget" => mem_cache_budget = args.parsed(arg)?,
             "--store-dir" => {
                 if role == ServeRole::Worker {
-                    return Err("--store-dir only applies to 'v2v serve' (workers fall back to the originals their coordinator references)".into());
+                    return Err(invalid("--store-dir only applies to 'v2v serve' (workers fall back to the originals their coordinator references)"));
                 }
                 store_dir = Some(args.value(arg)?.to_string());
             }
@@ -536,17 +501,17 @@ fn cmd_serve(args: &[String], role: ServeRole) -> Result<(), CliError> {
             "--threads" => config.engine.exec.num_threads = args.parsed(arg)?,
             "--db" => db_path = Some(args.value(arg)?.to_string()),
             "--json" => {}
-            other => return Err(format!("unexpected argument '{other}'").into()),
+            other => return Err(invalid(format!("unexpected argument '{other}'"))),
         }
     }
     if mem_cache_budget > 0 && cache_dir.is_none() {
-        return Err("--mem-cache-budget requires --cache-dir".into());
+        return Err(invalid("--mem-cache-budget requires --cache-dir"));
     }
     if let Some(dir) = &cache_dir {
         config.engine.render_cache = Some(open_render_cache(dir, cache_budget, mem_cache_budget)?);
     }
     if (store_budget != u64::MAX || compact_secs > 0) && store_dir.is_none() {
-        return Err("--store-budget/--compact-secs require --store-dir".into());
+        return Err(invalid("--store-budget/--compact-secs require --store-dir"));
     }
     if let Some(dir) = &store_dir {
         config.store = Some(v2v_serve::StoreServeConfig {
@@ -560,9 +525,7 @@ fn cmd_serve(args: &[String], role: ServeRole) -> Result<(), CliError> {
     if let Some(db_path) = db_path {
         server = server.with_database(load_database(&db_path)?);
     }
-    let handle = server
-        .start(&addr)
-        .map_err(|e| CliError::from(V2vError::from(e)))?;
+    let handle = server.start(&addr)?;
     // The smoke tests parse this line for the resolved ephemeral port.
     println!("listening on {}", handle.addr());
     match &cache_dir {
@@ -598,7 +561,7 @@ fn cmd_serve(args: &[String], role: ServeRole) -> Result<(), CliError> {
     }
 }
 
-fn cmd_explain(args: &[String]) -> Result<(), CliError> {
+fn cmd_explain(args: &[String]) -> Result<(), V2vError> {
     let mut spec_path = None;
     let mut db_path = None;
     let mut analyze = false;
@@ -610,28 +573,24 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
             "--analyze" => analyze = true,
             "--json" => json = true,
             other if spec_path.is_none() => spec_path = Some(other.to_string()),
-            other => return Err(format!("unexpected argument '{other}'").into()),
+            other => return Err(invalid(format!("unexpected argument '{other}'"))),
         }
     }
-    let spec_path = spec_path.ok_or("missing spec path")?;
+    let spec_path = spec_path.ok_or_else(|| invalid("missing spec path"))?;
     let spec = load_spec(&spec_path)?;
     let mut engine = V2vEngine::new(Catalog::new());
     if let Some(db_path) = db_path {
         engine = engine.with_database(load_database(&db_path)?);
     }
     if analyze {
-        let report = engine
-            .explain_analyze(&spec)
-            .map_err(|e| CliError::from(V2vError::from(e)))?;
+        let report = engine.explain_analyze(&spec)?;
         if json {
             println!("{}", report.to_json());
         } else {
             print!("{}", report.pretty());
         }
     } else {
-        let report = engine
-            .explain(&spec)
-            .map_err(|e| CliError::from(V2vError::from(e)))?;
+        let report = engine.explain(&spec)?;
         if json {
             println!("{}", report.to_json());
         } else {
@@ -641,13 +600,11 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_check(args: &[String]) -> Result<(), CliError> {
-    let spec_path = args.first().ok_or("missing spec path")?;
+fn cmd_check(args: &[String]) -> Result<(), V2vError> {
+    let spec_path = args.first().ok_or_else(|| invalid("missing spec path"))?;
     let spec = load_spec(spec_path)?;
     let mut engine = V2vEngine::new(Catalog::new());
-    engine
-        .bind(&spec)
-        .map_err(|e| CliError::from(V2vError::from(e)))?;
+    engine.bind(&spec)?;
     println!("--- spec (paper notation) ---");
     print!("{}", v2v_spec::to_dsl_string(&spec));
     println!();
@@ -666,17 +623,17 @@ fn cmd_check(args: &[String]) -> Result<(), CliError> {
             for e in &errors {
                 eprintln!("  error: {e}");
             }
-            Err(CliError {
-                message: format!("{} check error(s)", errors.len()),
-                kind: Some(ErrorKind::Plan),
-            })
+            Err(V2vError::new(
+                ErrorKind::Plan,
+                format!("{} check error(s)", errors.len()),
+            ))
         }
     }
 }
 
-fn cmd_info(args: &[String]) -> Result<(), CliError> {
-    let path = args.first().ok_or("missing video path")?;
-    let s = v2v_container::read_svc(path).map_err(|e| CliError::from(V2vError::from(e)))?;
+fn cmd_info(args: &[String]) -> Result<(), V2vError> {
+    let path = args.first().ok_or_else(|| invalid("missing video path"))?;
+    let s = v2v_container::read_svc(path)?;
     let p = s.params();
     println!("{path}:");
     println!("  frames     : {}", s.len());
@@ -700,32 +657,23 @@ fn cmd_info(args: &[String]) -> Result<(), CliError> {
 /// `run --store`.
 const DEFAULT_STORE_DIR: &str = "v2v-store";
 
-fn store_cli_error(e: v2v_store::StoreError) -> CliError {
-    CliError {
-        message: e.to_string(),
-        kind: Some(ErrorKind::Io),
-    }
-}
-
-fn open_store(dir: &str) -> Result<v2v_store::SourceStore, CliError> {
-    v2v_store::SourceStore::open(dir).map_err(store_cli_error)
+fn open_store(dir: &str) -> Result<v2v_store::SourceStore, V2vError> {
+    v2v_store::SourceStore::open(dir).map_err(|e| V2vError::wrap(e.kind(), e))
 }
 
 /// `v2v inspect`: the physical layout the variant selector reasons
 /// about — GOP length distribution, keyframe density, bytes per frame,
 /// and whether the container is live (append-aware) or sealed.
-fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
-    let path = args.first().ok_or("missing video path")?;
+fn cmd_inspect(args: &[String]) -> Result<(), V2vError> {
+    let path = args.first().ok_or_else(|| invalid("missing video path"))?;
     // Sniff the magic directly: `read_svc` accepts both formats, so
     // live-vs-sealed is only visible in the header bytes.
-    let head = std::fs::read(path).map_err(|e| CliError {
-        message: format!("reading {path}: {e}"),
-        kind: Some(ErrorKind::Io),
-    })?;
+    let head = std::fs::read(path)
+        .map_err(|e| V2vError::with_source(ErrorKind::Io, format!("reading {path}"), e))?;
     let live = head.starts_with(b"SVCL");
-    let s = v2v_container::read_svc(path).map_err(|e| CliError::from(V2vError::from(e)))?;
+    let s = v2v_container::read_svc(path)?;
     if s.is_empty() {
-        return Err(format!("{path} holds no frames").into());
+        return Err(invalid(format!("{path} holds no frames")));
     }
     let kf = s.keyframe_indices();
     // Each GOP runs from one keyframe to the next (the last runs to the
@@ -761,9 +709,9 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
 /// `v2v store ls|materialize|drop`: offline variant-store management.
 /// The same store directory can then be handed to `run --store` or
 /// `serve --store-dir`.
-fn cmd_store(args: &[String]) -> Result<(), CliError> {
+fn cmd_store(args: &[String]) -> Result<(), V2vError> {
     let Some(op) = args.first().map(String::as_str) else {
-        return Err("store needs a subcommand: ls | materialize | drop".into());
+        return Err(invalid("store needs a subcommand: ls | materialize | drop"));
     };
     let mut store_dir = DEFAULT_STORE_DIR.to_string();
     let mut positional: Vec<String> = Vec::new();
@@ -773,7 +721,7 @@ fn cmd_store(args: &[String]) -> Result<(), CliError> {
             "--store" => store_dir = args.value(arg)?.to_string(),
             "--json" => {}
             other if other.starts_with("--") => {
-                return Err(format!("unexpected argument '{other}'").into())
+                return Err(invalid(format!("unexpected argument '{other}'")))
             }
             other => positional.push(other.to_string()),
         }
@@ -781,12 +729,12 @@ fn cmd_store(args: &[String]) -> Result<(), CliError> {
     let parse_kind = |s: &str| {
         v2v_plan::VariantKind::parse(s)
             .filter(|k| !k.is_original())
-            .ok_or_else(|| CliError::from(format!("bad variant kind '{s}' (dense|archive|proxy)")))
+            .ok_or_else(|| invalid(format!("bad variant kind '{s}' (dense|archive|proxy)")))
     };
     match op {
         "ls" => {
             let store = open_store(&store_dir)?;
-            let manifests = store.manifests().map_err(store_cli_error)?;
+            let manifests = store.manifests().map_err(|e| V2vError::wrap(e.kind(), e))?;
             if manifests.is_empty() {
                 println!("{store_dir}: no managed sources");
                 return Ok(());
@@ -807,21 +755,22 @@ fn cmd_store(args: &[String]) -> Result<(), CliError> {
             }
             println!(
                 "  total managed: {} bytes",
-                store.managed_bytes().map_err(store_cli_error)?
+                store
+                    .managed_bytes()
+                    .map_err(|e| V2vError::wrap(e.kind(), e))?
             );
             Ok(())
         }
         "materialize" => {
             let [name, video_path, kind] = positional.as_slice() else {
-                return Err("store materialize needs <name> <video.svc> <kind>".into());
+                return Err(invalid("store materialize needs <name> <video.svc> <kind>"));
             };
             let kind = parse_kind(kind)?;
-            let original = v2v_container::read_svc(video_path)
-                .map_err(|e| CliError::from(V2vError::from(e)))?;
+            let original = v2v_container::read_svc(video_path)?;
             let store = open_store(&store_dir)?;
             let entry = store
                 .materialize(name, &original, v2v_store::TranscodeSpec::for_kind(kind))
-                .map_err(store_cli_error)?;
+                .map_err(|e| V2vError::wrap(e.kind(), e))?;
             println!(
                 "materialized {name}@{}: {} frames, {} bytes (gop {}) in {store_dir}",
                 kind.name(),
@@ -833,13 +782,13 @@ fn cmd_store(args: &[String]) -> Result<(), CliError> {
         }
         "drop" => {
             let [name, kind] = positional.as_slice() else {
-                return Err("store drop needs <name> <kind>".into());
+                return Err(invalid("store drop needs <name> <kind>"));
             };
             let kind = parse_kind(kind)?;
             let store = open_store(&store_dir)?;
             let dropped = store
                 .drop_variant(name, kind, true)
-                .map_err(store_cli_error)?;
+                .map_err(|e| V2vError::wrap(e.kind(), e))?;
             if dropped {
                 println!("dropped {name}@{} from {store_dir}", kind.name());
             } else {
@@ -847,41 +796,37 @@ fn cmd_store(args: &[String]) -> Result<(), CliError> {
             }
             Ok(())
         }
-        other => {
-            Err(format!("unknown store subcommand '{other}' (ls | materialize | drop)").into())
-        }
+        other => Err(invalid(format!(
+            "unknown store subcommand '{other}' (ls | materialize | drop)"
+        ))),
     }
 }
 
 /// Resolves `HOST:PORT` for the daemon-mode subcommands.
-fn resolve_addr(s: &str) -> Result<std::net::SocketAddr, CliError> {
+fn resolve_addr(s: &str) -> Result<std::net::SocketAddr, V2vError> {
     use std::net::ToSocketAddrs;
     s.to_socket_addrs()
-        .map_err(|e| CliError {
-            message: format!("resolving {s}: {e}"),
-            kind: Some(ErrorKind::Io),
-        })?
+        .map_err(|e| V2vError::with_source(ErrorKind::Io, format!("resolving {s}"), e))?
         .next()
-        .ok_or_else(|| CliError {
-            message: format!("{s} resolved to no address"),
-            kind: Some(ErrorKind::Io),
-        })
+        .ok_or_else(|| V2vError::new(ErrorKind::Io, format!("{s} resolved to no address")))
 }
 
-/// Maps a daemon HTTP status back onto the unified error taxonomy so
-/// remote failures exit with the same codes as local ones.
-fn kind_for_status(status: u16) -> ErrorKind {
-    match status {
-        400 | 405 | 429 => ErrorKind::InvalidRequest,
-        404 => ErrorKind::NotFound,
-        422 => ErrorKind::CorruptData,
-        _ => ErrorKind::Internal,
-    }
+/// A daemon's refusal of `what`: the kind is the one its
+/// `{"error": {"kind": ...}}` body names, `internal` when the body names
+/// none from the taxonomy.
+#[track_caller]
+fn refused(what: &str, status: u16, body: &[u8]) -> V2vError {
+    let kind = serde_json::from_slice::<serde_json::Value>(body)
+        .ok()
+        .and_then(|v| serde_json::from_value(v.get("error")?.get("kind")?.clone()).ok())
+        .unwrap_or(ErrorKind::Internal);
+    let body = String::from_utf8_lossy(body);
+    V2vError::new(kind, format!("{what} rejected ({status}): {}", body.trim()))
 }
 
 /// `v2v append`: local mode commits GOPs onto a live `.svc` container;
 /// `--to` mode POSTs them to a serving daemon's `/append/<name>`.
-fn cmd_append(args: &[String]) -> Result<(), CliError> {
+fn cmd_append(args: &[String]) -> Result<(), V2vError> {
     let mut to: Option<String> = None;
     let mut positional: Vec<String> = Vec::new();
     let mut args = Args(args.iter());
@@ -890,52 +835,45 @@ fn cmd_append(args: &[String]) -> Result<(), CliError> {
             "--to" => to = Some(args.value(arg)?.to_string()),
             "--json" => {}
             other if other.starts_with("--") => {
-                return Err(format!("unexpected argument '{other}'").into())
+                return Err(invalid(format!("unexpected argument '{other}'")))
             }
             other => positional.push(other.to_string()),
         }
     }
     let [target, more_path] = positional.as_slice() else {
-        return Err(if to.is_some() {
-            "append --to needs <name> <more.svc>".into()
+        return Err(invalid(if to.is_some() {
+            "append --to needs <name> <more.svc>"
         } else {
-            "append needs <live.svc> <more.svc>".into()
-        });
+            "append needs <live.svc> <more.svc>"
+        }));
     };
     // `read_svc` accepts sealed and live containers alike (a live
     // source yields its committed prefix), so any `.svc` can feed an
     // append.
-    let more = v2v_container::read_svc(more_path).map_err(|e| CliError::from(V2vError::from(e)))?;
+    let more = v2v_container::read_svc(more_path)?;
     if more.is_empty() {
-        return Err(format!("{more_path} holds no frames").into());
+        return Err(invalid(format!("{more_path} holds no frames")));
     }
     match to {
         Some(to) => {
             let addr = resolve_addr(&to)?;
-            let bytes = v2v_container::svc_to_bytes(&more)
-                .map_err(|e| CliError::from(V2vError::from(e)))?;
+            let bytes = v2v_container::svc_to_bytes(&more)?;
             let resp = v2v_serve::http::client::request(
                 addr,
                 "POST",
                 &format!("/append/{target}"),
                 &bytes,
             )
-            .map_err(|e| CliError {
-                message: format!("POST /append/{target} to {to}: {e}"),
-                kind: Some(ErrorKind::Io),
+            .map_err(|e| {
+                let message = format!("POST /append/{target} to {to}");
+                V2vError::with_source(ErrorKind::Io, message, e)
             })?;
             if resp.status != 200 {
-                return Err(CliError {
-                    message: format!(
-                        "append rejected ({}): {}",
-                        resp.status,
-                        String::from_utf8_lossy(&resp.body).trim()
-                    ),
-                    kind: Some(kind_for_status(resp.status)),
-                });
+                return Err(refused("append", resp.status, &resp.body));
             }
-            let info: serde_json::Value = serde_json::from_slice(&resp.body)
-                .map_err(|e| format!("parsing append response: {e}"))?;
+            let info: serde_json::Value = serde_json::from_slice(&resp.body).map_err(|e| {
+                V2vError::with_source(ErrorKind::CorruptData, "parsing append response", e)
+            })?;
             println!(
                 "appended {} frames to '{target}' on {to}: {} total (catalog v{})",
                 more.len(),
@@ -945,21 +883,17 @@ fn cmd_append(args: &[String]) -> Result<(), CliError> {
         }
         None => {
             let mut writer = if std::path::Path::new(target).exists() {
-                v2v_container::LiveWriter::open(target)
-                    .map_err(|e| CliError::from(V2vError::from(e)))?
+                v2v_container::LiveWriter::open(target)?
             } else {
                 v2v_container::LiveWriter::create(
                     target,
                     *more.params(),
                     more.start(),
                     more.frame_dur(),
-                )
-                .map_err(|e| CliError::from(V2vError::from(e)))?
+                )?
             };
             let before = writer.committed();
-            writer
-                .append_stream(&more)
-                .map_err(|e| CliError::from(V2vError::from(e)))?;
+            writer.append_stream(&more)?;
             println!(
                 "appended {} frames to {target}: {} committed (next instant {})",
                 writer.committed() - before,
@@ -974,7 +908,7 @@ fn cmd_append(args: &[String]) -> Result<(), CliError> {
 /// `v2v subscribe`: registers a spec with a daemon's `POST /subscribe`
 /// and applies delta records as they arrive, keeping `-o` byte-identical
 /// to a cold run of the spec at the current source length.
-fn cmd_subscribe(args: &[String]) -> Result<(), CliError> {
+fn cmd_subscribe(args: &[String]) -> Result<(), V2vError> {
     let mut spec_path: Option<String> = None;
     let mut to = "127.0.0.1:7878".to_string();
     let mut out_path: Option<String> = None;
@@ -987,49 +921,38 @@ fn cmd_subscribe(args: &[String]) -> Result<(), CliError> {
             "--max-deltas" => max_deltas = Some(args.parsed(arg)?),
             "--json" => {}
             other if spec_path.is_none() => spec_path = Some(other.to_string()),
-            other => return Err(format!("unexpected argument '{other}'").into()),
+            other => return Err(invalid(format!("unexpected argument '{other}'"))),
         }
     }
-    let spec_path = spec_path.ok_or("missing spec path")?;
+    let spec_path = spec_path.ok_or_else(|| invalid("missing spec path"))?;
     let spec = load_spec(&spec_path)?;
     let addr = resolve_addr(&to)?;
     let mut resp =
         v2v_serve::http::client::open_stream(addr, "POST", "/subscribe", spec.to_json().as_bytes())
-            .map_err(|e| CliError {
-                message: format!("POST /subscribe to {to}: {e}"),
-                kind: Some(ErrorKind::Io),
+            .map_err(|e| {
+                V2vError::with_source(ErrorKind::Io, format!("POST /subscribe to {to}"), e)
             })?;
     if resp.status != 200 {
         use std::io::Read;
         let mut body = Vec::new();
         let _ = resp.reader.read_to_end(&mut body);
-        return Err(CliError {
-            message: format!(
-                "subscribe rejected ({}): {}",
-                resp.status,
-                String::from_utf8_lossy(&body).trim()
-            ),
-            kind: Some(kind_for_status(resp.status)),
-        });
+        return Err(refused("subscribe", resp.status, &body));
     }
     println!("subscribed to {to} (spec {spec_path})");
     let mut applier = v2v_serve::sub::DeltaApplier::new();
     let mut count = 0u64;
     loop {
-        let record = v2v_serve::sub::read_delta(&mut resp.reader).map_err(|e| CliError {
-            message: format!("reading delta stream: {e}"),
-            kind: Some(ErrorKind::Io),
-        })?;
+        let record = v2v_serve::sub::read_delta(&mut resp.reader)
+            .map_err(|e| V2vError::with_source(ErrorKind::Io, "reading delta stream", e))?;
         let Some((header, svc)) = record else {
             break; // server closed the subscription cleanly
         };
-        let cumulative = applier.apply(&header, &svc).map_err(|e| CliError {
-            message: format!("applying delta {}: {e}", header.seq),
-            kind: Some(ErrorKind::CorruptData),
+        let cumulative = applier.apply(&header, &svc).map_err(|e| {
+            let message = format!("applying delta {}", header.seq);
+            V2vError::with_source(ErrorKind::CorruptData, message, e)
         })?;
         if let Some(out) = &out_path {
-            v2v_container::write_svc(cumulative, out)
-                .map_err(|e| CliError::from(V2vError::from(e)))?;
+            v2v_container::write_svc(cumulative, out)?;
         }
         println!(
             "delta {}: splice at frame {}, {} frames ({} bytes) -> {} total (catalog v{})",
@@ -1049,23 +972,21 @@ fn cmd_subscribe(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_frame(args: &[String]) -> Result<(), CliError> {
-    let path = args.first().ok_or("missing video path")?;
+fn cmd_frame(args: &[String]) -> Result<(), V2vError> {
+    let path = args.first().ok_or_else(|| invalid("missing video path"))?;
     let t: v2v_time::Rational = args
         .get(1)
-        .ok_or("missing timestamp (seconds or n/d)")?
+        .ok_or_else(|| invalid("missing timestamp (seconds or n/d)"))?
         .parse()
-        .map_err(|e| format!("bad timestamp: {e}"))?;
+        .map_err(|e| invalid(format!("bad timestamp: {e}")))?;
     let out_path = match (args.get(2).map(String::as_str), args.get(3)) {
         (Some("-o"), Some(p)) => p.clone(),
         (None, _) => "frame.ppm".to_string(),
-        other => return Err(format!("unexpected arguments {other:?}").into()),
+        other => return Err(invalid(format!("unexpected arguments {other:?}"))),
     };
-    let stream = v2v_container::read_svc(path).map_err(|e| CliError::from(V2vError::from(e)))?;
-    let (frame, decoded) = stream
-        .decode_frame_at(t)
-        .map_err(|e| CliError::from(V2vError::from(e)))?;
-    v2v_frame::ppm::write_ppm(&frame, &out_path).map_err(|e| e.to_string())?;
+    let stream = v2v_container::read_svc(path)?;
+    let (frame, decoded) = stream.decode_frame_at(t)?;
+    v2v_frame::ppm::write_ppm(&frame, &out_path)?;
     println!(
         "wrote {out_path}: frame at {t} ({}x{}, {decoded} packets decoded)",
         frame.width(),

@@ -331,3 +331,87 @@ fn cli_frame_export() {
         .expect("spawn v2v frame");
     assert!(!bad.status.success());
 }
+
+/// The exit-code table of the CLI's module doc: each failure exits by
+/// its `ErrorKind`, and `--json` names the same kind and code on stderr.
+/// The last row is a daemon's refusal, classified from its error body.
+#[test]
+fn cli_exit_codes_follow_the_error_kind() {
+    let dir = workdir();
+    let (spec_path, _) = fixture("exit_codes");
+    let spec_text = std::fs::read_to_string(&spec_path).unwrap();
+    let mut spec = v2v_spec::Spec::from_json(&spec_text).unwrap();
+    let write = |name: &str, bytes: &[u8]| {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    let malformed = write("exit_malformed.json", b"{\"not\": \"a spec\"");
+    let garbage = write("exit_garbage.svc", b"SVC1 these bytes are not a container");
+    spec.videos.insert(
+        "src".into(),
+        dir.join("exit_ghost.svc").to_string_lossy().into(),
+    );
+    let missing_video = write("exit_missing_video.json", spec.to_json().as_bytes());
+    let mut spec = v2v_spec::Spec::from_json(&spec_text).unwrap();
+    spec.output.gop_size = 0;
+    let zero_gop = write("exit_zero_gop.json", spec.to_json().as_bytes());
+    let source = dir.join("exit_codes_src.svc");
+    let source = source.to_str().unwrap();
+    let store = dir.join("exit_codes_store");
+    let store = store.to_str().unwrap();
+
+    // A daemon holding 2 s of `src`; a 1 s stream stamped at 0 does not
+    // continue it.
+    let mut catalog = v2v_exec::Catalog::new();
+    catalog.add_video("src", marked_stream(60, 30));
+    let daemon = v2v_serve::V2vServer::new(catalog)
+        .start("127.0.0.1:0")
+        .unwrap();
+    let addr = daemon.addr().to_string();
+    let restart = dir.join("exit_restart.svc");
+    v2v_container::write_svc(&marked_stream(30, 30), &restart).unwrap();
+    let restart = restart.to_str().unwrap();
+
+    let spec = spec_path.to_str().unwrap();
+    let cases: [(&[&str], &str, i32); 8] = [
+        (&["run", "/nonexistent/spec.json"], "io", 4),
+        (&["run", &malformed], "invalid_request", 6),
+        (&["run", &missing_video], "not_found", 5),
+        (&["run", &zero_gop], "plan", 7),
+        (&["info", &garbage], "corrupt_data", 3),
+        (&["run", spec, "--threads", "x"], "invalid_request", 6),
+        (
+            &[
+                "store",
+                "materialize",
+                "../x",
+                source,
+                "dense",
+                "--store",
+                store,
+            ],
+            "invalid_request",
+            6,
+        ),
+        (
+            &["append", "--to", &addr, "src", restart],
+            "corrupt_data",
+            3,
+        ),
+    ];
+    for (args, kind, code) in cases {
+        let out = Command::new(V2V)
+            .args(args)
+            .arg("--json")
+            .output()
+            .expect("spawn v2v");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+        let report: serde_json::Value = serde_json::from_str(stderr.trim()).expect("json error");
+        let field = |name: &str| report.get("error").and_then(|e| e.get(name)).cloned();
+        assert_eq!(field("kind"), Some(kind.into()), "{args:?}: {stderr}");
+        assert_eq!(field("exit_code"), Some(code.into()), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(dir.join("exit_codes_store"));
+}

@@ -1,7 +1,7 @@
 //! The embeddable V2V engine.
 
 use crate::observe::{AnalyzeReport, ExplainReport, RunTrace};
-use crate::EngineError;
+use crate::{ErrorKind, V2vError};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
@@ -170,7 +170,7 @@ impl V2vEngine {
     ///   the catalog win over both;
     /// * videos — names already bound win; otherwise the locator is read
     ///   as an `.svc` file.
-    pub fn bind(&mut self, spec: &Spec) -> Result<(), EngineError> {
+    pub fn bind(&mut self, spec: &Spec) -> Result<(), V2vError> {
         let windows = spec.array_windows();
         for (name, locator) in &spec.data_arrays {
             if self.catalog.arrays().contains_key(name) {
@@ -180,23 +180,19 @@ impl V2vEngine {
                 // Bounded materialization (§IV-B): pull only the time
                 // window the spec actually reads, trading storage for
                 // compute at fine grain.
-                Query::parse(sql)
-                    .and_then(|q| match windows.get(name) {
-                        Some((lo, hi)) => {
-                            v2v_data::materialize_bounded(&q, &self.database, "timestamp", *lo, *hi)
-                        }
-                        None => q.materialize(&self.database),
-                    })
-                    .map_err(|source| EngineError::Bind {
-                        name: name.clone(),
-                        source,
-                    })?
+                Query::parse(sql).and_then(|q| match windows.get(name) {
+                    Some((lo, hi)) => {
+                        v2v_data::materialize_bounded(&q, &self.database, "timestamp", *lo, *hi)
+                    }
+                    None => q.materialize(&self.database),
+                })
             } else {
-                v2v_data::json::load_annotations(locator).map_err(|source| EngineError::Bind {
-                    name: name.clone(),
-                    source,
-                })?
+                v2v_data::json::load_annotations(locator)
             };
+            let array = array.map_err(|source| {
+                let message = format!("data binding failed for '{name}'");
+                V2vError::with_source(ErrorKind::NotFound, message, source)
+            })?;
             self.catalog.add_array(name.clone(), array);
         }
         for (name, locator) in &spec.videos {
@@ -211,11 +207,10 @@ impl V2vEngine {
     /// Reads the `.svc` file a video locator names: the one reader behind
     /// [`bind`](V2vEngine::bind) and the serving daemon's shared catalog,
     /// so both answer a missing or unreadable file with the same error.
-    pub fn read_video(name: &str, locator: &str) -> Result<VideoStream, EngineError> {
-        v2v_container::read_svc(locator).map_err(|e| EngineError::VideoBind {
-            name: name.to_string(),
-            locator: locator.to_string(),
-            reason: e.to_string(),
+    pub fn read_video(name: &str, locator: &str) -> Result<VideoStream, V2vError> {
+        v2v_container::read_svc(locator).map_err(|e| {
+            let message = format!("cannot resolve video '{name}' from locator '{locator}'");
+            V2vError::with_source(ErrorKind::NotFound, message, e)
         })
     }
 
@@ -233,25 +228,25 @@ impl V2vEngine {
     }
 
     /// Checks, plans, and optimizes a (bound, specialized) spec.
-    pub fn plan(&self, spec: &Spec) -> Result<(PhysicalPlan, CheckReport), EngineError> {
+    pub fn plan(&self, spec: &Spec) -> Result<(PhysicalPlan, CheckReport), V2vError> {
         let (physical, check, _) = self.plan_traced(spec)?;
         Ok((physical, check))
     }
 
     /// Statically checks a bound spec against the catalog's sources and
     /// UDF registry.
-    fn check(&self, spec: &Spec) -> Result<CheckReport, EngineError> {
+    fn check(&self, spec: &Spec) -> Result<CheckReport, V2vError> {
         let sources = self.catalog.source_infos();
-        check_spec_with_udfs(spec, &sources, self.catalog.udf_registry())
-            .map_err(EngineError::Check)
+        check_spec_with_udfs(spec, &sources, self.catalog.udf_registry()).map_err(|errors| {
+            let errors: Vec<String> = errors.iter().map(ToString::to_string).collect();
+            let message = format!("spec check failed: {}", errors.join("; "));
+            V2vError::new(ErrorKind::Plan, message)
+        })
     }
 
     /// [`plan`](V2vEngine::plan), also returning the optimizer's rewrite
     /// trace (one event per rule application).
-    fn plan_traced(
-        &self,
-        spec: &Spec,
-    ) -> Result<(PhysicalPlan, CheckReport, PlanTrace), EngineError> {
+    fn plan_traced(&self, spec: &Spec) -> Result<(PhysicalPlan, CheckReport, PlanTrace), V2vError> {
         let check = self.check(spec)?;
         let logical = lower_spec(spec)?;
         let ctx = self.catalog.plan_context();
@@ -337,7 +332,7 @@ impl V2vEngine {
     }
 
     /// Full pipeline: bind → specialize → check → plan → execute.
-    pub fn run(&mut self, spec: &Spec) -> Result<RunReport, EngineError> {
+    pub fn run(&mut self, spec: &Spec) -> Result<RunReport, V2vError> {
         let (report, _) = self.run_traced(spec)?;
         Ok(report)
     }
@@ -346,7 +341,7 @@ impl V2vEngine {
     /// artifact: rewrite trace, per-segment execution trace,
     /// pipeline-stage spans, and a metrics snapshot, serializable as one
     /// JSON document (the CLI's `--trace` flag).
-    pub fn run_traced(&mut self, spec: &Spec) -> Result<(RunReport, RunTrace), EngineError> {
+    pub fn run_traced(&mut self, spec: &Spec) -> Result<(RunReport, RunTrace), V2vError> {
         let prepared = self.front_half(spec, self.reuse_configured())?;
         self.run_prepared(prepared)
     }
@@ -356,7 +351,7 @@ impl V2vEngine {
     /// because a worker's `/render-segment` checks the dispatched key
     /// against them whether or not it has a reuse tier of its own.
     /// [`run_prepared`](V2vEngine::run_prepared) finishes the job.
-    pub fn prepare(&mut self, spec: &Spec) -> Result<PreparedRun, EngineError> {
+    pub fn prepare(&mut self, spec: &Spec) -> Result<PreparedRun, V2vError> {
         self.front_half(spec, true)
     }
 
@@ -368,7 +363,7 @@ impl V2vEngine {
     /// would read it, and a source's first digest reads all its bytes
     /// ([`VideoStream::content_digest`](v2v_container::VideoStream::content_digest);
     /// later ones are lookups) — and `explain` never does.
-    fn front_half(&mut self, spec: &Spec, identity: bool) -> Result<PreparedRun, EngineError> {
+    fn front_half(&mut self, spec: &Spec, identity: bool) -> Result<PreparedRun, V2vError> {
         let spans = SpanSink::new();
         let timer = spans.start("bind");
         self.bind(spec)?;
@@ -428,7 +423,7 @@ impl V2vEngine {
     pub fn run_prepared(
         &mut self,
         prepared: PreparedRun,
-    ) -> Result<(RunReport, RunTrace), EngineError> {
+    ) -> Result<(RunReport, RunTrace), V2vError> {
         let (report, trace, _) = self.run_prepared_with(prepared, None)?;
         Ok((report, trace))
     }
@@ -442,7 +437,7 @@ impl V2vEngine {
         &mut self,
         prepared: PreparedRun,
         sink: Option<&mut dyn FnMut(&Packet)>,
-    ) -> Result<(RunReport, RunTrace, Duration), EngineError> {
+    ) -> Result<(RunReport, RunTrace, Duration), V2vError> {
         let (physical, spans) = (&prepared.physical, &prepared.spans);
         let timer = spans.start("execute");
         let exec_start_ns = spans.now_ns();
@@ -519,14 +514,13 @@ impl V2vEngine {
         &mut self,
         prepared: &PreparedRun,
         seg_index: usize,
-    ) -> Result<(Fragment, ExecStats), EngineError> {
-        let sub = prepared
-            .physical
-            .carve_segment(seg_index)
-            .ok_or(EngineError::SegmentIndex {
-                index: seg_index,
-                count: prepared.physical.segments.len(),
-            })?;
+    ) -> Result<(Fragment, ExecStats), V2vError> {
+        let sub = prepared.physical.carve_segment(seg_index).ok_or_else(|| {
+            let count = prepared.physical.segments.len();
+            let message =
+                format!("segment index {seg_index} out of range for a {count}-segment plan");
+            V2vError::new(ErrorKind::InvalidRequest, message)
+        })?;
         // The carved plan has one segment at index 0; hand it the
         // parent's key (segment keys are position-independent, so the
         // carve preserves the content address). Never admit the remote
@@ -548,7 +542,7 @@ impl V2vEngine {
         &mut self,
         spec: &Spec,
         mut sink: impl FnMut(&Packet),
-    ) -> Result<(RunReport, StreamingStats), EngineError> {
+    ) -> Result<(RunReport, StreamingStats), V2vError> {
         let prepared = self.front_half(spec, self.reuse_configured())?;
         let (report, trace, time_to_first_packet) =
             self.run_prepared_with(prepared, Some(&mut sink))?;
@@ -571,7 +565,7 @@ impl V2vEngine {
         &mut self,
         name: impl Into<String>,
         spec: &Spec,
-    ) -> Result<RunReport, EngineError> {
+    ) -> Result<RunReport, V2vError> {
         let report = self.run(spec)?;
         self.catalog.add_video(name.into(), report.output.clone());
         Ok(report)
@@ -579,7 +573,7 @@ impl V2vEngine {
 
     /// Runs the unoptimized plan (naive operator-at-a-time execution, no
     /// data rewrites) — the baseline arm of the paper's evaluation.
-    pub fn run_unoptimized(&mut self, spec: &Spec) -> Result<RunReport, EngineError> {
+    pub fn run_unoptimized(&mut self, spec: &Spec) -> Result<RunReport, V2vError> {
         self.bind(spec)?;
         let check = self.check(spec)?;
         let logical = lower_spec(spec)?;
@@ -597,7 +591,7 @@ impl V2vEngine {
 
     /// Explains a spec without executing it: both plan renderings (the
     /// Fig. 2 pair) plus the optimizer's rewrite trace.
-    pub fn explain(&mut self, spec: &Spec) -> Result<ExplainReport, EngineError> {
+    pub fn explain(&mut self, spec: &Spec) -> Result<ExplainReport, V2vError> {
         let prepared = self.front_half(spec, false)?;
         explain_report(spec, &prepared)
     }
@@ -606,7 +600,7 @@ impl V2vEngine {
     /// annotated with the measured per-operator execution metrics (the
     /// output video is discarded). No cache identity is computed, so
     /// the run is always measured, never answered from a reuse tier.
-    pub fn explain_analyze(&mut self, spec: &Spec) -> Result<AnalyzeReport, EngineError> {
+    pub fn explain_analyze(&mut self, spec: &Spec) -> Result<AnalyzeReport, V2vError> {
         let prepared = self.front_half(spec, false)?;
         let explain = explain_report(spec, &prepared)?;
         let (report, trace) = self.run_prepared(prepared)?;
@@ -620,7 +614,7 @@ impl V2vEngine {
 
 /// The `explain` view of a front half: the unoptimized logical plan of
 /// the spec as written beside the optimized physical plan.
-fn explain_report(spec: &Spec, prepared: &PreparedRun) -> Result<ExplainReport, EngineError> {
+fn explain_report(spec: &Spec, prepared: &PreparedRun) -> Result<ExplainReport, V2vError> {
     Ok(ExplainReport {
         logical: explain_logical(&lower_spec(spec)?),
         physical: explain_physical(&prepared.physical),
@@ -707,8 +701,10 @@ mod tests {
                 .append_filtered("a", r(0, 1), r(1, 1), |e| v2v_spec::builder::blur(e, 1.0))
                 .build();
             let err = engine.run(&spec).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::Plan, "{out:?}: {err}");
+            let source = std::error::Error::source(&err).and_then(|s| s.downcast_ref());
             assert!(
-                matches!(err, EngineError::Plan(PlanError::InvalidOutput(_))),
+                matches!(source, Some(PlanError::InvalidOutput(_))),
                 "{out:?}: {err}"
             );
         }
@@ -819,7 +815,13 @@ mod tests {
             .data_array("bb", "sql:SELEKT nope")
             .append_filtered("a", r(0, 1), r(1, 1), |e| bounding_box(e, "bb"))
             .build();
-        assert!(matches!(engine.run(&spec), Err(EngineError::Bind { .. })));
+        let err = engine.run(&spec).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::NotFound, "{err}");
+        let source = std::error::Error::source(&err).and_then(|s| s.downcast_ref());
+        assert!(
+            matches!(source, Some(v2v_data::DataError::SqlParse(_))),
+            "{err}"
+        );
     }
 
     #[test]
@@ -830,7 +832,10 @@ mod tests {
             .video("a", "a.svc")
             .append_clip("a", r(3, 1), r(5, 1))
             .build();
-        assert!(matches!(engine.run(&spec), Err(EngineError::Check(_))));
+        let err = engine.run(&spec).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Plan, "{err}");
+        assert!(std::error::Error::source(&err).is_none(), "{err}");
+        assert!(err.to_string().contains("spec check failed"), "{err}");
     }
 
     #[test]

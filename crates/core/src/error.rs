@@ -2,51 +2,49 @@
 //!
 //! Every layer of the system has its own error enum — [`CodecError`]
 //! for bitstream parsing, [`ContainerError`] for `.svc` files,
-//! [`ExecError`] for execution, [`EngineError`] for the pipeline — and
-//! each is precise within its layer but opaque across layers: a caller
-//! embedding the engine sees a chain of `#[from]` wrappers with no
-//! stable way to ask "was this corrupt input or a missing file?".
+//! [`ExecError`] for execution, [`PlanError`] for planning — and each
+//! is precise within its layer but opaque across layers: a caller
+//! embedding the engine would see a chain of wrappers with no stable
+//! way to ask "was this corrupt input or a missing file?".
 //!
-//! [`V2vError`] is the cross-layer answer: any lower-level error wraps
-//! into one carrying
+//! [`V2vError`] is the cross-layer answer, and the only error type from
+//! the engine up to the daemon's status codes and the CLI's exit codes.
+//! Each one carries
 //!
 //! * a machine-readable [`ErrorKind`] (stable, serializable, safe to
-//!   match on across releases),
-//! * the source location that did the wrapping (via
-//!   `#[track_caller]`), so a report points at the call site rather
-//!   than at an error-constructor helper,
-//! * free-form context pushed by intermediate layers
-//!   ([`V2vError::context`]), outermost first, and
-//! * the original error as a boxed [`std::error::Error`] source, so
-//!   `anyhow`-style chains and `Error::source()` walks keep working.
+//!   match on across releases), picked once, where the failure is
+//!   raised, from the one classification table in `v2v_exec::kind`,
+//! * the source location that raised or converted it (via
+//!   `#[track_caller]`, which `?` honours), so a report points at the
+//!   raise site rather than at an error-constructor helper,
+//! * an optional message naming what was being done, and
+//! * the failing layer's error as a boxed [`std::error::Error`] source,
+//!   so `Error::source()` walks and downcasts keep working.
 //!
-//! Classification happens in the `From` impls, so `?` conversion does
+//! The `From` impls classify through the table, so `?` conversion does
 //! the right thing without per-call-site ceremony.
-//!
-//! [`CodecError`]: v2v_codec::CodecError
-//! [`ContainerError`]: v2v_container::ContainerError
-//! [`ExecError`]: v2v_exec::ExecError
 
-use crate::EngineError;
 use std::error::Error as StdError;
 use std::panic::Location;
 use v2v_codec::CodecError;
 use v2v_container::ContainerError;
 use v2v_exec::{codec_kind, container_kind, exec_kind, ExecError};
+use v2v_plan::PlanError;
 
 /// Stable machine-readable error classes, the cross-layer vocabulary of
 /// [`V2vError::kind`] (owned by `v2v-exec`, whose fault reports speak it
 /// too).
 pub use v2v_exec::ErrorKind;
 
-/// The unified error: a classified, located, contextualized wrapper
-/// around any layer's error.
+/// The unified error: a classified, located wrapper around any layer's
+/// error.
 #[derive(Debug)]
 pub struct V2vError {
     kind: ErrorKind,
-    /// Context lines, outermost first.
-    context: Vec<String>,
-    /// Where the error was wrapped into a `V2vError`.
+    /// What was being done, when the raise site says more than the
+    /// source does.
+    message: Option<String>,
+    /// Where the error was raised, or wrapped into a `V2vError`.
     location: &'static Location<'static>,
     source: Option<Box<dyn StdError + Send + Sync + 'static>>,
 }
@@ -57,7 +55,7 @@ impl V2vError {
     pub fn new(kind: ErrorKind, message: impl Into<String>) -> V2vError {
         V2vError {
             kind,
-            context: vec![message.into()],
+            message: Some(message.into()),
             location: Location::caller(),
             source: None,
         }
@@ -68,18 +66,25 @@ impl V2vError {
     pub fn wrap(kind: ErrorKind, source: impl StdError + Send + Sync + 'static) -> V2vError {
         V2vError {
             kind,
-            context: Vec::new(),
+            message: None,
             location: Location::caller(),
             source: Some(Box::new(source)),
         }
     }
 
-    /// Pushes a context line (outermost first), preserving kind,
-    /// location, and source.
-    #[must_use]
-    pub fn context(mut self, line: impl Into<String>) -> V2vError {
-        self.context.insert(0, line.into());
-        self
+    /// A message with the failing layer's error kept as its source.
+    #[track_caller]
+    pub fn with_source(
+        kind: ErrorKind,
+        message: impl Into<String>,
+        source: impl StdError + Send + Sync + 'static,
+    ) -> V2vError {
+        V2vError {
+            kind,
+            message: Some(message.into()),
+            location: Location::caller(),
+            source: Some(Box::new(source)),
+        }
     }
 
     /// The machine-readable class.
@@ -87,7 +92,7 @@ impl V2vError {
         self.kind
     }
 
-    /// Source location where the error was wrapped.
+    /// Source location where the error was raised or wrapped.
     pub fn location(&self) -> &'static Location<'static> {
         self.location
     }
@@ -96,16 +101,11 @@ impl V2vError {
 impl std::fmt::Display for V2vError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "[{}] ", self.kind.name())?;
-        for line in &self.context {
-            write!(f, "{line}: ")?;
-        }
-        match &self.source {
-            Some(s) => write!(f, "{s}"),
-            None => {
-                // The last context line already carried the message;
-                // trim the trailing separator.
-                Ok(())
-            }
+        match (&self.message, &self.source) {
+            (Some(m), Some(s)) => write!(f, "{m}: {s}"),
+            (Some(m), None) => f.write_str(m),
+            (None, Some(s)) => write!(f, "{s}"),
+            (None, None) => Ok(()),
         }?;
         write!(f, " (at {}:{})", self.location.file(), self.location.line())
     }
@@ -116,16 +116,6 @@ impl StdError for V2vError {
         self.source
             .as_deref()
             .map(|s| s as &(dyn StdError + 'static))
-    }
-}
-
-fn engine_kind(e: &EngineError) -> ErrorKind {
-    match e {
-        EngineError::Check(_) => ErrorKind::Plan,
-        EngineError::Bind { .. } | EngineError::VideoBind { .. } => ErrorKind::NotFound,
-        EngineError::Plan(_) => ErrorKind::Plan,
-        EngineError::SegmentIndex { .. } => ErrorKind::InvalidRequest,
-        EngineError::Exec(x) => exec_kind(x),
     }
 }
 
@@ -150,10 +140,10 @@ impl From<ExecError> for V2vError {
     }
 }
 
-impl From<EngineError> for V2vError {
+impl From<PlanError> for V2vError {
     #[track_caller]
-    fn from(e: EngineError) -> V2vError {
-        V2vError::wrap(engine_kind(&e), e)
+    fn from(e: PlanError) -> V2vError {
+        V2vError::wrap(ErrorKind::Plan, e)
     }
 }
 
@@ -191,11 +181,9 @@ mod tests {
 
     #[test]
     fn display_carries_kind_location_and_context() {
-        let err = V2vError::new(ErrorKind::CorruptData, "packet 3 truncated")
-            .context("decoding 'clip-a'");
+        let err = V2vError::new(ErrorKind::CorruptData, "packet 3 truncated");
         let text = err.to_string();
         assert!(text.starts_with("[corrupt_data] "), "{text}");
-        assert!(text.contains("decoding 'clip-a'"), "{text}");
         assert!(text.contains("packet 3 truncated"), "{text}");
         assert!(text.contains("error.rs"), "location missing: {text}");
     }

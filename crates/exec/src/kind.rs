@@ -1,10 +1,12 @@
 //! The cross-layer error vocabulary.
 //!
-//! [`ErrorKind`] is the one table of machine-readable error classes:
-//! a degraded run's [`SegmentFault::kind`](crate::SegmentFault::kind)
-//! and the unified `v2v_core::V2vError` both classify through the
-//! functions here, so a failure reads the same in a fault report, an
-//! error response and a CLI exit code.
+//! [`ErrorKind`] is the one table of machine-readable error classes.
+//! Every failure is classified once, where it is raised or converted:
+//! a degraded run's [`SegmentFault::kind`](crate::SegmentFault::kind),
+//! the unified `v2v_core::V2vError` and `v2v_store::StoreError::kind`
+//! all classify through the functions here, so a failure reads the same
+//! in a fault report, a daemon error body (whose status the daemon maps
+//! from the kind) and a CLI exit code.
 
 use crate::ExecError;
 use serde::{Deserialize, Serialize};

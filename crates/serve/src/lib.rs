@@ -83,9 +83,9 @@
 //! digests are shared the same way, and `/append-data` past its last
 //! instant hashes the appended entries only.
 //!
-//! Query errors map the [`ErrorKind`] taxonomy onto status codes:
-//! `invalid_request`/`plan` → 400, `not_found` → 404, `corrupt_data` →
-//! 422, everything else → 500; the body is a structured
+//! Query and store-route errors map the [`ErrorKind`] taxonomy onto
+//! status codes: `invalid_request`/`plan` → 400, `not_found` → 404,
+//! `corrupt_data` → 422, everything else → 500; the body is a structured
 //! `{"error": {kind, message}}` object. 429 rejections additionally
 //! carry the live queue picture (`queue_depth`, `queue_limit`,
 //! `retry_after_secs`) in the error body.
@@ -377,7 +377,8 @@ struct Shared {
     /// [`Shared::catalog_grew`] until it moves.
     catalog_version: Mutex<u64>,
     catalog_grew: Condvar,
-    /// Set when the server is stopping; wakes subscription waits.
+    /// The one stop flag, set by [`ServerHandle::stop`]: the accept,
+    /// compaction and subscription loops end when they see it.
     stopping: AtomicBool,
     database: Database,
     config: ServeConfig,
@@ -514,11 +515,9 @@ impl V2vServer {
             profiles: Mutex::new(BTreeMap::new()),
             store_compactions: AtomicU64::new(0),
         });
-        let stop = Arc::new(AtomicBool::new(false));
         let accept_shared = Arc::clone(&shared);
-        let accept_stop = Arc::clone(&stop);
         let join = std::thread::spawn(move || {
-            accept_loop(&listener, &accept_shared, &accept_stop);
+            accept_loop(&listener, &accept_shared);
         });
         let compact_interval = shared
             .config
@@ -536,7 +535,6 @@ impl V2vServer {
         };
         Ok(ServerHandle {
             addr: local,
-            stop,
             join: Some(join),
             compact_join,
             shared,
@@ -549,7 +547,6 @@ impl V2vServer {
 /// their own threads.
 pub struct ServerHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     join: Option<JoinHandle<()>>,
     compact_join: Option<JoinHandle<()>>,
     shared: Arc<Shared>,
@@ -571,13 +568,12 @@ impl ServerHandle {
         )
     }
 
-    /// Stops the accept loop and joins it. Subscription threads see the
-    /// stop through `Shared::stopping` and close their streams.
+    /// Stops the accept loop and joins it. Every loop sees the stop
+    /// through `Shared::stopping`; subscriptions close their streams.
     pub fn stop(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
+        if self.shared.stopping.swap(true, Ordering::SeqCst) {
             return;
         }
-        self.shared.stopping.store(true, Ordering::SeqCst);
         self.shared.catalog_grew.notify_all();
         // Unblock the blocking accept with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
@@ -596,10 +592,10 @@ impl Drop for ServerHandle {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, stop: &Arc<AtomicBool>) {
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     loop {
         let conn = listener.accept();
-        if stop.load(Ordering::SeqCst) {
+        if shared.stopping.load(Ordering::SeqCst) {
             return;
         }
         let Ok((stream, _)) = conn else { continue };

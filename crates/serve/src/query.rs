@@ -104,7 +104,7 @@ pub(crate) fn handle_render_segment(req: &Request, shared: &Shared) -> Response 
                 Err(e) => error_response(500, "internal", &format!("fragment encode: {e}")),
             }
         }
-        Err(e) => error_of(&e.into()),
+        Err(e) => error_of(&e),
     }
 }
 

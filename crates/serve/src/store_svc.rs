@@ -18,15 +18,16 @@
 //! | `POST /store/compact` | run one compaction pass now |
 
 use crate::http::{Request, Response};
-use crate::{error_response, lock, Shared};
+use crate::{error_of, error_response, lock, Shared};
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
+use v2v_core::V2vError;
 use v2v_plan::VariantKind;
 use v2v_store::{
     attach_variants, plan_compaction, AccessProfile, CompactionInput, SourceStore, StoreAction,
-    StoreError, StoreOp, TranscodeSpec,
+    StoreOp, TranscodeSpec,
 };
 
 /// Accumulates one prepared plan's access profile into the daemon-wide
@@ -111,15 +112,6 @@ fn parse_target(path: &str, op: &str) -> Option<(String, VariantKind)> {
     Some((name.to_string(), VariantKind::parse(kind)?))
 }
 
-fn store_status(e: &StoreError) -> u16 {
-    match e {
-        StoreError::UnknownSource(_) | StoreError::UnknownVariant { .. } => 404,
-        StoreError::OriginalNotManaged | StoreError::InvalidName(_) => 400,
-        StoreError::CorruptManifest { .. } | StoreError::DigestMismatch { .. } => 422,
-        StoreError::Io { .. } | StoreError::Container(_) => 500,
-    }
-}
-
 /// `POST /store/materialize/<name>/<kind>`, `/store/drop/...`,
 /// `/store/pin/...`.
 pub(crate) fn handle_store_admin(path: &str, req: &Request, shared: &Shared) -> Response {
@@ -152,7 +144,7 @@ pub(crate) fn handle_store_admin(path: &str, req: &Request, shared: &Shared) -> 
                     &serde_json::json!({"source": name, "kind": kind.name(), "dropped": dropped}),
                 )
             }
-            Err(e) => error_response(store_status(&e), "store", &e.to_string()),
+            Err(e) => error_of(&V2vError::wrap(e.kind(), e)),
         };
     }
     if let Some((name, kind)) = parse_target(path, "pin") {
@@ -165,7 +157,7 @@ pub(crate) fn handle_store_admin(path: &str, req: &Request, shared: &Shared) -> 
                 200,
                 &serde_json::json!({"source": name, "kind": kind.name(), "pinned": pinned}),
             ),
-            Err(e) => error_response(store_status(&e), "store", &e.to_string()),
+            Err(e) => error_of(&V2vError::wrap(e.kind(), e)),
         };
     }
     error_response(404, "not_found", &format!("no store route {path}"))
@@ -199,12 +191,12 @@ fn materialize_and_attach(
     };
     store
         .materialize(name, &original, TranscodeSpec::for_kind(kind))
-        .map_err(|e| error_response(store_status(&e), "store", &e.to_string()))?;
+        .map_err(|e| error_of(&V2vError::wrap(e.kind(), e)))?;
     // Re-load through the digest check rather than trusting the
     // in-memory transcode: attachment and recovery now share one path.
     let loaded = store
         .load_variant(name, kind)
-        .map_err(|e| error_response(store_status(&e), "store", &e.to_string()))?;
+        .map_err(|e| error_of(&V2vError::wrap(e.kind(), e)))?;
     let entry = loaded.1.clone();
     attach_variants(&mut shared.catalog_write(), name, vec![loaded]);
     shared.metrics.store_materializations.inc();

@@ -3,19 +3,24 @@
 //! framing and the diff are in [`crate::sub`]).
 
 use crate::http::{write_response, Request};
-use crate::query::{parse_spec, prepare_query, request_engine};
+use crate::query::{parse_spec, prepare_query, request_engine, PreparedQuery};
 use crate::{admitted, error_of, lock, record_exec_metrics, sub, Shared, RETRY_AFTER_SECS};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
+use v2v_core::V2vError;
 use v2v_obs::Histogram;
 use v2v_spec::Spec;
+use v2v_time::TimeSet;
 
 /// `POST /subscribe`: registers a spec and pushes incremental results
 /// over the long-lived connection.
 ///
 /// Protocol: the body is spec JSON exactly as `POST /query` takes it.
+/// The spec is bound and, when part of its domain is servable, its
+/// first refresh planned before any head is written, so a spec that
+/// cannot bind or plan gets the error response a `/query` of it would.
 /// On acceptance the response head carries
 /// `content-type: application/x-v2v-delta` and **no** content-length;
 /// the body is then a sequence of delta records (see [`sub`]) until
@@ -29,14 +34,17 @@ use v2v_spec::Spec;
 /// client-side stream after record `n` is byte-identical to a cold
 /// `POST /query` of the same spec at the same source length.
 pub(crate) fn handle_subscribe(req: &Request, mut writer: TcpStream, shared: &Shared) {
-    // Bind once up front, through the engine a query gets, so an
-    // unservable spec (missing file, bad SQL) is a proper error
-    // response, not an empty stream.
-    let spec = match parse_spec(&req.body).and_then(|s| {
+    // Bind once up front, through the engine a query gets, and plan the
+    // first refresh, so an unservable spec (missing file, bad SQL,
+    // unencodable output) is a proper error response, not an empty
+    // stream. The first refresh runs the plan made here.
+    let accepted = parse_spec(&req.body).and_then(|s| {
         request_engine(&s, shared)?.bind(&s)?;
-        Ok(s)
-    }) {
-        Ok(s) => s,
+        let first = plan_refresh(&s, None, shared)?;
+        Ok((s, first))
+    });
+    let (spec, first) = match accepted {
+        Ok(a) => a,
         Err(e) => {
             let _ = write_response(&mut writer, &error_of(&e));
             return;
@@ -55,34 +63,68 @@ pub(crate) fn handle_subscribe(req: &Request, mut writer: TcpStream, shared: &Sh
     }
     let before = shared.subs_active.fetch_add(1, Ordering::Relaxed);
     shared.metrics.sub_active.set(before + 1);
-    subscription_loop(&spec, &mut writer, shared);
+    subscription_loop(&spec, first, &mut writer, shared);
     let before = shared.subs_active.fetch_sub(1, Ordering::Relaxed);
     shared.metrics.sub_active.set(before - 1);
 }
 
-/// The watcher/render/push cycle of one subscription.
-fn subscription_loop(spec: &Spec, writer: &mut TcpStream, shared: &Shared) {
+/// One refresh's starting point: the catalog version it read, the
+/// spec's servable domain at that version, and the clamped spec planned
+/// when that domain is non-empty and new (`None`: nothing to render).
+struct Refresh {
+    seen: u64,
+    clamped: TimeSet,
+    prepared: Option<PreparedQuery>,
+}
+
+/// Clamps `spec` to the servable prefix of the current catalog and,
+/// when that differs from `last_domain`, plans the clamped spec.
+fn plan_refresh(
+    spec: &Spec,
+    last_domain: Option<&TimeSet>,
+    shared: &Shared,
+) -> Result<Refresh, V2vError> {
+    let seen = shared.version();
+    // Every video the spec names was bound up front, and bound
+    // names stay, so the shared catalog answers the clamp.
+    let clamped = v2v_spec::servable_domain(spec, &shared.catalog_read().source_infos());
+    let dirty = !clamped.is_empty() && last_domain.map_or(true, |d| !d.set_eq(&clamped));
+    let prepared = if dirty {
+        let mut clamped_spec = spec.clone();
+        clamped_spec.time_domain = clamped.clone();
+        let hist = &shared.metrics.sub_prepare_ns;
+        Some(timed(hist, || prepare_query(&clamped_spec, shared))?)
+    } else {
+        None
+    };
+    Ok(Refresh {
+        seen,
+        clamped,
+        prepared,
+    })
+}
+
+/// The watcher/render/push cycle of one subscription, starting from
+/// the refresh [`handle_subscribe`] planned.
+fn subscription_loop(spec: &Spec, first: Refresh, writer: &mut TcpStream, shared: &Shared) {
+    let mut next = Some(first);
     let mut cumulative: Option<v2v_container::VideoStream> = None;
-    let mut last_domain: Option<v2v_time::TimeSet> = None;
+    let mut last_domain: Option<TimeSet> = None;
     let mut seq = 0u64;
     loop {
         if shared.stopping.load(Ordering::SeqCst) {
             return;
         }
-        let seen = shared.version();
-        // Every video the spec names was bound up front, and bound
-        // names stay, so the shared catalog answers the clamp.
-        let clamped = v2v_spec::servable_domain(spec, &shared.catalog_read().source_infos());
-        let dirty =
-            !clamped.is_empty() && last_domain.as_ref().map_or(true, |d| !d.set_eq(&clamped));
-        if dirty {
-            let mut clamped_spec = spec.clone();
-            clamped_spec.time_domain = clamped.clone();
+        let refresh = match next.take() {
+            Some(r) => r,
+            None => match plan_refresh(spec, last_domain.as_ref(), shared) {
+                Ok(r) => r,
+                Err(_) => return,
+            },
+        };
+        let seen = refresh.seen;
+        if let Some(mut prepared) = refresh.prepared {
             let m = &shared.metrics;
-            let prepared = timed(&m.sub_prepare_ns, || prepare_query(&clamped_spec, shared));
-            let Ok(mut prepared) = prepared else {
-                return;
-            };
             let Some((result, _)) = admitted(shared, || {
                 timed(&m.sub_run_ns, || prepared.engine.run_prepared(prepared.run))
             }) else {
@@ -119,7 +161,7 @@ fn subscription_loop(spec: &Spec, writer: &mut TcpStream, shared: &Shared) {
                 m.sub_frames_pushed.add(delta.len() as u64);
             }
             cumulative = Some(report.output);
-            last_domain = Some(clamped);
+            last_domain = Some(refresh.clamped);
         }
         // Sleep until the catalog grows (or the server stops); poll the
         // client socket each interval so an abandoned subscription does

@@ -38,7 +38,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use v2v_container::{read_svc, write_svc, ContainerError, StreamWriter, VideoStream};
-use v2v_exec::Catalog;
+use v2v_exec::{container_kind, Catalog, ErrorKind};
 use v2v_frame::ops::conform;
 use v2v_frame::FrameType;
 use v2v_plan::VariantKind;
@@ -90,6 +90,23 @@ pub enum StoreError {
     /// A source name that is not one plain path component.
     #[error("source name '{0}' is not a plain path component")]
     InvalidName(String),
+}
+
+impl StoreError {
+    /// This failure's class in the cross-layer [`ErrorKind`] table.
+    pub fn kind(&self) -> ErrorKind {
+        match self {
+            StoreError::Io { .. } => ErrorKind::Io,
+            StoreError::Container(e) => container_kind(e),
+            StoreError::CorruptManifest { .. } | StoreError::DigestMismatch { .. } => {
+                ErrorKind::CorruptData
+            }
+            StoreError::UnknownSource(_) | StoreError::UnknownVariant { .. } => ErrorKind::NotFound,
+            StoreError::OriginalNotManaged | StoreError::InvalidName(_) => {
+                ErrorKind::InvalidRequest
+            }
+        }
+    }
 }
 
 fn io_err(path: impl Into<PathBuf>) -> impl FnOnce(std::io::Error) -> StoreError {

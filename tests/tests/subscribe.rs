@@ -299,6 +299,23 @@ fn subscribe_rejects_unbindable_specs_up_front() {
 
     let resp = client::request(addr, "POST", "/subscribe", b"not json").unwrap();
     assert_eq!(resp.status, 400);
+
+    // A spec that binds but cannot plan is refused before the stream
+    // head, with the kind a `/query` of it answers.
+    let unplannable: [fn(&mut v2v_spec::OutputSettings); 3] = [
+        |o| o.frame_ty.width = 0,
+        |o| o.frame_ty.height = 16385,
+        |o| o.gop_size = 0,
+    ];
+    for mutate in unplannable {
+        let mut spec = growth_spec();
+        mutate(&mut spec.output);
+        let resp = client::request(addr, "POST", "/subscribe", spec.to_json().as_bytes()).unwrap();
+        assert_eq!(resp.status, 400, "{:?}", spec.output);
+        let v: serde_json::Value = serde_json::from_slice(&resp.body).unwrap();
+        let kind = v.get("error").and_then(|e| e.get("kind"));
+        assert_eq!(kind.and_then(|k| k.as_str()), Some("plan"), "{v}");
+    }
     handle.stop();
 }
 
