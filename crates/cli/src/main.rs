@@ -87,8 +87,9 @@
 //! 5 not_found, 6 invalid_request, 7 plan, 8 udf, 9 internal; 2 is the
 //! usage text). A bad argument or flag value is `invalid_request`; a
 //! daemon's refusal (`append --to`, `subscribe`) carries the kind its
-//! error body names. `--json` switches stderr to one structured
-//! `{"error": {kind, message, exit_code}}` object.
+//! error body names, and a subscription the daemon ends with a failure
+//! record exits by the record's kind. `--json` switches stderr to one
+//! structured `{"error": {kind, message, exit_code}}` object.
 //!
 //! Adaptive physical storage: `v2v store` manages per-source variant
 //! sets (see `v2v-store`) offline; `v2v run --store DIR` attaches a
@@ -112,6 +113,7 @@
 use std::process::ExitCode;
 use v2v_core::{EngineConfig, ErrorKind, V2vEngine, V2vError};
 use v2v_exec::Catalog;
+use v2v_serve::sub::RefreshFailed;
 use v2v_serve::{ServeConfig, ServeRole, V2vServer};
 use v2v_spec::Spec;
 
@@ -942,8 +944,14 @@ fn cmd_subscribe(args: &[String]) -> Result<(), V2vError> {
     let mut applier = v2v_serve::sub::DeltaApplier::new();
     let mut count = 0u64;
     loop {
-        let record = v2v_serve::sub::read_delta(&mut resp.reader)
-            .map_err(|e| V2vError::with_source(ErrorKind::Io, "reading delta stream", e))?;
+        let record = v2v_serve::sub::read_delta(&mut resp.reader).map_err(|e| {
+            // A failure record ends the stream with the server's kind.
+            let failed = e.get_ref().and_then(|e| e.downcast_ref::<RefreshFailed>());
+            match failed {
+                Some(f) => V2vError::new(f.kind, format!("after {count} delta(s): {f}")),
+                None => V2vError::with_source(ErrorKind::Io, "reading delta stream", e),
+            }
+        })?;
         let Some((header, svc)) = record else {
             break; // server closed the subscription cleanly
         };

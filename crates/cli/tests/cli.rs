@@ -1,8 +1,11 @@
 //! End-to-end CLI tests: drive the `v2v` binary over on-disk artifacts.
 
+use std::io::BufRead;
+use std::io::BufReader;
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 use v2v_integration_tests::{marked_output, marked_stream};
+use v2v_spec::builder::blur;
 use v2v_spec::SpecBuilder;
 use v2v_time::{r, Rational};
 
@@ -334,7 +337,9 @@ fn cli_frame_export() {
 
 /// The exit-code table of the CLI's module doc: each failure exits by
 /// its `ErrorKind`, and `--json` names the same kind and code on stderr.
-/// The last row is a daemon's refusal, classified from its error body.
+/// The last table row is a daemon's refusal, classified from its error
+/// body; the row after the table is a subscription the daemon ends with
+/// a failure record.
 #[test]
 fn cli_exit_codes_follow_the_error_kind() {
     let dir = workdir();
@@ -362,10 +367,15 @@ fn cli_exit_codes_follow_the_error_kind() {
     let store = store.to_str().unwrap();
 
     // A daemon holding 2 s of `src`; a 1 s stream stamped at 0 does not
-    // continue it.
+    // continue it. Its first frame past the committed source fails to
+    // read, so a subscription's refresh after growth fails.
     let mut catalog = v2v_exec::Catalog::new();
     catalog.add_video("src", marked_stream(60, 30));
+    let mut config = v2v_serve::ServeConfig::default();
+    let fault = v2v_exec::FaultInjector::new().fail("src", 60, v2v_exec::FaultKind::Io);
+    config.engine.exec.fault = Some(std::sync::Arc::new(fault));
     let daemon = v2v_serve::V2vServer::new(catalog)
+        .with_config(config)
         .start("127.0.0.1:0")
         .unwrap();
     let addr = daemon.addr().to_string();
@@ -400,18 +410,59 @@ fn cli_exit_codes_follow_the_error_kind() {
             3,
         ),
     ];
-    for (args, kind, code) in cases {
-        let out = Command::new(V2V)
-            .args(args)
-            .arg("--json")
-            .output()
-            .expect("spawn v2v");
+    let check = |args: &[&str], out: std::process::Output, kind: &str, code: i32| {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
         let report: serde_json::Value = serde_json::from_str(stderr.trim()).expect("json error");
         let field = |name: &str| report.get("error").and_then(|e| e.get(name)).cloned();
         assert_eq!(field("kind"), Some(kind.into()), "{args:?}: {stderr}");
         assert_eq!(field("exit_code"), Some(code.into()), "{args:?}: {stderr}");
+    };
+    for (args, kind, code) in cases {
+        let out = Command::new(V2V)
+            .args(args)
+            .arg("--json")
+            .output()
+            .expect("spawn v2v");
+        check(args, out, kind, code);
     }
+
+    // A subscription whose refresh fails after its first delta exits by
+    // the failure record's kind, not as a clean end.
+    let blur_spec = SpecBuilder::new(marked_output())
+        .video("src", "src.svc")
+        .append_filtered("src", r(0, 1), r(10, 1), |e| blur(e, 1.0))
+        .build();
+    let blur_spec = write("exit_subscribe.json", blur_spec.to_json().as_bytes());
+    let args = ["subscribe", "--to", &addr, &blur_spec, "--json"];
+    let mut child = Command::new(V2V)
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn v2v subscribe");
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut line = String::new();
+    while !line.starts_with("delta 0") {
+        line.clear();
+        assert_ne!(stdout.read_line(&mut line).unwrap(), 0, "no first delta");
+    }
+    let full = marked_stream(90, 30);
+    let at = full.start() + full.frame_dur() * Rational::from_int(60);
+    let tail = full.copy_packet_range(60, 90, at).unwrap();
+    let tail = v2v_container::VideoStream::new(*full.params(), at, full.frame_dur(), tail).unwrap();
+    let tail = v2v_container::svc_to_bytes(&tail).unwrap();
+    let addr = daemon.addr();
+    let append = v2v_serve::http::client::request(addr, "POST", "/append/src", &tail).unwrap();
+    assert_eq!(append.status, 200);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while child.try_wait().unwrap().is_none() {
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("v2v subscribe did not exit after the failed refresh");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    check(&args, child.wait_with_output().unwrap(), "io", 4);
     let _ = std::fs::remove_dir_all(dir.join("exit_codes_store"));
 }

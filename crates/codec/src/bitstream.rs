@@ -1,5 +1,10 @@
 //! Bitstream primitives: LEB128 varints, zigzag signed coding, and
 //! (run, value) residual coding shared by the intra and inter coders.
+//!
+//! Residuals are read a whole coded unit at a time — an inter block's
+//! `bw × bh` residuals, or an intra row — by one
+//! [`RunDecoder::next_residuals`] call into a buffer the caller has
+//! zeroed, so the reader stores only the nonzero values.
 
 use crate::CodecError;
 
@@ -216,18 +221,24 @@ impl<'a, 'b> RunDecoder<'a, 'b> {
         }
     }
 
-    /// Fills `out` with the next `out.len()` residuals.
+    /// Reads the next `out.len()` residuals into `out`, which the
+    /// caller has zeroed.
+    ///
+    /// Only nonzero values are stored: a zero run, pending zeroes and
+    /// the implicit trailing zeroes advance the index and write nothing,
+    /// so a call costs one store per coded value, however long the runs
+    /// a stream declares. Callers read a whole coded block (or intra
+    /// row) per call into a buffer they zero once.
     ///
     /// Whenever no pair is pending, a fast path takes every pair whose
     /// run and zigzag code are both single bytes (`< 0x80`, nearly every
-    /// pair this codec writes) straight from the reader's buffer: `run`
-    /// zeroes, then the value, for as long as `run + 1` fits both the
-    /// rest of `out` and the residual count. Anything else — a
-    /// multi-byte varint, a pair straddling the end of `out` (it becomes
-    /// pending), the implicit trailing zeroes, a run past the count —
-    /// goes through the general loop below, which raises every error.
-    /// A one-byte code is a magnitude of at most 64, so the fast path
-    /// needs no range check.
+    /// pair this codec writes) straight from the reader's buffer, for as
+    /// long as `run + 1` fits both the rest of `out` and the residual
+    /// count. Anything else — a multi-byte varint, a pair straddling the
+    /// end of `out` (it becomes pending), the implicit trailing zeroes,
+    /// a run past the count — goes through the general loop below,
+    /// which raises every error. A one-byte code is a magnitude of at
+    /// most 64, so the fast path needs no range check.
     #[allow(clippy::indexing_slicing)] // every index is bounded by the `i < out.len()` loop condition: `n` is min'd against `out.len() - i`, and a fast-path pair is taken only when `run < room ≤ out.len() - i`
     pub fn next_residuals(&mut self, out: &mut [i32]) -> Result<(), CodecError> {
         let mut i = 0usize;
@@ -239,15 +250,13 @@ impl<'a, 'b> RunDecoder<'a, 'b> {
                 let (start, mut used) = (i, 0usize);
                 for pair in bytes.chunks_exact(2) {
                     let &[run, code] = pair else { break };
-                    if (run | code) >= 0x80 || usize::from(run) >= room {
+                    let run = usize::from(run);
+                    if (run | usize::from(code)) >= 0x80 || run >= room {
                         break;
                     }
-                    let run = usize::from(run);
-                    if run > 0 {
-                        out[i..i + run].fill(0);
-                    }
-                    out[i + run] = unzigzag(u64::from(code));
-                    i += run + 1;
+                    i += run;
+                    out[i] = unzigzag(u64::from(code));
+                    i += 1;
                     room -= run + 1;
                     used += 2;
                 }
@@ -262,7 +271,6 @@ impl<'a, 'b> RunDecoder<'a, 'b> {
             }
             if self.pending_zeroes > 0 {
                 let n = (self.pending_zeroes.min(self.remaining) as usize).min(out.len() - i);
-                out[i..i + n].fill(0);
                 self.pending_zeroes -= n as u64;
                 self.remaining -= n as u64;
                 i += n;
@@ -277,7 +285,6 @@ impl<'a, 'b> RunDecoder<'a, 'b> {
             if self.reader.remaining() == 0 {
                 // Implicit trailing zeros up to the residual count.
                 let n = (self.remaining as usize).min(out.len() - i);
-                out[i..i + n].fill(0);
                 self.remaining -= n as u64;
                 i += n;
                 continue;
@@ -285,7 +292,7 @@ impl<'a, 'b> RunDecoder<'a, 'b> {
             let (run, value) = self.pair()?;
             // The pair covers `run + 1` residuals; nothing of it has been
             // consumed yet, so reject runs that overrun the declared
-            // residual count instead of silently clamping the zero fill.
+            // residual count instead of silently clamping the zero run.
             if run >= self.remaining {
                 return Err(CodecError::Corrupt(
                     "run length exceeds residual count".into(),
@@ -416,7 +423,7 @@ mod tests {
         put_varint(&mut buf, zigzag(-7));
         let mut r = Reader::new(&buf);
         let mut dec = RunDecoder::new(&mut r, 4);
-        let mut out = [99i32; 4];
+        let mut out = [0i32; 4];
         dec.next_residuals(&mut out).unwrap();
         assert_eq!(out, [0, 0, 0, -7]);
     }
@@ -500,7 +507,8 @@ mod tests {
 
     /// The `next_residuals` loop as it stood before the one-byte fast
     /// path, kept as that path's oracle: every pair goes through the
-    /// general varint read and the pending-state machine.
+    /// general varint read and the pending-state machine, and every
+    /// zero is stored.
     fn next_residuals_general(
         dec: &mut RunDecoder<'_, '_>,
         out: &mut [i32],
@@ -600,28 +608,72 @@ mod tests {
         }
     }
 
+    /// Decodes `bytes` (declaring `count` residuals) through the reader
+    /// and through the oracle, one slice of each length in `chunks` at a
+    /// time, both into zeroed buffers. After every call the residuals,
+    /// the outcome (error text included), the remaining count and the
+    /// reader position must agree.
+    fn reader_matches_oracle(
+        bytes: &[u8],
+        count: u64,
+        chunks: &[usize],
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let mut fast_reader = Reader::new(bytes);
+        let mut oracle_reader = Reader::new(bytes);
+        let mut fast = RunDecoder::new(&mut fast_reader, count);
+        let mut oracle = RunDecoder::new(&mut oracle_reader, count);
+        for &n in chunks {
+            let mut got = vec![0; n];
+            let mut want = vec![0; n];
+            let got_res = fast.next_residuals(&mut got);
+            let want_res = next_residuals_general(&mut oracle, &mut want);
+            prop_assert_eq!(&got_res, &want_res);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(fast.remaining, oracle.remaining);
+            prop_assert_eq!(fast.reader.pos, oracle.reader.pos);
+            if got_res.is_err() {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// A stream of drawn tokens, cut short by `cut` bytes, with the
+    /// residual count `slack` away from what its pairs cover.
+    fn token_stream(
+        tokens: &[(u8, u64, u64)],
+        hostile: bool,
+        cut: usize,
+        slack: i64,
+    ) -> (Vec<u8>, u64) {
+        let mut bytes = Vec::new();
+        let covered: u64 = tokens
+            .iter()
+            .map(|&t| token_bytes(t, hostile, &mut bytes))
+            .sum();
+        bytes.truncate(bytes.len().saturating_sub(cut));
+        (bytes, covered.saturating_add_signed(slack))
+    }
+
+    fn tokens(max: usize) -> impl Strategy<Value = Vec<(u8, u64, u64)>> {
+        prop::collection::vec(
+            (prop_oneof![Just(0u8), 0u8..8], any::<u64>(), any::<u64>()),
+            0..max,
+        )
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// The fast path decodes what the general loop decodes: after
-        /// every call over randomly sized slices, the residuals, the
-        /// outcome (error text included), the remaining count and the
-        /// reader position all agree — over well-formed streams, streams
-        /// with hostile pairs anywhere, truncated tails, and residual
-        /// counts short of or past what the pairs cover. Slices are
-        /// mostly 1..=40 residuals (an inter block row is 16) and
-        /// sometimes up to 300 (an intra row), where a run byte of
-        /// `0x80` or more would fit the room left.
+        /// The fast path decodes what the general loop decodes, over
+        /// well-formed streams, streams with hostile pairs anywhere,
+        /// truncated tails, and residual counts short of or past what
+        /// the pairs cover. Slices are mostly 1..=40 residuals and
+        /// sometimes up to 300, where a run byte of `0x80` or more would
+        /// fit the room left.
         #[test]
         fn fast_path_matches_the_general_loop(
-            tokens in prop::collection::vec(
-                (
-                    prop_oneof![Just(0u8), 0u8..8],
-                    any::<u64>(),
-                    any::<u64>(),
-                ),
-                0..48,
-            ),
+            tokens in tokens(48),
             hostile in any::<bool>(),
             slack in -6i64..24,
             cut in prop_oneof![Just(0usize), 0usize..4],
@@ -630,30 +682,26 @@ mod tests {
                 1..160,
             ),
         ) {
-            let mut bytes = Vec::new();
-            let covered: u64 = tokens
-                .iter()
-                .map(|&t| token_bytes(t, hostile, &mut bytes))
-                .sum();
-            bytes.truncate(bytes.len().saturating_sub(cut));
-            let count = covered.saturating_add_signed(slack);
-            let mut fast_reader = Reader::new(&bytes);
-            let mut oracle_reader = Reader::new(&bytes);
-            let mut fast = RunDecoder::new(&mut fast_reader, count);
-            let mut oracle = RunDecoder::new(&mut oracle_reader, count);
-            for &n in &chunks {
-                let mut got = vec![i32::MIN; n];
-                let mut want = vec![i32::MIN; n];
-                let got_res = fast.next_residuals(&mut got);
-                let want_res = next_residuals_general(&mut oracle, &mut want);
-                prop_assert_eq!(&got_res, &want_res);
-                prop_assert_eq!(&got, &want);
-                prop_assert_eq!(fast.remaining, oracle.remaining);
-                prop_assert_eq!(fast.reader.pos, oracle.reader.pos);
-                if got_res.is_err() {
-                    break;
-                }
-            }
+            let (bytes, count) = token_stream(&tokens, hostile, cut, slack);
+            reader_matches_oracle(&bytes, count, &chunks)?;
+        }
+
+        /// The same agreement at the slice shapes the plane decoders
+        /// use: a whole 16×16 inter block, the 16×4 edge block of a
+        /// 180-row plane, and a 320-sample intra row.
+        #[test]
+        fn block_reads_match_the_general_loop(
+            tokens in tokens(400),
+            hostile in any::<bool>(),
+            slack in -40i64..300,
+            cut in prop_oneof![Just(0usize), 0usize..4],
+            chunks in prop::collection::vec(
+                prop_oneof![Just(256usize), Just(64), Just(320)],
+                1..24,
+            ),
+        ) {
+            let (bytes, count) = token_stream(&tokens, hostile, cut, slack);
+            reader_matches_oracle(&bytes, count, &chunks)?;
         }
     }
 }

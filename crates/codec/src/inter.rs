@@ -6,13 +6,17 @@
 //! makes static content nearly free and gives P-heavy GOPs their small
 //! size. Changed blocks carry quantized temporal residuals.
 //!
-//! The kernels run over row segments: the skip decision reduces each
+//! The encoder runs over block rows: the skip decision reduces each
 //! block row with a branch-free max-of-abs-diff sweep (early exit at row
 //! granularity — same decision as the per-pixel scan), and residual
-//! coding quantizes a whole row segment into scratch before the serial
-//! entropy pass. Temporal prediction has no intra-row dependence, so
-//! every sweep autovectorizes. The original per-pixel implementation
-//! survives as the `tests` oracle.
+//! coding quantizes a whole block row into scratch, through the plane's
+//! reciprocal [`Quantizer`], before the serial entropy pass. Temporal
+//! prediction has no intra-row dependence, so every sweep
+//! autovectorizes. The encoder writes a block's residuals contiguously,
+//! row by row, so the decoder reads each coded block with one
+//! `RunDecoder::next_residuals` call into a block buffer it zeroes
+//! first, then reconstructs the block's rows from it. The original
+//! per-pixel implementation survives as the `tests` oracle.
 
 // Panic-audit exemption: every index in these kernels derives from the
 // block grid and plane geometry — never from a bitstream-controlled
@@ -22,7 +26,7 @@
 #![allow(clippy::indexing_slicing)]
 
 use crate::bitstream::{Reader, RunCoder, RunDecoder};
-use crate::intra::quantize_bf;
+use crate::intra::Quantizer;
 use crate::CodecError;
 use v2v_frame::Plane;
 
@@ -99,7 +103,7 @@ pub fn encode_plane_into(
     // Pass 2: residuals for coded blocks; build the reconstruction by
     // overwriting a copy of the reference block-row by block-row.
     recon.data_mut().copy_from_slice(reference.data());
-    let half = qstep / 2;
+    let quantizer = Quantizer::new(qstep);
     let mut coder = RunCoder::new();
     let mut qseg = [0i32; BLOCK];
     for by in 0..by_n {
@@ -124,7 +128,7 @@ pub fn encode_plane_into(
                 } else {
                     for i in 0..n {
                         let pred = i32::from(r[i]);
-                        let q = quantize_bf(i32::from(c[i]) - pred, qstep, half);
+                        let q = quantizer.quantize(i32::from(c[i]) - pred);
                         qseg[i] = q;
                         rec[i] = (pred + q * qstep).clamp(0, 255) as u8;
                     }
@@ -168,7 +172,7 @@ pub fn decode_plane_into(
 
     recon.data_mut().copy_from_slice(reference.data());
     let mut dec = RunDecoder::new(reader, total);
-    let mut qseg = [0i32; BLOCK];
+    let mut qblk = [0i32; BLOCK * BLOCK];
     for by in 0..by_n {
         let y0 = by * BLOCK;
         let y1 = (y0 + BLOCK).min(h);
@@ -179,12 +183,16 @@ pub fn decode_plane_into(
             let x0 = bx * BLOCK;
             let x1 = (x0 + BLOCK).min(w);
             let n = x1 - x0;
-            for y in y0..y1 {
-                dec.next_residuals(&mut qseg[..n])?;
+            // The encoder writes a block's residuals row by row, so one
+            // call reads the whole block into a buffer zeroed here.
+            let qb = &mut qblk[..n * (y1 - y0)];
+            qb.fill(0);
+            dec.next_residuals(qb)?;
+            for (y, q) in (y0..y1).zip(qb.chunks_exact(n)) {
                 let r = &reference.row(y)[x0..x1];
                 let rec = &mut recon.row_mut(y)[x0..x1];
                 for i in 0..n {
-                    rec[i] = (i32::from(r[i]) + qseg[i] * qstep).clamp(0, 255) as u8;
+                    rec[i] = (i32::from(r[i]) + q[i] * qstep).clamp(0, 255) as u8;
                 }
             }
         }

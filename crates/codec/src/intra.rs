@@ -8,10 +8,12 @@
 //!
 //! The DPCM chain carries a loop dependence (each pixel predicts from
 //! the one just reconstructed), so the kernels stay serial, but run over
-//! row slices instead of per-pixel accessors. On decode each row reads
-//! its residuals into a scratch row with one
-//! `RunDecoder::next_residuals` call before reconstructing. The original
-//! per-pixel implementation survives as the `tests` oracle.
+//! row slices instead of per-pixel accessors. Both encoders quantize
+//! through the [`Quantizer`] defined here, a reciprocal multiply built
+//! once per plane. On decode each row reads its residuals into a
+//! scratch row, zeroed first, with one `RunDecoder::next_residuals`
+//! call before reconstructing. The original per-pixel implementation
+//! survives as the `tests` oracle.
 
 // Panic-audit exemption: every index in these kernels derives from plane
 // geometry (`w`, `h`, row slices) — never from a bitstream-controlled
@@ -24,8 +26,9 @@ use crate::bitstream::{Reader, RunCoder, RunDecoder};
 use crate::CodecError;
 use v2v_frame::Plane;
 
-/// Quantizes a residual with symmetric rounding.
-#[inline]
+/// Quantizes a residual with symmetric rounding: the scalar oracle of
+/// [`Quantizer`].
+#[cfg(test)]
 pub(crate) fn quantize(r: i32, qstep: i32) -> i32 {
     if qstep == 1 {
         r
@@ -36,14 +39,40 @@ pub(crate) fn quantize(r: i32, qstep: i32) -> i32 {
     }
 }
 
-/// Branch-free [`quantize`] for vector sweeps (`qstep > 1` only): the
-/// sign is folded in arithmetically instead of branched on.
-#[inline]
-pub(crate) fn quantize_bf(r: i32, qstep: i32, half: i32) -> i32 {
-    let s = r >> 31;
-    let a = (r ^ s) - s;
-    let q = (a + half) / qstep;
-    (q ^ s) - s
+/// One plane's residual quantizer: symmetric rounding division by
+/// `qstep`, done as a multiply by a reciprocal computed once.
+///
+/// `((|r| + qstep / 2) · m) >> 32` with `m = ⌈2^32 / qstep⌉` equals the
+/// division whenever `numerator · (m · qstep − 2^32) < 2^32`. That error
+/// term is below `qstep ≤ 256`, so every numerator below `2^24` is
+/// exact, and a residual of two `u8` samples keeps its numerator below
+/// `2^9`. The sign is folded in arithmetically, so a sweep stays
+/// branch-free.
+#[derive(Clone, Copy)]
+pub(crate) struct Quantizer {
+    half: u64,
+    recip: u64,
+}
+
+impl Quantizer {
+    /// The quantizer for `qstep` (`1..=256`, from a `u8` quantizer).
+    pub(crate) fn new(qstep: i32) -> Quantizer {
+        debug_assert!((1..=256).contains(&qstep));
+        let qstep = u64::from(qstep.unsigned_abs());
+        Quantizer {
+            half: qstep / 2,
+            recip: (1u64 << 32).div_ceil(qstep),
+        }
+    }
+
+    /// Quantizes one residual (`|r| ≤ 255`).
+    #[inline]
+    pub(crate) fn quantize(self, r: i32) -> i32 {
+        let s = r >> 31;
+        let a = u64::from(r.unsigned_abs());
+        let q = (((a + self.half) * self.recip) >> 32) as i32;
+        (q ^ s) - s
+    }
 }
 
 /// Encodes one plane as an intra payload, writing the reconstruction the
@@ -53,6 +82,7 @@ pub fn encode_plane_into(plane: &Plane, qstep: i32, out: &mut Vec<u8>, recon: &m
     let w = plane.width();
     let h = plane.height();
     debug_assert_eq!((recon.width(), recon.height()), (w, h));
+    let quantizer = Quantizer::new(qstep);
     let mut coder = RunCoder::new();
     for y in 0..h {
         let src = plane.row(y);
@@ -66,7 +96,7 @@ pub fn encode_plane_into(plane: &Plane, qstep: i32, out: &mut Vec<u8>, recon: &m
             (128, recon.row_mut(0))
         };
         for x in 0..w {
-            let q = quantize(i32::from(src[x]) - pred, qstep);
+            let q = quantizer.quantize(i32::from(src[x]) - pred);
             coder.push(out, q);
             let v = (pred + q * qstep).clamp(0, 255) as u8;
             rec[x] = v;
@@ -88,6 +118,7 @@ pub fn decode_plane_into(
     let mut dec = RunDecoder::new(reader, (width * height) as u64);
     let mut qrow = vec![0i32; width];
     for y in 0..height {
+        qrow.fill(0);
         dec.next_residuals(&mut qrow)?;
         let (mut pred, rec) = if y > 0 {
             let (prev, rec) = recon.row_pair_mut(y);
@@ -266,10 +297,17 @@ mod tests {
     }
 
     #[test]
-    fn quantize_bf_matches_quantize() {
-        for q in [2, 3, 4, 5, 8, 13] {
-            for r in -600..=600 {
-                assert_eq!(quantize_bf(r, q, q / 2), quantize(r, q), "r={r} q={q}");
+    fn reciprocal_quantizer_matches_division() {
+        // Every qstep a `u8` quantizer gives, every residual two `u8`
+        // samples can differ by.
+        for qstep in 1..=256 {
+            let quantizer = Quantizer::new(qstep);
+            for r in -255..=255 {
+                assert_eq!(
+                    quantizer.quantize(r),
+                    quantize(r, qstep),
+                    "r={r} qstep={qstep}"
+                );
             }
         }
     }

@@ -3,6 +3,7 @@
 
 use crate::http::{Request, Response};
 use crate::{error_response, Shared};
+use v2v_core::ErrorKind;
 
 /// `POST /append/<name>`: splices a sealed `.svc` of freshly-encoded
 /// GOPs onto the named catalog video (or binds it fresh), then wakes
@@ -14,17 +15,19 @@ pub(crate) fn handle_append(path: &str, req: &Request, shared: &Shared) -> Respo
     let name = path.strip_prefix("/append/").unwrap_or_default();
     if name.is_empty() {
         return error_response(
-            400,
-            "invalid_request",
+            ErrorKind::InvalidRequest,
             "missing video name in /append/<name>",
         );
     }
     let new = match v2v_container::svc_from_bytes(&req.body) {
         Ok(s) => s,
-        Err(e) => return error_response(422, "corrupt_data", &format!("append container: {e}")),
+        Err(e) => return error_response(ErrorKind::CorruptData, &format!("append container: {e}")),
     };
     if new.is_empty() {
-        return error_response(400, "invalid_request", "appended container holds no frames");
+        return error_response(
+            ErrorKind::InvalidRequest,
+            "appended container holds no frames",
+        );
     }
     let mut catalog = shared.catalog_write();
     let total = match catalog.video(name).cloned() {
@@ -37,8 +40,7 @@ pub(crate) fn handle_append(path: &str, req: &Request, shared: &Shared) -> Respo
                 + existing.frame_dur() * v2v_time::Rational::from_int(existing.len() as i64);
             if new.start() != expected {
                 return error_response(
-                    422,
-                    "corrupt_data",
+                    ErrorKind::CorruptData,
                     &format!(
                         "append starts at {} but '{name}' continues at {expected}",
                         new.start()
@@ -49,8 +51,7 @@ pub(crate) fn handle_append(path: &str, req: &Request, shared: &Shared) -> Respo
                 Ok(j) => j,
                 Err(e) => {
                     return error_response(
-                        422,
-                        "corrupt_data",
+                        ErrorKind::CorruptData,
                         &format!("append does not continue '{name}': {e}"),
                     )
                 }
@@ -84,14 +85,15 @@ pub(crate) fn handle_append_data(path: &str, req: &Request, shared: &Shared) -> 
     let name = path.strip_prefix("/append-data/").unwrap_or_default();
     if name.is_empty() {
         return error_response(
-            400,
-            "invalid_request",
+            ErrorKind::InvalidRequest,
             "missing array name in /append-data/<name>",
         );
     }
     let entries: Vec<serde_json::Value> = match serde_json::from_slice(&req.body) {
         Ok(e) => e,
-        Err(e) => return error_response(400, "invalid_request", &format!("append-data body: {e}")),
+        Err(e) => {
+            return error_response(ErrorKind::InvalidRequest, &format!("append-data body: {e}"))
+        }
     };
     let mut parsed = Vec::with_capacity(entries.len());
     for (i, entry) in entries.iter().enumerate() {
@@ -100,13 +102,12 @@ pub(crate) fn handle_append_data(path: &str, req: &Request, shared: &Shared) -> 
         let t = match v2v_data::json::parse_time(t) {
             Ok(t) => t,
             Err(e) => {
-                return error_response(400, "invalid_request", &format!("entry {i}: 't': {e}"))
+                return error_response(ErrorKind::InvalidRequest, &format!("entry {i}: 't': {e}"))
             }
         };
         let Some(value) = entry.get("value") else {
             return error_response(
-                400,
-                "invalid_request",
+                ErrorKind::InvalidRequest,
                 &format!("entry {i}: missing 'value'"),
             );
         };

@@ -640,9 +640,9 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 "request not received within {} ms",
                 shared.read_deadline.as_millis()
             );
-            error_response(408, "invalid_request", &message)
+            protocol_error(408, &message)
         }
-        Err(e) => error_response(400, "invalid_request", &format!("bad request: {e}")),
+        Err(e) => error_response(ErrorKind::InvalidRequest, &format!("bad request: {e}")),
     };
     let _ = write_response(&mut writer, &resp);
 }
@@ -669,9 +669,9 @@ fn route(req: &Request, shared: &Shared) -> Response {
         ("GET", "/status") => handle_status(shared),
         ("GET", "/metrics") => Response::json(200, &shared.registry.snapshot()),
         ("GET", _) | ("POST", _) => {
-            error_response(404, "not_found", &format!("no route {}", req.path))
+            error_response(ErrorKind::NotFound, &format!("no route {}", req.path))
         }
-        (m, _) => error_response(405, "invalid_request", &format!("method {m} not allowed")),
+        (m, _) => protocol_error(405, &format!("method {m} not allowed")),
     }
 }
 
@@ -769,13 +769,27 @@ fn status_for(kind: ErrorKind) -> u16 {
 
 /// The error response for a classified engine or request failure.
 fn error_of(e: &V2vError) -> Response {
-    error_response(status_for(e.kind()), e.kind().name(), &e.to_string())
+    error_response(e.kind(), &e.to_string())
 }
 
-fn error_response(status: u16, kind: &str, message: &str) -> Response {
+/// The error response for `kind`, at the status the table above gives
+/// it: a route names the kind, never the status.
+fn error_response(kind: ErrorKind, message: &str) -> Response {
+    error_body(status_for(kind), kind, message)
+}
+
+/// An `invalid_request` at an HTTP protocol status outside the kind
+/// table: 405 refuses the method, not the request, and 408 says the
+/// request never arrived in time, so a client retries rather than
+/// fixing its body. No other route picks its own status.
+fn protocol_error(status: u16, message: &str) -> Response {
+    error_body(status, ErrorKind::InvalidRequest, message)
+}
+
+fn error_body(status: u16, kind: ErrorKind, message: &str) -> Response {
     Response::json(
         status,
-        &serde_json::json!({"error": {"kind": kind, "message": message}}),
+        &serde_json::json!({"error": {"kind": kind.name(), "message": message}}),
     )
 }
 

@@ -66,11 +66,14 @@ pub(crate) fn handle_render_segment(req: &Request, shared: &Shared) -> Response 
     let parsed: RenderSegmentRequest = match serde_json::from_slice(&req.body) {
         Ok(p) => p,
         Err(e) => {
-            return error_response(400, "invalid_request", &format!("bad render request: {e}"))
+            return error_response(
+                ErrorKind::InvalidRequest,
+                &format!("bad render request: {e}"),
+            )
         }
     };
     let Ok(key) = u64::from_str_radix(&parsed.key, 16) else {
-        return error_response(400, "invalid_request", "key is not a hex u64");
+        return error_response(ErrorKind::InvalidRequest, "key is not a hex u64");
     };
     let mut prepared = match prepare_query(&parsed.spec, shared) {
         Ok(p) => p,
@@ -80,8 +83,7 @@ pub(crate) fn handle_render_segment(req: &Request, shared: &Shared) -> Response 
     // planned the same segment over the same sources.
     if prepared.run.segment_keys().get(parsed.seg_index).copied() != Some(Some(key)) {
         return error_response(
-            422,
-            "corrupt_data",
+            ErrorKind::CorruptData,
             &format!(
                 "segment {} key mismatch: worker plan disagrees with coordinator",
                 parsed.seg_index
@@ -101,7 +103,7 @@ pub(crate) fn handle_render_segment(req: &Request, shared: &Shared) -> Response 
             record_exec_metrics(&shared.metrics.exec, &stats);
             match v2v_container::fragment_to_wire(key, &frag) {
                 Ok(bytes) => Response::new(200, "application/octet-stream", bytes),
-                Err(e) => error_response(500, "internal", &format!("fragment encode: {e}")),
+                Err(e) => error_response(ErrorKind::Internal, &format!("fragment encode: {e}")),
             }
         }
         Err(e) => error_of(&e),

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
-use v2v_core::V2vError;
+use v2v_core::{ErrorKind, V2vError};
 use v2v_plan::VariantKind;
 use v2v_store::{
     attach_variants, plan_compaction, AccessProfile, CompactionInput, SourceStore, StoreAction,
@@ -98,7 +98,7 @@ pub(crate) fn status_block(shared: &Shared) -> Option<serde_json::Value> {
 pub(crate) fn handle_store_ls(shared: &Shared) -> Response {
     match status_block(shared) {
         Some(block) => Response::json(200, &block),
-        None => error_response(404, "not_found", "no variant store configured"),
+        None => error_response(ErrorKind::NotFound, "no variant store configured"),
     }
 }
 
@@ -116,7 +116,7 @@ fn parse_target(path: &str, op: &str) -> Option<(String, VariantKind)> {
 /// `/store/pin/...`.
 pub(crate) fn handle_store_admin(path: &str, req: &Request, shared: &Shared) -> Response {
     let Some(store) = shared.store.as_ref() else {
-        return error_response(404, "not_found", "no variant store configured");
+        return error_response(ErrorKind::NotFound, "no variant store configured");
     };
     if let Some((name, kind)) = parse_target(path, "materialize") {
         return match materialize_and_attach(shared, store, &name, kind) {
@@ -160,13 +160,13 @@ pub(crate) fn handle_store_admin(path: &str, req: &Request, shared: &Shared) -> 
             Err(e) => error_of(&V2vError::wrap(e.kind(), e)),
         };
     }
-    error_response(404, "not_found", &format!("no store route {path}"))
+    error_response(ErrorKind::NotFound, &format!("no store route {path}"))
 }
 
 /// `POST /store/compact`: one synchronous compaction pass.
 pub(crate) fn handle_store_compact(shared: &Shared) -> Response {
     if shared.store.is_none() {
-        return error_response(404, "not_found", "no variant store configured");
+        return error_response(ErrorKind::NotFound, "no variant store configured");
     }
     let actions = compaction_pass(shared);
     Response::json(200, &serde_json::json!({"actions": actions}))
@@ -184,8 +184,7 @@ fn materialize_and_attach(
 ) -> Result<v2v_store::VariantEntry, Response> {
     let Some(original) = shared.catalog_read().video(name).cloned() else {
         return Err(error_response(
-            404,
-            "not_found",
+            ErrorKind::NotFound,
             &format!("no catalog video '{name}'"),
         ));
     };

@@ -18,6 +18,18 @@
 //! independently playable, and [`DeltaApplier::apply`] only has to
 //! truncate its cumulative packet list to `from_frame` and extend.
 //!
+//! **A failed refresh ends the stream with one failure record**, whose
+//! header is the error object of an HTTP error body and which carries
+//! no `svc_bytes`:
+//!
+//! ```text
+//! failure := header_len:u32le  {"error": {"kind", "message"}}
+//! ```
+//!
+//! [`read_delta`] returns it as an `Err` whose inner error is a
+//! [`RefreshFailed`], so a client tells a failed subscription (and its
+//! [`ErrorKind`]) from a clean close, which is EOF at a record boundary.
+//!
 //! **Byte identity.** The server pushes deltas of a full re-render of
 //! the clamped spec, so after applying record `n` the client's
 //! cumulative stream is byte-for-byte the output of a cold one-shot run
@@ -37,6 +49,7 @@
 
 use std::io::{self, Read, Write};
 use v2v_container::VideoStream;
+use v2v_core::ErrorKind;
 
 /// Content type of the `/subscribe` response body.
 pub const DELTA_CONTENT_TYPE: &str = "application/x-v2v-delta";
@@ -57,6 +70,31 @@ pub struct DeltaHeader {
     pub version: u64,
 }
 
+/// Why a subscription's server ended it: the content of its failure
+/// record. [`read_delta`] returns it as the inner error of an
+/// [`io::Error`] (`io::Error::get_ref` and `downcast_ref` recover it).
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub struct RefreshFailed {
+    /// The failure's class, as a `/query` error body would name it.
+    pub kind: ErrorKind,
+    /// The server's message.
+    pub message: String,
+}
+
+impl std::fmt::Display for RefreshFailed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "subscription refresh failed: {}", self.message)
+    }
+}
+
+impl std::error::Error for RefreshFailed {}
+
+/// The header of a failure record, as [`read_delta`] parses it.
+#[derive(serde::Deserialize)]
+struct FailureRecord {
+    error: RefreshFailed,
+}
+
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
@@ -64,17 +102,28 @@ fn bad(msg: impl Into<String>) -> io::Error {
 /// Writes one delta record.
 pub fn write_delta(w: &mut impl Write, header: &DeltaHeader, svc: &[u8]) -> io::Result<()> {
     debug_assert_eq!(header.svc_len as usize, svc.len());
-    let json = serde_json::to_vec(header).map_err(|e| bad(format!("delta header: {e}")))?;
-    let len = u32::try_from(json.len()).map_err(|_| bad("delta header too large"))?;
+    write_record(w, header, svc)
+}
+
+/// Writes the failure record that ends a subscription.
+pub fn write_failure(w: &mut impl Write, failure: &RefreshFailed) -> io::Result<()> {
+    write_record(w, &serde_json::json!({ "error": failure }), &[])
+}
+
+/// Frames one record: the header JSON's length, the JSON, then `body`.
+fn write_record(w: &mut impl Write, header: &impl serde::Serialize, body: &[u8]) -> io::Result<()> {
+    let json = serde_json::to_vec(header).map_err(|e| bad(format!("record header: {e}")))?;
+    let len = u32::try_from(json.len()).map_err(|_| bad("record header too large"))?;
     w.write_all(&len.to_le_bytes())?;
     w.write_all(&json)?;
-    w.write_all(svc)?;
+    w.write_all(body)?;
     w.flush()
 }
 
 /// Reads one delta record. `Ok(None)` means the stream ended cleanly at
 /// a record boundary (the server closed the subscription); an EOF
-/// *inside* a record is an error.
+/// *inside* a record is an error, and so is a failure record, whose
+/// [`RefreshFailed`] is the returned error's inner error.
 pub fn read_delta(r: &mut impl Read) -> io::Result<Option<(DeltaHeader, Vec<u8>)>> {
     let mut len = [0u8; 4];
     match r.read(&mut len)? {
@@ -88,8 +137,15 @@ pub fn read_delta(r: &mut impl Read) -> io::Result<Option<(DeltaHeader, Vec<u8>)
     }
     let mut json = vec![0u8; len];
     r.read_exact(&mut json)?;
-    let header: DeltaHeader =
-        serde_json::from_slice(&json).map_err(|e| bad(format!("delta header: {e}")))?;
+    let header: DeltaHeader = match serde_json::from_slice(&json) {
+        Ok(h) => h,
+        Err(e) => {
+            return Err(match serde_json::from_slice::<FailureRecord>(&json) {
+                Ok(record) => io::Error::other(record.error),
+                Err(_) => bad(format!("delta header: {e}")),
+            })
+        }
+    };
     // `svc_len` is the peer's claim, and a first delta is a whole result
     // with no natural bound: read it without allocating the claim.
     let svc = crate::http::read_claimed(r, header.svc_len, "connection closed mid-delta")?;
@@ -404,6 +460,35 @@ mod tests {
         // A record cut mid-body is an error, not a silent None.
         let mut cut = std::io::Cursor::new(&wire[..wire.len() - 3]);
         assert!(read_delta(&mut cut).is_err());
+    }
+
+    /// A failure record reads back as an error carrying its kind and
+    /// message, after the deltas before it.
+    #[test]
+    fn a_failure_record_reads_as_an_error_with_its_kind() {
+        let svc = v2v_container::svc_to_bytes(&marked(4, 4, 0)).unwrap();
+        let header = DeltaHeader {
+            seq: 0,
+            from_frame: 0,
+            frames: 4,
+            svc_len: svc.len() as u64,
+            version: 1,
+        };
+        let failure = RefreshFailed {
+            kind: ErrorKind::Io,
+            message: "injected i/o failure".into(),
+        };
+        let mut wire = Vec::new();
+        write_delta(&mut wire, &header, &svc).unwrap();
+        write_failure(&mut wire, &failure).unwrap();
+        let mut cursor = std::io::Cursor::new(&wire);
+        assert!(read_delta(&mut cursor).unwrap().is_some());
+        let err = read_delta(&mut cursor).unwrap_err();
+        let inner = err
+            .get_ref()
+            .and_then(|e| e.downcast_ref::<RefreshFailed>());
+        assert_eq!(inner, Some(&failure));
+        assert_eq!(cursor.position() as usize, wire.len());
     }
 
     /// Regression: the body buffer used to be `vec![0; svc_len]` straight

@@ -24,7 +24,9 @@ use v2v_time::TimeSet;
 /// On acceptance the response head carries
 /// `content-type: application/x-v2v-delta` and **no** content-length;
 /// the body is then a sequence of delta records (see [`sub`]) until
-/// the client disconnects, the server stops, or a render fails.
+/// the client disconnects or the server stops. A refresh that fails to
+/// plan or render ends the stream with one failure record naming the
+/// error's kind.
 ///
 /// Each refresh clamps the spec's time domain to the servable prefix
 /// ([`v2v_spec::servable_domain`]) of a catalog snapshot, renders it
@@ -119,7 +121,7 @@ fn subscription_loop(spec: &Spec, first: Refresh, writer: &mut TcpStream, shared
             Some(r) => r,
             None => match plan_refresh(spec, last_domain.as_ref(), shared) {
                 Ok(r) => r,
-                Err(_) => return,
+                Err(e) => return fail(writer, &e),
             },
         };
         let seen = refresh.seen;
@@ -133,8 +135,9 @@ fn subscription_loop(spec: &Spec, first: Refresh, writer: &mut TcpStream, shared
                 std::thread::sleep(Duration::from_secs(RETRY_AFTER_SECS));
                 continue;
             };
-            let Ok((report, _trace)) = result else {
-                return; // render failure terminates the stream
+            let (report, _trace) = match result {
+                Ok(r) => r,
+                Err(e) => return fail(writer, &e),
             };
             m.sub_renders.inc();
             record_exec_metrics(&m.exec, &report.stats);
@@ -185,6 +188,16 @@ fn subscription_loop(spec: &Spec, first: Refresh, writer: &mut TcpStream, shared
             }
         }
     }
+}
+
+/// Ends a subscription whose refresh failed with a failure record. A
+/// client already gone does not hear it, which is fine.
+fn fail(writer: &mut TcpStream, e: &V2vError) {
+    let failure = sub::RefreshFailed {
+        kind: e.kind(),
+        message: e.to_string(),
+    };
+    let _ = sub::write_failure(writer, &failure);
 }
 
 /// Runs `f`, recording its wall time in `hist`.

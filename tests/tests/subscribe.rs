@@ -5,11 +5,11 @@
 
 use std::time::{Duration, Instant};
 use v2v_container::svc_to_bytes;
-use v2v_core::V2vEngine;
-use v2v_exec::{Catalog, RenderCache};
+use v2v_core::{ErrorKind, V2vEngine};
+use v2v_exec::{Catalog, FaultKind, RenderCache};
 use v2v_integration_tests::{marked_output, marked_stream, temp_dir};
 use v2v_serve::http::client;
-use v2v_serve::sub::{read_delta, DeltaApplier, DELTA_CONTENT_TYPE};
+use v2v_serve::sub::{read_delta, DeltaApplier, RefreshFailed, DELTA_CONTENT_TYPE};
 use v2v_serve::{ServeConfig, V2vServer};
 use v2v_spec::builder::blur;
 use v2v_spec::{Spec, SpecBuilder};
@@ -411,4 +411,52 @@ fn subscription_refreshes_store_no_whole_result() {
     drop(resp);
     handle.stop();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A refresh that fails after the 200 head is not a clean end: the
+/// daemon writes one failure record naming the error's kind, and
+/// `read_delta` returns it as an error, not as the clean `None`.
+#[test]
+fn a_failed_refresh_ends_the_stream_with_its_kind() {
+    let mut config = ServeConfig::default();
+    // The first frame past the committed source fails to read.
+    let fault = v2v_exec::FaultInjector::new().fail("src", INITIAL_FRAMES as u64, FaultKind::Io);
+    config.engine.exec.fault = Some(std::sync::Arc::new(fault));
+    let mut handle = V2vServer::new(catalog_with(INITIAL_FRAMES))
+        .with_config(config)
+        .start("127.0.0.1:0")
+        .unwrap();
+    let addr = handle.addr();
+    let mut resp = client::open_stream(
+        addr,
+        "POST",
+        "/subscribe",
+        growth_spec().to_json().as_bytes(),
+    )
+    .expect("subscribe");
+    assert_eq!(resp.status, 200);
+    resp.reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    read_delta(&mut resp.reader).unwrap().expect("first delta");
+
+    let append = client::request(
+        addr,
+        "POST",
+        "/append/src",
+        &installment(INITIAL_FRAMES, FULL_FRAMES),
+    )
+    .unwrap();
+    assert_eq!(append.status, 200);
+    let err = read_delta(&mut resp.reader).expect_err("failure record");
+    let failed = err
+        .get_ref()
+        .and_then(|e| e.downcast_ref::<RefreshFailed>())
+        .unwrap_or_else(|| panic!("not a failure record: {err}"));
+    assert_eq!(failed.kind, ErrorKind::Io, "{failed}");
+    assert!(failed.message.contains("injected"), "{failed}");
+    // The daemon closed after the record.
+    assert!(read_delta(&mut resp.reader).unwrap().is_none());
+    handle.stop();
 }
