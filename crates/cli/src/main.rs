@@ -50,9 +50,8 @@
 //! every delta.
 //!
 //! `--trace <path>` writes the run's observability artifact — rewrite
-//! trace, per-segment execution metrics, pipeline-stage spans, and a
-//! metrics snapshot — as one JSON document (the input to CI's
-//! metrics-snapshot job).
+//! trace, per-segment execution metrics and pipeline-stage spans — as
+//! one JSON document (the input to CI's metrics-snapshot job).
 //!
 //! Scheduler knobs: `--threads N` caps the executor's worker pool (0 =
 //! auto, also settable via `V2V_NUM_THREADS`); with more than one worker

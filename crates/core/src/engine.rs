@@ -9,10 +9,10 @@ use v2v_codec::Packet;
 use v2v_container::{Fragment, VideoStream};
 use v2v_data::{Database, Query};
 use v2v_exec::{
-    execute_naive, execute_streaming_with, execute_traced, Catalog, ExecOptions, ExecStats,
-    RenderCache, SegmentCacheCtx, StageTimes, StreamingStats,
+    execute, execute_naive, execute_streaming_with, Catalog, ExecOptions, ExecStats, RenderCache,
+    SegmentCacheCtx, StageTimes,
 };
-use v2v_obs::{SpanRecord, SpanSink};
+use v2v_obs::{SpanRecord, SpanSink, TRACE_SCHEMA_VERSION};
 use v2v_plan::{
     explain_logical, explain_physical, lower_spec, optimize_traced, select_variants,
     OptimizerConfig, PhysicalPlan, PlanStats, PlanTrace, SegPlan, SourceDigests, VariantPolicy,
@@ -84,6 +84,17 @@ pub struct RunReport {
     /// always empty under `Abort`, where the first failure aborts the
     /// run instead of landing here).
     pub errors: Vec<v2v_exec::SegmentFault>,
+}
+
+/// Latency profile of a streaming run.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct StreamingStats {
+    /// Wall time from executor start until the first packet reached the
+    /// sink (zero when nothing was sunk).
+    pub time_to_first_packet: Duration,
+    /// Wall time from executor start until the last packet reached the
+    /// sink.
+    pub total: Duration,
 }
 
 /// A spec carried through bind → specialize → check → plan, ready to
@@ -169,7 +180,10 @@ impl V2vEngine {
     ///   other locators are JSON annotation paths; names already bound in
     ///   the catalog win over both;
     /// * videos — names already bound win; otherwise the locator is read
-    ///   as an `.svc` file.
+    ///   as an `.svc` file;
+    /// * overlay images — each constant path an `Overlay` or `OverlayAt`
+    ///   names; paths already bound win; otherwise the path is read as a
+    ///   PPM file.
     pub fn bind(&mut self, spec: &Spec) -> Result<(), V2vError> {
         let windows = spec.array_windows();
         for (name, locator) in &spec.data_arrays {
@@ -199,6 +213,15 @@ impl V2vEngine {
             if self.catalog.video(name).is_none() {
                 self.catalog
                     .add_video(name.clone(), V2vEngine::read_video(name, locator)?);
+            }
+        }
+        for path in spec.referenced_images() {
+            if self.catalog.image(&path).is_none() {
+                let image = v2v_frame::ppm::read_ppm(&path).map_err(|e| {
+                    let message = format!("cannot read overlay image '{path}'");
+                    V2vError::with_source(ErrorKind::NotFound, message, e)
+                })?;
+                self.catalog.add_image(path, image);
             }
         }
         Ok(())
@@ -338,9 +361,9 @@ impl V2vEngine {
     }
 
     /// [`run`](V2vEngine::run), also returning the observability
-    /// artifact: rewrite trace, per-segment execution trace,
-    /// pipeline-stage spans, and a metrics snapshot, serializable as one
-    /// JSON document (the CLI's `--trace` flag).
+    /// artifact: rewrite trace, per-segment execution trace and
+    /// pipeline-stage spans, serializable as one JSON document (the
+    /// CLI's `--trace` flag).
     pub fn run_traced(&mut self, spec: &Spec) -> Result<(RunReport, RunTrace), V2vError> {
         let prepared = self.front_half(spec, self.reuse_configured())?;
         self.run_prepared(prepared)
@@ -424,33 +447,25 @@ impl V2vEngine {
         &mut self,
         prepared: PreparedRun,
     ) -> Result<(RunReport, RunTrace), V2vError> {
-        let (report, trace, _) = self.run_prepared_with(prepared, None)?;
-        Ok((report, trace))
+        self.run_prepared_with(prepared, None)
     }
 
     /// [`run_prepared`](V2vEngine::run_prepared) with an optional
     /// packet sink: the one back half. With a sink, packets reach it in
-    /// presentation order as output GOPs and segments complete; the
-    /// third value is the time from execution start to the first packet
-    /// delivered (zero without a sink).
+    /// presentation order as output GOPs and segments complete, and the
+    /// trace records when the first one did.
     fn run_prepared_with(
         &mut self,
         prepared: PreparedRun,
         sink: Option<&mut dyn FnMut(&Packet)>,
-    ) -> Result<(RunReport, RunTrace, Duration), V2vError> {
+    ) -> Result<(RunReport, RunTrace), V2vError> {
         let (physical, spans) = (&prepared.physical, &prepared.spans);
         let timer = spans.start("execute");
         let exec_start_ns = spans.now_ns();
         let opts = self.exec_options(prepared.keys, true);
-        let (output, exec_trace, wall, first_packet) = match sink {
-            Some(sink) => {
-                let (output, s) = execute_streaming_with(physical, &self.catalog, &opts, sink)?;
-                (output, s.trace, s.total, s.time_to_first_packet)
-            }
-            None => {
-                let (output, trace, wall) = execute_traced(physical, &self.catalog, &opts)?;
-                (output, trace, wall, Duration::ZERO)
-            }
+        let (output, exec_trace, wall) = match sink {
+            Some(sink) => execute_streaming_with(physical, &self.catalog, &opts, sink)?,
+            None => execute(physical, &self.catalog, &opts)?,
         };
         timer
             .attr("frames", output.len())
@@ -488,14 +503,15 @@ impl V2vEngine {
             wall,
             errors: exec_trace.errors.clone(),
         };
-        let trace = RunTrace::assemble(
-            prepared.dde_rewrites as u64,
-            physical.stats,
-            prepared.plan_trace,
-            exec_trace,
-            spans.take(),
-        );
-        Ok((report, trace, first_packet))
+        let trace = RunTrace {
+            schema_version: TRACE_SCHEMA_VERSION,
+            dde_rewrites: prepared.dde_rewrites as u64,
+            plan_stats: physical.stats,
+            rewrites: prepared.plan_trace,
+            exec: exec_trace,
+            spans: spans.take(),
+        };
+        Ok((report, trace))
     }
 
     /// Renders exactly one segment of a prepared plan and returns it as
@@ -527,7 +543,7 @@ impl V2vEngine {
         // hook here — a worker must not re-dispatch.
         let key = prepared.keys.get(seg_index).copied().flatten();
         let opts = self.exec_options(key.map(Some).into_iter().collect(), false);
-        let (output, exec_trace, _) = execute_traced(&sub, &self.catalog, &opts)?;
+        let (output, exec_trace, _) = execute(&sub, &self.catalog, &opts)?;
         Ok((Fragment::from_stream(&output), exec_trace.totals))
     }
 
@@ -544,31 +560,12 @@ impl V2vEngine {
         mut sink: impl FnMut(&Packet),
     ) -> Result<(RunReport, StreamingStats), V2vError> {
         let prepared = self.front_half(spec, self.reuse_configured())?;
-        let (report, trace, time_to_first_packet) =
-            self.run_prepared_with(prepared, Some(&mut sink))?;
+        let (report, trace) = self.run_prepared_with(prepared, Some(&mut sink))?;
         let streaming = StreamingStats {
-            time_to_first_packet,
+            time_to_first_packet: Duration::from_nanos(trace.exec.first_packet_ns.unwrap_or(0)),
             total: report.wall,
-            exec: report.stats,
-            errors: report.errors.clone(),
-            trace: trace.exec,
         };
         Ok((report, streaming))
-    }
-
-    /// Runs a spec and binds its output video back into the catalog under
-    /// `name` — the closed query algebra (§I: "a single video as a final
-    /// output … allows for a closed query algebra, enabling users to
-    /// express complex compound query operations"). Subsequent specs can
-    /// reference `name` like any source.
-    pub fn run_into_catalog(
-        &mut self,
-        name: impl Into<String>,
-        spec: &Spec,
-    ) -> Result<RunReport, V2vError> {
-        let report = self.run(spec)?;
-        self.catalog.add_video(name.into(), report.output.clone());
-        Ok(report)
     }
 
     /// Runs the unoptimized plan (naive operator-at-a-time execution, no
@@ -880,10 +877,6 @@ mod tests {
         let (report, trace) = engine.run_traced(&spec).unwrap();
         assert_eq!(trace.exec.totals, report.stats);
         assert_eq!(trace.rewrites.fired("stream_copy"), 1);
-        assert_eq!(
-            trace.metrics.counter("exec.packets_copied"),
-            report.stats.packets_copied
-        );
         let names: Vec<&str> = trace.spans.iter().map(|s| s.name.as_str()).collect();
         for stage in [
             "bind",
@@ -956,6 +949,47 @@ mod tests {
         assert_eq!(report.stats.frames_encoded, 30);
         let cold = engine_with_video().run(&overlap).unwrap();
         assert_eq!(report.output.content_digest(), cold.output.content_digest());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn overlay_images_bind_from_their_files_and_are_never_cached() {
+        use v2v_frame::Plane;
+        use v2v_spec::{Arg, DataExpr, RenderExpr, TransformOp};
+        let (mut engine, dir) = cached_engine("overlay");
+        let path = dir.join("patch.ppm").to_string_lossy().into_owned();
+        let spec = SpecBuilder::new(output())
+            .video("a", "a.svc")
+            .append_filtered("a", r(0, 1), r(1, 1), |e| {
+                let num = |v: f64| Arg::Data(DataExpr::constant(v));
+                let args = vec![
+                    Arg::Frame(e),
+                    Arg::Data(DataExpr::constant(path.as_str())),
+                    num(0.25),
+                    num(0.25),
+                    num(1.0),
+                ];
+                RenderExpr::transform(TransformOp::OverlayAt, args)
+            })
+            .build();
+        // Each level is written to the file, then rendered by a fresh
+        // engine over the one persistent render cache.
+        for level in [200, 40] {
+            let patch =
+                Frame::from_planes(FrameType::rgb24(8, 8), vec![Plane::filled(24, 8, level)])
+                    .unwrap();
+            v2v_frame::ppm::write_ppm(&patch, &path).unwrap();
+            let report = engine.run(&spec).unwrap();
+            assert_eq!(report.stats.cache.segment_hits, 0, "never keyed");
+            let (frames, _) = report.output.decode_range(0, 1).unwrap();
+            let luma = patch.to_yuv420p().plane(0).get(0, 0);
+            assert_eq!(frames[0].plane(0).get(16, 8), luma, "level {level}");
+            engine = engine_with_video().with_config(engine.config.clone());
+        }
+        // A missing image fails at bind, like a missing video.
+        std::fs::remove_file(&path).unwrap();
+        let err = engine.bind(&spec).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::NotFound, "{err}");
         let _ = std::fs::remove_dir_all(dir);
     }
 

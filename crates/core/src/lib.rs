@@ -30,7 +30,7 @@ pub mod error;
 pub mod facade;
 pub mod observe;
 
-pub use engine::{EngineConfig, PreparedRun, RunReport, V2vEngine};
+pub use engine::{EngineConfig, PreparedRun, RunReport, StreamingStats, V2vEngine};
 pub use error::{ErrorKind, V2vError};
 pub use facade::{montage_spec, MontageOptions, MontageSegment};
 pub use observe::{AnalyzeReport, ExplainReport, RunTrace};

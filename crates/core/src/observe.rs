@@ -9,9 +9,10 @@
 //!   decoded/copied/encoded, bytes, seeks, wall times);
 //! * [`RunTrace`] — the machine-readable artifact the CLI's `--trace`
 //!   flag writes and CI's metrics-snapshot job diffs: one JSON document
-//!   carrying the rewrite trace, the execution trace, pipeline-stage
-//!   spans, and a metrics snapshot, stamped with
-//!   [`TRACE_SCHEMA_VERSION`].
+//!   carrying the rewrite trace, the execution trace and pipeline-stage
+//!   spans, stamped with
+//!   [`TRACE_SCHEMA_VERSION`](v2v_obs::TRACE_SCHEMA_VERSION). The run's counters
+//!   are the execution trace's totals; nothing copies them.
 //!
 //! Wall-clock fields (`wall_ns`, spans, per-segment times) are measured
 //! and machine-dependent; golden comparisons must restrict themselves to
@@ -19,7 +20,7 @@
 
 use serde::{Deserialize, Serialize};
 use v2v_exec::{ExecStats, ExecTrace};
-use v2v_obs::{MetricsSnapshot, Registry, SpanRecord, TRACE_SCHEMA_VERSION};
+use v2v_obs::SpanRecord;
 use v2v_plan::{PlanStats, PlanTrace};
 
 /// What `v2v explain` shows: both plans and the rewrite history, no
@@ -92,7 +93,8 @@ impl AnalyzeReport {
 /// The single JSON trace artifact of one run (`v2v run --trace`).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RunTrace {
-    /// Trace format version ([`TRACE_SCHEMA_VERSION`]); bump on
+    /// Trace format version
+    /// ([`TRACE_SCHEMA_VERSION`](v2v_obs::TRACE_SCHEMA_VERSION)); bump on
     /// breaking layout changes so CI goldens fail loudly.
     pub schema_version: u32,
     /// Operator sites specialized by the data-dependent rewriter.
@@ -106,47 +108,9 @@ pub struct RunTrace {
     /// Pipeline-stage spans (`bind`, `specialize`, `plan`, `execute`),
     /// epoch-relative.
     pub spans: Vec<SpanRecord>,
-    /// Run-level metrics snapshot (counters mirror
-    /// [`ExecStats`], plus distribution histograms such as per-segment
-    /// wall time).
-    pub metrics: MetricsSnapshot,
 }
 
 impl RunTrace {
-    /// Assembles the artifact from the pipeline's pieces. The metrics
-    /// snapshot is built here — counters mirror the stats totals, and a
-    /// histogram captures the per-segment wall-time distribution.
-    pub fn assemble(
-        dde_rewrites: u64,
-        plan_stats: PlanStats,
-        rewrites: PlanTrace,
-        exec: ExecTrace,
-        spans: Vec<SpanRecord>,
-    ) -> RunTrace {
-        let registry = Registry::new();
-        for (name, value) in exec.totals.counters() {
-            registry.counter(name).add(value);
-        }
-        registry
-            .counter("plan.rewrite_events")
-            .add(rewrites.events.len() as u64);
-        let seg_wall = registry.histogram("exec.segment_wall_ns");
-        let seg_decoded = registry.histogram("exec.segment_frames_decoded");
-        for s in &exec.segments {
-            seg_wall.record(s.wall_ns);
-            seg_decoded.record(s.stats.frames_decoded);
-        }
-        RunTrace {
-            schema_version: TRACE_SCHEMA_VERSION,
-            dde_rewrites,
-            plan_stats,
-            rewrites,
-            exec,
-            spans,
-            metrics: registry.snapshot(),
-        }
-    }
-
     /// Serializes to JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("trace serializes")
@@ -163,7 +127,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn run_trace_round_trip_and_metrics_mirror_stats() {
+    fn run_trace_round_trip() {
         let mut rewrites = PlanTrace::default();
         rewrites.record("stream_copy", 0, "a #0..#60", 1, 1);
         let exec = ExecTrace {
@@ -173,17 +137,23 @@ mod tests {
                 segments: 2,
                 ..Default::default()
             },
+            first_packet_ns: Some(1_000),
             ..Default::default()
         };
-        let trace = RunTrace::assemble(1, PlanStats::default(), rewrites, exec, vec![]);
-        assert_eq!(trace.schema_version, TRACE_SCHEMA_VERSION);
-        assert_eq!(trace.metrics.counter("exec.frames_decoded"), 12);
-        assert_eq!(trace.metrics.counter("exec.packets_copied"), 60);
-        assert_eq!(trace.metrics.counter("plan.rewrite_events"), 1);
-        for (name, value) in trace.exec.totals.counters() {
-            assert_eq!(trace.metrics.counter(name), value, "{name}");
-        }
-        let back = RunTrace::from_json(&trace.to_json()).unwrap();
+        let trace = RunTrace {
+            schema_version: v2v_obs::TRACE_SCHEMA_VERSION,
+            dde_rewrites: 1,
+            plan_stats: PlanStats::default(),
+            rewrites,
+            exec,
+            spans: vec![],
+        };
+        let json = trace.to_json();
+        assert!(
+            !json.contains("\"metrics\""),
+            "the counters live once, in exec.totals"
+        );
+        let back = RunTrace::from_json(&json).unwrap();
         assert_eq!(back, trace);
     }
 

@@ -17,12 +17,12 @@
 //! [`execute_streaming_with`] is the one driver with a packet sink
 //! attached: packets reach the sink in presentation order as soon as
 //! they are ready, one output GOP at a time, while the rest of the
-//! output is still rendering. The measured `time_to_first_packet` in
-//! [`StreamingStats`] is how the claim is quantified (the repo
-//! benchmark's `exec.ttfp_share`).
+//! output is still rendering. The measured time to first packet,
+//! [`ExecTrace::first_packet_ns`], is how the claim is quantified (the
+//! repo benchmark's `exec.ttfp_share`).
 
 use crate::catalog::Catalog;
-use crate::fault::{ErrorPolicy, FaultInjector, SegmentFault};
+use crate::fault::{ErrorPolicy, FaultInjector};
 use crate::gop_cache::GopCache;
 use crate::scheduler::{execute_scheduled, Delivery};
 use crate::trace::{ExecTrace, SegmentTrace};
@@ -207,9 +207,9 @@ impl ExecStats {
     }
 
     /// Every counter with its `exec.*` metric name, in one fixed order:
-    /// the one list a run trace's metrics and the daemon's `/metrics`
-    /// are built from. The always-zero fields (`splits`, `steals`,
-    /// `cache.result_hits`, `cache.shared_segment_hits`) have no metric.
+    /// the one list the daemon's `/metrics` is built from. The
+    /// always-zero fields (`splits`, `steals`, `cache.result_hits`,
+    /// `cache.shared_segment_hits`) have no metric.
     pub fn counters(&self) -> [(&'static str, u64); 20] {
         let c = &self.cache;
         [
@@ -237,63 +237,28 @@ impl ExecStats {
     }
 }
 
-/// Executes a physical plan against a catalog.
+/// Executes a physical plan against a catalog, profiling every segment.
 ///
-/// Returns the output stream, the accumulated stats, and the wall time.
-/// Thin wrapper over [`execute_traced`] for callers that do not need the
-/// per-segment trace.
+/// Returns the output stream, the [`ExecTrace`] (per-segment stats and
+/// wall times plus run totals), and the end-to-end wall time.
 pub fn execute(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     opts: &ExecOptions,
-) -> Result<(VideoStream, ExecStats, Duration), ExecError> {
-    let (out, trace, wall) = execute_traced(plan, catalog, opts)?;
-    Ok((out, trace.totals, wall))
-}
-
-/// Executes a physical plan, profiling every segment.
-///
-/// Returns the output stream, the [`ExecTrace`] (per-segment stats and
-/// wall times plus run totals), and the end-to-end wall time.
-pub fn execute_traced(
-    plan: &PhysicalPlan,
-    catalog: &Catalog,
-    opts: &ExecOptions,
 ) -> Result<(VideoStream, ExecTrace, Duration), ExecError> {
-    let started = Instant::now();
-    let (out, mut trace, _, _) = drive(plan, catalog, opts, None)?;
-    let wall = started.elapsed();
-    trace.wall_ns = wall.as_nanos() as u64;
-    Ok((out, trace, wall))
-}
-
-/// Latency profile of a streaming run.
-#[derive(Clone, Debug, Default)]
-pub struct StreamingStats {
-    /// Wall time from executor start until the first packet reached the
-    /// sink.
-    pub time_to_first_packet: Duration,
-    /// Wall time from executor start until the last packet reached the
-    /// sink.
-    pub total: Duration,
-    /// Aggregated execution costs.
-    pub exec: ExecStats,
-    /// Structured error report: one entry per segment that failed and was
-    /// recovered, skipped, or substituted under the run's error policy.
-    pub errors: Vec<SegmentFault>,
-    /// The per-segment trace `exec` and `errors` are taken from — the
-    /// same artifact a batch run returns.
-    pub trace: ExecTrace,
+    drive(plan, catalog, opts, None)
 }
 
 /// Executes a plan, delivering packets to `sink` in presentation order,
 /// one output GOP at a time: each as soon as it is encoded and every
 /// earlier frame has been delivered. Returns the assembled stream
-/// (identical to the batch executor's output) plus latency stats.
+/// (identical to the batch executor's output), its trace and the wall
+/// time until the last packet reached the sink.
 ///
 /// This is the batch executor's driver with a sink attached, so a
-/// streaming run honors the same [`ExecOptions`] and reports the same
-/// [`ExecStats`] as a batch run of the same plan. Worker parallelism
+/// streaming run honors the same [`ExecOptions`] and returns the same
+/// [`ExecTrace`] as a batch run of the same plan, plus the time to the
+/// first sunk packet in [`ExecTrace::first_packet_ns`]. Worker parallelism
 /// uses the scheduler's scoped threads; ordered delivery runs on the
 /// calling thread, so `sink` needs no synchronization. Packets reach
 /// `sink` already re-stamped onto the output presentation grid, so the
@@ -308,18 +273,8 @@ pub fn execute_streaming_with(
     catalog: &Catalog,
     opts: &ExecOptions,
     mut sink: impl FnMut(&Packet),
-) -> Result<(VideoStream, StreamingStats), ExecError> {
-    let (out, mut trace, exec_started, first_packet) = drive(plan, catalog, opts, Some(&mut sink))?;
-    let total = exec_started.elapsed();
-    trace.wall_ns = total.as_nanos() as u64;
-    let stats = StreamingStats {
-        time_to_first_packet: first_packet.map_or(Duration::ZERO, |at| at - exec_started),
-        total,
-        exec: trace.totals,
-        errors: trace.errors.clone(),
-        trace,
-    };
-    Ok((out, stats))
+) -> Result<(VideoStream, ExecTrace, Duration), ExecError> {
+    drive(plan, catalog, opts, Some(&mut sink))
 }
 
 /// The driver's sink bookkeeping: every output frame before `at` has
@@ -356,7 +311,7 @@ impl Playhead {
     }
 }
 
-/// The one executor driver behind [`execute_traced`] and
+/// The one executor driver behind [`execute`] and
 /// [`execute_streaming_with`]: builds the run's decoded-GOP cache and
 /// output writer, splices every segment the scheduler delivers (in
 /// presentation order) into the writer and the trace, and books the
@@ -367,14 +322,14 @@ impl Playhead {
 /// scheduler delivers early as soon as the [`Playhead`] is at it, the
 /// rest of a segment before the segment is spliced. Without one no
 /// packet is re-stamped and the scheduler sends no GOPs. Returns the
-/// stream, the trace (`wall_ns` left to the caller's clock), the instant
-/// dispatch began, and the instant the first packet reached the sink.
-pub(crate) fn drive(
+/// stream, the trace and the wall time, all timed from the instant
+/// dispatch began.
+fn drive(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     opts: &ExecOptions,
     sink: Option<&mut dyn FnMut(&Packet)>,
-) -> Result<(VideoStream, ExecTrace, Instant, Option<Instant>), ExecError> {
+) -> Result<(VideoStream, ExecTrace, Duration), ExecError> {
     let cache = GopCache::new(opts.gop_cache_frames);
     let mut writer = StreamWriter::new(plan.out_params, Rational::ZERO, plan.frame_dur);
     let mut trace = ExecTrace::default();
@@ -437,7 +392,11 @@ pub(crate) fn drive(
         // segment never reaches the per-segment stats roll-up.
         trace.totals.faults_injected = injector.injections();
     }
-    Ok((writer.finish()?, trace, exec_started, first_packet))
+    let out = writer.finish()?;
+    let wall = exec_started.elapsed();
+    trace.wall_ns = wall.as_nanos() as u64;
+    trace.first_packet_ns = first_packet.map(|at| (at - exec_started).as_nanos() as u64);
+    Ok((out, trace, wall))
 }
 
 #[cfg(test)]
@@ -504,8 +463,8 @@ mod tests {
     ) -> (VideoStream, ExecStats) {
         let logical = lower_spec(spec).unwrap();
         let phys = optimize(&logical, catalog.plan_context(), cfg).unwrap();
-        let (out, stats, _) = execute(&phys, catalog, &ExecOptions::default()).unwrap();
-        (out, stats)
+        let (out, trace, _) = execute(&phys, catalog, &ExecOptions::default()).unwrap();
+        (out, trace.totals)
     }
 
     #[test]
@@ -639,7 +598,8 @@ mod tests {
             &OptimizerConfig::default(),
         )
         .unwrap();
-        let (out, stats, _) = execute(&phys, &catalog, &ExecOptions::default()).unwrap();
+        let (out, trace, _) = execute(&phys, &catalog, &ExecOptions::default()).unwrap();
+        let stats = trace.totals;
         assert_eq!(out.len(), 30);
         assert!(
             stats.gop_cache_hits > 0,
@@ -656,8 +616,8 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(stats_nc.gop_cache_hits, 0);
-        assert_eq!(stats_nc.gop_cache_misses, 0);
+        assert_eq!(stats_nc.totals.gop_cache_hits, 0);
+        assert_eq!(stats_nc.totals.gop_cache_misses, 0);
         let (fa, _) = out.decode_range(0, out.len()).unwrap();
         let (fb, _) = out_nc.decode_range(0, out_nc.len()).unwrap();
         assert_eq!(fa, fb, "cache on/off must be byte-identical");
@@ -689,8 +649,8 @@ mod tests {
                 num_threads,
                 ..Default::default()
             };
-            let (out, stats, _) = execute(&phys, &catalog, &opts).unwrap();
-            assert_eq!(stats.frames_decoded, 12 + 60, "{opts:?}");
+            let (out, trace, _) = execute(&phys, &catalog, &opts).unwrap();
+            assert_eq!(trace.totals.frames_decoded, 12 + 60, "{opts:?}");
             outputs.push(out);
         }
         assert!(outputs.windows(2).all(|w| w[0].packets() == w[1].packets()));
@@ -933,18 +893,23 @@ mod tests {
         )
         .unwrap();
         let mut sink_count = 0usize;
-        let (streamed, stats) =
+        let (streamed, trace, total) =
             execute_streaming_with(&plan, &catalog, &ExecOptions::default(), |_| {
                 sink_count += 1
             })
             .unwrap();
-        let (batch, _, _) = execute(&plan, &catalog, &ExecOptions::default()).unwrap();
+        let (batch, batch_trace, _) = execute(&plan, &catalog, &ExecOptions::default()).unwrap();
         assert_eq!(sink_count, streamed.len());
         assert_eq!(streamed.len(), batch.len());
         let (fa, _) = streamed.decode_range(0, streamed.len()).unwrap();
         let (fb, _) = batch.decode_range(0, batch.len()).unwrap();
         assert_eq!(fa, fb);
-        assert!(stats.time_to_first_packet <= stats.total);
+        let ttfp = Duration::from_nanos(trace.first_packet_ns.expect("packets were sunk"));
+        assert!(ttfp <= total);
+        assert_eq!(
+            batch_trace.first_packet_ns, None,
+            "a batch run sinks nothing"
+        );
     }
 
     #[test]
@@ -995,12 +960,11 @@ mod tests {
                 num_threads,
                 ..Default::default()
             };
-            let (_, stats) = execute_streaming_with(&plan, &catalog, &opts, |_| {}).unwrap();
+            let (_, trace, total) = execute_streaming_with(&plan, &catalog, &opts, |_| {}).unwrap();
+            let ttfp = Duration::from_nanos(trace.first_packet_ns.unwrap());
             assert!(
-                stats.time_to_first_packet < stats.total / 2,
-                "{num_threads} threads: ttfp {:?} vs total {:?}",
-                stats.time_to_first_packet,
-                stats.total
+                ttfp < total / 2,
+                "{num_threads} threads: ttfp {ttfp:?} vs total {total:?}"
             );
         }
     }
@@ -1050,18 +1014,18 @@ mod tests {
                 parallel: false,
                 ..Default::default()
             };
-            let (_, batch_stats, _) = execute(&plan, &catalog, &opts).unwrap();
-            let (_, streaming_stats) =
-                execute_streaming_with(&plan, &catalog, &opts, |_| {}).unwrap();
+            let (_, batch, _) = execute(&plan, &catalog, &opts).unwrap();
+            let (_, streaming, _) = execute_streaming_with(&plan, &catalog, &opts, |_| {}).unwrap();
+            let (batch_stats, streaming_stats) = (batch.totals, streaming.totals);
             assert_eq!(
-                batch_stats.gop_cache_hits, streaming_stats.exec.gop_cache_hits,
+                batch_stats.gop_cache_hits, streaming_stats.gop_cache_hits,
                 "hits diverge at cache_frames={cache_frames}"
             );
             assert_eq!(
-                batch_stats.gop_cache_misses, streaming_stats.exec.gop_cache_misses,
+                batch_stats.gop_cache_misses, streaming_stats.gop_cache_misses,
                 "misses diverge at cache_frames={cache_frames}"
             );
-            assert_eq!(batch_stats, streaming_stats.exec, "full stats diverge");
+            assert_eq!(batch_stats, streaming_stats, "full stats diverge");
         }
     }
 

@@ -15,9 +15,13 @@
 //!   `Concat` — the cost model of the paper's unoptimized plans (Fig. 2
 //!   top), used as the baseline arm in Figs. 3–4.
 //!
-//! Both return the output [`v2v_container::VideoStream`] plus
-//! [`ExecStats`] (frames decoded/encoded, packets and bytes copied) so
-//! benchmarks and tests can attribute costs.
+//! [`execute`] and its sink-attached twin [`execute_streaming_with`]
+//! return one shape: the output [`v2v_container::VideoStream`], the
+//! run's [`ExecTrace`] (per-segment and run-total [`ExecStats`], the
+//! fault report, the time to the first sunk packet) and the wall time.
+//! [`execute_naive`] returns run-total [`ExecStats`] only. Either way
+//! benchmarks and tests can attribute costs (frames decoded/encoded,
+//! packets and bytes copied).
 
 pub mod apply;
 mod budget_lru;
@@ -39,9 +43,7 @@ pub mod trace;
 pub use apply::{apply_program, UdfKernel};
 pub use catalog::Catalog;
 pub use cursor::SourceCursor;
-pub use executor::{
-    execute, execute_streaming_with, execute_traced, ExecOptions, ExecStats, StreamingStats,
-};
+pub use executor::{execute, execute_streaming_with, ExecOptions, ExecStats};
 pub use fault::{ErrorPolicy, FaultAction, FaultInjector, FaultKind, SegmentFault};
 pub use gop_cache::{GopCache, GopPrefix};
 pub use kind::{codec_kind, container_kind, exec_kind, ErrorKind};

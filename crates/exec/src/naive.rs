@@ -165,7 +165,7 @@ mod tests {
             &OptimizerConfig::default(),
         )
         .unwrap();
-        let (opt_out, opt_stats, _) = execute(&phys, catalog, &ExecOptions::default()).unwrap();
+        let (opt_out, opt_trace, _) = execute(&phys, catalog, &ExecOptions::default()).unwrap();
         assert_eq!(naive_out.len(), opt_out.len());
         let (fa, _) = naive_out.decode_range(0, naive_out.len()).unwrap();
         let (fb, _) = opt_out.decode_range(0, opt_out.len()).unwrap();
@@ -179,7 +179,7 @@ mod tests {
             );
             assert_eq!(a, b, "frame {i} raster differs");
         }
-        (naive_stats, opt_stats)
+        (naive_stats, opt_trace.totals)
     }
 
     #[test]

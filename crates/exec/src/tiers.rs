@@ -133,8 +133,8 @@ mod tests {
             segment_cache: Some(Arc::new(sc)),
             ..Default::default()
         };
-        let (out, stats, _) = execute(plan, catalog, &opts).unwrap();
-        (out, stats.cache)
+        let (out, trace, _) = execute(plan, catalog, &opts).unwrap();
+        (out, trace.totals.cache)
     }
 
     /// Drives the one lookup chain through every origin and checks the

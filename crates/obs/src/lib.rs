@@ -53,4 +53,7 @@ pub use span::{SpanRecord, SpanSink, SpanTimer};
 ///   leaves the `cache` stats block (and `exec.cache.*`) with the
 ///   daemon's whole-response registry, and the per-segment `parts`
 ///   field (always 1) is gone.
-pub const TRACE_SCHEMA_VERSION: u32 = 6;
+/// * 7 — one owner per fact: the run trace's `metrics` snapshot (a copy
+///   of `exec.totals` plus per-segment histograms) is gone, and the exec
+///   trace gains `first_packet_ns` on streaming runs.
+pub const TRACE_SCHEMA_VERSION: u32 = 7;

@@ -28,10 +28,11 @@
 //! fingerprint: cached bytes are only reusable when they are the very
 //! bytes the plan would produce.
 //!
-//! Programs containing UDFs are never keyed ([`segment_keys`] yields
-//! `None`, [`plan_fingerprint`] is still defined but callers should
-//! skip caching): the kernel behind a UDF id lives in the process's
-//! catalog, outside what any on-disk digest can witness.
+//! Programs containing UDFs or overlay images are never keyed
+//! ([`segment_keys`] yields `None`, [`plan_fingerprint`] is still
+//! defined but callers should skip caching): the kernel behind a UDF id
+//! lives in the process's catalog, and a program names an image by its
+//! path, not its pixels, so neither is witnessed by any digest.
 //!
 //! [`VideoStream::content_digest`]: v2v_container::VideoStream::content_digest
 
@@ -147,24 +148,28 @@ fn expr_time_sensitive(e: &v2v_spec::DataExpr) -> bool {
 
 /// Does the program consume anything beyond its input frames — data
 /// expressions genuinely evaluated at *absolute* domain instants
-/// (`t` or array lookups; constants don't count) or UDFs?
+/// (`t` or array lookups; constants don't count) — and anything no
+/// digest witnesses (UDFs, overlay images)?
 fn program_data_sensitivity(p: &FrameProgram) -> (bool, bool) {
     match p {
         FrameProgram::Input(_) => (false, false),
         FrameProgram::Op { op, args } => {
             let mut data = false;
-            let mut udf = matches!(op, TransformOp::Udf(_));
+            let mut opaque = matches!(
+                op,
+                TransformOp::Udf(_) | TransformOp::Overlay | TransformOp::OverlayAt
+            );
             for a in args {
                 match a {
                     ProgArg::Frame(f) => {
-                        let (d, u) = program_data_sensitivity(f);
+                        let (d, o) = program_data_sensitivity(f);
                         data |= d;
-                        udf |= u;
+                        opaque |= o;
                     }
                     ProgArg::Data(e) => data |= expr_time_sensitive(e),
                 }
             }
-            (data, udf)
+            (data, opaque)
         }
     }
 }
@@ -220,8 +225,8 @@ pub fn referenced_arrays(plan: &PhysicalPlan) -> BTreeSet<String> {
 
 /// Hashes one render plan's semantic content for the segment starting
 /// at output frame `out_start` with `count` frames. Returns `false`
-/// (key unusable) when the program contains a UDF or references a
-/// video or array absent from `sources`.
+/// (key unusable) when the program contains a UDF or an overlay image,
+/// or references a video or array absent from `sources`.
 fn hash_render(
     h: &mut Fnv64,
     plan: &PhysicalPlan,
@@ -231,8 +236,8 @@ fn hash_render(
     count: u64,
     sources: &SourceDigests,
 ) -> bool {
-    let (has_data, has_udf) = program_data_sensitivity(program);
-    if has_udf {
+    let (has_data, opaque) = program_data_sensitivity(program);
+    if opaque {
         return false;
     }
     h.write_str("render");
@@ -407,10 +412,10 @@ pub fn plan_fingerprint(plan: &PhysicalPlan, sources: &SourceDigests) -> u64 {
                     seg.count,
                     sources,
                 ) {
-                    // Unkeyable content (UDF, unknown video): poison the
-                    // fingerprint with the segment's identity so it
-                    // still distinguishes plans, while callers gate
-                    // caching on `cacheable`.
+                    // Unkeyable content (UDF, image, unknown video):
+                    // poison the fingerprint with the segment's identity
+                    // so it still distinguishes plans, while callers
+                    // gate caching on `cacheable`.
                     h.write_str("unkeyable");
                     h.write_str(&serde_json::to_string(program).unwrap_or_default());
                 }
@@ -430,13 +435,14 @@ pub fn plan_fingerprint(plan: &PhysicalPlan, sources: &SourceDigests) -> u64 {
     h.finish()
 }
 
-/// `true` when every segment of the plan can be keyed — no UDFs, every
-/// referenced video digested. The engine only caches such plans.
+/// `true` when every segment of the plan can be keyed — no UDFs or
+/// overlay images, every referenced video digested. The engine only
+/// caches such plans.
 pub fn cacheable(plan: &PhysicalPlan, sources: &SourceDigests) -> bool {
     plan.segments.iter().all(|seg| match &seg.plan {
         SegPlan::Render { program, inputs } => {
-            let (_, has_udf) = program_data_sensitivity(program);
-            !has_udf && inputs.iter().all(|c| sources.videos.contains_key(&c.video))
+            let (_, opaque) = program_data_sensitivity(program);
+            !opaque && inputs.iter().all(|c| sources.videos.contains_key(&c.video))
         }
         SegPlan::StreamCopy { video, .. } => sources.videos.contains_key(video),
     })
@@ -446,8 +452,8 @@ pub fn cacheable(plan: &PhysicalPlan, sources: &SourceDigests) -> bool {
 ///
 /// `None` for segments that must not be cached: stream copies (already
 /// zero-decode — caching them would only duplicate source bytes) and
-/// render programs containing UDFs or reading videos or arrays without
-/// digests.
+/// render programs containing UDFs or overlay images, or reading videos
+/// or arrays without digests.
 ///
 /// The key hashes everything that determines the segment's output
 /// bytes — program, input contents and alignment, output parameters,

@@ -374,6 +374,32 @@ impl RenderExpr {
             }
         }
     }
+
+    /// Every constant image path an `Overlay` or `OverlayAt` names
+    /// anywhere in the expression. A computed path has no value before
+    /// execution, so it is not listed.
+    pub fn referenced_images(&self, out: &mut Vec<String>) {
+        match self {
+            RenderExpr::FrameRef { .. } => {}
+            RenderExpr::Match { arms } => {
+                for a in arms {
+                    a.expr.referenced_images(out);
+                }
+            }
+            RenderExpr::Transform { op, args } => {
+                if matches!(op, TransformOp::Overlay | TransformOp::OverlayAt) {
+                    if let Some(Arg::Data(DataExpr::Const(Value::Str(path)))) = args.get(1) {
+                        out.push(path.clone());
+                    }
+                }
+                for a in args {
+                    if let Arg::Frame(e) = a {
+                        e.referenced_images(out);
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -21,8 +21,9 @@ fn output_of_one_query_feeds_the_next() {
         .append_clip("src", r(1, 1), Rational::from_int(2))
         .append_clip("src", r(6, 1), Rational::from_int(2))
         .build();
-    let r1 = engine.run_into_catalog("stage1", &stage1).unwrap();
+    let r1 = engine.run(&stage1).unwrap();
     assert_eq!(r1.output.len(), 120);
+    engine.catalog_mut().add_video("stage1", r1.output);
 
     // Stage 2: clip the middle of stage 1 — a compound query over the
     // synthesized result.
@@ -53,7 +54,8 @@ fn algebra_composes_with_transforms() {
         .video("src", "src.svc")
         .append_filtered("src", r(0, 1), Rational::from_int(2), grayscale)
         .build();
-    engine.run_into_catalog("gray", &stage1).unwrap();
+    let r1 = engine.run(&stage1).unwrap();
+    engine.catalog_mut().add_video("gray", r1.output);
 
     let stage2 = SpecBuilder::new(marked_output())
         .video("gray", "catalog")

@@ -127,7 +127,7 @@ fn all_modes_are_byte_identical() {
                 assert_same_stream(&format!("batch/{label}"), &baseline, &batch);
 
                 let mut sunk: Vec<v2v_codec::Packet> = Vec::new();
-                let (streamed, _) =
+                let (streamed, _, _) =
                     execute_streaming_with(&plan, &catalog, &opts, |p| sunk.push(p.clone()))
                         .unwrap();
                 assert_same_stream(&format!("streaming/{label}"), &baseline, &streamed);
@@ -179,7 +179,7 @@ proptest! {
         let opts = ExecOptions { num_threads: threads, ..Default::default() };
         let (batch, _, _) = execute(&plan, &catalog, &opts).unwrap();
         prop_assert_eq!(baseline.packets(), batch.packets());
-        let (streamed, _) = execute_streaming_with(&plan, &catalog, &opts, |_| {}).unwrap();
+        let (streamed, _, _) = execute_streaming_with(&plan, &catalog, &opts, |_| {}).unwrap();
         prop_assert_eq!(baseline.packets(), streamed.packets());
     }
 }
@@ -266,7 +266,8 @@ fn long_gop_shapes_are_byte_identical_with_the_gop_cache_on_and_off() {
                 let label = format!("{plan_name}/cache={gop_cache_frames}/threads={threads}");
                 let (batch, _, _) = execute(&plan, &catalog, &opts).unwrap();
                 assert_same_stream(&format!("batch/{label}"), &baseline, &batch);
-                let (streamed, _) = execute_streaming_with(&plan, &catalog, &opts, |_| {}).unwrap();
+                let (streamed, _, _) =
+                    execute_streaming_with(&plan, &catalog, &opts, |_| {}).unwrap();
                 assert_same_stream(&format!("streaming/{label}"), &baseline, &streamed);
             }
         }
@@ -306,7 +307,8 @@ proptest! {
             let opts = ExecOptions { num_threads: threads, gop_cache_frames, ..Default::default() };
             execute(&plan, &catalog, &opts).unwrap()
         };
-        let ((on, on_stats, _), (off, off_stats, _)) = (run(4096), run(0));
+        let ((on, on_trace, _), (off, off_trace, _)) = (run(4096), run(0));
+        let (on_stats, off_stats) = (on_trace.totals, off_trace.totals);
         prop_assert_eq!(on.content_digest(), off.content_digest());
         prop_assert!(
             on_stats.frames_decoded <= off_stats.frames_decoded,

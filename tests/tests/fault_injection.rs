@@ -32,8 +32,8 @@ use v2v_codec::Packet;
 use v2v_container::VideoStream;
 use v2v_data::Value;
 use v2v_exec::{
-    execute, execute_streaming_with, execute_traced, Catalog, ErrorPolicy, ExecOptions,
-    FaultInjector, FaultKind, SegmentFault,
+    execute, execute_streaming_with, Catalog, ErrorPolicy, ExecOptions, FaultInjector, FaultKind,
+    SegmentFault,
 };
 use v2v_frame::{marker, Frame, FrameType};
 use v2v_integration_tests::{marked_output, marked_stream};
@@ -125,15 +125,16 @@ fn zero_fault_runs_with_policies_stay_byte_identical() {
                 ..base
             };
             let label = format!("{policy:?}/{arm}");
-            let (batch, trace, _) = execute_traced(&plan, &catalog, &opts).unwrap();
+            let (batch, trace, _) = execute(&plan, &catalog, &opts).unwrap();
             assert_eq!(clean.packets(), batch.packets(), "batch/{label}");
             assert!(trace.errors.is_empty(), "batch/{label}: spurious faults");
             assert_eq!(trace.totals.faults_injected, 0, "batch/{label}");
 
-            let (streamed, stats) = execute_streaming_with(&plan, &catalog, &opts, |_| {}).unwrap();
+            let (streamed, streaming, _) =
+                execute_streaming_with(&plan, &catalog, &opts, |_| {}).unwrap();
             assert_eq!(clean.packets(), streamed.packets(), "streaming/{label}");
             assert!(
-                stats.errors.is_empty(),
+                streaming.errors.is_empty(),
                 "streaming/{label}: spurious faults"
             );
         }
@@ -162,7 +163,7 @@ fn transient_fault_recovers_byte_identical_everywhere() {
                 ..base
             };
             let label = format!("{kind:?}/{arm}");
-            let (out, trace, _) = execute_traced(&plan, &catalog, &opts).unwrap();
+            let (out, trace, _) = execute(&plan, &catalog, &opts).unwrap();
             assert_eq!(clean.packets(), out.packets(), "batch/{label}");
             assert_eq!(trace.totals.faults_injected, 1, "batch/{label}");
             assert!(
@@ -183,10 +184,11 @@ fn transient_fault_recovers_byte_identical_everywhere() {
                 fault: Some(Arc::new(injector)),
                 ..opts
             };
-            let (streamed, stats) = execute_streaming_with(&plan, &catalog, &opts, |_| {}).unwrap();
+            let (streamed, streaming, _) =
+                execute_streaming_with(&plan, &catalog, &opts, |_| {}).unwrap();
             assert_eq!(clean.packets(), streamed.packets(), "streaming/{label}");
-            assert_eq!(stats.exec.faults_injected, 1, "streaming/{label}");
-            assert_eq!(stats.errors.len(), 1, "streaming/{label}");
+            assert_eq!(streaming.totals.faults_injected, 1, "streaming/{label}");
+            assert_eq!(streaming.errors.len(), 1, "streaming/{label}");
         }
     }
 }
@@ -240,7 +242,7 @@ fn skip_segment_completes_with_a_reported_hole() {
             max_retries: 1,
             ..base
         };
-        let (out, trace, _) = execute_traced(&plan, &catalog, &opts).unwrap();
+        let (out, trace, _) = execute(&plan, &catalog, &opts).unwrap();
         // The run completed; the hole is exactly the render segment.
         assert_eq!(clean.len(), TOTAL_FRAMES);
         assert_eq!(out.len(), TOTAL_FRAMES - RENDER_FRAMES, "batch/{arm}");
@@ -256,11 +258,11 @@ fn skip_segment_completes_with_a_reported_hole() {
             ..opts
         };
         let mut sunk = 0usize;
-        let (streamed, stats) =
+        let (streamed, streaming, _) =
             execute_streaming_with(&plan, &catalog, &opts, |_| sunk += 1).unwrap();
         assert_eq!(streamed.len(), sunk, "streaming/{arm}: sink diverged");
         assert!(streamed.len() < clean.len(), "streaming/{arm}");
-        assert_skip_report(&stats.errors, &format!("streaming/{arm}"));
+        assert_skip_report(&streaming.errors, &format!("streaming/{arm}"));
     }
 }
 
@@ -278,7 +280,7 @@ fn substitute_black_completes_at_full_length() {
             max_retries: 1,
             ..base
         };
-        let (out, trace, _) = execute_traced(&plan, &catalog, &opts).unwrap();
+        let (out, trace, _) = execute(&plan, &catalog, &opts).unwrap();
         assert_eq!(
             out.len(),
             clean.len(),
@@ -318,10 +320,11 @@ fn substitute_black_completes_at_full_length() {
             fault: Some(Arc::new(mk())),
             ..opts
         };
-        let (streamed, stats) = execute_streaming_with(&plan, &catalog, &opts, |_| {}).unwrap();
+        let (streamed, streaming, _) =
+            execute_streaming_with(&plan, &catalog, &opts, |_| {}).unwrap();
         assert_eq!(streamed.len(), clean.len(), "streaming/{arm}");
-        assert!(stats.exec.parts_substituted >= 1, "streaming/{arm}");
-        assert!(!stats.errors.is_empty(), "streaming/{arm}");
+        assert!(streaming.totals.parts_substituted >= 1, "streaming/{arm}");
+        assert!(!streaming.errors.is_empty(), "streaming/{arm}");
     }
 }
 
@@ -338,7 +341,7 @@ fn degraded_extent_is_the_whole_segment_at_any_thread_count() {
             num_threads: threads,
             ..Default::default()
         };
-        let (_, trace, _) = execute_traced(&plan, &catalog, &opts).unwrap();
+        let (_, trace, _) = execute(&plan, &catalog, &opts).unwrap();
         let extents: Vec<(u64, u64)> = trace
             .errors
             .iter()
@@ -381,10 +384,10 @@ fn fault_report_round_trips_through_the_engine() {
     let (report, trace) = engine.run_traced(&spec).unwrap();
     assert!(!report.errors.is_empty(), "RunReport.errors empty");
     assert_eq!(report.errors, trace.exec.errors);
-    assert!(trace.metrics.counter("exec.faults.injected") >= 1);
-    assert!(trace.metrics.counter("exec.faults.parts_substituted") >= 1);
+    assert!(trace.exec.totals.faults_injected >= 1);
+    assert!(trace.exec.totals.parts_substituted >= 1);
     assert_eq!(
-        trace.metrics.counter("exec.faults.frames_substituted"),
+        trace.exec.totals.frames_substituted,
         report.stats.frames_substituted
     );
     let back = v2v_core::RunTrace::from_json(&trace.to_json()).unwrap();
@@ -426,7 +429,7 @@ fn a_skipped_segment_reports_the_unified_error_kind() {
             on_error: ErrorPolicy::SkipSegment,
             ..base
         };
-        let (_, trace, _) = execute_traced(&plan, &catalog, &opts).unwrap();
+        let (_, trace, _) = execute(&plan, &catalog, &opts).unwrap();
         assert!(!trace.errors.is_empty(), "{arm}: no error report");
         for f in &trace.errors {
             assert_eq!(f.kind, unified, "{arm}: {f:?}");
@@ -468,7 +471,7 @@ fn faults_fire_only_on_frames_the_query_reads() {
                 num_threads: threads,
                 ..Default::default()
             };
-            execute_traced(&plan, &catalog, &opts).unwrap()
+            execute(&plan, &catalog, &opts).unwrap()
         };
         // Past the reach: the rule never fires, the bytes are clean.
         let (out, trace, _) =
@@ -568,7 +571,7 @@ fn a_fault_on_a_frame_two_lanes_read_fires_as_on_one_worker() {
                         num_threads: threads,
                         ..Default::default()
                     };
-                    match execute_traced(&plan, &catalog, &opts) {
+                    match execute(&plan, &catalog, &opts) {
                         Ok((out, trace, _)) => {
                             assert_eq!(trace.totals.faults_injected, injector.injections());
                             (
@@ -648,8 +651,7 @@ fn a_compose_error_mid_segment_is_returned_at_any_thread_count() {
                     num_threads: threads,
                     ..Default::default()
                 };
-                execute_traced(&plan, &catalog, &opts)
-                    .map(|(out, trace, _)| (out.len(), trace.errors))
+                execute(&plan, &catalog, &opts).map(|(out, trace, _)| (out.len(), trace.errors))
             });
             match policy {
                 ErrorPolicy::Abort => {
@@ -701,16 +703,16 @@ fn an_early_gop_is_sunk_once_and_only_where_the_segment_cannot_be_replaced() {
                 ..Default::default()
             };
             let mut sunk = Vec::new();
-            let (out, stats) =
+            let (out, trace, _) =
                 execute_streaming_with(&plan, &catalog, &opts, |p| sunk.push(p.clone())).unwrap();
-            (out, stats, sunk)
+            (out, trace, sunk)
         };
         // A transient fault in GOP 1: the retry re-sends GOP 0, which the
         // sink must not see twice.
         let transient =
             FaultInjector::new().fail_times("src", GOP_1_SOURCE_FRAME, FaultKind::Io, 1);
-        let (out, stats, sunk) = run(transient, ErrorPolicy::Abort);
-        assert_eq!(stats.exec.retries, 1, "threads={threads}");
+        let (out, trace, sunk) = run(transient, ErrorPolicy::Abort);
+        assert_eq!(trace.totals.retries, 1, "threads={threads}");
         assert_eq!(clean.packets(), out.packets(), "threads={threads}");
         assert_eq!(clean.packets(), &sunk[..], "threads={threads}: sink");
 
@@ -719,8 +721,8 @@ fn an_early_gop_is_sunk_once_and_only_where_the_segment_cannot_be_replaced() {
         for policy in [ErrorPolicy::SkipSegment, ErrorPolicy::SubstituteBlack] {
             let label = format!("{policy:?}/threads={threads}");
             let persistent = FaultInjector::new().fail("src", GOP_1_SOURCE_FRAME, FaultKind::Io);
-            let (out, stats, sunk) = run(persistent, policy);
-            assert_eq!(stats.errors.len(), 1, "{label}");
+            let (out, trace, sunk) = run(persistent, policy);
+            assert_eq!(trace.errors.len(), 1, "{label}");
             assert_eq!(out.packets(), &sunk[..], "{label}: sink");
         }
     }
@@ -808,7 +810,7 @@ fn stream_gated(
         gate.open();
         sunk.push(p.clone());
     })
-    .map(|(out, _)| (out.packets().to_vec(), sunk))
+    .map(|(out, _, _)| (out.packets().to_vec(), sunk))
     .map_err(|e| e.to_string())
 }
 
