@@ -215,7 +215,9 @@ impl V2vEngine {
                     .add_video(name.clone(), V2vEngine::read_video(name, locator)?);
             }
         }
-        for path in spec.referenced_images() {
+        let mut images = Vec::new();
+        spec.render.referenced_images(&mut images);
+        for path in images {
             if self.catalog.image(&path).is_none() {
                 let image = v2v_frame::ppm::read_ppm(&path).map_err(|e| {
                     let message = format!("cannot read overlay image '{path}'");

@@ -84,16 +84,6 @@ impl Spec {
         v
     }
 
-    /// Constant overlay image paths named by the render expression
-    /// (sorted, deduplicated).
-    pub fn referenced_images(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        self.render.referenced_images(&mut v);
-        v.sort();
-        v.dedup();
-        v
-    }
-
     /// The time window `[min, max]` each data array is read over, with
     /// the affine index maps applied to the spec's time domain. Drives
     /// bounded materialization (paper §IV-B: "materialized in portions by
